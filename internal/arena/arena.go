@@ -41,6 +41,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Ref addresses one record: segment index in bits 47:32, byte offset in bits
@@ -273,6 +274,23 @@ func (a *Arena) Record(ref Ref) (key, value []byte) {
 func (a *Arena) Key(ref Ref) []byte {
 	k, _ := a.Record(ref)
 	return k
+}
+
+// RecordAddr returns the address of ref's first byte, for prefetching only:
+// the caller must not load through it. Because nothing is dereferenced it
+// needs neither a pin nor the happens-before edge Record asks for, and it
+// accepts any bit pattern as ref — a segment index past the directory, an
+// unlinked segment or an offset past the segment's end yields nil.
+func (a *Arena) RecordAddr(ref Ref) unsafe.Pointer {
+	segs := *a.segs.Load()
+	if int(ref.seg()) >= len(segs) {
+		return nil
+	}
+	seg := segs[ref.seg()]
+	if seg == nil || int(ref.off()) >= len(seg.buf) {
+		return nil
+	}
+	return unsafe.Pointer(&seg.buf[ref.off()])
 }
 
 // Retire marks ref's record dead (superseded or deleted). When the owning

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestAppendRecordRoundTrip pins the record encoding: every (key, value)
@@ -166,4 +167,48 @@ func TestConcurrentWritersReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRecordAddr pins the prefetch address helper: a live ref yields the
+// address of the record's first byte (its length header, two bytes before a
+// short key), and every ref that cannot be resolved — a segment index past
+// the directory, an offset past the segment, a reclaimed segment — yields
+// nil without panicking, because its caller feeds it whatever a racing slot
+// word held.
+func TestRecordAddr(t *testing.T) {
+	a := New(WithSegmentBytes(64))
+	w := a.NewWriter()
+	var refs []Ref
+	for i := 0; i < 32; i++ {
+		refs = append(refs, w.Append([]byte{byte(i), 1, 2, 3}, []byte{4, 5, 6, 7}))
+	}
+	for _, r := range refs {
+		k, _ := a.Record(r)
+		if got, want := uintptr(a.RecordAddr(r))+2, uintptr(unsafe.Pointer(&k[0])); got != want {
+			t.Fatalf("RecordAddr(%#x)+2 = %#x, want the key's address %#x", r, got, want)
+		}
+	}
+	total, _ := a.Segments()
+	if p := a.RecordAddr(MakeRef(uint32(total), 0)); p != nil {
+		t.Fatalf("segment past the directory resolved to %p", p)
+	}
+	if p := a.RecordAddr(MakeRef(0, 64)); p != nil {
+		t.Fatalf("offset past the segment resolved to %p", p)
+	}
+	if p := a.RecordAddr(Ref(refMask)); p != nil {
+		t.Fatalf("all-ones ref resolved to %p", p)
+	}
+
+	w.Append(bytes.Repeat([]byte{9}, 64), nil) // seal the tail segment
+	for _, r := range refs {
+		a.Retire(r)
+	}
+	a.Advance()
+	a.Advance()
+	if a.Freed() == 0 {
+		t.Fatal("no segment was reclaimed")
+	}
+	if p := a.RecordAddr(refs[0]); p != nil {
+		t.Fatalf("reclaimed segment resolved to %p", p)
+	}
 }

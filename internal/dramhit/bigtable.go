@@ -126,7 +126,10 @@ func (t *BigTable) Put(key uint64, value []byte) bool {
 		panic("dramhit: BigTable does not support reserved keys")
 	}
 	i := hashfn.Fastrange(t.hash(key), t.size)
-	for probes := uint64(0); probes < t.size; probes++ {
+	// probes counts slots moved past, never re-inspections of one slot: a
+	// waiter spinning on a preempted lock holder must not spend its probe
+	// budget there and report a full table.
+	for probes := uint64(0); probes < t.size; {
 		switch k := t.keyAt(i); k {
 		case key:
 			odd := t.lockSlot(i)
@@ -157,6 +160,7 @@ func (t *BigTable) Put(key uint64, value []byte) bool {
 			t.live.Add(1)
 			return true
 		}
+		probes++
 		i++
 		if i == t.size {
 			i = 0

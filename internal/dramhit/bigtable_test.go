@@ -2,8 +2,11 @@ package dramhit
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
+
+	"dramhit/internal/hashfn"
 
 	"dramhit/internal/workload"
 )
@@ -170,7 +173,9 @@ func TestBigTableConcurrentDistinctKeys(t *testing.T) {
 				for j := range v {
 					v[j] = byte(i)
 				}
-				bt.Put(keys[i], v)
+				if !bt.Put(keys[i], v) {
+					t.Errorf("Put(key %d) reported a full table at %d of 4096 slots", i, bt.Len())
+				}
 			}
 		}(w)
 	}
@@ -183,6 +188,34 @@ func TestBigTableConcurrentDistinctKeys(t *testing.T) {
 	}
 	if bt.Len() != 2000 {
 		t.Fatalf("Len = %d", bt.Len())
+	}
+}
+
+// TestBigTablePutWaitsOutLockedSlot holds an empty home slot's version lock,
+// as a preempted inserter would, while another Put targets it. Re-inspecting
+// the locked slot must not consume the waiter's probe budget: Put used to
+// count every retry as a probe and report "table full" after Cap() spins.
+func TestBigTablePutWaitsOutLockedSlot(t *testing.T) {
+	bt := NewBigTable(8, 16)
+	const key = 42
+	home := hashfn.Fastrange(bt.hash(key), bt.size)
+	bt.versions[home].Store(1)
+	done := make(chan bool, 1)
+	go func() { done <- bt.Put(key, make([]byte, 16)) }()
+	for i := 0; i < 1000; i++ { // far more re-inspections than Cap()
+		runtime.Gosched()
+	}
+	select {
+	case ok := <-done:
+		t.Fatalf("Put returned %v while its home slot was still locked", ok)
+	default:
+	}
+	bt.versions[home].Store(2)
+	if !<-done {
+		t.Fatal("Put reported a full table after waiting out a locked slot")
+	}
+	if got := make([]byte, 16); !bt.Get(key, got) {
+		t.Fatal("key missing after Put")
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 
 // This file is the bucket-layout back end of the handle: the pipeline's
 // drain dispatch, the direct-mode twin, and the byte-string API the layout
-// grows. A bucket probe is one cache-line load resolved in-cell (the
-// engine in internal/slotarr), so the flat layout's reprobe/re-enqueue
-// machinery collapses to a single synchronous completion per request — the
-// prefetch window still overlaps the bucket-line misses, which is where
-// the pipeline's win comes from.
+// grows. A bucket probe is one index cache line resolved in-cell (the
+// engine in internal/slotarr) plus the arena record its key is compared
+// against, so the flat layout's reprobe/re-enqueue machinery collapses to a
+// single synchronous completion per request — the prefetch window overlaps
+// both misses, in two stages half a window apart, which is where the
+// pipeline's win comes from.
 //
 // uint64 requests are bridged onto the byte engine by fixed 8-byte
 // little-endian encodings of key and value. Reserved keys need no side
@@ -55,13 +56,20 @@ func (h *Handle) foldBucketStats(preLines, preHops uint64) {
 }
 
 // processBucket resolves the queue-head request synchronously against the
-// bucket engine. The home bucket line was prefetched at Submit; by drain
-// time it is resident, so the one-line probe completes without re-entering
-// the queue. retire handles combined-Get chains, parking and Failed
-// exactly as on the flat path.
+// bucket engine. The home bucket line was prefetched at Submit and the
+// candidate records half a window ago (stage two, below); by drain time both
+// are resident, so the probe completes without re-entering the queue. retire
+// handles combined-Get chains, parking and Failed exactly as on the flat
+// path.
 func (h *Handle) processBucket(p pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	if p.req.Op == table.Get && *nresp >= len(resps) {
 		return false, true
+	}
+	// Stage two for the request now at mid-ring (idx carries its full hash):
+	// its bucket line has had half a window to arrive, and its records get
+	// the other half.
+	if mid := h.tail + h.window/2; mid < h.head {
+		h.t.bkt.PrefetchRecords(h.q[mid&h.mask].idx)
 	}
 	var kb [8]byte
 	putLE(kb[:], p.req.Key)

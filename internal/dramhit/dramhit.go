@@ -14,12 +14,12 @@
 // and re-enqueues the request (a reprobe). Requests therefore complete out
 // of order; every response carries the caller's opaque request ID.
 //
-// In Go a "prefetch" is an ordinary load of the line's first word: issuing a
-// window of independent loads back-to-back lets the CPU overlap the misses
-// (memory-level parallelism), which is the same mechanism the paper's
-// prefetcht0-based engine exploits. The cycle-level reproduction of the
-// paper's numbers lives in internal/simtable, where prefetch cost is modeled
-// explicitly.
+// A prefetch is a real one — PREFETCHT0 or PRFM through the assembly stub
+// simd.Prefetch — so Submit never waits for table memory; under -tags purego
+// and on other architectures it is a no-op and the pipeline degrades to
+// demand misses at drain time with identical results. The cycle-level
+// reproduction of the paper's numbers lives in internal/simtable, where
+// prefetch cost is modeled explicitly.
 package dramhit
 
 import (
@@ -398,7 +398,6 @@ type Handle struct {
 	mfree  int32
 
 	stats Stats
-	sink  uint64 // accumulates prefetch loads so they are not dead code
 
 	// Observability (all nil/zero when the table has no registry — the hot
 	// path then pays exactly one predictable nil check per site). The handle
@@ -721,18 +720,14 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		}
 		p.idx = hashfn.Fastrange(hv, h.t.size)
 		p.tag = table.TagOf(hv)
+		// Submit loads no table memory: it only starts the fetches the drain
+		// will need a window from now — the home data line and, in tags mode,
+		// the sidecar word the drain gates on. Gating the data fetch on the
+		// tag word here would make Submit wait for the sidecar miss.
 		if h.filter == table.FilterTags {
-			// The tag word stands in for the data prefetch when it already
-			// proves the home line will be skipped: the drain's gate will
-			// reject it from the same (tiny, cache-hot) sidecar without ever
-			// pulling the 64-byte data line — the filter's bandwidth saving.
-			base := p.idx &^ (table.SlotsPerCacheLine - 1)
-			if h.t.arr.LineCandidates(base, p.tag)>>(p.idx-base) != 0 {
-				h.sink += h.t.arr.Prefetch(p.idx)
-			}
-		} else {
-			h.sink += h.t.arr.Prefetch(p.idx)
+			h.t.arr.PrefetchTags(p.idx)
 		}
+		h.t.arr.Prefetch(p.idx)
 		h.enqueue(p)
 		h.stats.Lines++
 		nreq++
@@ -825,7 +820,10 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, block
 // prefetchNext issues the reprobe prefetch for the line starting at slot
 // next (line-aligned). In tags mode the data pull is elided when the packed
 // tag word already proves the line will be rejected on arrival, so a
-// skipped line costs neither a key-lane load nor a cache-line fill. Tags
+// skipped line costs neither a key-lane load nor a cache-line fill. Unlike
+// Submit, a reprobe can afford the gate: one 64-byte sidecar line covers
+// sixteen data lines, so the neighbouring line's tag word is resident
+// fifteen times in sixteen. Tags
 // are write-once (0 → fingerprint), so a tag published between this check
 // and the drain can only admit lanes the check rejected — at worst an
 // unprefetched but fully correct probe, never a wrong skip.
@@ -833,7 +831,7 @@ func (h *Handle) prefetchNext(next uint64, tag uint8) {
 	if h.filter == table.FilterTags && h.t.arr.LineCandidates(next, tag) == 0 {
 		return
 	}
-	h.sink += h.t.arr.Prefetch(next)
+	h.t.arr.Prefetch(next)
 }
 
 // processScalar is the pre-SWAR slot-by-slot hot path, retained as the
@@ -855,7 +853,7 @@ func (h *Handle) processScalar(p pending, resps []table.Response, nresp *int) (w
 				return h.completeFailed(p, resps, nresp)
 			}
 			h.pop()
-			h.sink += t.arr.Prefetch(p.idx)
+			t.arr.Prefetch(p.idx)
 			h.stats.Reprobes++
 			h.stats.Lines++
 			h.enqueue(p)

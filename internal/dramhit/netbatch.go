@@ -12,12 +12,13 @@ import (
 // requests and completed through a callback instead of response slices.
 //
 // On the bucket layout a probe resolves in one synchronous engine call once
-// its home bucket line is resident, so the byte pipeline needs no reprobe or
-// re-enqueue machinery: requests drain strictly in submission order, which
-// means the completion callback sees FIFO completions. A protocol server can
-// therefore append each reply to its connection write buffer directly from
-// the callback — pipelined requests on one connection come back in request
-// order with no per-op channels and no reorder buffer.
+// its home bucket line and candidate records are resident, so the byte
+// pipeline needs no reprobe or re-enqueue machinery: requests drain strictly
+// in submission order, which means the completion callback sees FIFO
+// completions. A protocol server can therefore append each reply to its
+// connection write buffer directly from the callback — pipelined requests on
+// one connection come back in request order with no per-op channels and no
+// reorder buffer.
 //
 // The caller owns key and value buffers until the request's completion
 // fires (at most one FlushBytes later). This matches the arena contract of
@@ -42,12 +43,14 @@ type ByteCompletion struct {
 }
 
 // bytePending is one in-flight byte request: the caller's buffers, the echo
-// id, and the latency stamp. No probe cursor is needed — the bucket engine
-// resolves the whole probe in the drain call.
+// id, the key's hash (stage two's prefetch target) and the latency stamp. No
+// probe cursor is needed — the bucket engine resolves the whole probe in the
+// drain call.
 type bytePending struct {
 	key     []byte
 	val     []byte
 	id      uint64
+	hv      uint64
 	startNS int64 // submission time, set only when op-latency tracking is on
 	op      table.Op
 }
@@ -98,7 +101,7 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 		// stores uint64 identities, and the full hash is the stable one.
 		h.hot.Offer(hv)
 	}
-	p := bytePending{key: key, val: value, id: id, op: op}
+	p := bytePending{key: key, val: value, id: id, hv: hv, op: op}
 	if h.opLat {
 		p.startNS = time.Now().UnixNano()
 	}
@@ -119,10 +122,18 @@ func (h *Handle) FlushBytes() {
 	}
 }
 
-// drainByte resolves the oldest byte request against the bucket engine —
-// its home line was prefetched at SubmitBytes and is resident by now — and
-// fires the completion callback.
+// drainByte resolves the oldest byte request against the bucket engine and
+// fires the completion callback. A probe is two dependent misses, so the
+// ring prefetches in two stages: the bucket line at SubmitBytes, and the
+// candidate records here, for the request now at mid-ring — its bucket line
+// has had window/2 submissions to arrive, and its records get the other
+// window/2 before its own drain. In steady state every drain is caused by a
+// submission, so this runs once per SubmitBytes; during FlushBytes it keeps
+// staging the younger half of the ring.
 func (h *Handle) drainByte() {
+	if mid := h.btail + h.window/2; mid < h.bhead {
+		h.t.bkt.PrefetchRecords(h.byteQ[mid&h.mask].hv)
+	}
 	slot := &h.byteQ[h.btail&h.mask]
 	p := *slot
 	*slot = bytePending{} // release the caller's buffers promptly

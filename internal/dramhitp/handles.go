@@ -260,7 +260,6 @@ type ReadHandle struct {
 	head    int
 	tail    int
 	window  int
-	sink    uint64
 	kernel  table.ProbeKernel
 	filter  table.ProbeFilter
 	combine bool
@@ -673,16 +672,13 @@ func (r *ReadHandle) Submit(reqs []table.Request, resps []table.Response) (nreq,
 			continue
 		}
 		arr := t.parts[part].arr
+		// Submit loads no table memory: it only starts the fetches the drain
+		// will need — the home data line and, in tags mode, the sidecar word
+		// the drain gates on.
 		if r.filter == table.FilterTags {
-			// The cache-hot tag word already proves a doomed home line; only
-			// pull the 64-byte data line when it can matter.
-			base := local &^ (table.SlotsPerCacheLine - 1)
-			if arr.LineCandidates(base, tag)>>(local-base) != 0 {
-				r.sink += arr.Prefetch(local)
-			}
-		} else {
-			r.sink += arr.Prefetch(local)
+			arr.PrefetchTags(local)
 		}
+		arr.Prefetch(local)
 		r.push(p)
 		nreq++
 	}
@@ -732,6 +728,13 @@ func (r *ReadHandle) processOldest(resps []table.Response, nresp *int) (blocked 
 		if *nresp >= len(resps) {
 			return true
 		}
+		// Stage two for the lookup now at mid-ring (idx carries its full
+		// hash): its bucket line has had half a window to arrive, and its
+		// candidate records get the other half.
+		if mid := r.tail + r.window/2; mid < r.head {
+			m := &r.q[mid&r.mask]
+			t.parts[m.part].bkt.PrefetchRecords(m.idx)
+		}
 		v, ok := r.getBucket(p.key)
 		return r.retire(p, v, ok, resps, nresp)
 	}
@@ -756,7 +759,7 @@ func (r *ReadHandle) processOldest(resps []table.Response, nresp *int) (blocked 
 				return r.retire(p, 0, false, resps, nresp)
 			}
 			r.pop()
-			r.sink += arr.Prefetch(p.idx)
+			arr.Prefetch(p.idx)
 			r.push(p)
 			return false
 		}
@@ -844,7 +847,7 @@ func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p rpe
 				}
 				r.pop()
 				if arr.LineCandidates(next, p.tag) != 0 {
-					r.sink += arr.Prefetch(next)
+					arr.Prefetch(next)
 				}
 				r.push(p)
 				return false
@@ -899,7 +902,7 @@ func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p rpe
 			r.push(p)
 			return false
 		}
-		r.sink += arr.Prefetch(p.idx)
+		arr.Prefetch(p.idx)
 		r.push(p)
 		return false
 	}

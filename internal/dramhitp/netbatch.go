@@ -88,9 +88,15 @@ func (r *ReadHandle) FlushGetBytes() {
 }
 
 // drainGetBytes resolves the oldest byte lookup against its partition's
-// bucket engine — the home line was prefetched at submit — and fires the
-// completion callback.
+// bucket engine and fires the completion callback. The home bucket line was
+// prefetched at submit; the lookup now at mid-ring gets stage two here — its
+// candidate records, read off the bucket line that has had window/2
+// submissions to arrive (see dramhit's drainByte).
 func (r *ReadHandle) drainGetBytes() {
+	if mid := r.bqtail + r.window/2; mid < r.bqhead {
+		m := &r.bq[mid&r.mask]
+		r.t.parts[m.part].bkt.PrefetchRecords(m.hv)
+	}
 	slot := &r.bq[r.bqtail&r.mask]
 	p := *slot
 	*slot = bGetPending{} // release the caller's buffer promptly

@@ -1,0 +1,130 @@
+package dramhitp
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+
+	"dramhit/internal/table"
+)
+
+// readDigest loads a table through one WriteHandle (per-partition delegation
+// queues are FIFO, so slot placement is deterministic), then folds every
+// response of a fixed-seed pipelined lookup stream, in completion order, and
+// the reader's counters into one number.
+func readDigest(cfg Config) uint64 {
+	cfg.Slots, cfg.Producers, cfg.Consumers = 1<<13, 1, 2
+	tb := New(cfg)
+	tb.Start()
+	defer tb.Close()
+	w := tb.NewWriteHandle()
+	rng := rand.New(rand.NewSource(20230915))
+	for i := 0; i < 9000; i++ {
+		k := uint64(rng.Intn(5000)) + 1
+		switch rng.Intn(6) {
+		case 0:
+			w.Delete(k)
+		case 1:
+			w.Upsert(k, 3)
+		default:
+			w.Put(k, k*7+uint64(i))
+		}
+	}
+	w.Put(table.EmptyKey, 11)
+	w.Barrier()
+	w.Close()
+
+	f := fnv.New64a()
+	var buf [8]byte
+	u64 := func(vs ...uint64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			f.Write(buf[:])
+		}
+	}
+	r := tb.NewReadHandle()
+	resps := make([]table.Response, 256)
+	emit := func(n int) {
+		for _, rs := range resps[:n] {
+			found := uint64(0)
+			if rs.Found {
+				found = 1
+			}
+			u64(rs.ID, rs.Value, found)
+		}
+	}
+	var batch []table.Request
+	for i := 0; i < 20000; i++ {
+		k := uint64(rng.Intn(6000)) + 1
+		if rng.Intn(50) == 0 {
+			k = table.EmptyKey
+		}
+		batch = append(batch, table.Request{Op: table.Get, Key: k, ID: uint64(i)})
+		if len(batch) < 1+rng.Intn(48) {
+			continue
+		}
+		for rem := batch; len(rem) > 0; {
+			nq, nr := r.Submit(rem, resps)
+			emit(nr)
+			rem = rem[nq:]
+		}
+		batch = batch[:0]
+		if rng.Intn(3) == 0 {
+			for done := false; !done; {
+				var nr int
+				nr, done = r.Flush(resps)
+				emit(nr)
+			}
+		}
+	}
+	for done := false; !done; {
+		var nr int
+		nr, done = r.Flush(resps)
+		emit(nr)
+	}
+
+	if cfg.Layout == table.LayoutBucket {
+		// The byte-lookup ring over the same partitions (uint64 keys are
+		// their 8-byte little-endian encodings there).
+		r.OnGetBytesComplete(func(id uint64, value []byte, found bool) {
+			u64(id, uint64(len(value)))
+			f.Write(value)
+			if found {
+				u64(1)
+			}
+		})
+		for i := 0; i < 5000; i++ {
+			var kb [8]byte
+			putLE(kb[:], uint64(rng.Intn(6000))+1)
+			r.SubmitGetBytes(uint64(i), kb[:])
+			if rng.Intn(40) == 0 {
+				r.FlushGetBytes()
+			}
+		}
+		r.FlushGetBytes()
+	}
+	u64(r.Gets, r.Hits, r.Piggybacked,
+		r.Filter.KeyLines, r.Filter.TagSkips, r.Filter.TagHits, r.Filter.TagFalse)
+	return f.Sum64()
+}
+
+// TestPrefetchInvisible is dramhit's test of the same name for the
+// partitioned reader: the constants come from the commit before the hardware
+// prefetch, and the default and -tags purego builds must both reproduce them.
+func TestPrefetchInvisible(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"flat-tags", Config{}, 0x704d1e19b6fb1eb8},
+		{"flat-none", Config{ProbeFilter: table.FilterNone}, 0x4363a4c068804dad},
+		{"flat-scalar", Config{ProbeKernel: table.KernelScalar}, 0x3764f92d96854c71},
+		{"bucket", Config{Layout: table.LayoutBucket}, 0x4a95ec0ea972a22d},
+	} {
+		if got := readDigest(c.cfg); got != c.want {
+			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}

@@ -2,8 +2,8 @@
 // modern two-socket server — caches, MESI-style coherence with directory
 // linearization, NUMA, finite memory-channel bandwidth, and software
 // prefetch — built to reproduce the DRAMHiT paper's evaluation on hardware
-// Go cannot reach (no prefetch intrinsics, no thread pinning, and this
-// reproduction environment has a single CPU).
+// Go cannot reach (no thread pinning, no cycle counters, and a reproduction
+// environment with one or two CPUs where the paper has 64 threads).
 //
 // The simulator executes real algorithm traces: the hash-table ports in
 // internal/simtable run their actual probe sequences against a simulated

@@ -13,6 +13,11 @@
 // it gives the cycle-level simulator a distinct kernel whose per-line cost
 // model differs from the scalar probe exactly the way the paper reports
 // (a few cycles per operation, §4.2).
+//
+// The one thing here that is not portable Go is Prefetch: the paper's other
+// hardware dependency, software prefetch, is a single instruction the Go
+// assembler does have, so it lives in this leaf package as a per-architecture
+// assembly stub with a no-op fallback.
 package simd
 
 import "math/bits"

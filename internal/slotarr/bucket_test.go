@@ -358,3 +358,53 @@ func TestBucketProbeCost(t *testing.T) {
 		t.Fatalf("positive lookup cost %.3f lines/op at 75%% fill, want <= 1.2", linesPerOp)
 	}
 }
+
+// TestBucketPrefetchTolerant drives both prefetch stages over every shape of
+// bucket a racing probe can meet — never-touched, live, tombstoned, stashed,
+// and rebuilt by a grow — for hashes of keys that are present, deleted and
+// never inserted. A prefetch is a hint: nothing may panic and nothing may
+// change.
+func TestBucketPrefetchTolerant(t *testing.T) {
+	bt := NewBucketTable(BucketConfig{Buckets: 2, MaxLoad: 100}) // growth off: lanes fill, the stash takes the rest
+	h := bt.NewHandle()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("pf-key-%04d", i)) }
+	stage := func(n int) {
+		for i := 0; i < n; i++ {
+			hv := bt.HashOf(key(i))
+			bt.Prefetch(hv)
+			bt.PrefetchRecords(hv)
+		}
+	}
+	stage(64) // empty table
+	for i := 0; i < 40; i++ {
+		h.Put(key(i), []byte(fmt.Sprintf("val-%d", i)))
+		if i%4 == 0 {
+			h.Delete(key(i))
+		}
+	}
+	if bt.Stashed() == 0 {
+		t.Fatal("expected stash overflow at 40 keys over 14 lanes")
+	}
+	stage(64) // live, tombstoned, stashed, absent
+
+	grown := NewBucketTable(BucketConfig{Buckets: 1})
+	gh := grown.NewHandle()
+	for i := 0; i < 200; i++ {
+		gh.Put(key(i), []byte("v"))
+	}
+	if grown.Grows() == 0 {
+		t.Fatal("expected at least one grow")
+	}
+	for i := 0; i < 256; i++ {
+		hv := grown.HashOf(key(i))
+		grown.Prefetch(hv)
+		grown.PrefetchRecords(hv)
+	}
+
+	for i := 0; i < 40; i++ {
+		v, ok := h.Get(key(i))
+		if want := i%4 != 0; ok != want || (ok && string(v) != fmt.Sprintf("val-%d", i)) {
+			t.Fatalf("key %d = (%q, %v) after prefetching", i, v, ok)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dramhit/internal/arena"
 	"dramhit/internal/hashfn"
@@ -211,11 +212,35 @@ func (t *BucketTable) ScanBuckets(
 	}
 }
 
-// Prefetch touches the bucket line for hash hv on the current state — the
-// model's analogue of issuing a prefetch for the one line a probe needs.
+// Prefetch issues a hardware prefetch for hash hv's bucket line on the
+// current state — stage one of the front ends' two-stage prefetch. It reads
+// no table word.
 func (t *BucketTable) Prefetch(hv uint64) {
 	st := t.state.Load()
-	atomic.LoadUint64(&st.words[hashfn.Fastrange(hv, st.nb)*BucketWords])
+	simd.Prefetch(unsafe.Pointer(&st.words[hashfn.Fastrange(hv, st.nb)*BucketWords]))
+}
+
+// PrefetchRecords is stage two: a bucket probe is two dependent misses, the
+// bucket line and then the arena record each candidate lane's key is compared
+// against, so once Prefetch has made the line resident (the front ends wait
+// half a window) this reads the meta word, fingerprint-matches it exactly as
+// Get does, and prefetches the first line of every candidate lane's record.
+// Stash chains are not followed. It is a hint end to end: a lane that is
+// empty, tombstoned or mid-publish fails the slot-word fingerprint check and
+// is skipped, a record overwritten after this call is simply fetched on
+// demand by the probe, and after a concurrent grow swapped the state the meta
+// load misses instead of hitting. No record byte is read (arena.RecordAddr
+// only forms an address), so it needs no pin and no writer gate.
+func (t *BucketTable) PrefetchRecords(hv uint64) {
+	st := t.state.Load()
+	b := hashfn.Fastrange(hv, st.nb) * BucketWords
+	fp := table.TagOf(hv)
+	for m := simd.BucketCandidates7(atomic.LoadUint64(&st.words[b]), fp); m != 0; m &= m - 1 {
+		w := atomic.LoadUint64(&st.words[b+uint64(bits.TrailingZeros8(m))+1])
+		if slotFP(w) == uint16(fp) {
+			simd.Prefetch(t.ar.RecordAddr(slotRef(w)))
+		}
+	}
 }
 
 // BucketHandle is a per-goroutine view: it owns an arena Writer (whose

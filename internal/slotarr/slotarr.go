@@ -27,6 +27,7 @@ package slotarr
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"dramhit/internal/simd"
 	"dramhit/internal/table"
@@ -276,15 +277,22 @@ func (a *Array) LoadKeys4(i uint64) (l0, l1, l2, l3, base, valid uint64) {
 // new line and needs a fresh prefetch.
 func LineOf(i uint64) uint64 { return i / table.SlotsPerCacheLine }
 
-// Prefetch touches the cache line containing slot i to pull it toward the
-// core. Go has no prefetch intrinsic; an atomic load of the first word of
-// the line is the closest substitute — it lets the CPU's out-of-order engine
-// overlap several independent misses when a window of such touches is
-// issued back-to-back (memory-level parallelism), which is the effect the
-// paper's prefetch engine exploits.
-func (a *Array) Prefetch(i uint64) uint64 {
-	line := LineOf(i)
-	return atomic.LoadUint64(&a.words[2*line*table.SlotsPerCacheLine])
+// Prefetch issues a hardware prefetch (simd.Prefetch) for the cache line
+// containing slot i. It loads nothing, so the instruction retires without
+// waiting for the line, and a window of them issued back-to-back keeps that
+// many DRAM misses in flight — the memory-level parallelism the paper's
+// prefetch engine exploits (§3.1).
+func (a *Array) Prefetch(i uint64) {
+	simd.Prefetch(unsafe.Pointer(&a.words[2*(i&^(table.SlotsPerCacheLine-1))]))
+}
+
+// PrefetchTags issues a hardware prefetch for the packed tag word covering
+// slot i, so the drain's LineCandidates gate finds the sidecar line resident
+// too. A no-op on an untagged array.
+func (a *Array) PrefetchTags(i uint64) {
+	if a.tags != nil {
+		simd.Prefetch(unsafe.Pointer(&a.tags[i/simd.TagLanes]))
+	}
 }
 
 // side-slot states.
