@@ -275,3 +275,60 @@ func BenchmarkMixedPipeline(b *testing.B) {
 	}
 	h.Flush(resps)
 }
+
+// BenchmarkRingHot is the per-layer number for the prefetch ring's CPU cost:
+// a 2^17-slot table stays in L2, so nothing misses and what one op costs is
+// the ring bookkeeping around its probe. Batches of 256 through Submit then
+// Flush at the default window, as the gated benchmark's tbl-upsert-hot does:
+// zipf-0.99 Upserts (combining and the fold path under load) and uniform Gets
+// over the loaded keys (the plain enqueue/drain/retire path with responses).
+func BenchmarkRingHot(b *testing.B) {
+	const (
+		slots = 1 << 17
+		nkeys = 1 << 16
+		batch = 256
+	)
+	cells := []struct {
+		name  string
+		op    table.Op
+		theta float64
+	}{
+		{"upsert-zipf99", table.Upsert, 0.99},
+		{"get-uniform", table.Get, 0},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			tbl := New(Config{Slots: slots, PrefetchWindow: 16})
+			h := tbl.NewHandle()
+			h.UpsertBatch(workload.UniqueKeys(21, nkeys), 1)
+			ks := workload.NewKeyStream(21, nkeys, c.theta)
+			stream := make([]uint64, 1<<18) // a multiple of batch
+			for i := range stream {
+				stream[i] = ks.Next()
+			}
+			reqs := make([]table.Request, batch)
+			resps := make([]table.Response, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done, pos := 0, 0; done < b.N; done += batch {
+				for i := range reqs {
+					reqs[i] = table.Request{Op: c.op, Key: stream[pos+i], Value: 1, ID: uint64(i)}
+				}
+				if pos += batch; pos == len(stream) {
+					pos = 0
+				}
+				n := 0
+				for rem := reqs; len(rem) > 0; {
+					nreq, nresp := h.Submit(rem, resps[n:])
+					rem, n = rem[nreq:], n+nresp
+				}
+				for {
+					nresp, ok := h.Flush(resps[n:])
+					if n += nresp; ok {
+						break
+					}
+				}
+			}
+		})
+	}
+}

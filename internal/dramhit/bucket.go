@@ -61,7 +61,7 @@ func (h *Handle) foldBucketStats(preLines, preHops uint64) {
 // are resident, so the probe completes without re-entering the queue. retire
 // handles combined-Get chains, parking and Failed exactly as on the flat
 // path.
-func (h *Handle) processBucket(p pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	if p.req.Op == table.Get && *nresp >= len(resps) {
 		return false, true
 	}
@@ -182,7 +182,7 @@ func (h *Handle) submitDirectBucket(reqs []table.Request, resps []table.Response
 			nresp++
 		}
 		if obsOn {
-			h.finish(pending{req: req, startNS: startNS, trace: traceID}, req.Op, found)
+			h.finishReq(&reqs[nreq], startNS, traceID, req.Op, found)
 		} else {
 			h.countOp(req.Op, found)
 		}

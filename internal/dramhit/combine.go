@@ -108,7 +108,7 @@ func (h *Handle) combineScan(key uint64, tag uint8) int {
 // A false return means the caller must enqueue normally: the leader is a
 // Delete (the barrier), the op pair doesn't combine, the leader already
 // resolved (parked mid-emission), or its chain is at capacity.
-func (h *Handle) tryCombine(req table.Request, pos int) bool {
+func (h *Handle) tryCombine(req *table.Request, pos int) bool {
 	lead := &h.q[pos&h.mask]
 	if lead.state != stateProbing || lead.req.Op == table.Delete {
 		return false
@@ -126,11 +126,11 @@ func (h *Handle) tryCombine(req table.Request, pos int) bool {
 		if lead.trace != 0 {
 			h.trace.Record(lead.trace, obs.EvCombine, uint8(req.Op), req.Key, uint32(lead.ngets))
 		}
-		fp := pending{req: req}
+		var startNS int64
 		if h.onComplete != nil {
-			fp.startNS = time.Now().UnixNano()
+			startNS = time.Now().UnixNano()
 		}
-		h.finish(fp, table.Upsert, true)
+		h.finishReq(req, startNS, 0, table.Upsert, true)
 		return true
 	case table.Get:
 		if lead.ngets >= maxCombinedGets {
@@ -144,7 +144,7 @@ func (h *Handle) tryCombine(req table.Request, pos int) bool {
 		default:
 			return false
 		}
-		n := mergedGet{req: req, next: lead.chain}
+		n := mergedGet{req: *req, next: lead.chain}
 		if h.onComplete != nil {
 			n.startNS = time.Now().UnixNano()
 		}
@@ -183,27 +183,27 @@ func (h *Handle) emitChain(p *pending, v uint64, found bool, resps []table.Respo
 		if *nresp >= len(resps) {
 			return false
 		}
-		i := p.chain - 1
-		n := h.merged[i]
-		h.merged[i].next = h.mfree
-		h.mfree = p.chain
-		p.chain = n.next
+		n := &h.merged[p.chain-1]
+		rest := n.next
+		n.next, h.mfree = h.mfree, p.chain // node back on the free list
+		p.chain = rest
 		p.ngets--
 		resps[*nresp] = table.Response{ID: n.req.ID, Value: v, Found: found}
 		*nresp++
-		h.finish(pending{req: n.req, startNS: n.startNS}, table.Get, found)
+		h.finishReq(&n.req, n.startNS, 0, table.Get, found)
 	}
 	return true
 }
 
-// retire completes the leader p, resolved with value v and hit status
-// found (fail additionally marks a table-full Put/Upsert), then emits its
-// combined chain. The caller must have verified response space when op is
-// Get and must not have advanced h.tail: retire advances it, or — when the
-// chain outlives the response buffer — parks the resolved leader at the
-// queue head for processOldest to resume. A parked slot's ptag byte is
+// retire completes the leader p (the queue-head slot), resolved with value v
+// and hit status found (fail additionally marks a table-full Put/Upsert),
+// then emits its combined chain. The caller must have verified response
+// space when op is Get and must not have advanced h.tail: retire advances
+// it, or — when the chain outlives the response buffer — parks the resolved
+// leader where it sits (state, rval and the shrunken chain are written into
+// the slot) for processOldest to resume. A parked slot's ptag byte is
 // cleared so no new request can combine onto an already-resolved probe.
-func (h *Handle) retire(p pending, op table.Op, v uint64, found, fail bool, resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) retire(p *pending, op table.Op, v uint64, found, fail bool, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	if op == table.Get {
 		resps[*nresp] = table.Response{ID: p.req.ID, Value: v, Found: found}
 		*nresp++
@@ -215,7 +215,7 @@ func (h *Handle) retire(p pending, op table.Op, v uint64, found, fail bool, resp
 		h.obsw.MaxGauge(obs.GChainMax, uint64(p.ngets))
 	}
 	h.finish(p, op, found)
-	if p.chain == 0 || h.emitChain(&p, v, found, resps, nresp) {
+	if p.chain == 0 || h.emitChain(p, v, found, resps, nresp) {
 		h.pop()
 		return true, false
 	}
@@ -233,6 +233,5 @@ func (h *Handle) retire(p pending, op table.Op, v uint64, found, fail bool, resp
 	s := h.tail & h.mask
 	h.tagcnt[p.tag]-- // released here, not at the eventual pop (byte now 0)
 	h.ptags[s>>3] &^= 0xff << (uint(s&7) * 8)
-	h.q[s] = p
 	return false, true
 }

@@ -65,7 +65,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 		// stay comparable term for term.
 		h.stats.Lines++
 		if s := h.t.side.For(req.Key); s != nil {
-			h.completeSide(s, pending{req: req, startNS: startNS, trace: traceID}, resps, &nresp)
+			h.completeSide(s, &reqs[nreq], startNS, traceID, resps, &nresp)
 			nreq++
 			continue
 		}
@@ -87,7 +87,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 			h.stats.Failed++
 		}
 		if obsOn {
-			h.finish(pending{req: req, startNS: startNS, trace: traceID}, req.Op, found)
+			h.finishReq(&reqs[nreq], startNS, traceID, req.Op, found)
 		} else {
 			h.countOp(req.Op, found)
 		}

@@ -165,9 +165,10 @@ func New(cfg Config) *Table {
 			return bkt.HashOf(kb[:])
 		}
 	} else {
-		arr = slotarr.New(cfg.Slots)
 		if f == table.FilterTags {
 			arr = slotarr.NewTagged(cfg.Slots)
+		} else {
+			arr = slotarr.New(cfg.Slots)
 		}
 	}
 	t := &Table{
@@ -575,9 +576,13 @@ func (h *Handle) Stats() Stats { return h.stats }
 // Pending returns the number of requests currently in the pipeline.
 func (h *Handle) Pending() int { return h.head - h.tail }
 
-func (h *Handle) enqueue(p pending) {
+// enqueue publishes the entry its caller has just written into the head
+// slot — Submit constructs a new request there, reprobe moves the queue-head
+// request there — by mirroring its tag byte, counting it and advancing head.
+// The slot is the entry's only home: nothing is copied in or out.
+func (h *Handle) enqueue() {
 	s := h.head & h.mask
-	h.q[s] = p
+	p := &h.q[s]
 	if h.combine {
 		shift := uint(s&7) * 8
 		h.ptags[s>>3] = h.ptags[s>>3]&^(0xff<<shift) | uint64(p.tag)<<shift
@@ -609,10 +614,20 @@ func (h *Handle) pop() {
 	h.tail++
 }
 
-func (h *Handle) dequeue() pending {
-	p := h.q[h.tail&h.mask]
+// reprobe sends the queue-head request p to the back of the queue behind a
+// fresh prefetch of the line its drain advanced the probe cursor (idx,
+// probes) to; the cursor is stored back here, once. The move is the only
+// copy an entry ever sees. Source and destination are distinct slots: the
+// ring holds at least window+1 entries and at most window are pending, so
+// the head slot is never the tail slot.
+func (h *Handle) reprobe(p *pending, idx, probes uint64) {
+	p.idx, p.probes = idx, probes
 	h.pop()
-	return p
+	h.prefetchNext(idx, p.tag)
+	h.stats.Reprobes++
+	h.stats.Lines++
+	h.q[h.head&h.mask] = *p
+	h.enqueue()
 }
 
 // Submit feeds reqs into the pipeline and collects completed responses into
@@ -669,7 +684,7 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 			// under low skew, which keeps the uniform workload at the
 			// uncombined pipeline's speed.
 			if tag := table.TagOf(hv); h.tagcnt[tag] != 0 {
-				if pos := h.combineScan(req.Key, tag); pos >= 0 && h.tryCombine(req, pos) {
+				if pos := h.combineScan(req.Key, tag); pos >= 0 && h.tryCombine(&reqs[nreq], pos) {
 					// The sketch feed sits on the combining sidecar path: a
 					// merged request is exactly a repeated key, the signal the
 					// hot-key ranking exists to surface.
@@ -693,7 +708,15 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		if h.hot != nil {
 			h.hot.OfferSampled(req.Key)
 		}
-		p := pending{req: req}
+		// The request is built in the head slot and stays there until it
+		// completes or reprobes. The slot is taken only now: the back-pressure
+		// loop above may have re-enqueued a reprobing request at the old head.
+		// Every field is assigned, one store each — a composite literal would
+		// be built on the stack and copied in.
+		p := &h.q[h.head&h.mask]
+		p.req = req
+		p.probes, p.startNS, p.rval, p.trace = 0, 0, 0, 0
+		p.chain, p.ngets, p.state = 0, 0, stateProbing
 		if h.onComplete != nil || h.opLat {
 			p.startNS = time.Now().UnixNano()
 		}
@@ -704,31 +727,31 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 			}
 		}
 		if !hashed {
-			hv = h.t.hash(p.req.Key)
+			hv = h.t.hash(req.Key)
 		}
+		p.tag = table.TagOf(hv)
 		if h.t.bkt != nil {
 			// Bucket layout: idx carries the FULL hash — the engine resizes
 			// itself, so a materialized slot index would go stale; the drain
 			// re-derives the bucket from the hash against the live state.
 			p.idx = hv
-			p.tag = table.TagOf(hv)
 			h.t.bkt.Prefetch(hv)
-			h.enqueue(p)
+			h.enqueue()
 			h.stats.Lines++
 			nreq++
 			continue
 		}
-		p.idx = hashfn.Fastrange(hv, h.t.size)
-		p.tag = table.TagOf(hv)
+		idx := hashfn.Fastrange(hv, h.t.size)
+		p.idx = idx
 		// Submit loads no table memory: it only starts the fetches the drain
 		// will need a window from now — the home data line and, in tags mode,
 		// the sidecar word the drain gates on. Gating the data fetch on the
 		// tag word here would make Submit wait for the sidecar miss.
 		if h.filter == table.FilterTags {
-			h.t.arr.PrefetchTags(p.idx)
+			h.t.arr.PrefetchTags(idx)
 		}
-		h.t.arr.Prefetch(p.idx)
-		h.enqueue(p)
+		h.t.arr.Prefetch(idx)
+		h.enqueue()
 		h.stats.Lines++
 		nreq++
 	}
@@ -757,30 +780,29 @@ func (h *Handle) Flush(resps []table.Response) (nresp int, done bool) {
 	return nresp, true
 }
 
-// processOldest pops the oldest pending request and executes it over its
-// current (prefetched) cache line. If the request resolves it completes,
+// processOldest executes the oldest pending request, in its ring slot, over
+// its current (prefetched) cache line. If the request resolves it completes,
 // possibly writing a response; if it must cross into the next cache line it
 // is re-enqueued with a new prefetch. blocked reports that a Get completed
-// but resps had no room — the request is left at the queue head.
+// but resps had no room — the request is left, untouched, at the queue head.
 //
 // The operation kind is dispatched exactly once here: each SWAR drain (see
 // swar.go) contains the line-granular kernel loop specialized for its op, so
 // the probe loop itself carries no per-slot op switch.
 func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, blocked bool) {
-	p := h.q[h.tail&h.mask]
+	p := &h.q[h.tail&h.mask]
 	if p.trace != 0 && p.state == stateProbing {
 		h.trace.Record(p.trace, obs.EvProbe, uint8(p.req.Op), p.req.Key, uint32(p.probes))
 	}
 
 	// A parked leader already resolved; only its combined-Get chain is
 	// still waiting for response space. Resume emitting where retire
-	// stopped.
+	// stopped; a chain that still does not fit has shrunk where it sits.
 	if p.state != stateProbing {
-		if h.emitChain(&p, p.rval, p.state == stateHit, resps, nresp) {
+		if h.emitChain(p, p.rval, p.state == stateHit, resps, nresp) {
 			h.pop()
 			return true, false
 		}
-		h.q[h.tail&h.mask] = p // chain shrank; stay parked at the head
 		return false, true
 	}
 
@@ -798,7 +820,7 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, block
 			return false, true
 		}
 		h.pop()
-		h.completeSide(s, p, resps, nresp)
+		h.completeSide(s, &p.req, p.startNS, p.trace, resps, nresp)
 		return true, false
 	}
 
@@ -837,14 +859,17 @@ func (h *Handle) prefetchNext(next uint64, tag uint8) {
 // processScalar is the pre-SWAR slot-by-slot hot path, retained as the
 // table.KernelScalar ablation baseline (and the reference the SWAR
 // equivalence property test compares against).
-func (h *Handle) processScalar(p pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	t := h.t
 	h.stats.KeyLines++
-	line := slotarr.LineOf(p.idx)
+	// The probe cursor walks in locals; reprobe stores it back once, before
+	// the move, and a blocked return leaves the slot as it found it.
+	idx, probes := p.idx, p.probes
+	line := slotarr.LineOf(idx)
 	for {
 		// Crossing into the next cache line: reprobe.
-		if slotarr.LineOf(p.idx) != line || p.probes >= t.size {
-			if p.probes >= t.size {
+		if slotarr.LineOf(idx) != line || probes >= t.size {
+			if probes >= t.size {
 				// Full-table probe: the operation fails (Get/Delete: not
 				// found; Put/Upsert: table full).
 				if p.req.Op == table.Get && *nresp >= len(resps) {
@@ -852,15 +877,11 @@ func (h *Handle) processScalar(p pending, resps []table.Response, nresp *int) (w
 				}
 				return h.completeFailed(p, resps, nresp)
 			}
-			h.pop()
-			t.arr.Prefetch(p.idx)
-			h.stats.Reprobes++
-			h.stats.Lines++
-			h.enqueue(p)
+			h.reprobe(p, idx, probes)
 			return false, false
 		}
 
-		k := t.arr.Key(p.idx)
+		k := t.arr.Key(idx)
 		switch {
 		case k == p.req.Key:
 			switch p.req.Op {
@@ -868,18 +889,18 @@ func (h *Handle) processScalar(p pending, resps []table.Response, nresp *int) (w
 				if *nresp >= len(resps) {
 					return false, true
 				}
-				return h.retire(p, table.Get, t.arr.WaitValue(p.idx), true, false, resps, nresp)
+				return h.retire(p, table.Get, t.arr.WaitValue(idx), true, false, resps, nresp)
 			case table.Put:
 				h.stats.CASAttempts++
-				t.arr.StoreValue(p.idx, p.req.Value)
+				t.arr.StoreValue(idx, p.req.Value)
 				return h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
 			case table.Upsert:
 				h.stats.CASAttempts++
-				return h.retire(p, table.Upsert, t.arr.AddValue(p.idx, p.req.Value), true, false, resps, nresp)
+				return h.retire(p, table.Upsert, t.arr.AddValue(idx, p.req.Value), true, false, resps, nresp)
 			case table.Delete:
 				h.pop()
 				h.stats.CASAttempts++
-				if t.arr.CASKey(p.idx, p.req.Key, table.TombstoneKey) {
+				if t.arr.CASKey(idx, p.req.Key, table.TombstoneKey) {
 					t.live.Add(-1)
 					h.finish(p, table.Delete, true)
 				} else {
@@ -901,10 +922,10 @@ func (h *Handle) processScalar(p pending, resps []table.Response, nresp *int) (w
 				return true, false
 			case table.Put, table.Upsert:
 				h.stats.CASAttempts++
-				if t.arr.CASKey(p.idx, table.EmptyKey, p.req.Key) {
-					t.arr.PublishTag(p.idx, p.tag)
+				if t.arr.CASKey(idx, table.EmptyKey, p.req.Key) {
+					t.arr.PublishTag(idx, p.tag)
 					h.stats.CASAttempts++
-					t.arr.StoreValue(p.idx, p.req.Value)
+					t.arr.StoreValue(idx, p.req.Value)
 					t.used.Add(1)
 					t.live.Add(1)
 					return h.retire(p, p.req.Op, p.req.Value, true, false, resps, nresp)
@@ -916,41 +937,42 @@ func (h *Handle) processScalar(p pending, resps []table.Response, nresp *int) (w
 
 		default:
 			// Another key or a tombstone: advance within the line.
-			p.idx++
-			if p.idx == t.size {
-				p.idx = 0
+			idx++
+			if idx == t.size {
+				idx = 0
 				// Wrapping lands on a different line; the loop's crossing
 				// check will catch it because LineOf(0) != line (unless the
 				// table is a single line, where probes bound terminates).
 			}
-			p.probes++
+			probes++
 		}
 	}
 }
 
-// completeSide resolves a reserved-key request against its side slot.
-func (h *Handle) completeSide(s *slotarr.SideSlot, p pending, resps []table.Response, nresp *int) {
-	switch p.req.Op {
+// completeSide resolves a reserved-key request against its side slot. It
+// takes the request's fields, not a ring entry: direct mode has none.
+func (h *Handle) completeSide(s *slotarr.SideSlot, req *table.Request, startNS int64, trace uint64, resps []table.Response, nresp *int) {
+	switch req.Op {
 	case table.Get:
 		v, ok := s.Get()
-		resps[*nresp] = table.Response{ID: p.req.ID, Value: v, Found: ok}
+		resps[*nresp] = table.Response{ID: req.ID, Value: v, Found: ok}
 		*nresp++
-		h.finish(p, table.Get, ok)
+		h.finishReq(req, startNS, trace, table.Get, ok)
 	case table.Put:
-		s.Put(p.req.Value)
-		h.finish(p, table.Put, true)
+		s.Put(req.Value)
+		h.finishReq(req, startNS, trace, table.Put, true)
 	case table.Upsert:
-		s.Upsert(p.req.Value)
-		h.finish(p, table.Upsert, true)
+		s.Upsert(req.Value)
+		h.finishReq(req, startNS, trace, table.Upsert, true)
 	case table.Delete:
-		h.finish(p, table.Delete, s.Delete())
+		h.finishReq(req, startNS, trace, table.Delete, s.Delete())
 	}
 }
 
 // completeFailed resolves a request whose probe exhausted the table. The
 // caller must have verified response space for a Get leader and must NOT
 // have advanced h.tail (retire does, or parks the leader's chain).
-func (h *Handle) completeFailed(p pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) completeFailed(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	switch p.req.Op {
 	case table.Get:
 		return h.retire(p, table.Get, 0, false, false, resps, nresp)
@@ -965,7 +987,7 @@ func (h *Handle) completeFailed(p pending, resps []table.Response, nresp *int) (
 
 // countOp advances the per-op completion counters — the whole cost of
 // completing a request when no trace or latency hook is attached (the direct
-// path calls it instead of finish to skip the pending copy).
+// path calls it instead of finishReq to skip the hook checks).
 func (h *Handle) countOp(op table.Op, hit bool) {
 	switch op {
 	case table.Get:
@@ -982,15 +1004,22 @@ func (h *Handle) countOp(op table.Op, hit bool) {
 	}
 }
 
-// finish updates counters and fires the latency hook.
-func (h *Handle) finish(p pending, op table.Op, hit bool) {
+// finish completes the ring entry p: counters, trace event, latency hook.
+func (h *Handle) finish(p *pending, op table.Op, hit bool) {
+	h.finishReq(&p.req, p.startNS, p.trace, op, hit)
+}
+
+// finishReq is finish for a request that holds no ring slot of its own — a
+// folded Upsert, a chained Get, a direct-mode op — so completing it builds
+// no pending.
+func (h *Handle) finishReq(req *table.Request, startNS int64, trace uint64, op table.Op, hit bool) {
 	h.countOp(op, hit)
-	if p.trace != 0 {
+	if trace != 0 {
 		var arg uint32
 		if hit {
 			arg = 1
 		}
-		h.trace.Record(p.trace, obs.EvComplete, uint8(op), p.req.Key, arg)
+		h.trace.Record(trace, obs.EvComplete, uint8(op), req.Key, arg)
 	}
 	if h.onComplete != nil || h.opLat {
 		// startNS is only stamped at Submit when a latency consumer (the
@@ -1000,14 +1029,14 @@ func (h *Handle) finish(p pending, op table.Op, hit bool) {
 		// entirely). When neither is armed this branch is the whole cost:
 		// no timestamps are taken anywhere.
 		var lat time.Duration
-		if p.startNS != 0 {
-			lat = time.Duration(time.Now().UnixNano() - p.startNS)
+		if startNS != 0 {
+			lat = time.Duration(time.Now().UnixNano() - startNS)
 			if h.opLat {
 				h.obsw.Op[obs.OpClass(op, hit)].Record(uint64(lat))
 			}
 		}
 		if h.onComplete != nil {
-			h.onComplete(p.req, lat)
+			h.onComplete(*req, lat)
 		}
 	}
 }

@@ -48,17 +48,18 @@ import (
 // kernel. The matched lane's value is loaded after its key was observed —
 // the same key-then-value order the scalar path uses — from the line the
 // kernel just touched, so the load is an L1 hit, not a second memory touch.
-func (h *Handle) drainGet(p pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	t := h.t
+	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
 	tagged := h.filter == table.FilterTags
 	if !tagged {
 		h.stats.KeyLines++
-		switch k := t.arr.Key(p.idx); k {
-		case p.req.Key:
+		switch k := t.arr.Key(idx); k {
+		case key:
 			if *nresp >= len(resps) {
 				return false, true
 			}
-			return h.retire(p, table.Get, t.arr.WaitValue(p.idx), true, false, resps, nresp)
+			return h.retire(p, table.Get, t.arr.WaitValue(idx), true, false, resps, nresp)
 		case table.EmptyKey:
 			if *nresp >= len(resps) {
 				return false, true
@@ -69,8 +70,8 @@ func (h *Handle) drainGet(p pending, resps []table.Response, nresp *int) (wrote,
 
 	for {
 		if tagged {
-			base := p.idx &^ (table.SlotsPerCacheLine - 1)
-			if t.arr.LineCandidates(base, p.tag)>>(p.idx-base) == 0 {
+			base := idx &^ (table.SlotsPerCacheLine - 1)
+			if t.arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				// Every lane at or after the entry offset provably holds a
 				// different published key: skip the line without loading it.
 				h.stats.TagSkips++
@@ -78,32 +79,28 @@ func (h *Handle) drainGet(p pending, resps []table.Response, nresp *int) (wrote,
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				if p.probes+valid-(p.idx-base) >= t.size {
+				if probes+valid-(idx-base) >= t.size {
 					if *nresp >= len(resps) {
 						return false, true
 					}
 					return h.completeFailed(p, resps, nresp)
 				}
-				p.probes += valid - (p.idx - base)
+				probes += valid - (idx - base)
 				next := base + table.SlotsPerCacheLine
 				if next >= t.size {
 					next = 0
 				}
-				p.idx = next
+				idx = next
 				if slotarr.LineOf(next) != slotarr.LineOf(base) {
-					h.pop()
-					h.prefetchNext(next, p.tag)
-					h.stats.Reprobes++
-					h.stats.Lines++
-					h.enqueue(p)
+					h.reprobe(p, idx, probes)
 					return false, false
 				}
 				continue
 			}
 			h.stats.KeyLines++
 		}
-		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(p.idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, p.req.Key, table.EmptyKey, int(p.idx-base))
+		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(idx)
+		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
 			if *nresp >= len(resps) {
@@ -125,7 +122,7 @@ func (h *Handle) drainGet(p pending, resps []table.Response, nresp *int) (wrote,
 		if tagged {
 			h.stats.TagFalse++
 		}
-		if p.probes+valid-(p.idx-base) >= t.size {
+		if probes+valid-(idx-base) >= t.size {
 			// Full-table probe: not found.
 			if *nresp >= len(resps) {
 				return false, true
@@ -135,22 +132,19 @@ func (h *Handle) drainGet(p pending, resps []table.Response, nresp *int) (wrote,
 		// Missed line: advance past it. Lanes before the entry offset were
 		// examined on an earlier pass (or never); only cidx..valid-1 count
 		// toward the full-table bound, exactly matching the scalar loop's
-		// per-slot accounting. This block is open-coded in each drain (not a
-		// helper) so p never has its address taken and stays in registers
-		// across the kernel loop, like the scalar path's probe cursor.
-		p.probes += valid - (p.idx - base)
+		// per-slot accounting. The cursor lives in the locals idx and probes
+		// (p is the ring slot itself, so p.idx would be a store per line);
+		// reprobe stores it back once, before the move, and a blocked return
+		// leaves the slot as it found it.
+		probes += valid - (idx - base)
 		next := base + table.SlotsPerCacheLine
 		if next >= t.size {
 			next = 0
 		}
-		p.idx = next
+		idx = next
 		if slotarr.LineOf(next) != slotarr.LineOf(base) {
 			// Crossing into a new line: re-enqueue behind a fresh prefetch.
-			h.pop()
-			h.prefetchNext(next, p.tag)
-			h.stats.Reprobes++
-			h.stats.Lines++
-			h.enqueue(p)
+			h.reprobe(p, idx, probes)
 			return false, false
 		}
 		// Single-line-table wrap: the probe stays cache-resident; keep
@@ -167,31 +161,32 @@ func (h *Handle) drainGet(p pending, resps []table.Response, nresp *int) (wrote,
 // transitions (empty → key → tombstone, never reused) guarantee the rerun
 // observes the interfering claim and either matches it (same key) or probes
 // past it.
-func (h *Handle) drainUpdate(p pending, add bool, resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	t := h.t
 	op := table.Put
 	if add {
 		op = table.Upsert
 	}
+	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
 	tagged := h.filter == table.FilterTags
 	if !tagged {
 		h.stats.KeyLines++
-		switch k := t.arr.Key(p.idx); k {
-		case p.req.Key:
+		switch k := t.arr.Key(idx); k {
+		case key:
 			h.stats.CASAttempts++
 			v := p.req.Value
 			if add {
-				v = t.arr.AddValue(p.idx, p.req.Value)
+				v = t.arr.AddValue(idx, p.req.Value)
 			} else {
-				t.arr.StoreValue(p.idx, p.req.Value)
+				t.arr.StoreValue(idx, p.req.Value)
 			}
 			return h.retire(p, op, v, true, false, resps, nresp)
 		case table.EmptyKey:
 			h.stats.CASAttempts++
-			if t.arr.CASKey(p.idx, table.EmptyKey, p.req.Key) {
-				t.arr.PublishTag(p.idx, p.tag)
+			if t.arr.CASKey(idx, table.EmptyKey, key) {
+				t.arr.PublishTag(idx, tag)
 				h.stats.CASAttempts++
-				t.arr.StoreValue(p.idx, p.req.Value)
+				t.arr.StoreValue(idx, p.req.Value)
 				t.used.Add(1)
 				t.live.Add(1)
 				return h.retire(p, op, p.req.Value, true, false, resps, nresp)
@@ -202,8 +197,8 @@ func (h *Handle) drainUpdate(p pending, add bool, resps []table.Response, nresp 
 
 	for {
 		if tagged {
-			base := p.idx &^ (table.SlotsPerCacheLine - 1)
-			if t.arr.LineCandidates(base, p.tag)>>(p.idx-base) == 0 {
+			base := idx &^ (table.SlotsPerCacheLine - 1)
+			if t.arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				// No lane can match the key and none is empty: skip the
 				// line without loading it.
 				h.stats.TagSkips++
@@ -211,29 +206,25 @@ func (h *Handle) drainUpdate(p pending, add bool, resps []table.Response, nresp 
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				if p.probes+valid-(p.idx-base) >= t.size {
+				if probes+valid-(idx-base) >= t.size {
 					return h.retire(p, op, 0, false, true, resps, nresp)
 				}
-				p.probes += valid - (p.idx - base)
+				probes += valid - (idx - base)
 				next := base + table.SlotsPerCacheLine
 				if next >= t.size {
 					next = 0
 				}
-				p.idx = next
+				idx = next
 				if slotarr.LineOf(next) != slotarr.LineOf(base) {
-					h.pop()
-					h.prefetchNext(next, p.tag)
-					h.stats.Reprobes++
-					h.stats.Lines++
-					h.enqueue(p)
+					h.reprobe(p, idx, probes)
 					return false, false
 				}
 				continue
 			}
 			h.stats.KeyLines++
 		}
-		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(p.idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, p.req.Key, table.EmptyKey, int(p.idx-base))
+		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(idx)
+		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
 			if tagged {
@@ -251,7 +242,7 @@ func (h *Handle) drainUpdate(p pending, add bool, resps []table.Response, nresp 
 		case simd.HitEmpty:
 			slot := base + uint64(lane)
 			h.stats.CASAttempts++
-			if t.arr.CASKey(slot, table.EmptyKey, p.req.Key) {
+			if t.arr.CASKey(slot, table.EmptyKey, key) {
 				if tagged {
 					h.stats.TagHits++
 				}
@@ -259,7 +250,7 @@ func (h *Handle) drainUpdate(p pending, add bool, resps []table.Response, nresp 
 				// tag leaves 0, the sooner concurrent probes can prune this
 				// lane. A reader that still sees 0 just takes the must-check
 				// path — correctness never waits on this store.
-				t.arr.PublishTag(slot, p.tag)
+				t.arr.PublishTag(slot, tag)
 				h.stats.CASAttempts++
 				t.arr.StoreValue(slot, p.req.Value)
 				t.used.Add(1)
@@ -274,29 +265,20 @@ func (h *Handle) drainUpdate(p pending, add bool, resps []table.Response, nresp 
 		if tagged {
 			h.stats.TagFalse++
 		}
-		if p.probes+valid-(p.idx-base) >= t.size {
+		if probes+valid-(idx-base) >= t.size {
 			// Full-table probe: the table is full.
 			return h.retire(p, op, 0, false, true, resps, nresp)
 		}
-		// Missed line: advance past it. Lanes before the entry offset were
-		// examined on an earlier pass (or never); only cidx..valid-1 count
-		// toward the full-table bound, exactly matching the scalar loop's
-		// per-slot accounting. This block is open-coded in each drain (not a
-		// helper) so p never has its address taken and stays in registers
-		// across the kernel loop, like the scalar path's probe cursor.
-		p.probes += valid - (p.idx - base)
+		// Missed line: advance the local cursor past it, as in drainGet.
+		probes += valid - (idx - base)
 		next := base + table.SlotsPerCacheLine
 		if next >= t.size {
 			next = 0
 		}
-		p.idx = next
+		idx = next
 		if slotarr.LineOf(next) != slotarr.LineOf(base) {
 			// Crossing into a new line: re-enqueue behind a fresh prefetch.
-			h.pop()
-			h.prefetchNext(next, p.tag)
-			h.stats.Reprobes++
-			h.stats.Lines++
-			h.enqueue(p)
+			h.reprobe(p, idx, probes)
 			return false, false
 		}
 		// Single-line-table wrap: the probe stays cache-resident; keep
@@ -311,15 +293,16 @@ func (h *Handle) drainUpdate(p pending, add bool, resps []table.Response, nresp 
 // CAS that re-verifies the snapshot (a concurrent Delete of the same key may
 // have won, in which case this one reports a miss, exactly like the scalar
 // path).
-func (h *Handle) drainDelete(p pending) (wrote, blocked bool) {
+func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 	t := h.t
+	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
 	tagged := h.filter == table.FilterTags
 	if !tagged {
 		h.stats.KeyLines++
-		switch k := t.arr.Key(p.idx); k {
-		case p.req.Key:
+		switch k := t.arr.Key(idx); k {
+		case key:
 			h.pop()
-			if t.arr.CASKey(p.idx, p.req.Key, table.TombstoneKey) {
+			if t.arr.CASKey(idx, key, table.TombstoneKey) {
 				t.live.Add(-1)
 				h.finish(p, table.Delete, true)
 			} else {
@@ -335,8 +318,8 @@ func (h *Handle) drainDelete(p pending) (wrote, blocked bool) {
 
 	for {
 		if tagged {
-			base := p.idx &^ (table.SlotsPerCacheLine - 1)
-			if t.arr.LineCandidates(base, p.tag)>>(p.idx-base) == 0 {
+			base := idx &^ (table.SlotsPerCacheLine - 1)
+			if t.arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				// The key cannot be in this line and no empty lane ends the
 				// chain: skip the line without loading it. (A tombstoned
 				// incarnation of the key keeps its stale matching tag, so a
@@ -347,31 +330,27 @@ func (h *Handle) drainDelete(p pending) (wrote, blocked bool) {
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				if p.probes+valid-(p.idx-base) >= t.size {
+				if probes+valid-(idx-base) >= t.size {
 					h.pop()
 					h.finish(p, table.Delete, false)
 					return true, false
 				}
-				p.probes += valid - (p.idx - base)
+				probes += valid - (idx - base)
 				next := base + table.SlotsPerCacheLine
 				if next >= t.size {
 					next = 0
 				}
-				p.idx = next
+				idx = next
 				if slotarr.LineOf(next) != slotarr.LineOf(base) {
-					h.pop()
-					h.prefetchNext(next, p.tag)
-					h.stats.Reprobes++
-					h.stats.Lines++
-					h.enqueue(p)
+					h.reprobe(p, idx, probes)
 					return false, false
 				}
 				continue
 			}
 			h.stats.KeyLines++
 		}
-		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(p.idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, p.req.Key, table.EmptyKey, int(p.idx-base))
+		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(idx)
+		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
 			if tagged {
@@ -379,7 +358,7 @@ func (h *Handle) drainDelete(p pending) (wrote, blocked bool) {
 			}
 			h.pop()
 			h.stats.CASAttempts++
-			if t.arr.CASKey(base+uint64(lane), p.req.Key, table.TombstoneKey) {
+			if t.arr.CASKey(base+uint64(lane), key, table.TombstoneKey) {
 				t.live.Add(-1)
 				h.finish(p, table.Delete, true)
 			} else {
@@ -397,30 +376,21 @@ func (h *Handle) drainDelete(p pending) (wrote, blocked bool) {
 		if tagged {
 			h.stats.TagFalse++
 		}
-		if p.probes+valid-(p.idx-base) >= t.size {
+		if probes+valid-(idx-base) >= t.size {
 			h.pop()
 			h.finish(p, table.Delete, false)
 			return true, false
 		}
-		// Missed line: advance past it. Lanes before the entry offset were
-		// examined on an earlier pass (or never); only cidx..valid-1 count
-		// toward the full-table bound, exactly matching the scalar loop's
-		// per-slot accounting. This block is open-coded in each drain (not a
-		// helper) so p never has its address taken and stays in registers
-		// across the kernel loop, like the scalar path's probe cursor.
-		p.probes += valid - (p.idx - base)
+		// Missed line: advance the local cursor past it, as in drainGet.
+		probes += valid - (idx - base)
 		next := base + table.SlotsPerCacheLine
 		if next >= t.size {
 			next = 0
 		}
-		p.idx = next
+		idx = next
 		if slotarr.LineOf(next) != slotarr.LineOf(base) {
 			// Crossing into a new line: re-enqueue behind a fresh prefetch.
-			h.pop()
-			h.prefetchNext(next, p.tag)
-			h.stats.Reprobes++
-			h.stats.Lines++
-			h.enqueue(p)
+			h.reprobe(p, idx, probes)
 			return false, false
 		}
 		// Single-line-table wrap: the probe stays cache-resident; keep

@@ -87,39 +87,39 @@ func (s *Sync) Cap() int { return s.h.t.Cap() }
 
 var _ table.Map = (*Sync)(nil)
 
+// batchChunk is how many requests (and responses) the batch helpers stage on
+// their stack at a time: the helpers allocate nothing, whatever len(keys) is.
+// Chunks are submitted back to back — the pipeline is flushed once, after the
+// last — so chunking costs no overlap.
+const batchChunk = 64
+
 // GetBatch looks up keys and stores results positionally: found[i] and
 // vals[i] correspond to keys[i]. It demonstrates the ID-matching pattern
 // from the paper (submit the array position as the identifier, scatter
 // completions by ID). vals and found must be at least as long as keys.
 func (h *Handle) GetBatch(keys []uint64, vals []uint64, found []bool) {
-	reqs := make([]table.Request, 0, 64)
-	resps := make([]table.Response, len(keys)+h.window)
-	scatter := func(rs []table.Response) {
-		for _, r := range rs {
+	var reqs [batchChunk]table.Request
+	var resps [batchChunk]table.Response
+	scatter := func(n int) {
+		for _, r := range resps[:n] {
 			vals[r.ID] = r.Value
 			found[r.ID] = r.Found
 		}
 	}
 	for start := 0; start < len(keys); {
-		reqs = reqs[:0]
-		end := start + cap(reqs)
-		if end > len(keys) {
-			end = len(keys)
+		n := 0
+		for ; n < batchChunk && start < len(keys); n, start = n+1, start+1 {
+			reqs[n] = table.Request{Op: table.Get, Key: keys[start], ID: uint64(start)}
 		}
-		for i := start; i < end; i++ {
-			reqs = append(reqs, table.Request{Op: table.Get, Key: keys[i], ID: uint64(i)})
-		}
-		rem := reqs
-		for len(rem) > 0 {
-			nreq, nresp := h.Submit(rem, resps)
-			scatter(resps[:nresp])
+		for rem := reqs[:n]; len(rem) > 0; {
+			nreq, nresp := h.Submit(rem, resps[:])
+			scatter(nresp)
 			rem = rem[nreq:]
 		}
-		start = end
 	}
 	for {
-		nresp, done := h.Flush(resps)
-		scatter(resps[:nresp])
+		nresp, done := h.Flush(resps[:])
+		scatter(nresp)
 		if done {
 			return
 		}
@@ -128,32 +128,32 @@ func (h *Handle) GetBatch(keys []uint64, vals []uint64, found []bool) {
 
 // PutBatch inserts all key/value pairs and flushes the pipeline.
 func (h *Handle) PutBatch(keys, vals []uint64) {
-	reqs := make([]table.Request, len(keys))
-	for i := range keys {
-		reqs[i] = table.Request{Op: table.Put, Key: keys[i], Value: vals[i]}
-	}
-	var none []table.Response
-	for len(reqs) > 0 {
-		nreq, _ := h.Submit(reqs, none)
-		reqs = reqs[nreq:]
-	}
-	for {
-		if _, done := h.Flush(none); done {
-			return
-		}
-	}
+	h.updateBatch(table.Put, keys, vals, 0)
 }
 
 // UpsertBatch applies delta upserts for every key and flushes.
 func (h *Handle) UpsertBatch(keys []uint64, delta uint64) {
-	reqs := make([]table.Request, len(keys))
-	for i := range keys {
-		reqs[i] = table.Request{Op: table.Upsert, Key: keys[i], Value: delta}
-	}
+	h.updateBatch(table.Upsert, keys, nil, delta)
+}
+
+// updateBatch submits one op per key — valued vals[i], or delta when vals is
+// nil — and flushes.
+func (h *Handle) updateBatch(op table.Op, keys, vals []uint64, delta uint64) {
+	var reqs [batchChunk]table.Request
 	var none []table.Response
-	for len(reqs) > 0 {
-		nreq, _ := h.Submit(reqs, none)
-		reqs = reqs[nreq:]
+	for start := 0; start < len(keys); {
+		n := 0
+		for ; n < batchChunk && start < len(keys); n, start = n+1, start+1 {
+			v := delta
+			if vals != nil {
+				v = vals[start]
+			}
+			reqs[n] = table.Request{Op: op, Key: keys[start], Value: v}
+		}
+		for rem := reqs[:n]; len(rem) > 0; {
+			nreq, _ := h.Submit(rem, none)
+			rem = rem[nreq:]
+		}
 	}
 	for {
 		if _, done := h.Flush(none); done {

@@ -114,11 +114,14 @@ func (w *WriteHandle) flushKey(key uint64) {
 	}
 }
 
-// push enqueues p, mirroring its tag into the ring's tag sidecar so later
-// Submits can spot it with one byte-wide scan per eight slots.
-func (r *ReadHandle) push(p rpending) {
+// push publishes the entry its caller has just written into the head slot
+// (Submit constructs a new lookup there, reprobe moves the queue-head one
+// there): it mirrors the tag into the ring's tag sidecar so later Submits
+// can spot it with one byte-wide scan per eight slots, and advances head.
+// The slot is the entry's only home: nothing is copied in or out.
+func (r *ReadHandle) push() {
 	s := r.head & r.mask
-	r.q[s] = p
+	p := &r.q[s]
 	if r.combine {
 		shift := uint(s&7) * 8
 		r.rtags[s>>3] = r.rtags[s>>3]&^(0xff<<shift) | uint64(p.tag)<<shift
@@ -243,14 +246,14 @@ func (r *ReadHandle) emitChain(p *rpending, v uint64, ok bool, resps []table.Res
 	return true
 }
 
-// retire completes the oldest pending lookup p with (v, ok): it writes the
-// leader's response, then fans the result out to the piggyback chain. If
-// resps fills mid-chain the leader parks at the queue head with its result
-// frozen in state/rval and its tag byte cleared (no further combines may
-// land on a resolved leader), and processOldest resumes the emission on
-// the next call. The caller has already reserved the leader's response
-// slot and must not advance tail itself.
-func (r *ReadHandle) retire(p rpending, v uint64, ok bool, resps []table.Response, nresp *int) (blocked bool) {
+// retire completes the oldest pending lookup p (the queue-head slot) with
+// (v, ok): it writes the leader's response, then fans the result out to the
+// piggyback chain. If resps fills mid-chain the leader parks where it sits,
+// its result frozen in the slot's state/rval and its tag byte cleared (no
+// further combines may land on a resolved leader), and processOldest
+// resumes the emission on the next call. The caller has already reserved
+// the leader's response slot and must not advance tail itself.
+func (r *ReadHandle) retire(p *rpending, v uint64, ok bool, resps []table.Response, nresp *int) (blocked bool) {
 	resps[*nresp] = table.Response{ID: p.id, Value: v, Found: ok}
 	*nresp++
 	r.complete(ok)
@@ -269,7 +272,7 @@ func (r *ReadHandle) retire(p rpending, v uint64, ok bool, resps []table.Respons
 	if r.obsw != nil && p.ngets != 0 {
 		r.obsw.MaxGauge(obs.GChainMax, uint64(p.ngets))
 	}
-	if p.chain == 0 || r.emitChain(&p, v, ok, resps, nresp) {
+	if p.chain == 0 || r.emitChain(p, v, ok, resps, nresp) {
 		r.pop()
 		return false
 	}
@@ -286,6 +289,5 @@ func (r *ReadHandle) retire(p rpending, v uint64, ok bool, resps []table.Respons
 	s := r.tail & r.mask
 	r.tagcnt[p.tag]-- // released here, not at the eventual pop (byte now 0)
 	r.rtags[s>>3] &^= 0xff << (uint(s&7) * 8)
-	r.q[s] = p
 	return true
 }

@@ -655,7 +655,15 @@ func (r *ReadHandle) Submit(reqs []table.Request, resps []table.Response) (nreq,
 		if r.hot != nil {
 			r.hot.OfferSampled(req.Key)
 		}
-		p := rpending{key: req.Key, id: req.ID, part: part, idx: local, tag: tag}
+		// The lookup is built in the head slot and stays there until it
+		// completes or reprobes. The slot is taken only now: the back-pressure
+		// loop above may have re-pushed a reprobing lookup at the old head.
+		// Every field is assigned, one store each — a composite literal would
+		// be built on the stack and copied in.
+		p := &r.q[r.head&r.mask]
+		p.key, p.id, p.part, p.idx, p.tag = req.Key, req.ID, part, local, tag
+		p.probes, p.rval, p.trace, p.start = 0, 0, 0, 0
+		p.chain, p.ngets, p.state = 0, 0, stateProbing
 		if r.opLat {
 			p.start = time.Now().UnixNano()
 		}
@@ -667,7 +675,7 @@ func (r *ReadHandle) Submit(reqs []table.Request, resps []table.Response) (nreq,
 		}
 		if r.rbhs != nil {
 			t.parts[part].bkt.Prefetch(local)
-			r.push(p)
+			r.push()
 			nreq++
 			continue
 		}
@@ -679,7 +687,7 @@ func (r *ReadHandle) Submit(reqs []table.Request, resps []table.Response) (nreq,
 			arr.PrefetchTags(local)
 		}
 		arr.Prefetch(local)
-		r.push(p)
+		r.push()
 		nreq++
 	}
 	return nreq, nresp
@@ -703,21 +711,21 @@ func (r *ReadHandle) Flush(resps []table.Response) (nresp int, done bool) {
 	return nresp, true
 }
 
-// processOldest resolves the oldest pending lookup over its current line,
-// reprobing with a fresh prefetch on line crossings. A parked leader (its
-// probe already resolved, chain emission stalled on response space) is
-// resumed before anything else.
+// processOldest resolves the oldest pending lookup, in its ring slot, over
+// its current line, reprobing with a fresh prefetch on line crossings. A
+// parked leader (its probe already resolved, chain emission stalled on
+// response space) is resumed before anything else; a chain that still does
+// not fit has shrunk where it sits.
 func (r *ReadHandle) processOldest(resps []table.Response, nresp *int) (blocked bool) {
-	p := r.q[r.tail&r.mask]
+	p := &r.q[r.tail&r.mask]
 	if p.trace != 0 && p.state == stateProbing {
 		r.trace.Record(p.trace, obs.EvProbe, uint8(table.Get), p.key, uint32(p.probes))
 	}
 	if p.state != stateProbing {
-		if r.emitChain(&p, p.rval, p.state == stateHit, resps, nresp) {
+		if r.emitChain(p, p.rval, p.state == stateHit, resps, nresp) {
 			r.pop()
 			return false
 		}
-		r.q[r.tail&r.mask] = p
 		return true
 	}
 	t := r.t
@@ -749,39 +757,58 @@ func (r *ReadHandle) processOldest(resps []table.Response, nresp *int) (blocked 
 	if r.kernel == table.KernelSWAR {
 		return r.processOldestSWAR(resps, nresp, p, arr)
 	}
-	line := slotarr.LineOf(p.idx)
+	// The probe cursor walks in locals; reprobe stores it back once, before
+	// the move, and a blocked return leaves the slot as it found it.
+	idx, probes := p.idx, p.probes
+	line := slotarr.LineOf(idx)
 	for {
-		if slotarr.LineOf(p.idx) != line || p.probes >= t.partSlots {
-			if p.probes >= t.partSlots {
+		if slotarr.LineOf(idx) != line || probes >= t.partSlots {
+			if probes >= t.partSlots {
 				if *nresp >= len(resps) {
 					return true
 				}
 				return r.retire(p, 0, false, resps, nresp)
 			}
-			r.pop()
-			arr.Prefetch(p.idx)
-			r.push(p)
+			r.reprobe(p, arr, idx, probes)
 			return false
 		}
-		switch k := arr.Key(p.idx); k {
+		switch k := arr.Key(idx); k {
 		case p.key:
 			if *nresp >= len(resps) {
 				return true
 			}
-			return r.retire(p, arr.WaitValue(p.idx), true, resps, nresp)
+			return r.retire(p, arr.WaitValue(idx), true, resps, nresp)
 		case table.EmptyKey:
 			if *nresp >= len(resps) {
 				return true
 			}
 			return r.retire(p, 0, false, resps, nresp)
 		default:
-			p.idx++
-			if p.idx == t.partSlots {
-				p.idx = 0
+			idx++
+			if idx == t.partSlots {
+				idx = 0
 			}
-			p.probes++
+			probes++
 		}
 	}
+}
+
+// reprobe sends the queue-head lookup p to the back of the queue behind a
+// fresh prefetch of the line its drain advanced the probe cursor (idx,
+// probes) to; the cursor is stored back here, once. In tags mode the data
+// pull is elided when the tag word already rejects the line — the drain's
+// gate will bounce it from the same cache-hot word. The move is the only
+// copy an entry ever sees. Source and destination are distinct slots: the
+// ring holds at least window+1 entries and at most window are pending, so
+// the head slot is never the tail slot.
+func (r *ReadHandle) reprobe(p *rpending, arr *slotarr.Array, idx, probes uint64) {
+	p.idx, p.probes = idx, probes
+	r.pop()
+	if r.filter != table.FilterTags || arr.LineCandidates(idx, p.tag) != 0 {
+		arr.Prefetch(idx)
+	}
+	r.q[r.head&r.mask] = *p
+	r.push()
 }
 
 // processOldestSWAR resolves the oldest pending lookup with the branchless
@@ -803,17 +830,18 @@ func (r *ReadHandle) processOldest(resps []table.Response, nresp *int) (blocked 
 // its data line are touched. A zero (unpublished) tag keeps its lane in
 // the candidate mask, so a write racing through the single-writer
 // value→key→tag publication sequence can never be missed.
-func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p rpending, arr *slotarr.Array) (blocked bool) {
+func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p *rpending, arr *slotarr.Array) (blocked bool) {
 	t := r.t
+	key, tag, idx, probes := p.key, p.tag, p.idx, p.probes
 	tagged := r.filter == table.FilterTags
 	if !tagged {
 		r.Filter.KeyLines++
-		switch k := arr.Key(p.idx); k {
-		case p.key:
+		switch k := arr.Key(idx); k {
+		case key:
 			if *nresp >= len(resps) {
 				return true
 			}
-			return r.retire(p, arr.WaitValue(p.idx), true, resps, nresp)
+			return r.retire(p, arr.WaitValue(idx), true, resps, nresp)
 		case table.EmptyKey:
 			if *nresp >= len(resps) {
 				return true
@@ -823,15 +851,15 @@ func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p rpe
 	}
 	for {
 		if tagged {
-			base := p.idx &^ (table.SlotsPerCacheLine - 1)
-			if arr.LineCandidates(base, p.tag)>>(p.idx-base) == 0 {
+			base := idx &^ (table.SlotsPerCacheLine - 1)
+			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				r.Filter.TagSkips++
 				valid := t.partSlots - base
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				p.probes += valid - (p.idx - base)
-				if p.probes >= t.partSlots {
+				probes += valid - (idx - base)
+				if probes >= t.partSlots {
 					if *nresp >= len(resps) {
 						return true
 					}
@@ -841,21 +869,17 @@ func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p rpe
 				if next >= t.partSlots {
 					next = 0
 				}
-				p.idx = next
+				idx = next
 				if slotarr.LineOf(next) == slotarr.LineOf(base) {
 					continue
 				}
-				r.pop()
-				if arr.LineCandidates(next, p.tag) != 0 {
-					arr.Prefetch(next)
-				}
-				r.push(p)
+				r.reprobe(p, arr, idx, probes)
 				return false
 			}
 			r.Filter.KeyLines++
 		}
-		l0, l1, l2, l3, base, valid := arr.LoadKeys4(p.idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, p.key, table.EmptyKey, int(p.idx-base))
+		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
+		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
 			if *nresp >= len(resps) {
@@ -877,8 +901,8 @@ func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p rpe
 		if tagged {
 			r.Filter.TagFalse++
 		}
-		p.probes += valid - (p.idx - base)
-		if p.probes >= t.partSlots {
+		probes += valid - (idx - base)
+		if probes >= t.partSlots {
 			if *nresp >= len(resps) {
 				return true
 			}
@@ -888,22 +912,14 @@ func (r *ReadHandle) processOldestSWAR(resps []table.Response, nresp *int, p rpe
 		if next >= t.partSlots {
 			next = 0
 		}
-		p.idx = next
+		idx = next
 		if slotarr.LineOf(next) == slotarr.LineOf(base) {
 			if !tagged {
 				r.Filter.KeyLines++
 			}
 			continue
 		}
-		r.pop()
-		if tagged && arr.LineCandidates(next, p.tag) == 0 {
-			// Rejected at reprobe: skip the data prefetch, the drain's gate
-			// will bounce the line from the same cache-hot tag word.
-			r.push(p)
-			return false
-		}
-		arr.Prefetch(p.idx)
-		r.push(p)
+		r.reprobe(p, arr, idx, probes)
 		return false
 	}
 }
@@ -916,27 +932,32 @@ func (r *ReadHandle) complete(hit bool) {
 }
 
 // GetBatch performs positional batched lookups (see dramhit.Handle.GetBatch).
+// Requests and responses are staged through fixed stack arrays, chunk by
+// chunk with one flush after the last, so it allocates nothing.
 func (r *ReadHandle) GetBatch(keys []uint64, vals []uint64, found []bool) {
-	reqs := make([]table.Request, len(keys))
-	for i, k := range keys {
-		reqs[i] = table.Request{Op: table.Get, Key: k, ID: uint64(i)}
-	}
-	resps := make([]table.Response, len(keys))
-	scatter := func(rs []table.Response) {
-		for _, resp := range rs {
+	const chunk = 64
+	var reqs [chunk]table.Request
+	var resps [chunk]table.Response
+	scatter := func(n int) {
+		for _, resp := range resps[:n] {
 			vals[resp.ID] = resp.Value
 			found[resp.ID] = resp.Found
 		}
 	}
-	rem := reqs
-	for len(rem) > 0 {
-		nreq, nresp := r.Submit(rem, resps)
-		scatter(resps[:nresp])
-		rem = rem[nreq:]
+	for start := 0; start < len(keys); {
+		n := 0
+		for ; n < chunk && start < len(keys); n, start = n+1, start+1 {
+			reqs[n] = table.Request{Op: table.Get, Key: keys[start], ID: uint64(start)}
+		}
+		for rem := reqs[:n]; len(rem) > 0; {
+			nreq, nresp := r.Submit(rem, resps[:])
+			scatter(nresp)
+			rem = rem[nreq:]
+		}
 	}
 	for {
-		nresp, done := r.Flush(resps)
-		scatter(resps[:nresp])
+		nresp, done := r.Flush(resps[:])
+		scatter(nresp)
 		if done {
 			return
 		}
