@@ -276,21 +276,32 @@ func (a *Arena) Key(ref Ref) []byte {
 	return k
 }
 
-// RecordAddr returns the address of ref's first byte, for prefetching only:
-// the caller must not load through it. Because nothing is dereferenced it
-// needs neither a pin nor the happens-before edge Record asks for, and it
-// accepts any bit pattern as ref — a segment index past the directory, an
-// unlinked segment or an offset past the segment's end yields nil.
-func (a *Arena) RecordAddr(ref Ref) unsafe.Pointer {
+// lineBytes is the cache-line size RecordAddr measures a record's span against.
+const lineBytes = 64
+
+// RecordAddr returns the address of ref's first byte and — when a record of
+// span bytes starting there would reach it and it starts inside the segment —
+// of the cache line after it (else nil), for prefetching only: the caller must
+// not load through either. Because nothing is dereferenced it needs neither a
+// pin nor the happens-before edge Record asks for, and it accepts any bit
+// pattern as ref — a segment index past the directory, an unlinked segment or
+// an offset past the segment's end yields nil, nil.
+func (a *Arena) RecordAddr(ref Ref, span int) (first, next unsafe.Pointer) {
 	segs := *a.segs.Load()
 	if int(ref.seg()) >= len(segs) {
-		return nil
+		return nil, nil
 	}
 	seg := segs[ref.seg()]
-	if seg == nil || int(ref.off()) >= len(seg.buf) {
-		return nil
+	off := int(ref.off())
+	if seg == nil || off >= len(seg.buf) {
+		return nil, nil
 	}
-	return unsafe.Pointer(&seg.buf[ref.off()])
+	first = unsafe.Pointer(&seg.buf[off])
+	// Measured on the address: small and dedicated segments are not line-aligned.
+	if toNext := lineBytes - int(uintptr(first)&(lineBytes-1)); span > toNext && off+toNext < len(seg.buf) {
+		next = unsafe.Pointer(&seg.buf[off+toNext])
+	}
+	return first, next
 }
 
 // Retire marks ref's record dead (superseded or deleted). When the owning

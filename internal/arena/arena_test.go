@@ -169,12 +169,37 @@ func TestConcurrentWritersReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// checkRecordAddr asserts RecordAddr's contract for one (ref, span) without
+// re-deriving its arithmetic: first is the record's first byte; next, when
+// given, is the start of the cache line after first's, inside the segment, and
+// reached by a record of span bytes; when withheld, either such a record ends
+// on first's line or the line after starts past the segment.
+func checkRecordAddr(t *testing.T, a *Arena, ref Ref, span int) (first, next unsafe.Pointer) {
+	t.Helper()
+	buf := (*a.segs.Load())[ref.seg()].buf
+	first, next = a.RecordAddr(ref, span)
+	if first != unsafe.Pointer(&buf[ref.off()]) {
+		t.Fatalf("RecordAddr(%#x).first = %p, want %p", ref, first, &buf[ref.off()])
+	}
+	lineEnd := uintptr(first) | 63             // last byte of first's line
+	last := uintptr(first) + uintptr(span) - 1 // last byte of a span-byte record
+	bufEnd := uintptr(unsafe.Pointer(&buf[len(buf)-1]))
+	if next != nil {
+		if uintptr(next) != lineEnd+1 || uintptr(next) > bufEnd || last < uintptr(next) {
+			t.Fatalf("RecordAddr(%#x, %d).next = %p: first %p, segment ends %#x", ref, span, next, first, bufEnd)
+		}
+	} else if last > lineEnd && lineEnd+1 <= bufEnd {
+		t.Fatalf("RecordAddr(%#x, %d) withheld the successor line: first %p, segment ends %#x", ref, span, first, bufEnd)
+	}
+	return first, next
+}
+
 // TestRecordAddr pins the prefetch address helper: a live ref yields the
 // address of the record's first byte (its length header, two bytes before a
-// short key), and every ref that cannot be resolved — a segment index past
-// the directory, an offset past the segment, a reclaimed segment — yields
-// nil without panicking, because its caller feeds it whatever a racing slot
-// word held.
+// short key) and, for a record long enough to straddle, the next line's; and
+// every ref that cannot be resolved — a segment index past the directory, an
+// offset past the segment, a reclaimed segment — yields nil without
+// panicking, because its caller feeds it whatever a racing slot word held.
 func TestRecordAddr(t *testing.T) {
 	a := New(WithSegmentBytes(64))
 	w := a.NewWriter()
@@ -184,19 +209,48 @@ func TestRecordAddr(t *testing.T) {
 	}
 	for _, r := range refs {
 		k, _ := a.Record(r)
-		if got, want := uintptr(a.RecordAddr(r))+2, uintptr(unsafe.Pointer(&k[0])); got != want {
+		first, _ := checkRecordAddr(t, a, r, 10)
+		if got, want := uintptr(first)+2, uintptr(unsafe.Pointer(&k[0])); got != want {
 			t.Fatalf("RecordAddr(%#x)+2 = %#x, want the key's address %#x", r, got, want)
 		}
 	}
 	total, _ := a.Segments()
-	if p := a.RecordAddr(MakeRef(uint32(total), 0)); p != nil {
-		t.Fatalf("segment past the directory resolved to %p", p)
+	if p, n := a.RecordAddr(MakeRef(uint32(total), 0), 65); p != nil || n != nil {
+		t.Fatalf("segment past the directory resolved to %p, %p", p, n)
 	}
-	if p := a.RecordAddr(MakeRef(0, 64)); p != nil {
-		t.Fatalf("offset past the segment resolved to %p", p)
+	if p, n := a.RecordAddr(MakeRef(0, 64), 65); p != nil || n != nil {
+		t.Fatalf("offset past the segment resolved to %p, %p", p, n)
 	}
-	if p := a.RecordAddr(Ref(refMask)); p != nil {
-		t.Fatalf("all-ones ref resolved to %p", p)
+	if p, n := a.RecordAddr(Ref(refMask), 65); p != nil || n != nil {
+		t.Fatalf("all-ones ref resolved to %p, %p", p, n)
+	}
+
+	// The successor line, over every offset of a segment several lines long,
+	// of one that is not a multiple of a line, and of the dedicated segment of
+	// an oversized record (sized to the record, which so ends on the segment's
+	// last byte): spans that stay on the line, reach exactly its last byte,
+	// cross by one byte, and the unknown-length span; the last line's refs
+	// have no successor inside the segment, whatever the span.
+	for _, segBytes := range []int{256, 200} {
+		b := New(WithSegmentBytes(segBytes))
+		bw := b.NewWriter()
+		bw.Append([]byte("k"), []byte("v"))
+		big := bw.Append([]byte("big"), make([]byte, 3*segBytes+1))
+		for _, seg := range []uint32{0, big.seg()} {
+			n := len((*b.segs.Load())[seg].buf)
+			sawNext, sawEdge := false, false
+			for off := 0; off < n; off++ {
+				for _, span := range []int{1, 18, 64, 65, 150} {
+					first, next := checkRecordAddr(t, b, MakeRef(seg, uint32(off)), span)
+					sawNext = sawNext || next != nil
+					// A record that would cross, but the line after starts past the end.
+					sawEdge = sawEdge || (next == nil && (uintptr(first)+uintptr(span)-1)|63 != uintptr(first)|63)
+				}
+			}
+			if !sawNext || !sawEdge {
+				t.Fatalf("segment %d of %d bytes: successor seen %v, withheld at the segment's end %v", seg, n, sawNext, sawEdge)
+			}
+		}
 	}
 
 	w.Append(bytes.Repeat([]byte{9}, 64), nil) // seal the tail segment
@@ -208,7 +262,7 @@ func TestRecordAddr(t *testing.T) {
 	if a.Freed() == 0 {
 		t.Fatal("no segment was reclaimed")
 	}
-	if p := a.RecordAddr(refs[0]); p != nil {
-		t.Fatalf("reclaimed segment resolved to %p", p)
+	if p, n := a.RecordAddr(refs[0], 65); p != nil || n != nil {
+		t.Fatalf("reclaimed segment resolved to %p, %p", p, n)
 	}
 }

@@ -1,6 +1,7 @@
 package dramhit
 
 import (
+	"fmt"
 	"testing"
 
 	"dramhit/internal/table"
@@ -328,6 +329,89 @@ func BenchmarkRingHot(b *testing.B) {
 						break
 					}
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkByteRing is the per-layer number for the byte pipeline past the
+// caches: the bucket layout over the arena, 2^20 16-byte keys with 16-80-byte
+// values (about 80 MiB of records under a 38 MiB index, well past L2 and this
+// VM's share of L3), and the gated benchmark's kv-churn mix — 60% GET, 30%
+// overwriting SET, 5% DEL, 5% re-SET of a deleted key — through SubmitBytes
+// with a FlushBytes per batch, at a wire batch shorter than half the window
+// (8), the kv-churn and srv-pipe batch (32) and one long enough that the
+// refill after a flush stops mattering (256). Keys are computed, not looked
+// up, and a batch is laid out before it is submitted, so the misses timed are
+// the table's; the completion copies the value out, as a protocol encoder
+// would. The three cells share one table: loading it is the expensive part.
+func BenchmarkByteRing(b *testing.B) {
+	const (
+		nkeys    = 1 << 20
+		keyBytes = 16
+		maxBatch = 256
+	)
+	putKey := func(dst []byte, k uint32) {
+		putLE(dst, uint64(k)*0x9e3779b97f4a7c15)
+		putLE(dst[8:], uint64(k))
+	}
+	tbl := New(Config{Slots: 1 << 22, Layout: table.LayoutBucket})
+	h := tbl.NewHandle()
+	val := make([]byte, 80)
+	for i := range val {
+		val[i] = byte(i)
+	}
+	var key [keyBytes]byte
+	for k := uint32(0); k < nkeys; k++ {
+		putKey(key[:], k)
+		h.PutBytes(key[:], val[:16+k%65])
+	}
+	var reply [80]byte
+	h.OnByteComplete(func(c ByteCompletion) { copy(reply[:], c.Value) })
+	dead := make([]uint32, 0, nkeys/2) // deleted keys awaiting their re-SET
+	isDead := make([]bool, nkeys)
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 { // xorshift64
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	var (
+		kbuf [maxBatch * keyBytes]byte
+		ops  [maxBatch]table.Op
+		vlen [maxBatch]int
+	)
+	for _, batch := range []int{8, 32, maxBatch} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			for done := 0; done < b.N; done += batch {
+				for i := 0; i < batch; i++ {
+					r := next()
+					k := uint32(r>>32) % nkeys
+					ops[i], vlen[i] = table.Put, 16+int(r>>40)%65
+					switch x := r % 100; {
+					case x < 60:
+						ops[i] = table.Get
+					case x < 65 && len(dead) < cap(dead) && !isDead[k]:
+						ops[i] = table.Delete
+						dead = append(dead, k)
+					case x < 70 && len(dead) > 0:
+						j := int(r>>8) % len(dead)
+						k, dead[j] = dead[j], dead[len(dead)-1]
+						dead = dead[:len(dead)-1]
+					}
+					isDead[k] = ops[i] == table.Delete
+					putKey(kbuf[i*keyBytes:], k)
+				}
+				for i := 0; i < batch; i++ {
+					var v []byte
+					if ops[i] == table.Put {
+						v = val[:vlen[i]]
+					}
+					h.SubmitBytes(ops[i], uint64(i), kbuf[i*keyBytes:(i+1)*keyBytes], v)
+				}
+				h.FlushBytes()
 			}
 		})
 	}

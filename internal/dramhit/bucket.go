@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dramhit/internal/obs"
+	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
 
@@ -55,29 +56,39 @@ func (h *Handle) foldBucketStats(preLines, preHops uint64) {
 	h.stats.Lines += dh
 }
 
+// stage is stageBytes (netbatch.go) for the uint64 ring, whose idx carries the
+// full hash. Bucket layout only, where the ring is strictly FIFO.
+func (h *Handle) stage(upto int) {
+	for ; h.staged < upto; h.staged++ {
+		hv := h.q[h.staged&h.mask].idx
+		h.t.bkt.PrefetchRecords(hv, slotarr.SpanBridge)
+		if h.stageHook != nil {
+			h.stageHook(hv)
+		}
+	}
+}
+
 // processBucket resolves the queue-head request synchronously against the
 // bucket engine. The home bucket line was prefetched at Submit and the
-// candidate records half a window ago (stage two, below); by drain time both
-// are resident, so the probe completes without re-entering the queue. retire
+// candidate records half a window ago (stage two); by drain time both are
+// resident, so the probe completes without re-entering the queue. retire
 // handles combined-Get chains, parking and Failed exactly as on the flat
 // path.
 func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	if p.req.Op == table.Get && *nresp >= len(resps) {
 		return false, true
 	}
-	// Stage two for the request now at mid-ring (idx carries its full hash):
-	// its bucket line has had half a window to arrive, and its records get
-	// the other half.
-	if mid := h.tail + h.window/2; mid < h.head {
-		h.t.bkt.PrefetchRecords(h.q[mid&h.mask].idx)
-	}
+	// Stage two's drain-side trigger: everything within half a window of the
+	// tail, clamped to the head (Submit stages the rest, see stage).
+	h.stage(min(h.tail+h.window/2+1, h.head))
 	var kb [8]byte
 	putLE(kb[:], p.req.Key)
+	hv := p.idx // the full hash; the engine derives the bucket from it
 	preL, preH := h.bh.Lines, h.bh.Hops
 	switch p.req.Op {
 	case table.Get:
 		var v uint64
-		vb, ok := h.bh.Get(kb[:])
+		vb, ok := h.bh.GetHashed(hv, kb[:])
 		if ok {
 			v = getLE(vb)
 		}
@@ -87,7 +98,7 @@ func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (
 		var vb [8]byte
 		putLE(vb[:], p.req.Value)
 		h.stats.CASAttempts++
-		h.bh.Put(kb[:], vb[:])
+		h.bh.PutHashed(hv, kb[:], vb[:])
 		h.foldBucketStats(preL, preH)
 		return h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
 	case table.Upsert:
@@ -97,7 +108,7 @@ func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (
 		var vb [8]byte
 		var res uint64
 		h.stats.CASAttempts++
-		h.bh.Mutate(kb[:], func(old []byte, present bool) []byte {
+		h.bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
 			res = p.req.Value
 			if present {
 				res += getLE(old)
@@ -110,7 +121,7 @@ func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (
 	default: // Delete — never a combine leader, so no retire machinery
 		h.pop()
 		h.stats.CASAttempts++
-		hit := h.bh.Delete(kb[:])
+		hit := h.bh.DeleteHashed(hv, kb[:])
 		h.foldBucketStats(preL, preH)
 		h.finish(p, table.Delete, hit)
 		return true, false

@@ -447,6 +447,15 @@ type Handle struct {
 	govPrevChits uint64
 	govPrevSkips uint64
 	govPrevLines uint64
+
+	// staged and bstaged are the uint64 and byte rings' stage-two cursors on
+	// the bucket layout (DESIGN.md §3.1.8): positions below them have had their
+	// candidate records prefetched. stageHook, set only by tests, sees every
+	// such prefetch. The flat layout touches none of the three, so they sit
+	// behind everything its Submit reads.
+	staged    int
+	bstaged   int
+	stageHook func(hv uint64)
 }
 
 // NewHandle creates an accessor for the table.
@@ -737,6 +746,7 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 			p.idx = hv
 			h.t.bkt.Prefetch(hv)
 			h.enqueue()
+			h.stage(h.head - max(h.window/2, 1))
 			h.stats.Lines++
 			nreq++
 			continue

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dramhit/internal/obs"
+	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
 
@@ -99,14 +100,20 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 	if h.hot != nil {
 		// Byte keys are ranked by hash in the hot-key sketch: the sketch
 		// stores uint64 identities, and the full hash is the stable one.
-		h.hot.Offer(hv)
+		h.hot.OfferSampled(hv)
 	}
-	p := bytePending{key: key, val: value, id: id, hv: hv, op: op}
+	// The request is built in the head slot and stays there until its drain
+	// (the uint64 ring's rule, see Submit); every field is assigned.
+	p := &h.byteQ[h.bhead&h.mask]
+	p.key, p.val, p.id, p.hv, p.op, p.startNS = key, value, id, hv, op, 0
 	if h.opLat {
 		p.startNS = time.Now().UnixNano()
 	}
-	h.byteQ[h.bhead&h.mask] = p
 	h.bhead++
+	// Stage two, first trigger: every entry that now has window/2 later
+	// submissions behind it (while the ring refills after a flush, no drain
+	// would do it). At least one: its own submission never stages an entry.
+	h.stageBytes(h.bhead - max(h.window/2, 1))
 }
 
 // FlushBytes drains every in-flight byte request, firing the completion
@@ -122,47 +129,56 @@ func (h *Handle) FlushBytes() {
 	}
 }
 
-// drainByte resolves the oldest byte request against the bucket engine and
-// fires the completion callback. A probe is two dependent misses, so the
-// ring prefetches in two stages: the bucket line at SubmitBytes, and the
-// candidate records here, for the request now at mid-ring — its bucket line
-// has had window/2 submissions to arrive, and its records get the other
-// window/2 before its own drain. In steady state every drain is caused by a
-// submission, so this runs once per SubmitBytes; during FlushBytes it keeps
-// staging the younger half of the ring.
-func (h *Handle) drainByte() {
-	if mid := h.btail + h.window/2; mid < h.bhead {
-		h.t.bkt.PrefetchRecords(h.byteQ[mid&h.mask].hv)
+// stageBytes runs stage two — the candidate records' prefetch, off the bucket
+// line stage one requested — for every byte-ring entry below position upto
+// that has not had it. bstaged is the one monotone cursor both triggers
+// advance, so an entry is staged exactly once, by whichever comes first, and a
+// window the governor changed between calls cannot make it skip or repeat one.
+func (h *Handle) stageBytes(upto int) {
+	for ; h.bstaged < upto; h.bstaged++ {
+		hv := h.byteQ[h.bstaged&h.mask].hv
+		h.t.bkt.PrefetchRecords(hv, slotarr.SpanUnknown)
+		if h.stageHook != nil {
+			h.stageHook(hv)
+		}
 	}
-	slot := &h.byteQ[h.btail&h.mask]
-	p := *slot
-	*slot = bytePending{} // release the caller's buffers promptly
+}
+
+// drainByte resolves the oldest byte request, in its ring slot, against the
+// bucket engine and fires the completion callback. A probe is two dependent
+// misses, so the ring prefetches in two stages (DESIGN.md §3.1.8): the bucket
+// line at SubmitBytes, the candidate records half a window later. The second
+// trigger is here: everything within window/2 of the tail, clamped to the head
+// — in steady state the one entry at mid-ring, during FlushBytes the younger
+// half of the ring, for a batch shorter than half a window all of it at once.
+func (h *Handle) drainByte() {
+	h.stageBytes(min(h.btail+h.window/2+1, h.bhead))
+	p := &h.byteQ[h.btail&h.mask]
 	h.btail++
 
 	preL, preH := h.bh.Lines, h.bh.Hops
-	var v []byte
-	var found bool
+	c := ByteCompletion{ID: p.id, Op: p.op}
 	switch p.op {
 	case table.Get:
-		v, found = h.bh.Get(p.key)
+		c.Value, c.Found = h.bh.GetHashed(p.hv, p.key)
 	case table.Put:
 		h.stats.CASAttempts++
-		found = h.bh.Put(p.key, p.val)
+		c.Found = h.bh.PutHashed(p.hv, p.key, p.val)
 	default: // Delete — Upsert was rejected at submit
 		h.stats.CASAttempts++
-		found = h.bh.Delete(p.key)
+		c.Found = h.bh.DeleteHashed(p.hv, p.key)
 	}
 	h.foldBucketStats(preL, preH)
 	// A byte Put always succeeds (countOp's hit convention for Puts), while
 	// the completion's Found carries the existed bit.
-	hit := found
-	if p.op == table.Put {
-		hit = true
-	}
+	hit := c.Found || p.op == table.Put
 	h.countOp(p.op, hit)
 	if h.opLat && p.startNS != 0 {
 		lat := time.Now().UnixNano() - p.startNS
 		h.obsw.Op[obs.OpClass(p.op, hit)].Record(uint64(lat))
 	}
-	h.onByte(ByteCompletion{ID: p.id, Op: p.op, Value: v, Found: found})
+	// Release the caller's buffers, then complete: the slot is not touched
+	// once the callback runs, so a callback that submits may recycle it.
+	p.key, p.val = nil, nil
+	h.onByte(c)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dramhit/internal/obs"
 	"dramhit/internal/table"
 )
 
@@ -190,24 +191,28 @@ func TestBytePipelineMatchesSyncAPI(t *testing.T) {
 	}
 }
 
-// TestBytePipelineZeroAllocSteadyState: a warm pipeline must not allocate
-// per op — the ring, the engine handle, and the callback path are all
-// allocation-free (completions alias arena records).
-func TestBytePipelineZeroAllocSteadyState(t *testing.T) {
-	h := newBucketTable(4096).NewHandle()
-	var sink int
-	h.OnByteComplete(func(c ByteCompletion) { sink += len(c.Value) })
-	key, val := []byte("steady-key"), []byte("steady-val")
-	h.SubmitBytes(table.Put, 0, key, val)
-	h.FlushBytes()
-	run := func() {
-		for i := 0; i < 64; i++ {
-			h.SubmitBytes(table.Get, uint64(i), key, nil)
-		}
-		h.FlushBytes()
+// TestByteRingHotFeedSampled pins the byte ring's hot-key feed to the
+// table-side sampled feed every other submit path uses (obs.OfferSampled: one
+// offer in 2^SampleShift, weighted back up), not the exact per-request Offer:
+// after n submissions the sketch has been fed n rounded down to the sampling
+// period, and the key every request named ranks first, by its hash.
+func TestByteRingHotFeedSampled(t *testing.T) {
+	reg := obs.NewWith(4096, 8)
+	reg.EnableHotKeys(16)
+	tbl := newBucketTable(256, func(c *Config) { c.Observe = reg })
+	h := tbl.NewHandle()
+	h.OnByteComplete(func(ByteCompletion) {})
+	const period = 1 << obs.SampleShift
+	const n = 20*period + period - 1
+	key := []byte("the-hot-key")
+	for i := 0; i < n; i++ {
+		h.SubmitBytes(table.Get, uint64(i), key, nil)
 	}
-	run() // warm
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Fatalf("steady-state byte pipeline allocates %v/run", allocs)
+	h.FlushBytes()
+	if got := h.hot.Count(); got != n/period*period {
+		t.Fatalf("sketch fed %d of %d byte submissions, want the sampled %d", got, n, n/period*period)
+	}
+	if top := reg.TopKeys(1); len(top) != 1 || top[0].Key != tbl.Bucket().HashOf(key) {
+		t.Fatalf("top key %+v, want hash %#x", top, tbl.Bucket().HashOf(key))
 	}
 }

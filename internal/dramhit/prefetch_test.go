@@ -158,9 +158,14 @@ func TestPrefetchInvisible(t *testing.T) {
 // TestByteRingPrefetchRaces runs byte rings — so PrefetchRecords is always in
 // flight over other handles' buckets — against concurrent overwrites and
 // deletes of the same keys and against inserts that force the index to grow
-// repeatedly. Values are a function of their key, so any completion that
-// resolved through a stale or torn slot word shows as a mismatched value;
-// under -race it is also the data-race check on both prefetch stages.
+// repeatedly. One ring streams (stage two from the drain, steady state), the
+// other runs batches of one to seven with a flush after each (shorter than
+// half the window: stage two from the first drain of the flush). Every ring
+// entry reaches the engine through the hashed entry points with a hash taken
+// at submit, so each grow in between is a state swap under a carried hash.
+// Values are a function of their key, so any completion that resolved through
+// a stale or torn slot word shows as a mismatched value; under -race it is
+// also the data-race check on both prefetch stages.
 func TestByteRingPrefetchRaces(t *testing.T) {
 	tbl := New(Config{Slots: 64, Layout: table.LayoutBucket})
 	const hot = 400
@@ -188,6 +193,7 @@ func TestByteRingPrefetchRaces(t *testing.T) {
 				}
 			})
 			rng := rand.New(rand.NewSource(int64(g) + 1))
+			batch := 0
 			for i := uint64(0); !stop.Load(); i++ {
 				k := key(rng.Intn(hot))
 				keys[i] = k
@@ -199,8 +205,9 @@ func TestByteRingPrefetchRaces(t *testing.T) {
 				default:
 					h.SubmitBytes(table.Get, i, k, nil)
 				}
-				if rng.Intn(100) == 0 {
+				if batch--; (g == 0 && rng.Intn(100) == 0) || (g == 1 && batch <= 0) {
 					h.FlushBytes()
+					batch = 1 + rng.Intn(7)
 				}
 				ringOps.Add(1)
 			}
@@ -232,4 +239,83 @@ func TestByteRingPrefetchRaces(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestByteRingCarriedHashAcrossGrow is the deterministic half of the race
+// test's claim: requests sit in the ring with the hash taken at submit while
+// the index is rebuilt under them several times, and the drain must still
+// address the right bucket — the engine derives it from the hash against the
+// state it loads, never from anything computed at submit.
+func TestByteRingCarriedHashAcrossGrow(t *testing.T) {
+	tbl := New(Config{Slots: 64, Layout: table.LayoutBucket})
+	h, grower := tbl.NewHandle(), tbl.NewHandle()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("carried-key-%04d", i)) }
+	done := 0
+	h.OnByteComplete(func(c ByteCompletion) {
+		if want := c.Op == table.Get; c.Found != want || (want && string(c.Value) != "old") {
+			t.Errorf("completion %d (op %d) = (%q, %v)", c.ID, c.Op, c.Value, c.Found)
+		}
+		done++
+	})
+	const inflight = 12
+	for i := 0; i < inflight/2; i++ {
+		h.PutBytes(key(i), []byte("old"))
+	}
+	for i := 0; i < inflight; i++ { // Gets of present keys, Puts of absent ones
+		if i < inflight/2 {
+			h.SubmitBytes(table.Get, uint64(i), key(i), nil)
+		} else {
+			h.SubmitBytes(table.Put, uint64(i), key(i), []byte("new"))
+		}
+	}
+	start := tbl.Bucket().Grows()
+	for i := 1000; tbl.Bucket().Grows() < start+3; i++ {
+		grower.PutBytes(key(i), []byte("filler"))
+	}
+	h.FlushBytes()
+	if done != inflight {
+		t.Fatalf("%d of %d completions", done, inflight)
+	}
+	for i := inflight / 2; i < inflight; i++ {
+		if v, ok := grower.GetBytes(key(i)); !ok || string(v) != "new" {
+			t.Fatalf("key %d after the flush = (%q, %v)", i, v, ok)
+		}
+	}
+}
+
+// TestByteRingZeroAlloc pins the byte ring's steady state — SubmitBytes and
+// FlushBytes of Gets, overwriting Puts and Deletes, entries built and drained
+// in their slots, the engine handle and the callback path (completions alias
+// arena records) — at zero allocations per batch. (Arena segment turnover is
+// the one allocation the path owns; the batch stays far below a segment.)
+func TestByteRingZeroAlloc(t *testing.T) {
+	h := newBucketTable(1 << 12).NewHandle()
+	h.OnByteComplete(func(ByteCompletion) {})
+	const n = 256
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("alloc-key-%04d", i))
+		h.PutBytes(keys[i], []byte("value-0"))
+	}
+	val := []byte("value-1")
+	run := func() {
+		for i, k := range keys {
+			switch i % 4 {
+			case 0:
+				h.SubmitBytes(table.Put, uint64(i), k, val)
+			case 1:
+				h.SubmitBytes(table.Delete, uint64(i), k, nil)
+			default:
+				h.SubmitBytes(table.Get, uint64(i), k, nil)
+			}
+			if i%32 == 31 {
+				h.FlushBytes()
+			}
+		}
+		h.FlushBytes()
+	}
+	run()
+	if a := testing.AllocsPerRun(20, run); a != 0 {
+		t.Fatalf("%v allocs per batch of %d byte requests, want 0", a, n)
+	}
 }

@@ -1,0 +1,127 @@
+package dramhit
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"dramhit/internal/table"
+	"dramhit/internal/tabletest"
+)
+
+// TestStageTwoScheduleBytes pins the byte ring's stage-two schedule through
+// the counting hook: every submission is staged exactly once, in submission
+// order, with its own hash, at the moment the rule names (tabletest.CheckStageTiming);
+// and at each completion the cursor stands exactly where the rule puts it — in
+// particular past the entry being completed. The parent's "stage the entry at
+// tail+window/2, from the drain only" rule fails the count for every batch of
+// 8 at window 16 (nothing is ever staged) and for the first half-window of
+// every batch of 32.
+func TestStageTwoScheduleBytes(t *testing.T) {
+	for _, window := range []int{1, 2, 16} {
+		tbl := newBucketTable(1<<12, func(c *Config) { c.PrefetchWindow = window })
+		h := tbl.NewHandle()
+		var hashes []uint64 // by ring position
+		nstaged := 0
+		h.stageHook = func(hv uint64) {
+			pos := h.bstaged
+			if pos != nstaged || hv != hashes[pos] {
+				t.Fatalf("window %d: stage two #%d ran for position %d with hash %#x", h.window, nstaged, pos, hv)
+			}
+			tabletest.CheckStageTiming(t, pos, h.bhead, h.btail, h.window)
+			nstaged++
+		}
+		h.OnByteComplete(func(c ByteCompletion) {
+			id := int(c.ID)
+			if id != h.btail-1 {
+				t.Fatalf("window %d: completion %d at tail %d", h.window, id, h.btail)
+			}
+			if want := tabletest.WantStaged(id, h.bhead, h.window); nstaged != want || nstaged <= id {
+				t.Fatalf("window %d: completing %d of %d pushed with %d staged, want %d",
+					h.window, id, h.bhead, nstaged, want)
+			}
+		})
+		run := func(batch int) {
+			for i := 0; i < batch; i++ {
+				pos := len(hashes)
+				k := []byte(fmt.Sprintf("stage-key-%06d", pos%997)) // repeats: overwrites and hits
+				hashes = append(hashes, tbl.Bucket().HashOf(k))
+				switch pos % 4 {
+				case 0:
+					h.SubmitBytes(table.Put, uint64(pos), k, []byte("value"))
+				case 3:
+					h.SubmitBytes(table.Delete, uint64(pos), k, nil)
+				default:
+					h.SubmitBytes(table.Get, uint64(pos), k, nil)
+				}
+			}
+			h.FlushBytes()
+			if nstaged != len(hashes) || h.bstaged != h.bhead {
+				t.Fatalf("window %d, batch %d: %d submissions, stage two ran %d times (cursor %d, head %d)",
+					h.window, batch, len(hashes), nstaged, h.bstaged, h.bhead)
+			}
+		}
+		// The constructed window, then lowered and restored between batches,
+		// pipeline empty, the way the governor's applyDecision does it.
+		for _, w := range []int{window, max(window/2, 1), 1, window} {
+			h.window = w
+			for _, b := range tabletest.StageBatches(window) {
+				run(b)
+			}
+		}
+	}
+}
+
+// TestStageTwoScheduleUint64 is the same pin for the uint64-over-bucket ring
+// (Submit/Flush, processBucket), with the latency hook as the completion
+// callback. Keys are distinct within a batch, so combining never takes a
+// request off the ring.
+func TestStageTwoScheduleUint64(t *testing.T) {
+	for _, window := range []int{1, 2, 16} {
+		tbl := newBucketTable(1<<12, func(c *Config) { c.PrefetchWindow = window })
+		h := tbl.NewHandle()
+		var hashes []uint64
+		nstaged := 0
+		h.stageHook = func(hv uint64) {
+			pos := h.staged
+			if pos != nstaged || hv != hashes[pos] {
+				t.Fatalf("window %d: stage two #%d ran for position %d with hash %#x", h.window, nstaged, pos, hv)
+			}
+			tabletest.CheckStageTiming(t, pos, h.head, h.tail, h.window)
+			nstaged++
+		}
+		h.SetLatencyHook(func(req table.Request, _ time.Duration) {
+			id := int(req.ID)
+			if want := tabletest.WantStaged(id, h.head, h.window); nstaged != want || nstaged <= id {
+				t.Fatalf("window %d: completing %d of %d pushed with %d staged, want %d",
+					h.window, id, h.head, nstaged, want)
+			}
+		})
+		resps := make([]table.Response, 128)
+		run := func(batch int) {
+			reqs := make([]table.Request, batch)
+			for i := range reqs {
+				pos := len(hashes)
+				key := uint64(pos%997) + 1
+				hashes = append(hashes, tbl.hash(key))
+				reqs[i] = table.Request{Op: table.Op(pos % 4), Key: key, Value: 1, ID: uint64(pos)}
+			}
+			if nreq, _ := h.Submit(reqs, resps); nreq != batch {
+				t.Fatalf("Submit took %d of %d", nreq, batch)
+			}
+			if _, done := h.Flush(resps); !done {
+				t.Fatal("Flush did not drain")
+			}
+			if nstaged != len(hashes) || h.staged != h.head {
+				t.Fatalf("window %d, batch %d: %d submissions, stage two ran %d times (cursor %d, head %d)",
+					h.window, batch, len(hashes), nstaged, h.staged, h.head)
+			}
+		}
+		for _, w := range []int{window, max(window/2, 1), 1, window} {
+			h.window = w
+			for _, b := range tabletest.StageBatches(window) {
+				run(b)
+			}
+		}
+	}
+}

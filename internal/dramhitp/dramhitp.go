@@ -489,16 +489,16 @@ func getLE(b []byte) uint64 {
 // engine resizes itself, so fire-and-forget updates are never dropped.
 func (t *Table) applyBucket(m delegation.Message, bhs []*slotarr.BucketHandle) {
 	op := table.Op(m.Aux)
-	part, _ := t.locateBucket(m.A)
-	bh := bhs[part]
 	var kb, vb [8]byte
 	putLE(kb[:], m.A)
+	part, hv := t.locateBucketBytes(kb[:])
+	bh := bhs[part]
 	switch op {
 	case table.Put:
 		putLE(vb[:], m.B)
-		bh.Put(kb[:], vb[:])
+		bh.PutHashed(hv, kb[:], vb[:])
 	case table.Upsert:
-		bh.Mutate(kb[:], func(old []byte, present bool) []byte {
+		bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
 			nv := m.B
 			if present {
 				nv += getLE(old)
@@ -507,7 +507,7 @@ func (t *Table) applyBucket(m delegation.Message, bhs []*slotarr.BucketHandle) {
 			return vb[:]
 		})
 	case table.Delete:
-		bh.Delete(kb[:])
+		bh.DeleteHashed(hv, kb[:])
 	}
 }
 

@@ -81,8 +81,8 @@ func (t *Table) requireBucket() {
 // byte key of its 8-byte little-endian encoding.
 func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
 	w.t.requireBucket()
-	part, _ := w.t.locateBucketBytes(key)
-	return w.wbhs[part].Put(key, value)
+	part, hv := w.t.locateBucketBytes(key)
+	return w.wbhs[part].PutHashed(hv, key, value)
 }
 
 // UpsertBytes atomically read-modify-writes a byte-string key: fn receives
@@ -91,16 +91,16 @@ func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
 // invocation's result is published. Synchronous, like PutBytes.
 func (w *WriteHandle) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
 	w.t.requireBucket()
-	part, _ := w.t.locateBucketBytes(key)
-	return w.wbhs[part].Mutate(key, fn)
+	part, hv := w.t.locateBucketBytes(key)
+	return w.wbhs[part].MutateHashed(hv, key, fn)
 }
 
 // DeleteBytes removes a byte-string key, reporting whether it was present.
 // Synchronous, like PutBytes.
 func (w *WriteHandle) DeleteBytes(key []byte) bool {
 	w.t.requireBucket()
-	part, _ := w.t.locateBucketBytes(key)
-	return w.wbhs[part].Delete(key)
+	part, hv := w.t.locateBucketBytes(key)
+	return w.wbhs[part].DeleteHashed(hv, key)
 }
 
 // obsPublish copies the writer's plain counters into its registry shard and
@@ -315,6 +315,13 @@ type ReadHandle struct {
 	bqtail int
 	onBGet func(id uint64, value []byte, found bool)
 
+	// staged and bqstaged are the two rings' stage-two cursors on the bucket
+	// layout (DESIGN.md §3.1.8); stageHook, set only by tests, sees every
+	// stage-two prefetch.
+	staged    int
+	bqstaged  int
+	stageHook func(hv uint64)
+
 	// Governor plumbing (nil/zero on an ungoverned table): the handle polls
 	// the shared decision word every govPollEvery Submits, feeds its counter
 	// deltas as sensors, and actuates adopted decisions only while the
@@ -477,7 +484,8 @@ func (r *ReadHandle) submitDirect(reqs []table.Request, resps []table.Response) 
 		var v uint64
 		var ok bool
 		if r.rbhs != nil {
-			v, ok = r.getBucket(req.Key)
+			part, hv := t.locateBucket(req.Key)
+			v, ok = r.getBucket(req.Key, part, hv)
 		} else if s := t.side.For(req.Key); s != nil {
 			v, ok = s.Get()
 		} else {
@@ -540,17 +548,17 @@ func (r *ReadHandle) obsPublish() {
 	w.SetGauge(obs.GWindowMax, r.occMax)
 }
 
-// getBucket resolves a uint64 lookup through the key's partition engine,
-// folding the engine's bucket-line loads and stash hops into this reader's
-// KeyLines (every bucket visit consults key material — there is no sidecar
-// to skip from, so the other filter counters stay zero).
-func (r *ReadHandle) getBucket(key uint64) (uint64, bool) {
+// getBucket resolves a uint64 lookup, located at (part, hv) by locateBucket,
+// through its partition's engine, folding the engine's bucket-line loads and
+// stash hops into this reader's KeyLines (every bucket visit consults key
+// material — there is no sidecar to skip from, so the other filter counters
+// stay zero).
+func (r *ReadHandle) getBucket(key, part, hv uint64) (uint64, bool) {
 	var kb [8]byte
 	putLE(kb[:], key)
-	part, _ := r.t.locateBucketBytes(kb[:])
 	bh := r.rbhs[part]
 	pre := bh.Lines + bh.Hops
-	vb, ok := bh.Get(kb[:])
+	vb, ok := bh.GetHashed(hv, kb[:])
 	r.Filter.KeyLines += bh.Lines + bh.Hops - pre
 	if !ok {
 		return 0, false
@@ -563,7 +571,8 @@ func (r *ReadHandle) getBucket(key uint64) (uint64, bool) {
 func (r *ReadHandle) Get(key uint64) (uint64, bool) {
 	t := r.t
 	if r.rbhs != nil {
-		return r.getBucket(key)
+		part, hv := t.locateBucket(key)
+		return r.getBucket(key, part, hv)
 	}
 	if s := t.side.For(key); s != nil {
 		return s.Get()
@@ -578,10 +587,10 @@ func (r *ReadHandle) Get(key uint64) (uint64, bool) {
 // Zero-allocation.
 func (r *ReadHandle) GetBytes(key []byte) ([]byte, bool) {
 	r.t.requireBucket()
-	part, _ := r.t.locateBucketBytes(key)
+	part, hv := r.t.locateBucketBytes(key)
 	bh := r.rbhs[part]
 	pre := bh.Lines + bh.Hops
-	v, ok := bh.Get(key)
+	v, ok := bh.GetHashed(hv, key)
 	r.Filter.KeyLines += bh.Lines + bh.Hops - pre
 	r.complete(ok)
 	return v, ok
@@ -676,6 +685,7 @@ func (r *ReadHandle) Submit(reqs []table.Request, resps []table.Response) (nreq,
 		if r.rbhs != nil {
 			t.parts[part].bkt.Prefetch(local)
 			r.push()
+			r.stage(r.head - max(r.window/2, 1))
 			nreq++
 			continue
 		}
@@ -711,6 +721,18 @@ func (r *ReadHandle) Flush(resps []table.Response) (nresp int, done bool) {
 	return nresp, true
 }
 
+// stage is stageGetBytes (netbatch.go) for the uint64 ring, whose idx carries
+// the full hash. Bucket layout only, where the ring is strictly FIFO.
+func (r *ReadHandle) stage(upto int) {
+	for ; r.staged < upto; r.staged++ {
+		m := &r.q[r.staged&r.mask]
+		r.t.parts[m.part].bkt.PrefetchRecords(m.idx, slotarr.SpanBridge)
+		if r.stageHook != nil {
+			r.stageHook(m.idx)
+		}
+	}
+}
+
 // processOldest resolves the oldest pending lookup, in its ring slot, over
 // its current line, reprobing with a fresh prefetch on line crossings. A
 // parked leader (its probe already resolved, chain emission stalled on
@@ -736,14 +758,10 @@ func (r *ReadHandle) processOldest(resps []table.Response, nresp *int) (blocked 
 		if *nresp >= len(resps) {
 			return true
 		}
-		// Stage two for the lookup now at mid-ring (idx carries its full
-		// hash): its bucket line has had half a window to arrive, and its
-		// candidate records get the other half.
-		if mid := r.tail + r.window/2; mid < r.head {
-			m := &r.q[mid&r.mask]
-			t.parts[m.part].bkt.PrefetchRecords(m.idx)
-		}
-		v, ok := r.getBucket(p.key)
+		// Stage two's drain-side trigger: everything within half a window of
+		// the tail, clamped to the head (Submit stages the rest).
+		r.stage(min(r.tail+r.window/2+1, r.head))
+		v, ok := r.getBucket(p.key, p.part, p.idx) // idx carries the full hash
 		return r.retire(p, v, ok, resps, nresp)
 	}
 	if s := t.side.For(p.key); s != nil {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dramhit/internal/obs"
+	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
 
@@ -67,12 +68,17 @@ func (r *ReadHandle) SubmitGetBytes(id uint64, key []byte) {
 		// Byte keys rank by hash in the sketch (uint64 identities).
 		r.hot.OfferSampled(hv)
 	}
-	p := bGetPending{key: key, id: id, part: part, hv: hv}
+	// The lookup is built in the head slot and stays there until its drain;
+	// every field is assigned.
+	p := &r.bq[r.bqhead&r.mask]
+	p.key, p.id, p.part, p.hv, p.start = key, id, part, hv, 0
 	if r.opLat {
 		p.start = time.Now().UnixNano()
 	}
-	r.bq[r.bqhead&r.mask] = p
 	r.bqhead++
+	// Stage two, first trigger: entries with window/2 (at least one) later
+	// lookups behind them (see dramhit's SubmitBytes).
+	r.stageGetBytes(r.bqhead - max(r.window/2, 1))
 }
 
 // FlushGetBytes drains every in-flight byte lookup, firing the completion
@@ -87,28 +93,36 @@ func (r *ReadHandle) FlushGetBytes() {
 	}
 }
 
-// drainGetBytes resolves the oldest byte lookup against its partition's
-// bucket engine and fires the completion callback. The home bucket line was
-// prefetched at submit; the lookup now at mid-ring gets stage two here — its
-// candidate records, read off the bucket line that has had window/2
-// submissions to arrive (see dramhit's drainByte).
-func (r *ReadHandle) drainGetBytes() {
-	if mid := r.bqtail + r.window/2; mid < r.bqhead {
-		m := &r.bq[mid&r.mask]
-		r.t.parts[m.part].bkt.PrefetchRecords(m.hv)
+// stageGetBytes runs stage two for every byte lookup below position upto that
+// has not had it (dramhit's stageBytes states the cursor rule).
+func (r *ReadHandle) stageGetBytes(upto int) {
+	for ; r.bqstaged < upto; r.bqstaged++ {
+		m := &r.bq[r.bqstaged&r.mask]
+		r.t.parts[m.part].bkt.PrefetchRecords(m.hv, slotarr.SpanUnknown)
+		if r.stageHook != nil {
+			r.stageHook(m.hv)
+		}
 	}
-	slot := &r.bq[r.bqtail&r.mask]
-	p := *slot
-	*slot = bGetPending{} // release the caller's buffer promptly
+}
+
+// drainGetBytes resolves the oldest byte lookup, in its ring slot, against its
+// partition's bucket engine and fires the completion callback. The home bucket
+// line was prefetched at submit; stage two's second trigger is here (see
+// dramhit's drainByte).
+func (r *ReadHandle) drainGetBytes() {
+	r.stageGetBytes(min(r.bqtail+r.window/2+1, r.bqhead))
+	p := &r.bq[r.bqtail&r.mask]
 	r.bqtail++
 
 	bh := r.rbhs[p.part]
 	pre := bh.Lines + bh.Hops
-	v, ok := bh.Get(p.key)
+	v, ok := bh.GetHashed(p.hv, p.key)
 	r.Filter.KeyLines += bh.Lines + bh.Hops - pre
 	r.complete(ok)
 	if p.start != 0 {
 		r.obsw.Op[obs.OpClass(table.Get, ok)].Record(uint64(time.Now().UnixNano() - p.start))
 	}
-	r.onBGet(p.id, v, ok)
+	id := p.id
+	p.key = nil // release the caller's buffer; the slot is not touched again
+	r.onBGet(id, v, ok)
 }

@@ -372,7 +372,8 @@ func TestBucketPrefetchTolerant(t *testing.T) {
 		for i := 0; i < n; i++ {
 			hv := bt.HashOf(key(i))
 			bt.Prefetch(hv)
-			bt.PrefetchRecords(hv)
+			bt.PrefetchRecords(hv, SpanUnknown)
+			bt.PrefetchRecords(hv, 18)
 		}
 	}
 	stage(64) // empty table
@@ -398,7 +399,7 @@ func TestBucketPrefetchTolerant(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		hv := grown.HashOf(key(i))
 		grown.Prefetch(hv)
-		grown.PrefetchRecords(hv)
+		grown.PrefetchRecords(hv, SpanUnknown)
 	}
 
 	for i := 0; i < 40; i++ {
@@ -406,5 +407,63 @@ func TestBucketPrefetchTolerant(t *testing.T) {
 		if want := i%4 != 0; ok != want || (ok && string(v) != fmt.Sprintf("val-%d", i)) {
 			t.Fatalf("key %d = (%q, %v) after prefetching", i, v, ok)
 		}
+	}
+}
+
+// TestHashedEntryPointsAcrossGrow pins the hashed entry points' contract: hv
+// is only the key's hash, the bucket is derived from it against the state the
+// call loads, so hashes taken before the index was rebuilt (several times)
+// still address their keys afterwards, for every operation.
+func TestHashedEntryPointsAcrossGrow(t *testing.T) {
+	bt := NewBucketTable(BucketConfig{Buckets: 1})
+	h := bt.NewHandle()
+	const n = 500
+	key := func(i int) []byte { return []byte(fmt.Sprintf("hashed-key-%04d", i)) }
+	hvs := make([]uint64, n)
+	for i := range hvs {
+		hvs[i] = bt.HashOf(key(i)) // all taken at one bucket
+	}
+	for i := 0; i < n; i++ {
+		if h.PutHashed(hvs[i], key(i), []byte{byte(i)}) {
+			t.Fatalf("key %d existed on first Put", i)
+		}
+	}
+	if bt.Grows() < 3 {
+		t.Fatalf("expected several grows, got %d", bt.Grows())
+	}
+	for i := 0; i < n; i++ {
+		v, ok := h.GetHashed(hvs[i], key(i))
+		if !ok || len(v) != 1 || v[0] != byte(i) {
+			t.Fatalf("GetHashed(%d) = (%v, %v)", i, v, ok)
+		}
+		switch i % 3 {
+		case 0:
+			if !h.DeleteHashed(hvs[i], key(i)) {
+				t.Fatalf("DeleteHashed(%d) missed", i)
+			}
+		case 1:
+			existed := h.MutateHashed(hvs[i], key(i), func(old []byte, present bool) []byte {
+				if !present || old[0] != byte(i) {
+					t.Errorf("MutateHashed(%d) saw (%v, %v)", i, old, present)
+				}
+				return []byte{byte(i), 1}
+			})
+			if !existed {
+				t.Fatalf("MutateHashed(%d) reported absent", i)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		v, ok := h.Get(key(i)) // the unhashed wrapper agrees
+		wantLen := 1           // untouched; the mutated third grew to two bytes
+		if i%3 == 1 {
+			wantLen = 2
+		}
+		if want := i%3 != 0; ok != want || (ok && len(v) != wantLen) {
+			t.Fatalf("Get(%d) = (%v, %v) after hashed updates", i, v, ok)
+		}
+	}
+	if bt.Len() != n-(n+2)/3 {
+		t.Fatalf("Len = %d, want %d", bt.Len(), n-(n+2)/3)
 	}
 }

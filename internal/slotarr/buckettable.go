@@ -220,25 +220,40 @@ func (t *BucketTable) Prefetch(hv uint64) {
 	simd.Prefetch(unsafe.Pointer(&st.words[hashfn.Fastrange(hv, st.nb)*BucketWords]))
 }
 
+// Spans for PrefetchRecords: SpanUnknown, for records of unknown length, always
+// covers the line after the header line; SpanBridge is the size of every
+// record the front ends' uint64 bridge writes (two length bytes, an 8-byte key,
+// an 8-byte value), few of which straddle a line.
+const (
+	SpanUnknown = 65
+	SpanBridge  = 18
+)
+
 // PrefetchRecords is stage two: a bucket probe is two dependent misses, the
 // bucket line and then the arena record each candidate lane's key is compared
 // against, so once Prefetch has made the line resident (the front ends wait
 // half a window) this reads the meta word, fingerprint-matches it exactly as
-// Get does, and prefetches the first line of every candidate lane's record.
-// Stash chains are not followed. It is a hint end to end: a lane that is
-// empty, tombstoned or mid-publish fails the slot-word fingerprint check and
-// is skipped, a record overwritten after this call is simply fetched on
-// demand by the probe, and after a concurrent grow swapped the state the meta
-// load misses instead of hitting. No record byte is read (arena.RecordAddr
-// only forms an address), so it needs no pin and no writer gate.
-func (t *BucketTable) PrefetchRecords(hv uint64) {
+// Get does, and prefetches every candidate lane's record: its header line
+// and, when a record of span bytes would extend into it, the line after (where
+// a value copy would otherwise miss; same page, so no extra page walk). Stash
+// chains are not followed. It is a hint end to end: a lane that is empty,
+// tombstoned or mid-publish fails the slot-word fingerprint check and is
+// skipped, a record overwritten after this call is simply fetched on demand by
+// the probe, and after a concurrent grow swapped the state the meta load
+// misses instead of hitting. No record byte is read (arena.RecordAddr only
+// forms addresses), so it needs no pin and no writer gate.
+func (t *BucketTable) PrefetchRecords(hv uint64, span int) {
 	st := t.state.Load()
 	b := hashfn.Fastrange(hv, st.nb) * BucketWords
 	fp := table.TagOf(hv)
 	for m := simd.BucketCandidates7(atomic.LoadUint64(&st.words[b]), fp); m != 0; m &= m - 1 {
 		w := atomic.LoadUint64(&st.words[b+uint64(bits.TrailingZeros8(m))+1])
 		if slotFP(w) == uint16(fp) {
-			simd.Prefetch(t.ar.RecordAddr(slotRef(w)))
+			first, next := t.ar.RecordAddr(slotRef(w), span)
+			simd.Prefetch(first)
+			if next != nil {
+				simd.Prefetch(next)
+			}
 		}
 	}
 }
@@ -267,11 +282,25 @@ func (t *BucketTable) NewHandle() *BucketHandle {
 // reclaimed segments alive while referenced) but stale once the key is
 // overwritten. Zero-allocation.
 func (h *BucketHandle) Get(key []byte) ([]byte, bool) {
+	return h.GetHashed(h.t.hash(key), key)
+}
+
+// GetHashed is Get for a caller that already holds hv, which must be this
+// table's HashOf(key) — the front ends compute it at submit for the stage-one
+// prefetch. The bucket is derived from it against the state loaded here, so an
+// hv taken before a grow stays valid after it. PutHashed, MutateHashed and
+// DeleteHashed have the same contract.
+func (h *BucketHandle) GetHashed(hv uint64, key []byte) ([]byte, bool) {
+	h.w.Enter(h.t.ar)
+	v, ok := h.lookup(hv, key)
+	h.w.Exit()
+	return v, ok
+}
+
+// lookup is GetHashed's probe, run under the caller's pin.
+func (h *BucketHandle) lookup(hv uint64, key []byte) ([]byte, bool) {
 	t := h.t
-	hv := t.hash(key)
 	fp := table.TagOf(hv)
-	h.w.Enter(t.ar)
-	defer h.w.Exit()
 	st := t.state.Load()
 	b := hashfn.Fastrange(hv, st.nb) * BucketWords
 	h.Lines++
@@ -306,7 +335,12 @@ func (h *BucketHandle) Get(key []byte) ([]byte, bool) {
 // Put stores value for key, overwriting silently. Returns whether the key
 // already existed.
 func (h *BucketHandle) Put(key, value []byte) (existed bool) {
-	return h.mutate(key, value, nil)
+	return h.mutate(h.t.hash(key), key, value, nil)
+}
+
+// PutHashed is Put with the key's hash supplied (see GetHashed).
+func (h *BucketHandle) PutHashed(hv uint64, key, value []byte) (existed bool) {
+	return h.mutate(hv, key, value, nil)
 }
 
 // Mutate atomically read-modify-writes key: fn receives the current value
@@ -315,12 +349,16 @@ func (h *BucketHandle) Put(key, value []byte) (existed bool) {
 // result is published, and its input is the record it replaced — this is
 // the linearizable add the uint64 Upsert contract needs.
 func (h *BucketHandle) Mutate(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
-	return h.mutate(key, nil, fn)
+	return h.mutate(h.t.hash(key), key, nil, fn)
 }
 
-func (h *BucketHandle) mutate(key, value []byte, fn func([]byte, bool) []byte) (existed bool) {
+// MutateHashed is Mutate with the key's hash supplied (see GetHashed).
+func (h *BucketHandle) MutateHashed(hv uint64, key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
+	return h.mutate(hv, key, nil, fn)
+}
+
+func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool) []byte) (existed bool) {
 	t := h.t
-	hv := t.hash(key)
 	fp := table.TagOf(hv)
 	g := &t.gates[hv&(bucketGateStripes-1)]
 	g.RLock()
@@ -449,8 +487,12 @@ retry:
 // node) is tombstoned, not freed — fingerprint bytes are write-once — and
 // swept by the next rebuild.
 func (h *BucketHandle) Delete(key []byte) bool {
+	return h.DeleteHashed(h.t.hash(key), key)
+}
+
+// DeleteHashed is Delete with the key's hash supplied (see GetHashed).
+func (h *BucketHandle) DeleteHashed(hv uint64, key []byte) bool {
 	t := h.t
-	hv := t.hash(key)
 	fp := table.TagOf(hv)
 	g := &t.gates[hv&(bucketGateStripes-1)]
 	g.RLock()
