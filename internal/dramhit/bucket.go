@@ -3,6 +3,7 @@ package dramhit
 import (
 	"time"
 
+	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
@@ -48,22 +49,29 @@ func getLE(b []byte) uint64 {
 // counts a Line so Lines/Ops keeps its "extra lines beyond the home line"
 // reading. CAS-retry re-loads of the same bucket line surface in KeyLines
 // only.
-func (h *Handle) foldBucketStats(preLines, preHops uint64) {
-	dl := h.bh.Lines - preLines
-	dh := h.bh.Hops - preHops
+func (h *Handle) foldBucketStats(bh *slotarr.BucketHandle, preLines, preHops uint64) {
+	dl := bh.Lines - preLines
+	dh := bh.Hops - preHops
 	h.stats.KeyLines += dl
 	h.stats.Reprobes += dh
 	h.stats.Lines += dh
+}
+
+// route hashes a byte-string key and returns its region's engine view with
+// the hash, for the *Hashed entry points.
+func (h *Handle) route(key []byte) (*slotarr.BucketHandle, uint64) {
+	hv := h.regs[0].bkt.HashOf(key)
+	return h.bhs[hashfn.ShardRange(hv, h.nreg)], hv
 }
 
 // stage is stageBytes (netbatch.go) for the uint64 ring, whose idx carries the
 // full hash. Bucket layout only, where the ring is strictly FIFO.
 func (h *Handle) stage(upto int) {
 	for ; h.staged < upto; h.staged++ {
-		hv := h.q[h.staged&h.mask].idx
-		h.t.bkt.PrefetchRecords(hv, slotarr.SpanBridge)
+		p := &h.q[h.staged&h.mask]
+		h.regs[p.part].bkt.PrefetchRecords(p.idx, slotarr.SpanBridge)
 		if h.stageHook != nil {
-			h.stageHook(hv)
+			h.stageHook(p.idx)
 		}
 	}
 }
@@ -84,22 +92,23 @@ func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (
 	var kb [8]byte
 	putLE(kb[:], p.req.Key)
 	hv := p.idx // the full hash; the engine derives the bucket from it
-	preL, preH := h.bh.Lines, h.bh.Hops
+	bh := h.bhs[p.part]
+	preL, preH := bh.Lines, bh.Hops
 	switch p.req.Op {
 	case table.Get:
 		var v uint64
-		vb, ok := h.bh.GetHashed(hv, kb[:])
+		vb, ok := bh.GetHashed(hv, kb[:])
 		if ok {
 			v = getLE(vb)
 		}
-		h.foldBucketStats(preL, preH)
+		h.foldBucketStats(bh, preL, preH)
 		return h.retire(p, table.Get, v, ok, false, resps, nresp)
 	case table.Put:
 		var vb [8]byte
 		putLE(vb[:], p.req.Value)
 		h.stats.CASAttempts++
-		h.bh.PutHashed(hv, kb[:], vb[:])
-		h.foldBucketStats(preL, preH)
+		bh.PutHashed(hv, kb[:], vb[:])
+		h.foldBucketStats(bh, preL, preH)
 		return h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
 	case table.Upsert:
 		// The engine's Mutate publishes exactly the final invocation's
@@ -108,7 +117,7 @@ func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (
 		var vb [8]byte
 		var res uint64
 		h.stats.CASAttempts++
-		h.bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
+		bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
 			res = p.req.Value
 			if present {
 				res += getLE(old)
@@ -116,13 +125,13 @@ func (h *Handle) processBucket(p *pending, resps []table.Response, nresp *int) (
 			putLE(vb[:], res)
 			return vb[:]
 		})
-		h.foldBucketStats(preL, preH)
+		h.foldBucketStats(bh, preL, preH)
 		return h.retire(p, table.Upsert, res, true, false, resps, nresp)
 	default: // Delete — never a combine leader, so no retire machinery
 		h.pop()
 		h.stats.CASAttempts++
-		hit := h.bh.DeleteHashed(hv, kb[:])
-		h.foldBucketStats(preL, preH)
+		hit := bh.DeleteHashed(hv, kb[:])
+		h.foldBucketStats(bh, preL, preH)
 		h.finish(p, table.Delete, hit)
 		return true, false
 	}
@@ -140,7 +149,7 @@ func (h *Handle) submitDirectBucket(reqs []table.Request, resps []table.Response
 			return nreq, nresp
 		}
 		if h.hot != nil {
-			h.hot.Offer(req.Key)
+			h.hot.OfferSampled(req.Key)
 		}
 		var traceID uint64
 		var startNS int64
@@ -159,22 +168,23 @@ func (h *Handle) submitDirectBucket(reqs []table.Request, resps []table.Response
 		h.stats.Lines++
 		var kb, vb [8]byte
 		putLE(kb[:], req.Key)
-		preL, preH := h.bh.Lines, h.bh.Hops
+		bh, hv := h.route(kb[:])
+		preL, preH := bh.Lines, bh.Hops
 		var v uint64
 		var found bool
 		switch req.Op {
 		case table.Get:
-			if b, ok := h.bh.Get(kb[:]); ok {
+			if b, ok := bh.GetHashed(hv, kb[:]); ok {
 				v, found = getLE(b), true
 			}
 		case table.Put:
 			putLE(vb[:], req.Value)
 			h.stats.CASAttempts++
-			h.bh.Put(kb[:], vb[:])
+			bh.PutHashed(hv, kb[:], vb[:])
 			v, found = req.Value, true
 		case table.Upsert:
 			h.stats.CASAttempts++
-			h.bh.Mutate(kb[:], func(old []byte, present bool) []byte {
+			bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
 				v = req.Value
 				if present {
 					v += getLE(old)
@@ -185,9 +195,9 @@ func (h *Handle) submitDirectBucket(reqs []table.Request, resps []table.Response
 			found = true
 		default: // Delete
 			h.stats.CASAttempts++
-			found = h.bh.Delete(kb[:])
+			found = bh.DeleteHashed(hv, kb[:])
 		}
-		h.foldBucketStats(preL, preH)
+		h.foldBucketStats(bh, preL, preH)
 		if req.Op == table.Get {
 			resps[nresp] = table.Response{ID: req.ID, Value: v, Found: found}
 			nresp++
@@ -206,7 +216,7 @@ func (h *Handle) submitDirectBucket(reqs []table.Request, resps []table.Response
 // API is a capability of the bucket layout (variable-length keys and values
 // live in the arena); on a flat table there is nowhere to store them.
 func (h *Handle) requireBucket() {
-	if h.bh == nil {
+	if h.bhs == nil {
 		panic("dramhit: byte-string API requires Config.Layout == table.LayoutBucket")
 	}
 }
@@ -219,10 +229,11 @@ func (h *Handle) requireBucket() {
 // byte key of its 8-byte little-endian encoding).
 func (h *Handle) GetBytes(key []byte) ([]byte, bool) {
 	h.requireBucket()
-	preL, preH := h.bh.Lines, h.bh.Hops
-	v, ok := h.bh.Get(key)
+	bh, hv := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
+	v, ok := bh.GetHashed(hv, key)
 	h.stats.Lines++
-	h.foldBucketStats(preL, preH)
+	h.foldBucketStats(bh, preL, preH)
 	h.countOp(table.Get, ok)
 	return v, ok
 }
@@ -232,11 +243,12 @@ func (h *Handle) GetBytes(key []byte) ([]byte, bool) {
 // needed — a byte Put never fails.
 func (h *Handle) PutBytes(key, value []byte) (existed bool) {
 	h.requireBucket()
-	preL, preH := h.bh.Lines, h.bh.Hops
+	bh, hv := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
-	existed = h.bh.Put(key, value)
+	existed = bh.PutHashed(hv, key, value)
 	h.stats.Lines++
-	h.foldBucketStats(preL, preH)
+	h.foldBucketStats(bh, preL, preH)
 	h.countOp(table.Put, true)
 	return existed
 }
@@ -248,11 +260,12 @@ func (h *Handle) PutBytes(key, value []byte) (existed bool) {
 // replaced. Reports whether the key already existed.
 func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
 	h.requireBucket()
-	preL, preH := h.bh.Lines, h.bh.Hops
+	bh, hv := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
-	existed = h.bh.Mutate(key, fn)
+	existed = bh.MutateHashed(hv, key, fn)
 	h.stats.Lines++
-	h.foldBucketStats(preL, preH)
+	h.foldBucketStats(bh, preL, preH)
 	h.countOp(table.Upsert, true)
 	return existed
 }
@@ -260,11 +273,12 @@ func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) []byt
 // DeleteBytes removes a byte-string key, reporting whether it was present.
 func (h *Handle) DeleteBytes(key []byte) bool {
 	h.requireBucket()
-	preL, preH := h.bh.Lines, h.bh.Hops
+	bh, hv := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
-	hit := h.bh.Delete(key)
+	hit := bh.DeleteHashed(hv, key)
 	h.stats.Lines++
-	h.foldBucketStats(preL, preH)
+	h.foldBucketStats(bh, preL, preH)
 	h.countOp(table.Delete, hit)
 	return hit
 }

@@ -33,7 +33,7 @@ import (
 // never builds a pending — completion is countOp, a counter switch — so the
 // synchronous path carries none of the ring machinery's per-request weight.
 func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
-	if h.t.bkt != nil {
+	if h.bhs != nil {
 		return h.submitDirectBucket(reqs, resps)
 	}
 	obsOn := h.trace != nil || h.onComplete != nil || h.opLat
@@ -43,7 +43,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 			return nreq, nresp
 		}
 		if h.hot != nil {
-			h.hot.Offer(req.Key)
+			h.hot.OfferSampled(req.Key)
 		}
 		var traceID uint64
 		var startNS int64
@@ -70,14 +70,14 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 			continue
 		}
 		hv := h.t.hash(req.Key)
-		idx := hashfn.Fastrange(hv, h.t.size)
-		tag := table.TagOf(hv)
+		part, idx := hashfn.FastrangeSplit(hv, h.nreg, h.rslots)
+		arr, tag := h.regs[part].arr, table.TagOf(hv)
 		var v uint64
 		var found, fail bool
 		if h.kernel == table.KernelScalar {
-			v, found, fail = h.directScalar(req, idx, tag)
+			v, found, fail = h.directScalar(req, arr, idx, tag)
 		} else {
-			v, found, fail = h.directSWAR(req, idx, tag)
+			v, found, fail = h.directSWAR(req, arr, idx, tag)
 		}
 		if req.Op == table.Get {
 			resps[nresp] = table.Response{ID: req.ID, Value: v, Found: found}
@@ -96,6 +96,17 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 	return nreq, nresp
 }
 
+// Get answers one lookup synchronously through the direct-mode probe — no
+// ring, no prefetch, whatever mode the handle's Submit runs in — and counts
+// it like any other completed Get. It does not order against requests still
+// in the pipeline.
+func (h *Handle) Get(key uint64) (uint64, bool) {
+	reqs := [1]table.Request{{Op: table.Get, Key: key}}
+	var resps [1]table.Response
+	h.submitDirect(reqs[:], resps[:])
+	return resps[0].Value, resps[0].Found
+}
+
 // directExhausted maps a full-table probe to its completion: Get/Delete
 // report a miss, Put/Upsert report table-full.
 func directExhausted(op table.Op) (uint64, bool, bool) {
@@ -110,8 +121,8 @@ func directExhausted(op table.Op) (uint64, bool, bool) {
 // TagSkips, Reprobes, Lines, CASAttempts advance exactly as a pipelined
 // probe's would over the same traversal) but no queue to re-enter — a line
 // crossing just keeps walking.
-func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, bool, bool) {
-	t := h.t
+func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64, tag uint8) (uint64, bool, bool) {
+	t, size := h.t, h.rslots
 	tagged := h.filter == table.FilterTags
 	// Entry-lane peek: at working fills most probes resolve in their home
 	// slot, and one scalar load answers that case without the lane kernel's
@@ -126,7 +137,7 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 	// window-1 pipeline's (the sequential equivalence test compares them
 	// term for term). A peeked lane holding a different live key falls into
 	// the kernel loop having counted nothing.
-	switch k := t.arr.Key(idx); k {
+	switch k := arr.Key(idx); k {
 	case req.Key:
 		h.stats.KeyLines++
 		if tagged {
@@ -134,19 +145,19 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 		}
 		switch req.Op {
 		case table.Get:
-			return t.arr.WaitValue(idx), true, false
+			return arr.WaitValue(idx), true, false
 		case table.Put:
 			h.stats.CASAttempts++
-			t.arr.StoreValue(idx, req.Value)
+			arr.StoreValue(idx, req.Value)
 			return req.Value, true, false
 		case table.Upsert:
 			h.stats.CASAttempts++
-			return t.arr.AddValue(idx, req.Value), true, false
+			return arr.AddValue(idx, req.Value), true, false
 		default: // Delete
 			if tagged {
 				h.stats.CASAttempts++
 			}
-			if t.arr.CASKey(idx, req.Key, table.TombstoneKey) {
+			if arr.CASKey(idx, req.Key, table.TombstoneKey) {
 				t.live.Add(-1)
 				return 0, true, false
 			}
@@ -161,13 +172,13 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 			return 0, false, false
 		}
 		h.stats.CASAttempts++
-		if t.arr.CASKey(idx, table.EmptyKey, req.Key) {
+		if arr.CASKey(idx, table.EmptyKey, req.Key) {
 			if tagged {
 				h.stats.TagHits++
 			}
-			t.arr.PublishTag(idx, tag)
+			arr.PublishTag(idx, tag)
 			h.stats.CASAttempts++
-			t.arr.StoreValue(idx, req.Value)
+			arr.StoreValue(idx, req.Value)
 			t.used.Add(1)
 			t.live.Add(1)
 			return req.Value, true, false
@@ -178,18 +189,18 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 	for {
 		if tagged {
 			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if t.arr.LineCandidates(base, tag)>>(idx-base) == 0 {
+			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				h.stats.TagSkips++
-				valid := t.size - base
+				valid := size - base
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				if probes+valid-(idx-base) >= t.size {
+				if probes+valid-(idx-base) >= size {
 					return directExhausted(req.Op)
 				}
 				probes += valid - (idx - base)
 				next := base + table.SlotsPerCacheLine
-				if next >= t.size {
+				if next >= size {
 					next = 0
 				}
 				idx = next
@@ -201,7 +212,7 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 			}
 		}
 		h.stats.KeyLines++
-		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(idx)
+		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
 		lane, res := simd.ProbeLine4(l0, l1, l2, l3, req.Key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
@@ -211,17 +222,17 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 			slot := base + uint64(lane)
 			switch req.Op {
 			case table.Get:
-				return t.arr.WaitValue(slot), true, false
+				return arr.WaitValue(slot), true, false
 			case table.Put:
 				h.stats.CASAttempts++
-				t.arr.StoreValue(slot, req.Value)
+				arr.StoreValue(slot, req.Value)
 				return req.Value, true, false
 			case table.Upsert:
 				h.stats.CASAttempts++
-				return t.arr.AddValue(slot, req.Value), true, false
+				return arr.AddValue(slot, req.Value), true, false
 			default: // Delete
 				h.stats.CASAttempts++
-				if t.arr.CASKey(slot, req.Key, table.TombstoneKey) {
+				if arr.CASKey(slot, req.Key, table.TombstoneKey) {
 					t.live.Add(-1)
 					return 0, true, false
 				}
@@ -238,13 +249,13 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 			}
 			slot := base + uint64(lane)
 			h.stats.CASAttempts++
-			if t.arr.CASKey(slot, table.EmptyKey, req.Key) {
+			if arr.CASKey(slot, table.EmptyKey, req.Key) {
 				if tagged {
 					h.stats.TagHits++
 				}
-				t.arr.PublishTag(slot, tag)
+				arr.PublishTag(slot, tag)
 				h.stats.CASAttempts++
-				t.arr.StoreValue(slot, req.Value)
+				arr.StoreValue(slot, req.Value)
 				t.used.Add(1)
 				t.live.Add(1)
 				return req.Value, true, false
@@ -256,12 +267,12 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 		if tagged {
 			h.stats.TagFalse++
 		}
-		if probes+valid-(idx-base) >= t.size {
+		if probes+valid-(idx-base) >= size {
 			return directExhausted(req.Op)
 		}
 		probes += valid - (idx - base)
 		next := base + table.SlotsPerCacheLine
-		if next >= t.size {
+		if next >= size {
 			next = 0
 		}
 		idx = next
@@ -274,14 +285,14 @@ func (h *Handle) directSWAR(req table.Request, idx uint64, tag uint8) (uint64, b
 
 // directScalar is the inline slot-by-slot probe, the synchronous twin of
 // processScalar (the KernelScalar ablation baseline).
-func (h *Handle) directScalar(req table.Request, idx uint64, tag uint8) (uint64, bool, bool) {
-	t := h.t
+func (h *Handle) directScalar(req table.Request, arr *slotarr.Array, idx uint64, tag uint8) (uint64, bool, bool) {
+	t, size := h.t, h.rslots
 	h.stats.KeyLines++
 	line := slotarr.LineOf(idx)
 	var probes uint64
 	for {
-		if slotarr.LineOf(idx) != line || probes >= t.size {
-			if probes >= t.size {
+		if slotarr.LineOf(idx) != line || probes >= size {
+			if probes >= size {
 				return directExhausted(req.Op)
 			}
 			line = slotarr.LineOf(idx)
@@ -289,22 +300,22 @@ func (h *Handle) directScalar(req table.Request, idx uint64, tag uint8) (uint64,
 			h.stats.Lines++
 			h.stats.KeyLines++
 		}
-		k := t.arr.Key(idx)
+		k := arr.Key(idx)
 		switch {
 		case k == req.Key:
 			switch req.Op {
 			case table.Get:
-				return t.arr.WaitValue(idx), true, false
+				return arr.WaitValue(idx), true, false
 			case table.Put:
 				h.stats.CASAttempts++
-				t.arr.StoreValue(idx, req.Value)
+				arr.StoreValue(idx, req.Value)
 				return req.Value, true, false
 			case table.Upsert:
 				h.stats.CASAttempts++
-				return t.arr.AddValue(idx, req.Value), true, false
+				return arr.AddValue(idx, req.Value), true, false
 			default: // Delete
 				h.stats.CASAttempts++
-				if t.arr.CASKey(idx, req.Key, table.TombstoneKey) {
+				if arr.CASKey(idx, req.Key, table.TombstoneKey) {
 					t.live.Add(-1)
 					return 0, true, false
 				}
@@ -315,10 +326,10 @@ func (h *Handle) directScalar(req table.Request, idx uint64, tag uint8) (uint64,
 				return 0, false, false
 			}
 			h.stats.CASAttempts++
-			if t.arr.CASKey(idx, table.EmptyKey, req.Key) {
-				t.arr.PublishTag(idx, tag)
+			if arr.CASKey(idx, table.EmptyKey, req.Key) {
+				arr.PublishTag(idx, tag)
 				h.stats.CASAttempts++
-				t.arr.StoreValue(idx, req.Value)
+				arr.StoreValue(idx, req.Value)
 				t.used.Add(1)
 				t.live.Add(1)
 				return req.Value, true, false
@@ -326,7 +337,7 @@ func (h *Handle) directScalar(req table.Request, idx uint64, tag uint8) (uint64,
 			continue // re-inspect the contested slot
 		default:
 			idx++
-			if idx == t.size {
+			if idx == size {
 				idx = 0
 			}
 			probes++

@@ -110,28 +110,115 @@ type Config struct {
 // Handles with NewHandle; the Table itself holds no per-caller state and all
 // slot accesses are safe for concurrent use. Values equal to
 // slotarr.InFlightValue are reserved.
+//
+// Storage is nreg uniform regions. A table made by New has one, which it
+// owns; a view made by NewView runs the same handles over regions built and
+// written elsewhere (dramhitp's single-writer partitions). A key's region and
+// its home inside it both come from the one hash (hashfn.FastrangeSplit; on
+// the bucket layout hashfn.ShardRange picks the region and the engine the
+// bucket), and every ring entry records its region at submit, so no path asks
+// how many regions there are: with one, the route is Fastrange(hv, size) as
+// it always was.
 type Table struct {
-	arr     *slotarr.Array
-	bkt     *slotarr.BucketTable // non-nil iff Layout == table.LayoutBucket
-	side    slotarr.SidePair
+	regs    []region
+	nreg    uint64 // len(regs)
+	rslots  uint64 // slots per flat region; a probe chain never leaves its region
+	size    uint64 // nreg * rslots
+	side    *slotarr.SidePair
 	hash    func(uint64) uint64
-	size    uint64
 	window  int
 	kernel  table.ProbeKernel
 	filter  table.ProbeFilter
 	combine table.Combining
-	used    atomic.Int64
-	live    atomic.Int64
 	obsReg  *obs.Registry
+	worker  string       // obs worker-shard name prefix
 	nhandle atomic.Int64 // handle counter for worker shard names
 	gov     *governor.Governor
+
+	// used and live are the only words of the table that the op paths write —
+	// every insert and delete of every handle — while every request of every
+	// handle reads hash and side above. A cache line of padding on either
+	// side keeps the two apart wherever the allocator puts the struct;
+	// sharing a line doubles the time of a two-handle bulk load.
+	_    [64]byte
+	used atomic.Int64
+	live atomic.Int64
+	_    [64]byte
 }
 
-// New creates a table from cfg.
+// region is one uniform slice of the table's storage: a slot array on the
+// flat layout, a self-resizing bucket index on the bucket layout.
+type region struct {
+	arr *slotarr.Array
+	bkt *slotarr.BucketTable
+}
+
+// Regions is storage built and owned by another package — DRAMHiT-P's
+// partitions — for NewView to run handles over: exactly one of Arrays (flat
+// layout, each of Config.Slots/len slots) and Buckets (bucket layout, over
+// one shared arena) is set. Side is the owner's reserved-key slots; Worker
+// and GovernorSource name the handles' obs worker shards and the governor's
+// obs source.
+type Regions struct {
+	Arrays  []*slotarr.Array
+	Buckets []*slotarr.BucketTable
+	Side    *slotarr.SidePair
+
+	Worker, GovernorSource string
+}
+
+// EffectiveFilter returns the probe filter a table built from c runs: the
+// filter is line-granular, so it exists only under the SWAR kernel on the
+// flat layout. The scalar loop reads slot by slot — a tag sidecar would cost
+// maintenance with nothing to gate — and the bucket engine keeps its
+// fingerprints in-cell.
+func (c Config) EffectiveFilter() table.ProbeFilter {
+	if c.ProbeKernel == table.KernelScalar || c.Layout == table.LayoutBucket {
+		return table.FilterNone
+	}
+	return c.ProbeFilter
+}
+
+// New creates a table from cfg: one region, built here and owned by the
+// table.
 func New(cfg Config) *Table {
 	if cfg.Slots == 0 {
 		panic("dramhit: Config.Slots must be positive")
 	}
+	r := Regions{Side: new(slotarr.SidePair), Worker: "dramhit-h", GovernorSource: "governor"}
+	switch {
+	case cfg.Layout == table.LayoutBucket:
+		r.Buckets = []*slotarr.BucketTable{slotarr.NewBucketTableSlots(cfg.Slots)}
+	case cfg.EffectiveFilter() == table.FilterTags:
+		r.Arrays = []*slotarr.Array{slotarr.NewTagged(cfg.Slots)}
+	default:
+		r.Arrays = []*slotarr.Array{slotarr.New(cfg.Slots)}
+	}
+	t := NewView(cfg, r)
+	if t.obsReg != nil {
+		t.obsReg.AddSource("dramhit", func() map[string]float64 {
+			return map[string]float64{
+				"fill":    t.Fill(),
+				"live":    float64(t.Len()),
+				"slots":   float64(t.Cap()),
+				"window":  float64(t.Window()),
+				"handles": float64(t.nhandle.Load()),
+			}
+		})
+		t.obsReg.AddHeatmapSource("dramhit", t.Heatmap)
+	}
+	return t
+}
+
+// NewView creates a table over the regions r, which the caller built and
+// keeps writing: cfg.Slots is their total capacity, cfg.Layout must name the
+// kind r holds, and cfg.Hash (flat layout) must be the hash the writer places
+// keys with. Handles of a view run the same ring as any other; what a view
+// does not have is ownership: on the flat layout Len and Fill count what this
+// table's own CAS drains claimed, so they are the caller's to report, and
+// only operations the regions' write protocol admits from any goroutine may
+// be submitted (DRAMHiT-P: Gets).
+func NewView(cfg Config, r Regions) *Table {
 	w := cfg.PrefetchWindow
 	if w == 0 {
 		w = DefaultPrefetchWindow
@@ -143,44 +230,40 @@ func New(cfg Config) *Table {
 	if h == nil {
 		h = hashfn.City64
 	}
-	f := cfg.ProbeFilter
-	if cfg.ProbeKernel == table.KernelScalar {
-		// The filter is line-granular: it prunes whole-line key loads, which
-		// only the SWAR drains issue. The scalar loop reads slot by slot, so
-		// a tag sidecar would cost maintenance with nothing to gate.
-		f = table.FilterNone
+	f := cfg.EffectiveFilter()
+	regs := make([]region, max(len(r.Arrays), len(r.Buckets)))
+	for i := range r.Arrays {
+		regs[i].arr = r.Arrays[i]
 	}
-	var arr *slotarr.Array
-	var bkt *slotarr.BucketTable
+	for i := range r.Buckets {
+		regs[i].bkt = r.Buckets[i]
+	}
 	if cfg.Layout == table.LayoutBucket {
 		// The bucket engine owns hashing (its byte hash must agree with the
-		// fingerprints it publishes) and has no tag sidecar; the front-end
+		// fingerprints it publishes; every region shares it): the front-end
 		// hash wraps the engine's so combining tags and prefetch targets
 		// stay consistent with the fingerprint a probe will match.
-		f = table.FilterNone
-		bkt = slotarr.NewBucketTableSlots(cfg.Slots)
+		bkt := regs[0].bkt
 		h = func(k uint64) uint64 {
 			var kb [8]byte
 			putLE(kb[:], k)
 			return bkt.HashOf(kb[:])
 		}
-	} else {
-		if f == table.FilterTags {
-			arr = slotarr.NewTagged(cfg.Slots)
-		} else {
-			arr = slotarr.New(cfg.Slots)
-		}
 	}
+	nreg := uint64(len(regs))
 	t := &Table{
-		arr:     arr,
-		bkt:     bkt,
+		regs:    regs,
+		nreg:    nreg,
+		rslots:  cfg.Slots / nreg,
+		size:    cfg.Slots / nreg * nreg,
+		side:    r.Side,
 		hash:    h,
-		size:    cfg.Slots,
 		window:  w,
 		kernel:  cfg.ProbeKernel,
 		filter:  f,
 		combine: cfg.Combining,
 		obsReg:  cfg.Observe,
+		worker:  r.Worker,
 	}
 	switch cfg.Governor {
 	case table.GovernorAuto:
@@ -198,7 +281,7 @@ func New(cfg Config) *Table {
 		})
 	}
 	if t.obsReg != nil && t.gov != nil {
-		t.obsReg.AddSource("governor", t.gov.Metrics)
+		t.obsReg.AddSource(r.GovernorSource, t.gov.Metrics)
 		if tr := t.obsReg.Trace(); tr != nil {
 			gov := t.gov
 			gov.OnDecision = func(d governor.Decision, epoch uint64) {
@@ -211,18 +294,6 @@ func New(cfg Config) *Table {
 				tr.Record(tr.NextID(), obs.EvGovern, mode, governor.Pack(d, epoch), uint32(epoch))
 			}
 		}
-	}
-	if t.obsReg != nil {
-		t.obsReg.AddSource("dramhit", func() map[string]float64 {
-			return map[string]float64{
-				"fill":    t.Fill(),
-				"live":    float64(t.Len()),
-				"slots":   float64(t.Cap()),
-				"window":  float64(t.Window()),
-				"handles": float64(t.nhandle.Load()),
-			}
-		})
-		t.obsReg.AddHeatmapSource("dramhit", t.heatmap)
 	}
 	return t
 }
@@ -239,39 +310,51 @@ func (t *Table) Combining() table.Combining { return t.combine }
 
 // Layout returns the physical layout the table was constructed with.
 func (t *Table) Layout() table.Layout {
-	if t.bkt != nil {
+	if t.Bucket() != nil {
 		return table.LayoutBucket
 	}
 	return table.LayoutFlat
 }
 
-// Bucket returns the bucket-layout engine, or nil on a flat table
-// (benchmarks read its growth and stash statistics).
-func (t *Table) Bucket() *slotarr.BucketTable { return t.bkt }
+// Bucket returns the bucket-layout engine (of the first region), or nil on a
+// flat table (benchmarks read its growth and stash statistics).
+func (t *Table) Bucket() *slotarr.BucketTable { return t.regs[0].bkt }
 
 // Len returns the number of live entries.
 func (t *Table) Len() int {
-	if t.bkt != nil {
-		return t.bkt.Len()
+	if t.Bucket() == nil {
+		return int(t.live.Load()) + t.side.Count()
 	}
-	return int(t.live.Load()) + t.side.Count()
+	n := 0
+	for i := range t.regs {
+		n += t.regs[i].bkt.Len()
+	}
+	return n
 }
 
 // Cap returns the slot capacity (the current capacity on a self-resizing
 // bucket table).
 func (t *Table) Cap() int {
-	if t.bkt != nil {
-		return t.bkt.Cap()
+	if t.Bucket() == nil {
+		return int(t.size)
 	}
-	return int(t.size)
+	n := 0
+	for i := range t.regs {
+		n += t.regs[i].bkt.Cap()
+	}
+	return n
 }
 
 // Fill returns claimed slots (including tombstones) over capacity.
 func (t *Table) Fill() float64 {
-	if t.bkt != nil {
-		return float64(t.bkt.Claimed()) / float64(t.bkt.Cap())
+	if t.Bucket() == nil {
+		return float64(t.used.Load()) / float64(t.size)
 	}
-	return float64(t.used.Load()) / float64(t.size)
+	var claimed int64
+	for i := range t.regs {
+		claimed += t.regs[i].bkt.Claimed()
+	}
+	return float64(claimed) / float64(t.Cap())
 }
 
 // Window returns the configured prefetch window.
@@ -290,6 +373,7 @@ type pending struct {
 	trace   uint64 // lifecycle trace id; 0 = not sampled
 	chain   int32  // 1+index into Handle.merged of the newest combined Get; 0 = none
 	ngets   int32  // combined Gets on chain (bounds tryCombine's absorption)
+	part    uint32 // region the key routes to; idx is local to it
 	tag     uint8  // key's tag fingerprint (table.TagOf of the full hash)
 	state   uint8  // stateProbing, or the parked resolution (chain mid-emission)
 }
@@ -362,7 +446,13 @@ func (s Stats) Core() Stats {
 // must not be shared between goroutines; create one per worker. Any number
 // of handles may operate on the same Table concurrently.
 type Handle struct {
-	t       *Table
+	t *Table
+	// regs, nreg and rslots are the table's (fixed at construction), held
+	// here so that routing a request and finding its entry's storage do not
+	// go through t.
+	regs    []region
+	nreg    uint64
+	rslots  uint64
 	q       []pending // ring buffer, len power of two
 	mask    int
 	head    int // enqueue position
@@ -372,10 +462,10 @@ type Handle struct {
 	filter  table.ProbeFilter
 	combine bool
 
-	// bh is the bucket-layout engine view (non-nil iff the table is
-	// LayoutBucket): it owns the handle's arena writer/pin and the
+	// bhs holds the bucket-layout engine views, one per region (non-nil iff
+	// the table is LayoutBucket): each owns an arena writer/pin and the
 	// engine-level probe counters that Stats folds into KeyLines/Reprobes.
-	bh *slotarr.BucketHandle
+	bhs []*slotarr.BucketHandle
 
 	// ptags mirrors each ring slot's tag fingerprint, one byte per slot
 	// packed eight to a word, so the combine scan checks the whole window
@@ -466,6 +556,9 @@ func (t *Table) NewHandle() *Handle {
 	}
 	h := &Handle{
 		t:       t,
+		regs:    t.regs,
+		nreg:    t.nreg,
+		rslots:  t.rslots,
 		q:       make([]pending, capacity),
 		mask:    capacity - 1,
 		window:  t.window,
@@ -476,12 +569,15 @@ func (t *Table) NewHandle() *Handle {
 	if h.combine {
 		h.ptags = make([]uint64, (capacity+7)/8)
 	}
-	if t.bkt != nil {
-		h.bh = t.bkt.NewHandle()
+	if t.Bucket() != nil {
+		h.bhs = make([]*slotarr.BucketHandle, len(t.regs))
+		for i := range t.regs {
+			h.bhs[i] = t.regs[i].bkt.NewHandle()
+		}
 	}
 	if t.obsReg != nil {
 		n := t.nhandle.Add(1)
-		h.obsw = t.obsReg.Worker("dramhit-h" + strconv.FormatInt(n-1, 10))
+		h.obsw = t.obsReg.Worker(t.worker + strconv.FormatInt(n-1, 10))
 		h.trace = t.obsReg.Trace()
 		h.traceEvery = t.obsReg.TraceSampleN()
 		h.hot = h.obsw.Hot
@@ -632,7 +728,7 @@ func (h *Handle) pop() {
 func (h *Handle) reprobe(p *pending, idx, probes uint64) {
 	p.idx, p.probes = idx, probes
 	h.pop()
-	h.prefetchNext(idx, p.tag)
+	h.prefetchNext(h.regs[p.part].arr, idx, p.tag)
 	h.stats.Reprobes++
 	h.stats.Lines++
 	h.q[h.head&h.mask] = *p
@@ -739,28 +835,31 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 			hv = h.t.hash(req.Key)
 		}
 		p.tag = table.TagOf(hv)
-		if h.t.bkt != nil {
+		if h.bhs != nil {
 			// Bucket layout: idx carries the FULL hash — the engine resizes
 			// itself, so a materialized slot index would go stale; the drain
-			// re-derives the bucket from the hash against the live state.
-			p.idx = hv
-			h.t.bkt.Prefetch(hv)
+			// re-derives the bucket from the hash against the live state. The
+			// region comes from the scrambled hash (hashfn.ShardRange).
+			part := hashfn.ShardRange(hv, h.nreg)
+			p.part, p.idx = uint32(part), hv
+			h.regs[part].bkt.Prefetch(hv)
 			h.enqueue()
 			h.stage(h.head - max(h.window/2, 1))
 			h.stats.Lines++
 			nreq++
 			continue
 		}
-		idx := hashfn.Fastrange(hv, h.t.size)
-		p.idx = idx
+		part, idx := hashfn.FastrangeSplit(hv, h.nreg, h.rslots)
+		p.part, p.idx = uint32(part), idx
+		arr := h.regs[part].arr
 		// Submit loads no table memory: it only starts the fetches the drain
 		// will need a window from now — the home data line and, in tags mode,
 		// the sidecar word the drain gates on. Gating the data fetch on the
 		// tag word here would make Submit wait for the sidecar miss.
 		if h.filter == table.FilterTags {
-			h.t.arr.PrefetchTags(idx)
+			arr.PrefetchTags(idx)
 		}
-		h.t.arr.Prefetch(idx)
+		arr.Prefetch(idx)
 		h.enqueue()
 		h.stats.Lines++
 		nreq++
@@ -819,7 +918,7 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, block
 	// Bucket layout: the one-line probe resolves synchronously against the
 	// engine (reserved keys are ordinary byte strings there — no side
 	// slots), so the drain is a single dispatch with no reprobe loop.
-	if h.t.bkt != nil {
+	if h.bhs != nil {
 		return h.processBucket(p, resps, nresp)
 	}
 
@@ -859,18 +958,18 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, block
 // are write-once (0 → fingerprint), so a tag published between this check
 // and the drain can only admit lanes the check rejected — at worst an
 // unprefetched but fully correct probe, never a wrong skip.
-func (h *Handle) prefetchNext(next uint64, tag uint8) {
-	if h.filter == table.FilterTags && h.t.arr.LineCandidates(next, tag) == 0 {
+func (h *Handle) prefetchNext(arr *slotarr.Array, next uint64, tag uint8) {
+	if h.filter == table.FilterTags && arr.LineCandidates(next, tag) == 0 {
 		return
 	}
-	h.t.arr.Prefetch(next)
+	arr.Prefetch(next)
 }
 
 // processScalar is the pre-SWAR slot-by-slot hot path, retained as the
 // table.KernelScalar ablation baseline (and the reference the SWAR
 // equivalence property test compares against).
 func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
-	t := h.t
+	t, arr, size := h.t, h.regs[p.part].arr, h.rslots
 	h.stats.KeyLines++
 	// The probe cursor walks in locals; reprobe stores it back once, before
 	// the move, and a blocked return leaves the slot as it found it.
@@ -878,8 +977,8 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 	line := slotarr.LineOf(idx)
 	for {
 		// Crossing into the next cache line: reprobe.
-		if slotarr.LineOf(idx) != line || probes >= t.size {
-			if probes >= t.size {
+		if slotarr.LineOf(idx) != line || probes >= size {
+			if probes >= size {
 				// Full-table probe: the operation fails (Get/Delete: not
 				// found; Put/Upsert: table full).
 				if p.req.Op == table.Get && *nresp >= len(resps) {
@@ -891,7 +990,7 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 			return false, false
 		}
 
-		k := t.arr.Key(idx)
+		k := arr.Key(idx)
 		switch {
 		case k == p.req.Key:
 			switch p.req.Op {
@@ -899,18 +998,18 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 				if *nresp >= len(resps) {
 					return false, true
 				}
-				return h.retire(p, table.Get, t.arr.WaitValue(idx), true, false, resps, nresp)
+				return h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
 			case table.Put:
 				h.stats.CASAttempts++
-				t.arr.StoreValue(idx, p.req.Value)
+				arr.StoreValue(idx, p.req.Value)
 				return h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
 			case table.Upsert:
 				h.stats.CASAttempts++
-				return h.retire(p, table.Upsert, t.arr.AddValue(idx, p.req.Value), true, false, resps, nresp)
+				return h.retire(p, table.Upsert, arr.AddValue(idx, p.req.Value), true, false, resps, nresp)
 			case table.Delete:
 				h.pop()
 				h.stats.CASAttempts++
-				if t.arr.CASKey(idx, p.req.Key, table.TombstoneKey) {
+				if arr.CASKey(idx, p.req.Key, table.TombstoneKey) {
 					t.live.Add(-1)
 					h.finish(p, table.Delete, true)
 				} else {
@@ -932,10 +1031,10 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 				return true, false
 			case table.Put, table.Upsert:
 				h.stats.CASAttempts++
-				if t.arr.CASKey(idx, table.EmptyKey, p.req.Key) {
-					t.arr.PublishTag(idx, p.tag)
+				if arr.CASKey(idx, table.EmptyKey, p.req.Key) {
+					arr.PublishTag(idx, p.tag)
 					h.stats.CASAttempts++
-					t.arr.StoreValue(idx, p.req.Value)
+					arr.StoreValue(idx, p.req.Value)
 					t.used.Add(1)
 					t.live.Add(1)
 					return h.retire(p, p.req.Op, p.req.Value, true, false, resps, nresp)
@@ -948,7 +1047,7 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 		default:
 			// Another key or a tombstone: advance within the line.
 			idx++
-			if idx == t.size {
+			if idx == size {
 				idx = 0
 				// Wrapping lands on a different line; the loop's crossing
 				// check will catch it because LineOf(0) != line (unless the

@@ -177,12 +177,12 @@ func TestFilterEquivalenceTableScan(t *testing.T) {
 	fp.flush()
 	fp.compare("scan")
 	for i := uint64(0); i < 512; i++ {
-		kn, kt := fp.noneT.arr.Key(i), fp.tagsT.arr.Key(i)
+		kn, kt := fp.noneT.regs[0].arr.Key(i), fp.tagsT.regs[0].arr.Key(i)
 		if kn != kt {
 			t.Fatalf("slot %d: none key %#x, tags key %#x", i, kn, kt)
 		}
 		if kt != table.EmptyKey && kt != table.TombstoneKey {
-			if got, want := fp.tagsT.arr.Tag(i), table.TagOf(hashfn.City64(kt)); got != want {
+			if got, want := fp.tagsT.regs[0].arr.Tag(i), table.TagOf(hashfn.City64(kt)); got != want {
 				t.Fatalf("slot %d key %d: tag %d, want %d", i, kt, got, want)
 			}
 		}
@@ -220,7 +220,7 @@ func TestFilterClaimRaces(t *testing.T) {
 	}
 	seen := make(map[uint64]uint64)
 	for i := uint64(0); i < uint64(tbl.Cap()); i++ {
-		k := tbl.arr.Key(i)
+		k := tbl.regs[0].arr.Key(i)
 		if k == table.EmptyKey || k == table.TombstoneKey {
 			continue
 		}
@@ -228,7 +228,7 @@ func TestFilterClaimRaces(t *testing.T) {
 			t.Fatalf("key %d claimed in slots %d and %d", k, prev, i)
 		}
 		seen[k] = i
-		if got, want := tbl.arr.Tag(i), table.TagOf(hashfn.City64(k)); got != want {
+		if got, want := tbl.regs[0].arr.Tag(i), table.TagOf(hashfn.City64(k)); got != want {
 			t.Fatalf("slot %d key %d: tag %d, want %d", i, k, got, want)
 		}
 	}
@@ -283,7 +283,7 @@ func TestFilterMixedOpRaces(t *testing.T) {
 		live := 0
 		seen := make(map[uint64]bool)
 		for i := uint64(0); i < uint64(tbl.Cap()); i++ {
-			k := tbl.arr.Key(i)
+			k := tbl.regs[0].arr.Key(i)
 			if k == table.EmptyKey || k == table.TombstoneKey {
 				continue
 			}
@@ -357,10 +357,10 @@ func TestFilterConfigWiring(t *testing.T) {
 	if sc.Filter() != table.FilterNone {
 		t.Fatalf("scalar kernel: Filter() = %v, want forced none", sc.Filter())
 	}
-	if sc.arr.HasTags() {
+	if sc.regs[0].arr.HasTags() {
 		t.Fatal("scalar table allocated a tag sidecar")
 	}
-	if !New(Config{Slots: 16}).arr.HasTags() {
+	if !New(Config{Slots: 16}).regs[0].arr.HasTags() {
 		t.Fatal("tags table missing its sidecar")
 	}
 }

@@ -304,37 +304,50 @@ func TestDirectEquivalenceScalarKernel(t *testing.T) {
 // -race: handles on one GovernorAuto table alternate between the direct and
 // full-pipelined configurations at empty-pipeline boundaries (exactly where
 // govApply actuates) while hammering a shared key set; the shared controller
-// keeps stepping from everyone's sensor feeds concurrently. The final counts
-// must equal the op count regardless of which mode executed each batch.
+// keeps stepping from everyone's sensor feeds concurrently. Every read must see
+// at least the reader's own upserts in either mode, and the final counts must
+// equal the op count regardless of which mode executed each batch.
 func TestGovernorFlipMidStream(t *testing.T) {
-	tbl := New(Config{Slots: 4096, Governor: table.GovernorAuto})
-	keys := workload.UniqueKeys(21, 64)
-	const goroutines = 8
-	const rounds = 150
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			h := tbl.NewHandle()
-			full := governor.Decision{Window: DefaultPrefetchWindow, Combine: true, Filter: true}
-			dir := governor.Decision{Direct: true, Window: DefaultPrefetchWindow, Filter: true}
-			for r := 0; r < rounds; r++ {
-				h.UpsertBatch(keys, 1) // flushes internally: pipeline empty after
-				if (r+g)%2 == 0 {
-					h.applyDecision(dir)
-				} else {
-					h.applyDecision(full)
+	for _, regions := range []int{1, 3} { // 3: the shape of DRAMHiT-P's read view
+		tbl := newRegionTable(Config{Slots: 4096, Governor: table.GovernorAuto}, regions)
+		keys := workload.UniqueKeys(21, 64)
+		const goroutines = 8
+		const rounds = 150
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				h := tbl.NewHandle()
+				full := governor.Decision{Window: DefaultPrefetchWindow, Combine: true, Filter: true}
+				dir := governor.Decision{Direct: true, Window: DefaultPrefetchWindow, Filter: true}
+				vals := make([]uint64, len(keys))
+				found := make([]bool, len(keys))
+				for r := 0; r < rounds; r++ {
+					h.UpsertBatch(keys, 1) // flushes internally: pipeline empty after
+					h.GetBatch(keys, vals, found)
+					for i := range keys {
+						if !found[i] || vals[i] < uint64(r+1) {
+							t.Errorf("regions %d g%d round %d: key %d reads (%d,%v) after %d own upserts",
+								regions, g, r, keys[i], vals[i], found[i], r+1)
+							return
+						}
+					}
+					if (r+g)%2 == 0 {
+						h.applyDecision(dir)
+					} else {
+						h.applyDecision(full)
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
+			}(g)
+		}
+		wg.Wait()
 
-	s := tbl.NewSync()
-	for _, k := range keys {
-		if v, ok := s.Get(k); !ok || v != goroutines*rounds {
-			t.Fatalf("key %d: count (%d, %v), want %d", k, v, ok, goroutines*rounds)
+		s := tbl.NewSync()
+		for _, k := range keys {
+			if v, ok := s.Get(k); !ok || v != goroutines*rounds {
+				t.Fatalf("regions %d key %d: count (%d, %v), want %d", regions, k, v, ok, goroutines*rounds)
+			}
 		}
 	}
 }

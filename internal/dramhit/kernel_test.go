@@ -172,7 +172,7 @@ func TestKernelEquivalenceTableScan(t *testing.T) {
 	kp.flush()
 	kp.compare("scan")
 	for i := uint64(0); i < 512; i++ {
-		if ks, kw := kp.scalarT.arr.Key(i), kp.swarT.arr.Key(i); ks != kw {
+		if ks, kw := kp.scalarT.regs[0].arr.Key(i), kp.swarT.regs[0].arr.Key(i); ks != kw {
 			t.Fatalf("slot %d: scalar key %#x, swar key %#x", i, ks, kw)
 		}
 	}
@@ -210,7 +210,7 @@ func TestKernelClaimRaces(t *testing.T) {
 	// re-verify would leave a duplicate.
 	seen := make(map[uint64]uint64)
 	for i := uint64(0); i < uint64(tbl.Cap()); i++ {
-		k := tbl.arr.Key(i)
+		k := tbl.regs[0].arr.Key(i)
 		if k == table.EmptyKey || k == table.TombstoneKey {
 			continue
 		}
@@ -267,7 +267,7 @@ func TestKernelMixedOpRaces(t *testing.T) {
 	live := 0
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < uint64(tbl.Cap()); i++ {
-		k := tbl.arr.Key(i)
+		k := tbl.regs[0].arr.Key(i)
 		if k == table.EmptyKey || k == table.TombstoneKey {
 			continue
 		}

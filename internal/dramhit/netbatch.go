@@ -3,6 +3,7 @@ package dramhit
 import (
 	"time"
 
+	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
@@ -44,15 +45,16 @@ type ByteCompletion struct {
 }
 
 // bytePending is one in-flight byte request: the caller's buffers, the echo
-// id, the key's hash (stage two's prefetch target) and the latency stamp. No
-// probe cursor is needed — the bucket engine resolves the whole probe in the
-// drain call.
+// id, the key's hash (stage two's prefetch target) with the region it routes
+// to, and the latency stamp. No probe cursor is needed — the bucket engine
+// resolves the whole probe in the drain call.
 type bytePending struct {
 	key     []byte
 	val     []byte
 	id      uint64
 	hv      uint64
 	startNS int64 // submission time, set only when op-latency tracking is on
+	part    uint32
 	op      table.Op
 }
 
@@ -94,8 +96,9 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 	for h.PendingBytes() >= h.window {
 		h.drainByte()
 	}
-	hv := h.t.bkt.HashOf(key)
-	h.t.bkt.Prefetch(hv)
+	hv := h.regs[0].bkt.HashOf(key) // every region shares one hash
+	part := hashfn.ShardRange(hv, h.nreg)
+	h.regs[part].bkt.Prefetch(hv)
 	h.stats.Lines++
 	if h.hot != nil {
 		// Byte keys are ranked by hash in the hot-key sketch: the sketch
@@ -105,7 +108,7 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 	// The request is built in the head slot and stays there until its drain
 	// (the uint64 ring's rule, see Submit); every field is assigned.
 	p := &h.byteQ[h.bhead&h.mask]
-	p.key, p.val, p.id, p.hv, p.op, p.startNS = key, value, id, hv, op, 0
+	p.key, p.val, p.id, p.hv, p.part, p.op, p.startNS = key, value, id, hv, uint32(part), op, 0
 	if h.opLat {
 		p.startNS = time.Now().UnixNano()
 	}
@@ -136,10 +139,10 @@ func (h *Handle) FlushBytes() {
 // window the governor changed between calls cannot make it skip or repeat one.
 func (h *Handle) stageBytes(upto int) {
 	for ; h.bstaged < upto; h.bstaged++ {
-		hv := h.byteQ[h.bstaged&h.mask].hv
-		h.t.bkt.PrefetchRecords(hv, slotarr.SpanUnknown)
+		p := &h.byteQ[h.bstaged&h.mask]
+		h.regs[p.part].bkt.PrefetchRecords(p.hv, slotarr.SpanUnknown)
 		if h.stageHook != nil {
-			h.stageHook(hv)
+			h.stageHook(p.hv)
 		}
 	}
 }
@@ -156,19 +159,20 @@ func (h *Handle) drainByte() {
 	p := &h.byteQ[h.btail&h.mask]
 	h.btail++
 
-	preL, preH := h.bh.Lines, h.bh.Hops
+	bh := h.bhs[p.part]
+	preL, preH := bh.Lines, bh.Hops
 	c := ByteCompletion{ID: p.id, Op: p.op}
 	switch p.op {
 	case table.Get:
-		c.Value, c.Found = h.bh.GetHashed(p.hv, p.key)
+		c.Value, c.Found = bh.GetHashed(p.hv, p.key)
 	case table.Put:
 		h.stats.CASAttempts++
-		c.Found = h.bh.PutHashed(p.hv, p.key, p.val)
+		c.Found = bh.PutHashed(p.hv, p.key, p.val)
 	default: // Delete — Upsert was rejected at submit
 		h.stats.CASAttempts++
-		c.Found = h.bh.DeleteHashed(p.hv, p.key)
+		c.Found = bh.DeleteHashed(p.hv, p.key)
 	}
-	h.foldBucketStats(preL, preH)
+	h.foldBucketStats(bh, preL, preH)
 	// A byte Put always succeeds (countOp's hit convention for Puts), while
 	// the completion's Found carries the existed bit.
 	hit := c.Found || p.op == table.Put

@@ -169,13 +169,15 @@ func (g *ringWrapGen) round() (reqs []table.Request, want map[uint64]table.Respo
 // so every combine chain parks its leader and Submit keeps returning
 // blocked. Each Get is checked against a reference map, the final state
 // against the same map, and the SWAR pipeline's Stats against the scalar
-// kernel's over the same requests.
+// kernel's over the same requests. The last case splits the table into two
+// regions: the moved entry must keep probing the region it was routed to.
 func TestRingWrapInPlace(t *testing.T) {
 	const slots, loaded = 1024, 920
-	for _, window := range []int{1, 16} {
+	for _, c := range []struct{ window, regions int }{{1, 1}, {16, 1}, {16, 2}} {
+		window := c.window
 		var core [2]Stats
 		for ki, kernel := range []table.ProbeKernel{table.KernelSWAR, table.KernelScalar} {
-			tbl := New(Config{Slots: slots, PrefetchWindow: window, ProbeKernel: kernel})
+			tbl := newRegionTable(Config{Slots: slots, PrefetchWindow: window, ProbeKernel: kernel}, c.regions)
 			h := tbl.NewHandle()
 			all := workload.UniqueKeys(41, loaded+200)
 			present := append([]uint64{table.EmptyKey, table.TombstoneKey}, all[:loaded]...)

@@ -9,6 +9,11 @@ import (
 	"dramhit/internal/tabletest"
 )
 
+// stageCases are the windows the stage-two tests run at on one region, and
+// the default window over three — DRAMHiT-P's read view — where each entry's
+// stage-two prefetch must go to the region recorded in the entry.
+var stageCases = []struct{ window, regions int }{{1, 1}, {2, 1}, {16, 1}, {2, 3}, {16, 3}}
+
 // TestStageTwoScheduleBytes pins the byte ring's stage-two schedule through
 // the counting hook: every submission is staged exactly once, in submission
 // order, with its own hash, at the moment the rule names (tabletest.CheckStageTiming);
@@ -18,8 +23,9 @@ import (
 // 8 at window 16 (nothing is ever staged) and for the first half-window of
 // every batch of 32.
 func TestStageTwoScheduleBytes(t *testing.T) {
-	for _, window := range []int{1, 2, 16} {
-		tbl := newBucketTable(1<<12, func(c *Config) { c.PrefetchWindow = window })
+	for _, c := range stageCases {
+		window := c.window
+		tbl := newRegionTable(Config{Slots: 1 << 12, Layout: table.LayoutBucket, PrefetchWindow: window}, c.regions)
 		h := tbl.NewHandle()
 		var hashes []uint64 // by ring position
 		nstaged := 0
@@ -77,8 +83,9 @@ func TestStageTwoScheduleBytes(t *testing.T) {
 // callback. Keys are distinct within a batch, so combining never takes a
 // request off the ring.
 func TestStageTwoScheduleUint64(t *testing.T) {
-	for _, window := range []int{1, 2, 16} {
-		tbl := newBucketTable(1<<12, func(c *Config) { c.PrefetchWindow = window })
+	for _, c := range stageCases {
+		window := c.window
+		tbl := newRegionTable(Config{Slots: 1 << 12, Layout: table.LayoutBucket, PrefetchWindow: window}, c.regions)
 		h := tbl.NewHandle()
 		var hashes []uint64
 		nstaged := 0

@@ -49,17 +49,17 @@ import (
 // the same key-then-value order the scalar path uses — from the line the
 // kernel just touched, so the load is an L1 hit, not a second memory touch.
 func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
-	t := h.t
+	arr, size := h.regs[p.part].arr, h.rslots
 	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
 	tagged := h.filter == table.FilterTags
 	if !tagged {
 		h.stats.KeyLines++
-		switch k := t.arr.Key(idx); k {
+		switch k := arr.Key(idx); k {
 		case key:
 			if *nresp >= len(resps) {
 				return false, true
 			}
-			return h.retire(p, table.Get, t.arr.WaitValue(idx), true, false, resps, nresp)
+			return h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
 		case table.EmptyKey:
 			if *nresp >= len(resps) {
 				return false, true
@@ -71,15 +71,15 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 	for {
 		if tagged {
 			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if t.arr.LineCandidates(base, tag)>>(idx-base) == 0 {
+			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				// Every lane at or after the entry offset provably holds a
 				// different published key: skip the line without loading it.
 				h.stats.TagSkips++
-				valid := t.size - base
+				valid := size - base
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				if probes+valid-(idx-base) >= t.size {
+				if probes+valid-(idx-base) >= size {
 					if *nresp >= len(resps) {
 						return false, true
 					}
@@ -87,7 +87,7 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 				}
 				probes += valid - (idx - base)
 				next := base + table.SlotsPerCacheLine
-				if next >= t.size {
+				if next >= size {
 					next = 0
 				}
 				idx = next
@@ -99,7 +99,7 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 			}
 			h.stats.KeyLines++
 		}
-		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(idx)
+		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
 		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
@@ -109,7 +109,7 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 			if tagged {
 				h.stats.TagHits++
 			}
-			return h.retire(p, table.Get, t.arr.WaitValue(base+uint64(lane)), true, false, resps, nresp)
+			return h.retire(p, table.Get, arr.WaitValue(base+uint64(lane)), true, false, resps, nresp)
 		case simd.HitEmpty:
 			if *nresp >= len(resps) {
 				return false, true
@@ -122,7 +122,7 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 		if tagged {
 			h.stats.TagFalse++
 		}
-		if probes+valid-(idx-base) >= t.size {
+		if probes+valid-(idx-base) >= size {
 			// Full-table probe: not found.
 			if *nresp >= len(resps) {
 				return false, true
@@ -138,7 +138,7 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 		// leaves the slot as it found it.
 		probes += valid - (idx - base)
 		next := base + table.SlotsPerCacheLine
-		if next >= t.size {
+		if next >= size {
 			next = 0
 		}
 		idx = next
@@ -162,7 +162,7 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 // observes the interfering claim and either matches it (same key) or probes
 // past it.
 func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp *int) (wrote, blocked bool) {
-	t := h.t
+	t, arr, size := h.t, h.regs[p.part].arr, h.rslots
 	op := table.Put
 	if add {
 		op = table.Upsert
@@ -171,22 +171,22 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 	tagged := h.filter == table.FilterTags
 	if !tagged {
 		h.stats.KeyLines++
-		switch k := t.arr.Key(idx); k {
+		switch k := arr.Key(idx); k {
 		case key:
 			h.stats.CASAttempts++
 			v := p.req.Value
 			if add {
-				v = t.arr.AddValue(idx, p.req.Value)
+				v = arr.AddValue(idx, p.req.Value)
 			} else {
-				t.arr.StoreValue(idx, p.req.Value)
+				arr.StoreValue(idx, p.req.Value)
 			}
 			return h.retire(p, op, v, true, false, resps, nresp)
 		case table.EmptyKey:
 			h.stats.CASAttempts++
-			if t.arr.CASKey(idx, table.EmptyKey, key) {
-				t.arr.PublishTag(idx, tag)
+			if arr.CASKey(idx, table.EmptyKey, key) {
+				arr.PublishTag(idx, tag)
 				h.stats.CASAttempts++
-				t.arr.StoreValue(idx, p.req.Value)
+				arr.StoreValue(idx, p.req.Value)
 				t.used.Add(1)
 				t.live.Add(1)
 				return h.retire(p, op, p.req.Value, true, false, resps, nresp)
@@ -198,20 +198,20 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 	for {
 		if tagged {
 			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if t.arr.LineCandidates(base, tag)>>(idx-base) == 0 {
+			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				// No lane can match the key and none is empty: skip the
 				// line without loading it.
 				h.stats.TagSkips++
-				valid := t.size - base
+				valid := size - base
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				if probes+valid-(idx-base) >= t.size {
+				if probes+valid-(idx-base) >= size {
 					return h.retire(p, op, 0, false, true, resps, nresp)
 				}
 				probes += valid - (idx - base)
 				next := base + table.SlotsPerCacheLine
-				if next >= t.size {
+				if next >= size {
 					next = 0
 				}
 				idx = next
@@ -223,7 +223,7 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 			}
 			h.stats.KeyLines++
 		}
-		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(idx)
+		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
 		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
@@ -234,15 +234,15 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 			h.stats.CASAttempts++
 			v := p.req.Value
 			if add {
-				v = t.arr.AddValue(slot, p.req.Value)
+				v = arr.AddValue(slot, p.req.Value)
 			} else {
-				t.arr.StoreValue(slot, p.req.Value)
+				arr.StoreValue(slot, p.req.Value)
 			}
 			return h.retire(p, op, v, true, false, resps, nresp)
 		case simd.HitEmpty:
 			slot := base + uint64(lane)
 			h.stats.CASAttempts++
-			if t.arr.CASKey(slot, table.EmptyKey, key) {
+			if arr.CASKey(slot, table.EmptyKey, key) {
 				if tagged {
 					h.stats.TagHits++
 				}
@@ -250,9 +250,9 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 				// tag leaves 0, the sooner concurrent probes can prune this
 				// lane. A reader that still sees 0 just takes the must-check
 				// path — correctness never waits on this store.
-				t.arr.PublishTag(slot, tag)
+				arr.PublishTag(slot, tag)
 				h.stats.CASAttempts++
-				t.arr.StoreValue(slot, p.req.Value)
+				arr.StoreValue(slot, p.req.Value)
 				t.used.Add(1)
 				t.live.Add(1)
 				return h.retire(p, op, p.req.Value, true, false, resps, nresp)
@@ -265,14 +265,14 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 		if tagged {
 			h.stats.TagFalse++
 		}
-		if probes+valid-(idx-base) >= t.size {
+		if probes+valid-(idx-base) >= size {
 			// Full-table probe: the table is full.
 			return h.retire(p, op, 0, false, true, resps, nresp)
 		}
 		// Missed line: advance the local cursor past it, as in drainGet.
 		probes += valid - (idx - base)
 		next := base + table.SlotsPerCacheLine
-		if next >= t.size {
+		if next >= size {
 			next = 0
 		}
 		idx = next
@@ -294,15 +294,15 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 // have won, in which case this one reports a miss, exactly like the scalar
 // path).
 func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
-	t := h.t
+	t, arr, size := h.t, h.regs[p.part].arr, h.rslots
 	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
 	tagged := h.filter == table.FilterTags
 	if !tagged {
 		h.stats.KeyLines++
-		switch k := t.arr.Key(idx); k {
+		switch k := arr.Key(idx); k {
 		case key:
 			h.pop()
-			if t.arr.CASKey(idx, key, table.TombstoneKey) {
+			if arr.CASKey(idx, key, table.TombstoneKey) {
 				t.live.Add(-1)
 				h.finish(p, table.Delete, true)
 			} else {
@@ -319,25 +319,25 @@ func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 	for {
 		if tagged {
 			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if t.arr.LineCandidates(base, tag)>>(idx-base) == 0 {
+			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
 				// The key cannot be in this line and no empty lane ends the
 				// chain: skip the line without loading it. (A tombstoned
 				// incarnation of the key keeps its stale matching tag, so a
 				// line holding it is admitted and the kernel skips it — the
 				// tag can prune only lines that never held this fingerprint.)
 				h.stats.TagSkips++
-				valid := t.size - base
+				valid := size - base
 				if valid > table.SlotsPerCacheLine {
 					valid = table.SlotsPerCacheLine
 				}
-				if probes+valid-(idx-base) >= t.size {
+				if probes+valid-(idx-base) >= size {
 					h.pop()
 					h.finish(p, table.Delete, false)
 					return true, false
 				}
 				probes += valid - (idx - base)
 				next := base + table.SlotsPerCacheLine
-				if next >= t.size {
+				if next >= size {
 					next = 0
 				}
 				idx = next
@@ -349,7 +349,7 @@ func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 			}
 			h.stats.KeyLines++
 		}
-		l0, l1, l2, l3, base, valid := t.arr.LoadKeys4(idx)
+		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
 		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
@@ -358,7 +358,7 @@ func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 			}
 			h.pop()
 			h.stats.CASAttempts++
-			if t.arr.CASKey(base+uint64(lane), key, table.TombstoneKey) {
+			if arr.CASKey(base+uint64(lane), key, table.TombstoneKey) {
 				t.live.Add(-1)
 				h.finish(p, table.Delete, true)
 			} else {
@@ -376,7 +376,7 @@ func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 		if tagged {
 			h.stats.TagFalse++
 		}
-		if probes+valid-(idx-base) >= t.size {
+		if probes+valid-(idx-base) >= size {
 			h.pop()
 			h.finish(p, table.Delete, false)
 			return true, false
@@ -384,7 +384,7 @@ func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 		// Missed line: advance the local cursor past it, as in drainGet.
 		probes += valid - (idx - base)
 		next := base + table.SlotsPerCacheLine
-		if next >= t.size {
+		if next >= size {
 			next = 0
 		}
 		idx = next

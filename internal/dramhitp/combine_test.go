@@ -22,7 +22,9 @@ func newCombineTable(n uint64, c table.Combining) *Table {
 }
 
 // TestPCombineConfigWiring pins the knob: combining defaults on, off is
-// selectable, and an off-table's handles carry no combining state.
+// selectable, and write handles follow it (the read side's wiring is
+// dramhit's TestCombineConfigWiring; TestPCombineReadEquivalenceProperty
+// shows an off-table's readers piggyback nothing).
 func TestPCombineConfigWiring(t *testing.T) {
 	on := newCombineTable(1024, table.CombineOn)
 	defer on.Close()
@@ -33,13 +35,6 @@ func TestPCombineConfigWiring(t *testing.T) {
 	}
 	if New(Config{Slots: 64, Producers: 1, Consumers: 1}).Combining() != table.CombineOn {
 		t.Fatal("zero-value Config must default to CombineOn")
-	}
-	rOn, rOff := on.NewReadHandle(), off.NewReadHandle()
-	if !rOn.combine || rOn.rtags == nil {
-		t.Fatal("on-table ReadHandle missing combining state")
-	}
-	if rOff.combine || rOff.rtags != nil {
-		t.Fatal("off-table ReadHandle must carry no combining state")
 	}
 	wOn, wOff := on.NewWriteHandle(), off.NewWriteHandle()
 	if !wOn.coalesce || wOff.coalesce {
@@ -203,18 +198,18 @@ func TestPCombineReadEquivalenceProperty(t *testing.T) {
 			t.Fatalf("request %d diverged: on %+v off %+v", resp.ID, resp, w)
 		}
 	}
-	if rOn.Piggybacked == 0 {
+	if rOn.Stats().PiggybackedGets == 0 {
 		t.Fatal("hot-key stream produced no piggybacked Gets")
 	}
-	if rOff.Piggybacked != 0 {
-		t.Fatalf("combining off: Piggybacked = %d, want 0", rOff.Piggybacked)
+	if rOff.Stats().PiggybackedGets != 0 {
+		t.Fatalf("combining off: Piggybacked = %d, want 0", rOff.Stats().PiggybackedGets)
 	}
-	if rOn.Gets != uint64(len(reqs)) || rOff.Gets != uint64(len(reqs)) {
+	if rOn.Stats().Gets != uint64(len(reqs)) || rOff.Stats().Gets != uint64(len(reqs)) {
 		t.Fatalf("Gets must count every request once: on %d off %d want %d",
-			rOn.Gets, rOff.Gets, len(reqs))
+			rOn.Stats().Gets, rOff.Stats().Gets, len(reqs))
 	}
-	if rOn.Hits != rOff.Hits {
-		t.Fatalf("hit counts diverged: on %d off %d", rOn.Hits, rOff.Hits)
+	if rOn.Stats().Hits != rOff.Stats().Hits {
+		t.Fatalf("hit counts diverged: on %d off %d", rOn.Stats().Hits, rOff.Stats().Hits)
 	}
 }
 
@@ -265,8 +260,8 @@ func TestPCombineReadBackpressure(t *testing.T) {
 			t.Fatalf("request %d: got (%d,%v) want (42,true)", resp.ID, resp.Value, resp.Found)
 		}
 	}
-	if r.Piggybacked != 7 {
-		t.Fatalf("Piggybacked = %d, want 7", r.Piggybacked)
+	if r.Stats().PiggybackedGets != 7 {
+		t.Fatalf("Piggybacked = %d, want 7", r.Stats().PiggybackedGets)
 	}
 }
 

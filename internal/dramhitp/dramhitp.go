@@ -19,6 +19,7 @@ import (
 
 	"dramhit/internal/arena"
 	"dramhit/internal/delegation"
+	"dramhit/internal/dramhit"
 	"dramhit/internal/governor"
 	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
@@ -41,7 +42,7 @@ type Config struct {
 	// owns (default 1; the paper's Figure 3 shows 3).
 	PartitionsPerConsumer int
 	// PrefetchWindow is the read-pipeline depth (default
-	// DefaultPrefetchWindow).
+	// dramhit.DefaultPrefetchWindow).
 	PrefetchWindow int
 	// QueueCapacity is the per-delegation-queue capacity (default 512).
 	QueueCapacity int
@@ -60,9 +61,6 @@ type Config struct {
 	// (table.FilterTags) is the default; table.FilterNone is the A/B
 	// baseline. Scalar-kernel tables are forced to FilterNone.
 	ProbeFilter table.ProbeFilter
-	// UseSIMD is the legacy switch for the line-wide probe; it is implied
-	// by the default and overrides ProbeKernel when set.
-	UseSIMD bool
 	// Combining selects whether handles merge same-key requests in flight:
 	// WriteHandles fold duplicate-key Upserts into one delegated message,
 	// ReadHandles piggyback duplicate-key Gets on one pipelined probe. The
@@ -98,9 +96,6 @@ type Config struct {
 	Governor table.GovernorMode
 }
 
-// DefaultPrefetchWindow mirrors dramhit.DefaultPrefetchWindow.
-const DefaultPrefetchWindow = 16
-
 // FilterStats counts tag-filter events on one probe path: line visits
 // whose key lanes were loaded (KeyLines), visits rejected from the tag
 // word alone (TagSkips), and admitted visits the kernel resolved (TagHits)
@@ -123,9 +118,9 @@ func (s *FilterStats) Add(o FilterStats) {
 // with release stores (value before key), concurrent readers probe with
 // plain atomic loads; no CAS is needed anywhere because writes are
 // serialized by ownership. wstats is owner-local too (written only under
-// apply); reader-side filter events live on each ReadHandle instead, so no
-// cache line ping-pongs between readers. The struct is exactly one cache
-// line, keeping partitions off each other's lines.
+// apply); reader-side filter events live in each ReadHandle's Stats instead,
+// so no cache line ping-pongs between readers. The struct is exactly one
+// cache line, keeping partitions off each other's lines.
 type partition struct {
 	arr    *slotarr.Array
 	count  uint64 // owner-local: claimed slots (incl. tombstones)
@@ -165,10 +160,10 @@ type Table struct {
 	handleSeq atomic.Int32
 	closeOnce sync.Once
 	obsReg    *obs.Registry
-	// nread names ReadHandle worker shards.
-	nread atomic.Int32
-	// gov is the shared read-pipeline governor; nil when GovernorOff.
-	gov *governor.Governor
+	// view is the read side: dramhit's table over the partitions as regions,
+	// sharing side, hash and filter, and owning the read-pipeline governor.
+	// Every ReadHandle is one of its handles.
+	view *dramhit.Table
 }
 
 // New builds the table. Call Start to launch the delegation threads.
@@ -185,30 +180,27 @@ func New(cfg Config) *Table {
 	if cfg.PartitionsPerConsumer <= 0 {
 		cfg.PartitionsPerConsumer = 1
 	}
-	if cfg.PrefetchWindow == 0 {
-		cfg.PrefetchWindow = DefaultPrefetchWindow
-	}
 	if cfg.Hash == nil {
 		cfg.Hash = hashfn.City64
-	}
-	kernel := cfg.ProbeKernel
-	if cfg.UseSIMD {
-		kernel = table.KernelSWAR
-	}
-	filter := cfg.ProbeFilter
-	if kernel == table.KernelScalar {
-		// Line-granular filter, slot-granular kernel: nothing to gate.
-		filter = table.FilterNone
-	}
-	if cfg.Layout == table.LayoutBucket {
-		// The bucket engine owns hashing and has no sidecar to filter.
-		filter = table.FilterNone
 	}
 	nparts := uint64(cfg.Consumers * cfg.PartitionsPerConsumer)
 	partSlots := (cfg.Slots + nparts - 1) / nparts
 	if partSlots == 0 {
 		partSlots = 1
 	}
+	// The read side's configuration: the same knobs, over all partitions.
+	vcfg := dramhit.Config{
+		Slots:          partSlots * nparts,
+		PrefetchWindow: cfg.PrefetchWindow,
+		Hash:           cfg.Hash,
+		ProbeKernel:    cfg.ProbeKernel,
+		ProbeFilter:    cfg.ProbeFilter,
+		Combining:      cfg.Combining,
+		Observe:        cfg.Observe,
+		Layout:         cfg.Layout,
+		Governor:       cfg.Governor,
+	}
+	filter := vcfg.EffectiveFilter()
 	t := &Table{
 		cfg:       cfg,
 		parts:     make([]partition, nparts),
@@ -216,10 +208,11 @@ func New(cfg Config) *Table {
 		nparts:    nparts,
 		total:     partSlots * nparts,
 		hash:      cfg.Hash,
-		kernel:    kernel,
+		kernel:    cfg.ProbeKernel,
 		filter:    filter,
 		combine:   cfg.Combining,
 		layout:    cfg.Layout,
+		obsReg:    cfg.Observe,
 		fabric: delegation.New(delegation.Config{
 			Producers:     cfg.Producers,
 			Consumers:     cfg.Consumers,
@@ -227,6 +220,10 @@ func New(cfg Config) *Table {
 			Sections:      cfg.Sections,
 		}),
 	}
+	// Distinct names from the core table's ("dramhit-h", "governor"), so a
+	// process embedding both tables scrapes both sets of handles and both
+	// controllers.
+	regs := dramhit.Regions{Side: &t.side, Worker: "dramhitp-r", GovernorSource: "governor_read"}
 	if cfg.Layout == table.LayoutBucket {
 		// One arena across all partitions: records written by any owner are
 		// readable from any partition handle, and reclamation epochs advance
@@ -237,6 +234,7 @@ func New(cfg Config) *Table {
 				Buckets: (partSlots + slotarr.BucketLanes - 1) / slotarr.BucketLanes,
 				Arena:   t.ar,
 			})
+			regs.Buckets = append(regs.Buckets, t.parts[i].bkt)
 		}
 	} else {
 		for i := range t.parts {
@@ -245,24 +243,10 @@ func New(cfg Config) *Table {
 			} else {
 				t.parts[i].arr = slotarr.New(partSlots)
 			}
+			regs.Arrays = append(regs.Arrays, t.parts[i].arr)
 		}
 	}
-	switch cfg.Governor {
-	case table.GovernorAuto:
-		t.gov = governor.New(governor.Config{
-			Window:    cfg.PrefetchWindow,
-			Combining: cfg.Combining == table.CombineOn,
-			Tags:      filter == table.FilterTags,
-			Direct:    true,
-		})
-	case table.GovernorDirect:
-		t.gov = governor.NewForced(governor.Decision{
-			Direct: true,
-			Window: cfg.PrefetchWindow,
-			Filter: filter == table.FilterTags,
-		})
-	}
-	t.obsReg = cfg.Observe
+	t.view = dramhit.NewView(vcfg, regs)
 	if t.obsReg != nil {
 		// Only atomically-readable aggregates are exposed here: the
 		// owner-local write-path filter counters (WriteFilterStats) are plain
@@ -276,21 +260,10 @@ func New(cfg Config) *Table {
 				"partitions": float64(t.Partitions()),
 			}
 		})
-		t.obsReg.AddHeatmapSource("dramhitp", t.heatmap)
-		if t.gov != nil {
-			// Distinct source name from the core table's "governor" so a
-			// process embedding both tables scrapes both controllers.
-			t.obsReg.AddSource("governor_read", t.gov.Metrics)
-			if tr := t.obsReg.Trace(); tr != nil {
-				t.gov.OnDecision = func(d governor.Decision, epoch uint64) {
-					mode := uint8(0)
-					if d.Direct {
-						mode = 1
-					}
-					tr.Record(tr.NextID(), obs.EvGovern, mode, governor.Pack(d, epoch), uint32(epoch))
-				}
-			}
-		}
+		// One Regions row over the partitions in order shows partition skew
+		// directly — owner sharding never moves keys, so a hot partition is
+		// a hot selector range.
+		t.obsReg.AddHeatmapSource("dramhitp", t.view.Heatmap)
 	}
 	return t
 }
@@ -298,19 +271,15 @@ func New(cfg Config) *Table {
 // GovernorState reports the read-path governor's current decision, epochs
 // stepped, and convergence flag; ok is false on an ungoverned table.
 func (t *Table) GovernorState() (d governor.Decision, epochs uint64, pinned, ok bool) {
-	if t.gov == nil {
-		return governor.Decision{}, 0, false, false
-	}
-	return t.gov.Decision(), t.gov.Epochs(), t.gov.Pinned(), true
+	return t.view.GovernorState()
 }
 
 // locate maps a key to (partition, local slot). The global slot index is a
 // fastrange over the whole table so key density stays uniform; the partition
 // is its quotient, keeping linear probe chains entirely within one
-// partition.
+// partition. It is the route the read view's handles take.
 func (t *Table) locate(key uint64) (part, local uint64) {
-	g := hashfn.Fastrange(t.hash(key), t.total)
-	return g / t.partSlots, g % t.partSlots
+	return hashfn.FastrangeSplit(t.hash(key), t.nparts, t.partSlots)
 }
 
 // locateTag is locate plus the key's tag fingerprint, computed from the
@@ -318,15 +287,12 @@ func (t *Table) locate(key uint64) (part, local uint64) {
 // low byte — disjoint, see table.TagOf).
 func (t *Table) locateTag(key uint64) (part, local uint64, tag uint8) {
 	h := t.hash(key)
-	g := hashfn.Fastrange(h, t.total)
-	return g / t.partSlots, g % t.partSlots, table.TagOf(h)
+	part, local = hashfn.FastrangeSplit(h, t.nparts, t.partSlots)
+	return part, local, table.TagOf(h)
 }
 
-// locateBucket maps a key to its partition and the bucket engine's hash.
-// The partition selector scrambles the hash through the splitmix64
-// finalizer first (the shardmap precedent): Fastrange over both the raw
-// hash and its in-partition bucket index would consume the same high bits,
-// clustering each partition's keys into a band of buckets.
+// locateBucket maps a key to its partition (hashfn.ShardRange, the route the
+// read view's handles take) and the bucket engine's hash.
 func (t *Table) locateBucket(key uint64) (part, hv uint64) {
 	var kb [8]byte
 	putLE(kb[:], key)
@@ -336,7 +302,7 @@ func (t *Table) locateBucket(key uint64) (part, hv uint64) {
 // locateBucketBytes is locateBucket for a byte-string key.
 func (t *Table) locateBucketBytes(key []byte) (part, hv uint64) {
 	hv = t.parts[0].bkt.HashOf(key) // all partitions share one hash
-	return hashfn.Fastrange(hashfn.Shard64(hv), t.nparts), hv
+	return hashfn.ShardRange(hv, t.nparts), hv
 }
 
 // partOf maps a key to its partition under the table's layout. Every
@@ -423,13 +389,10 @@ func (t *Table) Dropped() uint64 { return t.dropped.Load() }
 // quiescent (counters are owner-local and read without synchronization
 // beyond atomics).
 func (t *Table) Len() int {
-	n := 0
 	if t.layout == table.LayoutBucket {
-		for i := range t.parts {
-			n += t.parts[i].bkt.Len()
-		}
-		return n
+		return t.view.Len()
 	}
+	n := 0
 	for i := range t.parts {
 		n += int(atomic.LoadInt64(&t.parts[i].live))
 	}
@@ -440,11 +403,7 @@ func (t *Table) Len() int {
 // partitions).
 func (t *Table) Cap() int {
 	if t.layout == table.LayoutBucket {
-		n := 0
-		for i := range t.parts {
-			n += t.parts[i].bkt.Cap()
-		}
-		return n
+		return t.view.Cap()
 	}
 	return int(t.total)
 }
@@ -729,88 +688,4 @@ func (t *Table) deleteLocal(pt *partition, local, key uint64, tag uint8) {
 			i = 0
 		}
 	}
-}
-
-// getLocal is the lock-free read path: no atomic RMW anywhere. Under the
-// SWAR kernel it is one LoadKeys4 snapshot of the line's key lanes and one
-// lane compare per line; the matched lane's value is loaded after its key
-// was observed, which is all the single-writer publication order
-// value-then-key needs (once the key is visible the value is already
-// published, so the read completes without spinning). When tagged, each
-// line's packed tag word is consulted first and rejected lines are never
-// loaded; filter events land in fs, which is caller-owned (one per
-// ReadHandle) so concurrent readers share no counter cache lines.
-//
-// tagged is the CALLER's effective filter, not the table's: a governed
-// ReadHandle that has switched its filter off must skip the sidecar loads
-// entirely (gating on t.filter here would keep issuing the tag-word load —
-// exactly the traffic the decision was meant to shed — and skew the
-// KeyLines/TagSkips sensors the governor steers by). Callers on tagged
-// paths always hold t.filter == table.FilterTags, so the sidecar exists.
-func (t *Table) getLocal(pt *partition, local, key uint64, tag uint8, tagged bool, fs *FilterStats) (uint64, bool) {
-	arr := pt.arr
-	if t.kernel == table.KernelSWAR {
-		i := local
-		for probes := uint64(0); ; {
-			if tagged {
-				base := i &^ (table.SlotsPerCacheLine - 1)
-				if arr.LineCandidates(base, tag)>>(i-base) == 0 {
-					fs.TagSkips++
-					valid := t.partSlots - base
-					if valid > table.SlotsPerCacheLine {
-						valid = table.SlotsPerCacheLine
-					}
-					probes += valid - (i - base)
-					if probes >= t.partSlots {
-						return 0, false
-					}
-					i = base + table.SlotsPerCacheLine
-					if i >= t.partSlots {
-						i = 0
-					}
-					continue
-				}
-			}
-			fs.KeyLines++
-			l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
-			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
-			switch res {
-			case simd.HitKey:
-				if tagged {
-					fs.TagHits++
-				}
-				return arr.WaitValue(base + uint64(lane)), true
-			case simd.HitEmpty:
-				if tagged {
-					fs.TagHits++
-				}
-				return 0, false
-			}
-			if tagged {
-				fs.TagFalse++
-			}
-			probes += valid - (i - base)
-			if probes >= t.partSlots {
-				return 0, false
-			}
-			i = base + table.SlotsPerCacheLine
-			if i >= t.partSlots {
-				i = 0
-			}
-		}
-	}
-	i := local
-	for probes := uint64(0); probes < t.partSlots; probes++ {
-		switch arr.Key(i) {
-		case key:
-			return arr.WaitValue(i), true
-		case table.EmptyKey:
-			return 0, false
-		}
-		i++
-		if i == t.partSlots {
-			i = 0
-		}
-	}
-	return 0, false
 }

@@ -108,8 +108,8 @@ func TestFireAndForgetPipeline(t *testing.T) {
 			t.Fatalf("key %d: (%d, %v)", i, vals[i], found[i])
 		}
 	}
-	if r.Gets != uint64(len(keys)) || r.Hits != uint64(len(keys)) {
-		t.Fatalf("reader stats: gets=%d hits=%d", r.Gets, r.Hits)
+	if r.Stats().Gets != uint64(len(keys)) || r.Stats().Hits != uint64(len(keys)) {
+		t.Fatalf("reader stats: gets=%d hits=%d", r.Stats().Gets, r.Stats().Hits)
 	}
 	if tbl.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", tbl.Len(), len(keys))

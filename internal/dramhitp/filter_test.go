@@ -94,26 +94,26 @@ func TestPFilterReadPipelineEquivalence(t *testing.T) {
 			t.Fatalf("response %d diverged: none %+v tags %+v", i, resN[i], resT[i])
 		}
 	}
-	if rn.Gets != rt.Gets || rn.Hits != rt.Hits {
+	if rn.Stats().Gets != rt.Stats().Gets || rn.Stats().Hits != rt.Stats().Hits {
 		t.Fatalf("reader stats diverged: none gets=%d hits=%d, tags gets=%d hits=%d",
-			rn.Gets, rn.Hits, rt.Gets, rt.Hits)
+			rn.Stats().Gets, rn.Stats().Hits, rt.Stats().Gets, rt.Stats().Hits)
 	}
 
 	// None mode must not touch the tag counters at all.
-	if rn.Filter.TagSkips != 0 || rn.Filter.TagHits != 0 || rn.Filter.TagFalse != 0 {
-		t.Fatalf("none-mode reader has tag counters: %+v", rn.Filter)
+	if rn.Stats().TagSkips != 0 || rn.Stats().TagHits != 0 || rn.Stats().TagFalse != 0 {
+		t.Fatalf("none-mode reader has tag counters: %+v", rn.Stats())
 	}
 	// The accounting identity: tags mode visits exactly the lines none mode
 	// visits; each is either gated out or admitted.
-	if got := rt.Filter.KeyLines + rt.Filter.TagSkips; got != rn.Filter.KeyLines {
+	if got := rt.Stats().KeyLines + rt.Stats().TagSkips; got != rn.Stats().KeyLines {
 		t.Fatalf("line accounting: tags KeyLines+TagSkips = %d, none KeyLines = %d (tags %+v)",
-			got, rn.Filter.KeyLines, rt.Filter)
+			got, rn.Stats().KeyLines, rt.Stats())
 	}
-	if rt.Filter.TagHits+rt.Filter.TagFalse > rt.Filter.KeyLines {
+	if rt.Stats().TagHits+rt.Stats().TagFalse > rt.Stats().KeyLines {
 		t.Fatalf("admitted-line accounting: hits %d + false %d > keylines %d",
-			rt.Filter.TagHits, rt.Filter.TagFalse, rt.Filter.KeyLines)
+			rt.Stats().TagHits, rt.Stats().TagFalse, rt.Stats().KeyLines)
 	}
-	if rt.Filter.TagSkips == 0 {
+	if rt.Stats().TagSkips == 0 {
 		t.Fatal("tags reader skipped zero lines over 800 structural misses at 61% fill")
 	}
 
@@ -129,8 +129,8 @@ func TestPFilterReadPipelineEquivalence(t *testing.T) {
 }
 
 // TestPFilterSyncGetCounts pins the direct (non-pipelined) Get path: it must
-// consult the same filter and account its line visits on the caller's
-// handle-local FilterStats.
+// consult the same filter and account its line visits in the caller's
+// handle-local Stats.
 func TestPFilterSyncGetCounts(t *testing.T) {
 	tbl := newFilterTable(4096, table.FilterTags)
 	defer tbl.Close()
@@ -148,7 +148,7 @@ func TestPFilterSyncGetCounts(t *testing.T) {
 			t.Fatalf("key %d: (%d, %v)", k, v, ok)
 		}
 	}
-	hitLines := r.Filter
+	hitLines := r.Stats()
 	if hitLines.KeyLines == 0 {
 		t.Fatal("sync Get path recorded no key-line visits")
 	}
@@ -157,7 +157,7 @@ func TestPFilterSyncGetCounts(t *testing.T) {
 			t.Fatalf("structural miss key %d reported found", k)
 		}
 	}
-	if r.Filter.TagSkips == hitLines.TagSkips {
+	if r.Stats().TagSkips == hitLines.TagSkips {
 		t.Fatal("500 negative sync Gets at 73% fill produced zero tag skips")
 	}
 }
@@ -194,17 +194,17 @@ func TestPFilterSkipsNegativeLookups(t *testing.T) {
 			}
 		}
 	}
-	if rt.Filter.TagSkips == 0 {
+	if rt.Stats().TagSkips == 0 {
 		t.Fatal("tags reader skipped no lines on an all-miss workload")
 	}
 	// A 1/255 per-lane false-positive rate must cut key-line loads by far
 	// more than half on negative lookups; 2x is a very loose floor.
-	if rt.Filter.KeyLines*2 >= rn.Filter.KeyLines {
+	if rt.Stats().KeyLines*2 >= rn.Stats().KeyLines {
 		t.Fatalf("tag filter too weak: tags loaded %d key lines, none loaded %d",
-			rt.Filter.KeyLines, rn.Filter.KeyLines)
+			rt.Stats().KeyLines, rn.Stats().KeyLines)
 	}
-	if got := rt.Filter.KeyLines + rt.Filter.TagSkips; got != rn.Filter.KeyLines {
-		t.Fatalf("line accounting: %d != %d", got, rn.Filter.KeyLines)
+	if got := rt.Stats().KeyLines + rt.Stats().TagSkips; got != rn.Stats().KeyLines {
+		t.Fatalf("line accounting: %d != %d", got, rn.Stats().KeyLines)
 	}
 }
 
@@ -268,7 +268,7 @@ func TestPFilterConcurrentReadersAndWriters(t *testing.T) {
 					}
 				}
 			}
-			if r.Filter.KeyLines == 0 {
+			if r.Stats().KeyLines == 0 {
 				t.Errorf("goroutine %d: reader recorded no key-line visits", g)
 			}
 		}(g)

@@ -81,10 +81,8 @@ func TestPObserveBitIdentical(t *testing.T) {
 			t.Fatalf("response %d differs: %+v vs %+v", i, r1[i], r2[i])
 		}
 	}
-	if h1.Gets != h2.Gets || h1.Hits != h2.Hits || h1.Piggybacked != h2.Piggybacked || h1.Filter != h2.Filter {
-		t.Fatalf("read stats differ:\n  off: %d/%d/%d %+v\n  on:  %d/%d/%d %+v",
-			h1.Gets, h1.Hits, h1.Piggybacked, h1.Filter,
-			h2.Gets, h2.Hits, h2.Piggybacked, h2.Filter)
+	if h1.Stats() != h2.Stats() {
+		t.Fatalf("read stats differ:\n  off: %+v\n  on:  %+v", h1.Stats(), h2.Stats())
 	}
 }
 
@@ -112,9 +110,9 @@ func TestPObservePublished(t *testing.T) {
 	if wsends == 0 {
 		t.Error("no delegation sends published")
 	}
-	if rgets != rh.Gets || rhits != rh.Hits || rpig != rh.Piggybacked {
+	if rgets != rh.Stats().Gets || rhits != rh.Stats().Hits || rpig != rh.Stats().PiggybackedGets {
 		t.Errorf("published read counters %d/%d/%d, want %d/%d/%d",
-			rgets, rhits, rpig, rh.Gets, rh.Hits, rh.Piggybacked)
+			rgets, rhits, rpig, rh.Stats().Gets, rh.Stats().Hits, rh.Stats().PiggybackedGets)
 	}
 
 	snap := reg.TakeSnapshot()

@@ -49,12 +49,13 @@ func TestBatchHelpersZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReadRingWrapInPlace is dramhit's TestRingWrapInPlace for the read
-// pipeline: partitions 90% full, so most lookups cross lines (the
-// tail-to-head reprobe move), and duplicate keys a few requests apart
-// (piggyback chains). The first half of the requests goes through a one-slot
-// response buffer: every chain parks its leader where it sits and Submit
-// keeps returning blocked. The second half gets a roomy buffer, so that
+// TestReadRingWrapInPlace is dramhit's TestRingWrapInPlace run through the
+// ReadHandle over two partitions (the ring's in-place transitions themselves
+// are pinned there, parks counted): partitions 90% full, so most lookups
+// cross lines (the tail-to-head reprobe move, inside the lookup's own
+// partition), and duplicate keys a few requests apart (piggyback chains). The
+// first half of the requests goes through a one-slot response buffer: every
+// chain parks its leader where it sits and Submit keeps returning blocked. The second half gets a roomy buffer, so that
 // lookups complete behind a reprobe in the same back-pressure loop and the
 // next one is built at a head that has moved. Every lookup is checked against
 // the loaded contents, and the SWAR reader's counters against the scalar
@@ -98,7 +99,7 @@ func TestReadRingWrapInPlace(t *testing.T) {
 					}
 				}
 			}
-			var blocked, parked int
+			var blocked int
 			for half, buf := range [][]table.Response{make([]table.Response, 1), make([]table.Response, 256)} {
 				rem := reqs[half*len(reqs)/2 : (half+1)*len(reqs)/2]
 				for len(rem) > 0 {
@@ -106,9 +107,6 @@ func TestReadRingWrapInPlace(t *testing.T) {
 					check(buf[:nresp])
 					if rem = rem[nreq:]; len(rem) > 0 {
 						blocked++
-						if r.q[r.tail&r.mask].state != stateProbing {
-							parked++
-						}
 					}
 				}
 			}
@@ -125,11 +123,12 @@ func TestReadRingWrapInPlace(t *testing.T) {
 					t.Fatalf("window %d %v: request %d never answered", window, kernel, id)
 				}
 			}
-			if blocked == 0 || parked == 0 || r.Piggybacked == 0 || r.Gets != uint64(len(reqs)) {
-				t.Errorf("window %d %v: a path went unexercised: blocked %d parked %d piggybacked %d gets %d",
-					window, kernel, blocked, parked, r.Piggybacked, r.Gets)
+			rs := r.Stats()
+			if blocked == 0 || rs.Reprobes == 0 || rs.PiggybackedGets == 0 || rs.Gets != uint64(len(reqs)) {
+				t.Errorf("window %d %v: a path went unexercised: blocked %d reprobes %d piggybacked %d gets %d",
+					window, kernel, blocked, rs.Reprobes, rs.PiggybackedGets, rs.Gets)
 			}
-			counts[ki] = [3]uint64{r.Gets, r.Hits, r.Piggybacked}
+			counts[ki] = [3]uint64{rs.Gets, rs.Hits, rs.PiggybackedGets}
 			tbl.Close()
 		}
 		if counts[0] != counts[1] {

@@ -133,6 +133,24 @@ func Fastrange(hash, n uint64) uint64 {
 	return hi
 }
 
+// FastrangeSplit maps hash into [0, n·per) as Fastrange does and returns the
+// result g split as (g / per, g % per) — which of n equal regions it falls in
+// and where inside that region — without dividing: ⌊⌊x⌋/per⌋ = ⌊x/per⌋ for
+// x = hash·n·per/2⁶⁴, so the quotient is itself a fastrange over n. With one
+// region it is (0, Fastrange(hash, per)).
+func FastrangeSplit(hash, n, per uint64) (q, r uint64) {
+	q = Fastrange(hash, n)
+	return q, Fastrange(hash, n*per) - q*per
+}
+
+// ShardRange picks which of n regions a hash falls in when Fastrange of the
+// same hash also picks the home bucket inside the region: the selector
+// scrambles the hash through Shard64 first, because Fastrange over both the
+// raw hash and the in-region index would consume the same high bits and
+// cluster each region's keys into a band of its buckets. With one region it
+// is 0.
+func ShardRange(hash, n uint64) uint64 { return Fastrange(Shard64(hash), n) }
+
 // Fastrange32 is the 32-bit variant used where the index space is known to
 // fit in 32 bits (partition selection).
 func Fastrange32(hash uint32, n uint32) uint32 {

@@ -2,6 +2,7 @@ package hashfn
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,40 @@ func TestFastrangeExtremes(t *testing.T) {
 	}
 	if got := Fastrange(math.MaxUint64, n); got != n-1 {
 		t.Errorf("Fastrange(max, %d) = %d, want %d", n, got, n-1)
+	}
+}
+
+// TestFastrangeSplitIsQuotientRemainder pins the identity the tables route
+// by: FastrangeSplit(h, n, per) is exactly (g/per, g%per) of the one global
+// fastrange g over n·per — for hashes at both ends of the range and either
+// side of every region boundary, region sizes 1…9 and two table-like ones,
+// and region counts from 1 (where it must be plain Fastrange) upward.
+func TestFastrangeSplitIsQuotientRemainder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pers := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 1365, 1 << 20}
+	for _, n := range []uint64{1, 2, 3, 6, 7, 64, 1000} {
+		for _, per := range pers {
+			hashes := []uint64{0, 1, 2, math.MaxUint64, math.MaxUint64 - 1, math.MaxUint64 - n*per,
+				math.MaxUint64 / 2, math.MaxUint64/2 + 1, 1 << 63, 1<<63 - 1}
+			for q := uint64(1); q < n; q++ {
+				// The smallest hash region q owns, and its two neighbours.
+				edge, _ := bits.Div64(q, 0, n) // ⌊q·2⁶⁴/n⌋
+				hashes = append(hashes, edge-1, edge, edge+1)
+			}
+			for i := 0; i < 2000; i++ {
+				hashes = append(hashes, rng.Uint64(), math.MaxUint64-uint64(rng.Intn(1<<20)))
+			}
+			for _, h := range hashes {
+				g := Fastrange(h, n*per)
+				q, r := FastrangeSplit(h, n, per)
+				if q != g/per || r != g%per {
+					t.Fatalf("FastrangeSplit(%#x, %d, %d) = (%d, %d), want (%d, %d)", h, n, per, q, r, g/per, g%per)
+				}
+				if n == 1 && (q != 0 || r != Fastrange(h, per)) {
+					t.Fatalf("one region: FastrangeSplit(%#x, 1, %d) = (%d, %d), want (0, %d)", h, per, q, r, Fastrange(h, per))
+				}
+			}
+		}
 	}
 }
 

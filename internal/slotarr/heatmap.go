@@ -90,21 +90,15 @@ func FlatHeatmapMulti(as []*Array, home func(part int, key uint64) uint64, regio
 	return hm
 }
 
-// BucketHeatmap builds the bucket-layout introspection heatmap over a
-// BucketTable: region fill over the bucket range (live lanes per bucket /
-// BucketLanes), the index-loads-per-record distribution (1 = the one-line
-// probe the layout exists for; 1+n = a record on the n-th stash node), the
-// stash-chain-length distribution over buckets, and — when the table's
-// arena is non-nil — per-segment utilization of the record store.
-func BucketHeatmap(t *BucketTable, regions int) obs.Heatmap {
-	return BucketHeatmapMulti([]*BucketTable{t}, regions)
-}
-
-// BucketHeatmapMulti is BucketHeatmap over several bucket tables
-// (partitions, in partition order), concatenating their bucket ranges into
-// one Regions row and merging the distributions. The tables must share one
-// arena (the partitioned table's construction) or be a single table: the
-// arena section is scraped once, from the first table's arena.
+// BucketHeatmapMulti builds the bucket-layout introspection heatmap over
+// one or more BucketTables (partitions, in partition order): region fill over
+// the concatenated bucket ranges (live lanes per bucket / BucketLanes), the
+// index-loads-per-record distribution (1 = the one-line probe the layout
+// exists for; 1+n = a record on the n-th stash node), the stash-chain-length
+// distribution over buckets, and — when the arena is non-nil — per-segment
+// utilization of the record store. Several tables must share one arena (the
+// partitioned table's construction): the arena section is scraped once, from
+// the first table's arena.
 func BucketHeatmapMulti(ts []*BucketTable, regions int) obs.Heatmap {
 	var total uint64
 	for _, t := range ts {
