@@ -29,6 +29,7 @@ import (
 	"time"
 
 	idramhit "dramhit/internal/dramhit"
+	"dramhit/internal/hugemem"
 	"dramhit/internal/obs"
 	"dramhit/internal/table"
 )
@@ -188,9 +189,11 @@ func (s *Server) McAddr() string {
 // Table exposes the underlying table (tests inspect it directly).
 func (s *Server) Table() *idramhit.Table { return s.tbl }
 
-// collect is the "server" pull source: connection gauges plus table size.
+// collect is the "server" pull source: connection gauges, table size and, on
+// Linux, what the process's memory is made of — mem_anon_huge_bytes is where
+// an operator sees whether the index got its huge pages.
 func (s *Server) collect() map[string]float64 {
-	return map[string]float64{
+	m := map[string]float64{
 		"conns_resp_open":     float64(s.curResp.Load()),
 		"conns_resp_total":    float64(s.totResp.Load()),
 		"conns_mc_open":       float64(s.curMc.Load()),
@@ -198,6 +201,11 @@ func (s *Server) collect() map[string]float64 {
 		"table_entries":       float64(s.tbl.Len()),
 		"backend_is_folklore": float64(s.cfg.Backend),
 	}
+	if rss, huge, ok := hugemem.Usage(); ok {
+		m["mem_rss_bytes"] = float64(rss)
+		m["mem_anon_huge_bytes"] = float64(huge)
+	}
+	return m
 }
 
 type proto int

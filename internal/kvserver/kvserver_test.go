@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -205,6 +206,11 @@ func TestObsSurface(t *testing.T) {
 	m := src()
 	if m["conns_resp_open"] != 1 || m["conns_resp_total"] != 1 {
 		t.Errorf("conn gauges: %+v", m)
+	}
+	rss, ok := m["mem_rss_bytes"]
+	huge, okHuge := m["mem_anon_huge_bytes"]
+	if onLinux := runtime.GOOS == "linux"; ok != onLinux || okHuge != onLinux || (ok && (rss <= 0 || huge > rss)) {
+		t.Errorf("memory gauges on %s: rss (%v, %v), anon huge (%v, %v)", runtime.GOOS, rss, ok, huge, okHuge)
 	}
 	c.Close()
 	deadline := time.Now().Add(2 * time.Second)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"dramhit/internal/hashfn"
+	"dramhit/internal/hugemem"
 	"dramhit/internal/simd"
 	"dramhit/internal/table"
 )
@@ -465,5 +467,60 @@ func TestHashedEntryPointsAcrossGrow(t *testing.T) {
 	}
 	if bt.Len() != n-(n+2)/3 {
 		t.Fatalf("Len = %d, want %d", bt.Len(), n-(n+2)/3)
+	}
+}
+
+// TestHugeIndexOutlivesGrow is the ownership test for the huge-page path: the
+// index is big enough to be allocated through hugemem, a reader prefetches and
+// looks up with no pin while the index is rebuilt under it several times, and
+// a collection runs after every rebuild. Only the garbage collector keeps the
+// generation a reader loaded valid, so the words must be ordinary heap memory:
+// storage that a grow unmapped would fault here.
+func TestHugeIndexOutlivesGrow(t *testing.T) {
+	const buckets = hugemem.Threshold / (8 * BucketWords)
+	// A load factor this low rebuilds (at the same size) on every insert past
+	// the first few hundred, and each rebuild allocates a fresh index.
+	bt := NewBucketTable(BucketConfig{Buckets: buckets, MaxLoad: 0.0005})
+	h := bt.NewHandle()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("own-key-%05d", i)) }
+	const preload = 256
+	for i := 0; i < preload; i++ {
+		h.Put(key(i), []byte{byte(i)})
+	}
+	if bt.Grows() != 0 {
+		t.Fatalf("grew %d times during the preload", bt.Grows())
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rh := bt.NewHandle()
+		for i := 0; ; i = (i + 1) % preload {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			hv := bt.HashOf(key(i))
+			bt.Prefetch(hv)
+			bt.PrefetchRecords(hv, SpanUnknown)
+			if v, ok := rh.GetHashed(hv, key(i)); !ok || len(v) != 1 || v[0] != byte(i) {
+				t.Errorf("Get(%d) = (%v, %v) across a grow", i, v, ok)
+				return
+			}
+		}
+	}()
+	for i := preload; bt.Grows() < 3; i++ {
+		before := bt.Grows()
+		h.Put(key(i), []byte{byte(i)})
+		if bt.Grows() != before {
+			runtime.GC()
+		}
+	}
+	close(stop)
+	<-done
+	if got := bt.Buckets(); got != buckets {
+		t.Fatalf("index has %d buckets, want %d: the rebuilds left the huge path", got, buckets)
 	}
 }

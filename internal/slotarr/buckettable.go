@@ -9,6 +9,7 @@ import (
 
 	"dramhit/internal/arena"
 	"dramhit/internal/hashfn"
+	"dramhit/internal/hugemem"
 	"dramhit/internal/simd"
 	"dramhit/internal/table"
 )
@@ -87,7 +88,7 @@ type bucketState struct {
 
 func newBucketState(nb uint64) *bucketState {
 	return &bucketState{
-		words: make([]uint64, nb*BucketWords),
+		words: hugemem.Uint64s(int(nb*BucketWords), nil),
 		stash: make([]atomic.Pointer[stashNode], nb),
 		nb:    nb,
 	}

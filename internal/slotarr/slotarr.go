@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"dramhit/internal/hugemem"
 	"dramhit/internal/simd"
 	"dramhit/internal/table"
 )
@@ -70,15 +71,18 @@ func New(n uint64) *Array {
 		panic("slotarr: zero-size array")
 	}
 	padded := (n + table.SlotsPerCacheLine - 1) / table.SlotsPerCacheLine * table.SlotsPerCacheLine
-	a := &Array{words: make([]uint64, 2*padded), size: n}
-	for i := uint64(0); i < n; i++ {
-		a.words[2*i+1] = InFlightValue
-	}
+	// The InFlight fill is also the array's first touch: hugemem runs it per
+	// chunk (even offsets, so value words stay the odd ones) before it
+	// collapses the chunk into huge pages.
+	words := hugemem.Uint64s(int(2*padded), func(_ int, chunk []uint64) {
+		for i := 1; i < len(chunk); i += 2 {
+			chunk[i] = InFlightValue
+		}
+	})
 	for i := n; i < padded; i++ {
-		a.words[2*i] = table.TombstoneKey
-		a.words[2*i+1] = InFlightValue
+		words[2*i] = table.TombstoneKey
 	}
-	return a
+	return &Array{words: words, size: n}
 }
 
 // NewTagged is New plus the packed tag-fingerprint sidecar: one tag byte
@@ -89,7 +93,7 @@ func New(n uint64) *Array {
 func NewTagged(n uint64) *Array {
 	a := New(n)
 	padded := uint64(len(a.words)) / 2
-	a.tags = make([]uint64, (padded+simd.TagLanes-1)/simd.TagLanes)
+	a.tags = hugemem.Uint64s(int((padded+simd.TagLanes-1)/simd.TagLanes), nil)
 	return a
 }
 
