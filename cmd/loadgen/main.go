@@ -68,8 +68,8 @@ func main() {
 	observe := flag.Bool("observe", false, "attach the observability registry to the table even without -metrics")
 	introspect := flag.Bool("introspect", false, "arm table-side introspection (hot-key sketch + per-op-class latency stamping); implies -observe")
 	latsink := flag.String("latsink", "hist", "latency sink: hist (log-bucketed, zero-alloc, mergeable) | exact (reservoir + exact CDF)")
-	layoutFlag := flag.String("layout", "flat", "physical slot layout (dramhit and dramhit-p backends): flat | bucket")
-	valueSize := flag.Int("valuesize", 0, "run as a byte-string KV workload with values up to this many bytes (requires -layout bucket); 0 keeps the uint64 workload")
+	layoutFlag := flag.String("layout", "flat", "physical slot layout (dramhit and dramhit-p backends): flat (the uint64 workload) | bucket (the byte workload; needs -valuesize)")
+	valueSize := flag.Int("valuesize", 0, "run as a byte-string KV workload with values up to this many bytes (goes with -layout bucket); 0 keeps the uint64 workload (flat layout)")
 	valueTheta := flag.Float64("valuetheta", 0, "zipf skew of per-write value sizes over [1,valuesize]; 0 = every value exactly -valuesize bytes")
 	socketAddr := flag.String("socket", "", "socket client mode: drive a live dramhit-server as a RESP client at this address instead of an in-process table")
 	connsFlag := flag.Int("conns", 64, "socket mode: concurrent client TCP connections")
@@ -145,8 +145,8 @@ func main() {
 		fail(fmt.Errorf("-valuesize must be >= 0, got %d", *valueSize))
 	}
 	byteMode := *valueSize > 0
-	if byteMode && layout != dramhit.LayoutBucket {
-		fail(fmt.Errorf("-valuesize requires -layout bucket (variable-length values live in the bucket layout's arena)"))
+	if byteMode != (layout == dramhit.LayoutBucket) {
+		fail(fmt.Errorf("-valuesize and -layout bucket go together: a bucket table serves the byte API, a flat table the uint64 one"))
 	}
 	if *valueTheta != 0 && !byteMode {
 		fail(fmt.Errorf("-valuetheta applies only with -valuesize"))

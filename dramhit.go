@@ -108,14 +108,16 @@ const (
 	FilterNone = table.FilterNone
 )
 
-// Layout selects the physical slot layout (Config.Layout and
-// PartitionedConfig.Layout): LayoutFlat (the zero value and default) is the
-// open-addressed 16-byte-slot array with the optional tag sidecar —
-// bit-identical to pre-layout builds; LayoutBucket is the one-line bucket
-// layout: 64-byte buckets whose first word holds the publish bitmap and
-// seven fingerprints in-cell, whose seven slots reference records in a
-// log-structured arena, and which resizes itself — enabling the byte-string
-// API (GetBytes/PutBytes/UpsertBytes/DeleteBytes) on handles.
+// Layout selects the physical layout (Config.Layout and
+// PartitionedConfig.Layout), and with it the API a table serves: LayoutFlat
+// (the zero value and default) is the open-addressed 16-byte-slot array with
+// the optional tag sidecar, serving uint64 keys and values; LayoutBucket is
+// the one-line bucket layout — 64-byte buckets whose first word holds the
+// publish bitmap and seven fingerprints in-cell, whose seven slots reference
+// records in a log-structured arena, and which resizes itself — serving the
+// byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes, SubmitBytes).
+// Calling the other layout's API panics. Hash, ProbeKernel, ProbeFilter,
+// Combining and Governor apply only to flat tables.
 type Layout = table.Layout
 
 // Layout choices.
@@ -211,13 +213,6 @@ const DefaultPrefetchWindow = idramhit.DefaultPrefetchWindow
 
 // New creates a DRAMHiT table.
 func New(cfg Config) *Table { return idramhit.New(cfg) }
-
-// BigTable stores tuples larger than 16 bytes under the paper's versioned
-// (seqlock) atomicity protocol.
-type BigTable = idramhit.BigTable
-
-// NewBigTable creates a BigTable of n slots with vsize-byte values.
-func NewBigTable(n uint64, vsize int) *BigTable { return idramhit.NewBigTable(n, vsize) }
 
 // PartitionedConfig parameterizes DRAMHiT-P.
 type PartitionedConfig = dramhitp.Config

@@ -116,24 +116,6 @@ func TestPublicPartitioned(t *testing.T) {
 	}
 }
 
-func TestPublicBigTable(t *testing.T) {
-	bt := dramhit.NewBigTable(64, 24)
-	v := make([]byte, 24)
-	for i := range v {
-		v[i] = byte(i)
-	}
-	if !bt.Put(9, v) {
-		t.Fatal("big put failed")
-	}
-	out := make([]byte, 24)
-	if !bt.Get(9, out) || out[23] != 23 {
-		t.Fatalf("big get: %v", out)
-	}
-	if bt.ValueSize() != 24 {
-		t.Errorf("ValueSize = %d", bt.ValueSize())
-	}
-}
-
 func TestReservedValueDocumented(t *testing.T) {
 	if dramhit.ReservedValue != ^uint64(0)-1 {
 		t.Errorf("ReservedValue = %x", dramhit.ReservedValue)

@@ -17,6 +17,7 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -342,34 +343,17 @@ func introspectRecall(cfg Config, size uint64, ops int, theta float64) float64 {
 	return float64(hit) / float64(len(truth))
 }
 
-// introspectHeatmap fills a bucket-layout table to 75% and cross-checks the
-// registry's heatmap collector against the table's own accounting. Returns
-// the collector's fill gauge, the table's fill, and the probe_loads mean.
+// introspectHeatmap fills a bucket-layout table to 75% through its byte API
+// (8-byte keys and values) and cross-checks the registry's heatmap collector
+// against the table's own accounting. Returns the collector's fill gauge, the
+// table's fill, and the probe_loads mean.
 func introspectHeatmap(cfg Config, size uint64) (hfill, tfill, loadsMean float64) {
 	reg := obs.NewWith(0, 1)
 	tbl := dramhit.New(dramhit.Config{Slots: size, Layout: table.LayoutBucket, Observe: reg})
 	h := tbl.NewHandle()
-	keys := workload.UniqueKeys(cfg.Seed^0x68656174, int(float64(size)*0.75)) // "heat"
-	const batch = 64
-	reqs := make([]table.Request, batch)
-	for n := 0; n < len(keys); n += batch {
-		b := batch
-		if len(keys)-n < b {
-			b = len(keys) - n
-		}
-		for i := 0; i < b; i++ {
-			reqs[i] = table.Request{Op: table.Put, Key: keys[n+i], Value: 1}
-		}
-		rem := reqs[:b]
-		for len(rem) > 0 {
-			nr, _ := h.Submit(rem, nil)
-			rem = rem[nr:]
-		}
-	}
-	for {
-		if _, done := h.Flush(nil); done {
-			break
-		}
+	one := binary.LittleEndian.AppendUint64(nil, 1)
+	for _, k := range leKeys(workload.UniqueKeys(cfg.Seed^0x68656174, int(float64(size)*0.75))) { // "heat"
+		h.PutBytes(k, one)
 	}
 	tfill = float64(tbl.Len()) / float64(size)
 	for _, hm := range reg.Heatmaps() {

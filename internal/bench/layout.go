@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -199,22 +200,41 @@ func flatTagWords(f table.ProbeFilter, st dramhit.Stats) float64 {
 	return 0
 }
 
-// bucketLayoutCells measures one bucket table at both fill points.
+// leKeys returns keys as their 8-byte little-endian encodings, the form in
+// which the uint64 experiments drive a bucket table's byte API.
+func leKeys(keys []uint64) [][]byte {
+	buf := make([]byte, 8*len(keys))
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = binary.LittleEndian.AppendUint64(buf[8*i:8*i:8*i+8], k)
+	}
+	return out
+}
+
+// zeroValue is the 8-byte encoding of the value 0 the uint64 experiments store.
+var zeroValue = make([]byte, 8)
+
+// bucketLayoutCells measures one bucket table at both fill points, through
+// its byte API with the keys as 8-byte encodings.
 func bucketLayoutCells(cfg Config, size uint64, probeN int) ([]LayoutCell, uint64) {
 	tbl := dramhit.New(dramhit.Config{Slots: size, Layout: table.LayoutBucket})
 	h := tbl.NewHandle()
 	// Fill fractions are of the bucket table's own lane capacity (ceil to
 	// whole buckets), so "90% fill" means the same pressure it does on flat.
 	lanes := uint64(tbl.Cap())
-	keys := workload.UniqueKeys(cfg.Seed, int(float64(lanes)*layoutFills[len(layoutFills)-1]))
+	keys := leKeys(workload.UniqueKeys(cfg.Seed, int(float64(lanes)*layoutFills[len(layoutFills)-1])))
 	var cells []LayoutCell
 	filled := 0
 	for _, fill := range layoutFills {
 		n := int(float64(lanes) * fill)
-		h.PutBatch(keys[filled:n], make([]uint64, n-filled))
+		for _, k := range keys[filled:n] {
+			h.PutBytes(k, zeroValue)
+		}
 		filled = n
-		c, _ := probeLayoutCell("bucket", "incell", fill, keys[:probeN], func(probe []uint64) {
-			h.GetBatch(probe, make([]uint64, len(probe)), make([]bool, len(probe)))
+		c, _ := probeLayoutCell("bucket", "incell", fill, keys[:probeN], func(probe [][]byte) {
+			for _, k := range probe {
+				h.GetBytes(k)
+			}
 		}, bucketLayoutCounters(h))
 		c.Stashed = tbl.Bucket().Stashed()
 		cells = append(cells, c)

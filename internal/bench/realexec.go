@@ -49,18 +49,27 @@ func reprobeStats(cfg Config) *Artifact {
 	}
 	for _, fill := range fills {
 		tbl := dramhit.New(dramhit.Config{Slots: size, Layout: cfg.Layout})
-		h := tbl.NewHandle()
+		h, h2 := tbl.NewHandle(), tbl.NewHandle()
 		n := int(float64(size) * fill)
 		keys := workload.UniqueKeys(cfg.Seed, n)
-		vals := make([]uint64, n)
-		h.PutBatch(keys, vals)
+		if cfg.Layout == table.LayoutBucket {
+			// A bucket table serves the byte API: the same keys, 8-byte encoded.
+			bkeys := leKeys(keys)
+			for _, k := range bkeys {
+				h.PutBytes(k, zeroValue)
+			}
+			for _, k := range bkeys {
+				h2.GetBytes(k)
+			}
+		} else {
+			vals := make([]uint64, n)
+			h.PutBatch(keys, vals)
+			h2.GetBatch(keys, vals, make([]bool, n))
+		}
 		st := h.Stats()
 		insS.X = append(insS.X, fill)
 		insS.Y = append(insS.Y, float64(st.Lines)/float64(st.Ops()))
 
-		h2 := tbl.NewHandle()
-		found := make([]bool, n)
-		h2.GetBatch(keys, vals, found)
 		st2 := h2.Stats()
 		findS.X = append(findS.X, fill)
 		findS.Y = append(findS.Y, float64(st2.Lines)/float64(st2.Ops()))

@@ -1,6 +1,7 @@
 package dramhit
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -239,19 +240,6 @@ func reportFilterStats(b *testing.B, h *Handle, base Stats) {
 	}
 }
 
-func BenchmarkBigTablePutGet(b *testing.B) {
-	bt := NewBigTable(1<<16, 32)
-	keys := workload.UniqueKeys(6, 1<<15)
-	v := make([]byte, 32)
-	out := make([]byte, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i%len(keys)]
-		bt.Put(k, v)
-		bt.Get(k, out)
-	}
-}
-
 func BenchmarkMixedPipeline(b *testing.B) {
 	tbl := New(Config{Slots: 1 << 18})
 	h := tbl.NewHandle()
@@ -352,8 +340,8 @@ func BenchmarkByteRing(b *testing.B) {
 		maxBatch = 256
 	)
 	putKey := func(dst []byte, k uint32) {
-		putLE(dst, uint64(k)*0x9e3779b97f4a7c15)
-		putLE(dst[8:], uint64(k))
+		binary.LittleEndian.PutUint64(dst, uint64(k)*0x9e3779b97f4a7c15)
+		binary.LittleEndian.PutUint64(dst[8:], uint64(k))
 	}
 	tbl := New(Config{Slots: 1 << 22, Layout: table.LayoutBucket})
 	h := tbl.NewHandle()

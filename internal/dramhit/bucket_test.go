@@ -1,6 +1,9 @@
 package dramhit
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,8 +19,13 @@ func newBucketTable(slots uint64, extra ...func(*Config)) *Table {
 	return New(cfg)
 }
 
-// TestBucketPipelineBasic drives the batched interface end to end on the
-// bucket layout: puts, upserts, gets with ID scatter, deletes.
+// le is the 8-byte little-endian encoding the byte-API ports of uint64
+// workloads use for keys and values.
+func le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
+// TestBucketPipelineBasic drives the byte ring end to end on the bucket
+// layout: puts, reads with completions matched by ID, synchronous upserts,
+// reads again; then Len and the folded engine counters.
 func TestBucketPipelineBasic(t *testing.T) {
 	tb := newBucketTable(4096)
 	if tb.Layout() != table.LayoutBucket || tb.Bucket() == nil {
@@ -25,25 +33,36 @@ func TestBucketPipelineBasic(t *testing.T) {
 	}
 	h := tb.NewHandle()
 	keys := workload.UniqueKeys(42, 2000)
-	vals := make([]uint64, len(keys))
+	var delta uint64
+	gets := 0
+	h.OnByteComplete(func(c ByteCompletion) {
+		if c.Op != table.Get {
+			return
+		}
+		gets++
+		if want := le(keys[c.ID] ^ 0xdead + delta); !c.Found || !bytes.Equal(c.Value, want) {
+			t.Fatalf("Get[%d] = (%x, %v), want (%x, true)", c.ID, c.Value, c.Found, want)
+		}
+	})
 	for i, k := range keys {
-		vals[i] = k ^ 0xdead
+		h.SubmitBytes(table.Put, uint64(i), le(k), le(k^0xdead))
 	}
-	h.PutBatch(keys, vals)
-	got := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	h.GetBatch(keys, got, found)
-	for i := range keys {
-		if !found[i] || got[i] != vals[i] {
-			t.Fatalf("GetBatch[%d] = (%d, %v), want (%d, true)", i, got[i], found[i], vals[i])
+	getAll := func() {
+		for i, k := range keys {
+			h.SubmitBytes(table.Get, uint64(i), le(k), nil)
 		}
+		h.FlushBytes()
 	}
-	h.UpsertBatch(keys, 3)
-	h.GetBatch(keys, got, found)
-	for i := range keys {
-		if got[i] != vals[i]+3 {
-			t.Fatalf("after upsert, key %d = %d, want %d", keys[i], got[i], vals[i]+3)
-		}
+	getAll()
+	delta = 3
+	for _, k := range keys {
+		h.UpsertBytes(le(k), func(old []byte, _ bool) []byte {
+			return le(binary.LittleEndian.Uint64(old) + 3)
+		})
+	}
+	getAll()
+	if gets != 2*len(keys) {
+		t.Fatalf("%d Get completions, want %d", gets, 2*len(keys))
 	}
 	if tb.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", tb.Len(), len(keys))
@@ -54,59 +73,68 @@ func TestBucketPipelineBasic(t *testing.T) {
 	}
 }
 
-// TestBucketReservedKeys checks that the reserved uint64 key values are
-// ordinary keys on the bucket layout (no side slots involved).
+// TestBucketReservedKeys checks that the byte encodings of the flat layout's
+// reserved key values, and the empty key, are ordinary keys on the bucket
+// layout (no side slots involved).
 func TestBucketReservedKeys(t *testing.T) {
-	s := newBucketTable(256).NewSync()
-	for _, k := range []uint64{table.EmptyKey, table.TombstoneKey, table.MovedKey} {
-		if !s.Put(k, k+9) {
-			t.Fatalf("Put(%#x) failed", k)
-		}
-		if v, ok := s.Get(k); !ok || v != k+9 {
-			t.Fatalf("Get(%#x) = (%d, %v)", k, v, ok)
+	h := newBucketTable(256).NewHandle()
+	keys := [][]byte{{}, le(table.EmptyKey), le(table.TombstoneKey), le(table.MovedKey)}
+	for i, k := range keys {
+		if h.PutBytes(k, le(uint64(i)+9)) {
+			t.Fatalf("fresh key %x reported existing", k)
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	for i, k := range keys {
+		if v, ok := h.GetBytes(k); !ok || !bytes.Equal(v, le(uint64(i)+9)) {
+			t.Fatalf("GetBytes(%x) = (%x, %v)", k, v, ok)
+		}
 	}
-	if !s.Delete(table.MovedKey) {
-		t.Fatal("Delete(MovedKey) reported absent")
+	if n := h.t.Len(); n != len(keys) {
+		t.Fatalf("Len = %d, want %d", n, len(keys))
 	}
-	if _, ok := s.Get(table.MovedKey); ok {
+	if !h.DeleteBytes(le(table.MovedKey)) {
+		t.Fatal("DeleteBytes(MovedKey) reported absent")
+	}
+	if _, ok := h.GetBytes(le(table.MovedKey)); ok {
 		t.Fatal("deleted reserved key still present")
 	}
 }
 
 // TestBucketGrowthThroughPipeline forces the engine to resize mid-stream
-// under a pipelined writer and checks nothing is lost.
+// under a pipelined byte writer and checks nothing is lost.
 func TestBucketGrowthThroughPipeline(t *testing.T) {
 	tb := newBucketTable(32) // tiny: 2000 inserts force several doublings
 	h := tb.NewHandle()
 	keys := workload.UniqueKeys(7, 2000)
-	vals := make([]uint64, len(keys))
+	found := 0
+	h.OnByteComplete(func(c ByteCompletion) {
+		if c.Op == table.Get && c.Found && bytes.Equal(c.Value, le(keys[c.ID]+1)) {
+			found++
+		}
+	})
 	for i, k := range keys {
-		vals[i] = k + 1
+		h.SubmitBytes(table.Put, uint64(i), le(k), le(k+1))
 	}
-	h.PutBatch(keys, vals)
+	h.FlushBytes()
 	if g := tb.Bucket().Grows(); g < 2 {
 		t.Fatalf("Grows = %d, want >= 2", g)
 	}
-	got := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	h.GetBatch(keys, got, found)
-	for i := range keys {
-		if !found[i] || got[i] != vals[i] {
-			t.Fatalf("lost key %d across resize: (%d, %v)", keys[i], got[i], found[i])
-		}
+	for i, k := range keys {
+		h.SubmitBytes(table.Get, uint64(i), le(k), nil)
+	}
+	h.FlushBytes()
+	if found != len(keys) {
+		t.Fatalf("%d of %d keys read back across resizes", found, len(keys))
 	}
 }
 
-// TestBucketFlatEquivalence replays one uint64 workload through a flat and
-// a bucket table via the synchronous adapter and requires bit-identical
-// responses op by op (the layouts differ physically, never semantically).
+// TestBucketFlatEquivalence replays one uint64 workload through a flat
+// table's Sync adapter and, as 8-byte encodings, through a bucket table's
+// byte API, and requires identical responses op by op (the layouts differ
+// physically, never semantically).
 func TestBucketFlatEquivalence(t *testing.T) {
 	flat := New(Config{Slots: 4096}).NewSync()
-	bkt := newBucketTable(4096).NewSync()
+	bkt := byteMap(newBucketTable(4096))
 	rng := workload.UniqueKeys(99, 1)[0] // deterministic scramble seed
 	key := func(i int) uint64 { return (uint64(i)%257)*0x9e37 ^ rng }
 	for i := 0; i < 12000; i++ {
@@ -142,47 +170,61 @@ func TestBucketFlatEquivalence(t *testing.T) {
 	}
 }
 
-// TestBucketConcurrentEquivalence runs racing mutators on both layouts over
-// disjoint key ranges (so the final state is deterministic) across at least
-// one bucket resize, then requires identical final contents. Run under
-// -race this doubles as the layout's pipeline-level race check.
+// TestBucketConcurrentEquivalence runs racing mutators on both layouts — the
+// flat table's batch helpers, the bucket table's byte API — over disjoint key
+// ranges (so the final state is deterministic) across at least one bucket
+// resize, then requires identical final contents. Run under -race this
+// doubles as the byte API's race check against the resizer.
 func TestBucketConcurrentEquivalence(t *testing.T) {
 	flatT := New(Config{Slots: 1 << 14})
 	bktT := newBucketTable(64) // starts tiny: racing writers drive resizes
 	const g = 4
 	const perG = 1500
 	keys := workload.UniqueKeys(123, g*perG)
-	run := func(tb *Table) {
+	run := func(mutate func(part, vals []uint64)) {
 		var wg sync.WaitGroup
 		for w := 0; w < g; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				h := tb.NewHandle()
 				part := keys[w*perG : (w+1)*perG]
 				vals := make([]uint64, len(part))
 				for i, k := range part {
 					vals[i] = k * 2
 				}
-				h.PutBatch(part, vals)
-				h.UpsertBatch(part[:perG/2], 1)
-				for i := 0; i < perG/8; i++ {
-					h.Submit([]table.Request{{Op: table.Delete, Key: part[perG-1-i]}}, nil)
-				}
-				h.Flush(nil)
+				mutate(part, vals)
 			}(w)
 		}
 		wg.Wait()
 	}
-	run(flatT)
-	run(bktT)
+	run(func(part, vals []uint64) {
+		h := flatT.NewHandle()
+		h.PutBatch(part, vals)
+		h.UpsertBatch(part[:perG/2], 1)
+		for i := 0; i < perG/8; i++ {
+			h.Submit([]table.Request{{Op: table.Delete, Key: part[perG-1-i]}}, nil)
+		}
+		h.Flush(nil)
+	})
+	run(func(part, vals []uint64) {
+		h := byteMap(bktT)
+		for i, k := range part {
+			h.Put(k, vals[i])
+		}
+		for _, k := range part[:perG/2] {
+			h.Upsert(k, 1)
+		}
+		for i := 0; i < perG/8; i++ {
+			h.Delete(part[perG-1-i])
+		}
+	})
 	if bktT.Bucket().Grows() == 0 {
 		t.Fatal("expected at least one resize under racing writers")
 	}
 	if flatT.Len() != bktT.Len() {
 		t.Fatalf("final Len: flat=%d bucket=%d", flatT.Len(), bktT.Len())
 	}
-	fs, bs := flatT.NewSync(), bktT.NewSync()
+	fs, bs := flatT.NewSync(), byteMap(bktT)
 	for _, k := range keys {
 		vf, of := fs.Get(k)
 		vb, ob := bs.Get(k)
@@ -192,34 +234,39 @@ func TestBucketConcurrentEquivalence(t *testing.T) {
 	}
 }
 
-// TestBucketDirectMode pins the governor's direct path on the bucket
-// layout: a forced-direct table must agree with the pipelined one.
-func TestBucketDirectMode(t *testing.T) {
-	dir := newBucketTable(2048, func(c *Config) { c.Governor = table.GovernorDirect }).NewSync()
-	pip := newBucketTable(2048).NewSync()
-	for i := 0; i < 4000; i++ {
-		k := uint64(i % 301)
-		switch i % 6 {
-		case 0, 1:
-			dir.Put(k, uint64(i))
-			pip.Put(k, uint64(i))
-		case 2:
-			vd, _ := dir.Upsert(k, 2)
-			vp, _ := pip.Upsert(k, 2)
-			if vd != vp {
-				t.Fatalf("op %d: direct Upsert %d != pipelined %d", i, vd, vp)
-			}
-		case 3:
-			if dd, dp := dir.Delete(k), pip.Delete(k); dd != dp {
-				t.Fatalf("op %d: direct Delete %v != pipelined %v", i, dd, dp)
-			}
-		default:
-			vd, od := dir.Get(k)
-			vp, op := pip.Get(k)
-			if vd != vp || od != op {
-				t.Fatalf("op %d: direct Get (%d,%v) != pipelined (%d,%v)", i, vd, od, vp, op)
-			}
-		}
+// TestUint64APIRequiresFlat pins the other half of the layout diagonal: every
+// uint64 entry point on a bucket table panics with the message that names the
+// byte API, before it consumes anything.
+func TestUint64APIRequiresFlat(t *testing.T) {
+	tb := newBucketTable(256)
+	h, s := tb.NewHandle(), tb.NewSync()
+	keys := []uint64{1, 2}
+	resps := make([]table.Response, 4)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Submit", func() { h.Submit([]table.Request{{Op: table.Put, Key: 1, Value: 2}}, resps) }},
+		{"Get", func() { h.Get(1) }},
+		{"GetBatch", func() { h.GetBatch(keys, make([]uint64, 2), make([]bool, 2)) }},
+		{"PutBatch", func() { h.PutBatch(keys, keys) }},
+		{"UpsertBatch", func() { h.UpsertBatch(keys, 1) }},
+		{"Sync.Get", func() { s.Get(1) }},
+		{"Sync.Put", func() { s.Put(1, 2) }},
+		{"Sync.Upsert", func() { s.Upsert(1, 2) }},
+		{"Sync.Delete", func() { s.Delete(1) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "serves the byte API") {
+					t.Errorf("%s on a bucket table: panic %q, want the byte-API message", c.name, msg)
+				}
+			}()
+			c.call()
+		}()
+	}
+	if st := h.Stats(); tb.Len() != 0 || h.Pending() != 0 || st.Ops() != 0 {
+		t.Fatalf("rejected calls left work behind: Len %d, pending %d, %+v", tb.Len(), h.Pending(), st)
 	}
 }
 
@@ -291,45 +338,4 @@ func TestBucketByteAPIRequiresLayout(t *testing.T) {
 		}
 	}()
 	h.PutBytes([]byte("k"), []byte("v"))
-}
-
-// TestBucketCombining checks that in-window combining composes with the
-// bucket drain: duplicate upserts fold, duplicate gets piggyback, and the
-// counts stay exact.
-func TestBucketCombining(t *testing.T) {
-	tb := newBucketTable(1024) // CombineOn is the default
-	h := tb.NewHandle()
-	reqs := make([]table.Request, 0, 64)
-	for i := 0; i < 16; i++ {
-		reqs = append(reqs, table.Request{Op: table.Upsert, Key: 77, Value: 1})
-	}
-	resps := make([]table.Response, 64)
-	h.Submit(reqs, resps)
-	h.Flush(resps)
-	if v, ok := tb.NewSync().Get(77); !ok || v != 16 {
-		t.Fatalf("combined upserts: Get(77) = (%d, %v), want (16, true)", v, ok)
-	}
-	if h.Stats().CombinedUpserts == 0 {
-		t.Fatal("no upserts were combined in a same-key burst")
-	}
-	// A burst of Gets for one key: every request gets its own response.
-	reqs = reqs[:0]
-	for i := 0; i < 16; i++ {
-		reqs = append(reqs, table.Request{Op: table.Get, Key: 77, ID: uint64(i)})
-	}
-	var n int
-	_, n = h.Submit(reqs, resps)
-	more, done := h.Flush(resps[n:])
-	if !done {
-		t.Fatal("flush did not finish")
-	}
-	n += more
-	if n != 16 {
-		t.Fatalf("16 combined gets produced %d responses", n)
-	}
-	for _, r := range resps[:16] {
-		if !r.Found || r.Value != 16 {
-			t.Fatalf("combined get response = %+v", r)
-		}
-	}
 }

@@ -33,9 +33,6 @@ import (
 // never builds a pending — completion is countOp, a counter switch — so the
 // synchronous path carries none of the ring machinery's per-request weight.
 func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
-	if h.bhs != nil {
-		return h.submitDirectBucket(reqs, resps)
-	}
 	obsOn := h.trace != nil || h.onComplete != nil || h.opLat
 	for nreq < len(reqs) {
 		req := reqs[nreq]
@@ -101,6 +98,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 // it like any other completed Get. It does not order against requests still
 // in the pipeline.
 func (h *Handle) Get(key uint64) (uint64, bool) {
+	h.requireLayout(table.LayoutFlat)
 	reqs := [1]table.Request{{Op: table.Get, Key: key}}
 	var resps [1]table.Response
 	h.submitDirect(reqs[:], resps[:])

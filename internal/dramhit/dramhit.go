@@ -80,16 +80,16 @@ type Config struct {
 	// ring. Nil — the default — is bit-identical to an uninstrumented table
 	// and adds no allocation or branch beyond a nil check.
 	Observe *obs.Registry
-	// Layout selects the physical slot layout. The zero value
-	// (table.LayoutFlat) is the interleaved uint64 array with the optional
-	// tag sidecar, bit-identical to prior configurations.
-	// table.LayoutBucket stores the index as one-line buckets with in-cell
-	// metadata over a log-structured KV arena: probes touch a single cache
-	// line with no sidecar traffic, reserved keys need no side slots, and
-	// the handle grows the byte-string API (GetBytes/PutBytes/UpsertBytes/
-	// DeleteBytes). A bucket table resizes itself and ignores Config.Hash
-	// and ProbeFilter (the hash must match the engine's byte hash; there is
-	// no sidecar to filter).
+	// Layout selects the physical layout, and with it the API the table
+	// serves. The zero value (table.LayoutFlat) is the interleaved uint64
+	// array with the optional tag sidecar: the uint64 API (Submit/Flush, Get,
+	// the batch helpers, Sync). table.LayoutBucket stores the index as
+	// one-line buckets with in-cell metadata over a log-structured KV arena
+	// and resizes itself: the byte-string API (GetBytes/PutBytes/UpsertBytes/
+	// DeleteBytes and the SubmitBytes ring). Calling the other layout's API
+	// panics. Hash, ProbeKernel, ProbeFilter, Combining and Governor apply
+	// only to flat tables; the bucket engine owns its byte hash and keeps its
+	// fingerprints in-cell.
 	Layout table.Layout
 	// Governor selects the adaptive pipeline controller. The zero value
 	// (table.GovernorOff) runs the statically configured pipeline,
@@ -238,18 +238,6 @@ func NewView(cfg Config, r Regions) *Table {
 	for i := range r.Buckets {
 		regs[i].bkt = r.Buckets[i]
 	}
-	if cfg.Layout == table.LayoutBucket {
-		// The bucket engine owns hashing (its byte hash must agree with the
-		// fingerprints it publishes; every region shares it): the front-end
-		// hash wraps the engine's so combining tags and prefetch targets
-		// stay consistent with the fingerprint a probe will match.
-		bkt := regs[0].bkt
-		h = func(k uint64) uint64 {
-			var kb [8]byte
-			putLE(kb[:], k)
-			return bkt.HashOf(kb[:])
-		}
-	}
 	nreg := uint64(len(regs))
 	t := &Table{
 		regs:    regs,
@@ -319,6 +307,22 @@ func (t *Table) Layout() table.Layout {
 // Bucket returns the bucket-layout engine (of the first region), or nil on a
 // flat table (benchmarks read its growth and stash statistics).
 func (t *Table) Bucket() *slotarr.BucketTable { return t.regs[0].bkt }
+
+// wrongAPI is requireLayout's panic message, by the layout the called API
+// needs.
+var wrongAPI = [...]string{
+	table.LayoutFlat:   "dramhit: the uint64 API needs a LayoutFlat table; a LayoutBucket table serves the byte API (GetBytes/PutBytes/UpsertBytes/DeleteBytes, OnByteComplete/SubmitBytes/FlushBytes)",
+	table.LayoutBucket: "dramhit: the byte-string API needs a LayoutBucket table (variable-length keys and values live in its arena); a LayoutFlat table serves the uint64 API",
+}
+
+// requireLayout panics unless the handle's table has layout want: a flat
+// table serves the uint64 API, a bucket table the byte API. Each entry point
+// checks once per call, never per request.
+func (h *Handle) requireLayout(want table.Layout) {
+	if (h.bhs != nil) != (want == table.LayoutBucket) {
+		panic(wrongAPI[want])
+	}
+}
 
 // Len returns the number of live entries.
 func (t *Table) Len() int {
@@ -453,18 +457,19 @@ type Handle struct {
 	regs    []region
 	nreg    uint64
 	rslots  uint64
-	q       []pending // ring buffer, len power of two
-	mask    int
-	head    int // enqueue position
-	tail    int // dequeue position (oldest)
+	q       []pending // ring buffer, len power of two; nil on a bucket table
+	mask    int       // ring capacity - 1, shared with the byte ring's byteQ
+	head    int       // enqueue position
+	tail    int       // dequeue position (oldest)
 	window  int
 	kernel  table.ProbeKernel
 	filter  table.ProbeFilter
 	combine bool
 
-	// bhs holds the bucket-layout engine views, one per region (non-nil iff
-	// the table is LayoutBucket): each owns an arena writer/pin and the
-	// engine-level probe counters that Stats folds into KeyLines/Reprobes.
+	// bhs holds the bucket-layout engine views the byte API runs on, one per
+	// region (non-nil iff the table is LayoutBucket): each owns an arena
+	// writer/pin and the engine-level probe counters that Stats folds into
+	// KeyLines/Reprobes.
 	bhs []*slotarr.BucketHandle
 
 	// ptags mirrors each ring slot's tag fingerprint, one byte per slot
@@ -538,12 +543,10 @@ type Handle struct {
 	govPrevSkips uint64
 	govPrevLines uint64
 
-	// staged and bstaged are the uint64 and byte rings' stage-two cursors on
-	// the bucket layout (DESIGN.md §3.1.8): positions below them have had their
-	// candidate records prefetched. stageHook, set only by tests, sees every
-	// such prefetch. The flat layout touches none of the three, so they sit
-	// behind everything its Submit reads.
-	staged    int
+	// bstaged is the byte ring's stage-two cursor (DESIGN.md §3.1.8):
+	// positions below it have had their candidate records prefetched.
+	// stageHook, set only by tests, sees every such prefetch. The flat layout
+	// touches neither, so they sit behind everything its Submit reads.
 	bstaged   int
 	stageHook func(hv uint64)
 }
@@ -559,20 +562,22 @@ func (t *Table) NewHandle() *Handle {
 		regs:    t.regs,
 		nreg:    t.nreg,
 		rslots:  t.rslots,
-		q:       make([]pending, capacity),
 		mask:    capacity - 1,
 		window:  t.window,
 		kernel:  t.kernel,
 		filter:  t.filter,
 		combine: t.combine == table.CombineOn,
 	}
-	if h.combine {
-		h.ptags = make([]uint64, (capacity+7)/8)
-	}
 	if t.Bucket() != nil {
+		// The byte API's engine views; OnByteComplete allocates the byte ring.
 		h.bhs = make([]*slotarr.BucketHandle, len(t.regs))
 		for i := range t.regs {
 			h.bhs[i] = t.regs[i].bkt.NewHandle()
+		}
+	} else {
+		h.q = make([]pending, capacity)
+		if h.combine {
+			h.ptags = make([]uint64, (capacity+7)/8)
 		}
 	}
 	if t.obsReg != nil {
@@ -759,6 +764,7 @@ func (h *Handle) reprobe(p *pending, idx, probes uint64) {
 // after the pending write it forwarded from — a strictly stronger ordering
 // than the uncombined pipeline gives same-key pairs.
 func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
+	h.requireLayout(table.LayoutFlat)
 	if h.obsw != nil {
 		defer h.obsPublishThrottled()
 	}
@@ -835,20 +841,6 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 			hv = h.t.hash(req.Key)
 		}
 		p.tag = table.TagOf(hv)
-		if h.bhs != nil {
-			// Bucket layout: idx carries the FULL hash — the engine resizes
-			// itself, so a materialized slot index would go stale; the drain
-			// re-derives the bucket from the hash against the live state. The
-			// region comes from the scrambled hash (hashfn.ShardRange).
-			part := hashfn.ShardRange(hv, h.nreg)
-			p.part, p.idx = uint32(part), hv
-			h.regs[part].bkt.Prefetch(hv)
-			h.enqueue()
-			h.stage(h.head - max(h.window/2, 1))
-			h.stats.Lines++
-			nreq++
-			continue
-		}
 		part, idx := hashfn.FastrangeSplit(hv, h.nreg, h.rslots)
 		p.part, p.idx = uint32(part), idx
 		arr := h.regs[part].arr
@@ -913,13 +905,6 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, block
 			return true, false
 		}
 		return false, true
-	}
-
-	// Bucket layout: the one-line probe resolves synchronously against the
-	// engine (reserved keys are ordinary byte strings there — no side
-	// slots), so the drain is a single dispatch with no reprobe loop.
-	if h.bhs != nil {
-		return h.processBucket(p, resps, nresp)
 	}
 
 	// Reserved keys bypass the array entirely (side slots are always

@@ -59,17 +59,17 @@ type bytePending struct {
 }
 
 // OnByteComplete arms the byte pipeline with its completion callback and
-// allocates the ring (same capacity as the uint64 ring, so both pipelines
-// honor the table's prefetch window). Must be called before SubmitBytes and
-// only while no byte requests are in flight. Bucket layout only.
+// allocates the ring (the capacity NewHandle sized for the table's prefetch
+// window). Must be called before SubmitBytes and only while no byte requests
+// are in flight. Bucket layout only.
 func (h *Handle) OnByteComplete(fn func(ByteCompletion)) {
-	h.requireBucket()
+	h.requireLayout(table.LayoutBucket)
 	if h.PendingBytes() != 0 {
 		panic("dramhit: OnByteComplete with byte requests in flight")
 	}
 	h.onByte = fn
 	if h.byteQ == nil {
-		h.byteQ = make([]bytePending, len(h.q))
+		h.byteQ = make([]bytePending, h.mask+1)
 	}
 }
 
@@ -83,9 +83,7 @@ func (h *Handle) PendingBytes() int { return h.bhead - h.btail }
 //
 // Upserts are not accepted: read-modify-writes are rare on the network path
 // (INCR/DECR) and their closure would defeat the flat completion record, so
-// servers issue them synchronously via UpsertBytes. Byte requests order
-// only against other byte requests; Flush the uint64 pipeline first when
-// the two APIs may touch aliasing keys (see GetBytes).
+// servers issue them synchronously via UpsertBytes.
 func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 	if h.onByte == nil {
 		panic("dramhit: SubmitBytes before OnByteComplete")

@@ -45,7 +45,7 @@ func (d *digest) stats(s Stats) {
 
 // runUint64Digest drives a fixed-seed mixed-op stream (all four ops, reserved
 // keys, a hot range so combining, reprobes, tombstones and — on the small
-// flat table — full-table failures all occur) through one handle.
+// table — full-table failures all occur) through one flat handle.
 func runUint64Digest(cfg Config) uint64 {
 	h := New(cfg).NewHandle()
 	rng := rand.New(rand.NewSource(20230913))
@@ -130,8 +130,8 @@ func runBytesDigest() uint64 {
 // were produced by the commit before the hardware prefetch existed, and the
 // same file runs under the default build (PREFETCHT0/PRFM issued) and under
 // -tags purego (no-op stub): all three agreeing is the proof that prefetching
-// — both stages, every layout — changes no response, no completion order and
-// no counter.
+// — the flat ring's line prefetches and both stages of the byte ring —
+// changes no response, no completion order and no counter.
 func TestPrefetchInvisible(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -143,8 +143,6 @@ func TestPrefetchInvisible(t *testing.T) {
 		{"flat-scalar", Config{Slots: 4096, ProbeKernel: table.KernelScalar}, 0xe7978b2719f3675c},
 		{"flat-full-window4", Config{Slots: 1024, PrefetchWindow: 4}, 0x5b0694fcb333adfe},
 		{"flat-nocombine", Config{Slots: 4096, Combining: table.CombineOff}, 0xa06992d90deebf76},
-		{"bucket", Config{Slots: 512, Layout: table.LayoutBucket}, 0x2cc3c09abf6285f},
-		{"bucket-window1", Config{Slots: 512, Layout: table.LayoutBucket, PrefetchWindow: 1}, 0x2dd64ff317d23cc4},
 	} {
 		if got := runUint64Digest(c.cfg); got != c.want {
 			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)

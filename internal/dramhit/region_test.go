@@ -41,8 +41,11 @@ func newRegionTable(cfg Config, nreg int) *Table {
 // TestConformanceRegions runs the table conformance suite — sequential
 // semantics, reserved keys, concurrent clones — over three regions: every op
 // routes by the split fastrange (bucket: the scrambled hash) and probes,
-// reprobes and wraps inside its entry's region. Capacity is checked loosely,
-// as for every partitioned table: a region fills before the table does.
+// reprobes and wraps inside its entry's region. A bucket table serves only
+// the byte API, so its cases run the suite through it (tabletest.ByteMap);
+// bucket-direct pins that a Governor setting, which applies only to flat
+// tables, leaves the byte API alone. Capacity is checked loosely, as for
+// every partitioned table: a region fills before the table does.
 func TestConformanceRegions(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -58,9 +61,19 @@ func TestConformanceRegions(t *testing.T) {
 		tabletest.Run(t, "regions-"+c.name, func(n uint64) table.Map {
 			cfg := c.cfg
 			cfg.Slots = n
-			return newRegionTable(cfg, 3).NewSync()
+			tbl := newRegionTable(cfg, 3)
+			if cfg.Layout == table.LayoutBucket {
+				return byteMap(tbl)
+			}
+			return tbl.NewSync()
 		}, tabletest.LooseCapacity())
 	}
+}
+
+// byteMap is the conformance suite's view of a bucket table: its byte API
+// with 8-byte keys and values, a fresh handle per clone.
+func byteMap(tbl *Table) *tabletest.ByteMap {
+	return tabletest.NewByteMap(func() tabletest.ByteAPI { return tbl.NewHandle() }, tbl.Len, tbl.Cap)
 }
 
 // TestDirectGetHonorsHandleFilter: a governed handle whose decision turned

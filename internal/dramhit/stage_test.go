@@ -3,7 +3,6 @@ package dramhit
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"dramhit/internal/table"
 	"dramhit/internal/tabletest"
@@ -69,61 +68,6 @@ func TestStageTwoScheduleBytes(t *testing.T) {
 		}
 		// The constructed window, then lowered and restored between batches,
 		// pipeline empty, the way the governor's applyDecision does it.
-		for _, w := range []int{window, max(window/2, 1), 1, window} {
-			h.window = w
-			for _, b := range tabletest.StageBatches(window) {
-				run(b)
-			}
-		}
-	}
-}
-
-// TestStageTwoScheduleUint64 is the same pin for the uint64-over-bucket ring
-// (Submit/Flush, processBucket), with the latency hook as the completion
-// callback. Keys are distinct within a batch, so combining never takes a
-// request off the ring.
-func TestStageTwoScheduleUint64(t *testing.T) {
-	for _, c := range stageCases {
-		window := c.window
-		tbl := newRegionTable(Config{Slots: 1 << 12, Layout: table.LayoutBucket, PrefetchWindow: window}, c.regions)
-		h := tbl.NewHandle()
-		var hashes []uint64
-		nstaged := 0
-		h.stageHook = func(hv uint64) {
-			pos := h.staged
-			if pos != nstaged || hv != hashes[pos] {
-				t.Fatalf("window %d: stage two #%d ran for position %d with hash %#x", h.window, nstaged, pos, hv)
-			}
-			tabletest.CheckStageTiming(t, pos, h.head, h.tail, h.window)
-			nstaged++
-		}
-		h.SetLatencyHook(func(req table.Request, _ time.Duration) {
-			id := int(req.ID)
-			if want := tabletest.WantStaged(id, h.head, h.window); nstaged != want || nstaged <= id {
-				t.Fatalf("window %d: completing %d of %d pushed with %d staged, want %d",
-					h.window, id, h.head, nstaged, want)
-			}
-		})
-		resps := make([]table.Response, 128)
-		run := func(batch int) {
-			reqs := make([]table.Request, batch)
-			for i := range reqs {
-				pos := len(hashes)
-				key := uint64(pos%997) + 1
-				hashes = append(hashes, tbl.hash(key))
-				reqs[i] = table.Request{Op: table.Op(pos % 4), Key: key, Value: 1, ID: uint64(pos)}
-			}
-			if nreq, _ := h.Submit(reqs, resps); nreq != batch {
-				t.Fatalf("Submit took %d of %d", nreq, batch)
-			}
-			if _, done := h.Flush(resps); !done {
-				t.Fatal("Flush did not drain")
-			}
-			if nstaged != len(hashes) || h.staged != h.head {
-				t.Fatalf("window %d, batch %d: %d submissions, stage two ran %d times (cursor %d, head %d)",
-					h.window, batch, len(hashes), nstaged, h.staged, h.head)
-			}
-		}
 		for _, w := range []int{window, max(window/2, 1), 1, window} {
 			h.window = w
 			for _, b := range tabletest.StageBatches(window) {

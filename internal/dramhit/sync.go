@@ -98,6 +98,7 @@ const batchChunk = 64
 // from the paper (submit the array position as the identifier, scatter
 // completions by ID). vals and found must be at least as long as keys.
 func (h *Handle) GetBatch(keys []uint64, vals []uint64, found []bool) {
+	h.requireLayout(table.LayoutFlat)
 	var reqs [batchChunk]table.Request
 	var resps [batchChunk]table.Response
 	scatter := func(n int) {
@@ -139,6 +140,7 @@ func (h *Handle) UpsertBatch(keys []uint64, delta uint64) {
 // updateBatch submits one op per key — valued vals[i], or delta when vals is
 // nil — and flushes.
 func (h *Handle) updateBatch(op table.Op, keys, vals []uint64, delta uint64) {
+	h.requireLayout(table.LayoutFlat)
 	var reqs [batchChunk]table.Request
 	var none []table.Response
 	for start := 0; start < len(keys); {

@@ -1,9 +1,12 @@
 package dramhitp
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"dramhit/internal/table"
+	"dramhit/internal/tabletest"
 	"dramhit/internal/workload"
 )
 
@@ -18,105 +21,44 @@ func newBucketTableP(slots uint64, consumers int) *Table {
 	return t
 }
 
-// TestPBucketDelegatedOps drives delegated uint64 updates and direct reads
-// through bucket partitions, including reserved keys (ordinary here) and
-// enough inserts to force partition resizes.
-func TestPBucketDelegatedOps(t *testing.T) {
-	tb := newBucketTableP(64, 2) // tiny partitions: inserts force growth
-	defer tb.Close()
-	if tb.Layout() != table.LayoutBucket {
-		t.Fatal("table does not report LayoutBucket")
-	}
-	w := tb.NewWriteHandle()
-	r := tb.NewReadHandle()
-	keys := workload.UniqueKeys(11, 3000)
-	for _, k := range keys {
-		if !w.Put(k, k^0xbeef) {
-			t.Fatalf("bucket Put(%d) denied — partitions must never be full", k)
-		}
-	}
-	for _, k := range []uint64{table.EmptyKey, table.TombstoneKey, table.MovedKey} {
-		w.Put(k, k+5)
-	}
-	w.Barrier()
-	if tb.Dropped() != 0 {
-		t.Fatalf("Dropped = %d, want 0 on the self-resizing layout", tb.Dropped())
-	}
-	for _, k := range keys {
-		if v, ok := r.Get(k); !ok || v != k^0xbeef {
-			t.Fatalf("Get(%d) = (%d, %v)", k, v, ok)
-		}
-	}
-	for _, k := range []uint64{table.EmptyKey, table.TombstoneKey, table.MovedKey} {
-		if v, ok := r.Get(k); !ok || v != k+5 {
-			t.Fatalf("reserved Get(%#x) = (%d, %v)", k, v, ok)
-		}
-	}
-	if tb.Len() != len(keys)+3 {
-		t.Fatalf("Len = %d, want %d", tb.Len(), len(keys)+3)
-	}
-	// Upserts fold through delegation to an exact count.
-	for i := 0; i < 10; i++ {
-		w.Upsert(keys[0], 1)
-	}
-	w.Barrier()
-	if v, _ := r.Get(keys[0]); v != (keys[0]^0xbeef)+10 {
-		t.Fatalf("after 10 upserts, value = %d", v)
-	}
-	w.Delete(keys[1])
-	w.Barrier()
-	if _, ok := r.Get(keys[1]); ok {
-		t.Fatal("deleted key still present")
-	}
-	if rs := r.Stats(); rs.KeyLines == 0 {
-		t.Fatal("bucket reads did not fold engine lines into KeyLines")
-	} else if rs.TagSkips != 0 || rs.TagHits != 0 {
-		t.Fatal("bucket reads advanced sidecar counters that cannot exist")
-	}
-}
-
-// TestPBucketPipelinedReads checks the prefetch-ring read path (Submit/
-// Flush with ID scatter) against bucket partitions, piggybacking included.
+// TestPBucketPipelinedReads checks the byte-lookup ring (SubmitGetBytes/
+// FlushGetBytes, completions by ID) against bucket partitions, a same-key
+// burst included.
 func TestPBucketPipelinedReads(t *testing.T) {
 	tb := newBucketTableP(4096, 2)
 	defer tb.Close()
 	w := tb.NewWriteHandle()
 	keys := workload.UniqueKeys(23, 1000)
 	for _, k := range keys {
-		w.Put(k, k*3)
+		w.PutBytes(le(k), le(k*3))
 	}
-	w.Barrier()
 	r := tb.NewReadHandle()
-	vals := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	r.GetBatch(keys, vals, found)
-	for i, k := range keys {
-		if !found[i] || vals[i] != k*3 {
-			t.Fatalf("GetBatch[%d] = (%d, %v), want (%d, true)", i, vals[i], found[i], k*3)
+	var lookups []uint64 // key by completion ID
+	r.OnGetBytesComplete(func(id uint64, value []byte, found bool) {
+		if k := lookups[id]; !found || !bytes.Equal(value, le(k*3)) {
+			t.Fatalf("lookup %d of %d = (%x, %v), want (%x, true)", id, k, value, found, le(k*3))
 		}
+	})
+	// All keys, then a same-key burst longer than the window.
+	for i := 0; i < 32; i++ {
+		keys = append(keys, keys[7])
 	}
-	// A same-key burst exercises piggybacking over the bucket drain.
-	burst := make([]uint64, 32)
-	for i := range burst {
-		burst[i] = keys[7]
+	for _, k := range keys {
+		r.SubmitGetBytes(uint64(len(lookups)), le(k))
+		lookups = append(lookups, k)
 	}
-	bv := make([]uint64, len(burst))
-	bf := make([]bool, len(burst))
-	r.GetBatch(burst, bv, bf)
-	for i := range burst {
-		if !bf[i] || bv[i] != keys[7]*3 {
-			t.Fatalf("burst[%d] = (%d, %v)", i, bv[i], bf[i])
-		}
-	}
-	if r.Stats().PiggybackedGets == 0 {
-		t.Fatal("same-key burst piggybacked nothing")
+	r.FlushGetBytes()
+	if s := r.Stats(); s.Gets != uint64(len(keys)) || s.Hits != s.Gets {
+		t.Fatalf("%d lookups: Stats %+v", len(keys), s)
 	}
 }
 
 // TestPBucketByteAPI exercises the byte-string surface: synchronous writes
-// through the WriteHandle, reads through the ReadHandle, across partitions.
+// through the WriteHandle, reads through the ReadHandle, across partitions —
+// then enough inserts into tiny partitions to force them to resize, which a
+// bucket table does instead of dropping writes.
 func TestPBucketByteAPI(t *testing.T) {
-	tb := newBucketTableP(1024, 2)
+	tb := newBucketTableP(64, 2)
 	defer tb.Close()
 	w := tb.NewWriteHandle()
 	r := tb.NewReadHandle()
@@ -151,29 +93,39 @@ func TestPBucketByteAPI(t *testing.T) {
 	if _, ok := r.GetBytes([]byte("gene:BRCA2")); ok {
 		t.Fatal("deleted byte key still present")
 	}
-}
 
-// TestPBucketByteAPIRequiresLayout pins the flat-table panic contract.
-func TestPBucketByteAPIRequiresLayout(t *testing.T) {
-	tb := New(Config{Slots: 64, Producers: 1, Consumers: 1})
-	tb.Start()
-	defer tb.Close()
-	w := tb.NewWriteHandle()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("byte API on a flat table did not panic")
+	keys := workload.UniqueKeys(11, 3000)
+	for _, k := range keys {
+		w.PutBytes(le(k), le(k^0xbeef))
+	}
+	for _, k := range keys {
+		if v, ok := r.GetBytes(le(k)); !ok || !bytes.Equal(v, le(k^0xbeef)) {
+			t.Fatalf("GetBytes(%d) = (%x, %v) after the partitions grew", k, v, ok)
 		}
-	}()
-	w.PutBytes([]byte("k"), []byte("v"))
+	}
+	if tb.Dropped() != 0 || tb.Len() != len(keys)+2 || tb.Cap() < len(keys) {
+		t.Fatalf("Dropped %d, Len %d, Cap %d after %d inserts", tb.Dropped(), tb.Len(), tb.Cap(), len(keys)+2)
+	}
+	if rs := r.Stats(); rs.KeyLines == 0 {
+		t.Fatal("bucket reads did not fold engine lines into KeyLines")
+	} else if rs.TagSkips != 0 || rs.TagHits != 0 {
+		t.Fatal("bucket reads advanced sidecar counters that cannot exist")
+	}
 }
 
-// TestPBucketSyncConformsSequentially smoke-checks the Sync adapter on the
-// bucket layout against a reference map (the full conformance suite runs
-// from tabletest).
+// TestPBucketSyncConformsSequentially smoke-checks a synchronous adapter on
+// the bucket layout — tabletest.ByteMap over a WriteHandle and a ReadHandle,
+// 8-byte keys and values — against a reference map (the full conformance
+// suite runs from tabletest).
 func TestPBucketSyncConformsSequentially(t *testing.T) {
 	tb := newBucketTableP(512, 2)
-	s := tb.NewSync()
-	defer s.Shutdown()
+	defer tb.Close()
+	s := tabletest.NewByteMap(func() tabletest.ByteAPI {
+		return struct {
+			*WriteHandle
+			*ReadHandle
+		}{tb.NewWriteHandle(), tb.NewReadHandle()}
+	}, tb.Len, tb.Cap)
 	ref := make(map[uint64]uint64)
 	for i := 0; i < 4000; i++ {
 		k := uint64(i % 97)
@@ -204,5 +156,58 @@ func TestPBucketSyncConformsSequentially(t *testing.T) {
 		if s.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, reference %d", i, s.Len(), len(ref))
 		}
+	}
+}
+
+// TestPBucketByteAPIRequiresLayout pins the flat-table panic contract.
+func TestPBucketByteAPIRequiresLayout(t *testing.T) {
+	tb := New(Config{Slots: 64, Producers: 1, Consumers: 1})
+	tb.Start()
+	defer tb.Close()
+	w := tb.NewWriteHandle()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("byte API on a flat table did not panic")
+		}
+	}()
+	w.PutBytes([]byte("k"), []byte("v"))
+}
+
+// TestUint64APIRequiresFlat pins the other half of the layout diagonal: every
+// uint64 entry point of a bucket table's handles and Sync panics with the
+// message that names the byte API, and nothing reaches a partition.
+func TestUint64APIRequiresFlat(t *testing.T) {
+	tb := New(Config{Slots: 256, Producers: 2, Consumers: 1, Layout: table.LayoutBucket})
+	tb.Start()
+	defer tb.Close()
+	w, r, s := tb.NewWriteHandle(), tb.NewReadHandle(), tb.NewSync()
+	keys := []uint64{1, 2}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"WriteHandle.Put", func() { w.Put(1, 2) }},
+		{"WriteHandle.Upsert", func() { w.Upsert(1, 2) }},
+		{"WriteHandle.Delete", func() { w.Delete(1) }},
+		{"ReadHandle.Submit", func() { r.Submit([]table.Request{{Op: table.Get, Key: 1}}, make([]table.Response, 1)) }},
+		{"ReadHandle.Get", func() { r.Get(1) }},
+		{"ReadHandle.GetBatch", func() { r.GetBatch(keys, make([]uint64, 2), make([]bool, 2)) }},
+		{"Sync.Get", func() { s.Get(1) }},
+		{"Sync.Put", func() { s.Put(1, 2) }},
+		{"Sync.Upsert", func() { s.Upsert(1, 2) }},
+		{"Sync.Delete", func() { s.Delete(1) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "serves the byte API") {
+					t.Errorf("%s on a bucket table: panic %q, want the byte-API message", c.name, msg)
+				}
+			}()
+			c.call()
+		}()
+	}
+	w.Barrier()
+	if tb.Len() != 0 || r.Stats().Gets != 0 {
+		t.Fatalf("rejected calls left work behind: Len %d, %d Gets", tb.Len(), r.Stats().Gets)
 	}
 }

@@ -41,8 +41,8 @@ func (w *WriteHandle) holdUpsert(key, delta uint64) bool {
 		}
 	}
 	t := w.t
-	part := t.partOf(key)
-	if t.layout != table.LayoutBucket && t.parts[part].full.Load() {
+	part, _ := t.locate(key)
+	if t.parts[part].full.Load() {
 		t.dropped.Add(1)
 		return false
 	}
@@ -61,7 +61,7 @@ func (w *WriteHandle) holdUpsert(key, delta uint64) bool {
 func (w *WriteHandle) flushHeld() {
 	t := w.t
 	for i := 0; i < w.cn; i++ {
-		part := t.partOf(w.ckeys[i])
+		part, _ := t.locate(w.ckeys[i])
 		w.p.Send(t.ownerOf(part), delegation.Message{A: w.ckeys[i], B: w.cvals[i], Aux: uint64(table.Upsert)})
 	}
 	w.sends += uint64(w.cn)
@@ -76,7 +76,7 @@ func (w *WriteHandle) flushKey(key uint64) {
 			continue
 		}
 		t := w.t
-		part := t.partOf(key)
+		part, _ := t.locate(key)
 		w.p.Send(t.ownerOf(part), delegation.Message{A: key, B: w.cvals[i], Aux: uint64(table.Upsert)})
 		w.sends++
 		w.cn--

@@ -73,15 +73,16 @@ type Config struct {
 	// readers), plus a table-level pull source of quiescent-safe aggregates.
 	// Nil — the default — is bit-identical and allocation-free.
 	Observe *obs.Registry
-	// Layout selects the physical slot layout of every partition. The zero
-	// value (table.LayoutFlat) is the interleaved uint64 array, bit-identical
-	// to prior configurations. table.LayoutBucket gives each partition a
-	// one-line-bucket index over one arena shared across all partitions:
-	// probes touch a single cache line, partitions resize themselves (updates
-	// are never dropped for a full partition), reserved keys are ordinary
-	// byte strings (no side slots), and the handles grow byte-string
-	// operations. A bucket table ignores Config.Hash, ProbeKernel and
-	// ProbeFilter (the engine owns hashing and has no sidecar).
+	// Layout selects the physical layout of every partition, and with it the
+	// API the table serves. The zero value (table.LayoutFlat) is the
+	// interleaved uint64 array: delegated uint64 updates (WriteHandle.Put/
+	// Upsert/Delete), uint64 reads, Sync. table.LayoutBucket gives each
+	// partition a self-resizing one-line-bucket index over one arena shared
+	// across all partitions: synchronous byte writes (WriteHandle.PutBytes/
+	// UpsertBytes/DeleteBytes) and byte reads (ReadHandle.GetBytes and the
+	// byte-lookup ring). Calling the other layout's API panics. Hash,
+	// ProbeKernel, ProbeFilter, Combining and Governor apply only to flat
+	// tables; the bucket engine owns its byte hash and has no sidecar.
 	Layout table.Layout
 	// Governor selects the read-pipeline adaptive controller.
 	// table.GovernorOff (the zero value) keeps ReadHandles exactly as
@@ -129,8 +130,8 @@ type partition struct {
 	_      [7]byte
 	wstats FilterStats // owner-local: write-path filter events
 	// bkt is the partition's self-resizing bucket index (non-nil iff the
-	// table's Layout is table.LayoutBucket; arr is nil then). All partition
-	// engines share one arena, so a record's Ref is meaningful table-wide.
+	// table is a bucket table; arr is nil then). All partition engines share
+	// one arena, so a record's Ref is meaningful table-wide.
 	bkt *slotarr.BucketTable
 }
 
@@ -150,7 +151,6 @@ type Table struct {
 	filter    table.ProbeFilter
 	combine   table.Combining
 	layout    table.Layout
-	ar        *arena.Arena // shared KV arena; non-nil iff layout is bucket
 
 	started atomic.Bool
 	wg      sync.WaitGroup
@@ -228,11 +228,11 @@ func New(cfg Config) *Table {
 		// One arena across all partitions: records written by any owner are
 		// readable from any partition handle, and reclamation epochs advance
 		// table-wide. Each partition gets its own self-resizing index.
-		t.ar = arena.New()
+		ar := arena.New()
 		for i := range t.parts {
 			t.parts[i].bkt = slotarr.NewBucketTable(slotarr.BucketConfig{
 				Buckets: (partSlots + slotarr.BucketLanes - 1) / slotarr.BucketLanes,
-				Arena:   t.ar,
+				Arena:   ar,
 			})
 			regs.Buckets = append(regs.Buckets, t.parts[i].bkt)
 		}
@@ -291,31 +291,12 @@ func (t *Table) locateTag(key uint64) (part, local uint64, tag uint8) {
 	return part, local, table.TagOf(h)
 }
 
-// locateBucket maps a key to its partition (hashfn.ShardRange, the route the
-// read view's handles take) and the bucket engine's hash.
-func (t *Table) locateBucket(key uint64) (part, hv uint64) {
-	var kb [8]byte
-	putLE(kb[:], key)
-	return t.locateBucketBytes(kb[:])
-}
-
-// locateBucketBytes is locateBucket for a byte-string key.
-func (t *Table) locateBucketBytes(key []byte) (part, hv uint64) {
+// locateBytes maps a byte-string key on a bucket table to its partition
+// (hashfn.ShardRange, the route the read view's byte handles take) and the
+// bucket engine's hash.
+func (t *Table) locateBytes(key []byte) (part, hv uint64) {
 	hv = t.parts[0].bkt.HashOf(key) // all partitions share one hash
 	return hashfn.ShardRange(hv, t.nparts), hv
-}
-
-// partOf maps a key to its partition under the table's layout. Every
-// routing decision for one key must go through one locator: the flat and
-// bucket locators disagree, and mixing them would send same-key updates to
-// different owners, breaking the per-key FIFO that delegation guarantees.
-func (t *Table) partOf(key uint64) uint64 {
-	if t.layout == table.LayoutBucket {
-		part, _ := t.locateBucket(key)
-		return part
-	}
-	part, _ := t.locate(key)
-	return part
 }
 
 // Layout returns the physical layout the table was constructed with.
@@ -354,16 +335,7 @@ func (t *Table) Start() {
 		t.wg.Add(1)
 		go func(c int) {
 			defer t.wg.Done()
-			cons := t.fabric.Consumer(c)
-			if t.layout == table.LayoutBucket {
-				// Consumer-goroutine-local engine handles: each owns an arena
-				// writer (records this consumer appends go to its own
-				// segments) and the goroutine's reclamation pin.
-				bhs := t.newPartHandles()
-				cons.Run(func(m delegation.Message) { t.applyBucket(m, bhs) })
-				return
-			}
-			cons.Run(func(m delegation.Message) { t.apply(m) })
+			t.fabric.Consumer(c).Run(t.apply)
 		}(c)
 	}
 }
@@ -410,65 +382,6 @@ func (t *Table) Cap() int {
 
 // Partitions returns the partition count.
 func (t *Table) Partitions() int { return int(t.nparts) }
-
-// newPartHandles builds one bucket-engine handle per partition for a single
-// goroutine's use.
-func (t *Table) newPartHandles() []*slotarr.BucketHandle {
-	bhs := make([]*slotarr.BucketHandle, len(t.parts))
-	for i := range t.parts {
-		bhs[i] = t.parts[i].bkt.NewHandle()
-	}
-	return bhs
-}
-
-// putLE stores v into b[0:8] little-endian (the fixed encoding bridging
-// uint64 keys and values onto the byte-record arena).
-func putLE(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-// getLE loads a little-endian uint64 from b[0:8].
-func getLE(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// applyBucket executes one delegated update against the owning partition's
-// bucket engine. Reserved keys take this path like any other (the layout
-// has no side slots), and a bucket partition never reports full — the
-// engine resizes itself, so fire-and-forget updates are never dropped.
-func (t *Table) applyBucket(m delegation.Message, bhs []*slotarr.BucketHandle) {
-	op := table.Op(m.Aux)
-	var kb, vb [8]byte
-	putLE(kb[:], m.A)
-	part, hv := t.locateBucketBytes(kb[:])
-	bh := bhs[part]
-	switch op {
-	case table.Put:
-		putLE(vb[:], m.B)
-		bh.PutHashed(hv, kb[:], vb[:])
-	case table.Upsert:
-		bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
-			nv := m.B
-			if present {
-				nv += getLE(old)
-			}
-			putLE(vb[:], nv)
-			return vb[:]
-		})
-	case table.Delete:
-		bh.DeleteHashed(hv, kb[:])
-	}
-}
 
 // apply executes one delegated update on the owning consumer thread.
 func (t *Table) apply(m delegation.Message) {

@@ -38,7 +38,7 @@ type WriteHandle struct {
 	hot   *obs.TopK
 	opLat bool
 	// wbhs holds this writer's per-partition bucket-engine handles (non-nil
-	// iff the table's Layout is bucket). The byte-string operations execute
+	// iff the table is a bucket table). The byte-string operations execute
 	// through them synchronously — direct to the engine, not delegated: a
 	// variable-length record does not fit a delegation message, and the
 	// engine's CAS protocol already serializes racing writers safely.
@@ -54,7 +54,10 @@ func (t *Table) NewWriteHandle() *WriteHandle {
 	}
 	w := &WriteHandle{t: t, p: t.fabric.Producer(id), coalesce: t.combine == table.CombineOn}
 	if t.layout == table.LayoutBucket {
-		w.wbhs = t.newPartHandles()
+		w.wbhs = make([]*slotarr.BucketHandle, len(t.parts))
+		for i := range t.parts {
+			w.wbhs[i] = t.parts[i].bkt.NewHandle()
+		}
 	}
 	if t.obsReg != nil {
 		w.obsw = t.obsReg.Worker("dramhitp-w" + strconv.Itoa(id))
@@ -64,22 +67,27 @@ func (t *Table) NewWriteHandle() *WriteHandle {
 	return w
 }
 
-// requireBucket panics unless the table's Layout is bucket — the byte API
-// has nowhere to store variable-length records on a flat table.
-func (t *Table) requireBucket() {
-	if t.layout != table.LayoutBucket {
-		panic("dramhitp: byte-string API requires Config.Layout == table.LayoutBucket")
+// wrongAPI is requireLayout's panic message, by the layout the called API
+// needs.
+var wrongAPI = [...]string{
+	table.LayoutFlat:   "dramhitp: the uint64 API needs a LayoutFlat table; a LayoutBucket table serves the byte API (WriteHandle.PutBytes/UpsertBytes/DeleteBytes, ReadHandle.GetBytes and the byte-lookup ring)",
+	table.LayoutBucket: "dramhitp: the byte-string API needs a LayoutBucket table (variable-length records live in its arena); a LayoutFlat table serves the uint64 API",
+}
+
+// requireLayout panics unless the table has layout want: a flat table serves
+// the uint64 API, a bucket table the byte API.
+func (t *Table) requireLayout(want table.Layout) {
+	if t.layout != want {
+		panic(wrongAPI[want])
 	}
 }
 
 // PutBytes stores value for a byte-string key, overwriting silently,
 // reporting whether the key existed. Synchronous (direct to the partition
-// engine, not delegated): it does not order against this handle's
-// delegated uint64 updates until a Barrier, and a uint64 key k aliases the
-// byte key of its 8-byte little-endian encoding.
+// engine, not delegated).
 func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
-	w.t.requireBucket()
-	part, hv := w.t.locateBucketBytes(key)
+	w.t.requireLayout(table.LayoutBucket)
+	part, hv := w.t.locateBytes(key)
 	return w.wbhs[part].PutHashed(hv, key, value)
 }
 
@@ -88,16 +96,16 @@ func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
 // store; under contention fn may run multiple times and exactly the final
 // invocation's result is published. Synchronous, like PutBytes.
 func (w *WriteHandle) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
-	w.t.requireBucket()
-	part, hv := w.t.locateBucketBytes(key)
+	w.t.requireLayout(table.LayoutBucket)
+	part, hv := w.t.locateBytes(key)
 	return w.wbhs[part].MutateHashed(hv, key, fn)
 }
 
 // DeleteBytes removes a byte-string key, reporting whether it was present.
 // Synchronous, like PutBytes.
 func (w *WriteHandle) DeleteBytes(key []byte) bool {
-	w.t.requireBucket()
-	part, hv := w.t.locateBucketBytes(key)
+	w.t.requireLayout(table.LayoutBucket)
+	part, hv := w.t.locateBytes(key)
 	return w.wbhs[part].DeleteHashed(hv, key)
 }
 
@@ -114,15 +122,6 @@ func (w *WriteHandle) publish() {
 // §3.2). It reports false if the update was denied.
 func (w *WriteHandle) send(op table.Op, key, value uint64) bool {
 	t := w.t
-	if t.layout == table.LayoutBucket {
-		// Bucket partitions resize themselves (no full flag) and reserved
-		// keys are ordinary engine keys (no side slots): every update routes
-		// straight to its partition's owner.
-		part, _ := t.locateBucket(key)
-		w.p.Send(t.ownerOf(part), delegation.Message{A: key, B: value, Aux: uint64(op)})
-		w.sends++
-		return true
-	}
 	if t.side.For(key) != nil {
 		// Reserved keys are owned by consumer 0.
 		w.p.Send(0, delegation.Message{A: key, B: value, Aux: uint64(op)})
@@ -162,6 +161,7 @@ func (w *WriteHandle) opEnd(start int64, op table.Op, hit bool) {
 // held coalesced Upsert of the same key is released first so the owner
 // applies the two in submission order.
 func (w *WriteHandle) Put(key, value uint64) bool {
+	w.t.requireLayout(table.LayoutFlat)
 	if w.hot != nil {
 		w.hot.OfferSampled(key)
 	}
@@ -178,13 +178,13 @@ func (w *WriteHandle) Put(key, value uint64) bool {
 // keys fold locally (see holdUpsert) and a window of distinct keys rides
 // one delegation flush.
 func (w *WriteHandle) Upsert(key, delta uint64) bool {
+	w.t.requireLayout(table.LayoutFlat)
 	if w.hot != nil {
 		w.hot.OfferSampled(key)
 	}
 	start := w.opStart()
 	var ok bool
-	if !w.coalesce ||
-		(w.t.layout != table.LayoutBucket && w.t.side.For(key) != nil) {
+	if !w.coalesce || w.t.side.For(key) != nil {
 		ok = w.send(table.Upsert, key, delta)
 	} else {
 		ok = w.holdUpsert(key, delta)
@@ -196,6 +196,7 @@ func (w *WriteHandle) Upsert(key, delta uint64) bool {
 // Delete requests a tombstone, releasing any held same-key Upsert first so
 // the owner applies the two in submission order.
 func (w *WriteHandle) Delete(key uint64) {
+	w.t.requireLayout(table.LayoutFlat)
 	if w.hot != nil {
 		w.hot.OfferSampled(key)
 	}

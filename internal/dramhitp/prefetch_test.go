@@ -84,26 +84,6 @@ func readDigest(cfg Config) uint64 {
 		emit(nr)
 	}
 
-	if cfg.Layout == table.LayoutBucket {
-		// The byte-lookup ring over the same partitions (uint64 keys are
-		// their 8-byte little-endian encodings there).
-		r.OnGetBytesComplete(func(id uint64, value []byte, found bool) {
-			u64(id, uint64(len(value)))
-			f.Write(value)
-			if found {
-				u64(1)
-			}
-		})
-		for i := 0; i < 5000; i++ {
-			var kb [8]byte
-			putLE(kb[:], uint64(rng.Intn(6000))+1)
-			r.SubmitGetBytes(uint64(i), kb[:])
-			if rng.Intn(40) == 0 {
-				r.FlushGetBytes()
-			}
-		}
-		r.FlushGetBytes()
-	}
 	rs := r.Stats()
 	u64(rs.Gets, rs.Hits, rs.PiggybackedGets, rs.KeyLines, rs.TagSkips, rs.TagHits, rs.TagFalse)
 	return f.Sum64()
@@ -112,14 +92,12 @@ func readDigest(cfg Config) uint64 {
 // TestPrefetchInvisible is dramhit's test of the same name for the
 // partitioned reader: the default and -tags purego builds must both reproduce
 // the constants. flat-tags and flat-none are from the commit before the
-// hardware prefetch. flat-scalar and bucket were re-pinned once, when the
-// reader became dramhit's ring: with the old reader's accounting emulated
-// (no KeyLines under the scalar kernel; stash hops folded into KeyLines, not
-// Reprobes, and reserved keys piggybacking on the bucket layout) the ring
-// reproduced the old constants 0x3764f92d96854c71 and 0x4a95ec0ea972a22d, so
-// no response and no completion order of an ordinary key moved. The scalar
-// reader now counts its line visits as every other kernel does, which makes
-// its digest flat-none's.
+// hardware prefetch. flat-scalar was re-pinned once, when the reader became
+// dramhit's ring: with the old reader's accounting emulated (no KeyLines under
+// the scalar kernel) the ring reproduced the old constant 0x3764f92d96854c71,
+// so no response and no completion order moved. The scalar reader now counts
+// its line visits as every other kernel does, which makes its digest
+// flat-none's. The byte ring's digest is pinned in dramhit.
 func TestPrefetchInvisible(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -129,7 +107,6 @@ func TestPrefetchInvisible(t *testing.T) {
 		{"flat-tags", Config{}, 0x704d1e19b6fb1eb8},
 		{"flat-none", Config{ProbeFilter: table.FilterNone}, 0x4363a4c068804dad},
 		{"flat-scalar", Config{ProbeKernel: table.KernelScalar}, 0x4363a4c068804dad},
-		{"bucket", Config{Layout: table.LayoutBucket}, 0x2c443423c3d18431},
 	} {
 		if got := readDigest(c.cfg); got != c.want {
 			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)

@@ -1,7 +1,10 @@
 package dramhitp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,18 +16,24 @@ import (
 // The ReadHandle is a dramhit.Handle over the partitions as regions. These
 // tests pin the two ends of that: with one partition it IS a dramhit handle
 // (same responses in the same order, same counters, over the same contents),
-// and with several every lookup still lands in the partition the owners wrote
-// the key to.
+// and with several every lookup still lands in the partition the writers put
+// the key in — the uint64 ring over flat partitions, the byte API and byte
+// ring over bucket ones.
 
-var regionLayouts = []struct {
+type regionLayout struct {
 	name string
 	cfg  Config
-}{
+}
+
+var regionLayouts = []regionLayout{
 	{"flat-tags", Config{}},
 	{"flat-none", Config{ProbeFilter: table.FilterNone}},
 	{"flat-scalar", Config{ProbeKernel: table.KernelScalar}},
-	{"bucket", Config{Layout: table.LayoutBucket}},
 }
+
+// le is the 8-byte little-endian encoding the byte-API ports of uint64
+// workloads use for keys and values.
+func le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 
 // getStream is a fixed-seed lookup stream over present, absent and reserved
 // keys with near repeats (piggyback chains), cut into batches.
@@ -85,7 +94,8 @@ func runStream(h submitter, batches [][]table.Request) []table.Response {
 // dramhit table given the same updates in the same order hold the same slots,
 // so the same Get stream must come back with the same responses in the same
 // completion order and leave the same Stats — the region route degenerates to
-// the single table's, and nothing else differs between the two readers.
+// the single table's, and nothing else differs between the two readers. On
+// the bucket layout the same holds for the byte API and the byte ring.
 func TestOnePartitionIsADramhitTable(t *testing.T) {
 	for _, c := range regionLayouts {
 		cfg := c.cfg
@@ -144,23 +154,96 @@ func TestOnePartitionIsADramhitTable(t *testing.T) {
 		}
 		pt.Close()
 	}
+
+	pt := New(Config{Slots: 1 << 12, Producers: 1, Consumers: 1, Layout: table.LayoutBucket})
+	dt := dramhit.New(dramhit.Config{Slots: 1 << 12, Layout: table.LayoutBucket})
+	w, dw := pt.NewWriteHandle(), dt.NewHandle()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 6000; i++ {
+		k := le(uint64(rng.Intn(3000)) + 1)
+		if rng.Intn(5) == 0 {
+			w.DeleteBytes(k)
+			dw.DeleteBytes(k)
+		} else {
+			w.PutBytes(k, le(uint64(i)))
+			dw.PutBytes(k, le(uint64(i)))
+		}
+	}
+	w.Close()
+	if pt.Len() != dt.Len() {
+		t.Fatalf("bucket: loaded %d and %d entries", pt.Len(), dt.Len())
+	}
+	type completion struct {
+		id    uint64
+		value string
+		found bool
+	}
+	var got, want []completion
+	r, h := pt.NewReadHandle(), dt.NewHandle()
+	r.OnGetBytesComplete(func(id uint64, v []byte, found bool) { got = append(got, completion{id, string(v), found}) })
+	h.OnByteComplete(func(c dramhit.ByteCompletion) { want = append(want, completion{c.ID, string(c.Value), c.Found}) })
+	for bi, b := range getStream(12, 20000, 3600) {
+		for _, q := range b {
+			k := le(q.Key)
+			r.SubmitGetBytes(q.ID, k)
+			h.SubmitBytes(table.Get, q.ID, k, nil)
+		}
+		if bi%3 == 0 {
+			r.FlushGetBytes()
+			h.FlushBytes()
+		}
+	}
+	r.FlushGetBytes()
+	h.FlushBytes()
+	if len(got) != 20000 || !slices.Equal(got, want) {
+		t.Fatalf("bucket: %d and %d byte completions to 20000 lookups, or they differ", len(got), len(want))
+	}
+	if rs, hs := r.Stats(), h.Stats(); rs != hs || rs.Hits == 0 || rs.Hits == rs.Gets {
+		t.Fatalf("bucket: reader stats %+v, dramhit handle's %+v", rs, hs)
+	}
+	for k := uint64(1); k <= 3600; k++ {
+		pv, pok := r.GetBytes(le(k))
+		dv, dok := h.GetBytes(le(k))
+		if !bytes.Equal(pv, dv) || pok != dok {
+			t.Fatalf("bucket: GetBytes(%d) = (%x, %v), dramhit's (%x, %v)", k, pv, pok, dv, dok)
+		}
+	}
+	if r.Stats() != h.Stats() {
+		t.Fatalf("bucket: after GetBytes: reader stats %+v, dramhit handle's %+v", r.Stats(), h.Stats())
+	}
+	pt.Close()
 }
 
-// TestReadersMatchOracle loads six partitions through the delegation fabric
-// while keeping a sequential model (a map), then runs four readers at once
-// over every read entry point — the pipelined ring with a small response
-// buffer, GetBatch, the direct Get and, on the bucket layout, the byte-lookup
-// ring — and checks every answer against the model. CI runs it under -race
-// at -cpu 1,2,4: readers share the partitions, the side slots and nothing
-// else.
+// TestReadersMatchOracle loads six partitions while keeping a sequential model
+// (a map), then runs four readers at once over every read entry point and
+// checks every answer against the model: on flat partitions (loaded through
+// the delegation fabric) the pipelined ring with a small response buffer,
+// GetBatch and the direct Get; on bucket partitions (loaded through the
+// synchronous byte writes, keys and values as 8-byte encodings) GetBytes and
+// the byte-lookup ring. CI runs it under -race at -cpu 1,2,4: readers share
+// the partitions, the side slots and nothing else.
 func TestReadersMatchOracle(t *testing.T) {
-	for _, c := range regionLayouts {
+	for _, c := range append(regionLayouts, regionLayout{"bucket", Config{Layout: table.LayoutBucket}}) {
 		cfg := c.cfg
 		cfg.Slots, cfg.Producers, cfg.Consumers, cfg.PartitionsPerConsumer = 1<<13, 1, 2, 3
+		bucket := cfg.Layout == table.LayoutBucket
 		tb := New(cfg)
 		tb.Start()
 		model := map[uint64]uint64{}
 		w := tb.NewWriteHandle()
+		put, add, del := w.Put, w.Upsert, w.Delete
+		if bucket {
+			put = func(k, v uint64) bool { return w.PutBytes(le(k), le(v)) }
+			add = func(k, d uint64) bool {
+				return w.UpsertBytes(le(k), func(old []byte, present bool) []byte {
+					if present {
+						d += binary.LittleEndian.Uint64(old)
+					}
+					return le(d)
+				})
+			}
+			del = func(k uint64) { w.DeleteBytes(le(k)) }
+		}
 		rng := rand.New(rand.NewSource(21))
 		for i := 0; i < 9000; i++ {
 			k := uint64(rng.Intn(4000)) + 1
@@ -169,13 +252,13 @@ func TestReadersMatchOracle(t *testing.T) {
 			}
 			switch rng.Intn(6) {
 			case 0:
-				w.Delete(k)
+				del(k)
 				delete(model, k)
 			case 1:
-				w.Upsert(k, 3)
+				add(k, 3)
 				model[k] += 3
 			default:
-				w.Put(k, k*5+uint64(i))
+				put(k, k*5+uint64(i))
 				model[k] = k*5 + uint64(i)
 			}
 		}
@@ -203,6 +286,36 @@ func TestReadersMatchOracle(t *testing.T) {
 						keys = append(keys, q.Key)
 					}
 				}
+				if bucket {
+					for _, k := range keys {
+						vb, ok := r.GetBytes(le(k))
+						var v uint64
+						if ok {
+							v = binary.LittleEndian.Uint64(vb)
+						}
+						check("GetBytes", k, v, ok)
+					}
+					next := 0
+					r.OnGetBytesComplete(func(id uint64, value []byte, ok bool) {
+						if int(id) != next {
+							t.Errorf("%s reader %d: byte completion %d at position %d", c.name, g, id, next)
+						}
+						next++
+						var v uint64
+						if ok {
+							v = binary.LittleEndian.Uint64(value)
+						}
+						check("SubmitGetBytes", keys[id], v, ok)
+					})
+					for i, k := range keys {
+						r.SubmitGetBytes(uint64(i), le(k))
+					}
+					r.FlushGetBytes()
+					if s := r.Stats(); next != len(keys) || s.Gets != uint64(2*len(keys)) {
+						t.Errorf("%s reader %d: %d byte completions to %d lookups; Stats.Gets %d", c.name, g, next, len(keys), s.Gets)
+					}
+					return
+				}
 				resps := runStream(r, batches)
 				for _, rs := range resps {
 					check("Submit", keys[rs.ID], rs.Value, rs.Found)
@@ -214,30 +327,8 @@ func TestReadersMatchOracle(t *testing.T) {
 					v, ok := r.Get(k)
 					check("Get", k, v, ok)
 				}
-				want := uint64(len(resps) + 2*len(keys))
-				if cfg.Layout == table.LayoutBucket {
-					next := 0
-					r.OnGetBytesComplete(func(id uint64, value []byte, ok bool) {
-						if int(id) != next {
-							t.Errorf("%s reader %d: byte completion %d at position %d", c.name, g, id, next)
-						}
-						next++
-						var v uint64
-						if ok {
-							v = getLE(value)
-						}
-						check("SubmitGetBytes", keys[id], v, ok)
-					})
-					kbs := make([][8]byte, 2000)
-					for i := range kbs {
-						putLE(kbs[i][:], keys[i])
-						r.SubmitGetBytes(uint64(i), kbs[i][:])
-					}
-					r.FlushGetBytes()
-					want += uint64(len(kbs))
-				}
-				if s := r.Stats(); len(resps) != len(keys) || s.Gets != want {
-					t.Errorf("%s reader %d: %d responses to %d Gets; Stats.Gets %d, want %d", c.name, g, len(resps), len(keys), s.Gets, want)
+				if s := r.Stats(); len(resps) != len(keys) || s.Gets != uint64(3*len(keys)) {
+					t.Errorf("%s reader %d: %d responses to %d Gets; Stats.Gets %d, want %d", c.name, g, len(resps), len(keys), s.Gets, 3*len(keys))
 				}
 			}(g)
 		}

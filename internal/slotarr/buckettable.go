@@ -221,14 +221,9 @@ func (t *BucketTable) Prefetch(hv uint64) {
 	simd.Prefetch(unsafe.Pointer(&st.words[hashfn.Fastrange(hv, st.nb)*BucketWords]))
 }
 
-// Spans for PrefetchRecords: SpanUnknown, for records of unknown length, always
-// covers the line after the header line; SpanBridge is the size of every
-// record the front ends' uint64 bridge writes (two length bytes, an 8-byte key,
-// an 8-byte value), few of which straddle a line.
-const (
-	SpanUnknown = 65
-	SpanBridge  = 18
-)
+// SpanUnknown is the span PrefetchRecords is given for records of unknown
+// length: it always covers the line after the header line.
+const SpanUnknown = 65
 
 // PrefetchRecords is stage two: a bucket probe is two dependent misses, the
 // bucket line and then the arena record each candidate lane's key is compared

@@ -13,17 +13,16 @@ import (
 
 // TestBucketConformance runs the shared suite against the bucket layout at
 // every level of the stack: the raw slotarr engine through its uint64 view,
-// the core dramhit pipeline in bucket mode, and the partitioned table with
-// bucket partitions. All three grow on demand (LooseCapacity), and the
-// concurrent subtests race handle clones against the engine's resizes.
+// and the byte API of the core dramhit table and of the partitioned table
+// with bucket partitions (tabletest.ByteMap: 8-byte keys and values). All
+// three grow on demand (LooseCapacity), and the concurrent subtests race
+// handle clones against the engine's resizes.
 func TestBucketConformance(t *testing.T) {
 	tabletest.Run(t, "Bucket",
 		func(n uint64) table.Map { return slotarr.NewBucketMap(n) },
 		tabletest.LooseCapacity())
 	tabletest.Run(t, "DramhitBucket",
-		func(n uint64) table.Map {
-			return dramhit.New(dramhit.Config{Slots: n, Layout: table.LayoutBucket}).NewSync()
-		},
+		func(n uint64) table.Map { return dramhitBytes(n) },
 		tabletest.LooseCapacity())
 	tabletest.Run(t, "DramhitPBucket",
 		func(n uint64) table.Map {
@@ -32,11 +31,33 @@ func TestBucketConformance(t *testing.T) {
 				// every goroutine's Clone claims a write endpoint.
 				Slots: n, Producers: 16, Consumers: 2, Layout: table.LayoutBucket,
 			})
-			tb.Start()
-			return tb.NewSync()
+			return pBytes{tabletest.NewByteMap(func() tabletest.ByteAPI {
+				return pHandles{tb.NewWriteHandle(), tb.NewReadHandle()}
+			}, tb.Len, tb.Cap), tb}
 		},
 		tabletest.LooseCapacity())
 }
+
+// dramhitBytes is a dramhit bucket table of n slots behind its byte API.
+func dramhitBytes(n uint64) *tabletest.ByteMap {
+	tb := dramhit.New(dramhit.Config{Slots: n, Layout: table.LayoutBucket})
+	return tabletest.NewByteMap(func() tabletest.ByteAPI { return tb.NewHandle() }, tb.Len, tb.Cap)
+}
+
+// pHandles is one goroutine's byte API on a partitioned bucket table: writes
+// through a WriteHandle, reads through a ReadHandle.
+type pHandles struct {
+	*dramhitp.WriteHandle
+	*dramhitp.ReadHandle
+}
+
+// pBytes closes the partitioned table when the suite's subtest ends.
+type pBytes struct {
+	*tabletest.ByteMap
+	tb *dramhitp.Table
+}
+
+func (m pBytes) Shutdown() { m.tb.Close() }
 
 // TestBucketStashChains pins the overflow path: one bucket with growth
 // disabled has seven lanes, so all but seven of the inserts must land on the
@@ -103,13 +124,13 @@ func TestBucketStashChains(t *testing.T) {
 	}
 }
 
-// TestBucketFlatBitIdentical drives the dramhit Sync adapter in both layouts
-// through one deterministic mixed stream and requires the same response to
-// every single operation — the layouts are two physical encodings of one
-// abstract map.
+// TestBucketFlatBitIdentical drives a flat dramhit table's Sync adapter and a
+// bucket dramhit table's byte API (8-byte keys and values) through one
+// deterministic mixed stream and requires the same response to every single
+// operation — the layouts are two physical encodings of one abstract map.
 func TestBucketFlatBitIdentical(t *testing.T) {
 	flat := dramhit.New(dramhit.Config{Slots: 1 << 12}).NewSync()
-	bkt := dramhit.New(dramhit.Config{Slots: 64, Layout: table.LayoutBucket}).NewSync()
+	bkt := dramhitBytes(64)
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 { rng ^= rng << 13; rng ^= rng >> 7; rng ^= rng << 17; return rng }
 	for i := 0; i < 20000; i++ {

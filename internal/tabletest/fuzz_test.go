@@ -150,14 +150,13 @@ func replayTableOps(t *testing.T, data []byte) {
 			Shards: 4, Table: dramhit.Config{Slots: slots},
 		}).NewSync()},
 		// Bucket layout, three postures: the raw engine starting at 64 slots
-		// (the dbl seed drives it through at least two index rebuilds), the
-		// dramhit pipeline over the same engine, and a one-bucket growth-
-		// disabled engine where all but seven live keys ride stash chains —
-		// the overflow path replayed against every other implementation.
+		// (the dbl seed drives it through at least two index rebuilds), a
+		// dramhit bucket table's byte API over the same engine, and a
+		// one-bucket growth-disabled engine where all but seven live keys
+		// ride stash chains — the overflow path replayed against every other
+		// implementation.
 		{"bucket", slotarr.NewBucketMap(64)},
-		{"dramhit-bucket", dramhit.New(dramhit.Config{
-			Slots: 64, Layout: table.LayoutBucket,
-		}).NewSync()},
+		{"dramhit-bucket", dramhitBytes(64)},
 		{"bucket-stash", slotarr.NewBucketMapOf(slotarr.NewBucketTable(
 			slotarr.BucketConfig{Buckets: 1, MaxLoad: 1 << 30}))},
 	}
