@@ -33,8 +33,6 @@ func main() {
 	resizejson := flag.String("resizejson", "", "run the resize-ab experiment and write its machine-readable summary (schema "+bench.ResizeSchema+") to this path")
 	metrics := flag.String("metrics", "", "serve observability (Prometheus /metrics, /trace, pprof) on this address while experiments run, e.g. :8090")
 	probeKernel := flag.String("probekernel", "", "probe kernel for real-execution experiments: swar|scalar (default swar)")
-	probeFilter := flag.String("probefilter", "", "probe filter for real-execution experiments: tags|none (default tags)")
-	missRatio := flag.Float64("missratio", 0, "fraction of lookups sent to absent keys, for experiments that honor it")
 	combiningFlag := flag.String("combining", "", "in-window request combining for real-execution experiments: on|off (default on)")
 	governorFlag := flag.String("governor", "auto", "adaptive pipeline governor on the dramhit cells of real-execution experiments: off|auto|direct")
 	governorjson := flag.String("governorjson", "", "run the governor-ab experiment and write its machine-readable summary (schema "+bench.GovernorSchema+") to this path")
@@ -48,15 +46,6 @@ func main() {
 	kernel, err := table.ParseProbeKernel(*probeKernel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-		os.Exit(2)
-	}
-	filter, err := table.ParseProbeFilter(*probeFilter)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-		os.Exit(2)
-	}
-	if *missRatio < 0 || *missRatio > 1 {
-		fmt.Fprintln(os.Stderr, "dramhit-bench: -missratio must be in [0,1]")
 		os.Exit(2)
 	}
 	layout, err := table.ParseLayout(*layoutFlag)
@@ -108,8 +97,6 @@ func main() {
 		Quick:       *quick,
 		Seed:        *seed,
 		ProbeKernel: kernel,
-		ProbeFilter: filter,
-		MissRatio:   *missRatio,
 		Combining:   combining,
 		Governor:    governor,
 		Observe:     liveReg,

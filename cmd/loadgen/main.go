@@ -148,6 +148,12 @@ func main() {
 	if byteMode != (layout == dramhit.LayoutBucket) {
 		fail(fmt.Errorf("-valuesize and -layout bucket go together: a bucket table serves the byte API, a flat table the uint64 one"))
 	}
+	if layout == dramhit.LayoutBucket && combining != dramhit.CombineOn {
+		fail(fmt.Errorf("-combining off applies to flat tables only: a bucket table has no uint64 ring to combine in"))
+	}
+	if layout == dramhit.LayoutBucket && governor != dramhit.GovernorOff {
+		fail(fmt.Errorf("-governor %s applies to flat tables only: a bucket table has no uint64 ring to govern", *governorFlag))
+	}
 	if *valueTheta != 0 && !byteMode {
 		fail(fmt.Errorf("-valuetheta applies only with -valuesize"))
 	}

@@ -92,32 +92,17 @@ const (
 	KernelScalar = table.KernelScalar
 )
 
-// ProbeFilter selects whether probes consult the packed tag-fingerprint
-// sidecar before loading key lines (Config.ProbeFilter and
-// PartitionedConfig.ProbeFilter): FilterTags (the zero value and default)
-// rejects cache lines whose tag word proves no lane can match; FilterNone
-// disables the sidecar for ablation. Scalar-kernel tables always run
-// FilterNone — the filter is line-granular.
-type ProbeFilter = table.ProbeFilter
-
-// Probe filter choices.
-const (
-	// FilterTags gates line probes on the packed tag sidecar (default).
-	FilterTags = table.FilterTags
-	// FilterNone probes key lines unconditionally (A/B baseline).
-	FilterNone = table.FilterNone
-)
-
 // Layout selects the physical layout (Config.Layout and
 // PartitionedConfig.Layout), and with it the API a table serves: LayoutFlat
-// (the zero value and default) is the open-addressed 16-byte-slot array with
-// the optional tag sidecar, serving uint64 keys and values; LayoutBucket is
+// (the zero value and default) is the open-addressed 16-byte-slot array,
+// serving uint64 keys and values; LayoutBucket is
 // the one-line bucket layout — 64-byte buckets whose first word holds the
 // publish bitmap and seven fingerprints in-cell, whose seven slots reference
 // records in a log-structured arena, and which resizes itself — serving the
 // byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes, SubmitBytes).
-// Calling the other layout's API panics. Hash, ProbeKernel, ProbeFilter,
-// Combining and Governor apply only to flat tables.
+// Calling the other layout's API panics. Hash, ProbeKernel, Combining and
+// Governor apply only to flat tables: constructors panic when a bucket
+// config sets one.
 type Layout = table.Layout
 
 // Layout choices.
@@ -152,8 +137,8 @@ func ParseCombining(s string) (Combining, error) { return table.ParseCombining(s
 // PartitionedConfig.Governor): GovernorOff (the zero value) keeps handles
 // exactly as configured — bit-identical to pre-governor builds; GovernorAuto
 // attaches a per-table hill-climbing controller that retunes the live
-// pipeline (prefetch-window depth, in-window combining, the tag filter, and
-// a synchronous direct mode) from the handles' own counters; GovernorDirect
+// pipeline (prefetch-window depth, in-window combining and a synchronous
+// direct mode) from the handles' own counters; GovernorDirect
 // forces the direct mode unconditionally — the folklore execution model on
 // DRAMHiT's kernel.
 type GovernorMode = table.GovernorMode
@@ -163,7 +148,7 @@ const (
 	// GovernorOff disables adaptation (the zero value; bit-identical to an
 	// ungoverned table).
 	GovernorOff = table.GovernorOff
-	// GovernorAuto self-tunes window/combining/filter/direct per epoch.
+	// GovernorAuto self-tunes window/combining/direct per epoch.
 	GovernorAuto = table.GovernorAuto
 	// GovernorDirect pins the synchronous inline probe path.
 	GovernorDirect = table.GovernorDirect

@@ -22,15 +22,10 @@ type Config struct {
 	Quick bool
 	// Seed fixes all randomness.
 	Seed int64
-	// ProbeKernel / ProbeFilter configure the real tables' hot path in the
-	// real-execution experiments (zero values = package defaults: SWAR
-	// kernel, tags filter). The tags-ab experiment ignores ProbeFilter — it
-	// runs both sides of the A/B by construction.
+	// ProbeKernel configures the real tables' probe kernel in the
+	// real-execution experiments (zero value = the SWAR kernel, the package
+	// default).
 	ProbeKernel table.ProbeKernel
-	ProbeFilter table.ProbeFilter
-	// MissRatio is the fraction of lookups redirected to structurally
-	// absent keys in experiments that honor it (tags-ab's mixed phase).
-	MissRatio float64
 	// Combining configures in-window request combining on the real tables
 	// (zero value = on, the package default). The combine-ab experiment
 	// ignores it — it runs both sides of the A/B by construction.

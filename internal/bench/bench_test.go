@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -252,55 +251,5 @@ func TestShardABQuick(t *testing.T) {
 	}
 	if len(a.Rows) != len(sum.SimRuns)+len(sum.Runs) {
 		t.Errorf("artifact has %d rows, want %d", len(a.Rows), len(sum.SimRuns)+len(sum.Runs))
-	}
-}
-
-// TestTagsABQuick checks the paired filter A/B's structural claims in quick
-// mode: the accounting identity keylines(tags)+tagskips(tags) == keylines(none)
-// on every workload, a real key-line reduction on the negative-lookup phase,
-// and unchanged hit rates (the filter must never alter results).
-func TestTagsABQuick(t *testing.T) {
-	r, ok := Get("tags-ab")
-	if !ok {
-		t.Fatal("tags-ab not registered")
-	}
-	a := r(Config{Quick: true, Seed: 7})
-	if len(a.Rows) != 4 {
-		t.Fatalf("want 4 rows (2 workloads x 2 filters), got %d", len(a.Rows))
-	}
-	col := map[string]int{}
-	for i, h := range a.Header {
-		col[h] = i
-	}
-	f64 := func(row []string, name string) float64 {
-		v, err := strconv.ParseFloat(row[col[name]], 64)
-		if err != nil {
-			t.Fatalf("row %v column %s: %v", row, name, err)
-		}
-		return v
-	}
-	// Rows come in (none, tags) pairs per workload.
-	for i := 0; i < len(a.Rows); i += 2 {
-		none, tags := a.Rows[i], a.Rows[i+1]
-		if none[1] != "none" || tags[1] != "tags" {
-			t.Fatalf("unexpected filter order: %v / %v", none, tags)
-		}
-		if none[0] != tags[0] {
-			t.Fatalf("row pairing broke: %q vs %q", none[0], tags[0])
-		}
-		if s := f64(none, "tagskips/op"); s != 0 {
-			t.Errorf("%s: unfiltered run recorded tag skips (%v)", none[0], s)
-		}
-		klN, klT, sk := f64(none, "keylines/op"), f64(tags, "keylines/op"), f64(tags, "tagskips/op")
-		if diff := klT + sk - klN; diff > 0.001 || diff < -0.001 {
-			t.Errorf("%s: accounting identity violated: %v + %v != %v", none[0], klT, sk, klN)
-		}
-		if hrN, hrT := f64(none, "hitrate"), f64(tags, "hitrate"); hrN != hrT {
-			t.Errorf("%s: filter changed hit rate: %v vs %v", none[0], hrN, hrT)
-		}
-	}
-	// Negative-lookup phase (first pair): the headline reduction.
-	if klN, klT := f64(a.Rows[0], "keylines/op"), f64(a.Rows[1], "keylines/op"); klT*2 >= klN+1 {
-		t.Errorf("filter too weak on negative lookups: %v key lines with tags, %v without", klT, klN)
 	}
 }

@@ -210,7 +210,6 @@ func introspectRep(cfg Config, size uint64, ops int, reg *obs.Registry) float64 
 	tbl := dramhit.New(dramhit.Config{
 		Slots:       size,
 		ProbeKernel: cfg.ProbeKernel,
-		ProbeFilter: cfg.ProbeFilter,
 		Combining:   cfg.Combining,
 		Observe:     reg,
 	})

@@ -10,14 +10,13 @@ import (
 	"dramhit/internal/workload"
 )
 
-// This file holds the layout A/B: the flat interleaved array (with and
-// without the packed tag sidecar) against the one-line bucket layout, on
-// positive lookups at 75% and 90% fill. The architecture-independent signal
-// is index cache lines touched per lookup:
+// This file holds the layout A/B: the flat interleaved array against the
+// one-line bucket layout, on positive lookups at 75% and 90% fill. The
+// architecture-independent signal is index cache lines touched per lookup:
 //
-//   - flat+tags: every probe consults the tag sidecar word (one line) and
-//     then loads the admitted key line(s) — two distinct lines per op is
-//     the floor, so lines/op sits near 2.
+//   - flat: a probe loads its home key line and one more line per reprobe,
+//     so lines/op is 1 + reprobes/op (the paper's ~1.3 at 75% fill over all
+//     keys; the early-inserted prefix probed here sits nearer 1).
 //   - bucket: the control byte, fingerprints and slot words share one
 //     64-byte bucket, so a lookup is one line load plus a stash hop only
 //     when the home bucket's seven lanes overflowed — lines/op sits near 1.
@@ -35,7 +34,9 @@ func init() {
 	})
 }
 
-// LayoutCell is one (layout, filter, fill) measurement of the A/B.
+// LayoutCell is one (layout, filter, fill) measurement of the A/B. Filter
+// names where the layout keeps its fingerprints: "none" on flat, "incell" on
+// bucket.
 type LayoutCell struct {
 	Layout string  `json:"layout"`
 	Filter string  `json:"filter"`
@@ -43,14 +44,11 @@ type LayoutCell struct {
 	// Mops is host-dependent context; the counters below are the signal.
 	Mops float64 `json:"mops"`
 	// LinesPerOp is total index cache lines touched per positive lookup:
-	// key lines plus tag-sidecar words for the flat layout, bucket lines
-	// plus stash hops for the bucket layout.
+	// key lines for the flat layout, bucket lines plus stash hops for the
+	// bucket layout.
 	LinesPerOp float64 `json:"lines_per_op"`
 	// KeyLinesPerOp counts lines whose key material was consulted.
 	KeyLinesPerOp float64 `json:"keylines_per_op"`
-	// TagWordsPerOp counts tag-sidecar word consults (flat+tags only; the
-	// bucket layout keeps its metadata in-cell, so this is zero there).
-	TagWordsPerOp float64 `json:"tagwords_per_op"`
 	// ReprobesPerOp counts extra line crossings beyond the home line: probe
 	// continuations for the flat layout, stash-node hops for the bucket.
 	ReprobesPerOp float64 `json:"reprobes_per_op"`
@@ -63,11 +61,9 @@ type LayoutSummary struct {
 	Schema string       `json:"schema"`
 	Quick  bool         `json:"quick"`
 	Cells  []LayoutCell `json:"cells"`
-	// BucketLines75 / FlatTagsLines75 are the headline lines/op of the two
-	// contenders on positive lookups at 75% fill (acceptance: bucket <= 1.2,
-	// flat+tags ~ 2.0).
-	BucketLines75   float64 `json:"bucket_lines_per_op_75"`
-	FlatTagsLines75 float64 `json:"flattags_lines_per_op_75"`
+	// BucketLines75 is the bucket layout's headline lines/op on positive
+	// lookups at 75% fill (acceptance: <= 1.2).
+	BucketLines75 float64 `json:"bucket_lines_per_op_75"`
 	// BucketReprobes75/90 and their ratio are the fill-stability check
 	// (acceptance: ratio <= 1.5).
 	BucketReprobes75  float64 `json:"bucket_reprobes_per_op_75"`
@@ -85,7 +81,7 @@ func RunLayoutAB(cfg Config) (*Artifact, *LayoutSummary) {
 	a := &Artifact{
 		ID:     "layout-ab",
 		Title:  "Flat vs one-line bucket layout A/B (real execution)",
-		Header: []string{"layout", "filter", "fill", "Mops", "lines/op", "keylines/op", "tagwords/op", "reprobes/op", "stashed"},
+		Header: []string{"layout", "filter", "fill", "Mops", "lines/op", "keylines/op", "reprobes/op", "stashed"},
 	}
 	s := &LayoutSummary{Schema: LayoutSchema, Quick: cfg.Quick}
 	size := uint64(1 << 20)
@@ -94,19 +90,13 @@ func RunLayoutAB(cfg Config) (*Artifact, *LayoutSummary) {
 	}
 	probeN := int(size) / 4
 
-	// Flat cells: one table per filter, filled incrementally 75% -> 90%,
-	// probing the same loaded prefix at both points (the tags-ab
-	// methodology: the probe set is the working set, identical across
-	// layouts and fills, so only the index layout varies between cells).
-	for _, f := range []table.ProbeFilter{table.FilterNone, table.FilterTags} {
-		cells := flatLayoutCells(cfg, size, probeN, f)
-		for _, c := range cells {
-			a.Rows = append(a.Rows, layoutRow(c))
-			s.Cells = append(s.Cells, c)
-			if f == table.FilterTags && c.Fill == 0.75 {
-				s.FlatTagsLines75 = c.LinesPerOp
-			}
-		}
+	// Flat cells: one table filled incrementally 75% -> 90%, probing the
+	// same loaded prefix at both points: the probe set is the working set,
+	// identical across layouts and fills, so only the index layout varies
+	// between cells.
+	for _, c := range flatLayoutCells(cfg, size, probeN) {
+		a.Rows = append(a.Rows, layoutRow(c))
+		s.Cells = append(s.Cells, c)
 	}
 
 	// Bucket cells: same incremental fill and probe prefix on one table.
@@ -136,8 +126,7 @@ func RunLayoutAB(cfg Config) (*Artifact, *LayoutSummary) {
 
 	a.Notes = append(a.Notes,
 		fmt.Sprintf("method: %d-slot tables filled 75%% then 90%% with UniqueKeys; each fill point probes the first %d loaded keys (all hits), so the probe set is identical across layouts and fills", size, probeN),
-		"lines/op is distinct index cache-line touches per lookup: keylines+tagwords for flat (reprobe continuations are already line visits inside those counts; flat+tags pays the sidecar word on every visited line), keylines+reprobes for bucket (stash hops are lines beyond the home bucket; metadata is in-cell, so tagwords is zero)",
-		"flat tagwords/op counts sidecar word consults; consecutive probes can share a sidecar cache line, so it slightly overstates distinct-line traffic — the bucket side needs no such correction",
+		"lines/op is distinct index cache-line touches per lookup: keylines for flat (reprobe continuations are already line visits inside that count), keylines+reprobes for bucket (stash hops are lines beyond the home bucket; metadata is in-cell)",
 		"bucket reprobes/op are stash-node hops; the 90/75 ratio over the common working set is the fill-stability criterion (<= 1.5). The flat rows repeat exactly across fills — a linear probe's length is fixed at insertion time, so later inserts never lengthen an existing key's probe — while bucket stash chains prepend, pushing earlier overflow keys deeper, which is what the ratio detects",
 		"probing a uniform sample of all live keys instead of the common prefix raises the bucket 90%-fill hops (the late keys land in fuller buckets) — roughly 2x the 75% figure — but leaves lines/op near 1.2 and the flat comparison unchanged",
 		"bucket-bytes is the byte-string API on the same engine: 'user<id>' keys, zipf-sized 1-256B values in the log-structured arena; Mops include the hash and arena record walk",
@@ -154,7 +143,6 @@ func layoutRow(c LayoutCell) []string {
 		fmt.Sprintf("%.1f", c.Mops),
 		fmt.Sprintf("%.3f", c.LinesPerOp),
 		fmt.Sprintf("%.3f", c.KeyLinesPerOp),
-		fmt.Sprintf("%.3f", c.TagWordsPerOp),
 		fmt.Sprintf("%.4f", c.ReprobesPerOp),
 		fmt.Sprintf("%d", c.Stashed),
 	}
@@ -164,8 +152,8 @@ func layoutRow(c LayoutCell) []string {
 var layoutFills = []float64{0.75, 0.90}
 
 // flatLayoutCells measures one flat table at both fill points.
-func flatLayoutCells(cfg Config, size uint64, probeN int, f table.ProbeFilter) []LayoutCell {
-	tbl := dramhit.New(dramhit.Config{Slots: size, ProbeKernel: cfg.ProbeKernel, ProbeFilter: f})
+func flatLayoutCells(cfg Config, size uint64, probeN int) []LayoutCell {
+	tbl := dramhit.New(dramhit.Config{Slots: size, ProbeKernel: cfg.ProbeKernel})
 	h := tbl.NewHandle()
 	keys := workload.UniqueKeys(cfg.Seed, int(float64(size)*layoutFills[len(layoutFills)-1]))
 	var cells []LayoutCell
@@ -174,30 +162,18 @@ func flatLayoutCells(cfg Config, size uint64, probeN int, f table.ProbeFilter) [
 		n := int(float64(size) * fill)
 		h.PutBatch(keys[filled:n], make([]uint64, n-filled))
 		filled = n
-		c, _ := probeLayoutCell("flat", f.String(), fill, keys[:probeN], func(probe []uint64) {
+		c, _ := probeLayoutCell("flat", "none", fill, keys[:probeN], func(probe []uint64) {
 			h.GetBatch(probe, make([]uint64, len(probe)), make([]bool, len(probe)))
-		}, func() (kl, tw, rp, total float64) {
-			// Every visited line loads key lanes or is tag-skipped, and with
-			// the filter on every visit consults the sidecar word first — so
-			// distinct line touches are key lines plus sidecar consults, with
-			// reprobe continuations already inside those visit counts.
+		}, func() (kl, rp, total float64) {
+			// Every visited line loads its key lanes, so distinct line
+			// touches are the key lines, reprobe continuations included.
 			st := h.Stats()
-			kl, tw = float64(st.KeyLines), flatTagWords(f, st)
-			return kl, tw, float64(st.Reprobes), kl + tw
+			kl = float64(st.KeyLines)
+			return kl, float64(st.Reprobes), kl
 		})
 		cells = append(cells, c)
 	}
 	return cells
-}
-
-// flatTagWords returns the tag-sidecar consult count: with the filter on,
-// every line visit (Stats.Lines) reads the packed tag word first; with it
-// off there is no sidecar to read.
-func flatTagWords(f table.ProbeFilter, st dramhit.Stats) float64 {
-	if f == table.FilterTags {
-		return float64(st.Lines)
-	}
-	return 0
 }
 
 // leKeys returns keys as their 8-byte little-endian encodings, the form in
@@ -268,28 +244,27 @@ func bucketBytesCell(cfg Config, size uint64, probeN int) LayoutCell {
 // bucketLayoutCounters reads a bucket handle's probe counters: home-bucket
 // loads land in KeyLines, stash hops in Reprobes, and each hop is a line
 // the home count excludes, so total lines = keylines + reprobes.
-func bucketLayoutCounters(h *dramhit.Handle) func() (kl, tw, rp, total float64) {
-	return func() (kl, tw, rp, total float64) {
+func bucketLayoutCounters(h *dramhit.Handle) func() (kl, rp, total float64) {
+	return func() (kl, rp, total float64) {
 		st := h.Stats()
 		kl, rp = float64(st.KeyLines), float64(st.Reprobes)
-		return kl, 0, rp, kl + rp
+		return kl, rp, kl + rp
 	}
 }
 
 // probeLayoutCell times one probe pass and converts counter deltas into a
-// cell. counters() returns the cumulative (keylines, tagwords, reprobes,
-// total-lines) readings before and after; run() performs the probes. The
-// total-lines counter is layout-specific — the flat layout's reprobe
-// continuations are already line visits inside keylines/tagwords, while the
-// bucket layout's stash hops are lines the home-bucket count excludes — so
-// each cell function composes it from its own Stats rather than this helper
-// guessing.
-func probeLayoutCell[K any](layout, filter string, fill float64, probe []K, run func([]K), counters func() (kl, tw, rp, total float64)) (LayoutCell, float64) {
-	kl0, tw0, rp0, tot0 := counters()
+// cell. counters() returns the cumulative (keylines, reprobes, total-lines)
+// readings before and after; run() performs the probes. The total-lines
+// counter is layout-specific — the flat layout's reprobe continuations are
+// already line visits inside keylines, while the bucket layout's stash hops
+// are lines the home-bucket count excludes — so each cell function composes
+// it from its own Stats rather than this helper guessing.
+func probeLayoutCell[K any](layout, filter string, fill float64, probe []K, run func([]K), counters func() (kl, rp, total float64)) (LayoutCell, float64) {
+	kl0, rp0, tot0 := counters()
 	start := time.Now()
 	run(probe)
 	elapsed := time.Since(start)
-	kl1, tw1, rp1, tot1 := counters()
+	kl1, rp1, tot1 := counters()
 	n := float64(len(probe))
 	c := LayoutCell{
 		Layout:        layout,
@@ -298,7 +273,6 @@ func probeLayoutCell[K any](layout, filter string, fill float64, probe []K, run 
 		Mops:          n / elapsed.Seconds() / 1e6,
 		LinesPerOp:    (tot1 - tot0) / n,
 		KeyLinesPerOp: (kl1 - kl0) / n,
-		TagWordsPerOp: (tw1 - tw0) / n,
 		ReprobesPerOp: (rp1 - rp0) / n,
 	}
 	return c, c.Mops

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dramhit/internal/dramhit"
@@ -20,7 +19,6 @@ import (
 func init() {
 	register("reprobe-stats", reprobeStats)
 	register("real-kmer", realKmer)
-	register("tags-ab", tagsAB)
 	register("combine-ab", combineAB)
 }
 
@@ -84,97 +82,6 @@ func reprobeStats(cfg Config) *Artifact {
 		}
 	}
 	return a
-}
-
-// tagsAB is the paired A/B behind results/tags-ab.txt: the same SWAR
-// pipelined workloads with (FilterTags) and without (FilterNone) the packed
-// tag-fingerprint sidecar, on the two regimes that bracket the filter's
-// effect. Uniform negative lookups at 75% fill are the best case — nearly
-// every cluster line is rejected from the cache-hot tag word and its key
-// lanes are never loaded. Positive lookups at 85% fill are the adversarial
-// case — every probe ends at a real key, so only interior cluster lines are
-// skippable. The headline columns are the new Stats counters: key lines
-// loaded per op and lines rejected per op; Mops is host-dependent context.
-func tagsAB(cfg Config) *Artifact {
-	a := &Artifact{
-		ID:     "tags-ab",
-		Title:  "Packed tag-fingerprint filter A/B (real execution)",
-		Header: []string{"workload", "filter", "Mops", "keylines/op", "tagskips/op", "falsepos/op", "hitrate"},
-	}
-	size := uint64(1 << 20)
-	if cfg.Quick {
-		size = 1 << 17
-	}
-	filters := []table.ProbeFilter{table.FilterNone, table.FilterTags}
-
-	// Phase 1: uniform negative lookups against a 75%-full table.
-	fill75 := workload.UniqueKeys(cfg.Seed, int(size)*3/4)
-	missRatio := cfg.MissRatio
-	if missRatio == 0 {
-		missRatio = 1 // the phase exists to measure misses
-	}
-	probeN := int(size) / 2
-	neg := workload.MissKeys(cfg.Seed, len(fill75), probeN)
-	pos := fill75[:probeN]
-	probe := make([]uint64, probeN)
-	mixRng := rand.New(rand.NewSource(cfg.Seed ^ 0x7461b))
-	for i := range probe {
-		if mixRng.Float64() < missRatio {
-			probe[i] = neg[i]
-		} else {
-			probe[i] = pos[i]
-		}
-	}
-	for _, f := range filters {
-		a.Rows = append(a.Rows, tagsABRow(
-			fmt.Sprintf("neg-lookup@75%%(miss=%.2f)", missRatio),
-			cfg, size, f, fill75, probe))
-	}
-
-	// Phase 2: all-hit lookups against an 85%-full table.
-	fill85 := workload.UniqueKeys(cfg.Seed+1, int(size)*17/20)
-	for _, f := range filters {
-		a.Rows = append(a.Rows, tagsABRow("pos-lookup@85%", cfg, size, f, fill85, fill85[:probeN]))
-	}
-
-	a.Notes = append(a.Notes,
-		fmt.Sprintf("method: %d-slot tables, SWAR probe; neg phase fills 75%% with UniqueKeys then probes %d structurally absent MissKeys; pos phase fills 85%% and probes loaded keys",
-			size, probeN),
-		"keylines/op counts cache lines whose key lanes were loaded; tagskips/op counts lines rejected from the tag word alone",
-		"invariant: keylines(tags) + tagskips(tags) == keylines(none) — the filter changes what is loaded, never what is probed",
-		"a miss's terminating line holds the empty slot that ends the probe and is always admitted (must-check), so ~1 keyline/op is the floor on the miss-heavy workload",
-		"Mops are host-dependent; the counter columns are the architecture-independent signal")
-	return a
-}
-
-// tagsABRow runs one (workload, filter) cell: build, fill, probe, report.
-func tagsABRow(name string, cfg Config, size uint64, f table.ProbeFilter, fill, probe []uint64) []string {
-	tbl := dramhit.New(dramhit.Config{Slots: size, ProbeKernel: cfg.ProbeKernel, ProbeFilter: f})
-	h := tbl.NewHandle()
-	h.PutBatch(fill, make([]uint64, len(fill)))
-	base := h.Stats()
-	vals := make([]uint64, len(probe))
-	found := make([]bool, len(probe))
-	start := time.Now()
-	h.GetBatch(probe, vals, found)
-	elapsed := time.Since(start)
-	st := h.Stats()
-	hits := 0
-	for _, ok := range found {
-		if ok {
-			hits++
-		}
-	}
-	n := float64(len(probe))
-	return []string{
-		name,
-		f.String(),
-		fmt.Sprintf("%.1f", n/elapsed.Seconds()/1e6),
-		fmt.Sprintf("%.3f", float64(st.KeyLines-base.KeyLines)/n),
-		fmt.Sprintf("%.3f", float64(st.TagSkips-base.TagSkips)/n),
-		fmt.Sprintf("%.4f", float64(st.TagFalse-base.TagFalse)/n),
-		fmt.Sprintf("%.3f", float64(hits)/n),
-	}
 }
 
 // realKmer runs the actual Go counters on a synthetic genome on this host:
@@ -273,7 +180,6 @@ func combineABRep(cfg Config, size uint64, ops int, theta float64, mode table.Co
 		Slots:          size,
 		PrefetchWindow: 64,
 		ProbeKernel:    cfg.ProbeKernel,
-		ProbeFilter:    cfg.ProbeFilter,
 		Combining:      mode,
 	})
 	h := tbl.NewHandle()

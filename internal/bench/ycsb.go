@@ -137,7 +137,6 @@ func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, 
 		dht = dramhit.New(dramhit.Config{
 			Slots:       slots,
 			ProbeKernel: cfg.ProbeKernel,
-			ProbeFilter: cfg.ProbeFilter,
 			Combining:   cfg.Combining,
 			Governor:    gov,
 			Observe:     reg,
@@ -369,7 +368,6 @@ func obsABRep(cfg Config, size uint64, ops int, reg *obs.Registry) (float64, flo
 	tbl := dramhit.New(dramhit.Config{
 		Slots:       size,
 		ProbeKernel: cfg.ProbeKernel,
-		ProbeFilter: cfg.ProbeFilter,
 		Combining:   cfg.Combining,
 		Observe:     reg,
 	})

@@ -169,77 +169,6 @@ func BenchmarkProbeKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeFilter is the tags-vs-none A/B behind results/tags-ab.txt:
-// the same SWAR pipeline with and without the packed tag sidecar, on the two
-// workloads where the filter's effect brackets reality. Negative lookups at
-// 75% fill are the best case (nearly every probed line is rejected from the
-// tag word alone); positive lookups at 85% fill are the adversarial case
-// (every probe ends in a real key hit, so the filter can only save the
-// cluster-walk interior lines and must pay its tag-word load on the rest).
-// Fixed seeds keep runs benchstat-comparable.
-func BenchmarkProbeFilter(b *testing.B) {
-	const size = 1 << 20
-	filters := []table.ProbeFilter{table.FilterNone, table.FilterTags}
-	for _, f := range filters {
-		b.Run(f.String()+"/miss75", func(b *testing.B) {
-			tbl := New(Config{Slots: size, ProbeFilter: f})
-			h := tbl.NewHandle()
-			fill := workload.UniqueKeys(21, size*3/4)
-			vals := make([]uint64, len(fill))
-			h.PutBatch(fill, vals)
-			miss := workload.MissKeys(21, len(fill), len(fill))
-			found := make([]bool, len(miss))
-			base := h.Stats()
-			b.ResetTimer()
-			for done := 0; done < b.N; done += len(miss) {
-				n := len(miss)
-				if b.N-done < n {
-					n = b.N - done
-				}
-				h.GetBatch(miss[:n], vals[:n], found[:n])
-			}
-			b.StopTimer()
-			reportFilterStats(b, h, base)
-		})
-	}
-	for _, f := range filters {
-		b.Run(f.String()+"/get85", func(b *testing.B) {
-			tbl := New(Config{Slots: size, ProbeFilter: f})
-			h := tbl.NewHandle()
-			keys := workload.UniqueKeys(22, size*17/20)
-			vals := make([]uint64, len(keys))
-			h.PutBatch(keys, vals)
-			found := make([]bool, len(keys))
-			base := h.Stats()
-			b.ResetTimer()
-			for done := 0; done < b.N; done += len(keys) {
-				n := len(keys)
-				if b.N-done < n {
-					n = b.N - done
-				}
-				h.GetBatch(keys[:n], vals[:n], found[:n])
-			}
-			b.StopTimer()
-			reportFilterStats(b, h, base)
-		})
-	}
-}
-
-// reportFilterStats turns the handle's filter counters — the timed region's
-// delta over the setup-phase snapshot — into benchmark metrics so the A/B
-// capture shows per-op key-line loads, not just ns/op.
-func reportFilterStats(b *testing.B, h *Handle, base Stats) {
-	s := h.Stats()
-	n := float64(b.N)
-	keyLines := s.KeyLines - base.KeyLines
-	tagSkips := s.TagSkips - base.TagSkips
-	b.ReportMetric(float64(keyLines)/n, "keylines/op")
-	b.ReportMetric(float64(tagSkips)/n, "tagskips/op")
-	if tagSkips > 0 && keyLines > 0 {
-		b.ReportMetric(float64(s.TagFalse-base.TagFalse)/float64(keyLines), "falsepos/keyline")
-	}
-}
-
 func BenchmarkMixedPipeline(b *testing.B) {
 	tbl := New(Config{Slots: 1 << 18})
 	h := tbl.NewHandle()

@@ -15,8 +15,8 @@ import (
 
 // foldBucketStats folds the engine handle's probe counters (taken as deltas
 // against the pre-op snapshot) into the front-end Stats: engine bucket-line
-// loads are KeyLines (every bucket visit consults key material — there is
-// no sidecar to skip from), stash-node hops are Reprobes, and each hop also
+// loads are KeyLines (every bucket visit consults key material), stash-node
+// hops are Reprobes, and each hop also
 // counts a Line so Lines/Ops keeps its "extra lines beyond the home line"
 // reading. CAS-retry re-loads of the same bucket line surface in KeyLines
 // only.

@@ -569,8 +569,8 @@ func TestCombineConcurrentReadersWriters(t *testing.T) {
 }
 
 // TestCombineConfigWiring pins the Config contract: combining defaults on,
-// off is selectable, the setting is exposed, and — unlike the tag filter —
-// the scalar kernel combines too (the merge decision never reads the
+// off is selectable, the setting is exposed, and the scalar kernel combines
+// too (the merge decision never reads the
 // table, so it is kernel-independent and the kernel equivalence tests rely
 // on both kernels combining identically).
 func TestCombineConfigWiring(t *testing.T) {

@@ -14,10 +14,10 @@ import (
 // pay (no in-window duplicates, occupancy too shallow to overlap misses, or
 // the workload already cache-resident), Submit bypasses the prefetch ring
 // and executes each request as one synchronous inline probe — the folklore
-// execution model, but keeping this table's line-granular SWAR kernel and
-// (when enabled) the tag-fingerprint gate. Responses are produced in
-// submission order; the mode is selected by one branch on the handle's
-// cached decision word and the op path allocates nothing.
+// execution model, but keeping this table's line-granular SWAR kernel.
+// Responses are produced in submission order; the mode is selected by one
+// branch on the handle's cached decision word and the op path allocates
+// nothing.
 //
 // Equivalence: a direct probe walks the same slot sequence as the pipelined
 // drains (same hash, same entry offset, same line-advance accounting, same
@@ -68,13 +68,13 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 		}
 		hv := h.t.hash(req.Key)
 		part, idx := hashfn.FastrangeSplit(hv, h.nreg, h.rslots)
-		arr, tag := h.regs[part].arr, table.TagOf(hv)
+		arr := h.regs[part].arr
 		var v uint64
 		var found, fail bool
 		if h.kernel == table.KernelScalar {
-			v, found, fail = h.directScalar(req, arr, idx, tag)
+			v, found, fail = h.directScalar(req, arr, idx)
 		} else {
-			v, found, fail = h.directSWAR(req, arr, idx, tag)
+			v, found, fail = h.directSWAR(req, arr, idx)
 		}
 		if req.Op == table.Get {
 			resps[nresp] = table.Response{ID: req.ID, Value: v, Found: found}
@@ -116,174 +116,122 @@ func directExhausted(op table.Op) (uint64, bool, bool) {
 
 // directSWAR is the inline line-granular probe: the synchronous twin of the
 // drain* loops in swar.go, with identical per-line accounting (KeyLines,
-// TagSkips, Reprobes, Lines, CASAttempts advance exactly as a pipelined
-// probe's would over the same traversal) but no queue to re-enter — a line
-// crossing just keeps walking.
-func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64, tag uint8) (uint64, bool, bool) {
+// Reprobes, Lines, CASAttempts advance exactly as a pipelined probe's would
+// over the same traversal) but no queue to re-enter — a line crossing just
+// keeps walking, and opens the next line the way a drain opens a reprobed
+// request: with the entry-lane peek.
+func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64) (uint64, bool, bool) {
 	t, size := h.t, h.rslots
-	tagged := h.filter == table.FilterTags
-	// Entry-lane peek: at working fills most probes resolve in their home
-	// slot, and one scalar load answers that case without the lane kernel's
-	// emulated-SWAR ALU — the load the synchronous path must pay anyway. The
-	// drains peek only on the untagged path (the tag gate replaces it), but
-	// here the peek is sound tagged too: a resident key's lane is always a
-	// candidate (tags transition only 0 → fingerprint and zero means "must
-	// check"), so the gate could never have skipped a line whose entry lane
-	// the peek resolves. Counters advance exactly as the kernel's would for
-	// the same resolution — including the untagged Delete peek's
-	// CASAttempts-free shape — so direct stats stay bit-identical to the
-	// window-1 pipeline's (the sequential equivalence test compares them
-	// term for term). A peeked lane holding a different live key falls into
-	// the kernel loop having counted nothing.
-	switch k := arr.Key(idx); k {
-	case req.Key:
-		h.stats.KeyLines++
-		if tagged {
-			h.stats.TagHits++
-		}
-		switch req.Op {
-		case table.Get:
-			return arr.WaitValue(idx), true, false
-		case table.Put:
-			h.stats.CASAttempts++
-			arr.StoreValue(idx, req.Value)
-			return req.Value, true, false
-		case table.Upsert:
-			h.stats.CASAttempts++
-			return arr.AddValue(idx, req.Value), true, false
-		default: // Delete
-			if tagged {
-				h.stats.CASAttempts++
-			}
-			if arr.CASKey(idx, req.Key, table.TombstoneKey) {
-				t.live.Add(-1)
-				return 0, true, false
-			}
-			return 0, false, false
-		}
-	case table.EmptyKey:
-		h.stats.KeyLines++
-		if req.Op == table.Get || req.Op == table.Delete {
-			if tagged {
-				h.stats.TagHits++
-			}
-			return 0, false, false
-		}
-		h.stats.CASAttempts++
-		if arr.CASKey(idx, table.EmptyKey, req.Key) {
-			if tagged {
-				h.stats.TagHits++
-			}
-			arr.PublishTag(idx, tag)
-			h.stats.CASAttempts++
-			arr.StoreValue(idx, req.Value)
-			t.used.Add(1)
-			t.live.Add(1)
-			return req.Value, true, false
-		}
-		// Claim race lost: fall into the kernel loop, which re-snapshots.
-	}
 	var probes uint64
 	for {
-		if tagged {
-			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
-				h.stats.TagSkips++
-				valid := size - base
-				if valid > table.SlotsPerCacheLine {
-					valid = table.SlotsPerCacheLine
-				}
-				if probes+valid-(idx-base) >= size {
-					return directExhausted(req.Op)
-				}
-				probes += valid - (idx - base)
-				next := base + table.SlotsPerCacheLine
-				if next >= size {
-					next = 0
-				}
-				idx = next
-				if slotarr.LineOf(next) != slotarr.LineOf(base) {
-					h.stats.Reprobes++
-					h.stats.Lines++
-				}
-				continue
-			}
-		}
+		// Entry-lane peek, as in the drains: at working fills most probes
+		// resolve in their home slot, and one scalar load answers that case
+		// without the lane kernel's emulated-SWAR ALU. Counters advance
+		// exactly as the drain's would for the same resolution — including the
+		// Delete peek's CASAttempts-free shape — so direct stats stay
+		// bit-identical to the window-1 pipeline's (the sequential equivalence
+		// test compares them term for term).
 		h.stats.KeyLines++
-		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, req.Key, table.EmptyKey, int(idx-base))
-		switch res {
-		case simd.HitKey:
-			if tagged {
-				h.stats.TagHits++
-			}
-			slot := base + uint64(lane)
+		switch k := arr.Key(idx); k {
+		case req.Key:
 			switch req.Op {
 			case table.Get:
-				return arr.WaitValue(slot), true, false
+				return arr.WaitValue(idx), true, false
 			case table.Put:
 				h.stats.CASAttempts++
-				arr.StoreValue(slot, req.Value)
+				arr.StoreValue(idx, req.Value)
 				return req.Value, true, false
 			case table.Upsert:
 				h.stats.CASAttempts++
-				return arr.AddValue(slot, req.Value), true, false
+				return arr.AddValue(idx, req.Value), true, false
 			default: // Delete
-				h.stats.CASAttempts++
-				if arr.CASKey(slot, req.Key, table.TombstoneKey) {
+				if arr.CASKey(idx, req.Key, table.TombstoneKey) {
 					t.live.Add(-1)
 					return 0, true, false
 				}
-				// A concurrent Delete won the race: report a miss, exactly
-				// like the pipelined drain.
 				return 0, false, false
 			}
-		case simd.HitEmpty:
+		case table.EmptyKey:
 			if req.Op == table.Get || req.Op == table.Delete {
-				if tagged {
-					h.stats.TagHits++
-				}
 				return 0, false, false
 			}
-			slot := base + uint64(lane)
 			h.stats.CASAttempts++
-			if arr.CASKey(slot, table.EmptyKey, req.Key) {
-				if tagged {
-					h.stats.TagHits++
-				}
-				arr.PublishTag(slot, tag)
+			if arr.CASKey(idx, table.EmptyKey, req.Key) {
 				h.stats.CASAttempts++
-				arr.StoreValue(slot, req.Value)
+				arr.StoreValue(idx, req.Value)
 				t.used.Add(1)
 				t.live.Add(1)
 				return req.Value, true, false
 			}
-			// Claim race lost: re-snapshot the same line and rerun the
-			// kernel (the loop top re-gates on the tag word).
-			continue
+			// Claim race lost: fall into the kernel loop, which re-snapshots.
 		}
-		if tagged {
-			h.stats.TagFalse++
-		}
-		if probes+valid-(idx-base) >= size {
-			return directExhausted(req.Op)
-		}
-		probes += valid - (idx - base)
-		next := base + table.SlotsPerCacheLine
-		if next >= size {
-			next = 0
-		}
-		idx = next
-		if slotarr.LineOf(next) != slotarr.LineOf(base) {
-			h.stats.Reprobes++
-			h.stats.Lines++
+		for crossed := false; !crossed; {
+			l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
+			lane, res := simd.ProbeLine4(l0, l1, l2, l3, req.Key, table.EmptyKey, int(idx-base))
+			switch res {
+			case simd.HitKey:
+				slot := base + uint64(lane)
+				switch req.Op {
+				case table.Get:
+					return arr.WaitValue(slot), true, false
+				case table.Put:
+					h.stats.CASAttempts++
+					arr.StoreValue(slot, req.Value)
+					return req.Value, true, false
+				case table.Upsert:
+					h.stats.CASAttempts++
+					return arr.AddValue(slot, req.Value), true, false
+				default: // Delete
+					h.stats.CASAttempts++
+					if arr.CASKey(slot, req.Key, table.TombstoneKey) {
+						t.live.Add(-1)
+						return 0, true, false
+					}
+					// A concurrent Delete won the race: report a miss, exactly
+					// like the pipelined drain.
+					return 0, false, false
+				}
+			case simd.HitEmpty:
+				if req.Op == table.Get || req.Op == table.Delete {
+					return 0, false, false
+				}
+				slot := base + uint64(lane)
+				h.stats.CASAttempts++
+				if arr.CASKey(slot, table.EmptyKey, req.Key) {
+					h.stats.CASAttempts++
+					arr.StoreValue(slot, req.Value)
+					t.used.Add(1)
+					t.live.Add(1)
+					return req.Value, true, false
+				}
+				// Claim race lost: re-snapshot the same line and rerun the
+				// kernel.
+				continue
+			}
+			if probes+valid-(idx-base) >= size {
+				return directExhausted(req.Op)
+			}
+			probes += valid - (idx - base)
+			next := base + table.SlotsPerCacheLine
+			if next >= size {
+				next = 0
+			}
+			idx = next
+			if crossed = slotarr.LineOf(next) != slotarr.LineOf(base); crossed {
+				// Where the pipeline would reprobe.
+				h.stats.Reprobes++
+				h.stats.Lines++
+			} else {
+				// Single-line-table wrap, counted as the drains count it.
+				h.stats.KeyLines++
+			}
 		}
 	}
 }
 
 // directScalar is the inline slot-by-slot probe, the synchronous twin of
 // processScalar (the KernelScalar ablation baseline).
-func (h *Handle) directScalar(req table.Request, arr *slotarr.Array, idx uint64, tag uint8) (uint64, bool, bool) {
+func (h *Handle) directScalar(req table.Request, arr *slotarr.Array, idx uint64) (uint64, bool, bool) {
 	t, size := h.t, h.rslots
 	h.stats.KeyLines++
 	line := slotarr.LineOf(idx)
@@ -325,7 +273,6 @@ func (h *Handle) directScalar(req table.Request, arr *slotarr.Array, idx uint64,
 			}
 			h.stats.CASAttempts++
 			if arr.CASKey(idx, table.EmptyKey, req.Key) {
-				arr.PublishTag(idx, tag)
 				h.stats.CASAttempts++
 				arr.StoreValue(idx, req.Value)
 				t.used.Add(1)

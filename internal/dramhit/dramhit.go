@@ -57,21 +57,14 @@ type Config struct {
 	// lane-parallel branch-free kernel of internal/simd; table.KernelScalar
 	// keeps the slot-by-slot loop for ablation and A/B benchmarks.
 	ProbeKernel table.ProbeKernel
-	// ProbeFilter selects whether probes consult the packed tag-fingerprint
-	// sidecar before loading a line's key lanes. The zero value
-	// (table.FilterTags) allocates the sidecar and gates every SWAR drain on
-	// it; table.FilterNone keeps the unfiltered probe as the A/B baseline.
-	// The filter is line-granular and accelerates only KernelSWAR; a
-	// KernelScalar table is forced to FilterNone.
-	ProbeFilter table.ProbeFilter
 	// Combining selects whether Submit merges a request whose key already
 	// has a pending request in the handle's prefetch queue instead of
 	// enqueueing it. The zero value (table.CombineOn) coalesces duplicate
 	// upserts, piggybacks duplicate Gets on one probe, and forwards
 	// Get-after-Put/Upsert from the in-flight value; table.CombineOff keeps
 	// the one-request-one-probe pipeline as the A/B baseline. Combining is
-	// kernel- and filter-independent: the merge decision reads only the
-	// handle's own ring, never the table.
+	// kernel-independent: the merge decision reads only the handle's own
+	// ring, never the table.
 	Combining table.Combining
 	// Observe, when non-nil, attaches the table to the observability
 	// registry: each handle registers a padded counter shard (published at
@@ -82,28 +75,47 @@ type Config struct {
 	Observe *obs.Registry
 	// Layout selects the physical layout, and with it the API the table
 	// serves. The zero value (table.LayoutFlat) is the interleaved uint64
-	// array with the optional tag sidecar: the uint64 API (Submit/Flush, Get,
-	// the batch helpers, Sync). table.LayoutBucket stores the index as
-	// one-line buckets with in-cell metadata over a log-structured KV arena
-	// and resizes itself: the byte-string API (GetBytes/PutBytes/UpsertBytes/
-	// DeleteBytes and the SubmitBytes ring). Calling the other layout's API
-	// panics. Hash, ProbeKernel, ProbeFilter, Combining and Governor apply
-	// only to flat tables; the bucket engine owns its byte hash and keeps its
-	// fingerprints in-cell.
+	// array: the uint64 API (Submit/Flush, Get, the batch helpers, Sync).
+	// table.LayoutBucket stores the index as one-line buckets with in-cell
+	// metadata over a log-structured KV arena and resizes itself: the
+	// byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes and the
+	// SubmitBytes ring). Calling the other layout's API panics. Hash,
+	// ProbeKernel, Combining and Governor apply only to flat tables (the
+	// bucket engine owns its byte hash, probe and ring), so New and NewView
+	// panic when a bucket config sets any of them.
 	Layout table.Layout
 	// Governor selects the adaptive pipeline controller. The zero value
 	// (table.GovernorOff) runs the statically configured pipeline,
 	// bit-identical to a governorless build. table.GovernorAuto attaches the
 	// epoch-based hill-climber of internal/governor: handles feed it their
 	// own counters and re-read its packed decision word at batch boundaries,
-	// adapting window depth, combining, the probe filter, and the
-	// direct/pipelined mode to the live workload. table.GovernorDirect pins
-	// the degraded direct mode: Submit bypasses the ring and executes a
-	// folklore-style synchronous probe inline (one branch on a cached mode
-	// word, zero allocation). The governor can only toggle features the
-	// table was constructed with — it never grows a tag sidecar or a
-	// combining mirror at runtime.
+	// adapting window depth, combining and the direct/pipelined mode to the
+	// live workload. table.GovernorDirect pins the degraded direct mode:
+	// Submit bypasses the ring and executes a folklore-style synchronous
+	// probe inline (one branch on a cached mode word, zero allocation). The
+	// governor can only toggle features the table was constructed with — it
+	// never grows a combining mirror at runtime.
 	Governor table.GovernorMode
+}
+
+// FlatOnlyOnBucket names the first of Hash, ProbeKernel, Combining and
+// Governor that a LayoutBucket config c sets away from its zero value, or
+// returns "". Those settings shape the flat table's uint64 ring; on a bucket
+// table they would be accepted and ignored, so constructors reject them.
+func (c Config) FlatOnlyOnBucket() string {
+	switch {
+	case c.Layout != table.LayoutBucket:
+		return ""
+	case c.Hash != nil:
+		return "Hash"
+	case c.ProbeKernel != table.KernelSWAR:
+		return "ProbeKernel"
+	case c.Combining != table.CombineOn:
+		return "Combining"
+	case c.Governor != table.GovernorOff:
+		return "Governor"
+	}
+	return ""
 }
 
 // Table is the shared state of a DRAMHiT hash table. Create per-goroutine
@@ -128,7 +140,6 @@ type Table struct {
 	hash    func(uint64) uint64
 	window  int
 	kernel  table.ProbeKernel
-	filter  table.ProbeFilter
 	combine table.Combining
 	obsReg  *obs.Registry
 	worker  string       // obs worker-shard name prefix
@@ -167,31 +178,17 @@ type Regions struct {
 	Worker, GovernorSource string
 }
 
-// EffectiveFilter returns the probe filter a table built from c runs: the
-// filter is line-granular, so it exists only under the SWAR kernel on the
-// flat layout. The scalar loop reads slot by slot — a tag sidecar would cost
-// maintenance with nothing to gate — and the bucket engine keeps its
-// fingerprints in-cell.
-func (c Config) EffectiveFilter() table.ProbeFilter {
-	if c.ProbeKernel == table.KernelScalar || c.Layout == table.LayoutBucket {
-		return table.FilterNone
-	}
-	return c.ProbeFilter
-}
-
 // New creates a table from cfg: one region, built here and owned by the
 // table.
 func New(cfg Config) *Table {
 	if cfg.Slots == 0 {
 		panic("dramhit: Config.Slots must be positive")
 	}
+	checkLayout(cfg)
 	r := Regions{Side: new(slotarr.SidePair), Worker: "dramhit-h", GovernorSource: "governor"}
-	switch {
-	case cfg.Layout == table.LayoutBucket:
+	if cfg.Layout == table.LayoutBucket {
 		r.Buckets = []*slotarr.BucketTable{slotarr.NewBucketTableSlots(cfg.Slots)}
-	case cfg.EffectiveFilter() == table.FilterTags:
-		r.Arrays = []*slotarr.Array{slotarr.NewTagged(cfg.Slots)}
-	default:
+	} else {
 		r.Arrays = []*slotarr.Array{slotarr.New(cfg.Slots)}
 	}
 	t := NewView(cfg, r)
@@ -210,6 +207,14 @@ func New(cfg Config) *Table {
 	return t
 }
 
+// checkLayout panics when cfg is a LayoutBucket config that sets a flat-only
+// field (Config.FlatOnlyOnBucket).
+func checkLayout(cfg Config) {
+	if f := cfg.FlatOnlyOnBucket(); f != "" {
+		panic("dramhit: Config." + f + " applies only to LayoutFlat tables; a LayoutBucket table owns its byte hash, probe and ring")
+	}
+}
+
 // NewView creates a table over the regions r, which the caller built and
 // keeps writing: cfg.Slots is their total capacity, cfg.Layout must name the
 // kind r holds, and cfg.Hash (flat layout) must be the hash the writer places
@@ -219,6 +224,7 @@ func New(cfg Config) *Table {
 // only operations the regions' write protocol admits from any goroutine may
 // be submitted (DRAMHiT-P: Gets).
 func NewView(cfg Config, r Regions) *Table {
+	checkLayout(cfg)
 	w := cfg.PrefetchWindow
 	if w == 0 {
 		w = DefaultPrefetchWindow
@@ -230,7 +236,6 @@ func NewView(cfg Config, r Regions) *Table {
 	if h == nil {
 		h = hashfn.City64
 	}
-	f := cfg.EffectiveFilter()
 	regs := make([]region, max(len(r.Arrays), len(r.Buckets)))
 	for i := range r.Arrays {
 		regs[i].arr = r.Arrays[i]
@@ -248,7 +253,6 @@ func NewView(cfg Config, r Regions) *Table {
 		hash:    h,
 		window:  w,
 		kernel:  cfg.ProbeKernel,
-		filter:  f,
 		combine: cfg.Combining,
 		obsReg:  cfg.Observe,
 		worker:  r.Worker,
@@ -258,15 +262,10 @@ func NewView(cfg Config, r Regions) *Table {
 		t.gov = governor.New(governor.Config{
 			Window:    w,
 			Combining: cfg.Combining == table.CombineOn,
-			Tags:      f == table.FilterTags,
 			Direct:    true,
 		})
 	case table.GovernorDirect:
-		t.gov = governor.NewForced(governor.Decision{
-			Direct: true,
-			Window: w,
-			Filter: f == table.FilterTags,
-		})
+		t.gov = governor.NewForced(governor.Decision{Direct: true, Window: w})
 	}
 	if t.obsReg != nil && t.gov != nil {
 		t.obsReg.AddSource(r.GovernorSource, t.gov.Metrics)
@@ -288,10 +287,6 @@ func NewView(cfg Config, r Regions) *Table {
 
 // Kernel returns the configured probe kernel.
 func (t *Table) Kernel() table.ProbeKernel { return t.kernel }
-
-// Filter returns the effective probe filter (FilterNone on scalar-kernel
-// tables regardless of the configured value).
-func (t *Table) Filter() table.ProbeFilter { return t.filter }
 
 // Combining returns the configured in-window combining setting.
 func (t *Table) Combining() table.Combining { return t.combine }
@@ -396,22 +391,17 @@ type Stats struct {
 	// Lines counts cache lines touched (1 + reprobes per op); the paper
 	// reports Lines/Ops ≈ 1.3 at 75% fill.
 	Lines uint64
-	// KeyLines counts line visits whose key lanes were actually consulted.
-	// With FilterNone every visit counts; with FilterTags only tag-admitted
-	// visits do, so KeyLines(tags) + TagSkips(tags) = KeyLines(none) on the
-	// same single-threaded workload — the filter's saving is the gap.
+	// KeyLines counts line visits whose key lanes were consulted. A flat
+	// probe loads the key lanes of every line it visits, so on a table of
+	// more than one line, with no reserved keys (side slots, which Lines
+	// counts and no key line serves) and no lost claim races, KeyLines
+	// equals Lines. On a bucket table it counts home-bucket loads.
 	KeyLines uint64
-	// TagSkips counts line visits rejected by the packed tag word alone:
-	// every lane at or after the probe's entry offset provably held a
-	// different published key, so no key lane was loaded.
+	// TagSkips always reads 0: the flat layout has no tag sidecar to skip a
+	// line from. The field stays only because the gated benchmark harness
+	// (benchmark/tbl.go), which is kept fixed so runs stay comparable, reads
+	// it.
 	TagSkips uint64
-	// TagHits counts tag-admitted line visits the kernel then resolved
-	// (key found or probe chain terminated by an empty lane).
-	TagHits uint64
-	// TagFalse counts tag-admitted line visits the kernel then missed —
-	// the filter's false positives (a colliding fingerprint or a
-	// must-check zero tag on a lane that resolved nothing).
-	TagFalse uint64
 	// CombinedUpserts counts Upserts folded into a pending same-key Upsert
 	// at Submit time. Each is also counted in Upserts — combining changes
 	// how an operation executes, never whether it completed.
@@ -432,17 +422,15 @@ type Stats struct {
 // Ops returns the total completed operation count.
 func (s *Stats) Ops() uint64 { return s.Gets + s.Puts + s.Upserts + s.Deletes }
 
-// Core returns the counters every probe configuration must agree on: the
-// filter-observability fields (KeyLines, TagSkips, TagHits, TagFalse) and
-// CASAttempts are zeroed because they intentionally differ across kernels
-// and filters, while completions, hits, failures, reprobes, line touches
-// and the combine counters are execution-model-invariant (a merge decision
-// reads only the handle's ring, which evolves identically under every
-// kernel and filter). The equivalence property tests compare Cores.
+// Core returns the counters every probe kernel must agree on: KeyLines and
+// CASAttempts are zeroed because they intentionally differ between the
+// scalar and SWAR kernels, while completions, hits, failures, reprobes, line
+// touches and the combine counters are execution-model-invariant (a merge
+// decision reads only the handle's ring, which evolves identically under
+// either kernel). The equivalence property tests compare Cores.
 func (s Stats) Core() Stats {
 	c := s
-	c.KeyLines, c.TagSkips, c.TagHits, c.TagFalse = 0, 0, 0, 0
-	c.CASAttempts = 0
+	c.KeyLines, c.CASAttempts = 0, 0
 	return c
 }
 
@@ -463,7 +451,6 @@ type Handle struct {
 	tail    int       // dequeue position (oldest)
 	window  int
 	kernel  table.ProbeKernel
-	filter  table.ProbeFilter
 	combine bool
 
 	// bhs holds the bucket-layout engine views the byte API runs on, one per
@@ -540,8 +527,6 @@ type Handle struct {
 	// from at the last poll.
 	govPrevOps   uint64
 	govPrevChits uint64
-	govPrevSkips uint64
-	govPrevLines uint64
 
 	// bstaged is the byte ring's stage-two cursor (DESIGN.md §3.1.8):
 	// positions below it have had their candidate records prefetched.
@@ -565,7 +550,6 @@ func (t *Table) NewHandle() *Handle {
 		mask:    capacity - 1,
 		window:  t.window,
 		kernel:  t.kernel,
-		filter:  t.filter,
 		combine: t.combine == table.CombineOn,
 	}
 	if t.Bucket() != nil {
@@ -598,10 +582,9 @@ func (t *Table) NewHandle() *Handle {
 
 // applyDecision actuates a governor decision on this handle. Callers must
 // only invoke it while the pipeline is empty (head == tail): every toggle is
-// proven safe at that boundary — tagcnt is balanced, stale ptags bytes can
-// only cause missed combines or key-confirmed matches, and PublishTag stays
-// unconditional on insert paths so a re-enabled filter never misses a tag.
-// The decision is clamped to the table's constructed capabilities.
+// proven safe at that boundary — tagcnt is balanced, and stale ptags bytes
+// can only cause missed combines or key-confirmed matches. The decision is
+// clamped to the table's constructed capabilities.
 func (h *Handle) applyDecision(d governor.Decision) {
 	h.direct = d.Direct
 	w := d.Window
@@ -613,11 +596,6 @@ func (h *Handle) applyDecision(d governor.Decision) {
 	}
 	h.window = w
 	h.combine = d.Combine && h.ptags != nil
-	if d.Filter && h.t.filter == table.FilterTags {
-		h.filter = table.FilterTags
-	} else {
-		h.filter = table.FilterNone
-	}
 }
 
 // govPollEvery throttles governor polls to one per govPollEvery Submit
@@ -638,16 +616,12 @@ func (h *Handle) govPoll() {
 		s := &h.stats
 		ops := s.Ops()
 		chits := s.CombinedUpserts + s.PiggybackedGets + s.ForwardedGets
-		lines := s.KeyLines + s.TagSkips
 		h.gov.Feed(governor.Sample{
 			Ops:         ops - h.govPrevOps,
 			NS:          uint64(now - h.govLastNS),
 			CombineHits: chits - h.govPrevChits,
-			TagSkips:    s.TagSkips - h.govPrevSkips,
-			Lines:       lines - h.govPrevLines,
 		})
 		h.govPrevOps, h.govPrevChits = ops, chits
-		h.govPrevSkips, h.govPrevLines = s.TagSkips, lines
 	}
 	h.govLastNS = now
 	h.govApply()
@@ -733,7 +707,7 @@ func (h *Handle) pop() {
 func (h *Handle) reprobe(p *pending, idx, probes uint64) {
 	p.idx, p.probes = idx, probes
 	h.pop()
-	h.prefetchNext(h.regs[p.part].arr, idx, p.tag)
+	h.regs[p.part].arr.Prefetch(idx)
 	h.stats.Reprobes++
 	h.stats.Lines++
 	h.q[h.head&h.mask] = *p
@@ -773,9 +747,9 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		if h.direct {
 			// Degraded direct mode: the governor concluded pipelining cannot
 			// pay here, so Submit executes each request synchronously inline
-			// — a folklore-style probe that keeps the SWAR kernel and the
-			// tag filter but skips the ring, the prefetch bookkeeping and
-			// the out-of-order completion machinery entirely.
+			// — a folklore-style probe that keeps the SWAR kernel but skips
+			// the ring, the prefetch bookkeeping and the out-of-order
+			// completion machinery entirely.
 			return h.submitDirect(reqs, resps)
 		}
 	}
@@ -843,15 +817,9 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		p.tag = table.TagOf(hv)
 		part, idx := hashfn.FastrangeSplit(hv, h.nreg, h.rslots)
 		p.part, p.idx = uint32(part), idx
-		arr := h.regs[part].arr
-		// Submit loads no table memory: it only starts the fetches the drain
-		// will need a window from now — the home data line and, in tags mode,
-		// the sidecar word the drain gates on. Gating the data fetch on the
-		// tag word here would make Submit wait for the sidecar miss.
-		if h.filter == table.FilterTags {
-			arr.PrefetchTags(idx)
-		}
-		arr.Prefetch(idx)
+		// Submit loads no table memory: it only starts the fetch of the home
+		// line the drain will probe a window from now.
+		h.regs[part].arr.Prefetch(idx)
 		h.enqueue()
 		h.stats.Lines++
 		nreq++
@@ -933,23 +901,6 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, block
 	}
 }
 
-// prefetchNext issues the reprobe prefetch for the line starting at slot
-// next (line-aligned). In tags mode the data pull is elided when the packed
-// tag word already proves the line will be rejected on arrival, so a
-// skipped line costs neither a key-lane load nor a cache-line fill. Unlike
-// Submit, a reprobe can afford the gate: one 64-byte sidecar line covers
-// sixteen data lines, so the neighbouring line's tag word is resident
-// fifteen times in sixteen. Tags
-// are write-once (0 → fingerprint), so a tag published between this check
-// and the drain can only admit lanes the check rejected — at worst an
-// unprefetched but fully correct probe, never a wrong skip.
-func (h *Handle) prefetchNext(arr *slotarr.Array, next uint64, tag uint8) {
-	if h.filter == table.FilterTags && arr.LineCandidates(next, tag) == 0 {
-		return
-	}
-	arr.Prefetch(next)
-}
-
 // processScalar is the pre-SWAR slot-by-slot hot path, retained as the
 // table.KernelScalar ablation baseline (and the reference the SWAR
 // equivalence property test compares against).
@@ -1017,7 +968,6 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 			case table.Put, table.Upsert:
 				h.stats.CASAttempts++
 				if arr.CASKey(idx, table.EmptyKey, p.req.Key) {
-					arr.PublishTag(idx, p.tag)
 					h.stats.CASAttempts++
 					arr.StoreValue(idx, p.req.Value)
 					t.used.Add(1)
@@ -1173,9 +1123,6 @@ func (h *Handle) obsPublish() {
 	w.Store(obs.CReprobes, s.Reprobes)
 	w.Store(obs.CLines, s.Lines)
 	w.Store(obs.CKeyLines, s.KeyLines)
-	w.Store(obs.CTagSkips, s.TagSkips)
-	w.Store(obs.CTagHits, s.TagHits)
-	w.Store(obs.CTagFalse, s.TagFalse)
 	w.Store(obs.CCombinedUpserts, s.CombinedUpserts)
 	w.Store(obs.CPiggybackedGets, s.PiggybackedGets)
 	w.Store(obs.CForwardedGets, s.ForwardedGets)

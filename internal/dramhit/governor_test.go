@@ -16,9 +16,9 @@ import (
 // (the pipeline completes out of order; direct completes in submission
 // order — the ordering is not part of the contract, the per-request results
 // are), and the order-insensitive Stats are compared exactly: op counts,
-// hits, failures, combine counters, CAS attempts and tag resolutions are
-// each a pure function of per-request outcomes. The traversal counters
-// (Reprobes, Lines, KeyLines, TagSkips, TagFalse) are NOT compared: probe
+// hits, failures, combine counters and CAS attempts are each a pure
+// function of per-request outcomes. The traversal counters (Reprobes, Lines,
+// KeyLines) are NOT compared: probe
 // chain lengths depend on which neighboring writes had landed when a probe
 // ran, and the two modes execute a batch in different orders by design.
 //
@@ -111,7 +111,7 @@ func (gp *govPair) compare(what string) {
 // outcomeStats strips the traversal-order-dependent counters, keeping only
 // the fields determined by per-request outcomes.
 func outcomeStats(s Stats) Stats {
-	s.Reprobes, s.Lines, s.KeyLines, s.TagSkips, s.TagFalse = 0, 0, 0, 0, 0
+	s.Reprobes, s.Lines, s.KeyLines = 0, 0, 0
 	return s
 }
 
@@ -319,8 +319,8 @@ func TestGovernorFlipMidStream(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				h := tbl.NewHandle()
-				full := governor.Decision{Window: DefaultPrefetchWindow, Combine: true, Filter: true}
-				dir := governor.Decision{Direct: true, Window: DefaultPrefetchWindow, Filter: true}
+				full := governor.Decision{Window: DefaultPrefetchWindow, Combine: true}
+				dir := governor.Decision{Direct: true, Window: DefaultPrefetchWindow}
 				vals := make([]uint64, len(keys))
 				found := make([]bool, len(keys))
 				for r := 0; r < rounds; r++ {
@@ -393,7 +393,7 @@ func TestGovernorConfigWiring(t *testing.T) {
 	// Capability clamp: a combining-off table must never actuate combining.
 	off := New(Config{Slots: 64, Combining: table.CombineOff, Governor: table.GovernorAuto})
 	ho := off.NewHandle()
-	ho.applyDecision(governor.Decision{Window: 8, Combine: true, Filter: true})
+	ho.applyDecision(governor.Decision{Window: 8, Combine: true})
 	if ho.combine {
 		t.Fatal("combining actuated on a CombineOff table")
 	}

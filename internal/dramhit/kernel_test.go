@@ -12,10 +12,9 @@ import (
 // kernelPair drives two tables — one per probe kernel — through the same
 // request stream with the same flush boundaries and asserts byte-identical
 // behaviour: every response (order included, since both pipelines are
-// deterministic for a single handle) and the core Stats counters. The
-// filter-observability counters (KeyLines, TagSkips, TagHits, TagFalse)
-// are excluded via Stats.Core — they intentionally differ between probe
-// configurations; filter_test.go pins their cross-filter invariants.
+// deterministic for a single handle) and the core Stats counters. KeyLines
+// and CASAttempts are excluded via Stats.Core — they intentionally differ
+// between the kernels.
 type kernelPair struct {
 	t              *testing.T
 	scalar, swar   *Handle

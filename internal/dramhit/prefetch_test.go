@@ -38,8 +38,11 @@ func (d *digest) flag(b bool) {
 }
 
 func (d *digest) stats(s Stats) {
+	// The two zeros hold the places of the tag-sidecar counters the pinned
+	// digests were computed with (hits and false positives; no flat probe
+	// has a sidecar any more), so the constants still describe the counters.
 	d.u64(s.Gets, s.Puts, s.Upserts, s.Deletes, s.Hits, s.Failed, s.Reprobes, s.Lines,
-		s.KeyLines, s.TagSkips, s.TagHits, s.TagFalse,
+		s.KeyLines, s.TagSkips, 0, 0,
 		s.CombinedUpserts, s.PiggybackedGets, s.ForwardedGets, s.CASAttempts)
 }
 
@@ -131,18 +134,20 @@ func runBytesDigest() uint64 {
 // same file runs under the default build (PREFETCHT0/PRFM issued) and under
 // -tags purego (no-op stub): all three agreeing is the proof that prefetching
 // — the flat ring's line prefetches and both stages of the byte ring —
-// changes no response, no completion order and no counter.
+// changes no response, no completion order and no counter. flat-full-window4
+// and flat-nocombine were re-pinned once, when the tag sidecar was deleted:
+// their constants are the digests the same configs produced with the sidecar
+// switched off, under both builds, before it was deleted.
 func TestPrefetchInvisible(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  Config
 		want uint64
 	}{
-		{"flat-tags", Config{Slots: 4096}, 0x53643ff05aca8c76},
-		{"flat-none", Config{Slots: 4096, ProbeFilter: table.FilterNone}, 0x2d8f3621d50431eb},
+		{"flat-none", Config{Slots: 4096}, 0x2d8f3621d50431eb},
 		{"flat-scalar", Config{Slots: 4096, ProbeKernel: table.KernelScalar}, 0xe7978b2719f3675c},
-		{"flat-full-window4", Config{Slots: 1024, PrefetchWindow: 4}, 0x5b0694fcb333adfe},
-		{"flat-nocombine", Config{Slots: 4096, Combining: table.CombineOff}, 0xa06992d90deebf76},
+		{"flat-full-window4", Config{Slots: 1024, PrefetchWindow: 4}, 0x7f09079d7773cf19},
+		{"flat-nocombine", Config{Slots: 4096, Combining: table.CombineOff}, 0x90122ef153df2c00},
 	} {
 		if got := runUint64Digest(c.cfg); got != c.want {
 			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)

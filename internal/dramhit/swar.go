@@ -25,24 +25,8 @@ import (
 // exactly the scalar path's cost. Only when the peeked lane holds a
 // different live key (a cluster walk has started) does the line kernel take
 // over, replacing up to three more per-slot iterations with one fused
-// lane-compare. The peek writes no Stats, so the counters stay identical to
-// the scalar path's in every outcome.
-
-// The FilterTags gate replaces the entry-lane peek: one load of the packed
-// tag word (a tiny, cache-hot sidecar — 1 byte per 16-byte slot) answers
-// "could any lane at or after the entry offset hold this key or terminate
-// the chain?" before the 64-byte key line is touched. A rejected line is
-// advanced past with the exact bound/advance accounting of the kernel's
-// Miss branch, so the traversal — probes counted, lines visited, reprobes
-// enqueued, and therefore the out-of-order completion order — is identical
-// to FilterNone's; only the key-lane loads and the data prefetches are
-// elided. That traversal parity is what the tags≡none property tests pin.
-//
-// The gate re-runs on every loop iteration (single-line-table wraps and
-// lost-claim re-snapshots), which keeps the skip decision sound against
-// concurrent publication: tags only transition 0 → fingerprint, so a
-// rejection can never become wrong, and a zero (unpublished) tag keeps the
-// lane in the candidate mask (the "must check" rule).
+// lane-compare. The peek and the kernel share the line's one KeyLines count,
+// so the counters stay identical to the scalar path's in every outcome.
 
 // drainGet resolves a pending Get over its resident line with the lane
 // kernel. The matched lane's value is loaded after its key was observed —
@@ -50,55 +34,22 @@ import (
 // kernel just touched, so the load is an L1 hit, not a second memory touch.
 func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	arr, size := h.regs[p.part].arr, h.rslots
-	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
-	tagged := h.filter == table.FilterTags
-	if !tagged {
-		h.stats.KeyLines++
-		switch k := arr.Key(idx); k {
-		case key:
-			if *nresp >= len(resps) {
-				return false, true
-			}
-			return h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
-		case table.EmptyKey:
-			if *nresp >= len(resps) {
-				return false, true
-			}
-			return h.retire(p, table.Get, 0, false, false, resps, nresp)
+	key, idx, probes := p.req.Key, p.idx, p.probes
+	h.stats.KeyLines++
+	switch k := arr.Key(idx); k {
+	case key:
+		if *nresp >= len(resps) {
+			return false, true
 		}
+		return h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
+	case table.EmptyKey:
+		if *nresp >= len(resps) {
+			return false, true
+		}
+		return h.retire(p, table.Get, 0, false, false, resps, nresp)
 	}
 
 	for {
-		if tagged {
-			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
-				// Every lane at or after the entry offset provably holds a
-				// different published key: skip the line without loading it.
-				h.stats.TagSkips++
-				valid := size - base
-				if valid > table.SlotsPerCacheLine {
-					valid = table.SlotsPerCacheLine
-				}
-				if probes+valid-(idx-base) >= size {
-					if *nresp >= len(resps) {
-						return false, true
-					}
-					return h.completeFailed(p, resps, nresp)
-				}
-				probes += valid - (idx - base)
-				next := base + table.SlotsPerCacheLine
-				if next >= size {
-					next = 0
-				}
-				idx = next
-				if slotarr.LineOf(next) != slotarr.LineOf(base) {
-					h.reprobe(p, idx, probes)
-					return false, false
-				}
-				continue
-			}
-			h.stats.KeyLines++
-		}
 		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
 		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
@@ -106,21 +57,12 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 			if *nresp >= len(resps) {
 				return false, true
 			}
-			if tagged {
-				h.stats.TagHits++
-			}
 			return h.retire(p, table.Get, arr.WaitValue(base+uint64(lane)), true, false, resps, nresp)
 		case simd.HitEmpty:
 			if *nresp >= len(resps) {
 				return false, true
 			}
-			if tagged {
-				h.stats.TagHits++
-			}
 			return h.retire(p, table.Get, 0, false, false, resps, nresp)
-		}
-		if tagged {
-			h.stats.TagFalse++
 		}
 		if probes+valid-(idx-base) >= size {
 			// Full-table probe: not found.
@@ -148,10 +90,8 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote
 			return false, false
 		}
 		// Single-line-table wrap: the probe stays cache-resident; keep
-		// draining (the loop top re-counts the new visit of the same line).
-		if !tagged {
-			h.stats.KeyLines++
-		}
+		// draining, counting the new visit of the same line.
+		h.stats.KeyLines++
 	}
 }
 
@@ -167,69 +107,35 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 	if add {
 		op = table.Upsert
 	}
-	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
-	tagged := h.filter == table.FilterTags
-	if !tagged {
-		h.stats.KeyLines++
-		switch k := arr.Key(idx); k {
-		case key:
-			h.stats.CASAttempts++
-			v := p.req.Value
-			if add {
-				v = arr.AddValue(idx, p.req.Value)
-			} else {
-				arr.StoreValue(idx, p.req.Value)
-			}
-			return h.retire(p, op, v, true, false, resps, nresp)
-		case table.EmptyKey:
-			h.stats.CASAttempts++
-			if arr.CASKey(idx, table.EmptyKey, key) {
-				arr.PublishTag(idx, tag)
-				h.stats.CASAttempts++
-				arr.StoreValue(idx, p.req.Value)
-				t.used.Add(1)
-				t.live.Add(1)
-				return h.retire(p, op, p.req.Value, true, false, resps, nresp)
-			}
-			// Claim race lost: fall into the kernel loop, which re-snapshots.
+	key, idx, probes := p.req.Key, p.idx, p.probes
+	h.stats.KeyLines++
+	switch k := arr.Key(idx); k {
+	case key:
+		h.stats.CASAttempts++
+		v := p.req.Value
+		if add {
+			v = arr.AddValue(idx, p.req.Value)
+		} else {
+			arr.StoreValue(idx, p.req.Value)
 		}
+		return h.retire(p, op, v, true, false, resps, nresp)
+	case table.EmptyKey:
+		h.stats.CASAttempts++
+		if arr.CASKey(idx, table.EmptyKey, key) {
+			h.stats.CASAttempts++
+			arr.StoreValue(idx, p.req.Value)
+			t.used.Add(1)
+			t.live.Add(1)
+			return h.retire(p, op, p.req.Value, true, false, resps, nresp)
+		}
+		// Claim race lost: fall into the kernel loop, which re-snapshots.
 	}
 
 	for {
-		if tagged {
-			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
-				// No lane can match the key and none is empty: skip the
-				// line without loading it.
-				h.stats.TagSkips++
-				valid := size - base
-				if valid > table.SlotsPerCacheLine {
-					valid = table.SlotsPerCacheLine
-				}
-				if probes+valid-(idx-base) >= size {
-					return h.retire(p, op, 0, false, true, resps, nresp)
-				}
-				probes += valid - (idx - base)
-				next := base + table.SlotsPerCacheLine
-				if next >= size {
-					next = 0
-				}
-				idx = next
-				if slotarr.LineOf(next) != slotarr.LineOf(base) {
-					h.reprobe(p, idx, probes)
-					return false, false
-				}
-				continue
-			}
-			h.stats.KeyLines++
-		}
 		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
 		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
-			if tagged {
-				h.stats.TagHits++
-			}
 			slot := base + uint64(lane)
 			h.stats.CASAttempts++
 			v := p.req.Value
@@ -243,14 +149,6 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 			slot := base + uint64(lane)
 			h.stats.CASAttempts++
 			if arr.CASKey(slot, table.EmptyKey, key) {
-				if tagged {
-					h.stats.TagHits++
-				}
-				// Publish the fingerprint before the value: the sooner the
-				// tag leaves 0, the sooner concurrent probes can prune this
-				// lane. A reader that still sees 0 just takes the must-check
-				// path — correctness never waits on this store.
-				arr.PublishTag(slot, tag)
 				h.stats.CASAttempts++
 				arr.StoreValue(slot, p.req.Value)
 				t.used.Add(1)
@@ -258,12 +156,8 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 				return h.retire(p, op, p.req.Value, true, false, resps, nresp)
 			}
 			// Claim race lost: the lane now holds some key. Re-snapshot and
-			// rerun the kernel over the same line (the loop top re-gates on
-			// the tag word, which may now reject the whole line outright).
+			// rerun the kernel over the same line.
 			continue
-		}
-		if tagged {
-			h.stats.TagFalse++
 		}
 		if probes+valid-(idx-base) >= size {
 			// Full-table probe: the table is full.
@@ -282,10 +176,8 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 			return false, false
 		}
 		// Single-line-table wrap: the probe stays cache-resident; keep
-		// draining (the loop top re-counts the new visit of the same line).
-		if !tagged {
-			h.stats.KeyLines++
-		}
+		// draining, counting the new visit of the same line.
+		h.stats.KeyLines++
 	}
 }
 
@@ -295,67 +187,29 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 // path).
 func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 	t, arr, size := h.t, h.regs[p.part].arr, h.rslots
-	key, tag, idx, probes := p.req.Key, p.tag, p.idx, p.probes
-	tagged := h.filter == table.FilterTags
-	if !tagged {
-		h.stats.KeyLines++
-		switch k := arr.Key(idx); k {
-		case key:
-			h.pop()
-			if arr.CASKey(idx, key, table.TombstoneKey) {
-				t.live.Add(-1)
-				h.finish(p, table.Delete, true)
-			} else {
-				h.finish(p, table.Delete, false)
-			}
-			return true, false
-		case table.EmptyKey:
-			h.pop()
+	key, idx, probes := p.req.Key, p.idx, p.probes
+	h.stats.KeyLines++
+	switch k := arr.Key(idx); k {
+	case key:
+		h.pop()
+		if arr.CASKey(idx, key, table.TombstoneKey) {
+			t.live.Add(-1)
+			h.finish(p, table.Delete, true)
+		} else {
 			h.finish(p, table.Delete, false)
-			return true, false
 		}
+		return true, false
+	case table.EmptyKey:
+		h.pop()
+		h.finish(p, table.Delete, false)
+		return true, false
 	}
 
 	for {
-		if tagged {
-			base := idx &^ (table.SlotsPerCacheLine - 1)
-			if arr.LineCandidates(base, tag)>>(idx-base) == 0 {
-				// The key cannot be in this line and no empty lane ends the
-				// chain: skip the line without loading it. (A tombstoned
-				// incarnation of the key keeps its stale matching tag, so a
-				// line holding it is admitted and the kernel skips it — the
-				// tag can prune only lines that never held this fingerprint.)
-				h.stats.TagSkips++
-				valid := size - base
-				if valid > table.SlotsPerCacheLine {
-					valid = table.SlotsPerCacheLine
-				}
-				if probes+valid-(idx-base) >= size {
-					h.pop()
-					h.finish(p, table.Delete, false)
-					return true, false
-				}
-				probes += valid - (idx - base)
-				next := base + table.SlotsPerCacheLine
-				if next >= size {
-					next = 0
-				}
-				idx = next
-				if slotarr.LineOf(next) != slotarr.LineOf(base) {
-					h.reprobe(p, idx, probes)
-					return false, false
-				}
-				continue
-			}
-			h.stats.KeyLines++
-		}
 		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
 		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 		switch res {
 		case simd.HitKey:
-			if tagged {
-				h.stats.TagHits++
-			}
 			h.pop()
 			h.stats.CASAttempts++
 			if arr.CASKey(base+uint64(lane), key, table.TombstoneKey) {
@@ -366,15 +220,9 @@ func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 			}
 			return true, false
 		case simd.HitEmpty:
-			if tagged {
-				h.stats.TagHits++
-			}
 			h.pop()
 			h.finish(p, table.Delete, false)
 			return true, false
-		}
-		if tagged {
-			h.stats.TagFalse++
 		}
 		if probes+valid-(idx-base) >= size {
 			h.pop()
@@ -394,9 +242,7 @@ func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
 			return false, false
 		}
 		// Single-line-table wrap: the probe stays cache-resident; keep
-		// draining (the loop top re-counts the new visit of the same line).
-		if !tagged {
-			h.stats.KeyLines++
-		}
+		// draining, counting the new visit of the same line.
+		h.stats.KeyLines++
 	}
 }

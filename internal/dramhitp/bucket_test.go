@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dramhit/internal/hashfn"
 	"dramhit/internal/table"
 	"dramhit/internal/tabletest"
 	"dramhit/internal/workload"
@@ -106,10 +107,8 @@ func TestPBucketByteAPI(t *testing.T) {
 	if tb.Dropped() != 0 || tb.Len() != len(keys)+2 || tb.Cap() < len(keys) {
 		t.Fatalf("Dropped %d, Len %d, Cap %d after %d inserts", tb.Dropped(), tb.Len(), tb.Cap(), len(keys)+2)
 	}
-	if rs := r.Stats(); rs.KeyLines == 0 {
+	if r.Stats().KeyLines == 0 {
 		t.Fatal("bucket reads did not fold engine lines into KeyLines")
-	} else if rs.TagSkips != 0 || rs.TagHits != 0 {
-		t.Fatal("bucket reads advanced sidecar counters that cannot exist")
 	}
 }
 
@@ -171,6 +170,33 @@ func TestPBucketByteAPIRequiresLayout(t *testing.T) {
 		}
 	}()
 	w.PutBytes([]byte("k"), []byte("v"))
+}
+
+// TestBucketRejectsFlatOnlySettings: Hash, ProbeKernel, Combining and
+// Governor shape the flat partitions' uint64 paths; on a bucket config they
+// would be accepted and ignored, so New panics, naming the field.
+func TestBucketRejectsFlatOnlySettings(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Hash", func(c *Config) { c.Hash = hashfn.City64 }},
+		{"ProbeKernel", func(c *Config) { c.ProbeKernel = table.KernelScalar }},
+		{"Combining", func(c *Config) { c.Combining = table.CombineOff }},
+		{"Governor", func(c *Config) { c.Governor = table.GovernorAuto }},
+		{"Governor", func(c *Config) { c.Governor = table.GovernorDirect }},
+	} {
+		cfg := Config{Slots: 64, Producers: 1, Consumers: 1, Layout: table.LayoutBucket}
+		c.set(&cfg)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "Config."+c.field) {
+					t.Errorf("New with %s set on a bucket config: panic %q, want one naming Config.%s", c.field, msg, c.field)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 // TestUint64APIRequiresFlat pins the other half of the layout diagonal: every

@@ -55,12 +55,6 @@ type Config struct {
 	// cache-line-wide probe of the DRAMHiT-P-SIMD variant (§3.4);
 	// table.KernelScalar keeps the slot-by-slot loop for ablation.
 	ProbeKernel table.ProbeKernel
-	// ProbeFilter selects whether the SWAR probe paths (owner-local updates
-	// and the direct/pipelined read paths) consult the packed
-	// tag-fingerprint sidecar before loading key lines. The zero value
-	// (table.FilterTags) is the default; table.FilterNone is the A/B
-	// baseline. Scalar-kernel tables are forced to FilterNone.
-	ProbeFilter table.ProbeFilter
 	// Combining selects whether handles merge same-key requests in flight:
 	// WriteHandles fold duplicate-key Upserts into one delegated message,
 	// ReadHandles piggyback duplicate-key Gets on one pipelined probe. The
@@ -81,58 +75,37 @@ type Config struct {
 	// across all partitions: synchronous byte writes (WriteHandle.PutBytes/
 	// UpsertBytes/DeleteBytes) and byte reads (ReadHandle.GetBytes and the
 	// byte-lookup ring). Calling the other layout's API panics. Hash,
-	// ProbeKernel, ProbeFilter, Combining and Governor apply only to flat
-	// tables; the bucket engine owns its byte hash and has no sidecar.
+	// ProbeKernel, Combining and Governor apply only to flat tables, so New
+	// panics when a bucket config sets any of them.
 	Layout table.Layout
 	// Governor selects the read-pipeline adaptive controller.
 	// table.GovernorOff (the zero value) keeps ReadHandles exactly as
 	// configured — bit-identical to an ungoverned table.
 	// table.GovernorAuto attaches a shared hill-climbing controller that
-	// tunes window depth, piggybacking and the tag filter from the handles'
-	// own counters, including a degraded direct mode where Submit answers
-	// each lookup synchronously via the no-atomics read path.
+	// tunes window depth and piggybacking from the handles' own counters,
+	// including a degraded direct mode where Submit answers each lookup
+	// synchronously via the no-atomics read path.
 	// table.GovernorDirect forces that direct mode unconditionally.
 	// The write path is not governed: updates are delegated fire-and-forget
 	// and have no pipeline to tune.
 	Governor table.GovernorMode
 }
 
-// FilterStats counts tag-filter events on one probe path: line visits
-// whose key lanes were loaded (KeyLines), visits rejected from the tag
-// word alone (TagSkips), and admitted visits the kernel resolved (TagHits)
-// or missed (TagFalse, the filter's false positives). With FilterNone only
-// KeyLines advances, so KeyLines(tags) + TagSkips(tags) = KeyLines(none)
-// over the same traversal.
-type FilterStats struct {
-	KeyLines, TagSkips, TagHits, TagFalse uint64
-}
-
-// Add accumulates o into s.
-func (s *FilterStats) Add(o FilterStats) {
-	s.KeyLines += o.KeyLines
-	s.TagSkips += o.TagSkips
-	s.TagHits += o.TagHits
-	s.TagFalse += o.TagFalse
-}
-
 // partition is a single-writer region of the table. The owner thread writes
 // with release stores (value before key), concurrent readers probe with
 // plain atomic loads; no CAS is needed anywhere because writes are
-// serialized by ownership. wstats is owner-local too (written only under
-// apply); reader-side filter events live in each ReadHandle's Stats instead,
-// so no cache line ping-pongs between readers. The struct is exactly one
-// cache line, keeping partitions off each other's lines.
+// serialized by ownership. The padding makes the struct exactly one cache
+// line, keeping partitions off each other's lines.
 type partition struct {
-	arr    *slotarr.Array
-	count  uint64 // owner-local: claimed slots (incl. tombstones)
-	live   int64  // owner-local: present entries
-	full   atomic.Bool
-	_      [7]byte
-	wstats FilterStats // owner-local: write-path filter events
+	arr   *slotarr.Array
+	count uint64 // owner-local: claimed slots (incl. tombstones)
+	live  int64  // owner-local: present entries
+	full  atomic.Bool
 	// bkt is the partition's self-resizing bucket index (non-nil iff the
 	// table is a bucket table; arr is nil then). All partition engines share
 	// one arena, so a record's Ref is meaningful table-wide.
 	bkt *slotarr.BucketTable
+	_   [24]byte
 }
 
 // Table is a partitioned DRAMHiT. Obtain WriteHandles (one per writer
@@ -148,7 +121,6 @@ type Table struct {
 	side      slotarr.SidePair
 	fabric    *delegation.Fabric
 	kernel    table.ProbeKernel
-	filter    table.ProbeFilter
 	combine   table.Combining
 	layout    table.Layout
 
@@ -161,7 +133,7 @@ type Table struct {
 	closeOnce sync.Once
 	obsReg    *obs.Registry
 	// view is the read side: dramhit's table over the partitions as regions,
-	// sharing side, hash and filter, and owning the read-pipeline governor.
+	// sharing side and hash, and owning the read-pipeline governor.
 	// Every ReadHandle is one of its handles.
 	view *dramhit.Table
 }
@@ -170,6 +142,22 @@ type Table struct {
 func New(cfg Config) *Table {
 	if cfg.Slots == 0 {
 		panic("dramhitp: Config.Slots must be positive")
+	}
+	// The read side's configuration: the same knobs, over all partitions. It
+	// takes the hash as given (the view defaults it, as below) so that a
+	// bucket config setting a flat-only knob is rejected before anything is
+	// built.
+	vcfg := dramhit.Config{
+		PrefetchWindow: cfg.PrefetchWindow,
+		Hash:           cfg.Hash,
+		ProbeKernel:    cfg.ProbeKernel,
+		Combining:      cfg.Combining,
+		Observe:        cfg.Observe,
+		Layout:         cfg.Layout,
+		Governor:       cfg.Governor,
+	}
+	if f := vcfg.FlatOnlyOnBucket(); f != "" {
+		panic("dramhitp: Config." + f + " applies only to LayoutFlat tables; a LayoutBucket table owns its byte hash, probe and ring")
 	}
 	if cfg.Producers <= 0 {
 		cfg.Producers = 1
@@ -188,19 +176,7 @@ func New(cfg Config) *Table {
 	if partSlots == 0 {
 		partSlots = 1
 	}
-	// The read side's configuration: the same knobs, over all partitions.
-	vcfg := dramhit.Config{
-		Slots:          partSlots * nparts,
-		PrefetchWindow: cfg.PrefetchWindow,
-		Hash:           cfg.Hash,
-		ProbeKernel:    cfg.ProbeKernel,
-		ProbeFilter:    cfg.ProbeFilter,
-		Combining:      cfg.Combining,
-		Observe:        cfg.Observe,
-		Layout:         cfg.Layout,
-		Governor:       cfg.Governor,
-	}
-	filter := vcfg.EffectiveFilter()
+	vcfg.Slots = partSlots * nparts
 	t := &Table{
 		cfg:       cfg,
 		parts:     make([]partition, nparts),
@@ -209,7 +185,6 @@ func New(cfg Config) *Table {
 		total:     partSlots * nparts,
 		hash:      cfg.Hash,
 		kernel:    cfg.ProbeKernel,
-		filter:    filter,
 		combine:   cfg.Combining,
 		layout:    cfg.Layout,
 		obsReg:    cfg.Observe,
@@ -238,20 +213,12 @@ func New(cfg Config) *Table {
 		}
 	} else {
 		for i := range t.parts {
-			if filter == table.FilterTags {
-				t.parts[i].arr = slotarr.NewTagged(partSlots)
-			} else {
-				t.parts[i].arr = slotarr.New(partSlots)
-			}
+			t.parts[i].arr = slotarr.New(partSlots)
 			regs.Arrays = append(regs.Arrays, t.parts[i].arr)
 		}
 	}
 	t.view = dramhit.NewView(vcfg, regs)
 	if t.obsReg != nil {
-		// Only atomically-readable aggregates are exposed here: the
-		// owner-local write-path filter counters (WriteFilterStats) are plain
-		// fields, exact only at quiescence, so a live scrape must not touch
-		// them.
 		t.obsReg.AddSource("dramhitp", func() map[string]float64 {
 			return map[string]float64{
 				"live":       float64(t.Len()),
@@ -282,15 +249,6 @@ func (t *Table) locate(key uint64) (part, local uint64) {
 	return hashfn.FastrangeSplit(t.hash(key), t.nparts, t.partSlots)
 }
 
-// locateTag is locate plus the key's tag fingerprint, computed from the
-// same single hash invocation (Fastrange consumes the high bits, TagOf the
-// low byte — disjoint, see table.TagOf).
-func (t *Table) locateTag(key uint64) (part, local uint64, tag uint8) {
-	h := t.hash(key)
-	part, local = hashfn.FastrangeSplit(h, t.nparts, t.partSlots)
-	return part, local, table.TagOf(h)
-}
-
 // locateBytes maps a byte-string key on a bucket table to its partition
 // (hashfn.ShardRange, the route the read view's byte handles take) and the
 // bucket engine's hash.
@@ -302,23 +260,8 @@ func (t *Table) locateBytes(key []byte) (part, hv uint64) {
 // Layout returns the physical layout the table was constructed with.
 func (t *Table) Layout() table.Layout { return t.layout }
 
-// Filter returns the effective probe filter (FilterNone on scalar-kernel
-// tables regardless of the configured value).
-func (t *Table) Filter() table.ProbeFilter { return t.filter }
-
 // Combining reports whether handles merge in-flight same-key requests.
 func (t *Table) Combining() table.Combining { return t.combine }
-
-// WriteFilterStats aggregates the owner-local write-path filter counters
-// across all partitions. Exact only when the delegation threads are
-// quiescent (Barrier/Close), like Len.
-func (t *Table) WriteFilterStats() FilterStats {
-	var s FilterStats
-	for i := range t.parts {
-		s.Add(t.parts[i].wstats)
-	}
-	return s
-}
 
 // ownerOf returns the consumer index that owns partition p (round-robin
 // assignment, paper Figure 3).
@@ -398,64 +341,37 @@ func (t *Table) apply(m delegation.Message) {
 		}
 		return
 	}
-	part, local, tag := t.locateTag(key)
+	part, local := t.locate(key)
 	pt := &t.parts[part]
 	switch op {
 	case table.Put:
-		if !t.putLocal(pt, local, key, value, tag, false) {
+		if !t.putLocal(pt, local, key, value, false) {
 			t.dropped.Add(1)
 		}
 	case table.Upsert:
-		if !t.putLocal(pt, local, key, value, tag, true) {
+		if !t.putLocal(pt, local, key, value, true) {
 			t.dropped.Add(1)
 		}
 	case table.Delete:
-		t.deleteLocal(pt, local, key, tag)
+		t.deleteLocal(pt, local, key)
 	}
 }
 
 // putLocal inserts or updates (key, value) in partition pt starting at slot
-// `local`. Single-writer: publication order is value first, then key, then
-// tag — so a concurrent reader never observes a claimed-but-unvalued slot,
-// and a nonzero tag always implies a visible key (which is what lets tag
-// rejections prune the lane). Under the SWAR kernel the probe advances a
-// whole cache line per step; ownership makes the line snapshot
-// authoritative (no claim CAS is needed), so the kernel's verdict is acted
-// on directly. With FilterTags the packed tag word is consulted before
-// each line's key lanes; a rejected line is advanced past unread.
-func (t *Table) putLocal(pt *partition, local, key, value uint64, tag uint8, add bool) bool {
+// `local`. Single-writer: publication order is value first, then key, so a
+// concurrent reader never observes a claimed-but-unvalued slot. Under the
+// SWAR kernel the probe advances a whole cache line per step; ownership
+// makes the line snapshot authoritative (no claim CAS is needed), so the
+// kernel's verdict is acted on directly.
+func (t *Table) putLocal(pt *partition, local, key, value uint64, add bool) bool {
 	arr := pt.arr
 	if t.kernel == table.KernelSWAR {
-		tagged := t.filter == table.FilterTags
 		i := local
 		for probes := uint64(0); ; {
-			if tagged {
-				base := i &^ (table.SlotsPerCacheLine - 1)
-				if arr.LineCandidates(base, tag)>>(i-base) == 0 {
-					pt.wstats.TagSkips++
-					valid := t.partSlots - base
-					if valid > table.SlotsPerCacheLine {
-						valid = table.SlotsPerCacheLine
-					}
-					probes += valid - (i - base)
-					if probes >= t.partSlots {
-						break
-					}
-					i = base + table.SlotsPerCacheLine
-					if i >= t.partSlots {
-						i = 0
-					}
-					continue
-				}
-			}
-			pt.wstats.KeyLines++
 			l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
 			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
 			switch res {
 			case simd.HitKey:
-				if tagged {
-					pt.wstats.TagHits++
-				}
 				slot := base + uint64(lane)
 				if add {
 					arr.AddValue(slot, value)
@@ -464,13 +380,9 @@ func (t *Table) putLocal(pt *partition, local, key, value uint64, tag uint8, add
 				}
 				return true
 			case simd.HitEmpty:
-				if tagged {
-					pt.wstats.TagHits++
-				}
 				slot := base + uint64(lane)
 				arr.StoreValue(slot, value)
 				arr.StoreKey(slot, key)
-				arr.PublishTag(slot, tag)
 				pt.count++
 				atomic.AddInt64(&pt.live, 1)
 				if pt.count >= t.partSlots {
@@ -480,9 +392,6 @@ func (t *Table) putLocal(pt *partition, local, key, value uint64, tag uint8, add
 					pt.full.Store(true)
 				}
 				return true
-			}
-			if tagged {
-				pt.wstats.TagFalse++
 			}
 			probes += valid - (i - base)
 			if probes >= t.partSlots {
@@ -527,54 +436,21 @@ func (t *Table) putLocal(pt *partition, local, key, value uint64, tag uint8, add
 	return false
 }
 
-// deleteLocal tombstones key in partition pt. The tombstoned slot keeps
-// its stale tag (tags are write-once); a probe for the same fingerprint
-// still admits the line and the kernel skips the tombstone, so staleness
-// costs at most a false positive.
-func (t *Table) deleteLocal(pt *partition, local, key uint64, tag uint8) {
+// deleteLocal tombstones key in partition pt.
+func (t *Table) deleteLocal(pt *partition, local, key uint64) {
 	arr := pt.arr
 	if t.kernel == table.KernelSWAR {
-		tagged := t.filter == table.FilterTags
 		i := local
 		for probes := uint64(0); ; {
-			if tagged {
-				base := i &^ (table.SlotsPerCacheLine - 1)
-				if arr.LineCandidates(base, tag)>>(i-base) == 0 {
-					pt.wstats.TagSkips++
-					valid := t.partSlots - base
-					if valid > table.SlotsPerCacheLine {
-						valid = table.SlotsPerCacheLine
-					}
-					probes += valid - (i - base)
-					if probes >= t.partSlots {
-						return
-					}
-					i = base + table.SlotsPerCacheLine
-					if i >= t.partSlots {
-						i = 0
-					}
-					continue
-				}
-			}
-			pt.wstats.KeyLines++
 			l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
 			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
 			switch res {
 			case simd.HitKey:
-				if tagged {
-					pt.wstats.TagHits++
-				}
 				arr.StoreKey(base+uint64(lane), table.TombstoneKey)
 				atomic.AddInt64(&pt.live, -1)
 				return
 			case simd.HitEmpty:
-				if tagged {
-					pt.wstats.TagHits++
-				}
 				return
-			}
-			if tagged {
-				pt.wstats.TagFalse++
 			}
 			probes += valid - (i - base)
 			if probes >= t.partSlots {

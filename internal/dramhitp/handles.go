@@ -267,8 +267,8 @@ func (t *Table) NewReadHandle() *ReadHandle {
 }
 
 // Stats returns a copy of the reader's counters: completed Gets and Hits,
-// PiggybackedGets answered by an in-flight same-key probe, and the tag-filter
-// events (handle-local, so concurrent readers never share counter cache
+// PiggybackedGets answered by an in-flight same-key probe, and the line
+// counts (handle-local, so concurrent readers never share counter cache
 // lines).
 func (r *ReadHandle) Stats() dramhit.Stats { return r.h.Stats() }
 

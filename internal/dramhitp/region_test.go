@@ -26,8 +26,7 @@ type regionLayout struct {
 }
 
 var regionLayouts = []regionLayout{
-	{"flat-tags", Config{}},
-	{"flat-none", Config{ProbeFilter: table.FilterNone}},
+	{"flat", Config{}},
 	{"flat-scalar", Config{ProbeKernel: table.KernelScalar}},
 }
 
@@ -102,8 +101,7 @@ func TestOnePartitionIsADramhitTable(t *testing.T) {
 		cfg.Slots, cfg.Producers, cfg.Consumers = 1<<12, 1, 1
 		pt := New(cfg)
 		pt.Start()
-		dt := dramhit.New(dramhit.Config{Slots: cfg.Slots, ProbeKernel: cfg.ProbeKernel,
-			ProbeFilter: cfg.ProbeFilter, Layout: cfg.Layout})
+		dt := dramhit.New(dramhit.Config{Slots: cfg.Slots, ProbeKernel: cfg.ProbeKernel, Layout: cfg.Layout})
 		w, ds := pt.NewWriteHandle(), dt.NewSync()
 		rng := rand.New(rand.NewSource(11))
 		// Puts and Deletes only: a WriteHandle holds Upserts back to fold them,

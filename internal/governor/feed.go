@@ -19,8 +19,6 @@ type Governor struct {
 	ops     atomic.Uint64
 	ns      atomic.Uint64
 	chits   atomic.Uint64
-	skips   atomic.Uint64
-	lines   atomic.Uint64
 	_       pad
 	latch   atomic.Uint32
 	forced  bool
@@ -80,8 +78,6 @@ func (g *Governor) Feed(s Sample) {
 	}
 	g.ns.Add(s.NS)
 	g.chits.Add(s.CombineHits)
-	g.skips.Add(s.TagSkips)
-	g.lines.Add(s.Lines)
 	if g.ops.Add(s.Ops) < g.cfg.EpochOps {
 		return
 	}
@@ -95,8 +91,6 @@ func (g *Governor) Feed(s Sample) {
 			Ops:         g.ops.Swap(0),
 			NS:          g.ns.Swap(0),
 			CombineHits: g.chits.Swap(0),
-			TagSkips:    g.skips.Swap(0),
-			Lines:       g.lines.Swap(0),
 		}
 		prev := g.ctl.Current()
 		d := g.ctl.Step(sample)
@@ -138,7 +132,6 @@ func (g *Governor) Metrics() map[string]float64 {
 		"governor_window":    float64(d.Window),
 		"governor_epochs":    float64(g.Epochs()),
 		"governor_combine":   b2f(d.Combine),
-		"governor_filter":    b2f(d.Filter),
 		"governor_adoptions": float64(g.Adoptions()),
 		"governor_pinned":    b2f(g.Pinned()),
 	}

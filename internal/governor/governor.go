@@ -1,17 +1,16 @@
 // Package governor is the adaptive pipeline controller: a per-table
 // epoch-based hill-climber that watches the hot path's own counters
-// (throughput, combine hit-rate, tag skip-rate, lines per op, window
-// occupancy) and tunes the live pipeline — prefetch-window depth (including
-// the degraded direct mode, depth "0"), in-window combining, and the probe
-// filter — publishing each decision through one atomic word that handles
-// re-read at batch boundaries. No locks, no channels, no goroutines: the
-// controller steps inside whichever worker happens to close an epoch, and
-// every other worker pays one atomic load per poll.
+// (throughput, combine hit-rate) and tunes the live pipeline —
+// prefetch-window depth (including the degraded direct mode, depth "0") and
+// in-window combining — publishing each decision through one atomic word
+// that handles re-read at batch boundaries. No locks, no channels, no
+// goroutines: the controller steps inside whichever worker happens to close
+// an epoch, and every other worker pays one atomic load per poll.
 //
 // The design splits three ways so each layer is independently testable:
 //
-//   - Decision is the packed configuration word (mode, window, combining,
-//     filter) plus the epoch sequence number that makes every publish
+//   - Decision is the packed configuration word (mode, window, combining)
+//     plus the epoch sequence number that makes every publish
 //     distinguishable from the last.
 //   - Controller is a PURE state machine: Step(Sample) → Decision, no
 //     atomics, no time, no randomness. The convergence property tests drive
@@ -28,25 +27,21 @@ import "fmt"
 type Decision struct {
 	// Direct selects the degraded synchronous mode: Submit bypasses the
 	// prefetch ring and executes a folklore-style inline probe. Window,
-	// Combine are ignored while Direct (there is no window to combine in);
-	// Filter still applies — the inline probe keeps the tag gate.
+	// Combine are ignored while Direct (there is no window to combine in).
 	Direct bool
 	// Window is the prefetch-window depth in pipelined mode, 1..255.
 	Window int
 	// Combine enables in-window request combining (only meaningful on a
 	// table built with combining capability).
 	Combine bool
-	// Filter enables the tag-fingerprint probe filter (only meaningful on a
-	// table built with the tag sidecar).
-	Filter bool
 }
 
 // String renders the decision for logs and benchmark artifacts.
 func (d Decision) String() string {
 	if d.Direct {
-		return fmt.Sprintf("direct(filter=%v)", d.Filter)
+		return "direct"
 	}
-	return fmt.Sprintf("window=%d,combine=%v,filter=%v", d.Window, d.Combine, d.Filter)
+	return fmt.Sprintf("window=%d,combine=%v", d.Window, d.Combine)
 }
 
 // Decision word layout. The epoch sequence lives in the high 32 bits so two
@@ -55,7 +50,6 @@ func (d Decision) String() string {
 const (
 	bitDirect  = 1 << 0
 	bitCombine = 1 << 1
-	bitFilter  = 1 << 2
 	windowShf  = 8
 	epochShf   = 32
 )
@@ -68,9 +62,6 @@ func Pack(d Decision, epoch uint64) uint64 {
 	}
 	if d.Combine {
 		w |= bitCombine
-	}
-	if d.Filter {
-		w |= bitFilter
 	}
 	win := d.Window
 	if win < 1 {
@@ -88,7 +79,6 @@ func Unpack(w uint64) Decision {
 	return Decision{
 		Direct:  w&bitDirect != 0,
 		Combine: w&bitCombine != 0,
-		Filter:  w&bitFilter != 0,
 		Window:  int(w >> windowShf & 0xff),
 	}
 }
@@ -102,10 +92,6 @@ type Sample struct {
 	// CombineHits counts requests absorbed by in-window combining (folded
 	// upserts + piggybacked + forwarded gets).
 	CombineHits uint64
-	// TagSkips and Lines characterize the probe filter's effectiveness:
-	// line visits rejected from the tag word alone over total line visits.
-	TagSkips uint64
-	Lines    uint64
 }
 
 // tput is the sample's throughput in ops per nanosecond (the unit cancels
@@ -120,9 +106,9 @@ func (s Sample) tput() float64 {
 
 // Config bounds the controller's search space and sets its cadence. The
 // capability fields matter: the governor may only toggle features the table
-// was CONSTRUCTED with (a table without the tag sidecar cannot grow one at
-// runtime, a combining-off table allocated no ptags mirror), so the neighbor
-// generator never proposes a configuration the handles cannot apply.
+// was CONSTRUCTED with (a combining-off table allocated no ptags mirror), so
+// the neighbor generator never proposes a configuration the handles cannot
+// apply.
 type Config struct {
 	// Window is the construction-time prefetch window — the pipelined mode's
 	// maximum depth.
@@ -130,8 +116,6 @@ type Config struct {
 	// Combining reports whether the table was built with combining
 	// capability.
 	Combining bool
-	// Tags reports whether the table was built with the tag sidecar.
-	Tags bool
 	// Direct, when false, removes the direct mode from the search space
 	// (used by the partitioned read pipeline before its direct path existed;
 	// the core table always allows it).
@@ -220,7 +204,6 @@ func NewController(cfg Config) *Controller {
 	base := Decision{
 		Window:  cfg.Window,
 		Combine: cfg.Combining,
-		Filter:  cfg.Tags,
 	}
 	return &Controller{
 		cfg:   cfg,
@@ -334,9 +317,9 @@ func (c *Controller) pin(tput float64) {
 }
 
 // genNeighbors builds the round's trial list around the incumbent,
-// capability-bounded and sensor-ordered: the sample's combine hit-rate and
-// tag skip-rate decide which toggles are worth trying first, so a converging
-// run spends its epochs on the moves most likely to pay.
+// capability-bounded and sensor-ordered: the sample's combine hit-rate
+// decides whether the direct mode is worth trying first, so a converging run
+// spends its epochs on the moves most likely to pay.
 func (c *Controller) genNeighbors(s Sample) []Decision {
 	b := c.base
 	var out []Decision
@@ -355,10 +338,6 @@ func (c *Controller) genNeighbors(s Sample) []Decision {
 	combineRate := 0.0
 	if s.Ops > 0 {
 		combineRate = float64(s.CombineHits) / float64(s.Ops)
-	}
-	skipRate := 0.0
-	if s.Lines > 0 {
-		skipRate = float64(s.TagSkips) / float64(s.Lines)
 	}
 
 	if b.Direct {
@@ -403,17 +382,6 @@ func (c *Controller) genNeighbors(s Sample) []Decision {
 			d := b
 			d.Direct = true
 			d.Combine = false // canonical: no window to combine in
-			add(d)
-		}
-	}
-	if c.cfg.Tags {
-		d := b
-		d.Filter = !b.Filter
-		if b.Filter && skipRate < 0.02 {
-			// The filter pruned almost nothing this epoch: it is pure sidecar
-			// traffic, so trying it off jumps the queue.
-			out = append([]Decision{d}, out...)
-		} else {
 			add(d)
 		}
 	}

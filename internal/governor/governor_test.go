@@ -6,14 +6,13 @@ import (
 )
 
 // env models a workload as a pure map from configuration to epoch sample:
-// the throughput surface the controller climbs, plus the sensor readings
-// (combine hit-rate, tag skip-rate) that configuration would produce. A
+// the throughput surface the controller climbs, plus the sensor reading
+// (combine hit-rate) that configuration would produce. A
 // deterministic ±1% alternating jitter — well inside the 5% adoption
 // margin — stands in for measurement noise.
 type env struct {
 	tput     func(d Decision) float64 // ops per ns, scaled arbitrarily
 	combine  float64                  // combine hit-rate when combining is on
-	tagskip  float64                  // tag skip-rate when the filter is on
 	epochOps uint64
 	step     int
 }
@@ -30,10 +29,6 @@ func (e *env) sample(d Decision) Sample {
 	s := Sample{Ops: ops, NS: uint64(float64(ops) / t)}
 	if d.Combine && !d.Direct {
 		s.CombineHits = uint64(float64(ops) * e.combine)
-	}
-	s.Lines = ops
-	if d.Filter {
-		s.TagSkips = uint64(float64(ops) * e.tagskip)
 	}
 	return s
 }
@@ -82,7 +77,7 @@ func requireConverged(t *testing.T, c *Controller, trace []Decision, want Decisi
 }
 
 // capAll is the full-capability table every test explores from.
-var capAll = Config{Window: 16, Combining: true, Tags: true, Direct: true, EpochOps: 1024}
+var capAll = Config{Window: 16, Combining: true, Direct: true, EpochOps: 1024}
 
 // TestConvergeDirectUniform models the folklore-gap workload: uniform keys,
 // nothing combines, and the async machinery's fixed overhead exceeds the
@@ -103,12 +98,11 @@ func TestConvergeDirectUniform(t *testing.T) {
 			return t
 		},
 		combine:  0,
-		tagskip:  0.3,
 		epochOps: 1024,
 	}
 	c := NewController(capAll)
 	trace := drive(c, e, 64)
-	requireConverged(t, c, trace, Decision{Direct: true, Window: 16, Filter: true}, 32)
+	requireConverged(t, c, trace, Decision{Direct: true, Window: 16}, 32)
 }
 
 // TestConvergeCombineZipf models a high-skew many-worker stream: in-window
@@ -127,12 +121,11 @@ func TestConvergeCombineZipf(t *testing.T) {
 			return t
 		},
 		combine:  0.35,
-		tagskip:  0.3,
 		epochOps: 1024,
 	}
 	c := NewController(capAll)
 	trace := drive(c, e, 64)
-	requireConverged(t, c, trace, Decision{Window: 16, Combine: true, Filter: true}, 32)
+	requireConverged(t, c, trace, Decision{Window: 16, Combine: true}, 32)
 }
 
 // TestConvergeShallowWindow models a single low-occupancy worker where a
@@ -157,40 +150,11 @@ func TestConvergeShallowWindow(t *testing.T) {
 			}
 		},
 		combine:  0.1,
-		tagskip:  0.3,
 		epochOps: 1024,
 	}
 	c := NewController(capAll)
 	trace := drive(c, e, 96)
-	requireConverged(t, c, trace, Decision{Window: 2, Combine: true, Filter: true}, 64)
-}
-
-// TestConvergeFilterOff models a cold, sparse table where the tag sidecar
-// prunes nothing and its extra load costs 6%: the controller must shed it.
-// The low skip-rate sensor should jump the filter trial to the front of the
-// round, so convergence is fast.
-func TestConvergeFilterOff(t *testing.T) {
-	e := &env{
-		tput: func(d Decision) float64 {
-			t := 10.0
-			if d.Filter {
-				t *= 0.94
-			}
-			if d.Direct {
-				t *= 0.8
-			}
-			if d.Combine {
-				t *= 0.99
-			}
-			return t
-		},
-		combine:  0.2,
-		tagskip:  0.001,
-		epochOps: 1024,
-	}
-	c := NewController(capAll)
-	trace := drive(c, e, 64)
-	requireConverged(t, c, trace, Decision{Window: 16, Combine: true}, 32)
+	requireConverged(t, c, trace, Decision{Window: 2, Combine: true}, 64)
 }
 
 // TestNoOscillation pins the hysteresis guarantee: once converged, sub-margin
@@ -203,7 +167,6 @@ func TestNoOscillation(t *testing.T) {
 			}
 			return 6
 		},
-		tagskip:  0.3,
 		epochOps: 1024,
 	}
 	c := NewController(capAll)
@@ -242,7 +205,6 @@ func TestDriftReopens(t *testing.T) {
 			return t
 		},
 		combine:  0.2,
-		tagskip:  0.3,
 		epochOps: 1024,
 	}
 	c := NewController(capAll)
@@ -253,19 +215,19 @@ func TestDriftReopens(t *testing.T) {
 	// Phase change: duplicates appear, direct collapses.
 	direct = 4
 	trace := drive(c, e, 96)
-	requireConverged(t, c, trace, Decision{Window: 16, Combine: true, Filter: true}, 96)
+	requireConverged(t, c, trace, Decision{Window: 16, Combine: true}, 96)
 }
 
-// TestCapabilityBounds: a table built without combining or tags must never
-// see a decision enabling them.
+// TestCapabilityBounds: a table built without combining must never see a
+// decision enabling it.
 func TestCapabilityBounds(t *testing.T) {
 	e := &env{
 		tput:     func(d Decision) float64 { return 10 },
 		epochOps: 1024,
 	}
-	c := NewController(Config{Window: 8, Combining: false, Tags: false, Direct: true, EpochOps: 1024})
+	c := NewController(Config{Window: 8, Combining: false, Direct: true, EpochOps: 1024})
 	for _, d := range drive(c, e, 64) {
-		if d.Combine || d.Filter {
+		if d.Combine {
 			t.Fatalf("decision %v enables a feature the table lacks", d)
 		}
 		if d.Window > 8 {
@@ -279,8 +241,8 @@ func TestPackUnpack(t *testing.T) {
 		{},
 		{Direct: true},
 		{Window: 1},
-		{Window: 255, Combine: true, Filter: true},
-		{Direct: true, Window: 16, Filter: true},
+		{Window: 255, Combine: true},
+		{Direct: true, Window: 16},
 	}
 	for _, d := range cases {
 		got := Unpack(Pack(d, 77))
@@ -300,14 +262,14 @@ func TestPackUnpack(t *testing.T) {
 // TestGovernorFeedConcurrent exercises the CAS-latched epoch step from many
 // feeders at once (run under -race in CI).
 func TestGovernorFeedConcurrent(t *testing.T) {
-	g := New(Config{Window: 16, Combining: true, Tags: true, Direct: true, EpochOps: 512})
+	g := New(Config{Window: 16, Combining: true, Direct: true, EpochOps: 512})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4096; i++ {
-				g.Feed(Sample{Ops: 64, NS: 6400, Lines: 70})
+				g.Feed(Sample{Ops: 64, NS: 6400})
 				_ = g.Word()
 			}
 		}()
@@ -326,7 +288,7 @@ func TestGovernorFeedConcurrent(t *testing.T) {
 
 // TestForcedGovernor: a forced governor never moves.
 func TestForcedGovernor(t *testing.T) {
-	d := Decision{Direct: true, Window: 3, Filter: true}
+	d := Decision{Direct: true, Window: 3}
 	g := NewForced(d)
 	w := g.Word()
 	for i := 0; i < 1000; i++ {

@@ -189,9 +189,6 @@ var CounterHelp = [NumCounters]string{
 	"Probe line crossings re-enqueued behind a fresh prefetch",
 	"Cache lines touched by probes",
 	"Line visits whose key lanes were consulted",
-	"Line visits rejected from the packed tag word alone",
-	"Tag-admitted line visits confirmed by the kernel",
-	"Tag-admitted line visits rejected by the kernel (false positives)",
 	"Upserts folded onto an in-flight upsert to the same key",
 	"Gets answered by piggybacking on an in-flight get",
 	"Gets answered by store-to-load forwarding from an in-flight write",
@@ -316,7 +313,7 @@ func WriteMetrics(w io.Writer, r *Registry) {
 	// Pull sources render as one labelled gauge family.
 	srcs := r.Sources()
 	if len(srcs) > 0 {
-		fmt.Fprintf(w, "# HELP dramhit_pull Pull-collected table-level metrics (fill, live entries, filter stats) by source\n")
+		fmt.Fprintf(w, "# HELP dramhit_pull Pull-collected table-level metrics (fill, live entries, governor decision) by source\n")
 		fmt.Fprintf(w, "# TYPE dramhit_pull gauge\n")
 		for _, src := range srcs {
 			m := src.Collect()

@@ -37,11 +37,6 @@ const (
 	CLines
 	// CKeyLines counts line visits whose key lanes were consulted.
 	CKeyLines
-	// CTagSkips counts line visits rejected from the packed tag word alone.
-	CTagSkips
-	// CTagHits / CTagFalse split tag-admitted visits by kernel outcome.
-	CTagHits
-	CTagFalse
 	// Combine counters (see dramhit.Stats).
 	CCombinedUpserts
 	CPiggybackedGets
@@ -64,7 +59,7 @@ const (
 // CounterNames maps counter indices to their metric names.
 var CounterNames = [NumCounters]string{
 	"gets", "puts", "upserts", "deletes", "hits", "failed",
-	"reprobes", "lines", "keylines", "tagskips", "taghits", "tagfalse",
+	"reprobes", "lines", "keylines",
 	"combined_upserts", "piggybacked_gets", "forwarded_gets",
 	"cas_attempts", "parks", "queue_sends", "probe_slots", "chain_hops",
 }
@@ -188,7 +183,7 @@ func (c *ShardedCounter) Total() uint64 {
 }
 
 // Source is a pull-collected metric set: table-level aggregates (fill
-// factor, live entries, owner-local filter stats) that are cheap to compute
+// factor, live entries, governor decision) that are cheap to compute
 // at scrape time and have no hot-path presence at all.
 type Source struct {
 	Name    string

@@ -285,9 +285,6 @@ func (h *BatchedHandle) Stats() dramhit.Stats {
 		s.Reprobes += t.Reprobes
 		s.Lines += t.Lines
 		s.KeyLines += t.KeyLines
-		s.TagSkips += t.TagSkips
-		s.TagHits += t.TagHits
-		s.TagFalse += t.TagFalse
 		s.CombinedUpserts += t.CombinedUpserts
 		s.PiggybackedGets += t.PiggybackedGets
 		s.ForwardedGets += t.ForwardedGets

@@ -195,14 +195,13 @@ func CopyMask(lanes *[LaneCount]uint64, key, emptyKey uint64, cidx int) uint8 {
 	return em & (-em) // lowest empty lane only
 }
 
-// ----- 8-wide byte-lane kernel (tag-fingerprint filter) -----
+// ----- 8-wide byte-lane kernel (tag fingerprints) -----
 //
-// The tag filter packs one fingerprint byte per slot into a []uint64
-// sidecar, so a single word load covers TagLanes slots — two full 64-byte
-// key/value cache lines. The kernel below answers, branch-free, "which of
-// these 8 slots could hold my key?" from that one word, letting the probe
-// loops skip entire key-line loads. Byte lane b of the word is slot base+b
-// (little-endian byte order, matching how slotarr packs tags).
+// A word of eight packed fingerprint bytes answers, branch-free, "which of
+// these 8 slots could hold my key?" from one load. Byte lane b of the word
+// is slot base+b (little-endian byte order). The bucket layout's meta word
+// is such a word (BucketCandidates7), and the in-window combine scan matches
+// its ring's tag mirror the same way.
 
 // TagLanes is the number of tag bytes per packed tag word.
 const TagLanes = 8

@@ -42,8 +42,9 @@ type pipeline struct {
 	// admitted line prefetches its data and takes one more queue pass
 	// before the key lanes are scanned. Engaged when the array carries a
 	// sidecar and the pipeline is SIMD — the filter is line-granular, so
-	// the scalar probe runs unfiltered, exactly like the real tables force
-	// FilterNone under KernelScalar.
+	// the scalar probe runs unfiltered. The real flat tables have no sidecar
+	// (DESIGN.md §3.1.2); the model stays so its prediction of that choice
+	// can be checked against the measured gap.
 	tagged bool
 	// singleWriter selects plain stores over CAS for slot claims
 	// (DRAMHiT-P partition owners).

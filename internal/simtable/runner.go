@@ -62,9 +62,9 @@ type Config struct {
 	// design doc): every line visit loads the 16x-denser metadata line
 	// first, and lines the tag word rejects never pay the data access or
 	// prefetch. It engages only on SIMD pipelines (the filter is
-	// line-granular) — i.e. the DRAMHiTPSIMD kind. Opt-in, unlike the real
-	// tables' tags-by-default, so archived simulated figures stay
-	// bit-identical when the flag is absent.
+	// line-granular) — i.e. the DRAMHiTPSIMD kind. Opt-in, so archived
+	// simulated figures stay bit-identical when the flag is absent; the real
+	// flat tables have no sidecar (measured slower on huge pages).
 	TagFilter bool
 	// Combining enables in-window request combining: a submitted key whose
 	// hash already has a pending op in the prefetch window folds onto it

@@ -110,8 +110,8 @@ func TestTagFilterCutsKeyLineLoads(t *testing.T) {
 // per-op cycles balloon) while the filtered run cuts traffic roughly in
 // half and posts far higher Mops. At low thread counts — latency-bound, the
 // machine nowhere near its bandwidth ceiling — the filter costs a little,
-// the same asymmetry the real-host BenchmarkProbeFilter capture shows; that
-// direction only gets a sanity bound, not a win requirement.
+// the direction the real host measured before the real tables dropped their
+// sidecar; that direction only gets a sanity bound, not a win requirement.
 func TestTagFilterSpeedsSimulatedNegativeFinds(t *testing.T) {
 	run := func(tagFilter bool, threads int, missRatio float64) Result {
 		return Run(Config{

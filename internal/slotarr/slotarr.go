@@ -48,17 +48,6 @@ type Array struct {
 	// identical to the paper's: 64-byte line = 4 slots.
 	words []uint64
 	size  uint64
-	// tags is the packed tag-fingerprint sidecar (nil unless constructed
-	// with NewTagged): one byte per slot, eight slots per word, so
-	// tags[i/8] byte lane i%8 is slot i's fingerprint. A published tag is
-	// in 1..255 (table.TagOf); 0 means empty or claimed-but-unpublished
-	// and probes must treat it as a candidate. Tags are written exactly
-	// once per slot (0 → tag, after the key claim) and never cleared:
-	// tombstoned slots keep their stale tag, which is safe because a stale
-	// tag either matches the probe (the key compare then sees the
-	// tombstone and skips the lane, a false positive) or prunes a lane
-	// that provably held a different key.
-	tags []uint64
 }
 
 // New allocates an array of n slots with all keys Empty and all values
@@ -83,69 +72,6 @@ func New(n uint64) *Array {
 		words[2*i] = table.TombstoneKey
 	}
 	return &Array{words: words, size: n}
-}
-
-// NewTagged is New plus the packed tag-fingerprint sidecar: one tag byte
-// per slot, all zero (no candidates pruned) until inserts publish
-// fingerprints via PublishTag. Padding slots keep tag 0 forever — they are
-// "must check" to the filter, and their TombstoneKey key words make the key
-// kernel skip them, so padding stays invisible either way.
-func NewTagged(n uint64) *Array {
-	a := New(n)
-	padded := uint64(len(a.words)) / 2
-	a.tags = hugemem.Uint64s(int((padded+simd.TagLanes-1)/simd.TagLanes), nil)
-	return a
-}
-
-// HasTags reports whether the array carries the tag sidecar.
-func (a *Array) HasTags() bool { return a.tags != nil }
-
-// PublishTag publishes slot i's tag fingerprint after its key claim. On an
-// untagged array it is a no-op, so insert paths call it unconditionally.
-//
-// The byte is merged with a CAS loop rather than an atomic OR (Go 1.22 has
-// no atomic.OrUint64); the loop is effectively wait-free in practice because
-// each byte lane transitions 0 → tag exactly once — the only contention is
-// with concurrent publishers of the other seven lanes in the word.
-func (a *Array) PublishTag(i uint64, tag uint8) {
-	if a.tags == nil {
-		return
-	}
-	w := &a.tags[i/simd.TagLanes]
-	set := uint64(tag) << (8 * (i % simd.TagLanes))
-	for {
-		old := atomic.LoadUint64(w)
-		if old|set == old {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|set) {
-			return
-		}
-	}
-}
-
-// TagWord atomically loads the packed tag word covering slot i (slot
-// i&^7 through slot i|7 — two data cache lines' worth of fingerprints).
-func (a *Array) TagWord(i uint64) uint64 {
-	return atomic.LoadUint64(&a.tags[i/simd.TagLanes])
-}
-
-// Tag returns slot i's current tag byte (0 on an untagged array).
-func (a *Array) Tag(i uint64) uint8 {
-	if a.tags == nil {
-		return 0
-	}
-	return uint8(a.TagWord(i) >> (8 * (i % simd.TagLanes)))
-}
-
-// LineCandidates returns the candidate-lane mask for the cache line whose
-// lane 0 is slot base (base must be line-aligned): bit l is set iff slot
-// base+l's tag matches tag or is 0 (must check). One atomic word load
-// covers the line — the filter's whole read cost.
-func (a *Array) LineCandidates(base uint64, tag uint8) uint8 {
-	w := atomic.LoadUint64(&a.tags[base/simd.TagLanes])
-	shift := base % simd.TagLanes // 0 or 4: which half-word this line is
-	return uint8(simd.TagCandidates8(w, tag)>>shift) & (1<<table.SlotsPerCacheLine - 1)
 }
 
 // Size returns the number of slots.
@@ -288,15 +214,6 @@ func LineOf(i uint64) uint64 { return i / table.SlotsPerCacheLine }
 // prefetch engine exploits (§3.1).
 func (a *Array) Prefetch(i uint64) {
 	simd.Prefetch(unsafe.Pointer(&a.words[2*(i&^(table.SlotsPerCacheLine-1))]))
-}
-
-// PrefetchTags issues a hardware prefetch for the packed tag word covering
-// slot i, so the drain's LineCandidates gate finds the sidecar line resident
-// too. A no-op on an untagged array.
-func (a *Array) PrefetchTags(i uint64) {
-	if a.tags != nil {
-		simd.Prefetch(unsafe.Pointer(&a.tags[i/simd.TagLanes]))
-	}
 }
 
 // side-slot states.

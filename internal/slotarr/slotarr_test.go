@@ -71,24 +71,19 @@ func TestLineOf(t *testing.T) {
 	}
 }
 
-// TestPrefetchIsHarmless drives Prefetch and PrefetchTags over every slot of
-// arrays whose last line is partial (padded), with and without the sidecar:
-// no call may panic or change what the slots hold.
+// TestPrefetchIsHarmless drives Prefetch over every slot of arrays whose last
+// line is partial (padded) or whole: no call may panic or change what the
+// slots hold.
 func TestPrefetchIsHarmless(t *testing.T) {
-	for _, a := range []*Array{New(9), NewTagged(9), New(64), NewTagged(61)} {
+	for _, a := range []*Array{New(9), New(61), New(64)} {
 		last := a.Size() - 1
 		a.CASKey(last, table.EmptyKey, 7)
-		a.PublishTag(last, 3)
 		a.StoreValue(last, 70)
 		for i := uint64(0); i < a.Size(); i++ {
 			a.Prefetch(i)
-			a.PrefetchTags(i) // no-op without a sidecar
 		}
 		if a.Key(last) != 7 || a.WaitValue(last) != 70 {
 			t.Fatalf("size %d: prefetch disturbed the slot", a.Size())
-		}
-		if a.HasTags() && a.Tag(last) != 3 {
-			t.Fatalf("size %d: prefetch disturbed the tag", a.Size())
 		}
 	}
 }

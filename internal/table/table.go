@@ -121,54 +121,14 @@ func ParseProbeKernel(s string) (ProbeKernel, error) {
 	return 0, fmt.Errorf("unknown probe kernel %q (want swar|scalar)", s)
 }
 
-// ProbeFilter selects whether the SWAR probe loops consult the packed
-// tag-fingerprint sidecar before loading a cache line's key lanes. The zero
-// value is FilterTags, making the filter the default execution model; the
-// unfiltered probe stays selectable for ablation and A/B benchmarks. Tags
-// are a pure accelerator: both settings return bit-identical responses, the
-// filter only skips key-line loads that provably cannot match.
-type ProbeFilter uint8
-
-const (
-	// FilterTags consults one packed tag word (8 slots — two data cache
-	// lines) per probed line and skips lines with no candidate lanes.
-	FilterTags ProbeFilter = iota
-	// FilterNone probes key lanes unconditionally (the pre-filter hot
-	// path, kept as the A/B baseline). Also what scalar-kernel tables run:
-	// the filter is line-granular, so it accelerates only KernelSWAR.
-	FilterNone
-)
-
-// String implements fmt.Stringer for benchmark labels.
-func (f ProbeFilter) String() string {
-	switch f {
-	case FilterTags:
-		return "tags"
-	case FilterNone:
-		return "none"
-	}
-	return "invalid"
-}
-
-// ParseProbeFilter maps a benchmark-flag string back to a filter setting.
-func ParseProbeFilter(s string) (ProbeFilter, error) {
-	switch s {
-	case "", "tags":
-		return FilterTags, nil
-	case "none":
-		return FilterNone, nil
-	}
-	return 0, fmt.Errorf("unknown probe filter %q (want tags|none)", s)
-}
-
 // Layout selects the physical slot layout of a table. The zero value is
-// LayoutFlat — the original interleaved key/value array with its optional
-// tag sidecar — so existing configurations are bit-identical. LayoutBucket
+// LayoutFlat — the original interleaved key/value array, four slots to a
+// line — so existing configurations are bit-identical. LayoutBucket
 // switches to the one-line bucket layout: 64-byte buckets whose first word
 // is in-cell metadata (7 fingerprint bytes + a publish bitmap) over 7 slot
-// words referencing a log-structured arena, which both removes the
-// sidecar's extra line load on positive lookups and unlocks variable-length
-// []byte keys and values (the GetBytes/PutBytes API).
+// words referencing a log-structured arena, which keeps a lookup to one line
+// and unlocks variable-length []byte keys and values (the GetBytes/PutBytes
+// API).
 type Layout uint8
 
 const (
@@ -301,8 +261,8 @@ const (
 	GovernorOff GovernorMode = iota
 	// GovernorAuto attaches the epoch-based hill-climbing controller: it
 	// measures throughput per epoch and tunes prefetch-window depth,
-	// combining, the probe filter, and the direct/pipelined mode, with
-	// hysteresis so a converged workload sees a pinned configuration.
+	// combining and the direct/pipelined mode, with hysteresis so a
+	// converged workload sees a pinned configuration.
 	GovernorAuto
 	// GovernorDirect pins the degraded direct mode: Submit bypasses the ring
 	// and executes a folklore-style synchronous probe inline. No controller
@@ -336,15 +296,14 @@ func ParseGovernor(s string) (GovernorMode, error) {
 	return 0, fmt.Errorf("unknown governor mode %q (want auto|off|direct)", s)
 }
 
-// TagOf derives a slot's 1-byte tag fingerprint from its key's full 64-bit
-// hash. Fastrange consumes the hash's HIGH bits for the slot index (the high
-// 64 of the 128-bit product dominate), so the tag takes the LOW byte —
+// TagOf derives a key's 1-byte tag fingerprint from its full 64-bit hash:
+// the in-window combine scan matches on it, and the bucket layout stores it
+// in-cell. Fastrange consumes the hash's HIGH bits for the slot index (the
+// high 64 of the 128-bit product dominate), so the tag takes the LOW byte —
 // the bits the index reduction leaves untouched — exactly as the simulator's
 // fingerprint does; deriving both index and tag from the same bits would
-// alias every key sharing a home slot. Zero is reserved: a published tag is
-// always in 1..255, and tag 0 means "empty or claimed-but-unpublished", which
-// probes must treat as a candidate (the must-check rule that makes false
-// negatives impossible).
+// alias every key sharing a home slot. Zero is reserved: a tag is always in
+// 1..255, so a zero byte can mean "no fingerprint here".
 func TagOf(h uint64) uint8 {
 	t := uint8(h)
 	if t == 0 {
