@@ -34,8 +34,6 @@ func main() {
 	metrics := flag.String("metrics", "", "serve observability (Prometheus /metrics, /trace, pprof) on this address while experiments run, e.g. :8090")
 	probeKernel := flag.String("probekernel", "", "probe kernel for real-execution experiments: swar|scalar (default swar)")
 	combiningFlag := flag.String("combining", "", "in-window request combining for real-execution experiments: on|off (default on)")
-	governorFlag := flag.String("governor", "auto", "adaptive pipeline governor on the dramhit cells of real-execution experiments: off|auto|direct")
-	governorjson := flag.String("governorjson", "", "run the governor-ab experiment and write its machine-readable summary (schema "+bench.GovernorSchema+") to this path")
 	shardjson := flag.String("shardjson", "", "run the shard-ab experiment and write its machine-readable summary (schema "+bench.ShardSchema+") to this path")
 	layoutjson := flag.String("layoutjson", "", "run the layout-ab experiment and write its machine-readable summary (schema "+bench.LayoutSchema+") to this path")
 	introspectjson := flag.String("introspectjson", "", "run the introspect-ab experiment and write its machine-readable summary (schema "+bench.IntrospectSchema+") to this path")
@@ -58,11 +56,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
 		os.Exit(2)
 	}
-	governor, err := table.ParseGovernor(*governorFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, id := range bench.IDs() {
@@ -81,7 +74,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "dramhit-bench: observability on http://%s/metrics\n", srv.Addr)
 	}
-	if *exp == "" && *benchjson == "" && *resizejson == "" && *governorjson == "" && *shardjson == "" && *layoutjson == "" && *introspectjson == "" && *serverjson == "" {
+	if *exp == "" && *benchjson == "" && *resizejson == "" && *shardjson == "" && *layoutjson == "" && *introspectjson == "" && *serverjson == "" {
 		fmt.Fprintln(os.Stderr, "usage: dramhit-bench -exp <id|all> [-quick] [-out dir]; -list shows IDs")
 		os.Exit(2)
 	}
@@ -98,7 +91,6 @@ func main() {
 		Seed:        *seed,
 		ProbeKernel: kernel,
 		Combining:   combining,
-		Governor:    governor,
 		Observe:     liveReg,
 		Layout:      layout,
 	}
@@ -112,17 +104,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *benchjson)
-	}
-	if *governorjson != "" {
-		start := time.Now()
-		a, sum := bench.RunGovernorAB(cfg)
-		fmt.Print(bench.Format(a))
-		fmt.Printf("(governor-ab in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if err := bench.WriteJSONFile(*governorjson, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *governorjson)
 	}
 	if *shardjson != "" {
 		start := time.Now()

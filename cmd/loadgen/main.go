@@ -6,12 +6,12 @@
 //	loadgen -workload A -table dramhit -records 1000000 -ops 2000000
 //	loadgen -workload C -table dramhit-p -workers 8
 //	loadgen -workload C -metrics :8090 -json run.json
-//	loadgen -workload C -table dramhit -governor auto
+//	loadgen -workload C -table dramhit -governor direct
 //	loadgen -workload C -table sharded -shards 4 -splitat 0.5 -json run.json
 //
-// -governor {off,auto,direct} engages the adaptive pipeline governor on
-// the dramhit backends (auto lets the hill-climber pick between the
-// prefetch pipeline and synchronous direct probes per workload).
+// -governor {off,direct} picks the dramhit backends' execution mode: the
+// prefetch pipeline (off) or synchronous direct probes, the execution for a
+// cache-resident table.
 //
 // -table sharded drives the horizontal shard router (internal/shardmap)
 // with -shards initial shards; -splitat f forces a live shard split once
@@ -61,7 +61,7 @@ func main() {
 	missRatio := flag.Float64("missratio", 0, "fraction of reads redirected to guaranteed-absent keys")
 	theta := flag.Float64("theta", -1, "zipfian skew of the key stream; negative = workload default")
 	combiningFlag := flag.String("combining", "on", "in-window request combining: on | off")
-	governorFlag := flag.String("governor", "off", "adaptive pipeline governor (dramhit and dramhit-p backends): off | auto | direct")
+	governorFlag := flag.String("governor", "off", "execution mode of the flat dramhit and dramhit-p backends: off (prefetch pipeline) | direct")
 	resizeModeFlag := flag.String("resizemode", "incremental", "resizable-table migration mode: incremental | gate")
 	jsonPath := flag.String("json", "", "write the run summary (config, Mops, latency percentiles) as JSON to this path")
 	metrics := flag.String("metrics", "", "serve observability on this address during the run, e.g. :8090")
@@ -152,7 +152,7 @@ func main() {
 		fail(fmt.Errorf("-combining off applies to flat tables only: a bucket table has no uint64 ring to combine in"))
 	}
 	if layout == dramhit.LayoutBucket && governor != dramhit.GovernorOff {
-		fail(fmt.Errorf("-governor %s applies to flat tables only: a bucket table has no uint64 ring to govern", *governorFlag))
+		fail(fmt.Errorf("-governor %s applies to flat tables only: a bucket table has no uint64 ring", *governorFlag))
 	}
 	if *valueTheta != 0 && !byteMode {
 		fail(fmt.Errorf("-valuetheta applies only with -valuesize"))
@@ -603,9 +603,6 @@ func main() {
 		}
 		if *introspect {
 			res.HotKeys = reg.TopKeys(16)
-		}
-		if governor != dramhit.GovernorOff {
-			res.Governor = governor.String()
 		}
 		if layout == dramhit.LayoutBucket {
 			res.Layout = "bucket"

@@ -133,29 +133,21 @@ const (
 // ParseCombining maps "on" (or "") and "off" to the Combining values.
 func ParseCombining(s string) (Combining, error) { return table.ParseCombining(s) }
 
-// GovernorMode selects the adaptive pipeline governor (Config.Governor and
-// PartitionedConfig.Governor): GovernorOff (the zero value) keeps handles
-// exactly as configured — bit-identical to pre-governor builds; GovernorAuto
-// attaches a per-table hill-climbing controller that retunes the live
-// pipeline (prefetch-window depth, in-window combining and a synchronous
-// direct mode) from the handles' own counters; GovernorDirect
-// forces the direct mode unconditionally — the folklore execution model on
-// DRAMHiT's kernel.
+// GovernorMode selects a flat table's execution mode at construction
+// (Config.Governor and PartitionedConfig.Governor): GovernorOff (the zero
+// value) runs the prefetch pipeline; GovernorDirect runs direct mode — the
+// folklore execution model on DRAMHiT's kernel, for cache-resident tables.
 type GovernorMode = table.GovernorMode
 
 // Governor modes.
 const (
-	// GovernorOff disables adaptation (the zero value; bit-identical to an
-	// ungoverned table).
+	// GovernorOff runs the prefetch pipeline (the zero value).
 	GovernorOff = table.GovernorOff
-	// GovernorAuto self-tunes window/combining/direct per epoch.
-	GovernorAuto = table.GovernorAuto
-	// GovernorDirect pins the synchronous inline probe path.
+	// GovernorDirect runs the synchronous inline probe path.
 	GovernorDirect = table.GovernorDirect
 )
 
-// ParseGovernor maps "off" (or ""), "auto" and "direct" to the GovernorMode
-// values.
+// ParseGovernor maps "off" (or "") and "direct" to the GovernorMode values.
 func ParseGovernor(s string) (GovernorMode, error) { return table.ParseGovernor(s) }
 
 // ResizeMode selects how the resizable table migrates at a doubling:
@@ -263,7 +255,7 @@ type ShardedOption = shardmap.Option
 func WithShards(n int) ShardedOption { return shardmap.WithShards(n) }
 
 // ShardedBatched routes the batched Submit pipeline over N dramhit shards,
-// each with its own prefetch windows, combining and governor; handles
+// each with its own prefetch windows and combining; handles
 // scatter a batch across shard-local rings and gather completions with no
 // global lock.
 type ShardedBatched = shardmap.Batched

@@ -30,11 +30,6 @@ type Config struct {
 	// (zero value = on, the package default). The combine-ab experiment
 	// ignores it — it runs both sides of the A/B by construction.
 	Combining table.Combining
-	// Governor configures the adaptive pipeline governor on the dramhit
-	// cells of the real-execution experiments (zero value = off). The
-	// governor-ab experiment ignores it — it runs off/auto/direct by
-	// construction.
-	Governor table.GovernorMode
 	// Layout selects the physical slot layout of the real tables in the
 	// real-execution experiments that honor it (reprobe-stats; zero value =
 	// flat, bit-identical to prior configurations). The layout-ab

@@ -73,65 +73,6 @@ func TestYCSBSummarySchema(t *testing.T) {
 	}
 }
 
-// TestGovernorSummarySchema pins BENCH_governor.json's contract: schema tag,
-// the full 2×4 matrix, governor/decision annotation on the governed cells,
-// and the headline auto-vs-folklore ratios.
-func TestGovernorSummarySchema(t *testing.T) {
-	_, sum := RunGovernorAB(Config{Quick: true, Seed: 1})
-	if sum.Schema != GovernorSchema {
-		t.Fatalf("schema = %q, want %q", sum.Schema, GovernorSchema)
-	}
-	if len(sum.Runs) != 8 { // workloads {A,C} × 4 variants
-		t.Fatalf("runs = %d, want 8", len(sum.Runs))
-	}
-	seen := map[string]RunResult{}
-	for _, r := range sum.Runs {
-		seen[r.Name] = r
-		if r.Mops <= 0 {
-			t.Errorf("%s: non-positive Mops", r.Name)
-		}
-	}
-	for _, wl := range []string{"A", "C"} {
-		for _, v := range []string{"folklore", "dramhit/off", "dramhit/auto", "dramhit/direct"} {
-			r, ok := seen["governor-ab-"+wl+"-"+v]
-			if !ok {
-				t.Fatalf("missing cell %s/%s", wl, v)
-			}
-			switch v {
-			case "dramhit/auto", "dramhit/direct":
-				if r.Governor == "" || r.GovernorDecision == "" {
-					t.Errorf("%s: governed cell missing annotation: gov=%q decision=%q",
-						r.Name, r.Governor, r.GovernorDecision)
-				}
-			default:
-				if r.Governor != "" && v == "folklore" {
-					t.Errorf("%s: folklore cell annotated with governor %q", r.Name, r.Governor)
-				}
-			}
-		}
-		if ratio, ok := sum.Ratios[wl]; !ok || ratio <= 0 {
-			t.Errorf("workload %s: missing auto_vs_folklore ratio (got %v, ok=%v)", wl, ratio, ok)
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_governor.json")
-	if err := WriteJSONFile(path, sum); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back GovernorSummary
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatalf("round-trip parse: %v", err)
-	}
-	if back.Schema != GovernorSchema || len(back.Runs) != 8 || len(back.Ratios) != 2 {
-		t.Fatalf("round-trip mismatch: schema=%q runs=%d ratios=%d",
-			back.Schema, len(back.Runs), len(back.Ratios))
-	}
-}
-
 // TestArtifactJSON pins the per-experiment JSON rendering -out emits.
 func TestArtifactJSON(t *testing.T) {
 	a := &Artifact{

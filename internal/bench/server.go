@@ -47,8 +47,8 @@ func RunServerAB(cfg Config) (*Artifact, *ServerSummary) {
 	// at full scale so the quick cells are identical in regime to the
 	// committed baseline's lower levels. Cutting either skews the
 	// dramhit-vs-folklore ratio (smaller records turn the working set
-	// cache-resident and flip the sign, the same effect governor-ab
-	// measures; fewer ops under-amortize the pipelined path's warm-up) and
+	// cache-resident and flip the sign, where direct execution beats the
+	// pipeline; fewer ops under-amortize the pipelined path's warm-up) and
 	// the CI benchdiff gate would compare across regimes.
 	records := uint64(1 << 17)
 	totalOps := 2_000_000
@@ -84,7 +84,7 @@ func RunServerAB(cfg Config) (*Artifact, *ServerSummary) {
 	}
 	a.Notes = append(a.Notes,
 		"method: an in-process dramhit-server on 127.0.0.1:0 per cell, driven closed-loop by the workload socket client (pipeline 16 per connection); mix per connection: 78% GET over the loaded zipf-0.99 rank space, 10% structurally absent GET, 9% SET, 3% INCR on a small counter keyspace — all four op classes cross the wire",
-		"dramhit backend: requests parse into the per-connection byte pipeline and drain under one prefetch window per wire batch; folklore backend: one synchronous engine call per request as parsed (the folklore execution model on the same kernel, as in governor-ab)",
+		"dramhit backend: requests parse into the per-connection byte pipeline and drain under one prefetch window per wire batch; folklore backend: one synchronous engine call per request as parsed (the folklore execution model on the same kernel, as in direct mode)",
 		fmt.Sprintf("acceptance: the committed full run sustains 1024 concurrent connections with per-op-class p99.9 recorded (schema %s); CI gates dramhit_vs_folklore_mops at matching cells within ±15%%", ServerSchema),
 		"loopback RESP is syscall-bound, so the backends land close; the gate catches the pipelined path regressing against the synchronous baseline, not absolute Mops (machine-dependent)")
 	return a, sum

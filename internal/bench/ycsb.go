@@ -33,10 +33,6 @@ func init() {
 		a, _ := RunObsAB(cfg)
 		return a
 	})
-	register("governor-ab", func(cfg Config) *Artifact {
-		a, _ := RunGovernorAB(cfg)
-		return a
-	})
 }
 
 // ycsbWorkload is one YCSB core-workload shape.
@@ -73,11 +69,7 @@ func RunYCSB(cfg Config) (*Artifact, *YCSBSummary) {
 	sum := &YCSBSummary{Schema: YCSBSchema, Quick: cfg.Quick}
 	for _, w := range ycsbWorkloads {
 		for _, tbl := range []string{"dramhit", "folklore"} {
-			gov := table.GovernorOff
-			if tbl == "dramhit" {
-				gov = cfg.Governor
-			}
-			res := ycsbRun(cfg, tbl, w, slots, records, opsPerWorker, workers, gov)
+			res := ycsbRun(cfg, tbl, w, slots, records, opsPerWorker, workers)
 			sum.Runs = append(sum.Runs, res)
 			lat := res.LatencyNS
 			a.Rows = append(a.Rows, []string{
@@ -95,7 +87,7 @@ func RunYCSB(cfg Config) (*Artifact, *YCSBSummary) {
 		"each worker runs an untimed warmup ramp before a shared start gate, so first-touch page faults never land in the latency tail (warmup_ops in the summary)",
 		"latency is per-op wall time at batch-16 granularity, recorded into internal/obs log-bucketed histograms (≤1/32 relative error) and merged across workers",
 		"dramhit pipelines batches through per-worker handles (prefetch window 16); folklore executes each op synchronously — the same interface gap the paper's Figure 6 measures",
-		fmt.Sprintf("dramhit cells run with -governor %s; the machine-readable summary lands in BENCH_ycsb.json (schema %s)", cfg.Governor, YCSBSchema))
+		fmt.Sprintf("the machine-readable summary lands in BENCH_ycsb.json (schema %s)", YCSBSchema))
 	return a, sum
 }
 
@@ -113,20 +105,14 @@ func ycsbWarmupOps(opsPerWorker int, quick bool) int {
 	return n
 }
 
-// ycsbRun executes one (table, workload, governor) cell and returns its
-// RunResult.
-func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, opsPerWorker, workers int, gov table.GovernorMode) RunResult {
+// ycsbRun executes one (table, workload) cell and returns its RunResult.
+func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, opsPerWorker, workers int) RunResult {
 	reg := cfg.Observe // live registry when serving /metrics...
 	if reg == nil {
 		reg = obs.NewWith(0, 1) // ...else self-contained, histograms only
 	}
-	// The cell name keys the run, the worker names, and the histogram merge;
-	// governed cells get a suffix so governor-ab's dramhit variants never
-	// collide on a shared registry.
+	// The cell name keys the run, the worker names, and the histogram merge.
 	cell := "ycsb-" + w.name + "-" + tblName
-	if gov != table.GovernorOff {
-		cell += "-" + gov.String()
-	}
 	var flt *folklore.Table
 	var dht *dramhit.Table
 	switch tblName {
@@ -138,7 +124,6 @@ func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, 
 			Slots:       slots,
 			ProbeKernel: cfg.ProbeKernel,
 			Combining:   cfg.Combining,
-			Governor:    gov,
 			Observe:     reg,
 		})
 	}
@@ -178,9 +163,7 @@ func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, 
 	// them onto loaded keys. Before the shared start gate every worker runs
 	// an untimed warmup ramp (same op mix, disjoint rank stream, throwaway
 	// histogram) so first-touch page faults — observed as multi-ms
-	// latency_ns.max outliers — are absorbed before the clock starts. The
-	// warmup also feeds the governor real sensor epochs, so an auto cell
-	// typically enters the timed region already converged.
+	// latency_ns.max outliers — are absorbed before the clock starts.
 	warmup := ycsbWarmupOps(opsPerWorker, cfg.Quick)
 	var wg, ready sync.WaitGroup
 	gate := make(chan struct{})
@@ -232,7 +215,7 @@ func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, 
 	}
 	pct := PercentilesFromHistogram(&merged)
 	totalOps := opsPerWorker * workers
-	res := RunResult{
+	return RunResult{
 		Name:        cell,
 		Table:       tblName,
 		Workload:    w.name,
@@ -247,13 +230,6 @@ func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, 
 		LatencyNS:   &pct,
 		LatencyHist: merged.Buckets(),
 	}
-	if dht != nil && gov != table.GovernorOff {
-		res.Governor = gov.String()
-		if d, _, _, ok := dht.GovernorState(); ok {
-			res.GovernorDecision = d.String()
-		}
-	}
-	return res
 }
 
 // ycsbBatch is the latency-measurement granularity: per-op timer calls would

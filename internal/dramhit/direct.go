@@ -10,14 +10,14 @@ import (
 	"dramhit/internal/table"
 )
 
-// This file is the governor's degraded direct mode: when pipelining cannot
-// pay (no in-window duplicates, occupancy too shallow to overlap misses, or
-// the workload already cache-resident), Submit bypasses the prefetch ring
-// and executes each request as one synchronous inline probe — the folklore
-// execution model, but keeping this table's line-granular SWAR kernel.
-// Responses are produced in submission order; the mode is selected by one
-// branch on the handle's cached decision word and the op path allocates
-// nothing.
+// This file is direct mode (Config.Governor = table.GovernorDirect), the
+// execution for a cache-resident table, where there is no miss for a
+// prefetch window to hide: Submit bypasses the prefetch ring and executes
+// each request as one synchronous inline probe — the folklore execution
+// model, but keeping this table's line-granular SWAR kernel. Responses are
+// produced in submission order; the mode is fixed when the handle is made,
+// Submit selects it with one branch on a handle flag, and the op path
+// allocates nothing.
 //
 // Equivalence: a direct probe walks the same slot sequence as the pipelined
 // drains (same hash, same entry offset, same line-advance accounting, same
@@ -58,8 +58,8 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 		}
 		// Lines advances per request before the side check, matching the
 		// pipelined Submit (which prefetches — touches — the home line even
-		// for side-resolved reserved keys), so governed-vs-ungoverned stats
-		// stay comparable term for term.
+		// for side-resolved reserved keys), so direct and pipelined stats stay
+		// comparable term for term.
 		h.stats.Lines++
 		if s := h.t.side.For(req.Key); s != nil {
 			h.completeSide(s, &reqs[nreq], startNS, traceID, resps, &nresp)

@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"time"
 
-	"dramhit/internal/governor"
 	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
 	"dramhit/internal/slotarr"
@@ -84,17 +83,12 @@ type Config struct {
 	// bucket engine owns its byte hash, probe and ring), so New and NewView
 	// panic when a bucket config sets any of them.
 	Layout table.Layout
-	// Governor selects the adaptive pipeline controller. The zero value
-	// (table.GovernorOff) runs the statically configured pipeline,
-	// bit-identical to a governorless build. table.GovernorAuto attaches the
-	// epoch-based hill-climber of internal/governor: handles feed it their
-	// own counters and re-read its packed decision word at batch boundaries,
-	// adapting window depth, combining and the direct/pipelined mode to the
-	// live workload. table.GovernorDirect pins the degraded direct mode:
-	// Submit bypasses the ring and executes a folklore-style synchronous
-	// probe inline (one branch on a cached mode word, zero allocation). The
-	// governor can only toggle features the table was constructed with — it
-	// never grows a combining mirror at runtime.
+	// Governor selects the execution mode of every handle, fixed at
+	// construction. The zero value (table.GovernorOff) runs the prefetch
+	// pipeline. table.GovernorDirect runs direct mode, the right execution
+	// for a cache-resident table: Submit bypasses the ring and executes a
+	// folklore-style synchronous probe inline, answering in submission order
+	// (one branch on a handle flag, zero allocation).
 	Governor table.GovernorMode
 }
 
@@ -141,10 +135,10 @@ type Table struct {
 	window  int
 	kernel  table.ProbeKernel
 	combine table.Combining
+	direct  bool // GovernorDirect: handles skip the ring
 	obsReg  *obs.Registry
 	worker  string       // obs worker-shard name prefix
 	nhandle atomic.Int64 // handle counter for worker shard names
-	gov     *governor.Governor
 
 	// used and live are the only words of the table that the op paths write —
 	// every insert and delete of every handle — while every request of every
@@ -168,14 +162,12 @@ type region struct {
 // partitions — for NewView to run handles over: exactly one of Arrays (flat
 // layout, each of Config.Slots/len slots) and Buckets (bucket layout, over
 // one shared arena) is set. Side is the owner's reserved-key slots; Worker
-// and GovernorSource name the handles' obs worker shards and the governor's
-// obs source.
+// names the handles' obs worker shards.
 type Regions struct {
 	Arrays  []*slotarr.Array
 	Buckets []*slotarr.BucketTable
 	Side    *slotarr.SidePair
-
-	Worker, GovernorSource string
+	Worker  string
 }
 
 // New creates a table from cfg: one region, built here and owned by the
@@ -185,7 +177,7 @@ func New(cfg Config) *Table {
 		panic("dramhit: Config.Slots must be positive")
 	}
 	checkLayout(cfg)
-	r := Regions{Side: new(slotarr.SidePair), Worker: "dramhit-h", GovernorSource: "governor"}
+	r := Regions{Side: new(slotarr.SidePair), Worker: "dramhit-h"}
 	if cfg.Layout == table.LayoutBucket {
 		r.Buckets = []*slotarr.BucketTable{slotarr.NewBucketTableSlots(cfg.Slots)}
 	} else {
@@ -244,7 +236,7 @@ func NewView(cfg Config, r Regions) *Table {
 		regs[i].bkt = r.Buckets[i]
 	}
 	nreg := uint64(len(regs))
-	t := &Table{
+	return &Table{
 		regs:    regs,
 		nreg:    nreg,
 		rslots:  cfg.Slots / nreg,
@@ -254,35 +246,10 @@ func NewView(cfg Config, r Regions) *Table {
 		window:  w,
 		kernel:  cfg.ProbeKernel,
 		combine: cfg.Combining,
+		direct:  cfg.Governor == table.GovernorDirect,
 		obsReg:  cfg.Observe,
 		worker:  r.Worker,
 	}
-	switch cfg.Governor {
-	case table.GovernorAuto:
-		t.gov = governor.New(governor.Config{
-			Window:    w,
-			Combining: cfg.Combining == table.CombineOn,
-			Direct:    true,
-		})
-	case table.GovernorDirect:
-		t.gov = governor.NewForced(governor.Decision{Direct: true, Window: w})
-	}
-	if t.obsReg != nil && t.gov != nil {
-		t.obsReg.AddSource(r.GovernorSource, t.gov.Metrics)
-		if tr := t.obsReg.Trace(); tr != nil {
-			gov := t.gov
-			gov.OnDecision = func(d governor.Decision, epoch uint64) {
-				var mode uint8
-				if d.Direct {
-					mode = 1
-				}
-				// Key carries the packed decision word, Arg the epoch: one
-				// ring event per published configuration change.
-				tr.Record(tr.NextID(), obs.EvGovern, mode, governor.Pack(d, epoch), uint32(epoch))
-			}
-		}
-	}
-	return t
 }
 
 // Kernel returns the configured probe kernel.
@@ -452,6 +419,7 @@ type Handle struct {
 	window  int
 	kernel  table.ProbeKernel
 	combine bool
+	direct  bool // Submit bypasses the ring (GovernorDirect)
 
 	// bhs holds the bucket-layout engine views the byte API runs on, one per
 	// region (non-nil iff the table is LayoutBucket): each owns an arena
@@ -513,21 +481,6 @@ type Handle struct {
 	btail  int
 	onByte func(ByteCompletion)
 
-	// Governor plumbing (all nil/zero when the table has no governor — the
-	// hot path then pays exactly one predictable nil check in Submit). The
-	// handle caches the governor's packed decision word and re-decodes only
-	// when it changes, and only while its own pipeline is empty, so a
-	// configuration change never tears an in-flight window.
-	gov       *governor.Governor
-	govWord   uint64
-	direct    bool // cached Decision.Direct: Submit bypasses the ring
-	govCnt    int  // Submit calls since the last poll
-	govLastNS int64
-	// govPrev* snapshot the stats fields the sensor deltas are computed
-	// from at the last poll.
-	govPrevOps   uint64
-	govPrevChits uint64
-
 	// bstaged is the byte ring's stage-two cursor (DESIGN.md §3.1.8):
 	// positions below it have had their candidate records prefetched.
 	// stageHook, set only by tests, sees every such prefetch. The flat layout
@@ -551,6 +504,7 @@ func (t *Table) NewHandle() *Handle {
 		window:  t.window,
 		kernel:  t.kernel,
 		combine: t.combine == table.CombineOn,
+		direct:  t.direct,
 	}
 	if t.Bucket() != nil {
 		// The byte API's engine views; OnByteComplete allocates the byte ring.
@@ -572,80 +526,7 @@ func (t *Table) NewHandle() *Handle {
 		h.hot = h.obsw.Hot
 		h.opLat = t.obsReg.OpLatencyEnabled()
 	}
-	if t.gov != nil {
-		h.gov = t.gov
-		h.govWord = t.gov.Word()
-		h.applyDecision(governor.Unpack(h.govWord))
-	}
 	return h
-}
-
-// applyDecision actuates a governor decision on this handle. Callers must
-// only invoke it while the pipeline is empty (head == tail): every toggle is
-// proven safe at that boundary — tagcnt is balanced, and stale ptags bytes
-// can only cause missed combines or key-confirmed matches. The decision is
-// clamped to the table's constructed capabilities.
-func (h *Handle) applyDecision(d governor.Decision) {
-	h.direct = d.Direct
-	w := d.Window
-	if w < 1 {
-		w = 1
-	}
-	if w > h.t.window {
-		w = h.t.window // ring capacity was sized for the constructed window
-	}
-	h.window = w
-	h.combine = d.Combine && h.ptags != nil
-}
-
-// govPollEvery throttles governor polls to one per govPollEvery Submit
-// calls: a poll is one time.Now plus one atomic load (plus a Feed when the
-// sensor deltas are nonzero), so amortized over batched submissions the
-// governed hot path stays within noise of the ungoverned one.
-const govPollEvery = 64
-
-// govPoll feeds the governor this handle's sensor deltas and picks up a
-// changed decision word at a safe (empty-pipeline) boundary.
-func (h *Handle) govPoll() {
-	if h.govCnt++; h.govCnt < govPollEvery {
-		return
-	}
-	h.govCnt = 0
-	now := time.Now().UnixNano()
-	if h.govLastNS != 0 {
-		s := &h.stats
-		ops := s.Ops()
-		chits := s.CombinedUpserts + s.PiggybackedGets + s.ForwardedGets
-		h.gov.Feed(governor.Sample{
-			Ops:         ops - h.govPrevOps,
-			NS:          uint64(now - h.govLastNS),
-			CombineHits: chits - h.govPrevChits,
-		})
-		h.govPrevOps, h.govPrevChits = ops, chits
-	}
-	h.govLastNS = now
-	h.govApply()
-}
-
-// govApply adopts a changed decision word, but only at the empty-pipeline
-// boundary where every actuation is safe. A handle that streams without
-// ever draining simply keeps its current configuration (Flush also calls
-// this, so the common submit/flush batch shape applies within one batch).
-func (h *Handle) govApply() {
-	if w := h.gov.Word(); w != h.govWord && h.head == h.tail {
-		h.govWord = w
-		h.applyDecision(governor.Unpack(w))
-	}
-}
-
-// GovernorState reports the governor's current decision, epochs stepped,
-// and convergence flag; ok is false (and the rest zero) on an ungoverned
-// table. Benchmarks record the final decision alongside their Mops.
-func (t *Table) GovernorState() (d governor.Decision, epochs uint64, pinned, ok bool) {
-	if t.gov == nil {
-		return governor.Decision{}, 0, false, false
-	}
-	return t.gov.Decision(), t.gov.Epochs(), t.gov.Pinned(), true
 }
 
 // SetLatencyHook installs a completion callback; pass nil to disable.
@@ -728,7 +609,9 @@ func (h *Handle) reprobe(p *pending, idx, probes uint64) {
 // earlier one reprobes (it re-enters the queue behind the later one) — a Get
 // submitted after a Put of the same key may therefore miss it. When
 // read-your-writes is needed, Flush between the write and the read; this is
-// the latency-for-throughput trade the paper makes explicit.
+// the latency-for-throughput trade the paper makes explicit. A GovernorDirect
+// table's handles skip the ring (direct.go): they complete every request
+// inline, in submission order, and leave nothing pending.
 //
 // With combining on (the default), a request whose key already has a
 // pending request in this handle's queue may be merged into it instead of
@@ -742,16 +625,8 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 	if h.obsw != nil {
 		defer h.obsPublishThrottled()
 	}
-	if h.gov != nil {
-		h.govPoll()
-		if h.direct {
-			// Degraded direct mode: the governor concluded pipelining cannot
-			// pay here, so Submit executes each request synchronously inline
-			// — a folklore-style probe that keeps the SWAR kernel but skips
-			// the ring, the prefetch bookkeeping and the out-of-order
-			// completion machinery entirely.
-			return h.submitDirect(reqs, resps)
-		}
+	if h.direct {
+		return h.submitDirect(reqs, resps)
 	}
 	for nreq < len(reqs) {
 		req := reqs[nreq]
@@ -839,12 +714,6 @@ func (h *Handle) Flush(resps []table.Response) (nresp int, done bool) {
 		if _, blocked := h.processOldest(resps, &nresp); blocked {
 			return nresp, false
 		}
-	}
-	if h.gov != nil {
-		// The pipeline is provably empty here: adopt any pending decision so
-		// submit/flush-batched callers actuate within one batch even if no
-		// Submit poll landed on an empty window.
-		h.govApply()
 	}
 	return nresp, true
 }

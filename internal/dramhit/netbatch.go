@@ -133,8 +133,7 @@ func (h *Handle) FlushBytes() {
 // stageBytes runs stage two — the candidate records' prefetch, off the bucket
 // line stage one requested — for every byte-ring entry below position upto
 // that has not had it. bstaged is the one monotone cursor both triggers
-// advance, so an entry is staged exactly once, by whichever comes first, and a
-// window the governor changed between calls cannot make it skip or repeat one.
+// advance, so an entry is staged exactly once, by whichever comes first.
 func (h *Handle) stageBytes(upto int) {
 	for ; h.bstaged < upto; h.bstaged++ {
 		p := &h.byteQ[h.bstaged&h.mask]

@@ -20,7 +20,7 @@ func newRegionTable(cfg Config, nreg int) *Table {
 	}
 	per := (cfg.Slots + uint64(nreg) - 1) / uint64(nreg)
 	cfg.Slots = per * uint64(nreg)
-	r := Regions{Side: new(slotarr.SidePair), Worker: "region-h", GovernorSource: "governor"}
+	r := Regions{Side: new(slotarr.SidePair), Worker: "region-h"}
 	ar := arena.New()
 	for i := 0; i < nreg; i++ {
 		if cfg.Layout == table.LayoutBucket {

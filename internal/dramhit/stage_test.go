@@ -66,13 +66,8 @@ func TestStageTwoScheduleBytes(t *testing.T) {
 					h.window, batch, len(hashes), nstaged, h.bstaged, h.bhead)
 			}
 		}
-		// The constructed window, then lowered and restored between batches,
-		// pipeline empty, the way the governor's applyDecision does it.
-		for _, w := range []int{window, max(window/2, 1), 1, window} {
-			h.window = w
-			for _, b := range tabletest.StageBatches(window) {
-				run(b)
-			}
+		for _, b := range tabletest.StageBatches(window) {
+			run(b)
 		}
 	}
 }

@@ -183,7 +183,6 @@ func TestBucketRejectsFlatOnlySettings(t *testing.T) {
 		{"Hash", func(c *Config) { c.Hash = hashfn.City64 }},
 		{"ProbeKernel", func(c *Config) { c.ProbeKernel = table.KernelScalar }},
 		{"Combining", func(c *Config) { c.Combining = table.CombineOff }},
-		{"Governor", func(c *Config) { c.Governor = table.GovernorAuto }},
 		{"Governor", func(c *Config) { c.Governor = table.GovernorDirect }},
 	} {
 		cfg := Config{Slots: 64, Producers: 1, Consumers: 1, Layout: table.LayoutBucket}

@@ -20,7 +20,6 @@ import (
 	"dramhit/internal/arena"
 	"dramhit/internal/delegation"
 	"dramhit/internal/dramhit"
-	"dramhit/internal/governor"
 	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
 	"dramhit/internal/simd"
@@ -78,16 +77,11 @@ type Config struct {
 	// ProbeKernel, Combining and Governor apply only to flat tables, so New
 	// panics when a bucket config sets any of them.
 	Layout table.Layout
-	// Governor selects the read-pipeline adaptive controller.
-	// table.GovernorOff (the zero value) keeps ReadHandles exactly as
-	// configured — bit-identical to an ungoverned table.
-	// table.GovernorAuto attaches a shared hill-climbing controller that
-	// tunes window depth and piggybacking from the handles' own counters,
-	// including a degraded direct mode where Submit answers each lookup
-	// synchronously via the no-atomics read path.
-	// table.GovernorDirect forces that direct mode unconditionally.
-	// The write path is not governed: updates are delegated fire-and-forget
-	// and have no pipeline to tune.
+	// Governor selects the read path's execution mode, fixed at
+	// construction and forwarded to the read view (dramhit.Config.Governor).
+	// table.GovernorOff (the zero value) runs ReadHandles' prefetch pipeline;
+	// table.GovernorDirect answers each lookup synchronously, in submission
+	// order. Writes are delegated either way.
 	Governor table.GovernorMode
 }
 
@@ -133,8 +127,7 @@ type Table struct {
 	closeOnce sync.Once
 	obsReg    *obs.Registry
 	// view is the read side: dramhit's table over the partitions as regions,
-	// sharing side and hash, and owning the read-pipeline governor.
-	// Every ReadHandle is one of its handles.
+	// sharing side and hash. Every ReadHandle is one of its handles.
 	view *dramhit.Table
 }
 
@@ -195,10 +188,9 @@ func New(cfg Config) *Table {
 			Sections:      cfg.Sections,
 		}),
 	}
-	// Distinct names from the core table's ("dramhit-h", "governor"), so a
-	// process embedding both tables scrapes both sets of handles and both
-	// controllers.
-	regs := dramhit.Regions{Side: &t.side, Worker: "dramhitp-r", GovernorSource: "governor_read"}
+	// A distinct name from the core table's "dramhit-h", so a process
+	// embedding both tables scrapes both sets of handles.
+	regs := dramhit.Regions{Side: &t.side, Worker: "dramhitp-r"}
 	if cfg.Layout == table.LayoutBucket {
 		// One arena across all partitions: records written by any owner are
 		// readable from any partition handle, and reclamation epochs advance
@@ -233,12 +225,6 @@ func New(cfg Config) *Table {
 		t.obsReg.AddHeatmapSource("dramhitp", t.view.Heatmap)
 	}
 	return t
-}
-
-// GovernorState reports the read-path governor's current decision, epochs
-// stepped, and convergence flag; ok is false on an ungoverned table.
-func (t *Table) GovernorState() (d governor.Decision, epochs uint64, pinned, ok bool) {
-	return t.view.GovernorState()
 }
 
 // locate maps a key to (partition, local slot). The global slot index is a

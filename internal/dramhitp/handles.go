@@ -251,7 +251,7 @@ func (w *WriteHandle) Close() {
 
 // ReadHandle is a per-goroutine reader: one dramhit.Handle of the table's read
 // view, so lookups run dramhit's prefetch-window pipeline — ring, combining,
-// governor, direct mode, byte ring — pointed at the partitions (reads are not
+// direct mode, byte ring — pointed at the partitions (reads are not
 // delegated; any thread may read any partition, and a Get takes no atomic
 // read-modify-write). The wrapper exists to keep that handle Get-only: its
 // update drains CAS, which a single-writer partition does not admit.

@@ -43,7 +43,7 @@ const (
 	BackendDramhit Backend = iota
 	// BackendFolklore answers each request with one synchronous engine call
 	// as it is parsed — the folklore execution model on DRAMHiT's kernel
-	// (the same degraded mode the governor's direct actuation uses). The
+	// (what direct mode, GovernorDirect, does for the uint64 API). The
 	// server-ab experiment measures the gap between the two.
 	BackendFolklore
 )

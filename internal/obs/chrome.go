@@ -11,21 +11,20 @@ import (
 // Chrome trace-event export: the flight recorder renders the trace ring in
 // the Trace Event Format that chrome://tracing and Perfetto open directly.
 // Request lifecycles become async spans (ph "b"/"n"/"e" correlated by trace
-// id), resize and reshard windows become async spans over their migration
-// id, and governor decisions become instant events.
+// id), and resize and reshard windows become async spans over their
+// migration id.
 
 // chromeEvent is one entry of the traceEvents array. Fields follow the
-// Trace Event Format; Scope ("s") is only set for instant events.
+// Trace Event Format.
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Ph    string         `json:"ph"`
-	TS    float64        `json:"ts"` // microseconds
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	ID    string         `json:"id,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"` // microseconds
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	ID   string         `json:"id,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
 }
 
 type chromeDoc struct {
@@ -85,17 +84,6 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 			ce.Name = ev.Kind.String()
 			ce.Ph = resizePhase(ev.Op)
 			ce.Args = map[string]any{"chunk": ev.Key, "progress_permille": ev.Arg}
-		case EvGovern:
-			ce.Cat = "governor"
-			ce.Name = "govern"
-			ce.Ph = "i"
-			ce.Scope = "p"
-			ce.ID = ""
-			ce.Args = map[string]any{
-				"decision": fmt.Sprintf("%#x", ev.Key),
-				"mode":     ev.Op,
-				"epoch":    ev.Arg,
-			}
 		default:
 			continue
 		}

@@ -44,7 +44,7 @@ func populatedRegistry() *Registry {
 	tr.Record(7, EvResize, ResizeChunk, 3, 500)
 	tr.Record(7, EvResize, ResizeSwap, 0, 1000)
 	tr.Record(9, EvReshard, ResizeInstall, 4, 0)
-	tr.Record(0, EvGovern, 1, 0xbeef, 3)
+	tr.Record(9, EvReshard, ResizeSwap, 0, 1000)
 	return r
 }
 
@@ -107,14 +107,11 @@ func TestTraceFilters(t *testing.T) {
 	if n := len(FilterEvents(evs, "resize", 0)); n != 3 {
 		t.Fatalf("op=resize kept %d, want 3", n)
 	}
-	if n := len(FilterEvents(evs, "reshard", 0)); n != 1 {
-		t.Fatalf("op=reshard kept %d, want 1", n)
-	}
-	if n := len(FilterEvents(evs, "govern", 0)); n != 1 {
-		t.Fatalf("op=govern kept %d, want 1", n)
+	if n := len(FilterEvents(evs, "reshard", 0)); n != 2 {
+		t.Fatalf("op=reshard kept %d, want 2", n)
 	}
 	last2 := FilterEvents(evs, "", 2)
-	if len(last2) != 2 || last2[1].Kind != EvGovern {
+	if len(last2) != 2 || last2[0].Kind != EvReshard || last2[1].Arg != 1000 {
 		t.Fatalf("n=2 kept %+v", last2)
 	}
 	if got := FilterEvents(evs, "get", 1); len(got) != 1 || got[0].Kind != EvComplete {
@@ -126,7 +123,7 @@ func TestTraceFilters(t *testing.T) {
 }
 
 // TestChromeTrace: the flight-recorder export is valid Chrome trace-event
-// JSON with lifecycle/migration spans and governor instants.
+// JSON with lifecycle and migration spans.
 func TestChromeTrace(t *testing.T) {
 	r := populatedRegistry()
 	var buf bytes.Buffer
@@ -163,11 +160,8 @@ func TestChromeTrace(t *testing.T) {
 	if got := strings.Join(phases["migration/resize"], ""); got != "bne" {
 		t.Fatalf("resize span phases = %q, want bne", got)
 	}
-	if got := strings.Join(phases["migration/reshard"], ""); got != "b" {
-		t.Fatalf("reshard span phases = %q, want b", got)
-	}
-	if got := strings.Join(phases["governor/govern"], ""); got != "i" {
-		t.Fatalf("governor phases = %q, want i", got)
+	if got := strings.Join(phases["migration/reshard"], ""); got != "be" {
+		t.Fatalf("reshard span phases = %q, want be", got)
 	}
 }
 

@@ -183,8 +183,8 @@ func (c *ShardedCounter) Total() uint64 {
 }
 
 // Source is a pull-collected metric set: table-level aggregates (fill
-// factor, live entries, governor decision) that are cheap to compute
-// at scrape time and have no hot-path presence at all.
+// factor, live entries, window) that are cheap to compute at scrape time
+// and have no hot-path presence at all.
 type Source struct {
 	Name    string
 	Collect func() map[string]float64

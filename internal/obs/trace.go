@@ -22,10 +22,6 @@ const (
 	EvCombine
 	EvComplete
 	EvResize
-	// EvGovern records a governor decision change: Op carries the mode
-	// (0 = pipelined, 1 = direct), Key the packed decision word, Arg the
-	// controller epoch that published it.
-	EvGovern
 	// EvReshard records a shardmap re-sharding window phase (split or
 	// merge). Like EvResize, Op carries the Resize* phase code, Key the
 	// chunk index (install: total chunks), Arg progress in permille.
@@ -61,8 +57,6 @@ func (k EventKind) String() string {
 		return "complete"
 	case EvResize:
 		return "resize"
-	case EvGovern:
-		return "govern"
 	case EvReshard:
 		return "reshard"
 	}

@@ -1,6 +1,6 @@
 // The batched face of the router: Batched shards the asynchronous Submit
 // pipeline over N dramhit instances. Each shard is a complete dramhit.Table
-// — its own slot array, prefetch windows, combining mirror and governor —
+// — its own slot array, prefetch windows, combining mirror and mode —
 // and a BatchedHandle holds one dramhit.Handle per shard, so every
 // per-handle optimization the pipeline has accumulated operates on
 // shard-local state. A caller's batch is scattered across the shard-local
@@ -30,10 +30,10 @@ type BatchedConfig struct {
 	// evenly across shards (floored at 16 per shard), so configurations with
 	// different shard counts compare at equal memory. Observe is handled by
 	// Batched itself: per-shard tables must not each register the fixed
-	// "dramhit"/"governor" source names on one registry (last registration
-	// would win), so the template's registry is stripped from the shard
-	// tables and Batched registers a single aggregated source with
-	// shard-id-labelled keys instead.
+	// "dramhit" source name on one registry (last registration would win),
+	// so the template's registry is stripped from the shard tables and
+	// Batched registers a single aggregated source with shard-id-labelled
+	// keys instead.
 	Table dramhit.Config
 }
 
@@ -87,8 +87,8 @@ func (b *Batched) shardOf(key uint64) int {
 // Shards returns the shard count.
 func (b *Batched) Shards() int { return len(b.shards) }
 
-// Shard returns shard i's table (bench sweeps read per-shard fill and
-// governor state through it).
+// Shard returns shard i's table (bench sweeps read per-shard fill through
+// it).
 func (b *Batched) Shard(i int) *dramhit.Table { return b.shards[i] }
 
 // Len sums live entries across shards.

@@ -153,7 +153,7 @@ func TestBatchedObserveSource(t *testing.T) {
 		switch src.Name {
 		case "shardmap_batched":
 			batched = src.Collect()
-		case "dramhit", "governor":
+		case "dramhit":
 			t.Fatalf("per-shard table leaked its %q source onto the shared registry", src.Name)
 		}
 	}

@@ -34,7 +34,7 @@
 // shards (the re-shardable one — folklore's slot layout carries the MovedKey
 // protocol); Batched (batched.go) routes the batched asynchronous Submit
 // interface over N dramhit instances with per-shard handles, so prefetch
-// windows, combining and the governor all stay per-shard.
+// windows and combining stay per-shard.
 package shardmap
 
 import (

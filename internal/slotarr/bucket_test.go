@@ -286,14 +286,17 @@ func TestBucketConcurrentAcrossResize(t *testing.T) {
 	}
 }
 
-// TestBucketMapVsReference drives the uint64 adapter against a Go map,
-// mixing all four ops over a small key space with reserved keys included.
+// TestBucketMapVsReference drives the bucket engine with 8-byte little-endian
+// keys and values against a Go map, mixing all four ops over a small key space
+// that includes the flat layout's reserved key words: a byte table stores them
+// like any other key.
 func TestBucketMapVsReference(t *testing.T) {
-	m := NewBucketMap(256)
+	bt := NewBucketTableSlots(256)
+	h := bt.NewHandle()
 	ref := make(map[uint64]uint64)
-	rng := hashfn.City64
+	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	state := uint64(1)
-	next := func(n uint64) uint64 { state = rng(state); return state % n }
+	next := func(n uint64) uint64 { state = hashfn.City64(state); return state % n }
 	for i := 0; i < 30000; i++ {
 		k := next(200)
 		switch k % 17 {
@@ -307,30 +310,40 @@ func TestBucketMapVsReference(t *testing.T) {
 		switch next(10) {
 		case 0, 1, 2, 3:
 			v := next(1 << 40)
-			m.Put(k, v)
+			_, had := ref[k]
+			if existed := h.Put(le(k), le(v)); existed != had {
+				t.Fatalf("op %d: Put(%d) existed = %v, want %v", i, k, existed, had)
+			}
 			ref[k] = v
 		case 4, 5:
-			got, _ := m.Upsert(k, 7)
+			var got uint64
+			h.Mutate(le(k), func(old []byte, present bool) []byte {
+				got = 7
+				if present {
+					got += binary.LittleEndian.Uint64(old)
+				}
+				return le(got)
+			})
 			ref[k] += 7
 			if got != ref[k] {
-				t.Fatalf("op %d: Upsert(%d) = %d, want %d", i, k, got, ref[k])
+				t.Fatalf("op %d: Mutate(%d) = %d, want %d", i, k, got, ref[k])
 			}
 		case 6:
-			got := m.Delete(k)
+			got := h.Delete(le(k))
 			if _, want := ref[k]; got != want {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
 			}
 			delete(ref, k)
 		default:
-			got, ok := m.Get(k)
+			v, ok := h.Get(le(k))
 			want, wok := ref[k]
-			if ok != wok || (ok && got != want) {
-				t.Fatalf("op %d: Get(%d) = (%d,%v), want (%d,%v)", i, k, got, ok, want, wok)
+			if ok != wok || (ok && binary.LittleEndian.Uint64(v) != want) {
+				t.Fatalf("op %d: Get(%d) = (%x,%v), want (%d,%v)", i, k, v, ok, want, wok)
 			}
 		}
 	}
-	if m.Len() != len(ref) {
-		t.Fatalf("Len = %d, ref %d", m.Len(), len(ref))
+	if bt.Len() != len(ref) {
+		t.Fatalf("Len = %d, ref %d", bt.Len(), len(ref))
 	}
 }
 

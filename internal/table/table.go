@@ -247,26 +247,17 @@ func ParseResizeMode(s string) (ResizeMode, error) {
 	return 0, fmt.Errorf("unknown resize mode %q (want incremental|gate)", s)
 }
 
-// GovernorMode selects whether a table's handles run the adaptive pipeline
-// governor (internal/governor). The zero value is GovernorOff — unlike the
-// other execution-model knobs the governor defaults OFF, because its whole
-// point is to change pipeline shape at runtime and the deterministic
-// property-test matrix (and any caller that tuned a fixed window) must keep
-// the exact PR-5 behaviour unless adaptivity is asked for.
+// GovernorMode selects a flat table's execution mode, fixed when the table
+// is built: the prefetch pipeline or direct mode. The zero value is
+// GovernorOff, the pipeline.
 type GovernorMode uint8
 
 const (
-	// GovernorOff runs the statically configured pipeline, bit-identical to
-	// a table built without governor support.
+	// GovernorOff runs the prefetch pipeline (the paper's execution model).
 	GovernorOff GovernorMode = iota
-	// GovernorAuto attaches the epoch-based hill-climbing controller: it
-	// measures throughput per epoch and tunes prefetch-window depth,
-	// combining and the direct/pipelined mode, with hysteresis so a
-	// converged workload sees a pinned configuration.
-	GovernorAuto
-	// GovernorDirect pins the degraded direct mode: Submit bypasses the ring
-	// and executes a folklore-style synchronous probe inline. No controller
-	// runs; this is the A/B endpoint the governor-ab experiment measures.
+	// GovernorDirect runs direct mode: Submit bypasses the ring and executes
+	// a folklore-style synchronous probe inline, the right execution for a
+	// cache-resident table.
 	GovernorDirect
 )
 
@@ -275,8 +266,6 @@ func (m GovernorMode) String() string {
 	switch m {
 	case GovernorOff:
 		return "off"
-	case GovernorAuto:
-		return "auto"
 	case GovernorDirect:
 		return "direct"
 	}
@@ -288,12 +277,10 @@ func ParseGovernor(s string) (GovernorMode, error) {
 	switch s {
 	case "", "off":
 		return GovernorOff, nil
-	case "auto":
-		return GovernorAuto, nil
 	case "direct":
 		return GovernorDirect, nil
 	}
-	return 0, fmt.Errorf("unknown governor mode %q (want auto|off|direct)", s)
+	return 0, fmt.Errorf("unknown governor mode %q (want off|direct)", s)
 }
 
 // TagOf derives a key's 1-byte tag fingerprint from its full 64-bit hash:

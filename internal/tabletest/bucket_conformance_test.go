@@ -12,14 +12,14 @@ import (
 )
 
 // TestBucketConformance runs the shared suite against the bucket layout at
-// every level of the stack: the raw slotarr engine through its uint64 view,
-// and the byte API of the core dramhit table and of the partitioned table
-// with bucket partitions (tabletest.ByteMap: 8-byte keys and values). All
+// every level of the stack: the raw slotarr engine's handle, and the byte API
+// of the core dramhit table and of the partitioned table with bucket
+// partitions, each through tabletest.ByteMap (8-byte keys and values). All
 // three grow on demand (LooseCapacity), and the concurrent subtests race
 // handle clones against the engine's resizes.
 func TestBucketConformance(t *testing.T) {
 	tabletest.Run(t, "Bucket",
-		func(n uint64) table.Map { return slotarr.NewBucketMap(n) },
+		func(n uint64) table.Map { return engineBytes(slotarr.NewBucketTableSlots(n)) },
 		tabletest.LooseCapacity())
 	tabletest.Run(t, "DramhitBucket",
 		func(n uint64) table.Map { return dramhitBytes(n) },
@@ -36,6 +36,21 @@ func TestBucketConformance(t *testing.T) {
 			}, tb.Len, tb.Cap), tb}
 		},
 		tabletest.LooseCapacity())
+}
+
+// engineAPI serves a raw bucket engine's handle as a tabletest.ByteAPI.
+type engineAPI struct{ h *slotarr.BucketHandle }
+
+func (e engineAPI) GetBytes(key []byte) ([]byte, bool) { return e.h.Get(key) }
+func (e engineAPI) PutBytes(key, value []byte) bool    { return e.h.Put(key, value) }
+func (e engineAPI) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) bool {
+	return e.h.Mutate(key, fn)
+}
+func (e engineAPI) DeleteBytes(key []byte) bool { return e.h.Delete(key) }
+
+// engineBytes is the bucket engine bt behind its handles' byte API.
+func engineBytes(bt *slotarr.BucketTable) *tabletest.ByteMap {
+	return tabletest.NewByteMap(func() tabletest.ByteAPI { return engineAPI{bt.NewHandle()} }, bt.Len, bt.Cap)
 }
 
 // dramhitBytes is a dramhit bucket table of n slots behind its byte API.
@@ -65,7 +80,7 @@ func (m pBytes) Shutdown() { m.tb.Close() }
 // and under concurrent same-chain hammering.
 func TestBucketStashChains(t *testing.T) {
 	bt := slotarr.NewBucketTable(slotarr.BucketConfig{Buckets: 1, MaxLoad: 1 << 30})
-	m := slotarr.NewBucketMapOf(bt)
+	m := engineBytes(bt)
 	const n = 200
 	for k := uint64(0); k < n; k++ {
 		m.Put(k, k*7)

@@ -155,9 +155,9 @@ func replayTableOps(t *testing.T, data []byte) {
 		// one-bucket growth-disabled engine where all but seven live keys
 		// ride stash chains — the overflow path replayed against every other
 		// implementation.
-		{"bucket", slotarr.NewBucketMap(64)},
+		{"bucket", engineBytes(slotarr.NewBucketTableSlots(64))},
 		{"dramhit-bucket", dramhitBytes(64)},
-		{"bucket-stash", slotarr.NewBucketMapOf(slotarr.NewBucketTable(
+		{"bucket-stash", engineBytes(slotarr.NewBucketTable(
 			slotarr.BucketConfig{Buckets: 1, MaxLoad: 1 << 30}))},
 	}
 	ref := make(map[uint64]uint64)
