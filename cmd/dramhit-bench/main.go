@@ -33,7 +33,6 @@ func main() {
 	resizejson := flag.String("resizejson", "", "run the resize-ab experiment and write its machine-readable summary (schema "+bench.ResizeSchema+") to this path")
 	metrics := flag.String("metrics", "", "serve observability (Prometheus /metrics, /trace, pprof) on this address while experiments run, e.g. :8090")
 	probeKernel := flag.String("probekernel", "", "probe kernel for real-execution experiments: swar|scalar (default swar)")
-	combiningFlag := flag.String("combining", "", "in-window request combining for real-execution experiments: on|off (default on)")
 	shardjson := flag.String("shardjson", "", "run the shard-ab experiment and write its machine-readable summary (schema "+bench.ShardSchema+") to this path")
 	layoutjson := flag.String("layoutjson", "", "run the layout-ab experiment and write its machine-readable summary (schema "+bench.LayoutSchema+") to this path")
 	introspectjson := flag.String("introspectjson", "", "run the introspect-ab experiment and write its machine-readable summary (schema "+bench.IntrospectSchema+") to this path")
@@ -47,11 +46,6 @@ func main() {
 		os.Exit(2)
 	}
 	layout, err := table.ParseLayout(*layoutFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-		os.Exit(2)
-	}
-	combining, err := table.ParseCombining(*combiningFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
 		os.Exit(2)
@@ -90,7 +84,6 @@ func main() {
 		Quick:       *quick,
 		Seed:        *seed,
 		ProbeKernel: kernel,
-		Combining:   combining,
 		Observe:     liveReg,
 		Layout:      layout,
 	}

@@ -105,7 +105,7 @@ func getJSON(client *http.Client, url string, v any) error {
 
 // opCounters are the totals rendered in the rate table, in display order.
 var opCounters = []string{"gets", "puts", "upserts", "deletes", "hits",
-	"combined_upserts", "piggybacked_gets", "parks", "queue_sends"}
+	"combined_upserts", "queue_sends"}
 
 func render(w *os.File, base string, f, prev *frame, topk int) {
 	s := &f.snap

@@ -60,7 +60,7 @@ func main() {
 	workers := flag.Int("workers", 4, "concurrent client goroutines")
 	missRatio := flag.Float64("missratio", 0, "fraction of reads redirected to guaranteed-absent keys")
 	theta := flag.Float64("theta", -1, "zipfian skew of the key stream; negative = workload default")
-	combiningFlag := flag.String("combining", "on", "in-window request combining: on | off")
+	combiningFlag := flag.String("combining", "on", "dramhit-p write handles fold duplicate-key Upserts before delegating: on | off")
 	governorFlag := flag.String("governor", "off", "execution mode of the flat dramhit and dramhit-p backends: off (prefetch pipeline) | direct")
 	resizeModeFlag := flag.String("resizemode", "incremental", "resizable-table migration mode: incremental | gate")
 	jsonPath := flag.String("json", "", "write the run summary (config, Mops, latency percentiles) as JSON to this path")
@@ -119,6 +119,9 @@ func main() {
 	if *latsink != "hist" && *latsink != "exact" {
 		fail(fmt.Errorf("-latsink must be hist or exact, got %q", *latsink))
 	}
+	if combining != dramhit.CombineOn && *backend != "dramhit-p" {
+		fail(fmt.Errorf("-combining applies to the dramhit-p backend (its write-side upsert folding), not %q", *backend))
+	}
 	if governor != dramhit.GovernorOff && *backend != "dramhit" && *backend != "dramhit-p" {
 		fail(fmt.Errorf("-governor applies to the dramhit and dramhit-p backends, not %q", *backend))
 	}
@@ -149,7 +152,7 @@ func main() {
 		fail(fmt.Errorf("-valuesize and -layout bucket go together: a bucket table serves the byte API, a flat table the uint64 one"))
 	}
 	if layout == dramhit.LayoutBucket && combining != dramhit.CombineOn {
-		fail(fmt.Errorf("-combining off applies to flat tables only: a bucket table has no uint64 ring to combine in"))
+		fail(fmt.Errorf("-combining off applies to flat tables only: a bucket table's writes are synchronous byte writes, never delegated Upserts"))
 	}
 	if layout == dramhit.LayoutBucket && governor != dramhit.GovernorOff {
 		fail(fmt.Errorf("-governor %s applies to flat tables only: a bucket table has no uint64 ring", *governorFlag))
@@ -222,7 +225,7 @@ func main() {
 			return view{get: t.Get, put: func(k, v uint64) { t.Put(k, v) }, fin: func() {}}
 		}
 	case "dramhit":
-		t := dramhit.New(dramhit.Config{Slots: slots, Combining: combining, Governor: governor, Observe: reg, Layout: layout})
+		t := dramhit.New(dramhit.Config{Slots: slots, Governor: governor, Observe: reg, Layout: layout})
 		h := t.NewHandle()
 		if byteMode {
 			loadBytes(func(k, v []byte) { h.PutBytes(k, v) }, *records, *valueSize, *valueTheta)
@@ -591,7 +594,6 @@ func main() {
 			Workers:   *workers,
 			Theta:     *theta,
 			MissRatio: *missRatio,
-			Combining: combining.String(),
 			Seconds:   elapsed.Seconds(),
 			Mops:      float64(total) / elapsed.Seconds() / 1e6,
 			LatencyNS: &pct,
@@ -603,6 +605,9 @@ func main() {
 		}
 		if *introspect {
 			res.HotKeys = reg.TopKeys(16)
+		}
+		if *backend == "dramhit-p" {
+			res.Combining = combining.String()
 		}
 		if layout == dramhit.LayoutBucket {
 			res.Layout = "bucket"

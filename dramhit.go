@@ -100,9 +100,9 @@ const (
 // publish bitmap and seven fingerprints in-cell, whose seven slots reference
 // records in a log-structured arena, and which resizes itself — serving the
 // byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes, SubmitBytes).
-// Calling the other layout's API panics. Hash, ProbeKernel, Combining and
-// Governor apply only to flat tables: constructors panic when a bucket
-// config sets one.
+// Calling the other layout's API panics. ProbeKernel and Governor (and
+// PartitionedConfig.Combining) apply only to flat tables: constructors panic
+// when a bucket config sets one.
 type Layout = table.Layout
 
 // Layout choices.
@@ -116,17 +116,17 @@ const (
 // ParseLayout maps "flat" (or "") and "bucket" to the Layout values.
 func ParseLayout(s string) (Layout, error) { return table.ParseLayout(s) }
 
-// Combining selects whether handles merge in-flight same-key requests
-// (Config.Combining and PartitionedConfig.Combining): CombineOn (the zero
-// value and default) folds duplicate Upserts and piggybacks duplicate Gets
-// inside the prefetch window; CombineOff disables merging for A/B runs.
+// Combining selects whether DRAMHiT-P's write handles fold duplicate-key
+// Upserts before delegating them (PartitionedConfig.Combining): CombineOn
+// (the zero value and default) folds; CombineOff sends every Upsert, for A/B
+// runs. The core table's ring never combines.
 type Combining = table.Combining
 
 // Combining choices.
 const (
-	// CombineOn merges in-window duplicate-key requests (default).
+	// CombineOn folds duplicate-key Upserts on the write side (default).
 	CombineOn = table.CombineOn
-	// CombineOff submits every request individually (A/B baseline).
+	// CombineOff delegates every Upsert individually (A/B baseline).
 	CombineOff = table.CombineOff
 )
 
@@ -255,7 +255,7 @@ type ShardedOption = shardmap.Option
 func WithShards(n int) ShardedOption { return shardmap.WithShards(n) }
 
 // ShardedBatched routes the batched Submit pipeline over N dramhit shards,
-// each with its own prefetch windows and combining; handles
+// each with its own prefetch windows; handles
 // scatter a batch across shard-local rings and gather completions with no
 // global lock.
 type ShardedBatched = shardmap.Batched

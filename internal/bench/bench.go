@@ -26,10 +26,6 @@ type Config struct {
 	// real-execution experiments (zero value = the SWAR kernel, the package
 	// default).
 	ProbeKernel table.ProbeKernel
-	// Combining configures in-window request combining on the real tables
-	// (zero value = on, the package default). The combine-ab experiment
-	// ignores it — it runs both sides of the A/B by construction.
-	Combining table.Combining
 	// Layout selects the physical slot layout of the real tables in the
 	// real-execution experiments that honor it (reprobe-stats; zero value =
 	// flat, bit-identical to prior configurations). The layout-ab

@@ -196,7 +196,7 @@ func RunIntrospectAB(cfg Config) (*Artifact, *IntrospectSummary) {
 
 	a.Notes = append(a.Notes,
 		fmt.Sprintf("method: %d-slot dramhit table, %d mixed zipf(0.99) get/upsert ops through one handle (batch 16), best-of-%d per mode", size, ops, reps),
-		"hotkeys arms EnableHotKeys alone: Submit feeds the filtered Space-Saving sketch through a 1-in-32 weighted sample (obs.SampleShift) on the combining tag sidecar path; the budget cell is 'overhead sketch direct' — the feed timed by two-pass subtraction, which resolves a nanosecond-scale cost the mode A/B cannot",
+		"hotkeys arms EnableHotKeys alone: Submit feeds the filtered Space-Saving sketch through a 1-in-32 weighted sample (obs.SampleShift), one nil check per request when unarmed; the budget cell is 'overhead sketch direct' — the feed timed by two-pass subtraction, which resolves a nanosecond-scale cost the mode A/B cannot",
 		"overheads are medians of per-round paired ratios (each armed rep against the off/observe rep adjacent in time), because shared-box frequency noise swings whole reps by more than the effect under test",
 		"introspect additionally arms EnableOpLatency, which stamps every request with two wall-clock reads (submit and retire); that cost is inherent to per-op wall time on a sub-100ns pipeline and the mode is meant for bounded diagnosis sessions, not steady state",
 		"recall streams draw from the loaded keyset; exact counts are tallied alongside and compared to the registry's merged TopKeys(16)",
@@ -210,7 +210,6 @@ func introspectRep(cfg Config, size uint64, ops int, reg *obs.Registry) float64 
 	tbl := dramhit.New(dramhit.Config{
 		Slots:       size,
 		ProbeKernel: cfg.ProbeKernel,
-		Combining:   cfg.Combining,
 		Observe:     reg,
 	})
 	h := tbl.NewHandle()

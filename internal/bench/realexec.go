@@ -19,7 +19,6 @@ import (
 func init() {
 	register("reprobe-stats", reprobeStats)
 	register("real-kmer", realKmer)
-	register("combine-ab", combineAB)
 }
 
 // reprobeStats regenerates the paper's §3 empirical claim: "on a fill
@@ -119,107 +118,4 @@ func realKmer(cfg Config) *Artifact {
 	a.Series = append(a.Series, dh)
 	a.Notes = append(a.Notes, "absolute Mops reflect this host and the Go runtime; the paper's Figure 12 shape is reproduced by fig12a/fig12b")
 	return a
-}
-
-// combineAB runs the in-window request-combining A/B on the real table: an
-// upsert-dominated stream whose zipf skew is swept from uniform to hot
-// (theta 0 → 0.99), each point run with combining on and off. The
-// architecture-independent signal is memory operations per op — key-line
-// loads plus CAS/value-write attempts — which combining must cut as skew
-// grows (a folded upsert touches no memory at all); Mops are the
-// host-dependent consequence.
-func combineAB(cfg Config) *Artifact {
-	a := &Artifact{
-		ID:     "combine-ab",
-		Title:  "In-window request combining A/B (real execution)",
-		Header: []string{"theta", "combining", "Mops", "keylines/op", "cas/op", "memops/op", "combined/op"},
-	}
-	size := uint64(1 << 20)
-	ops := 1 << 20
-	if cfg.Quick {
-		size = 1 << 17
-		ops = 1 << 15
-	}
-	for _, theta := range []float64{0, 0.6, 0.9, 0.99} {
-		for _, mode := range []table.Combining{table.CombineOff, table.CombineOn} {
-			a.Rows = append(a.Rows, combineABRow(cfg, size, ops, theta, mode))
-		}
-	}
-	a.Notes = append(a.Notes,
-		fmt.Sprintf("method: %d-slot tables, prefetch window 64, %d zipf-skewed upserts (Value 1) over a keyspace of half the slots, batch 16", size, ops),
-		"memops/op = keylines/op + cas/op: DRAM-touching work per submitted request (a folded upsert contributes zero of either)",
-		"combined/op is the fraction of upserts folded onto an in-flight duplicate; it tracks the in-window collision probability, rising with theta",
-		"with combining on, memops/op must fall monotonically as theta grows; at theta=0 a 64-deep window over half a million keys almost never collides, so both sides must match",
-		"each cell is best-of-3 (counters are deterministic; only the wall clock varies)",
-		"Mops are host-dependent; the counter columns are the architecture-independent signal — on hosts whose LLC holds the hot set the saved memory ops buy little wall clock, while the cycle-level DRAM-bound model (internal/simtable, TestCombiningWinsOnSkew) shows the same fold rate as a 1.4-1.5x throughput win at theta=0.99")
-	return a
-}
-
-// combineABRow runs one (theta, combining) cell best-of-3 (the counters are
-// deterministic across repetitions; only the wall clock varies, and the best
-// repetition is the least scheduler-disturbed one): build, stream, report.
-func combineABRow(cfg Config, size uint64, ops int, theta float64, mode table.Combining) []string {
-	reps := 3
-	if cfg.Quick {
-		reps = 1
-	}
-	var best []string
-	bestMops := -1.0
-	for rep := 0; rep < reps; rep++ {
-		row, mops := combineABRep(cfg, size, ops, theta, mode)
-		if mops > bestMops {
-			best, bestMops = row, mops
-		}
-	}
-	return best
-}
-
-// combineABRep is one repetition of a combine-ab cell.
-func combineABRep(cfg Config, size uint64, ops int, theta float64, mode table.Combining) ([]string, float64) {
-	tbl := dramhit.New(dramhit.Config{
-		Slots:          size,
-		PrefetchWindow: 64,
-		ProbeKernel:    cfg.ProbeKernel,
-		Combining:      mode,
-	})
-	h := tbl.NewHandle()
-	ks := workload.NewKeyStream(cfg.Seed, size/2, theta)
-	const batch = 16
-	reqs := make([]table.Request, batch)
-	base := h.Stats()
-	start := time.Now()
-	for n := 0; n < ops; n += batch {
-		b := batch
-		if ops-n < b {
-			b = ops - n
-		}
-		for i := 0; i < b; i++ {
-			reqs[i] = table.Request{Op: table.Upsert, Key: ks.Next(), Value: 1}
-		}
-		rem := reqs[:b]
-		for len(rem) > 0 {
-			nr, _ := h.Submit(rem, nil)
-			rem = rem[nr:]
-		}
-	}
-	for {
-		if _, done := h.Flush(nil); done {
-			break
-		}
-	}
-	elapsed := time.Since(start)
-	st := h.Stats()
-	n := float64(ops)
-	kl := float64(st.KeyLines-base.KeyLines) / n
-	cas := float64(st.CASAttempts-base.CASAttempts) / n
-	mops := n / elapsed.Seconds() / 1e6
-	return []string{
-		fmt.Sprintf("%.2f", theta),
-		mode.String(),
-		fmt.Sprintf("%.1f", mops),
-		fmt.Sprintf("%.3f", kl),
-		fmt.Sprintf("%.3f", cas),
-		fmt.Sprintf("%.3f", kl+cas),
-		fmt.Sprintf("%.3f", float64(st.CombinedUpserts-base.CombinedUpserts)/n),
-	}, mops
 }

@@ -123,7 +123,6 @@ func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, 
 		dht = dramhit.New(dramhit.Config{
 			Slots:       slots,
 			ProbeKernel: cfg.ProbeKernel,
-			Combining:   cfg.Combining,
 			Observe:     reg,
 		})
 	}
@@ -223,7 +222,6 @@ func ycsbRun(cfg Config, tblName string, w ycsbWorkload, slots uint64, records, 
 		Ops:         totalOps,
 		Workers:     workers,
 		Theta:       ycsbTheta,
-		Combining:   cfg.Combining.String(),
 		WarmupOps:   warmup,
 		Seconds:     elapsed.Seconds(),
 		Mops:        float64(totalOps) / elapsed.Seconds() / 1e6,
@@ -290,7 +288,7 @@ func ycsbDramhitWorker(h *dramhit.Handle, keys []uint64, ranks *workload.KeyStre
 }
 
 // RunObsAB measures the observability layer's hot-path cost: the same
-// single-handle upsert stream as combine-ab, with Config.Observe nil versus
+// single-handle zipf(0.6) upsert stream, with Config.Observe nil versus
 // attached (histograms + default 1-in-256 lifecycle tracing). Returns the
 // artifact and the measured overhead in percent (positive = observe-on is
 // slower). The acceptance budget is 2%.
@@ -344,7 +342,6 @@ func obsABRep(cfg Config, size uint64, ops int, reg *obs.Registry) (float64, flo
 	tbl := dramhit.New(dramhit.Config{
 		Slots:       size,
 		ProbeKernel: cfg.ProbeKernel,
-		Combining:   cfg.Combining,
 		Observe:     reg,
 	})
 	h := tbl.NewHandle()

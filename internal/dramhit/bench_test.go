@@ -198,8 +198,8 @@ func BenchmarkMixedPipeline(b *testing.B) {
 // a 2^17-slot table stays in L2, so nothing misses and what one op costs is
 // the ring bookkeeping around its probe. Batches of 256 through Submit then
 // Flush at the default window, as the gated benchmark's tbl-upsert-hot does:
-// zipf-0.99 Upserts (combining and the fold path under load) and uniform Gets
-// over the loaded keys (the plain enqueue/drain/retire path with responses).
+// zipf-0.99 Upserts (a contended atomic add on a few hot lines) and uniform
+// Gets over the loaded keys (the enqueue/drain/retire path with responses).
 func BenchmarkRingHot(b *testing.B) {
 	const (
 		slots = 1 << 17

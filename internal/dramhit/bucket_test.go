@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"dramhit/internal/hashfn"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 	"dramhit/internal/workload"
@@ -342,18 +341,15 @@ func TestBucketByteAPIRequiresLayout(t *testing.T) {
 	h.PutBytes([]byte("k"), []byte("v"))
 }
 
-// TestBucketRejectsFlatOnlySettings: Hash, ProbeKernel, Combining and
-// Governor shape the flat table's uint64 ring, which a bucket table does not
-// have. Set on a bucket config they would be accepted and ignored, so New and
+// TestBucketRejectsFlatOnlySettings: ProbeKernel and Governor shape the flat
+// table's uint64 ring, which a bucket table does not have. Set on a bucket config they would be accepted and ignored, so New and
 // NewView panic, naming the field.
 func TestBucketRejectsFlatOnlySettings(t *testing.T) {
 	for _, c := range []struct {
 		field string
 		set   func(*Config)
 	}{
-		{"Hash", func(c *Config) { c.Hash = hashfn.City64 }},
 		{"ProbeKernel", func(c *Config) { c.ProbeKernel = table.KernelScalar }},
-		{"Combining", func(c *Config) { c.Combining = table.CombineOff }},
 		{"Governor", func(c *Config) { c.Governor = table.GovernorDirect }},
 	} {
 		cfg := Config{Slots: 64, Layout: table.LayoutBucket}

@@ -66,8 +66,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 			nreq++
 			continue
 		}
-		hv := h.t.hash(req.Key)
-		part, idx := hashfn.FastrangeSplit(hv, h.nreg, h.rslots)
+		part, idx := hashfn.FastrangeSplit(hashfn.City64(req.Key), h.nreg, h.rslots)
 		arr := h.regs[part].arr
 		var v uint64
 		var found, fail bool
@@ -121,7 +120,7 @@ func directExhausted(op table.Op) (uint64, bool, bool) {
 // keeps walking, and opens the next line the way a drain opens a reprobed
 // request: with the entry-lane peek.
 func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64) (uint64, bool, bool) {
-	t, size := h.t, h.rslots
+	size := h.rslots
 	var probes uint64
 	for {
 		// Entry-lane peek, as in the drains: at working fills most probes
@@ -145,22 +144,13 @@ func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64) (
 				h.stats.CASAttempts++
 				return arr.AddValue(idx, req.Value), true, false
 			default: // Delete
-				if arr.CASKey(idx, req.Key, table.TombstoneKey) {
-					t.live.Add(-1)
-					return 0, true, false
-				}
-				return 0, false, false
+				return 0, h.tombstone(arr, idx, req.Key), false
 			}
 		case table.EmptyKey:
 			if req.Op == table.Get || req.Op == table.Delete {
 				return 0, false, false
 			}
-			h.stats.CASAttempts++
-			if arr.CASKey(idx, table.EmptyKey, req.Key) {
-				h.stats.CASAttempts++
-				arr.StoreValue(idx, req.Value)
-				t.used.Add(1)
-				t.live.Add(1)
+			if h.claim(arr, idx, req.Key, req.Value) {
 				return req.Value, true, false
 			}
 			// Claim race lost: fall into the kernel loop, which re-snapshots.
@@ -182,26 +172,16 @@ func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64) (
 					h.stats.CASAttempts++
 					return arr.AddValue(slot, req.Value), true, false
 				default: // Delete
-					h.stats.CASAttempts++
-					if arr.CASKey(slot, req.Key, table.TombstoneKey) {
-						t.live.Add(-1)
-						return 0, true, false
-					}
-					// A concurrent Delete won the race: report a miss, exactly
+					// A concurrent Delete may win the race: a miss, exactly
 					// like the pipelined drain.
-					return 0, false, false
+					h.stats.CASAttempts++
+					return 0, h.tombstone(arr, slot, req.Key), false
 				}
 			case simd.HitEmpty:
 				if req.Op == table.Get || req.Op == table.Delete {
 					return 0, false, false
 				}
-				slot := base + uint64(lane)
-				h.stats.CASAttempts++
-				if arr.CASKey(slot, table.EmptyKey, req.Key) {
-					h.stats.CASAttempts++
-					arr.StoreValue(slot, req.Value)
-					t.used.Add(1)
-					t.live.Add(1)
+				if h.claim(arr, base+uint64(lane), req.Key, req.Value) {
 					return req.Value, true, false
 				}
 				// Claim race lost: re-snapshot the same line and rerun the
@@ -232,7 +212,7 @@ func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64) (
 // directScalar is the inline slot-by-slot probe, the synchronous twin of
 // processScalar (the KernelScalar ablation baseline).
 func (h *Handle) directScalar(req table.Request, arr *slotarr.Array, idx uint64) (uint64, bool, bool) {
-	t, size := h.t, h.rslots
+	size := h.rslots
 	h.stats.KeyLines++
 	line := slotarr.LineOf(idx)
 	var probes uint64
@@ -261,22 +241,13 @@ func (h *Handle) directScalar(req table.Request, arr *slotarr.Array, idx uint64)
 				return arr.AddValue(idx, req.Value), true, false
 			default: // Delete
 				h.stats.CASAttempts++
-				if arr.CASKey(idx, req.Key, table.TombstoneKey) {
-					t.live.Add(-1)
-					return 0, true, false
-				}
-				return 0, false, false
+				return 0, h.tombstone(arr, idx, req.Key), false
 			}
 		case k == table.EmptyKey:
 			if req.Op == table.Get || req.Op == table.Delete {
 				return 0, false, false
 			}
-			h.stats.CASAttempts++
-			if arr.CASKey(idx, table.EmptyKey, req.Key) {
-				h.stats.CASAttempts++
-				arr.StoreValue(idx, req.Value)
-				t.used.Add(1)
-				t.live.Add(1)
+			if h.claim(arr, idx, req.Key, req.Value) {
 				return req.Value, true, false
 			}
 			continue // re-inspect the contested slot

@@ -14,7 +14,7 @@ import (
 // (the pipeline completes out of order; direct completes in submission
 // order — the ordering is not part of the contract, the per-request results
 // are), and the order-insensitive Stats are compared exactly: op counts,
-// hits, failures, combine counters and CAS attempts are each a pure
+// hits, failures and CAS attempts are each a pure
 // function of per-request outcomes. The traversal counters (Reprobes, Lines,
 // KeyLines) are NOT compared: probe
 // chain lengths depend on which neighboring writes had landed when a probe
@@ -33,9 +33,9 @@ type modePair struct {
 	nPipe, nDir  int
 }
 
-func newModePair(t *testing.T, slots uint64, window, respCap int, combining table.Combining) *modePair {
-	tp := New(Config{Slots: slots, PrefetchWindow: window, Combining: combining})
-	td := New(Config{Slots: slots, PrefetchWindow: window, Combining: combining, Governor: table.GovernorDirect})
+func newModePair(t *testing.T, slots uint64, window, respCap int) *modePair {
+	tp := New(Config{Slots: slots, PrefetchWindow: window})
+	td := New(Config{Slots: slots, PrefetchWindow: window, Governor: table.GovernorDirect})
 	return &modePair{
 		t:      t,
 		pipeT:  tp,
@@ -150,10 +150,7 @@ func TestDirectSequentialEquivalence(t *testing.T) {
 		if size >= 1024 {
 			ops = 20000
 		}
-		// Combining off: even a window-1 pipeline merges adjacent same-key
-		// requests (the merge check precedes the drain), and direct mode
-		// canonically never combines — the sequential oracle must not either.
-		gp := newModePair(t, size, 1, ops+64, table.CombineOff)
+		gp := newModePair(t, size, 1, ops+64)
 		var batch []table.Request
 		for i := 0; i < ops; i++ {
 			var k uint64
@@ -213,7 +210,7 @@ func TestDirectPipelinedEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(size)*17 + int64(window)))
 			keyRange := int(size) / 2 // never saturates (no deletes below)
 			ops := 6000
-			gp := newModePair(t, size, window, ops+64, table.CombineOn)
+			gp := newModePair(t, size, window, ops+64)
 			var nextID uint64
 			batch := make([]table.Request, 0, 32)
 			inBatch := make(map[uint64]bool, 32)
@@ -274,8 +271,8 @@ func TestDirectPipelinedEquivalence(t *testing.T) {
 // equivalence check on the scalar-kernel ablation path (directScalar vs
 // processScalar at window 1 — same execution order, full bit-identity).
 func TestDirectEquivalenceScalarKernel(t *testing.T) {
-	tp := New(Config{Slots: 64, PrefetchWindow: 1, ProbeKernel: table.KernelScalar, Combining: table.CombineOff})
-	td := New(Config{Slots: 64, PrefetchWindow: 1, ProbeKernel: table.KernelScalar, Combining: table.CombineOff, Governor: table.GovernorDirect})
+	tp := New(Config{Slots: 64, PrefetchWindow: 1, ProbeKernel: table.KernelScalar})
+	td := New(Config{Slots: 64, PrefetchWindow: 1, ProbeKernel: table.KernelScalar, Governor: table.GovernorDirect})
 	gp := &modePair{
 		t: t, pipeT: tp, dirT: td,
 		pipe: tp.NewHandle(), direct: td.NewHandle(),
@@ -352,20 +349,11 @@ func TestGovernorOffIsUngoverned(t *testing.T) {
 }
 
 // TestGovernorConfigWiring pins the constructed handle state: the execution
-// mode and the combining capability are copied from the table's Config into
-// every handle, and a CombineOff table's handles never combine.
+// mode is copied from the table's Config into every handle.
 func TestGovernorConfigWiring(t *testing.T) {
 	dir := New(Config{Slots: 64, Governor: table.GovernorDirect})
 	if h := dir.NewHandle(); !h.direct {
 		t.Fatal("GovernorDirect handle did not start in direct mode")
-	}
-	on := New(Config{Slots: 64, Combining: table.CombineOn})
-	if h := on.NewHandle(); !h.combine || h.direct {
-		t.Fatalf("CombineOn handle: combine=%v direct=%v, want combine=true direct=false", h.combine, h.direct)
-	}
-	off := New(Config{Slots: 64, Combining: table.CombineOff, Governor: table.GovernorDirect})
-	if h := off.NewHandle(); h.combine || !h.direct {
-		t.Fatalf("CombineOff direct handle: combine=%v direct=%v, want combine=false direct=true", h.combine, h.direct)
 	}
 }
 

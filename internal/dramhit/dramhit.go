@@ -7,31 +7,32 @@
 // Each accessor goroutine owns a Handle with a bounded FIFO queue of pending
 // requests (the prefetch queue, Algorithm 1 of the paper). Submitting a
 // request hashes the key, computes the home slot, issues a prefetch for its
-// cache line and enqueues. Once PrefetchWindow requests have accumulated,
-// the oldest request's line is guaranteed to be cache-resident, so the
-// handle drains the queue head: it probes only within the already-prefetched
-// line, and a probe that must cross into the next line issues a new prefetch
-// and re-enqueues the request (a reprobe). Requests therefore complete out
-// of order; every response carries the caller's opaque request ID.
+// cache line and the one after it, and enqueues. Once PrefetchWindow
+// requests have accumulated, the oldest request's lines are cache-resident,
+// so the handle drains the queue head: it probes only within that prefetched
+// pair, walking from the first line into the second in place, and a probe
+// that must leave the pair issues a new prefetch and re-enqueues the request
+// (a reprobe). Requests therefore complete out of order; every response
+// carries the caller's opaque request ID.
 //
 // A prefetch is a real one — PREFETCHT0 or PRFM through the assembly stub
-// simd.Prefetch — so Submit never waits for table memory; under -tags purego
-// and on other architectures it is a no-op and the pipeline degrades to
-// demand misses at drain time with identical results. The cycle-level
+// simd.PrefetchPair — so Submit never waits for table memory; under -tags
+// purego and on other architectures it is a no-op and the pipeline degrades
+// to demand misses at drain time with identical results. The cycle-level
 // reproduction of the paper's numbers lives in internal/simtable, where
 // prefetch cost is modeled explicitly.
 package dramhit
 
 import (
 	"strconv"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
-
-	"sync/atomic"
 )
 
 // DefaultPrefetchWindow is the number of in-flight requests a handle
@@ -48,23 +49,11 @@ type Config struct {
 	// DefaultPrefetchWindow. A window of 1 degenerates to synchronous
 	// operation (used by the batching ablation, Figure 7).
 	PrefetchWindow int
-	// Hash overrides the hash function; nil selects hashfn.City64.
-	// hashfn.CRC64 matches the paper's CRC32 configuration.
-	Hash func(uint64) uint64
 	// ProbeKernel selects how the drain probes a resident cache line. The
 	// zero value (table.KernelSWAR) snapshots the whole line and runs the
 	// lane-parallel branch-free kernel of internal/simd; table.KernelScalar
 	// keeps the slot-by-slot loop for ablation and A/B benchmarks.
 	ProbeKernel table.ProbeKernel
-	// Combining selects whether Submit merges a request whose key already
-	// has a pending request in the handle's prefetch queue instead of
-	// enqueueing it. The zero value (table.CombineOn) coalesces duplicate
-	// upserts, piggybacks duplicate Gets on one probe, and forwards
-	// Get-after-Put/Upsert from the in-flight value; table.CombineOff keeps
-	// the one-request-one-probe pipeline as the A/B baseline. Combining is
-	// kernel-independent: the merge decision reads only the handle's own
-	// ring, never the table.
-	Combining table.Combining
 	// Observe, when non-nil, attaches the table to the observability
 	// registry: each handle registers a padded counter shard (published at
 	// Submit/Flush boundaries, so the hot path stays free of shared-line
@@ -78,10 +67,10 @@ type Config struct {
 	// table.LayoutBucket stores the index as one-line buckets with in-cell
 	// metadata over a log-structured KV arena and resizes itself: the
 	// byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes and the
-	// SubmitBytes ring). Calling the other layout's API panics. Hash,
-	// ProbeKernel, Combining and Governor apply only to flat tables (the
-	// bucket engine owns its byte hash, probe and ring), so New and NewView
-	// panic when a bucket config sets any of them.
+	// SubmitBytes ring). Calling the other layout's API panics. ProbeKernel
+	// and Governor apply only to flat tables (the bucket engine owns its byte
+	// hash, probe and ring), so New and NewView panic when a bucket config
+	// sets either.
 	Layout table.Layout
 	// Governor selects the execution mode of every handle, fixed at
 	// construction. The zero value (table.GovernorOff) runs the prefetch
@@ -92,20 +81,16 @@ type Config struct {
 	Governor table.GovernorMode
 }
 
-// FlatOnlyOnBucket names the first of Hash, ProbeKernel, Combining and
-// Governor that a LayoutBucket config c sets away from its zero value, or
-// returns "". Those settings shape the flat table's uint64 ring; on a bucket
-// table they would be accepted and ignored, so constructors reject them.
+// FlatOnlyOnBucket names the first of ProbeKernel and Governor that a
+// LayoutBucket config c sets away from its zero value, or returns "". Those
+// settings shape the flat table's uint64 ring; on a bucket table they would
+// be accepted and ignored, so constructors reject them.
 func (c Config) FlatOnlyOnBucket() string {
 	switch {
 	case c.Layout != table.LayoutBucket:
 		return ""
-	case c.Hash != nil:
-		return "Hash"
 	case c.ProbeKernel != table.KernelSWAR:
 		return "ProbeKernel"
-	case c.Combining != table.CombineOn:
-		return "Combining"
 	case c.Governor != table.GovernorOff:
 		return "Governor"
 	}
@@ -131,10 +116,8 @@ type Table struct {
 	rslots  uint64 // slots per flat region; a probe chain never leaves its region
 	size    uint64 // nreg * rslots
 	side    *slotarr.SidePair
-	hash    func(uint64) uint64
 	window  int
 	kernel  table.ProbeKernel
-	combine table.Combining
 	direct  bool // GovernorDirect: handles skip the ring
 	obsReg  *obs.Registry
 	worker  string       // obs worker-shard name prefix
@@ -142,7 +125,7 @@ type Table struct {
 
 	// used and live are the only words of the table that the op paths write —
 	// every insert and delete of every handle — while every request of every
-	// handle reads hash and side above. A cache line of padding on either
+	// handle reads side above. A cache line of padding on either
 	// side keeps the two apart wherever the allocator puts the struct;
 	// sharing a line doubles the time of a two-handle bulk load.
 	_    [64]byte
@@ -209,8 +192,9 @@ func checkLayout(cfg Config) {
 
 // NewView creates a table over the regions r, which the caller built and
 // keeps writing: cfg.Slots is their total capacity, cfg.Layout must name the
-// kind r holds, and cfg.Hash (flat layout) must be the hash the writer places
-// keys with. Handles of a view run the same ring as any other; what a view
+// kind r holds, and on the flat layout the writer must place keys by
+// hashfn.City64, the hash every flat route takes. Handles of a view run the
+// same ring as any other; what a view
 // does not have is ownership: on the flat layout Len and Fill count what this
 // table's own CAS drains claimed, so they are the caller's to report, and
 // only operations the regions' write protocol admits from any goroutine may
@@ -224,10 +208,6 @@ func NewView(cfg Config, r Regions) *Table {
 	if w < 1 {
 		panic("dramhit: PrefetchWindow must be >= 1")
 	}
-	h := cfg.Hash
-	if h == nil {
-		h = hashfn.City64
-	}
 	regs := make([]region, max(len(r.Arrays), len(r.Buckets)))
 	for i := range r.Arrays {
 		regs[i].arr = r.Arrays[i]
@@ -237,26 +217,21 @@ func NewView(cfg Config, r Regions) *Table {
 	}
 	nreg := uint64(len(regs))
 	return &Table{
-		regs:    regs,
-		nreg:    nreg,
-		rslots:  cfg.Slots / nreg,
-		size:    cfg.Slots / nreg * nreg,
-		side:    r.Side,
-		hash:    h,
-		window:  w,
-		kernel:  cfg.ProbeKernel,
-		combine: cfg.Combining,
-		direct:  cfg.Governor == table.GovernorDirect,
-		obsReg:  cfg.Observe,
-		worker:  r.Worker,
+		regs:   regs,
+		nreg:   nreg,
+		rslots: cfg.Slots / nreg,
+		size:   cfg.Slots / nreg * nreg,
+		side:   r.Side,
+		window: w,
+		kernel: cfg.ProbeKernel,
+		direct: cfg.Governor == table.GovernorDirect,
+		obsReg: cfg.Observe,
+		worker: r.Worker,
 	}
 }
 
 // Kernel returns the configured probe kernel.
 func (t *Table) Kernel() table.ProbeKernel { return t.kernel }
-
-// Combining returns the configured in-window combining setting.
-func (t *Table) Combining() table.Combining { return t.combine }
 
 // Layout returns the physical layout the table was constructed with.
 func (t *Table) Layout() table.Layout {
@@ -326,22 +301,15 @@ func (t *Table) Fill() float64 {
 // Window returns the configured prefetch window.
 func (t *Table) Window() int { return t.window }
 
-// pending is one in-flight request on a handle's prefetch queue. When
-// combining is on, a pending may be a combine leader: chain links the
-// piggybacked/forwarded Gets that share its probe, and an Upsert leader's
-// req.Value carries the folded sum of every absorbed increment.
+// pending is one in-flight request on a handle's prefetch queue: built in its
+// ring slot at Submit, probed there, and moved only by a reprobe.
 type pending struct {
 	req     table.Request
 	idx     uint64 // next slot to inspect
 	probes  uint64 // slots inspected so far (full-table bound)
 	startNS int64  // submission time, set only when latency tracking is on
-	rval    uint64 // resolved value of a parked leader (state != stateProbing)
 	trace   uint64 // lifecycle trace id; 0 = not sampled
-	chain   int32  // 1+index into Handle.merged of the newest combined Get; 0 = none
-	ngets   int32  // combined Gets on chain (bounds tryCombine's absorption)
 	part    uint32 // region the key routes to; idx is local to it
-	tag     uint8  // key's tag fingerprint (table.TagOf of the full hash)
-	state   uint8  // stateProbing, or the parked resolution (chain mid-emission)
 }
 
 // Stats accumulates per-handle observability counters.
@@ -352,8 +320,9 @@ type Stats struct {
 	Hits uint64
 	// Failed counts Puts/Upserts rejected because the table was full.
 	Failed uint64
-	// Reprobes counts line crossings (requests re-enqueued with a fresh
-	// prefetch).
+	// Reprobes counts line crossings: a probe walking from the first line of
+	// its prefetched pair into the second, or re-enqueued with a fresh
+	// prefetch when it leaves the pair.
 	Reprobes uint64
 	// Lines counts cache lines touched (1 + reprobes per op); the paper
 	// reports Lines/Ops ≈ 1.3 at 75% fill.
@@ -364,25 +333,14 @@ type Stats struct {
 	// counts and no key line serves) and no lost claim races, KeyLines
 	// equals Lines. On a bucket table it counts home-bucket loads.
 	KeyLines uint64
-	// TagSkips always reads 0: the flat layout has no tag sidecar to skip a
-	// line from. The field stays only because the gated benchmark harness
-	// (benchmark/tbl.go), which is kept fixed so runs stay comparable, reads
-	// it.
-	TagSkips uint64
-	// CombinedUpserts counts Upserts folded into a pending same-key Upsert
-	// at Submit time. Each is also counted in Upserts — combining changes
-	// how an operation executes, never whether it completed.
-	CombinedUpserts uint64
-	// PiggybackedGets counts Gets that shared a pending same-key Get's
-	// probe, each receiving its own response from the one result.
-	PiggybackedGets uint64
-	// ForwardedGets counts Gets answered by store-to-load forwarding from a
-	// pending same-key Put/Upsert's in-flight value.
-	ForwardedGets uint64
+	// TagSkips, CombinedUpserts, PiggybackedGets and ForwardedGets always
+	// read 0: the flat layout has no tag sidecar to skip a line from, and the
+	// ring executes every request by its own probe. The fields stay only
+	// because the gated benchmark harness (benchmark/tbl.go), which is kept
+	// fixed so runs stay comparable, reads them.
+	TagSkips, CombinedUpserts, PiggybackedGets, ForwardedGets uint64
 	// CASAttempts counts atomic updates issued against slot words (key
-	// claim/delete CASes plus value stores and adds). KeyLines+CASAttempts
-	// per op is the combine A/B's memory-transaction metric: a combined
-	// request adds zero to either term.
+	// claim/delete CASes plus value stores and adds).
 	CASAttempts uint64
 }
 
@@ -391,10 +349,9 @@ func (s *Stats) Ops() uint64 { return s.Gets + s.Puts + s.Upserts + s.Deletes }
 
 // Core returns the counters every probe kernel must agree on: KeyLines and
 // CASAttempts are zeroed because they intentionally differ between the
-// scalar and SWAR kernels, while completions, hits, failures, reprobes, line
-// touches and the combine counters are execution-model-invariant (a merge
-// decision reads only the handle's ring, which evolves identically under
-// either kernel). The equivalence property tests compare Cores.
+// scalar and SWAR kernels, while completions, hits, failures, reprobes and
+// line touches are execution-model-invariant. The equivalence property tests
+// compare Cores.
 func (s Stats) Core() Stats {
 	c := s
 	c.KeyLines, c.CASAttempts = 0, 0
@@ -409,44 +366,22 @@ type Handle struct {
 	// regs, nreg and rslots are the table's (fixed at construction), held
 	// here so that routing a request and finding its entry's storage do not
 	// go through t.
-	regs    []region
-	nreg    uint64
-	rslots  uint64
-	q       []pending // ring buffer, len power of two; nil on a bucket table
-	mask    int       // ring capacity - 1, shared with the byte ring's byteQ
-	head    int       // enqueue position
-	tail    int       // dequeue position (oldest)
-	window  int
-	kernel  table.ProbeKernel
-	combine bool
-	direct  bool // Submit bypasses the ring (GovernorDirect)
+	regs   []region
+	nreg   uint64
+	rslots uint64
+	q      []pending // ring buffer, len power of two; nil on a bucket table
+	mask   int       // ring capacity - 1, shared with the byte ring's byteQ
+	head   int       // enqueue position
+	tail   int       // dequeue position (oldest)
+	window int
+	kernel table.ProbeKernel
+	direct bool // Submit bypasses the ring (GovernorDirect)
 
 	// bhs holds the bucket-layout engine views the byte API runs on, one per
 	// region (non-nil iff the table is LayoutBucket): each owns an arena
 	// writer/pin and the engine-level probe counters that Stats folds into
 	// KeyLines/Reprobes.
 	bhs []*slotarr.BucketHandle
-
-	// ptags mirrors each ring slot's tag fingerprint, one byte per slot
-	// packed eight to a word, so the combine scan checks the whole window
-	// with a handful of SWAR byte-matches instead of touching any pending
-	// struct. Bytes are written at enqueue and never cleared at dequeue;
-	// liveness is decided positionally (see combineScan). Nil when
-	// combining is off.
-	ptags []uint64
-	// tagcnt counts live pending requests per tag byte. It gates the combine
-	// scan down to one L1 load on the (overwhelmingly common, under low skew)
-	// submissions whose tag matches nothing in flight: enqueue increments,
-	// position retirement decrements (reading the tag back from ptags), and
-	// Submit scans only when tagcnt[tag] != 0. Entry 0 absorbs the
-	// decrements of parked slots, whose bytes were cleared (and counts
-	// released) at park time; published tags are 1..255, so it is never read.
-	tagcnt [256]int32
-	// merged is the arena of combined Gets riding pending leaders; free
-	// entries are linked through next with the same 1+index encoding the
-	// chains use, headed by mfree. Steady state allocates nothing.
-	merged []mergedGet
-	mfree  int32
 
 	stats Stats
 
@@ -487,6 +422,12 @@ type Handle struct {
 	// touches neither, so they sit behind everything its Submit reads.
 	bstaged   int
 	stageHook func(hv uint64)
+
+	// The handle is written on every request. Its size is a whole number of
+	// cache lines (six; TestHandlesShareNoLine pins it), which puts it in a
+	// line-multiple allocation size class, so no other object — the next
+	// handle made, typically — shares its lines. Pad here if a field change
+	// breaks that.
 }
 
 // NewHandle creates an accessor for the table.
@@ -496,15 +437,14 @@ func (t *Table) NewHandle() *Handle {
 		capacity <<= 1
 	}
 	h := &Handle{
-		t:       t,
-		regs:    t.regs,
-		nreg:    t.nreg,
-		rslots:  t.rslots,
-		mask:    capacity - 1,
-		window:  t.window,
-		kernel:  t.kernel,
-		combine: t.combine == table.CombineOn,
-		direct:  t.direct,
+		t:      t,
+		regs:   t.regs,
+		nreg:   t.nreg,
+		rslots: t.rslots,
+		mask:   capacity - 1,
+		window: t.window,
+		kernel: t.kernel,
+		direct: t.direct,
 	}
 	if t.Bucket() != nil {
 		// The byte API's engine views; OnByteComplete allocates the byte ring.
@@ -513,10 +453,14 @@ func (t *Table) NewHandle() *Handle {
 			h.bhs[i] = t.regs[i].bkt.NewHandle()
 		}
 	} else {
-		h.q = make([]pending, capacity)
-		if h.combine {
-			h.ptags = make([]uint64, (capacity+7)/8)
+		// The ring's backing array is rounded up to whole cache lines for
+		// the reason Handle is a whole number of them: handles made back to
+		// back would otherwise have their rings meet mid-line.
+		n := capacity
+		for uintptr(n)*unsafe.Sizeof(pending{})%table.CacheLineBytes != 0 {
+			n++
 		}
+		h.q = make([]pending, capacity, n)
 	}
 	if t.obsReg != nil {
 		n := t.nhandle.Add(1)
@@ -543,21 +487,16 @@ func (h *Handle) Pending() int { return h.head - h.tail }
 
 // enqueue publishes the entry its caller has just written into the head
 // slot — Submit constructs a new request there, reprobe moves the queue-head
-// request there — by mirroring its tag byte, counting it and advancing head.
-// The slot is the entry's only home: nothing is copied in or out.
+// request there — by advancing head. The slot is the entry's only home:
+// nothing is copied in or out.
 func (h *Handle) enqueue() {
-	s := h.head & h.mask
-	p := &h.q[s]
-	if h.combine {
-		shift := uint(s&7) * 8
-		h.ptags[s>>3] = h.ptags[s>>3]&^(0xff<<shift) | uint64(p.tag)<<shift
-		h.tagcnt[p.tag]++
-	}
+	p := &h.q[h.head&h.mask]
 	h.head++
 	if p.trace != 0 {
 		// Every enqueue is either a request's first entry into the pipeline
-		// (probes == 0: Submit) or a line crossing's re-entry (Reprobe); the
-		// discrimination here keeps the drains free of trace calls.
+		// (probes == 0: Submit) or a re-entry after leaving its line pair
+		// (Reprobe); the discrimination here keeps the drains free of trace
+		// calls.
 		if p.probes == 0 {
 			h.trace.Record(p.trace, obs.EvSubmit, uint8(p.req.Op), p.req.Key, 0)
 		} else {
@@ -566,33 +505,37 @@ func (h *Handle) enqueue() {
 	}
 }
 
-// pop retires the queue-head position. With combining on it releases the
-// slot's tag byte from the per-tag occupancy counts; a reprobe's re-enqueue
-// re-increments the same tag, and a parked leader released its count (and
-// cleared its byte) when it parked, so the byte read here is 0 and the
-// decrement lands on the never-consulted entry 0.
-func (h *Handle) pop() {
-	if h.combine {
-		s := h.tail & h.mask
-		h.tagcnt[uint8(h.ptags[s>>3]>>(uint(s&7)*8))]--
-	}
-	h.tail++
-}
-
 // reprobe sends the queue-head request p to the back of the queue behind a
-// fresh prefetch of the line its drain advanced the probe cursor (idx,
+// fresh prefetch of the line pair its drain advanced the probe cursor (idx,
 // probes) to; the cursor is stored back here, once. The move is the only
 // copy an entry ever sees. Source and destination are distinct slots: the
 // ring holds at least window+1 entries and at most window are pending, so
 // the head slot is never the tail slot.
 func (h *Handle) reprobe(p *pending, idx, probes uint64) {
 	p.idx, p.probes = idx, probes
-	h.pop()
+	h.tail++
 	h.regs[p.part].arr.Prefetch(idx)
 	h.stats.Reprobes++
 	h.stats.Lines++
 	h.q[h.head&h.mask] = *p
 	h.enqueue()
+}
+
+// walkOn moves a drain whose probe has just left its line on to the line idx
+// starts. A visit is a line pair, prefetched together (slotarr.Array.Prefetch):
+// from the pair's first line the probe walks into the second in place; from
+// the second, or across the wrap to slot 0 (which is not the prefetched
+// neighbour), it reprobes. Either way the crossing counts one Reprobe and one
+// Line, so no counter depends on where a visit ends. It reports whether the
+// drain goes on in place.
+func (h *Handle) walkOn(p *pending, idx, probes uint64, walked bool) bool {
+	if walked || idx == 0 {
+		h.reprobe(p, idx, probes)
+		return false
+	}
+	h.stats.Reprobes++
+	h.stats.Lines++
+	return true
 }
 
 // Submit feeds reqs into the pipeline and collects completed responses into
@@ -604,22 +547,13 @@ func (h *Handle) reprobe(p *pending, idx, probes uint64) {
 // paper, where updates issued through the batched interface return no
 // result).
 //
-// Ordering: requests complete out of order. In particular, two requests for
-// the SAME key in one pipeline may execute out of submission order when the
-// earlier one reprobes (it re-enters the queue behind the later one) — a Get
-// submitted after a Put of the same key may therefore miss it. When
-// read-your-writes is needed, Flush between the write and the read; this is
-// the latency-for-throughput trade the paper makes explicit. A GovernorDirect
-// table's handles skip the ring (direct.go): they complete every request
-// inline, in submission order, and leave nothing pending.
-//
-// With combining on (the default), a request whose key already has a
-// pending request in this handle's queue may be merged into it instead of
-// enqueueing: it still completes (and a Get still gets its own response
-// carrying its own ID), but shares the pending request's probe instead of
-// issuing its own prefetch, line loads and atomics. A merged Get is ordered
-// after the pending write it forwarded from — a strictly stronger ordering
-// than the uncombined pipeline gives same-key pairs.
+// Ordering: requests complete out of order. Two requests of one handle for
+// the same key probe the same lines in the same order, so the earlier one
+// completes first unless another handle writes that key in between; when
+// read-your-writes must hold across handles, Flush between the write and the
+// read. A GovernorDirect table's handles skip the ring (direct.go): they
+// complete every request inline, in submission order, and leave nothing
+// pending.
 func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
 	h.requireLayout(table.LayoutFlat)
 	if h.obsw != nil {
@@ -628,41 +562,13 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 	if h.direct {
 		return h.submitDirect(reqs, resps)
 	}
-	for nreq < len(reqs) {
-		req := reqs[nreq]
-		var hv uint64
-		hashed := false
-		if h.combine && h.head != h.tail && req.Op != table.Delete &&
-			!table.IsReservedKey(req.Key) {
-			// Absorbing never grows the queue, so a merge skips the drain
-			// loop entirely: a same-key burst completes without a single
-			// additional memory transaction.
-			hv = h.t.hash(req.Key)
-			hashed = true
-			// tagcnt gates the ring scan down to one L1 load when nothing in
-			// flight shares the tag byte — the overwhelmingly common case
-			// under low skew, which keeps the uniform workload at the
-			// uncombined pipeline's speed.
-			if tag := table.TagOf(hv); h.tagcnt[tag] != 0 {
-				if pos := h.combineScan(req.Key, tag); pos >= 0 && h.tryCombine(&reqs[nreq], pos) {
-					// The sketch feed sits on the combining sidecar path: a
-					// merged request is exactly a repeated key, the signal the
-					// hot-key ranking exists to surface.
-					if h.hot != nil {
-						h.hot.OfferSampled(req.Key)
-					}
-					nreq++
-					continue
-				}
-			}
-		}
+	for ; nreq < len(reqs); nreq++ {
 		for h.Pending() >= h.window {
-			wrote, blocked := h.processOldest(resps, &nresp)
-			if blocked {
+			if h.processOldest(resps, &nresp) {
 				return nreq, nresp
 			}
-			_ = wrote
 		}
+		req := &reqs[nreq]
 		// Feed after the backpressure loop so a blocked-and-resubmitted
 		// request is counted once, at the submission that actually enqueues.
 		if h.hot != nil {
@@ -674,9 +580,8 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		// Every field is assigned, one store each — a composite literal would
 		// be built on the stack and copied in.
 		p := &h.q[h.head&h.mask]
-		p.req = req
-		p.probes, p.startNS, p.rval, p.trace = 0, 0, 0, 0
-		p.chain, p.ngets, p.state = 0, 0, stateProbing
+		p.req = *req
+		p.probes, p.startNS, p.trace = 0, 0, 0
 		if h.onComplete != nil || h.opLat {
 			p.startNS = time.Now().UnixNano()
 		}
@@ -686,18 +591,13 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 				p.trace = h.trace.NextID()
 			}
 		}
-		if !hashed {
-			hv = h.t.hash(req.Key)
-		}
-		p.tag = table.TagOf(hv)
-		part, idx := hashfn.FastrangeSplit(hv, h.nreg, h.rslots)
+		part, idx := hashfn.FastrangeSplit(hashfn.City64(req.Key), h.nreg, h.rslots)
 		p.part, p.idx = uint32(part), idx
 		// Submit loads no table memory: it only starts the fetch of the home
-		// line the drain will probe a window from now.
+		// line pair the drain will probe a window from now.
 		h.regs[part].arr.Prefetch(idx)
 		h.enqueue()
 		h.stats.Lines++
-		nreq++
 	}
 	return nreq, nresp
 }
@@ -711,7 +611,7 @@ func (h *Handle) Flush(resps []table.Response) (nresp int, done bool) {
 		defer h.obsPublish()
 	}
 	for h.Pending() > 0 {
-		if _, blocked := h.processOldest(resps, &nresp); blocked {
+		if h.processOldest(resps, &nresp) {
 			return nresp, false
 		}
 	}
@@ -719,80 +619,70 @@ func (h *Handle) Flush(resps []table.Response) (nresp int, done bool) {
 }
 
 // processOldest executes the oldest pending request, in its ring slot, over
-// its current (prefetched) cache line. If the request resolves it completes,
-// possibly writing a response; if it must cross into the next cache line it
-// is re-enqueued with a new prefetch. blocked reports that a Get completed
-// but resps had no room — the request is left, untouched, at the queue head.
+// its current (prefetched) line pair. If the request resolves it completes,
+// possibly writing a response; if it must leave the pair it is re-enqueued
+// with a new prefetch. blocked reports that the oldest request is a Get and
+// resps has no room for its response — the request is left, untouched, at
+// the queue head.
 //
 // The operation kind is dispatched exactly once here: each SWAR drain (see
 // swar.go) contains the line-granular kernel loop specialized for its op, so
 // the probe loop itself carries no per-slot op switch.
-func (h *Handle) processOldest(resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) processOldest(resps []table.Response, nresp *int) (blocked bool) {
 	p := &h.q[h.tail&h.mask]
-	if p.trace != 0 && p.state == stateProbing {
-		h.trace.Record(p.trace, obs.EvProbe, uint8(p.req.Op), p.req.Key, uint32(p.probes))
+	if p.req.Op == table.Get && *nresp >= len(resps) {
+		return true
 	}
-
-	// A parked leader already resolved; only its combined-Get chain is
-	// still waiting for response space. Resume emitting where retire
-	// stopped; a chain that still does not fit has shrunk where it sits.
-	if p.state != stateProbing {
-		if h.emitChain(p, p.rval, p.state == stateHit, resps, nresp) {
-			h.pop()
-			return true, false
-		}
-		return false, true
+	if p.trace != 0 {
+		h.trace.Record(p.trace, obs.EvProbe, uint8(p.req.Op), p.req.Key, uint32(p.probes))
 	}
 
 	// Reserved keys bypass the array entirely (side slots are always
 	// cache-hot); resolve immediately.
 	if s := h.t.side.For(p.req.Key); s != nil {
-		if p.req.Op == table.Get && *nresp >= len(resps) {
-			return false, true
-		}
-		h.pop()
+		h.tail++
 		h.completeSide(s, &p.req, p.startNS, p.trace, resps, nresp)
-		return true, false
+		return false
 	}
 
-	if h.kernel == table.KernelScalar {
-		return h.processScalar(p, resps, nresp)
-	}
-	switch p.req.Op {
-	case table.Get:
-		return h.drainGet(p, resps, nresp)
-	case table.Put:
-		return h.drainUpdate(p, false, resps, nresp)
-	case table.Upsert:
-		return h.drainUpdate(p, true, resps, nresp)
+	switch {
+	case h.kernel == table.KernelScalar:
+		h.processScalar(p, resps, nresp)
+	case p.req.Op == table.Get:
+		h.drainGet(p, resps, nresp)
+	case p.req.Op == table.Delete:
+		h.drainDelete(p)
 	default:
-		return h.drainDelete(p)
+		h.drainUpdate(p, resps, nresp)
 	}
+	return false
 }
 
 // processScalar is the pre-SWAR slot-by-slot hot path, retained as the
 // table.KernelScalar ablation baseline (and the reference the SWAR
 // equivalence property test compares against).
-func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
-	t, arr, size := h.t, h.regs[p.part].arr, h.rslots
+func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) {
+	arr, size := h.regs[p.part].arr, h.rslots
 	h.stats.KeyLines++
 	// The probe cursor walks in locals; reprobe stores it back once, before
-	// the move, and a blocked return leaves the slot as it found it.
+	// the move.
 	idx, probes := p.idx, p.probes
 	line := slotarr.LineOf(idx)
+	walked := false
 	for {
-		// Crossing into the next cache line: reprobe.
 		if slotarr.LineOf(idx) != line || probes >= size {
 			if probes >= size {
 				// Full-table probe: the operation fails (Get/Delete: not
 				// found; Put/Upsert: table full).
-				if p.req.Op == table.Get && *nresp >= len(resps) {
-					return false, true
-				}
-				return h.completeFailed(p, resps, nresp)
+				h.completeFailed(p, resps, nresp)
+				return
 			}
-			h.reprobe(p, idx, probes)
-			return false, false
+			if !h.walkOn(p, idx, probes, walked) {
+				return
+			}
+			walked = true
+			line = slotarr.LineOf(idx)
+			h.stats.KeyLines++
 		}
 
 		k := arr.Key(idx)
@@ -800,53 +690,32 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 		case k == p.req.Key:
 			switch p.req.Op {
 			case table.Get:
-				if *nresp >= len(resps) {
-					return false, true
-				}
-				return h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
+				h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
 			case table.Put:
 				h.stats.CASAttempts++
 				arr.StoreValue(idx, p.req.Value)
-				return h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
+				h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
 			case table.Upsert:
 				h.stats.CASAttempts++
-				return h.retire(p, table.Upsert, arr.AddValue(idx, p.req.Value), true, false, resps, nresp)
+				h.retire(p, table.Upsert, arr.AddValue(idx, p.req.Value), true, false, resps, nresp)
 			case table.Delete:
-				h.pop()
 				h.stats.CASAttempts++
-				if arr.CASKey(idx, p.req.Key, table.TombstoneKey) {
-					t.live.Add(-1)
-					h.finish(p, table.Delete, true)
-				} else {
-					h.finish(p, table.Delete, false)
-				}
+				h.retire(p, table.Delete, 0, h.tombstone(arr, idx, p.req.Key), false, resps, nresp)
 			}
-			return true, false
+			return
 
 		case k == table.EmptyKey:
 			switch p.req.Op {
-			case table.Get:
-				if *nresp >= len(resps) {
-					return false, true
-				}
-				return h.retire(p, table.Get, 0, false, false, resps, nresp)
-			case table.Delete:
-				h.pop()
-				h.finish(p, table.Delete, false)
-				return true, false
-			case table.Put, table.Upsert:
-				h.stats.CASAttempts++
-				if arr.CASKey(idx, table.EmptyKey, p.req.Key) {
-					h.stats.CASAttempts++
-					arr.StoreValue(idx, p.req.Value)
-					t.used.Add(1)
-					t.live.Add(1)
-					return h.retire(p, p.req.Op, p.req.Value, true, false, resps, nresp)
-				}
-				// Claim race lost: the slot now holds some key; re-inspect
-				// it without advancing.
-				continue
+			case table.Get, table.Delete:
+				h.retire(p, p.req.Op, 0, false, false, resps, nresp)
+				return
 			}
+			if h.claim(arr, idx, p.req.Key, p.req.Value) {
+				h.retire(p, p.req.Op, p.req.Value, true, false, resps, nresp)
+				return
+			}
+			// Claim race lost: the slot now holds some key; re-inspect it
+			// without advancing.
 
 		default:
 			// Another key or a tombstone: advance within the line.
@@ -860,6 +729,31 @@ func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) (
 			probes++
 		}
 	}
+}
+
+// claim tries to insert key with value v into the empty slot i of arr,
+// counting its CAS and value store; false means a racing insert took the
+// slot first.
+func (h *Handle) claim(arr *slotarr.Array, i, key, v uint64) bool {
+	h.stats.CASAttempts++
+	if !arr.CASKey(i, table.EmptyKey, key) {
+		return false
+	}
+	h.stats.CASAttempts++
+	arr.StoreValue(i, v)
+	h.t.used.Add(1)
+	h.t.live.Add(1)
+	return true
+}
+
+// tombstone deletes key from slot i of arr, reporting whether this call
+// removed it (a concurrent Delete of the same key may have won).
+func (h *Handle) tombstone(arr *slotarr.Array, i, key uint64) bool {
+	if !arr.CASKey(i, key, table.TombstoneKey) {
+		return false
+	}
+	h.t.live.Add(-1)
+	return true
 }
 
 // completeSide resolves a reserved-key request against its side slot. It
@@ -882,20 +776,26 @@ func (h *Handle) completeSide(s *slotarr.SideSlot, req *table.Request, startNS i
 	}
 }
 
-// completeFailed resolves a request whose probe exhausted the table. The
-// caller must have verified response space for a Get leader and must NOT
-// have advanced h.tail (retire does, or parks the leader's chain).
-func (h *Handle) completeFailed(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
-	switch p.req.Op {
-	case table.Get:
-		return h.retire(p, table.Get, 0, false, false, resps, nresp)
-	case table.Put, table.Upsert:
-		return h.retire(p, p.req.Op, 0, false, true, resps, nresp)
-	default:
-		h.pop()
-		h.finish(p, table.Delete, false)
-		return true, false
+// retire completes the queue-head request p, resolved with value v and hit
+// status found (fail additionally marks a table-full Put/Upsert), and pops
+// it. A Get writes its response: processOldest has checked there is room.
+func (h *Handle) retire(p *pending, op table.Op, v uint64, found, fail bool, resps []table.Response, nresp *int) {
+	h.tail++
+	if op == table.Get {
+		resps[*nresp] = table.Response{ID: p.req.ID, Value: v, Found: found}
+		*nresp++
 	}
+	if fail {
+		h.stats.Failed++
+	}
+	h.finishReq(&p.req, p.startNS, p.trace, op, found)
+}
+
+// completeFailed resolves a request whose probe exhausted the table: a Get or
+// Delete misses, a Put or Upsert fails because the table is full.
+func (h *Handle) completeFailed(p *pending, resps []table.Response, nresp *int) {
+	fail := p.req.Op == table.Put || p.req.Op == table.Upsert
+	h.retire(p, p.req.Op, 0, false, fail, resps, nresp)
 }
 
 // countOp advances the per-op completion counters — the whole cost of
@@ -917,14 +817,8 @@ func (h *Handle) countOp(op table.Op, hit bool) {
 	}
 }
 
-// finish completes the ring entry p: counters, trace event, latency hook.
-func (h *Handle) finish(p *pending, op table.Op, hit bool) {
-	h.finishReq(&p.req, p.startNS, p.trace, op, hit)
-}
-
-// finishReq is finish for a request that holds no ring slot of its own — a
-// folded Upsert, a chained Get, a direct-mode op — so completing it builds
-// no pending.
+// finishReq completes a request: counters, trace event, latency hook. It
+// takes the request's fields, not a ring entry: direct mode has none.
 func (h *Handle) finishReq(req *table.Request, startNS int64, trace uint64, op table.Op, hit bool) {
 	h.countOp(op, hit)
 	if trace != 0 {
@@ -992,9 +886,6 @@ func (h *Handle) obsPublish() {
 	w.Store(obs.CReprobes, s.Reprobes)
 	w.Store(obs.CLines, s.Lines)
 	w.Store(obs.CKeyLines, s.KeyLines)
-	w.Store(obs.CCombinedUpserts, s.CombinedUpserts)
-	w.Store(obs.CPiggybackedGets, s.PiggybackedGets)
-	w.Store(obs.CForwardedGets, s.ForwardedGets)
 	w.Store(obs.CCASAttempts, s.CASAttempts)
 	occ := uint64(h.Pending())
 	if occ > h.occMax {

@@ -426,9 +426,8 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("lines %d < ops %d", st.Lines, st.Ops())
 	}
 
-	// Combined requests count exactly once each: a duplicate-heavy segment
-	// must keep Gets+Puts+Upserts+Deletes equal to the requests submitted,
-	// with the combine counters carving out a subset, not adding to it.
+	// Every request counts exactly once: a duplicate-heavy segment must keep
+	// Gets+Puts+Upserts+Deletes equal to the requests submitted.
 	reqs := make([]table.Request, 0, 40)
 	for i := 0; i < 10; i++ {
 		k := keys[i%2]
@@ -456,11 +455,7 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	st2 := h.Stats()
 	if got := st2.Ops() - st.Ops(); got != uint64(len(reqs)) {
-		t.Fatalf("op counters grew by %d, want %d (each combined request once)", got, len(reqs))
-	}
-	combined := st2.CombinedUpserts + st2.PiggybackedGets + st2.ForwardedGets
-	if combined > st2.Ops() {
-		t.Fatalf("combine counters %d exceed ops %d", combined, st2.Ops())
+		t.Fatalf("op counters grew by %d, want %d (each request once)", got, len(reqs))
 	}
 	if nr != 10 {
 		t.Fatalf("%d Get responses, want 10", nr)

@@ -27,7 +27,7 @@ func (t *Table) Heatmap() obs.Heatmap {
 		arrs[i] = t.regs[i].arr
 	}
 	return slotarr.FlatHeatmapMulti(arrs, func(_ int, k uint64) uint64 {
-		_, home := hashfn.FastrangeSplit(t.hash(k), t.nreg, t.rslots)
+		_, home := hashfn.FastrangeSplit(hashfn.City64(k), t.nreg, t.rslots)
 		return home
 	}, 0)
 }

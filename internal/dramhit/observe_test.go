@@ -8,8 +8,8 @@ import (
 	"dramhit/internal/table"
 )
 
-// obsWorkload is a mixed-op request stream with heavy key duplication so the
-// combining, reprobe and park paths all execute.
+// obsWorkload is a mixed-op request stream with heavy key duplication, so
+// same-key requests meet in the ring and probes cross lines.
 func obsWorkload(n int, seed int64) []table.Request {
 	rng := rand.New(rand.NewSource(seed))
 	reqs := make([]table.Request, n)
@@ -103,8 +103,6 @@ func TestObserveCountersPublished(t *testing.T) {
 		{"reprobes", obs.CReprobes, stats.Reprobes},
 		{"lines", obs.CLines, stats.Lines},
 		{"keylines", obs.CKeyLines, stats.KeyLines},
-		{"combined_upserts", obs.CCombinedUpserts, stats.CombinedUpserts},
-		{"piggybacked_gets", obs.CPiggybackedGets, stats.PiggybackedGets},
 		{"cas_attempts", obs.CCASAttempts, stats.CASAttempts},
 	}
 	for _, c := range checks {
@@ -158,42 +156,47 @@ func TestObserveTraceLifecycle(t *testing.T) {
 	}
 }
 
-// TestObserveParks forces a combine chain to outlive the response buffer and
-// checks the backpressure-park counter and chain gauge.
+// TestObserveParks drains a Get stream through a one-slot response buffer, so
+// the queue head parks — a Get with nowhere to put its response —
+// and Submit and Flush return early again and again. What those early returns
+// publish must still add up: after the final Flush the shard mirrors the
+// handle's Stats, and the window gauges saw a full window and an empty one.
 func TestObserveParks(t *testing.T) {
 	reg := obs.NewWith(0, 1)
-	tb := New(Config{Slots: 1 << 10, Observe: reg})
-	h := tb.NewHandle()
-
-	// One key, many Gets: they piggyback onto one leader whose chain must
-	// then drain through a 1-slot response buffer.
+	h := New(Config{Slots: 1 << 10, Observe: reg}).NewHandle()
 	reqs := make([]table.Request, 40)
 	for i := range reqs {
-		reqs[i] = table.Request{Op: table.Get, Key: 7, ID: uint64(i)}
+		reqs[i] = table.Request{Op: table.Get, Key: uint64(i%5) + 1, ID: uint64(i)}
 	}
 	buf := make([]table.Response, 1)
-	rem := reqs
-	for len(rem) > 0 {
+	parks := 0
+	for rem := reqs; len(rem) > 0; {
 		nreq, _ := h.Submit(rem, buf)
-		rem = rem[nreq:]
+		if rem = rem[nreq:]; len(rem) > 0 {
+			parks++
+		}
 	}
 	for {
 		if _, done := h.Flush(buf); done {
 			break
 		}
+		parks++
 	}
 	w := reg.Workers()[0]
-	if w.Counter(obs.CParks) == 0 {
-		t.Error("park never counted despite 1-slot response buffer")
+	if parks == 0 {
+		t.Error("the queue head never parked despite a 1-slot response buffer")
 	}
-	if w.Gauge(obs.GChainMax) == 0 {
-		t.Error("combine chain max gauge never raised")
+	if got := w.Counter(obs.CGets); got != uint64(len(reqs)) || got != h.Stats().Gets {
+		t.Errorf("published gets = %d, want %d (Stats.Gets %d)", got, len(reqs), h.Stats().Gets)
+	}
+	if w.Gauge(obs.GWindowMax) != DefaultPrefetchWindow || w.Gauge(obs.GWindowOcc) != 0 {
+		t.Errorf("window gauges: max %d, now %d; want %d and 0", w.Gauge(obs.GWindowMax), w.Gauge(obs.GWindowOcc), DefaultPrefetchWindow)
 	}
 }
 
 // TestObserveZeroAlloc pins the hot path at zero allocations per batch with
-// observation off AND on (the merged-Get arena and worker shard are
-// allocated up front / on first use, so steady state allocates nothing).
+// observation off AND on (the worker shard is allocated up front, so steady
+// state allocates nothing).
 func TestObserveZeroAlloc(t *testing.T) {
 	armed := obs.NewWith(4096, 8)
 	armed.EnableHotKeys(256)
@@ -224,7 +227,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 				}
 			}
 		}
-		run() // warm the merged-node arena
+		run()
 		if n := testing.AllocsPerRun(5, run); n != 0 {
 			t.Errorf("observe %s: %v allocs per batch, want 0", mode.name, n)
 		}

@@ -47,7 +47,7 @@ func (d *digest) stats(s Stats) {
 }
 
 // runUint64Digest drives a fixed-seed mixed-op stream (all four ops, reserved
-// keys, a hot range so combining, reprobes, tombstones and — on the small
+// keys, a hot range so same-key meetings, reprobes, tombstones and — on the small
 // table — full-table failures all occur) through one flat handle.
 func runUint64Digest(cfg Config) uint64 {
 	h := New(cfg).NewHandle()
@@ -134,20 +134,21 @@ func runBytesDigest() uint64 {
 // same file runs under the default build (PREFETCHT0/PRFM issued) and under
 // -tags purego (no-op stub): all three agreeing is the proof that prefetching
 // — the flat ring's line prefetches and both stages of the byte ring —
-// changes no response, no completion order and no counter. flat-full-window4
-// and flat-nocombine were re-pinned once, when the tag sidecar was deleted:
-// their constants are the digests the same configs produced with the sidecar
-// switched off, under both builds, before it was deleted.
+// changes no response, no completion order and no counter. The flat
+// constants were re-pinned when the ring stopped combining and began to walk
+// a prefetched line pair per visit; the flat-nocombine case became flat-none
+// then. Before re-pinning, each request's response was checked against the
+// uncombined one-line ring's, ID by ID, and found identical: the pair walk
+// moves completions, not answers.
 func TestPrefetchInvisible(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  Config
 		want uint64
 	}{
-		{"flat-none", Config{Slots: 4096}, 0x2d8f3621d50431eb},
-		{"flat-scalar", Config{Slots: 4096, ProbeKernel: table.KernelScalar}, 0xe7978b2719f3675c},
-		{"flat-full-window4", Config{Slots: 1024, PrefetchWindow: 4}, 0x7f09079d7773cf19},
-		{"flat-nocombine", Config{Slots: 4096, Combining: table.CombineOff}, 0x90122ef153df2c00},
+		{"flat-none", Config{Slots: 4096}, 0xab1c31c4ebf47991},
+		{"flat-scalar", Config{Slots: 4096, ProbeKernel: table.KernelScalar}, 0x64fa77d9a649dfae},
+		{"flat-full-window4", Config{Slots: 1024, PrefetchWindow: 4}, 0xd1552d0c4a5647ec},
 	} {
 		if got := runUint64Digest(c.cfg); got != c.want {
 			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)

@@ -23,7 +23,6 @@ func TestKeyLinesAreLines(t *testing.T) {
 		{"swar", Config{}},
 		{"scalar", Config{ProbeKernel: table.KernelScalar}},
 		{"window4", Config{PrefetchWindow: 4}},
-		{"nocombine", Config{Combining: table.CombineOff}},
 		{"direct", Config{Governor: table.GovernorDirect}},
 	} {
 		for _, slots := range []uint64{37, 1024} {

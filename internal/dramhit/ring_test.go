@@ -3,7 +3,9 @@ package dramhit
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"dramhit/internal/hashfn"
 	"dramhit/internal/table"
 	"dramhit/internal/workload"
 )
@@ -16,12 +18,12 @@ func TestBatchHelpersZeroAlloc(t *testing.T) {
 	h := tbl.NewHandle()
 	keys := workload.UniqueKeys(31, 5000) // not a multiple of the chunk
 	for i := 0; i < len(keys); i += 7 {
-		keys[i] = keys[0] // duplicates, so the Gets grow combine chains
+		keys[i] = keys[0] // duplicates: same-key requests in flight together
 	}
 	vals := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
 	h.PutBatch(keys, vals)
-	h.GetBatch(keys, vals, found) // warm the merged-Get arena
+	h.GetBatch(keys, vals, found)
 	for _, c := range []struct {
 		name string
 		run  func()
@@ -54,9 +56,9 @@ type ringWrapGen struct {
 // the response every Get must get, and applies the round to g.ref. Each key
 // a round touches follows one pattern — Gets only, Upserts only, a Put then
 // Gets, Upserts then Gets, or one Delete — so the answer to every Get is
-// fixed whatever is folded, piggybacked or forwarded inside the window; the
-// patterns of a few keys at a time are interleaved so that same-key requests
-// meet in the ring.
+// fixed by its key's submission order, which one handle keeps (same-key
+// requests probe the same lines in the same order); the patterns of a few
+// keys at a time are interleaved so that same-key requests meet in the ring.
 func (g *ringWrapGen) round() (reqs []table.Request, want map[uint64]table.Response) {
 	rng := g.rng
 	want = map[uint64]table.Response{}
@@ -162,15 +164,15 @@ func (g *ringWrapGen) round() (reqs []table.Request, want map[uint64]table.Respo
 }
 
 // TestRingWrapInPlace drives the ring through every in-place transition on a
-// 90%-full table, where most probes cross lines: the reprobe move from the
-// tail slot to the head slot, a request built in the head slot after the
-// back-pressure loop re-enqueued there, and a leader parked, resumed and
-// shrunk where it sits. Responses are collected through a one-slot buffer,
-// so every combine chain parks its leader and Submit keeps returning
-// blocked. Each Get is checked against a reference map, the final state
-// against the same map, and the SWAR pipeline's Stats against the scalar
-// kernel's over the same requests. The last case splits the table into two
-// regions: the moved entry must keep probing the region it was routed to.
+// 90%-full table, where most probes cross lines and many leave their line
+// pair: the reprobe move from the tail slot to the head slot, and a request
+// built in the head slot after the back-pressure loop re-enqueued there.
+// Responses are collected through a one-slot buffer, so Submit keeps
+// returning blocked. Each Get is checked against a reference map, the final
+// state against the same map, and the SWAR pipeline's Stats against the
+// scalar kernel's over the same requests. The last case splits the table
+// into two regions: the moved entry must keep probing the region it was
+// routed to.
 func TestRingWrapInPlace(t *testing.T) {
 	const slots, loaded = 1024, 920
 	for _, c := range []struct{ window, regions int }{{1, 1}, {16, 1}, {16, 2}} {
@@ -191,7 +193,7 @@ func TestRingWrapInPlace(t *testing.T) {
 			h.PutBatch(present, vals)
 
 			gen := ringWrapGen{rng: rand.New(rand.NewSource(int64(window))), ref: ref, present: present, absent: absent}
-			var blocked, parked, gets int
+			var blocked, gets int
 			for round := 0; round < 30; round++ {
 				reqs, want := gen.round()
 				var one [1]table.Response
@@ -214,9 +216,6 @@ func TestRingWrapInPlace(t *testing.T) {
 					check(nresp)
 					if rem = rem[nreq:]; len(rem) > 0 {
 						blocked++
-						if h.q[h.tail&h.mask].state != stateProbing {
-							parked++
-						}
 					}
 				}
 				for {
@@ -242,9 +241,8 @@ func TestRingWrapInPlace(t *testing.T) {
 				}
 			}
 			st := h.Stats()
-			if blocked == 0 || parked == 0 || st.Reprobes == 0 || st.CombinedUpserts == 0 ||
-				st.PiggybackedGets == 0 || st.ForwardedGets == 0 || st.Failed != 0 {
-				t.Errorf("window %d %v: a path went unexercised: blocked %d parked %d stats %+v", window, kernel, blocked, parked, st)
+			if blocked == 0 || st.Reprobes == 0 || st.Failed != 0 {
+				t.Errorf("window %d %v: a path went unexercised: blocked %d stats %+v", window, kernel, blocked, st)
 			}
 			if st.Gets != uint64(gets) {
 				t.Errorf("window %d %v: Stats.Gets = %d, %d responses collected", window, kernel, st.Gets, gets)
@@ -253,6 +251,90 @@ func TestRingWrapInPlace(t *testing.T) {
 		}
 		if core[0] != core[1] {
 			t.Errorf("window %d: SWAR and scalar pipelines disagree:\nswar   %+v\nscalar %+v", window, core[0], core[1])
+		}
+	}
+}
+
+// TestTwoLineVisit pins the visit unit: a request's prefetch covers its home
+// line and the next one, so a probe chain spanning two lines completes
+// without a re-enqueue, one spanning three re-enqueues once, and one that
+// wraps from the last line to line 0 (not the prefetched neighbour)
+// re-enqueues at the wrap. Every crossing, walked in place or re-enqueued,
+// counts one Reprobe and one Line, under both kernels.
+func TestTwoLineVisit(t *testing.T) {
+	const slots = 64
+	homedAt := func(home uint64, n int) []uint64 {
+		var keys []uint64
+		for k := uint64(1); len(keys) < n; k++ {
+			if _, idx := hashfn.FastrangeSplit(hashfn.City64(k), 1, slots); idx == home {
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}
+	for _, kernel := range []table.ProbeKernel{table.KernelSWAR, table.KernelScalar} {
+		for _, c := range []struct {
+			name           string
+			home           uint64
+			fill           int // keys of that home loaded first: a cluster from home on
+			lines, enqueue int // lines the absent key's probe visits; its enqueues
+		}{
+			{"one line", 4, 3, 1, 1},
+			{"two lines", 4, 4, 2, 1},
+			{"three lines", 4, 8, 3, 2},
+			{"four lines", 4, 12, 4, 2},
+			{"wrap", slots - 4, 4, 2, 2},
+		} {
+			keys := homedAt(c.home, c.fill+1)
+			h := New(Config{Slots: slots, ProbeKernel: kernel}).NewHandle()
+			h.PutBatch(keys[:c.fill], keys[:c.fill])
+			before, head := h.Stats(), h.head
+			resps := make([]table.Response, 1)
+			h.Submit([]table.Request{{Op: table.Get, Key: keys[c.fill], ID: 7}}, resps)
+			if n, done := h.Flush(resps); n != 1 || !done || resps[0].Found {
+				t.Fatalf("%v %s: Get of an absent key = %d responses (%+v), done %v", kernel, c.name, n, resps[0], done)
+			}
+			st := h.Stats()
+			if lines, reprobes := st.Lines-before.Lines, st.Reprobes-before.Reprobes; lines != uint64(c.lines) || reprobes != uint64(c.lines-1) {
+				t.Errorf("%v %s: %d lines and %d reprobes, want %d and %d", kernel, c.name, lines, reprobes, c.lines, c.lines-1)
+			}
+			if got := h.head - head; got != c.enqueue {
+				t.Errorf("%v %s: %d enqueues, want %d", kernel, c.name, got, c.enqueue)
+			}
+		}
+	}
+}
+
+// TestHandlesShareNoLine: two handles made one after the other — the shape of
+// a two-goroutine bulk load — must not share a cache line in their Handle
+// structs or ring backing arrays, or every request of one invalidates a line
+// the other writes. Both are sized to whole lines, which puts each in a
+// line-multiple allocation size class.
+func TestHandlesShareNoLine(t *testing.T) {
+	if n := unsafe.Sizeof(Handle{}); n%table.CacheLineBytes != 0 {
+		t.Fatalf("Handle is %d bytes, not a whole number of cache lines", n)
+	}
+	type span struct{ lo, hi uintptr } // first and last line touched
+	lines := func(p unsafe.Pointer, n uintptr) span {
+		return span{uintptr(p) / table.CacheLineBytes, (uintptr(p) + n - 1) / table.CacheLineBytes}
+	}
+	for _, window := range []int{1, 4, 16} {
+		tbl := New(Config{Slots: 1 << 10, PrefetchWindow: window})
+		var spans [2][2]span
+		for i := range spans {
+			h := tbl.NewHandle()
+			ring := uintptr(cap(h.q)) * unsafe.Sizeof(pending{})
+			if ring%table.CacheLineBytes != 0 {
+				t.Fatalf("window %d: ring backing array is %d bytes, not a whole number of cache lines", window, ring)
+			}
+			spans[i] = [2]span{lines(unsafe.Pointer(h), unsafe.Sizeof(*h)), lines(unsafe.Pointer(&h.q[0]), ring)}
+		}
+		for _, a := range spans[0] {
+			for _, b := range spans[1] {
+				if a.lo <= b.hi && b.lo <= a.hi {
+					t.Errorf("window %d: lines %d-%d and %d-%d of two handles overlap", window, a.lo, a.hi, b.lo, b.hi)
+				}
+			}
 		}
 	}
 }

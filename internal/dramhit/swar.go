@@ -17,167 +17,151 @@ import (
 // claim race re-snapshots the line and reruns the kernel rather than falling
 // back to the scalar loop (see DESIGN.md "Line-granular SWAR probe kernel").
 //
-// The drains are specialized per operation so the 4-way op switch runs once
-// per drain attempt in processOldest, not once per probed slot.
+// The drains are specialized per operation so the op switch runs once per
+// drain attempt in processOldest, not once per probed slot.
 
-// Each drain opens with an entry-lane peek: at the fills the tables run at,
-// most probes resolve in their home slot, and one load answers that case at
-// exactly the scalar path's cost. Only when the peeked lane holds a
+// Each line a drain opens — the visit's first, and the second it walks into
+// in place (walkOn) — starts with an entry-lane peek: at the fills the tables
+// run at, most probes resolve in their home slot, and one load answers that
+// case at exactly the scalar path's cost. Only when the peeked lane holds a
 // different live key (a cluster walk has started) does the line kernel take
 // over, replacing up to three more per-slot iterations with one fused
 // lane-compare. The peek and the kernel share the line's one KeyLines count,
-// so the counters stay identical to the scalar path's in every outcome.
+// so the counters stay identical to the scalar path's in every outcome, and
+// the same shape in direct mode keeps the two modes identical term for term.
 
-// drainGet resolves a pending Get over its resident line with the lane
+// drainGet resolves a pending Get over its resident line pair with the lane
 // kernel. The matched lane's value is loaded after its key was observed —
 // the same key-then-value order the scalar path uses — from the line the
 // kernel just touched, so the load is an L1 hit, not a second memory touch.
-func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
+func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) {
 	arr, size := h.regs[p.part].arr, h.rslots
 	key, idx, probes := p.req.Key, p.idx, p.probes
-	h.stats.KeyLines++
-	switch k := arr.Key(idx); k {
-	case key:
-		if *nresp >= len(resps) {
-			return false, true
-		}
-		return h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
-	case table.EmptyKey:
-		if *nresp >= len(resps) {
-			return false, true
-		}
-		return h.retire(p, table.Get, 0, false, false, resps, nresp)
-	}
-
-	for {
-		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
-		switch res {
-		case simd.HitKey:
-			if *nresp >= len(resps) {
-				return false, true
-			}
-			return h.retire(p, table.Get, arr.WaitValue(base+uint64(lane)), true, false, resps, nresp)
-		case simd.HitEmpty:
-			if *nresp >= len(resps) {
-				return false, true
-			}
-			return h.retire(p, table.Get, 0, false, false, resps, nresp)
-		}
-		if probes+valid-(idx-base) >= size {
-			// Full-table probe: not found.
-			if *nresp >= len(resps) {
-				return false, true
-			}
-			return h.completeFailed(p, resps, nresp)
-		}
-		// Missed line: advance past it. Lanes before the entry offset were
-		// examined on an earlier pass (or never); only cidx..valid-1 count
-		// toward the full-table bound, exactly matching the scalar loop's
-		// per-slot accounting. The cursor lives in the locals idx and probes
-		// (p is the ring slot itself, so p.idx would be a store per line);
-		// reprobe stores it back once, before the move, and a blocked return
-		// leaves the slot as it found it.
-		probes += valid - (idx - base)
-		next := base + table.SlotsPerCacheLine
-		if next >= size {
-			next = 0
-		}
-		idx = next
-		if slotarr.LineOf(next) != slotarr.LineOf(base) {
-			// Crossing into a new line: re-enqueue behind a fresh prefetch.
-			h.reprobe(p, idx, probes)
-			return false, false
-		}
-		// Single-line-table wrap: the probe stays cache-resident; keep
-		// draining, counting the new visit of the same line.
+	for walked := false; ; walked = true {
 		h.stats.KeyLines++
+		switch arr.Key(idx) {
+		case key:
+			h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
+			return
+		case table.EmptyKey:
+			h.retire(p, table.Get, 0, false, false, resps, nresp)
+			return
+		}
+		for {
+			l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
+			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
+			switch res {
+			case simd.HitKey:
+				h.retire(p, table.Get, arr.WaitValue(base+uint64(lane)), true, false, resps, nresp)
+				return
+			case simd.HitEmpty:
+				h.retire(p, table.Get, 0, false, false, resps, nresp)
+				return
+			}
+			if probes+valid-(idx-base) >= size {
+				// Full-table probe: not found.
+				h.completeFailed(p, resps, nresp)
+				return
+			}
+			// Missed line: advance past it. Lanes before the entry offset were
+			// examined on an earlier pass (or never); only cidx..valid-1 count
+			// toward the full-table bound, exactly matching the scalar loop's
+			// per-slot accounting. The cursor lives in the locals idx and probes
+			// (p is the ring slot itself, so p.idx would be a store per line);
+			// reprobe stores it back once, before the move.
+			probes += valid - (idx - base)
+			idx = nextLine(base, size)
+			if slotarr.LineOf(idx) != slotarr.LineOf(base) {
+				if !h.walkOn(p, idx, probes, walked) {
+					return
+				}
+				break
+			}
+			// Single-line-table wrap: the probe stays cache-resident; keep
+			// draining, counting the new visit of the same line.
+			h.stats.KeyLines++
+		}
 	}
 }
 
-// drainUpdate resolves a pending Put (add=false) or Upsert (add=true). An
-// empty lane located in the snapshot is claimed with the key-word CAS; a
-// lost race re-snapshots the line and reruns the kernel — the monotonic key
-// transitions (empty → key → tombstone, never reused) guarantee the rerun
-// observes the interfering claim and either matches it (same key) or probes
-// past it.
-func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp *int) (wrote, blocked bool) {
-	t, arr, size := h.t, h.regs[p.part].arr, h.rslots
-	op := table.Put
-	if add {
-		op = table.Upsert
+// nextLine returns the first slot of the line after the one at base, wrapping
+// to slot 0 at the end of a region of size slots.
+func nextLine(base, size uint64) uint64 {
+	if next := base + table.SlotsPerCacheLine; next < size {
+		return next
 	}
-	key, idx, probes := p.req.Key, p.idx, p.probes
-	h.stats.KeyLines++
-	switch k := arr.Key(idx); k {
-	case key:
-		h.stats.CASAttempts++
-		v := p.req.Value
-		if add {
-			v = arr.AddValue(idx, p.req.Value)
-		} else {
-			arr.StoreValue(idx, p.req.Value)
-		}
-		return h.retire(p, op, v, true, false, resps, nresp)
-	case table.EmptyKey:
-		h.stats.CASAttempts++
-		if arr.CASKey(idx, table.EmptyKey, key) {
-			h.stats.CASAttempts++
-			arr.StoreValue(idx, p.req.Value)
-			t.used.Add(1)
-			t.live.Add(1)
-			return h.retire(p, op, p.req.Value, true, false, resps, nresp)
-		}
-		// Claim race lost: fall into the kernel loop, which re-snapshots.
-	}
+	return 0
+}
 
-	for {
-		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
-		switch res {
-		case simd.HitKey:
-			slot := base + uint64(lane)
+// drainUpdate resolves a pending Put or Upsert. An empty lane located in the
+// snapshot is claimed with the key-word CAS; a lost race re-snapshots the
+// line and reruns the kernel — the monotonic key transitions (empty → key →
+// tombstone, never reused) guarantee the rerun observes the interfering
+// claim and either matches it (same key) or probes past it.
+func (h *Handle) drainUpdate(p *pending, resps []table.Response, nresp *int) {
+	arr, size := h.regs[p.part].arr, h.rslots
+	op, key, idx, probes := p.req.Op, p.req.Key, p.idx, p.probes
+	for walked := false; ; walked = true {
+		h.stats.KeyLines++
+		switch arr.Key(idx) {
+		case key:
 			h.stats.CASAttempts++
 			v := p.req.Value
-			if add {
-				v = arr.AddValue(slot, p.req.Value)
+			if op == table.Upsert {
+				v = arr.AddValue(idx, v)
 			} else {
-				arr.StoreValue(slot, p.req.Value)
+				arr.StoreValue(idx, v)
 			}
-			return h.retire(p, op, v, true, false, resps, nresp)
-		case simd.HitEmpty:
+			h.retire(p, op, v, true, false, resps, nresp)
+			return
+		case table.EmptyKey:
+			if h.claim(arr, idx, key, p.req.Value) {
+				h.retire(p, op, p.req.Value, true, false, resps, nresp)
+				return
+			}
+			// Claim race lost: fall into the kernel loop, which re-snapshots.
+		}
+		for {
+			l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
+			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
 			slot := base + uint64(lane)
-			h.stats.CASAttempts++
-			if arr.CASKey(slot, table.EmptyKey, key) {
+			switch res {
+			case simd.HitKey:
 				h.stats.CASAttempts++
-				arr.StoreValue(slot, p.req.Value)
-				t.used.Add(1)
-				t.live.Add(1)
-				return h.retire(p, op, p.req.Value, true, false, resps, nresp)
+				v := p.req.Value
+				if op == table.Upsert {
+					v = arr.AddValue(slot, v)
+				} else {
+					arr.StoreValue(slot, v)
+				}
+				h.retire(p, op, v, true, false, resps, nresp)
+				return
+			case simd.HitEmpty:
+				if h.claim(arr, slot, key, p.req.Value) {
+					h.retire(p, op, p.req.Value, true, false, resps, nresp)
+					return
+				}
+				// Claim race lost: the lane now holds some key. Re-snapshot and
+				// rerun the kernel over the same line.
+				continue
 			}
-			// Claim race lost: the lane now holds some key. Re-snapshot and
-			// rerun the kernel over the same line.
-			continue
+			if probes+valid-(idx-base) >= size {
+				// Full-table probe: the table is full.
+				h.completeFailed(p, resps, nresp)
+				return
+			}
+			// Missed line: advance the local cursor past it, as in drainGet.
+			probes += valid - (idx - base)
+			idx = nextLine(base, size)
+			if slotarr.LineOf(idx) != slotarr.LineOf(base) {
+				if !h.walkOn(p, idx, probes, walked) {
+					return
+				}
+				break
+			}
+			// Single-line-table wrap, as in drainGet.
+			h.stats.KeyLines++
 		}
-		if probes+valid-(idx-base) >= size {
-			// Full-table probe: the table is full.
-			return h.retire(p, op, 0, false, true, resps, nresp)
-		}
-		// Missed line: advance the local cursor past it, as in drainGet.
-		probes += valid - (idx - base)
-		next := base + table.SlotsPerCacheLine
-		if next >= size {
-			next = 0
-		}
-		idx = next
-		if slotarr.LineOf(next) != slotarr.LineOf(base) {
-			// Crossing into a new line: re-enqueue behind a fresh prefetch.
-			h.reprobe(p, idx, probes)
-			return false, false
-		}
-		// Single-line-table wrap: the probe stays cache-resident; keep
-		// draining, counting the new visit of the same line.
-		h.stats.KeyLines++
 	}
 }
 
@@ -185,64 +169,46 @@ func (h *Handle) drainUpdate(p *pending, add bool, resps []table.Response, nresp
 // CAS that re-verifies the snapshot (a concurrent Delete of the same key may
 // have won, in which case this one reports a miss, exactly like the scalar
 // path).
-func (h *Handle) drainDelete(p *pending) (wrote, blocked bool) {
-	t, arr, size := h.t, h.regs[p.part].arr, h.rslots
+func (h *Handle) drainDelete(p *pending) {
+	arr, size := h.regs[p.part].arr, h.rslots
 	key, idx, probes := p.req.Key, p.idx, p.probes
-	h.stats.KeyLines++
-	switch k := arr.Key(idx); k {
-	case key:
-		h.pop()
-		if arr.CASKey(idx, key, table.TombstoneKey) {
-			t.live.Add(-1)
-			h.finish(p, table.Delete, true)
-		} else {
-			h.finish(p, table.Delete, false)
-		}
-		return true, false
-	case table.EmptyKey:
-		h.pop()
-		h.finish(p, table.Delete, false)
-		return true, false
-	}
-
-	for {
-		l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
-		switch res {
-		case simd.HitKey:
-			h.pop()
-			h.stats.CASAttempts++
-			if arr.CASKey(base+uint64(lane), key, table.TombstoneKey) {
-				t.live.Add(-1)
-				h.finish(p, table.Delete, true)
-			} else {
-				h.finish(p, table.Delete, false)
-			}
-			return true, false
-		case simd.HitEmpty:
-			h.pop()
-			h.finish(p, table.Delete, false)
-			return true, false
-		}
-		if probes+valid-(idx-base) >= size {
-			h.pop()
-			h.finish(p, table.Delete, false)
-			return true, false
-		}
-		// Missed line: advance the local cursor past it, as in drainGet.
-		probes += valid - (idx - base)
-		next := base + table.SlotsPerCacheLine
-		if next >= size {
-			next = 0
-		}
-		idx = next
-		if slotarr.LineOf(next) != slotarr.LineOf(base) {
-			// Crossing into a new line: re-enqueue behind a fresh prefetch.
-			h.reprobe(p, idx, probes)
-			return false, false
-		}
-		// Single-line-table wrap: the probe stays cache-resident; keep
-		// draining, counting the new visit of the same line.
+	for walked := false; ; walked = true {
 		h.stats.KeyLines++
+		switch arr.Key(idx) {
+		case key:
+			h.retire(p, table.Delete, 0, h.tombstone(arr, idx, key), false, nil, nil)
+			return
+		case table.EmptyKey:
+			h.retire(p, table.Delete, 0, false, false, nil, nil)
+			return
+		}
+		for {
+			l0, l1, l2, l3, base, valid := arr.LoadKeys4(idx)
+			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(idx-base))
+			switch res {
+			case simd.HitKey:
+				h.stats.CASAttempts++
+				h.retire(p, table.Delete, 0, h.tombstone(arr, base+uint64(lane), key), false, nil, nil)
+				return
+			case simd.HitEmpty:
+				h.retire(p, table.Delete, 0, false, false, nil, nil)
+				return
+			}
+			if probes+valid-(idx-base) >= size {
+				h.retire(p, table.Delete, 0, false, false, nil, nil)
+				return
+			}
+			// Missed line: advance the local cursor past it, as in drainGet.
+			probes += valid - (idx - base)
+			idx = nextLine(base, size)
+			if slotarr.LineOf(idx) != slotarr.LineOf(base) {
+				if !h.walkOn(p, idx, probes, walked) {
+					return
+				}
+				break
+			}
+			// Single-line-table wrap, as in drainGet.
+			h.stats.KeyLines++
+		}
 	}
 }

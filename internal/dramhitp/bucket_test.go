@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"dramhit/internal/hashfn"
 	"dramhit/internal/table"
 	"dramhit/internal/tabletest"
 	"dramhit/internal/workload"
@@ -172,15 +171,14 @@ func TestPBucketByteAPIRequiresLayout(t *testing.T) {
 	w.PutBytes([]byte("k"), []byte("v"))
 }
 
-// TestBucketRejectsFlatOnlySettings: Hash, ProbeKernel, Combining and
-// Governor shape the flat partitions' uint64 paths; on a bucket config they
+// TestBucketRejectsFlatOnlySettings: ProbeKernel, Combining and Governor
+// shape the flat partitions' uint64 paths; on a bucket config they
 // would be accepted and ignored, so New panics, naming the field.
 func TestBucketRejectsFlatOnlySettings(t *testing.T) {
 	for _, c := range []struct {
 		field string
 		set   func(*Config)
 	}{
-		{"Hash", func(c *Config) { c.Hash = hashfn.City64 }},
 		{"ProbeKernel", func(c *Config) { c.ProbeKernel = table.KernelScalar }},
 		{"Combining", func(c *Config) { c.Combining = table.CombineOff }},
 		{"Governor", func(c *Config) { c.Governor = table.GovernorDirect }},

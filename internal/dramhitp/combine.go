@@ -1,22 +1,12 @@
-// In-window request combining for the partitioned table (Config.Combining).
+// Write-side request combining for the partitioned table (Config.Combining).
 //
-// The two handle kinds merge duplicate-key work at opposite ends of the
-// delegation fabric:
-//
-//   - WriteHandle coalesces Upserts: a small per-handle window holds
-//     (key, delta) pairs and folds a duplicate key's delta into the held
-//     entry instead of sending a second delegation message. Held entries
-//     drain on window overflow and — before anything that could observe
-//     them — on Flush, Barrier, Close, and same-key Put/Delete, so the
-//     partition owner still sees one linearizable per-key stream.
-//
-//   - ReadHandle piggybacks Gets through dramhit.Handle's combining stage
-//     (dramhit/combine.go): a lookup whose key is already in flight in the
-//     window chains onto it and the one probe's result fans out to every
-//     chained request ID.
-//
-// Both sides touch memory exactly once per distinct in-flight key: a fold
-// or a piggyback costs no delegation slot, no prefetch, and no probe.
+// A WriteHandle coalesces Upserts: a small per-handle window holds
+// (key, delta) pairs and folds a duplicate key's delta into the held entry
+// instead of sending a second delegation message, so a fold costs no
+// delegation slot. Held entries drain on window overflow and — before
+// anything that could observe them — on Flush, Barrier, Close, and same-key
+// Put/Delete, so the partition owner still sees one linearizable per-key
+// stream. Reads are not combined (see Config.Combining).
 package dramhitp
 
 import (

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dramhit/internal/table"
-	"dramhit/internal/workload"
 )
 
 func newCombineTable(n uint64, c table.Combining) *Table {
@@ -22,9 +21,7 @@ func newCombineTable(n uint64, c table.Combining) *Table {
 }
 
 // TestPCombineConfigWiring pins the knob: combining defaults on, off is
-// selectable, and write handles follow it (the read side's wiring is
-// dramhit's TestCombineConfigWiring; TestPCombineReadEquivalenceProperty
-// shows an off-table's readers piggyback nothing).
+// selectable, and write handles follow it.
 func TestPCombineConfigWiring(t *testing.T) {
 	on := newCombineTable(1024, table.CombineOn)
 	defer on.Close()
@@ -141,132 +138,8 @@ func drainReads(t *testing.T, r *ReadHandle, reqs []table.Request) []table.Respo
 	return res[:n]
 }
 
-// TestPCombineReadEquivalenceProperty drives identical duplicate-heavy Get
-// streams through a combining and a non-combining table populated with the
-// same contents, and demands the same answer for every request ID.
-// Combining may reorder responses (piggybacked Gets complete with their
-// leader) but never change them: the table is read-only during the stream,
-// so every in-flight same-key Get has exactly one correct answer.
-func TestPCombineReadEquivalenceProperty(t *testing.T) {
-	mk := func(mode table.Combining) *Table {
-		tbl := newCombineTable(4096, mode)
-		w := tbl.NewWriteHandle()
-		for _, k := range workload.UniqueKeys(42, 2500) {
-			w.Put(k, k^7)
-		}
-		w.Barrier()
-		w.Close()
-		return tbl
-	}
-	onT, offT := mk(table.CombineOn), mk(table.CombineOff)
-	defer onT.Close()
-	defer offT.Close()
-
-	keys := workload.UniqueKeys(42, 2500)
-	miss := workload.MissKeys(42, 2500, 500)
-	rng := rand.New(rand.NewSource(99))
-	reqs := make([]table.Request, 6000)
-	for i := range reqs {
-		var k uint64
-		if rng.Intn(4) == 0 {
-			k = miss[rng.Intn(len(miss))]
-		} else if rng.Intn(3) > 0 {
-			k = keys[rng.Intn(16)] // hot set: dense in-window duplication
-		} else {
-			k = keys[rng.Intn(len(keys))]
-		}
-		reqs[i] = table.Request{Op: table.Get, Key: k, ID: uint64(i)}
-	}
-
-	rOn, rOff := onT.NewReadHandle(), offT.NewReadHandle()
-	got := drainReads(t, rOn, reqs)
-	want := drainReads(t, rOff, reqs)
-	if len(got) != len(reqs) || len(want) != len(reqs) {
-		t.Fatalf("response counts: on %d off %d want %d", len(got), len(want), len(reqs))
-	}
-	byID := make(map[uint64]table.Response, len(want))
-	for _, resp := range want {
-		byID[resp.ID] = resp
-	}
-	seen := make(map[uint64]bool, len(got))
-	for _, resp := range got {
-		if seen[resp.ID] {
-			t.Fatalf("request %d answered twice", resp.ID)
-		}
-		seen[resp.ID] = true
-		if w := byID[resp.ID]; resp != w {
-			t.Fatalf("request %d diverged: on %+v off %+v", resp.ID, resp, w)
-		}
-	}
-	if rOn.Stats().PiggybackedGets == 0 {
-		t.Fatal("hot-key stream produced no piggybacked Gets")
-	}
-	if rOff.Stats().PiggybackedGets != 0 {
-		t.Fatalf("combining off: Piggybacked = %d, want 0", rOff.Stats().PiggybackedGets)
-	}
-	if rOn.Stats().Gets != uint64(len(reqs)) || rOff.Stats().Gets != uint64(len(reqs)) {
-		t.Fatalf("Gets must count every request once: on %d off %d want %d",
-			rOn.Stats().Gets, rOff.Stats().Gets, len(reqs))
-	}
-	if rOn.Stats().Hits != rOff.Stats().Hits {
-		t.Fatalf("hit counts diverged: on %d off %d", rOn.Stats().Hits, rOff.Stats().Hits)
-	}
-}
-
-// TestPCombineReadBackpressure forces chain emission through a one-slot
-// response buffer: the resolved leader must park, resume across calls, and
-// still answer every piggybacked ID exactly once.
-func TestPCombineReadBackpressure(t *testing.T) {
-	tbl := newCombineTable(1024, table.CombineOn)
-	defer tbl.Close()
-	w := tbl.NewWriteHandle()
-	w.Put(77, 42)
-	w.Barrier()
-	w.Close()
-
-	r := tbl.NewReadHandle()
-	reqs := make([]table.Request, 8)
-	for i := range reqs {
-		reqs[i] = table.Request{Op: table.Get, Key: 77, ID: uint64(i)}
-	}
-	one := make([]table.Response, 1)
-	var got []table.Response
-	rem := reqs
-	for len(rem) > 0 {
-		nreq, nresp := r.Submit(rem, one)
-		rem = rem[nreq:]
-		got = append(got, one[:nresp]...)
-	}
-	for guard := 0; ; guard++ {
-		if guard > 100 {
-			t.Fatal("flush livelocked under 1-slot backpressure")
-		}
-		nresp, done := r.Flush(one)
-		got = append(got, one[:nresp]...)
-		if done {
-			break
-		}
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("got %d responses, want %d", len(got), len(reqs))
-	}
-	seen := map[uint64]bool{}
-	for _, resp := range got {
-		if seen[resp.ID] {
-			t.Fatalf("request %d answered twice", resp.ID)
-		}
-		seen[resp.ID] = true
-		if !resp.Found || resp.Value != 42 {
-			t.Fatalf("request %d: got (%d,%v) want (42,true)", resp.ID, resp.Value, resp.Found)
-		}
-	}
-	if r.Stats().PiggybackedGets != 7 {
-		t.Fatalf("Piggybacked = %d, want 7", r.Stats().PiggybackedGets)
-	}
-}
-
 // TestPCombineConcurrentWritersReaders runs coalescing writers against
-// pipelined combining readers under the race detector, then verifies exact
+// pipelined readers under the race detector, then verifies exact
 // per-key sums after the final barrier. Readers observe monotonic partial
 // sums; exactness is asserted post-quiescence.
 func TestPCombineConcurrentWritersReaders(t *testing.T) {

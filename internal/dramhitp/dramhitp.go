@@ -47,18 +47,16 @@ type Config struct {
 	QueueCapacity int
 	// Sections per queue (default capacity/8).
 	Sections int
-	// Hash overrides the hash function (default hashfn.City64).
-	Hash func(uint64) uint64
 	// ProbeKernel selects the probe strategy of partition owners and the
 	// read path. The zero value (table.KernelSWAR) is the branchless
 	// cache-line-wide probe of the DRAMHiT-P-SIMD variant (§3.4);
 	// table.KernelScalar keeps the slot-by-slot loop for ablation.
 	ProbeKernel table.ProbeKernel
-	// Combining selects whether handles merge same-key requests in flight:
-	// WriteHandles fold duplicate-key Upserts into one delegated message,
-	// ReadHandles piggyback duplicate-key Gets on one pipelined probe. The
-	// zero value (table.CombineOn) is the default; table.CombineOff is the
-	// A/B baseline.
+	// Combining selects whether WriteHandles fold duplicate-key Upserts into
+	// one delegated message (see combine.go). The zero value
+	// (table.CombineOn) is the default; table.CombineOff is the A/B baseline.
+	// Reads are not combined: ReadHandles run dramhit's ring, which executes
+	// every lookup by its own probe.
 	Combining table.Combining
 	// Observe, when non-nil, attaches the table to the observability
 	// registry: each handle registers a padded counter shard published at
@@ -73,9 +71,9 @@ type Config struct {
 	// partition a self-resizing one-line-bucket index over one arena shared
 	// across all partitions: synchronous byte writes (WriteHandle.PutBytes/
 	// UpsertBytes/DeleteBytes) and byte reads (ReadHandle.GetBytes and the
-	// byte-lookup ring). Calling the other layout's API panics. Hash,
-	// ProbeKernel, Combining and Governor apply only to flat tables, so New
-	// panics when a bucket config sets any of them.
+	// byte-lookup ring). Calling the other layout's API panics. ProbeKernel,
+	// Combining and Governor apply only to flat tables, so New panics when a
+	// bucket config sets any of them.
 	Layout table.Layout
 	// Governor selects the read path's execution mode, fixed at
 	// construction and forwarded to the read view (dramhit.Config.Governor).
@@ -111,7 +109,6 @@ type Table struct {
 	partSlots uint64
 	nparts    uint64
 	total     uint64
-	hash      func(uint64) uint64
 	side      slotarr.SidePair
 	fabric    *delegation.Fabric
 	kernel    table.ProbeKernel
@@ -127,7 +124,8 @@ type Table struct {
 	closeOnce sync.Once
 	obsReg    *obs.Registry
 	// view is the read side: dramhit's table over the partitions as regions,
-	// sharing side and hash. Every ReadHandle is one of its handles.
+	// sharing side (and hashfn.City64, the route both take). Every ReadHandle
+	// is one of its handles.
 	view *dramhit.Table
 }
 
@@ -136,20 +134,21 @@ func New(cfg Config) *Table {
 	if cfg.Slots == 0 {
 		panic("dramhitp: Config.Slots must be positive")
 	}
-	// The read side's configuration: the same knobs, over all partitions. It
-	// takes the hash as given (the view defaults it, as below) so that a
-	// bucket config setting a flat-only knob is rejected before anything is
-	// built.
+	// The read side's configuration: the same knobs, over all partitions,
+	// checked here so that a bucket config setting a flat-only knob is
+	// rejected before anything is built. Combining is the write side's own.
 	vcfg := dramhit.Config{
 		PrefetchWindow: cfg.PrefetchWindow,
-		Hash:           cfg.Hash,
 		ProbeKernel:    cfg.ProbeKernel,
-		Combining:      cfg.Combining,
 		Observe:        cfg.Observe,
 		Layout:         cfg.Layout,
 		Governor:       cfg.Governor,
 	}
-	if f := vcfg.FlatOnlyOnBucket(); f != "" {
+	f := vcfg.FlatOnlyOnBucket()
+	if f == "" && cfg.Layout == table.LayoutBucket && cfg.Combining != table.CombineOn {
+		f = "Combining"
+	}
+	if f != "" {
 		panic("dramhitp: Config." + f + " applies only to LayoutFlat tables; a LayoutBucket table owns its byte hash, probe and ring")
 	}
 	if cfg.Producers <= 0 {
@@ -160,9 +159,6 @@ func New(cfg Config) *Table {
 	}
 	if cfg.PartitionsPerConsumer <= 0 {
 		cfg.PartitionsPerConsumer = 1
-	}
-	if cfg.Hash == nil {
-		cfg.Hash = hashfn.City64
 	}
 	nparts := uint64(cfg.Consumers * cfg.PartitionsPerConsumer)
 	partSlots := (cfg.Slots + nparts - 1) / nparts
@@ -176,7 +172,6 @@ func New(cfg Config) *Table {
 		partSlots: partSlots,
 		nparts:    nparts,
 		total:     partSlots * nparts,
-		hash:      cfg.Hash,
 		kernel:    cfg.ProbeKernel,
 		combine:   cfg.Combining,
 		layout:    cfg.Layout,
@@ -232,7 +227,7 @@ func New(cfg Config) *Table {
 // is its quotient, keeping linear probe chains entirely within one
 // partition. It is the route the read view's handles take.
 func (t *Table) locate(key uint64) (part, local uint64) {
-	return hashfn.FastrangeSplit(t.hash(key), t.nparts, t.partSlots)
+	return hashfn.FastrangeSplit(hashfn.City64(key), t.nparts, t.partSlots)
 }
 
 // locateBytes maps a byte-string key on a bucket table to its partition
@@ -246,7 +241,7 @@ func (t *Table) locateBytes(key []byte) (part, hv uint64) {
 // Layout returns the physical layout the table was constructed with.
 func (t *Table) Layout() table.Layout { return t.layout }
 
-// Combining reports whether handles merge in-flight same-key requests.
+// Combining reports whether WriteHandles fold duplicate-key Upserts.
 func (t *Table) Combining() table.Combining { return t.combine }
 
 // ownerOf returns the consumer index that owns partition p (round-robin

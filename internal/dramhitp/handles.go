@@ -250,8 +250,8 @@ func (w *WriteHandle) Close() {
 }
 
 // ReadHandle is a per-goroutine reader: one dramhit.Handle of the table's read
-// view, so lookups run dramhit's prefetch-window pipeline — ring, combining,
-// direct mode, byte ring — pointed at the partitions (reads are not
+// view, so lookups run dramhit's prefetch-window pipeline — ring, direct
+// mode, byte ring — pointed at the partitions (reads are not
 // delegated; any thread may read any partition, and a Get takes no atomic
 // read-modify-write). The wrapper exists to keep that handle Get-only: its
 // update drains CAS, which a single-writer partition does not admit.
@@ -266,17 +266,14 @@ func (t *Table) NewReadHandle() *ReadHandle {
 	return &ReadHandle{h: t.view.NewHandle()}
 }
 
-// Stats returns a copy of the reader's counters: completed Gets and Hits,
-// PiggybackedGets answered by an in-flight same-key probe, and the line
-// counts (handle-local, so concurrent readers never share counter cache
-// lines).
+// Stats returns a copy of the reader's counters: completed Gets and Hits and
+// the line counts (handle-local, so concurrent readers never share counter
+// cache lines).
 func (r *ReadHandle) Stats() dramhit.Stats { return r.h.Stats() }
 
 // Submit pipelines lookup requests; completed responses are appended into
-// resps exactly as in dramhit.Handle.Submit. With combining on, a request
-// whose key already has a pending lookup in the window piggybacks on it
-// (one probe, N responses) instead of enqueueing. Returns requests
-// consumed and responses written. Only Gets are accepted.
+// resps exactly as in dramhit.Handle.Submit. Returns requests consumed and
+// responses written. Only Gets are accepted.
 func (r *ReadHandle) Submit(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
 	for i := range reqs {
 		if reqs[i].Op != table.Get {

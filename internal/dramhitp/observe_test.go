@@ -95,7 +95,7 @@ func TestPObservePublished(t *testing.T) {
 	obsFill(tb, 6000, 5)
 	_, rh := obsRead(tb, 6000, 7)
 
-	var wsends, rgets, rhits, rpig uint64
+	var wsends, rgets, rhits uint64
 	for _, w := range reg.Workers() {
 		switch w.Name()[:9] {
 		case "dramhitp-":
@@ -105,14 +105,13 @@ func TestPObservePublished(t *testing.T) {
 		wsends += w.Counter(obs.CQueueSends)
 		rgets += w.Counter(obs.CGets)
 		rhits += w.Counter(obs.CHits)
-		rpig += w.Counter(obs.CPiggybackedGets)
 	}
 	if wsends == 0 {
 		t.Error("no delegation sends published")
 	}
-	if rgets != rh.Stats().Gets || rhits != rh.Stats().Hits || rpig != rh.Stats().PiggybackedGets {
-		t.Errorf("published read counters %d/%d/%d, want %d/%d/%d",
-			rgets, rhits, rpig, rh.Stats().Gets, rh.Stats().Hits, rh.Stats().PiggybackedGets)
+	if rgets != rh.Stats().Gets || rhits != rh.Stats().Hits {
+		t.Errorf("published read counters %d/%d, want %d/%d",
+			rgets, rhits, rh.Stats().Gets, rh.Stats().Hits)
 	}
 
 	snap := reg.TakeSnapshot()

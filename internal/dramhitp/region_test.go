@@ -35,7 +35,8 @@ var regionLayouts = []regionLayout{
 func le(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 
 // getStream is a fixed-seed lookup stream over present, absent and reserved
-// keys with near repeats (piggyback chains), cut into batches.
+// keys with near repeats (same-key lookups in flight together), cut into
+// batches.
 func getStream(seed int64, n, keyspace int) [][]table.Request {
 	rng := rand.New(rand.NewSource(seed))
 	var batches [][]table.Request
@@ -136,7 +137,7 @@ func TestOnePartitionIsADramhitTable(t *testing.T) {
 				t.Fatalf("%s: completion %d is %+v, dramhit's is %+v", c.name, i, got[i], want[i])
 			}
 		}
-		if rs, hs := r.Stats(), h.Stats(); rs != hs || rs.PiggybackedGets == 0 || rs.Hits == 0 || rs.Hits == rs.Gets {
+		if rs, hs := r.Stats(), h.Stats(); rs != hs || rs.Reprobes == 0 || rs.Hits == 0 || rs.Hits == rs.Gets {
 			t.Fatalf("%s: reader stats %+v, dramhit handle's %+v", c.name, rs, hs)
 		}
 		// The synchronous Get is the same direct-mode probe on both.

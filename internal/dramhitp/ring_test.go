@@ -33,12 +33,12 @@ func TestBatchHelpersZeroAlloc(t *testing.T) {
 	tbl, keys := newRingTable(t, 1<<14, 5000, 0, table.KernelSWAR) // not a multiple of the chunk
 	defer tbl.Close()
 	for i := 0; i < len(keys); i += 7 {
-		keys[i] = keys[0] // duplicates, so the Gets grow piggyback chains
+		keys[i] = keys[0] // duplicates: same-key lookups in flight together
 	}
 	r := tbl.NewReadHandle()
 	vals := make([]uint64, len(keys))
 	found := make([]bool, len(keys))
-	r.GetBatch(keys, vals, found) // warm the merged-Get arena
+	r.GetBatch(keys, vals, found)
 	if n := testing.AllocsPerRun(5, func() { r.GetBatch(keys, vals, found) }); n != 0 {
 		t.Errorf("GetBatch: %v allocs per call, want 0", n)
 	}
@@ -51,11 +51,11 @@ func TestBatchHelpersZeroAlloc(t *testing.T) {
 
 // TestReadRingWrapInPlace is dramhit's TestRingWrapInPlace run through the
 // ReadHandle over two partitions (the ring's in-place transitions themselves
-// are pinned there, parks counted): partitions 90% full, so most lookups
-// cross lines (the tail-to-head reprobe move, inside the lookup's own
-// partition), and duplicate keys a few requests apart (piggyback chains). The
-// first half of the requests goes through a one-slot response buffer: every
-// chain parks its leader where it sits and Submit keeps returning blocked. The second half gets a roomy buffer, so that
+// are pinned there): partitions 90% full, so most lookups cross lines (the
+// tail-to-head reprobe move, inside the lookup's own partition), and
+// duplicate keys a few requests apart. The first half of the requests goes
+// through a one-slot response buffer, so Submit keeps returning blocked. The
+// second half gets a roomy buffer, so that
 // lookups complete behind a reprobe in the same back-pressure loop and the
 // next one is built at a head that has moved. Every lookup is checked against
 // the loaded contents, and the SWAR reader's counters against the scalar
@@ -63,7 +63,7 @@ func TestBatchHelpersZeroAlloc(t *testing.T) {
 func TestReadRingWrapInPlace(t *testing.T) {
 	const slots, loaded = 2048, 1840
 	for _, window := range []int{1, 16} {
-		var counts [2][3]uint64
+		var counts [2][2]uint64
 		for ki, kernel := range []table.ProbeKernel{table.KernelSWAR, table.KernelScalar} {
 			tbl, keys := newRingTable(t, slots, loaded, window, kernel)
 			absent := workload.MissKeys(51, loaded, 200)
@@ -124,15 +124,15 @@ func TestReadRingWrapInPlace(t *testing.T) {
 				}
 			}
 			rs := r.Stats()
-			if blocked == 0 || rs.Reprobes == 0 || rs.PiggybackedGets == 0 || rs.Gets != uint64(len(reqs)) {
-				t.Errorf("window %d %v: a path went unexercised: blocked %d reprobes %d piggybacked %d gets %d",
-					window, kernel, blocked, rs.Reprobes, rs.PiggybackedGets, rs.Gets)
+			if blocked == 0 || rs.Reprobes == 0 || rs.Gets != uint64(len(reqs)) {
+				t.Errorf("window %d %v: a path went unexercised: blocked %d reprobes %d gets %d",
+					window, kernel, blocked, rs.Reprobes, rs.Gets)
 			}
-			counts[ki] = [3]uint64{rs.Gets, rs.Hits, rs.PiggybackedGets}
+			counts[ki] = [2]uint64{rs.Gets, rs.Hits}
 			tbl.Close()
 		}
 		if counts[0] != counts[1] {
-			t.Errorf("window %d: SWAR and scalar readers disagree on gets/hits/piggybacked: %v vs %v", window, counts[0], counts[1])
+			t.Errorf("window %d: SWAR and scalar readers disagree on gets/hits: %v vs %v", window, counts[0], counts[1])
 		}
 	}
 }

@@ -63,7 +63,7 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 			ID:  fmt.Sprintf("%#x", ev.ID),
 		}
 		switch ev.Kind {
-		case EvSubmit, EvProbe, EvReprobe, EvCombine, EvComplete:
+		case EvSubmit, EvProbe, EvReprobe, EvComplete:
 			ce.Cat = "request"
 			ce.Name = table.Op(ev.Op).String()
 			ce.Args = map[string]any{

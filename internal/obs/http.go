@@ -186,14 +186,11 @@ var CounterHelp = [NumCounters]string{
 	"Completed Delete operations",
 	"Gets that found their key and Deletes that removed one",
 	"Puts/Upserts rejected because the table was full",
-	"Probe line crossings re-enqueued behind a fresh prefetch",
+	"Probe line crossings (walked into the prefetched pair's second line, or re-enqueued behind a fresh prefetch)",
 	"Cache lines touched by probes",
 	"Line visits whose key lanes were consulted",
-	"Upserts folded onto an in-flight upsert to the same key",
-	"Gets answered by piggybacking on an in-flight get",
-	"Gets answered by store-to-load forwarding from an in-flight write",
+	"Upserts folded into a held same-key upsert on the partitioned write path",
 	"Atomic RMW/store attempts against slot words",
-	"Backpressure parks of combine leaders at the queue head",
 	"Delegated messages sent on the partitioned write path",
 	"Slots inspected by synchronous probes",
 	"Chain-node traversals",
@@ -204,7 +201,6 @@ var GaugeHelp = [NumGauges]string{
 	"Prefetch-window occupancy at the last publish",
 	"Maximum prefetch-window occupancy observed",
 	"Delegation-queue backlog at the last publish",
-	"Longest combine chain resolved by one leader",
 }
 
 // writeHistogram renders one histogram series with the shared

@@ -31,21 +31,18 @@ const (
 	CHits
 	// CFailed counts Puts/Upserts rejected because the table was full.
 	CFailed
-	// CReprobes counts line crossings (re-enqueued with a fresh prefetch).
+	// CReprobes counts probe line crossings (walked into the prefetched
+	// pair's second line, or re-enqueued behind a fresh prefetch).
 	CReprobes
 	// CLines counts cache lines touched.
 	CLines
 	// CKeyLines counts line visits whose key lanes were consulted.
 	CKeyLines
-	// Combine counters (see dramhit.Stats).
+	// CCombinedUpserts counts Upserts a DRAMHiT-P WriteHandle folded into a
+	// held same-key entry instead of delegating.
 	CCombinedUpserts
-	CPiggybackedGets
-	CForwardedGets
 	// CCASAttempts counts atomic RMW/store attempts against slot words.
 	CCASAttempts
-	// CParks counts backpressure parks: combine leaders frozen at the queue
-	// head because the response buffer filled mid-chain.
-	CParks
 	// CQueueSends counts delegated messages sent (DRAMHiT-P write path).
 	CQueueSends
 	// CProbeSlots counts slots inspected (synchronous baselines).
@@ -60,8 +57,7 @@ const (
 var CounterNames = [NumCounters]string{
 	"gets", "puts", "upserts", "deletes", "hits", "failed",
 	"reprobes", "lines", "keylines",
-	"combined_upserts", "piggybacked_gets", "forwarded_gets",
-	"cas_attempts", "parks", "queue_sends", "probe_slots", "chain_hops",
+	"combined_upserts", "cas_attempts", "queue_sends", "probe_slots", "chain_hops",
 }
 
 // Gauge indices into a Worker's shard.
@@ -72,8 +68,6 @@ const (
 	GWindowMax
 	// GQueueDepth is the delegation-queue backlog at the last publish.
 	GQueueDepth
-	// GChainMax is the longest combine chain resolved by one leader.
-	GChainMax
 
 	NumGauges
 )
@@ -81,7 +75,6 @@ const (
 // GaugeNames maps gauge indices to their metric names.
 var GaugeNames = [NumGauges]string{
 	"window_occupancy", "window_occupancy_max", "queue_depth",
-	"combine_chain_max",
 }
 
 // pad is one cache line of separation; Worker embeds it around its hot

@@ -9,17 +9,15 @@ import (
 type EventKind uint8
 
 // Lifecycle events in pipeline order. A sampled request emits Submit when
-// it enters a handle's prefetch queue, Probe each time the drain inspects
-// its resident line, Reprobe each time it crosses into a new line (re-
-// enqueued behind a fresh prefetch), Combine each time another request
-// merges onto it, and Complete when it finishes. Resize events (emitted by
+// it enters a handle's prefetch queue, Probe each time the drain takes it
+// up over its resident line pair, Reprobe each time it leaves the pair
+// (re-enqueued behind a fresh prefetch), and Complete when it finishes. Resize events (emitted by
 // the growing table, not per-request) share the ring: one event per
 // migration phase, with the phase code in Op and progress in Arg.
 const (
 	EvSubmit EventKind = iota + 1
 	EvProbe
 	EvReprobe
-	EvCombine
 	EvComplete
 	EvResize
 	// EvReshard records a shardmap re-sharding window phase (split or
@@ -51,8 +49,6 @@ func (k EventKind) String() string {
 		return "probe"
 	case EvReprobe:
 		return "reprobe"
-	case EvCombine:
-		return "combine"
 	case EvComplete:
 		return "complete"
 	case EvResize:
@@ -76,8 +72,8 @@ type Event struct {
 	Kind EventKind `json:"kind"`
 	// Op is the request's operation code (table.Op).
 	Op uint8 `json:"op"`
-	// Arg carries a per-kind detail: probes so far (Reprobe), chain length
-	// (Combine), hit flag (Complete).
+	// Arg carries a per-kind detail: probes so far (Probe, Reprobe), hit
+	// flag (Complete).
 	Arg uint32 `json:"arg"`
 }
 

@@ -57,9 +57,9 @@ func TestTraceRingWrap(t *testing.T) {
 
 func TestTraceRingMetaPacking(t *testing.T) {
 	r := NewTraceRing(64)
-	r.Record(9, EvCombine, 0xAB, 7, 0xC0FFEE)
+	r.Record(9, EvReprobe, 0xAB, 7, 0xC0FFEE)
 	e := r.Snapshot()[0]
-	if e.Kind != EvCombine || e.Op != 0xAB || e.Arg != 0xC0FFEE {
+	if e.Kind != EvReprobe || e.Op != 0xAB || e.Arg != 0xC0FFEE {
 		t.Fatalf("meta round-trip: %+v", e)
 	}
 }
@@ -98,7 +98,7 @@ func TestTraceRingRecordZeroAlloc(t *testing.T) {
 func TestEventKindString(t *testing.T) {
 	for k, want := range map[EventKind]string{
 		EvSubmit: "submit", EvProbe: "probe", EvReprobe: "reprobe",
-		EvCombine: "combine", EvComplete: "complete", EventKind(99): "invalid",
+		EvComplete: "complete", EventKind(99): "invalid",
 	} {
 		if k.String() != want {
 			t.Fatalf("EventKind(%d).String() = %q, want %q", k, k.String(), want)

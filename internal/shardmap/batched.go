@@ -1,6 +1,6 @@
 // The batched face of the router: Batched shards the asynchronous Submit
 // pipeline over N dramhit instances. Each shard is a complete dramhit.Table
-// — its own slot array, prefetch windows, combining mirror and mode —
+// — its own slot array, prefetch windows and mode —
 // and a BatchedHandle holds one dramhit.Handle per shard, so every
 // per-handle optimization the pipeline has accumulated operates on
 // shard-local state. A caller's batch is scattered across the shard-local
@@ -285,9 +285,6 @@ func (h *BatchedHandle) Stats() dramhit.Stats {
 		s.Reprobes += t.Reprobes
 		s.Lines += t.Lines
 		s.KeyLines += t.KeyLines
-		s.CombinedUpserts += t.CombinedUpserts
-		s.PiggybackedGets += t.PiggybackedGets
-		s.ForwardedGets += t.ForwardedGets
 		s.CASAttempts += t.CASAttempts
 	}
 	return s

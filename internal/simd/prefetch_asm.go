@@ -15,3 +15,12 @@ import "unsafe"
 //
 //go:noescape
 func Prefetch(p unsafe.Pointer)
+
+// PrefetchPair is Prefetch of the line containing p and of the line 64 bytes
+// above it, in one call: the flat probe's visit unit, a line and its
+// successor. The second address is formed inside the stub, so it may run past
+// the end of p's allocation (the last line's successor) without ever being a
+// Go pointer; like every prefetch it cannot fault.
+//
+//go:noescape
+func PrefetchPair(p unsafe.Pointer)

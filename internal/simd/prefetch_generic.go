@@ -8,3 +8,6 @@ import "unsafe"
 // -tags purego; the pipelines stay correct without it, since a prefetch is
 // architecturally invisible.
 func Prefetch(unsafe.Pointer) {}
+
+// PrefetchPair is a no-op here for the same reason.
+func PrefetchPair(unsafe.Pointer) {}

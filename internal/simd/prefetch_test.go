@@ -23,6 +23,10 @@ func TestPrefetchNeverFaults(t *testing.T) {
 	s := buf[:64]
 	Prefetch(unsafe.Add(unsafe.Pointer(&s[0]), len(s)))
 
+	// A pair from the last line of an allocation reaches one line past it.
+	PrefetchPair(nil)
+	PrefetchPair(unsafe.Pointer(&buf[len(buf)-64]))
+
 	for i := range buf {
 		if buf[i] != byte(i) {
 			t.Fatalf("prefetch wrote byte %d", i)

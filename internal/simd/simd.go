@@ -200,8 +200,7 @@ func CopyMask(lanes *[LaneCount]uint64, key, emptyKey uint64, cidx int) uint8 {
 // A word of eight packed fingerprint bytes answers, branch-free, "which of
 // these 8 slots could hold my key?" from one load. Byte lane b of the word
 // is slot base+b (little-endian byte order). The bucket layout's meta word
-// is such a word (BucketCandidates7), and the in-window combine scan matches
-// its ring's tag mirror the same way.
+// is such a word (BucketCandidates7).
 
 // TagLanes is the number of tag bytes per packed tag word.
 const TagLanes = 8

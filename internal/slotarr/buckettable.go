@@ -99,8 +99,6 @@ func newBucketState(nb uint64) *bucketState {
 type BucketConfig struct {
 	// Buckets is the initial bucket count (7 payload lanes each).
 	Buckets uint64
-	// Hash is the byte-string hash (default hashfn.Bytes64).
-	Hash func([]byte) uint64
 	// Arena is the record store; one arena may back several tables
 	// (dramhitp shares one across partitions). Default: a private arena.
 	Arena *arena.Arena
@@ -118,10 +116,6 @@ func NewBucketTable(cfg BucketConfig) *BucketTable {
 	if nb == 0 {
 		nb = 1
 	}
-	h := cfg.Hash
-	if h == nil {
-		h = hashfn.Bytes64
-	}
 	ar := cfg.Arena
 	if ar == nil {
 		ar = arena.New()
@@ -130,7 +124,7 @@ func NewBucketTable(cfg BucketConfig) *BucketTable {
 	if ml <= 0 {
 		ml = 0.95
 	}
-	t := &BucketTable{hash: h, ar: ar, maxLoad: ml}
+	t := &BucketTable{hash: hashfn.Bytes64, ar: ar, maxLoad: ml}
 	t.state.Store(newBucketState(nb))
 	return t
 }

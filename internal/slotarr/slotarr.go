@@ -203,17 +203,20 @@ func (a *Array) LoadKeys4(i uint64) (l0, l1, l2, l3, base, valid uint64) {
 }
 
 // LineOf returns the cache-line index of slot i (4 slots per 64-byte line),
-// used by the pipelined tables to decide whether a reprobe crosses into a
-// new line and needs a fresh prefetch.
+// used by the pipelined tables to decide whether a probe crosses into a new
+// line.
 func LineOf(i uint64) uint64 { return i / table.SlotsPerCacheLine }
 
-// Prefetch issues a hardware prefetch (simd.Prefetch) for the cache line
-// containing slot i. It loads nothing, so the instruction retires without
-// waiting for the line, and a window of them issued back-to-back keeps that
-// many DRAM misses in flight — the memory-level parallelism the paper's
-// prefetch engine exploits (§3.1).
+// Prefetch issues hardware prefetches (simd.PrefetchPair) for the cache line
+// containing slot i and the line after it: a probe that starts at i visits
+// both before it needs another prefetch. It loads nothing, so the
+// instructions retire without waiting for the lines, and a window of them
+// issued back-to-back keeps that many DRAM misses in flight — the
+// memory-level parallelism the paper's prefetch engine exploits (§3.1). On
+// the last line the second prefetch falls one line past the array, where it
+// fetches nothing the probe uses and cannot fault.
 func (a *Array) Prefetch(i uint64) {
-	simd.Prefetch(unsafe.Pointer(&a.words[2*(i&^(table.SlotsPerCacheLine-1))]))
+	simd.PrefetchPair(unsafe.Pointer(&a.words[2*(i&^(table.SlotsPerCacheLine-1))]))
 }
 
 // side-slot states.

@@ -161,24 +161,18 @@ func ParseLayout(s string) (Layout, error) {
 	return 0, fmt.Errorf("unknown layout %q (want flat|bucket)", s)
 }
 
-// Combining selects whether a handle's Submit merges a request whose key
-// already has a pending request in the prefetch queue instead of enqueueing
-// it (duplicate-key coalescing and read piggybacking). The zero value is
-// CombineOn, making in-window combining the default execution model; the
-// uncombined pipeline stays selectable for ablation and A/B benchmarks.
-// Combining changes neither the set of responses nor their per-ID values —
-// only how many memory transactions produce them.
+// Combining selects whether a DRAMHiT-P write handle folds a duplicate-key
+// Upsert into a held one instead of delegating it. The zero value is
+// CombineOn; CombineOff stays selectable for A/B benchmarks. Combining
+// changes no table state — only how many delegation messages produce it.
+// (The core table's prefetch ring does not combine: it executes every
+// request by its own probe.)
 type Combining uint8
 
 const (
-	// CombineOn merges same-key requests inside the prefetch window:
-	// Upsert-on-Upsert folds the increment, Get-on-Get piggybacks one probe
-	// result to N responses, Get-after-Put/Upsert is answered by
-	// store-to-load forwarding from the in-flight value. Delete is a
-	// combine barrier for its key in both directions.
+	// CombineOn folds a held same-key Upsert's increment.
 	CombineOn Combining = iota
-	// CombineOff enqueues every request individually (the pre-combining hot
-	// path, kept as the A/B baseline).
+	// CombineOff delegates every Upsert individually (the A/B baseline).
 	CombineOff
 )
 
@@ -283,10 +277,10 @@ func ParseGovernor(s string) (GovernorMode, error) {
 	return 0, fmt.Errorf("unknown governor mode %q (want off|direct)", s)
 }
 
-// TagOf derives a key's 1-byte tag fingerprint from its full 64-bit hash:
-// the in-window combine scan matches on it, and the bucket layout stores it
-// in-cell. Fastrange consumes the hash's HIGH bits for the slot index (the
-// high 64 of the 128-bit product dominate), so the tag takes the LOW byte —
+// TagOf derives a key's 1-byte tag fingerprint from its full 64-bit hash,
+// which the bucket layout stores in-cell. Fastrange consumes the hash's HIGH
+// bits for the slot index (the high 64 of the 128-bit product dominate), so
+// the tag takes the LOW byte —
 // the bits the index reduction leaves untouched — exactly as the simulator's
 // fingerprint does; deriving both index and tag from the same bits would
 // alias every key sharing a home slot. Zero is reserved: a tag is always in
