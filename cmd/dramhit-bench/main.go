@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"dramhit/internal/bench"
@@ -36,7 +35,6 @@ func main() {
 	shardjson := flag.String("shardjson", "", "run the shard-ab experiment and write its machine-readable summary (schema "+bench.ShardSchema+") to this path")
 	layoutjson := flag.String("layoutjson", "", "run the layout-ab experiment and write its machine-readable summary (schema "+bench.LayoutSchema+") to this path")
 	introspectjson := flag.String("introspectjson", "", "run the introspect-ab experiment and write its machine-readable summary (schema "+bench.IntrospectSchema+") to this path")
-	serverjson := flag.String("serverjson", "", "run the server-ab experiment and write its machine-readable summary (schema "+bench.ServerSchema+") to this path")
 	layoutFlag := flag.String("layout", "flat", "physical slot layout for the real-execution experiments that honor it: flat|bucket (layout-ab runs both by construction)")
 	flag.Parse()
 
@@ -68,7 +66,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "dramhit-bench: observability on http://%s/metrics\n", srv.Addr)
 	}
-	if *exp == "" && *benchjson == "" && *resizejson == "" && *shardjson == "" && *layoutjson == "" && *introspectjson == "" && *serverjson == "" {
+	if *exp == "" && *benchjson == "" && *resizejson == "" && *shardjson == "" && *layoutjson == "" && *introspectjson == "" {
 		fmt.Fprintln(os.Stderr, "usage: dramhit-bench -exp <id|all> [-quick] [-out dir]; -list shows IDs")
 		os.Exit(2)
 	}
@@ -131,17 +129,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *introspectjson)
 	}
-	if *serverjson != "" {
-		start := time.Now()
-		a, sum := bench.RunServerAB(cfg)
-		fmt.Print(bench.Format(a))
-		fmt.Printf("(server-ab in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if err := bench.WriteJSONFile(*serverjson, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *serverjson)
-	}
 	if *resizejson != "" {
 		start := time.Now()
 		a, sum := bench.RunResizeAB(cfg)
@@ -186,5 +173,4 @@ func main() {
 			}
 		}
 	}
-	_ = strings.TrimSpace
 }

@@ -6,9 +6,7 @@
 // Each connection is a goroutine owning one table handle; pipelined
 // requests on a connection are parsed into the handle's byte pipeline and
 // resolved under one prefetch window, so wire batching composes with
-// DRAMHiT's memory-level batching. -backend folklore serves every request
-// with a synchronous engine call instead — the A/B baseline the server-ab
-// experiment measures against.
+// DRAMHiT's memory-level batching.
 //
 // Usage:
 //
@@ -34,22 +32,16 @@ func main() {
 		mcAddr   = flag.String("mc", "", "memcached text listener address; empty disables")
 		slots    = flag.Uint64("slots", 1<<20, "initial table slots (bucket layout resizes itself)")
 		window   = flag.Int("window", 0, "prefetch-window depth per connection (0 = default)")
-		backend  = flag.String("backend", "dramhit", "execution model: dramhit (pipelined) or folklore (synchronous)")
 		obsAddr  = flag.String("obs", "", "observability HTTP address (/metrics etc.); empty disables")
 		workers  = flag.Int("obsworkers", 0, "metric worker pool size (0 = default)")
 	)
 	flag.Parse()
 
-	be, err := kvserver.ParseBackend(*backend)
-	if err != nil {
-		fail(err)
-	}
 	cfg := kvserver.Config{
 		RespAddr:   *respAddr,
 		McAddr:     *mcAddr,
 		Slots:      *slots,
 		Window:     *window,
-		Backend:    be,
 		ObsWorkers: *workers,
 	}
 	if *obsAddr != "" {
@@ -69,10 +61,10 @@ func main() {
 		fmt.Printf("observability on http://%s/metrics\n", osrv.Addr)
 	}
 	if a := srv.RespAddr(); a != "" {
-		fmt.Printf("resp listening on %s (backend=%s)\n", a, be)
+		fmt.Printf("resp listening on %s\n", a)
 	}
 	if a := srv.McAddr(); a != "" {
-		fmt.Printf("memcached listening on %s (backend=%s)\n", a, be)
+		fmt.Printf("memcached listening on %s\n", a)
 	}
 
 	sig := make(chan os.Signal, 1)

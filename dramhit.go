@@ -254,21 +254,6 @@ type ShardedOption = shardmap.Option
 // WithShards sets the initial shard count (a power of two).
 func WithShards(n int) ShardedOption { return shardmap.WithShards(n) }
 
-// ShardedBatched routes the batched Submit pipeline over N dramhit shards,
-// each with its own prefetch windows; handles
-// scatter a batch across shard-local rings and gather completions with no
-// global lock.
-type ShardedBatched = shardmap.Batched
-
-// ShardedBatchedConfig parameterizes NewShardedBatched; Table.Slots is the
-// total capacity, divided across shards.
-type ShardedBatchedConfig = shardmap.BatchedConfig
-
-// NewShardedBatched creates the sharded batched table.
-func NewShardedBatched(cfg ShardedBatchedConfig) *ShardedBatched {
-	return shardmap.NewBatched(cfg)
-}
-
 // Observability is the unified observability registry (see internal/obs):
 // attach one via Config.Observe / PartitionedConfig.Observe (or
 // Folklore.Observe) to collect sharded hot-path counters, mergeable latency

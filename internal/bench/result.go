@@ -26,9 +26,6 @@ const ShardSchema = "dramhit-bench-shard/v1"
 // LayoutSchema identifies the layout-ab summary layout (BENCH_layout.json).
 const LayoutSchema = "dramhit-bench-layout/v1"
 
-// ServerSchema identifies the server-ab summary layout (BENCH_server.json).
-const ServerSchema = "dramhit-bench-server/v1"
-
 // Percentiles summarizes a latency distribution in nanoseconds.
 type Percentiles struct {
 	P50   float64 `json:"p50"`
@@ -79,7 +76,7 @@ type RunResult struct {
 	ValueSize  int     `json:"value_size,omitempty"`
 	ValueTheta float64 `json:"value_theta,omitempty"`
 	// Conns, Pipeline, Proto, TargetRate and Errors describe socket-mode
-	// runs (loadgen -socket and the server-ab experiment): client TCP
+	// runs (loadgen -socket): client TCP
 	// connection count, per-connection pipeline depth, the wire protocol
 	// ("resp"), the open-loop target in ops/sec (0 = closed loop), and the
 	// number of error replies received.
@@ -117,20 +114,6 @@ type YCSBSummary struct {
 	Schema string      `json:"schema"`
 	Quick  bool        `json:"quick"`
 	Runs   []RunResult `json:"runs"`
-}
-
-// ServerSummary is the top-level BENCH_server.json document: the server-ab
-// matrix (dramhit vs folklore backend across connection counts over a live
-// loopback RESP socket) plus the headline backend ratios.
-type ServerSummary struct {
-	Schema string      `json:"schema"`
-	Quick  bool        `json:"quick"`
-	Runs   []RunResult `json:"runs"`
-	// Ratios maps "c<conns>" to dramhit-backend Mops over folklore-backend
-	// Mops at that connection count.
-	Ratios map[string]float64 `json:"dramhit_vs_folklore_mops,omitempty"`
-	// MaxConns is the largest connection count any cell sustained.
-	MaxConns int `json:"max_conns"`
 }
 
 // ShardSimRun is one cell of the shard-ab experiment's simulated NUMA sweep

@@ -39,7 +39,7 @@ func TestWriteHeavyBatchBounded(t *testing.T) {
 	sets := 4 * inputHighWater / valSize
 
 	t.Run("mc-noreply", func(t *testing.T) {
-		srv := startServer(t, BackendDramhit)
+		srv := startServer(t)
 		var in bytes.Buffer
 		val := bytes.Repeat([]byte("m"), valSize)
 		for i := 0; i < sets; i++ {
@@ -58,7 +58,7 @@ func TestWriteHeavyBatchBounded(t *testing.T) {
 	})
 
 	t.Run("resp-set", func(t *testing.T) {
-		srv := startServer(t, BackendDramhit)
+		srv := startServer(t)
 		var in []byte
 		val := strings.Repeat("r", valSize)
 		for i := 0; i < sets; i++ {
@@ -81,7 +81,7 @@ func TestWriteHeavyBatchBounded(t *testing.T) {
 // protocol-legal memcached multi-key get (hundreds of 200-byte keys) or a
 // long RESP inline command was severed as too long.
 func TestLongLinesWithinDeclaredLimits(t *testing.T) {
-	srv := startServer(t, BackendDramhit)
+	srv := startServer(t)
 
 	// RESP inline command well past 4 KB: a miss, not a protocol error.
 	rc, err := net.Dial("tcp", srv.RespAddr())

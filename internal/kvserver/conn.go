@@ -46,23 +46,14 @@ type conn struct {
 	vbuf []byte  // encoded flags+payload records, stable until batch flush
 	meta []pmeta // submit-order reply contexts
 	mi   int     // completion cursor into meta
-
-	async bool // BackendDramhit: pipeline; else synchronous per-op calls
 }
 
 func newConn(s *Server, c net.Conn) *conn {
-	cn := &conn{
-		s:     s,
-		c:     c,
-		h:     s.tbl.NewHandle(),
-		async: s.cfg.Backend == BackendDramhit,
-	}
+	cn := &conn{s: s, c: c, h: s.tbl.NewHandle()}
 	if s.pool != nil {
 		cn.w = s.pool[int(s.connSeq.Add(1))%len(s.pool)]
 	}
-	if cn.async {
-		cn.h.OnByteComplete(cn.complete)
-	}
+	cn.h.OnByteComplete(cn.complete)
 	return cn
 }
 
@@ -102,37 +93,21 @@ func parseUint(b []byte) (uint64, bool) {
 	return n, true
 }
 
-// submit routes one Get/Put/Delete through the configured backend. Under
-// dramhit it enters the async byte pipeline (reply appended at completion,
-// possibly after more submissions); under folklore it executes and replies
-// immediately. key/val must stay valid until the batch flush (they alias
-// the parser arena and vbuf, both of which are released at flushWrite).
+// submit enters one Get/Put/Delete into the handle's byte pipeline; its reply
+// is appended at completion, possibly after more submissions. key/val must
+// stay valid until the batch flush (they alias the parser arena and vbuf,
+// both of which are released at flushWrite).
 func (cn *conn) submit(op table.Op, kind uint8, key, val []byte) {
 	m := pmeta{kind: kind, key: key}
 	if cn.w != nil {
 		m.start = time.Now().UnixNano()
 	}
 	cn.meta = append(cn.meta, m)
-	if cn.async {
-		cn.h.SubmitBytes(op, uint64(len(cn.meta)-1), key, val)
-		return
-	}
-	var v []byte
-	var found bool
-	switch op {
-	case table.Get:
-		v, found = cn.h.GetBytes(key)
-	case table.Put:
-		found = cn.h.PutBytes(key, val)
-	default:
-		found = cn.h.DeleteBytes(key)
-	}
-	cn.complete(idramhit.ByteCompletion{ID: uint64(len(cn.meta) - 1), Op: op, Value: v, Found: found})
+	cn.h.SubmitBytes(op, uint64(len(cn.meta)-1), key, val)
 }
 
-// complete consumes the next meta entry and appends its wire reply. It is
-// the byte pipeline's completion callback (and the folklore path calls it
-// inline with a synthesized completion).
+// complete is the byte pipeline's completion callback: it consumes the next
+// meta entry and appends its wire reply.
 func (cn *conn) complete(cc idramhit.ByteCompletion) {
 	m := &cn.meta[cn.mi]
 	cn.mi++
@@ -201,11 +176,11 @@ func (cn *conn) countOp(op table.Op, found bool, start int64) {
 	}
 }
 
-// barrier drains the async pipeline so a synchronous reply (PING, INCR, a
+// barrier drains the pipeline so a synchronous reply (PING, INCR, a
 // protocol error) is appended after every earlier request's reply — the
 // total order the wire demands.
 func (cn *conn) barrier() {
-	if cn.async && cn.h.PendingBytes() > 0 {
+	if cn.h.PendingBytes() > 0 {
 		cn.h.FlushBytes()
 	}
 }
@@ -254,40 +229,42 @@ func (cn *conn) batchFull(arenaBytes int) bool {
 
 // upsertNumeric is the shared INCR/DECR core: atomically applies delta
 // (subtracting when negative is set, clamped at zero memcached-style) to
-// the record's numeric payload, preserving flags. snap is the caller's
-// pre-read of the record (both protocols decide existence/numericness from
-// it); if the record vanishes mid-Mutate the snapshot seeds the re-create,
-// which linearizes the increment just before the racing delete.
-func (cn *conn) upsertNumeric(key []byte, snap []byte, delta uint64, negative bool) (uint64, bool) {
-	snapFlags, snapPay := splitRecord(snap)
-	cur, ok := parseUint(snapPay)
-	if !ok {
+// the record's numeric payload, preserving flags. Numericness is decided
+// inside Mutate, on the record being replaced: a present non-numeric record
+// is stored back unchanged and reported as not numeric. seed is the record
+// an absent key starts from — RESP's zero record (redis creates the key),
+// or memcached's pre-read. A delete racing that pre-read makes it stale and
+// the increment re-creates the key from it; only a Mutate that can abort
+// removes that case.
+func (cn *conn) upsertNumeric(key, seed []byte, delta uint64, negative bool) (n uint64, numeric bool) {
+	_, seedPay := splitRecord(seed)
+	if _, ok := parseUint(seedPay); !ok {
 		return 0, false
 	}
-	var out uint64
 	var scratch [28]byte // 4 flags + 20 digits; engine copies during Mutate
 	cn.h.UpsertBytes(key, func(old []byte, present bool) []byte {
-		flags, cur2 := snapFlags, cur
-		if present {
-			f, pay := splitRecord(old)
-			if n, ok2 := parseUint(pay); ok2 {
-				flags, cur2 = f, n
-			}
+		if !present {
+			old = seed
+		}
+		flags, pay := splitRecord(old)
+		cur, ok := parseUint(pay)
+		numeric = ok
+		if !ok {
+			return old
 		}
 		switch {
 		case !negative:
-			out = cur2 + delta // wraps at 2^64, like memcached
-		case delta > cur2:
-			out = 0 // memcached decr clamps at zero
+			n = cur + delta // wraps at 2^64, like memcached
+		case delta > cur:
+			n = 0 // memcached decr clamps at zero
 		default:
-			out = cur2 - delta
+			n = cur - delta
 		}
 		b := scratch[:0]
 		b = appendRecord(b, flags, nil)
-		b = appendUintDec(b, out)
-		return b
+		return appendUintDec(b, n)
 	})
-	return out, true
+	return n, numeric
 }
 
 func appendUintDec(b []byte, n uint64) []byte {

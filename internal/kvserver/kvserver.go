@@ -34,38 +34,6 @@ import (
 	"dramhit/internal/table"
 )
 
-// Backend selects the execution model serving requests.
-type Backend int
-
-const (
-	// BackendDramhit pipelines each wire batch through the handle's async
-	// byte pipeline: bucket lines prefetched at submit, resolved at flush.
-	BackendDramhit Backend = iota
-	// BackendFolklore answers each request with one synchronous engine call
-	// as it is parsed — the folklore execution model on DRAMHiT's kernel
-	// (what direct mode, GovernorDirect, does for the uint64 API). The
-	// server-ab experiment measures the gap between the two.
-	BackendFolklore
-)
-
-// ParseBackend maps "dramhit" (or "") and "folklore" to Backend values.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "dramhit":
-		return BackendDramhit, nil
-	case "folklore":
-		return BackendFolklore, nil
-	}
-	return 0, fmt.Errorf("kvserver: unknown backend %q (want dramhit or folklore)", s)
-}
-
-func (b Backend) String() string {
-	if b == BackendFolklore {
-		return "folklore"
-	}
-	return "dramhit"
-}
-
 // Config parameterizes a server.
 type Config struct {
 	// RespAddr is the RESP listener address (e.g. ":6379", "127.0.0.1:0");
@@ -78,8 +46,6 @@ type Config struct {
 	Slots uint64
 	// Window is the per-connection prefetch-window depth (0 = table default).
 	Window int
-	// Backend selects pipelined (dramhit) or synchronous (folklore) serving.
-	Backend Backend
 	// Obs, when non-nil, exports the serving metrics: per-op-class latency
 	// histograms (parse-to-completion) under a small pool of "server-w<i>"
 	// workers, and connection/table gauges under the "server" pull source.
@@ -194,12 +160,11 @@ func (s *Server) Table() *idramhit.Table { return s.tbl }
 // an operator sees whether the index got its huge pages.
 func (s *Server) collect() map[string]float64 {
 	m := map[string]float64{
-		"conns_resp_open":     float64(s.curResp.Load()),
-		"conns_resp_total":    float64(s.totResp.Load()),
-		"conns_mc_open":       float64(s.curMc.Load()),
-		"conns_mc_total":      float64(s.totMc.Load()),
-		"table_entries":       float64(s.tbl.Len()),
-		"backend_is_folklore": float64(s.cfg.Backend),
+		"conns_resp_open":  float64(s.curResp.Load()),
+		"conns_resp_total": float64(s.totResp.Load()),
+		"conns_mc_open":    float64(s.curMc.Load()),
+		"conns_mc_total":   float64(s.totMc.Load()),
+		"table_entries":    float64(s.tbl.Len()),
 	}
 	if rss, huge, ok := hugemem.Usage(); ok {
 		m["mem_rss_bytes"] = float64(rss)

@@ -2,12 +2,14 @@ package kvserver
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,89 +68,219 @@ func readReply(br *bufio.Reader) (string, error) {
 // connection and checks every reply against a reference map mutated in the
 // same order — including pipelined same-key sequences (SET/GET/DEL of one
 // key inside one wire batch), which exercise the FIFO completion contract
-// end to end. Runs against both backends.
+// end to end.
 func TestOracleRandomOps(t *testing.T) {
-	for _, be := range []Backend{BackendDramhit, BackendFolklore} {
-		t.Run(be.String(), func(t *testing.T) {
-			srv := startServer(t, be)
-			c, err := net.Dial("tcp", srv.RespAddr())
-			if err != nil {
+	t.Run("dramhit", func(t *testing.T) {
+		srv := startServer(t)
+		c, err := net.Dial("tcp", srv.RespAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+
+		rng := rand.New(rand.NewSource(99))
+		ref := map[string]string{}
+		key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
+
+		for round := 0; round < 150; round++ {
+			nops := 1 + rng.Intn(32)
+			var wire []byte
+			var want []string
+			for i := 0; i < nops; i++ {
+				k := key()
+				switch rng.Intn(10) {
+				case 0, 1, 2, 3: // GET
+					wire = respEnc(wire, "GET", k)
+					if v, ok := ref[k]; ok {
+						want = append(want, "$"+v)
+					} else {
+						want = append(want, "nil")
+					}
+				case 4, 5, 6: // SET
+					v := fmt.Sprintf("val-%d-%d", round, i)
+					wire = respEnc(wire, "SET", k, v)
+					ref[k] = v
+					want = append(want, "+OK")
+				case 7: // DEL
+					wire = respEnc(wire, "DEL", k)
+					if _, ok := ref[k]; ok {
+						want = append(want, ":1")
+					} else {
+						want = append(want, ":0")
+					}
+					delete(ref, k)
+				case 8: // INCR (numeric iff the ref value parses)
+					wire = respEnc(wire, "INCR", k)
+					if v, ok := ref[k]; !ok {
+						ref[k] = "1"
+						want = append(want, ":1")
+					} else if n, err := strconv.ParseUint(v, 10, 64); err == nil {
+						ref[k] = strconv.FormatUint(n+1, 10)
+						want = append(want, ":"+ref[k])
+					} else {
+						want = append(want, "-err")
+					}
+				default: // PING keeps a non-table op inside the batch
+					wire = respEnc(wire, "PING")
+					want = append(want, "+PONG")
+				}
+			}
+			if _, err := c.Write(wire); err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-			br := bufio.NewReader(c)
-
-			rng := rand.New(rand.NewSource(99))
-			ref := map[string]string{}
-			key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
-
-			for round := 0; round < 150; round++ {
-				nops := 1 + rng.Intn(32)
-				var wire []byte
-				var want []string
-				for i := 0; i < nops; i++ {
-					k := key()
-					switch rng.Intn(10) {
-					case 0, 1, 2, 3: // GET
-						wire = respEnc(wire, "GET", k)
-						if v, ok := ref[k]; ok {
-							want = append(want, "$"+v)
-						} else {
-							want = append(want, "nil")
-						}
-					case 4, 5, 6: // SET
-						v := fmt.Sprintf("val-%d-%d", round, i)
-						wire = respEnc(wire, "SET", k, v)
-						ref[k] = v
-						want = append(want, "+OK")
-					case 7: // DEL
-						wire = respEnc(wire, "DEL", k)
-						if _, ok := ref[k]; ok {
-							want = append(want, ":1")
-						} else {
-							want = append(want, ":0")
-						}
-						delete(ref, k)
-					case 8: // INCR (numeric iff the ref value parses)
-						wire = respEnc(wire, "INCR", k)
-						if v, ok := ref[k]; !ok {
-							ref[k] = "1"
-							want = append(want, ":1")
-						} else if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-							ref[k] = strconv.FormatUint(n+1, 10)
-							want = append(want, ":"+ref[k])
-						} else {
-							want = append(want, "-err")
-						}
-					default: // PING keeps a non-table op inside the batch
-						wire = respEnc(wire, "PING")
-						want = append(want, "+PONG")
-					}
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for i, w := range want {
+				got, err := readReply(br)
+				if err != nil {
+					t.Fatalf("round %d reply %d: %v", round, i, err)
 				}
-				if _, err := c.Write(wire); err != nil {
-					t.Fatal(err)
+				if w == "-err" {
+					if got[0] != '-' {
+						t.Fatalf("round %d reply %d: got %q, want an error", round, i, got)
+					}
+					continue
 				}
-				c.SetReadDeadline(time.Now().Add(5 * time.Second))
-				for i, w := range want {
-					got, err := readReply(br)
-					if err != nil {
-						t.Fatalf("round %d reply %d: %v", round, i, err)
-					}
-					if w == "-err" {
-						if got[0] != '-' {
-							t.Fatalf("round %d reply %d: got %q, want an error", round, i, got)
-						}
-						continue
-					}
-					if got != w {
-						t.Fatalf("round %d reply %d: got %q, want %q", round, i, got, w)
-					}
+				if got != w {
+					t.Fatalf("round %d reply %d: got %q, want %q", round, i, got, w)
 				}
 			}
-			if srv.Table().Len() != len(ref) {
-				t.Fatalf("table has %d entries, reference %d", srv.Table().Len(), len(ref))
+		}
+		if srv.Table().Len() != len(ref) {
+			t.Fatalf("table has %d entries, reference %d", srv.Table().Len(), len(ref))
+		}
+	})
+}
+
+// TestMcOracleRandomOps is TestOracleRandomOps over memcached text: random
+// pipelined batches of multi-key get/gets (misses and repeated keys), set
+// with random flags, delete, and incr/decr on numeric, non-numeric and
+// absent keys, with and without noreply. The expected reply stream of each
+// batch is built byte for byte from a reference map, so the completion
+// order of a multi-key get (VALUE blocks, then END after the last key) is
+// checked on every batch.
+func TestMcOracleRandomOps(t *testing.T) {
+	type rec struct {
+		flags uint32
+		val   string
+	}
+	srv := startServer(t)
+	c, err := net.Dial("tcp", srv.McAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	rng := rand.New(rand.NewSource(7))
+	ref := map[string]rec{}
+	key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
+	noreply := func() (string, bool) {
+		if rng.Intn(4) == 0 {
+			return " noreply", true
+		}
+		return "", false
+	}
+
+	for round := 0; round < 150; round++ {
+		var wire, want []byte
+		for i, nops := 0, 1+rng.Intn(24); i < nops; i++ {
+			k := key()
+			switch rng.Intn(10) {
+			case 0, 1, 2: // get/gets of 1-4 keys, repeats allowed
+				verb := "get"
+				if rng.Intn(2) == 0 {
+					verb = "gets"
+				}
+				wire = append(wire, verb...)
+				for j, n := 0, 1+rng.Intn(4); j < n; j++ {
+					if j > 0 {
+						k = key()
+					}
+					wire = append(wire, ' ')
+					wire = append(wire, k...)
+					if r, ok := ref[k]; ok {
+						want = fmt.Appendf(want, "VALUE %s %d %d\r\n%s\r\n", k, r.flags, len(r.val), r.val)
+					}
+				}
+				wire = append(wire, "\r\n"...)
+				want = append(want, "END\r\n"...)
+			case 3, 4, 5: // set: half the values numeric
+				v := fmt.Sprintf("v-%d-%d", round, i)
+				if rng.Intn(2) == 0 {
+					v = strconv.Itoa(rng.Intn(50))
+				}
+				flags := rng.Uint32()
+				nr, quiet := noreply()
+				wire = fmt.Appendf(wire, "set %s %d 0 %d%s\r\n%s\r\n", k, flags, len(v), nr, v)
+				ref[k] = rec{flags, v}
+				if !quiet {
+					want = append(want, "STORED\r\n"...)
+				}
+			case 6: // delete
+				nr, quiet := noreply()
+				wire = fmt.Appendf(wire, "delete %s%s\r\n", k, nr)
+				_, ok := ref[k]
+				delete(ref, k)
+				switch {
+				case quiet:
+				case ok:
+					want = append(want, "DELETED\r\n"...)
+				default:
+					want = append(want, "NOT_FOUND\r\n"...)
+				}
+			default: // incr/decr: decr clamps at 0, flags survive
+				verb, delta := "incr", uint64(rng.Intn(60))
+				if rng.Intn(2) == 0 {
+					verb = "decr"
+				}
+				nr, quiet := noreply()
+				wire = fmt.Appendf(wire, "%s %s %d%s\r\n", verb, k, delta, nr)
+				r, ok := ref[k]
+				n, err := strconv.ParseUint(r.val, 10, 64)
+				switch {
+				case !ok:
+					if !quiet {
+						want = append(want, "NOT_FOUND\r\n"...)
+					}
+					continue
+				case err != nil:
+					if !quiet {
+						want = append(want, "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"...)
+					}
+					continue
+				case verb == "incr":
+					n += delta
+				case delta > n:
+					n = 0
+				default:
+					n -= delta
+				}
+				ref[k] = rec{r.flags, strconv.FormatUint(n, 10)}
+				if !quiet {
+					want = fmt.Appendf(want, "%d\r\n", n)
+				}
 			}
-		})
+		}
+		if _, err := c.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(c, got); err != nil {
+			t.Fatalf("round %d: short reply: %v\ngot so far: %q\nwant: %q", round, err, got, want)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: reply mismatch\nsent: %q\ngot:  %q\nwant: %q", round, wire, got, want)
+		}
+	}
+	// A replied request after the last batch orders its noreply tail
+	// before the count.
+	c.Write([]byte("version\r\n"))
+	if line, err := bufio.NewReader(c).ReadString('\n'); err != nil || !strings.HasPrefix(line, "VERSION") {
+		t.Fatalf("version: %q, %v", line, err)
+	}
+	if srv.Table().Len() != len(ref) {
+		t.Fatalf("table has %d entries, reference %d", srv.Table().Len(), len(ref))
 	}
 }
 
@@ -156,7 +288,7 @@ func TestOracleRandomOps(t *testing.T) {
 // into the pool workers and the "server" pull source's connection gauges.
 func TestObsSurface(t *testing.T) {
 	reg := obs.New()
-	srv := startServer(t, BackendDramhit, func(c *Config) { c.Obs = reg; c.ObsWorkers = 2 })
+	srv := startServer(t, func(c *Config) { c.Obs = reg; c.ObsWorkers = 2 })
 	c, err := net.Dial("tcp", srv.RespAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +358,7 @@ func TestObsSurface(t *testing.T) {
 // memcached (with flags) reads back via RESP as the bare payload, and a
 // RESP-set value reads via memcached with flags 0.
 func TestCrossProtocol(t *testing.T) {
-	srv := startServer(t, BackendDramhit)
+	srv := startServer(t)
 
 	mc, err := net.Dial("tcp", srv.McAddr())
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // connection owns its handle, so the only shared state is the table, the
 // conn registry, and the metric pool.
 func TestConcurrentClientChurn(t *testing.T) {
-	srv := startServer(t, BackendDramhit)
+	srv := startServer(t)
 	const clients = 8
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
@@ -101,7 +101,7 @@ func churnMc(t *testing.T, addr string, rng *rand.Rand) {
 // Close must return promptly (no goroutine waits on a dead client) and the
 // clients must observe EOF/reset rather than a hang.
 func TestCloseDuringInFlight(t *testing.T) {
-	srv := startServer(t, BackendDramhit)
+	srv := startServer(t)
 	const clients = 6
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -85,12 +85,7 @@ func (cn *conn) dispatchRESP(cmd resp.Command) bool {
 		if cn.w != nil {
 			start = time.Now().UnixNano()
 		}
-		key := cmd.Args[1]
-		snap, ok := cn.h.GetBytes(key)
-		if !ok {
-			snap = respZeroRecord
-		}
-		if n, numeric := cn.upsertNumeric(key, snap, 1, false); numeric {
+		if n, numeric := cn.upsertNumeric(cmd.Args[1], respZeroRecord, 1, false); numeric {
 			cn.wbuf = resp.AppendInt(cn.wbuf, int64(n))
 		} else {
 			cn.wbuf = resp.AppendError(cn.wbuf, "ERR value is not an integer or out of range")

@@ -30,11 +30,10 @@
 // CAS once the last chunk completes. Operations on uncovered shards are
 // untouched — they pay one pointer compare.
 //
-// There are two faces: Map is the synchronous table.Map router over folklore
-// shards (the re-shardable one — folklore's slot layout carries the MovedKey
-// protocol); Batched (batched.go) routes the batched asynchronous Submit
-// interface over N dramhit instances with per-shard handles, so prefetch
-// windows stay per-shard.
+// Map is a synchronous table.Map router over folklore shards, whose slot
+// layout carries the MovedKey protocol. Batched requests over N partitions
+// run through one ring per handle over a dramhit.Table with N regions, not
+// through this package.
 package shardmap
 
 import (

@@ -146,9 +146,6 @@ func replayTableOps(t *testing.T, data []byte) {
 		// live cross-shard migration.
 		{"shardmap", shardmap.New(64)},
 		{"shardmap-chunk16", shardmap.New(64, shardmap.WithChunkSlots(16))},
-		{"sharded-batched", shardmap.NewBatched(shardmap.BatchedConfig{
-			Shards: 4, Table: dramhit.Config{Slots: slots},
-		}).NewSync()},
 		// Bucket layout, three postures: the raw engine starting at 64 slots
 		// (the dbl seed drives it through at least two index rebuilds), a
 		// dramhit bucket table's byte API over the same engine, and a

@@ -3,7 +3,6 @@ package tabletest_test
 import (
 	"testing"
 
-	"dramhit/internal/dramhit"
 	"dramhit/internal/shardmap"
 	"dramhit/internal/table"
 	"dramhit/internal/tabletest"
@@ -14,10 +13,8 @@ import (
 // overhead), at four shards (cross-shard routing), and with one-slot
 // migration chunks (the finest helping schedule, so any auto-split the
 // suite provokes opens the longest possible window for the concurrent
-// subtests to race), plus the batched router's Sync adapter. LooseCapacity
-// applies throughout: the synchronous map grows by splitting and never
-// reports full, and the batched shards partition capacity so tight packing
-// across the whole table is not promised.
+// subtests to race). LooseCapacity applies throughout: the map grows by
+// splitting and never reports full.
 func TestShardmapConformance(t *testing.T) {
 	tabletest.Run(t, "Shardmap1",
 		func(n uint64) table.Map { return shardmap.New(n) },
@@ -28,14 +25,6 @@ func TestShardmapConformance(t *testing.T) {
 	tabletest.Run(t, "ShardmapChunk1",
 		func(n uint64) table.Map {
 			return shardmap.New(n, shardmap.WithChunkSlots(1))
-		},
-		tabletest.LooseCapacity())
-	tabletest.Run(t, "ShardedBatched",
-		func(n uint64) table.Map {
-			return shardmap.NewBatched(shardmap.BatchedConfig{
-				Shards: 4,
-				Table:  dramhit.Config{Slots: n},
-			}).NewSync()
 		},
 		tabletest.LooseCapacity())
 }

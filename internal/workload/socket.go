@@ -1,5 +1,5 @@
-// Socket client driver: the RESP-speaking load side of loadgen -socket and
-// the server-ab experiment. It drives a live dramhit-server over many
+// Socket client driver: the RESP-speaking load side of loadgen -socket. It
+// drives a live dramhit-server over many
 // concurrent TCP connections, pipelining requests so the server's
 // per-connection byte pipeline has wire batches to drain, and reports each
 // reply's outcome and latency through a caller-supplied callback.
