@@ -32,7 +32,6 @@ func main() {
 	resizejson := flag.String("resizejson", "", "run the resize-ab experiment and write its machine-readable summary (schema "+bench.ResizeSchema+") to this path")
 	metrics := flag.String("metrics", "", "serve observability (Prometheus /metrics, /trace, pprof) on this address while experiments run, e.g. :8090")
 	probeKernel := flag.String("probekernel", "", "probe kernel for real-execution experiments: swar|scalar (default swar)")
-	shardjson := flag.String("shardjson", "", "run the shard-ab experiment and write its machine-readable summary (schema "+bench.ShardSchema+") to this path")
 	layoutjson := flag.String("layoutjson", "", "run the layout-ab experiment and write its machine-readable summary (schema "+bench.LayoutSchema+") to this path")
 	introspectjson := flag.String("introspectjson", "", "run the introspect-ab experiment and write its machine-readable summary (schema "+bench.IntrospectSchema+") to this path")
 	layoutFlag := flag.String("layout", "flat", "physical slot layout for the real-execution experiments that honor it: flat|bucket (layout-ab runs both by construction)")
@@ -66,7 +65,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "dramhit-bench: observability on http://%s/metrics\n", srv.Addr)
 	}
-	if *exp == "" && *benchjson == "" && *resizejson == "" && *shardjson == "" && *layoutjson == "" && *introspectjson == "" {
+	if *exp == "" && *benchjson == "" && *resizejson == "" && *layoutjson == "" && *introspectjson == "" {
 		fmt.Fprintln(os.Stderr, "usage: dramhit-bench -exp <id|all> [-quick] [-out dir]; -list shows IDs")
 		os.Exit(2)
 	}
@@ -95,17 +94,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *benchjson)
-	}
-	if *shardjson != "" {
-		start := time.Now()
-		a, sum := bench.RunShardAB(cfg)
-		fmt.Print(bench.Format(a))
-		fmt.Printf("(shard-ab in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if err := bench.WriteJSONFile(*shardjson, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *shardjson)
 	}
 	if *layoutjson != "" {
 		start := time.Now()

@@ -7,17 +7,10 @@
 //	loadgen -workload C -table dramhit-p -workers 8
 //	loadgen -workload C -metrics :8090 -json run.json
 //	loadgen -workload C -table dramhit -governor direct
-//	loadgen -workload C -table sharded -shards 4 -splitat 0.5 -json run.json
 //
 // -governor {off,direct} picks the dramhit backends' execution mode: the
 // prefetch pipeline (off) or synchronous direct probes, the execution for a
 // cache-resident table.
-//
-// -table sharded drives the horizontal shard router (internal/shardmap)
-// with -shards initial shards; -splitat f forces a live shard split once
-// fraction f of the timed ops has completed, so the split's cooperative
-// migration races the op stream. The summary then includes per-shard fill
-// and the split's install-to-complete latency.
 //
 // With -metrics the run exposes the unified observability layer over HTTP
 // (Prometheus text at /metrics, sampled lifecycle traces at /trace, expvar
@@ -36,9 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dramhit"
@@ -52,9 +43,7 @@ import (
 
 func main() {
 	workloadName := flag.String("workload", "A", "YCSB core workload: A-F")
-	backend := flag.String("table", "dramhit", "dramhit | dramhit-p | folklore | resizable | sharded")
-	shards := flag.Int("shards", 0, "initial shard count for the sharded backend (power of two; default 4)")
-	splitAt := flag.Float64("splitat", 0, "force a live shard split once this fraction of the timed ops has completed (sharded backend, in (0,1))")
+	backend := flag.String("table", "dramhit", "dramhit | dramhit-p | folklore | resizable")
 	records := flag.Uint64("records", 1_000_000, "rows loaded before the run")
 	ops := flag.Int("ops", 2_000_000, "operations in the timed run")
 	workers := flag.Int("workers", 4, "concurrent client goroutines")
@@ -125,18 +114,6 @@ func main() {
 	if governor != dramhit.GovernorOff && *backend != "dramhit" && *backend != "dramhit-p" {
 		fail(fmt.Errorf("-governor applies to the dramhit and dramhit-p backends, not %q", *backend))
 	}
-	if *shards != 0 && *backend != "sharded" {
-		fail(fmt.Errorf("-shards applies to the sharded backend, not %q", *backend))
-	}
-	if *shards < 0 || *shards&(*shards-1) != 0 {
-		fail(fmt.Errorf("-shards must be a power of two, got %d", *shards))
-	}
-	if *splitAt != 0 && *backend != "sharded" {
-		fail(fmt.Errorf("-splitat applies to the sharded backend, not %q", *backend))
-	}
-	if *splitAt < 0 || *splitAt >= 1 {
-		fail(fmt.Errorf("-splitat must be in (0,1), got %v", *splitAt))
-	}
 	layout, err := dramhit.ParseLayout(*layoutFlag)
 	if err != nil {
 		fail(err)
@@ -202,28 +179,9 @@ func main() {
 	}
 	var mkView func(w int) view
 	var teardown func()
-	// shmap is set for the sharded backend: the split driver and the
-	// per-shard summary need the router itself.
-	var shmap *dramhit.Sharded
 
 	slots := nextPow2(*records * 2)
 	switch *backend {
-	case "sharded":
-		n := *shards
-		if n == 0 {
-			n = 4
-		}
-		t := dramhit.NewSharded(slots, dramhit.WithShards(n))
-		if reg != nil {
-			t.Observe(reg)
-		}
-		for _, k := range ycsb.LoadKeys(*records, 1) {
-			t.Put(k, 0)
-		}
-		shmap = t
-		mkView = func(int) view {
-			return view{get: t.Get, put: func(k, v uint64) { t.Put(k, v) }, fin: func() {}}
-		}
 	case "dramhit":
 		t := dramhit.New(dramhit.Config{Slots: slots, Governor: governor, Observe: reg, Layout: layout})
 		h := t.NewHandle()
@@ -328,42 +286,6 @@ func main() {
 	// per-class latency histograms when the histogram sink is active.
 	opCounts := make([][obs.NumOpClasses]uint64, *workers)
 
-	// With -splitat, a driver goroutine watches run progress and forces a
-	// live shard split once the requested fraction of the timed ops has
-	// completed; the racing workers (and the driver's own reads) finish the
-	// migration cooperatively, chunk by chunk, and the install-to-complete
-	// wall time is reported as the split latency.
-	trackOps := *splitAt > 0
-	var opsDone atomic.Int64
-	var splitDur time.Duration
-	var splitWG sync.WaitGroup
-	runDone := make(chan struct{})
-	if trackOps {
-		loadKeys := ycsb.LoadKeys(*records, 1)
-		splitWG.Add(1)
-		go func() {
-			defer splitWG.Done()
-			target := int64(float64(*ops) * *splitAt)
-			for opsDone.Load() < target {
-				select {
-				case <-runDone:
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
-			t0 := time.Now()
-			installed := false
-			for i := 0; i < len(loadKeys) && !installed; i++ {
-				installed = shmap.Split(loadKeys[i])
-			}
-			for j := 0; shmap.Resharding(); j++ {
-				shmap.Get(loadKeys[j%len(loadKeys)])
-			}
-			splitDur = time.Since(t0)
-		}()
-	}
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	perWorker := *ops / *workers
@@ -444,9 +366,6 @@ func main() {
 				} else {
 					rec.Add(float64(ns))
 				}
-				if trackOps {
-					opsDone.Add(1)
-				}
 			}
 			opCounts[wi] = cnt
 			v.fin()
@@ -454,13 +373,8 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	close(runDone)
-	splitWG.Wait()
 	if teardown != nil {
 		teardown()
-	}
-	if shmap != nil {
-		shmap.DrainResharding()
 	}
 
 	var total uint64
@@ -570,19 +484,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if shmap != nil {
-		st := shmap.Stats()
-		fmt.Printf("  shards: %d (depth %d, splits %d, chunks helped %d)\n",
-			st.Shards, st.Depth, st.Splits, st.ChunksHelped)
-		for _, s := range shmap.ShardStats() {
-			fmt.Printf("  shard %d/%d (prefix %0*b): live=%d cap=%d fill=%.3f\n",
-				s.ID, s.Bits, max(int(s.Bits), 1), s.Pfx, s.Live, s.Cap, s.Fill)
-		}
-		if *splitAt > 0 {
-			fmt.Printf("  forced split at %.0f%% of the run: %v install-to-complete\n",
-				*splitAt*100, splitDur.Round(time.Microsecond))
-		}
-	}
 
 	if *jsonPath != "" {
 		res := bench.RunResult{
@@ -615,14 +516,6 @@ func main() {
 		if byteMode {
 			res.ValueSize = *valueSize
 			res.ValueTheta = *valueTheta
-		}
-		if shmap != nil {
-			res.Shards = shmap.Stats().Shards
-			res.ShardStats = shmap.ShardStats()
-			if *splitAt > 0 {
-				res.SplitAt = *splitAt
-				res.SplitSeconds = splitDur.Seconds()
-			}
 		}
 		if err := bench.WriteJSONFile(*jsonPath, res); err != nil {
 			fail(err)

@@ -46,7 +46,6 @@ import (
 	"dramhit/internal/folklore"
 	"dramhit/internal/growt"
 	"dramhit/internal/obs"
-	"dramhit/internal/shardmap"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
@@ -236,23 +235,6 @@ func NewResizable(n uint64) *Resizable { return growt.New(n) }
 func NewResizableMode(n uint64, mode ResizeMode) *Resizable {
 	return growt.New(n, growt.WithResizeMode(mode))
 }
-
-// Sharded is the horizontal shard router over the Folklore layout: keys are
-// ranged over N independent shards by a dedicated selector hash, and shards
-// split (or merge) online — cooperatively, chunk by chunk, never stopping
-// the world — under fill pressure or the explicit Split/Merge API. See
-// internal/shardmap for the protocol.
-type Sharded = shardmap.Map
-
-// NewSharded creates a sharded map with n total slots across the initial
-// shard count (default 1; see ShardedOption).
-func NewSharded(n uint64, opts ...ShardedOption) *Sharded { return shardmap.New(n, opts...) }
-
-// ShardedOption configures NewSharded.
-type ShardedOption = shardmap.Option
-
-// WithShards sets the initial shard count (a power of two).
-func WithShards(n int) ShardedOption { return shardmap.WithShards(n) }
 
 // Observability is the unified observability registry (see internal/obs):
 // attach one via Config.Observe / PartitionedConfig.Observe (or

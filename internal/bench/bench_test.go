@@ -211,45 +211,3 @@ func TestFormatMismatchedSeriesX(t *testing.T) {
 		t.Errorf("unexpectedly few lines:\n%s", out)
 	}
 }
-
-// TestShardABQuick checks the sharding matrix's structural claims in quick
-// mode: the summary carries the schema, the simulated sweep covers the four
-// placement cells, both real configs have steady and split runs with live
-// splits completed, and the acceptance ratios are computed. The acceptance
-// thresholds themselves (agg_mops_8v1 ≥ 3, split p99.9 ≤ 10× steady) are
-// full-mode claims validated against the committed BENCH_shard.json; quick
-// mode only proves the machinery.
-func TestShardABQuick(t *testing.T) {
-	a, sum := RunShardAB(Config{Quick: true, Seed: 7})
-	if sum.Schema != ShardSchema {
-		t.Fatalf("schema = %q, want %q", sum.Schema, ShardSchema)
-	}
-	if len(sum.SimRuns) != 4 {
-		t.Fatalf("quick sim sweep has %d runs, want 4", len(sum.SimRuns))
-	}
-	if sum.AggMops8v1 <= 0 {
-		t.Fatalf("agg_mops_8v1 = %v, want > 0", sum.AggMops8v1)
-	}
-	if len(sum.Runs) != 4 {
-		t.Fatalf("real matrix has %d runs, want 4 (2 configs × steady/split)", len(sum.Runs))
-	}
-	for _, cfg := range []string{"C-theta0", "A-theta099"} {
-		if sum.SplitsCompleted[cfg] == 0 {
-			t.Errorf("%s: no live splits completed during the split phase", cfg)
-		}
-		if sum.SplitP999Ratio[cfg] <= 0 {
-			t.Errorf("%s: split p99.9 ratio not computed", cfg)
-		}
-	}
-	for _, r := range sum.Runs {
-		if r.LatencyNS == nil || r.LatencyNS.P999 <= 0 {
-			t.Errorf("run %s: missing latency percentiles", r.Name)
-		}
-		if r.Mops <= 0 {
-			t.Errorf("run %s: Mops = %v", r.Name, r.Mops)
-		}
-	}
-	if len(a.Rows) != len(sum.SimRuns)+len(sum.Runs) {
-		t.Errorf("artifact has %d rows, want %d", len(a.Rows), len(sum.SimRuns)+len(sum.Runs))
-	}
-}

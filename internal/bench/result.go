@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 
 	"dramhit/internal/obs"
-	"dramhit/internal/shardmap"
 )
 
 // YCSBSchema identifies the summary layout; bump on incompatible change.
@@ -19,9 +18,6 @@ import (
 // first-touch page faults out of the latency tail) and an optional
 // latency_hist bucket dump.
 const YCSBSchema = "dramhit-bench-ycsb/v2"
-
-// ShardSchema identifies the shard-ab summary layout (BENCH_shard.json).
-const ShardSchema = "dramhit-bench-shard/v1"
 
 // LayoutSchema identifies the layout-ab summary layout (BENCH_layout.json).
 const LayoutSchema = "dramhit-bench-layout/v1"
@@ -80,22 +76,14 @@ type RunResult struct {
 	// connection count, per-connection pipeline depth, the wire protocol
 	// ("resp"), the open-loop target in ops/sec (0 = closed loop), and the
 	// number of error replies received.
-	Conns      int     `json:"conns,omitempty"`
-	Pipeline   int     `json:"pipeline,omitempty"`
-	Proto      string  `json:"proto,omitempty"`
-	TargetRate float64 `json:"target_rate,omitempty"`
-	Errors     uint64  `json:"errors,omitempty"`
-	// Shards, ShardStats, SplitAt and SplitSeconds describe sharded runs
-	// (loadgen -table sharded): the final shard count, per-shard occupancy,
-	// and — when a live split was forced at SplitAt of the timed ops — the
-	// split's install-to-completion wall time.
-	Shards       int                  `json:"shards,omitempty"`
-	ShardStats   []shardmap.ShardStat `json:"shard_stats,omitempty"`
-	SplitAt      float64              `json:"split_at,omitempty"`
-	SplitSeconds float64              `json:"split_seconds,omitempty"`
-	Seconds      float64              `json:"seconds"`
-	Mops         float64              `json:"mops"`
-	LatencyNS    *Percentiles         `json:"latency_ns,omitempty"`
+	Conns      int          `json:"conns,omitempty"`
+	Pipeline   int          `json:"pipeline,omitempty"`
+	Proto      string       `json:"proto,omitempty"`
+	TargetRate float64      `json:"target_rate,omitempty"`
+	Errors     uint64       `json:"errors,omitempty"`
+	Seconds    float64      `json:"seconds"`
+	Mops       float64      `json:"mops"`
+	LatencyNS  *Percentiles `json:"latency_ns,omitempty"`
 	// LatencyHist is the merged log-bucketed distribution (occupied buckets
 	// only), for consumers that need more than the fixed percentiles.
 	LatencyHist []obs.HistBucket `json:"latency_hist,omitempty"`
@@ -114,36 +102,6 @@ type YCSBSummary struct {
 	Schema string      `json:"schema"`
 	Quick  bool        `json:"quick"`
 	Runs   []RunResult `json:"runs"`
-}
-
-// ShardSimRun is one cell of the shard-ab experiment's simulated NUMA sweep
-// (internal/simtable on the cycle-level machine model).
-type ShardSimRun struct {
-	Name      string  `json:"name"`
-	Shards    int     `json:"shards"`
-	Placement string  `json:"placement"`
-	Workers   int     `json:"workers"`
-	Theta     float64 `json:"theta"`
-	Slots     uint64  `json:"slots"`
-	Mops      float64 `json:"mops"`
-}
-
-// ShardSummary is the top-level BENCH_shard.json document: the simulated
-// NUMA placement sweep, the real-execution live-split runs, and the two
-// headline acceptance figures.
-type ShardSummary struct {
-	Schema  string        `json:"schema"`
-	Quick   bool          `json:"quick"`
-	SimRuns []ShardSimRun `json:"sim_runs"`
-	Runs    []RunResult   `json:"runs"`
-	// AggMops8v1 is simulated aggregate Mops of 8 shard-local shards over 1
-	// node0-homed shard at equal total workers, YCSB-C θ=0 (acceptance ≥ 3).
-	AggMops8v1 float64 `json:"agg_mops_8v1"`
-	// SplitP999Ratio maps each real-execution config to during-split p99.9
-	// over steady-state p99.9 (acceptance ≤ 10 — no stop-the-world plateau).
-	SplitP999Ratio map[string]float64 `json:"split_p999_ratio"`
-	// SplitsCompleted counts live splits finished during each split run.
-	SplitsCompleted map[string]uint64 `json:"splits_completed"`
 }
 
 // WriteJSONFile marshals v indented and writes it to path, creating parent

@@ -94,21 +94,13 @@ func (t *Table) PutIfAbsent(key, value uint64) bool {
 // the paper requires ("The space is freed only when the hash table is
 // resized"). The caller must guarantee range-exclusivity (one migrator per
 // range, no concurrent writers to this table); see the package comment.
+//
+// MigrateRange panics if dst refuses an entry. Under growt's
+// relocate-before-write rule a migrating key is never already live in dst, so
+// a refusal means dst has no free slot on the probe path; retiring the source
+// slot then would lose the key, and the caller's admission rule exists to
+// make that impossible.
 func (t *Table) MigrateRange(lo, hi uint64, dst *Table) int {
-	return t.MigrateRangeTo(lo, hi, func(uint64) *Table { return dst })
-}
-
-// MigrateRangeTo is the cross-shard generalization of MigrateRange: each live
-// entry's destination table is chosen per key by dst, so one pass over a
-// source range can scatter entries across the two successor shards of a split
-// (internal/shardmap routes by a selector-hash bit) just as it funnels them
-// into the single successor of a resize or a merge. The protocol is
-// unchanged — publish in the destination with insert-if-absent, then retire
-// the source slot with table.MovedKey — so the old-then-new read discipline
-// and the relocate-before-write rule carry over verbatim; only the "new"
-// side of a lookup must consult dst(key) rather than a fixed successor. The
-// same exclusivity contract applies.
-func (t *Table) MigrateRangeTo(lo, hi uint64, dst func(key uint64) *Table) int {
 	if hi > t.size {
 		hi = t.size
 	}
@@ -119,7 +111,9 @@ func (t *Table) MigrateRangeTo(lo, hi uint64, dst func(key uint64) *Table) int {
 			continue // empty, tombstone, or already moved
 		}
 		v := t.arr.WaitValue(i)
-		dst(k).PutIfAbsent(k, v)
+		if !dst.PutIfAbsent(k, v) {
+			panic("folklore: MigrateRange could not publish an entry in the successor")
+		}
 		// Under the exclusivity contract nothing else transitions this key
 		// word, so the CAS cannot lose; the check is defensive.
 		if t.arr.CASKey(i, k, table.MovedKey) {

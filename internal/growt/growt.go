@@ -201,15 +201,15 @@ func (t *Table) put(key, value uint64) bool {
 				t.helpOne(s)
 			}
 			t.relocate(s, key)
-			ok := s.mig.next.Fill() < t.maxFill && s.mig.next.Put(key, value)
+			ok := t.admits(s) && s.mig.next.Put(key, value)
 			t.gate.RUnlock()
 			t.maybeSwap(s)
 			if ok {
 				return true
 			}
-			// The successor itself crossed the threshold mid-window (heavy
-			// insert pressure): drain the remaining chunks, swap, retry
-			// against the new stable generation, which will grow again.
+			// Admission refused (heavy insert pressure): drain the
+			// remaining chunks, swap, retry against the new stable
+			// generation, which will grow again.
 			t.drain(s)
 			continue
 		}
@@ -223,6 +223,17 @@ func (t *Table) put(key, value uint64) bool {
 		}
 		t.grow(s)
 	}
+}
+
+// admits reports whether a window writer may claim a successor slot. The old
+// generation's unmigrated live entries count against the successor's
+// threshold: each is owed a slot by its chunk copy, and writers that took
+// those slots would leave a preempted chunk owner copying into a full table.
+// Writers racing this check overshoot by at most one slot each, which the
+// headroom above maxFill absorbs.
+func (t *Table) admits(s *state) bool {
+	next := s.mig.next
+	return next.Fill()+float64(s.cur.Len())/float64(next.Cap()) < t.maxFill
 }
 
 // Upsert implements table.Map.
@@ -243,7 +254,7 @@ func (t *Table) upsert(key, delta uint64) (uint64, bool) {
 			}
 			t.relocate(s, key)
 			var v uint64
-			ok := s.mig.next.Fill() < t.maxFill
+			ok := t.admits(s)
 			if ok {
 				v, ok = s.mig.next.Upsert(key, delta)
 			}

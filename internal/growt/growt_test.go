@@ -107,13 +107,15 @@ func TestConcurrentGrowth(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if m.Len() != g*perG {
-		t.Fatalf("Len = %d, want %d", m.Len(), g*perG)
-	}
+	// Keys before Len: a lost key is the failure that matters, and Len alone
+	// cannot tell it from a miscounted one.
 	for _, k := range keys {
 		if v, ok := m.Get(k); !ok || v != k+3 {
 			t.Fatalf("lost key during concurrent growth: (%d, %v)", v, ok)
 		}
+	}
+	if m.Len() != g*perG {
+		t.Fatalf("Len = %d, want %d", m.Len(), g*perG)
 	}
 	if m.Grows() == 0 {
 		t.Fatal("expected growth")

@@ -203,8 +203,8 @@ func (t *Table) maybeSwap(s *state) {
 }
 
 // drain force-completes a window: claim every remaining chunk, wait out busy
-// owners, swap. Used when the successor itself crossed the fill threshold
-// mid-window — the next growth must not start until this one has retired.
+// owners, swap. Used when a window writer's admission was refused — the next
+// growth must not start until this one has retired.
 func (t *Table) drain(s *state) {
 	m := s.mig
 	for {

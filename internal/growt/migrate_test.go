@@ -216,6 +216,34 @@ func TestRelocationOrdersWriterAgainstCopy(t *testing.T) {
 	checkMigrationInvariants(t, tb, ref)
 }
 
+// TestWindowWritesLeaveRoomForMigration pins the admission rule: a window
+// writer may claim a successor slot only while the successor's claimed slots
+// plus the old generation's unmigrated live entries stay under the
+// threshold. With the one chunk never helped (a chunk owner preempted for
+// the whole window), fresh-key writers fill the successor until admission
+// refuses and the refused writer drains the window; the chunk copy must find
+// a slot for every old entry, so every key stays readable.
+func TestWindowWritesLeaveRoomForMigration(t *testing.T) {
+	tb := New(64, WithChunkSlots(1<<20))
+	tb.noHelp = true
+	ref := make(map[uint64]uint64)
+	openWindow(t, tb, ref, 99)
+	if n := tb.st.Load().mig.nchunks; n != 1 {
+		t.Fatalf("window has %d chunks, want 1", n)
+	}
+	for _, k := range workload.UniqueKeys(100, 4096) {
+		if tb.Grows() > 0 {
+			break
+		}
+		tb.Put(k, k^9)
+		ref[k] = k ^ 9
+	}
+	if tb.Grows() == 0 {
+		t.Fatal("window never closed")
+	}
+	checkMigrationInvariants(t, tb, ref)
+}
+
 // TestStatsAndObserve pins the atomic Grows/Stats accessors and the obs
 // pull source through a forced doubling (satellite: the former plain-int
 // grows field is now published state).

@@ -123,12 +123,12 @@ func TestBytes64Uniform(t *testing.T) {
 	}
 }
 
-// TestBytes64SelectorIndependence pins the partitioned bucket router's
-// hygiene: dramhitp derives the partition from Shard64(Bytes64(k)) and the
-// in-partition home bucket from Fastrange(Bytes64(k), nb) — the scramble
+// TestBytes64SelectorIndependence pins the byte region route's hygiene:
+// ShardRange derives the region from Shard64(Bytes64(k)) and the
+// in-region home bucket from Fastrange(Bytes64(k), nb) — the scramble
 // exists precisely so the two coordinates, both consuming the hash's high
 // bits, stay statistically independent. The power check shows the pairing
-// the scramble avoids (partition straight from the raw hash's high bits)
+// the scramble avoids (region straight from the raw hash's high bits)
 // explodes the statistic.
 func TestBytes64SelectorIndependence(t *testing.T) {
 	const (

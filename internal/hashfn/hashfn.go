@@ -43,15 +43,15 @@ func City64(key uint64) uint64 {
 	return h
 }
 
-// Shard64 is the dedicated shard-selector hash of the horizontal router
-// (internal/shardmap). It is the splitmix64 finalizer — a bijection on
-// uint64 like City64, but built from a disjoint constant family
-// (0xbf58476d1ce4e5b9 / 0x94d049bb133111eb, shifts 30/27/31 versus City64's
-// murmur3 constants and 33/33/33), so the bits that pick a key's shard are
-// statistically independent of the bits that pick its home bucket inside the
-// shard. The router consumes the HIGH bits (shard = Shard64(k) >> (64-depth));
-// TestShardSelectorIndependence pins the chi-squared independence of the
-// (shard, home-bucket) joint distribution.
+// Shard64 is the region-selector scramble behind ShardRange, the byte ring's
+// region route. It is the splitmix64 finalizer — a bijection on uint64 like
+// City64, but built from a disjoint constant family (0xbf58476d1ce4e5b9 /
+// 0x94d049bb133111eb, shifts 30/27/31 versus City64's murmur3 constants and
+// 33/33/33), so the bits that pick a key's region are statistically
+// independent of the bits that pick its home bucket inside the region. The
+// selector consumes the HIGH bits; TestShardSelectorIndependence and
+// TestBytes64SelectorIndependence pin the chi-squared independence of the
+// (region, home-bucket) joint distribution.
 func Shard64(key uint64) uint64 {
 	h := key
 	h ^= h >> 30

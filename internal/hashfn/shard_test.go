@@ -22,8 +22,8 @@ func TestShard64Bijective(t *testing.T) {
 }
 
 func TestShard64Uniform(t *testing.T) {
-	// Shard indices over sequential keys must be uniform: the router's whole
-	// point is that real key streams (ranks, counters, pointers) spread evenly.
+	// Region indices over sequential keys must be uniform: real key streams
+	// (ranks, counters, pointers) must spread evenly over the regions.
 	const shards = 8
 	const samples = 1 << 16
 	var counts [shards]int
@@ -39,9 +39,9 @@ func TestShard64Uniform(t *testing.T) {
 	}
 }
 
-// chiSquaredIndependence builds the (shard × home-bucket-group) contingency
+// chiSquaredIndependence builds the (region × home-bucket-group) contingency
 // table for keys and returns the chi-squared statistic of the independence
-// test. shardOf and bucketOf map a key to its router shard and its in-table
+// test. shardOf and bucketOf map a key to its region and its in-region
 // home-bucket group respectively.
 func chiSquaredIndependence(keys []uint64, shards, groups int,
 	shardOf, bucketOf func(uint64) int) float64 {
@@ -81,14 +81,13 @@ func chi2Critical(df int, z float64) float64 {
 	return d * v * v * v
 }
 
-// TestShardSelectorIndependence is the satellite guarantee of the sharding
-// PR: the router hash (Shard64, high bits) and the in-table probe hashes
-// (City64 and CRC64, reduced by Fastrange) must be statistically independent,
-// so horizontal sharding cannot create correlated per-shard bucket hotspots
-// — a shard's keys land uniformly over its table's buckets. A chi-squared
-// test over the (shard, home-bucket-group) joint distribution accepts the
-// Shard64 pairings and, as a power check, rejects the pathological pairing
-// that derives both coordinates from the same hash.
+// TestShardSelectorIndependence: the region selector (Shard64, high bits) and
+// the probe hashes (City64 and CRC64, reduced by Fastrange) must be
+// statistically independent, so region routing cannot create correlated
+// per-region bucket hotspots — a region's keys land uniformly over its
+// buckets. A chi-squared test over the (region, home-bucket-group) joint
+// distribution accepts the Shard64 pairings and, as a power check, rejects
+// the pathological pairing that derives both coordinates from the same hash.
 func TestShardSelectorIndependence(t *testing.T) {
 	const (
 		shards  = 8

@@ -18,14 +18,6 @@ type Sim struct {
 	dir    *directory
 	probes []*probeFabric // per socket
 
-	// upi holds one directional interconnect link queue per ordered socket
-	// pair (index from*sockets+to); nil when Machine.InterconnectGBs is 0.
-	upi []*probeFabric
-
-	// place overrides the line→home-socket mapping (NUMA placement policy);
-	// nil interleaves by line.
-	place func(line uint64) int
-
 	// homeMask interleaves line homes across sockets.
 	sockets int
 }
@@ -75,39 +67,9 @@ type Thread struct {
 // sockets). When n exceeds the physical core count, hyperthread pairs share
 // a core and each thread's private cache capacity halves.
 func NewSim(m *Machine, n int) *Sim {
-	return NewSimPinned(m, n, func(i int) int { return i % m.Sockets })
-}
-
-// NewSimPinned builds a simulation with explicit thread placement: socketOf
-// maps each thread index to the socket it is pinned to (numactl-style
-// affinity). Threads fill a socket's physical cores in assignment order and
-// wrap onto hyperthread siblings; when any socket's assignment exceeds its
-// physical core count, hyperthread pairs are active and every thread's
-// private cache capacity halves. NewSim is NewSimPinned with round-robin
-// placement, and produces identical topology.
-func NewSimPinned(m *Machine, n int, socketOf func(i int) int) *Sim {
 	if n < 1 || n > m.MaxThreads() {
 		panic(fmt.Sprintf("memsim: thread count %d out of range 1..%d", n, m.MaxThreads()))
 	}
-	perSocket := make([]int, m.Sockets)
-	for i := 0; i < n; i++ {
-		sk := socketOf(i)
-		if sk < 0 || sk >= m.Sockets {
-			panic(fmt.Sprintf("memsim: thread %d pinned to socket %d of %d", i, sk, m.Sockets))
-		}
-		perSocket[sk]++
-	}
-	ht := false // hyperthread pairs active: halve private caches
-	for sk, c := range perSocket {
-		if c > m.CoresPerSocket*m.ThreadsPerCore {
-			panic(fmt.Sprintf("memsim: %d threads pinned to socket %d (max %d)",
-				c, sk, m.CoresPerSocket*m.ThreadsPerCore))
-		}
-		if c > m.CoresPerSocket {
-			ht = true
-		}
-	}
-
 	s := &Sim{M: m, sockets: m.Sockets, dir: newDirectory(m.DirectoryService)}
 	probeRate := m.CoherenceProbeRate
 	if probeRate > 0 && m.ProbeSaturationThreads > 0 && n > m.ProbeSaturationThreads {
@@ -121,16 +83,13 @@ func NewSimPinned(m *Machine, n int, socketOf func(i int) int) *Sim {
 		s.mem = append(s.mem, newChannelGroup(m))
 		s.probes = append(s.probes, newProbeFabric(probeRate))
 	}
-	if rate := m.InterconnectLinesPerCycle(); rate > 0 {
-		for i := 0; i < m.Sockets*m.Sockets; i++ {
-			s.upi = append(s.upi, newProbeFabric(rate))
-		}
-	}
 	nL3 := m.Sockets * m.CCXPerSocket
 	for i := 0; i < nL3; i++ {
 		s.l3 = append(s.l3, newCache(m.L3Bytes/64, 16))
 	}
 
+	physCores := m.Sockets * m.CoresPerSocket
+	ht := n > physCores // hyperthread pairs active: halve private caches
 	l1Lines := m.L1Bytes / 64
 	l2Lines := m.L2Bytes / 64
 	if ht {
@@ -138,11 +97,9 @@ func NewSimPinned(m *Machine, n int, socketOf func(i int) int) *Sim {
 		l2Lines /= 2
 	}
 	coresPerCCX := m.CoresPerSocket / m.CCXPerSocket
-	nextOnSocket := make([]int, m.Sockets)
 	for i := 0; i < n; i++ {
-		socket := socketOf(i)
-		coreInSocket := nextOnSocket[socket] % m.CoresPerSocket
-		nextOnSocket[socket]++
+		socket := i % m.Sockets
+		coreInSocket := (i / m.Sockets) % m.CoresPerSocket
 		core := socket*m.CoresPerSocket + coreInSocket
 		ccx := socket*m.CCXPerSocket + coreInSocket/coresPerCCX
 		t := &Thread{
@@ -167,31 +124,9 @@ func NewSimPinned(m *Machine, n int, socketOf func(i int) int) *Sim {
 }
 
 // homeSocket returns the socket whose memory holds the line (the paper
-// splits the table across both NUMA nodes; we interleave by line unless a
-// placement policy overrides it).
+// splits the table across both NUMA nodes; we interleave by line).
 func (s *Sim) homeSocket(line uint64) int {
-	if s.place != nil {
-		return s.place(line)
-	}
 	return int(line) & (s.sockets - 1)
-}
-
-// SetPlacement installs a NUMA placement policy: p maps a line to the
-// socket whose memory homes it (first-touch / numactl membind / per-shard
-// local allocation). nil restores the default per-line interleave. The
-// policy must return sockets in range; it is consulted on every DRAM fill,
-// write-back and stream, so it should be cheap.
-func (s *Sim) SetPlacement(p func(line uint64) int) { s.place = p }
-
-// upiAdmit queues one line transfer on the directional from→to interconnect
-// link and returns the cycle at which it crosses. It is the identity when
-// the transfer is socket-local or the interconnect is unmodeled
-// (Machine.InterconnectGBs == 0).
-func (s *Sim) upiAdmit(from, to int, when float64) float64 {
-	if s.upi == nil || from == to {
-		return when
-	}
-	return s.upi[from*s.sockets+to].admit(when)
 }
 
 // l3For returns the LLC slice for a thread.
@@ -352,8 +287,6 @@ func (t *Thread) fill(line uint64, kind AccessKind, when float64, prefetch bool)
 				if kind != Load {
 					l3.invalidate(line)
 				}
-				// The line crosses the socket interconnect from its holder.
-				when = s.upiAdmit(sk, t.Socket, when)
 				return when + float64(m.RemoteCacheLat)*hide
 			}
 		}
@@ -371,15 +304,11 @@ func (t *Thread) fill(line uint64, kind AccessKind, when float64, prefetch bool)
 	start = s.mem[home].transactScaled(start, txRandRead, scale)
 	lat := float64(m.DRAMLat) * hideDRAM
 	if home != t.Socket {
-		// The filled line crosses home→requester on the interconnect.
-		start = s.upiAdmit(home, t.Socket, start)
 		lat = float64(m.RemoteDRAMLat) * hideDRAM
 		if m.DirectoryWriteback && kind == Load {
 			// Skylake: a remote read acquires the line exclusive and will
 			// write back to clear the directory bit — an extra write
-			// transaction on the home node's channels, carried back over
-			// the interconnect (non-stalling for the reader).
-			s.upiAdmit(t.Socket, home, start)
+			// transaction on the home node's channels.
 			s.mem[home].transactScaled(start, txRandWrite, scale)
 		}
 	}
@@ -460,12 +389,9 @@ func (t *Thread) Access(line uint64, kind AccessKind) float64 {
 		}
 		// Dirtying a line this core did not already own will eventually
 		// write it back: charge the write transaction to the home node
-		// without stalling the thread (crossing the interconnect when the
-		// home is the other socket).
+		// without stalling the thread.
 		if prev != int32(t.Core) {
-			home := s.homeSocket(line)
-			s.upiAdmit(t.Socket, home, done)
-			s.mem[home].transact(done, txRandWrite)
+			s.mem[s.homeSocket(line)].transact(done, txRandWrite)
 		}
 	}
 
@@ -490,13 +416,7 @@ func (t *Thread) Stream(line uint64, write, seq bool) {
 	case seq:
 		kind = txSeqRead
 	}
-	now := t.Clock
-	if write {
-		now = t.sim.upiAdmit(t.Socket, home, now)
-	} else {
-		now = t.sim.upiAdmit(home, t.Socket, now)
-	}
-	start := t.sim.mem[home].transact(now, kind)
+	start := t.sim.mem[home].transact(t.Clock, kind)
 	// Thread advances to when its transaction STARTED plus a small issue
 	// cost: with deep pipelining a core keeps ~10 line transfers in
 	// flight, so backpressure — not latency — paces it.

@@ -104,29 +104,6 @@ type Machine struct {
 	// probe fabric's per-probe interval grows linearly (the coherence
 	// bottleneck behind Figure 10b's >32-thread collapse); 0 disables.
 	ProbeSaturationThreads int
-
-	// InterconnectGBs caps the cross-socket interconnect (UPI / xGMI)
-	// bandwidth per direction in GB/s: every line that crosses sockets — a
-	// remote DRAM fill, a remote cache-to-cache transfer, a write-back to
-	// the other socket's memory — queues on the corresponding directional
-	// link (the same fluid formulation as the memory channels). 0 leaves the
-	// interconnect unmodeled, which keeps every previously calibrated
-	// figure bit-identical; the NUMA placement experiments
-	// (internal/simtable, placement "local"/"node0") opt in. Latency is not
-	// added here — RemoteDRAMLat/RemoteCacheLat already include the hop —
-	// only bandwidth backpressure. A two-link Skylake UPI moves ~41.6 GB/s
-	// per direction; Milan's four xGMI-2 links ~64 GB/s.
-	InterconnectGBs float64
-}
-
-// InterconnectLinesPerCycle converts the per-direction interconnect cap to
-// cache lines per CPU cycle (the rate of one directional link's fluid
-// queue); 0 when unmodeled.
-func (m *Machine) InterconnectLinesPerCycle() float64 {
-	if m.InterconnectGBs == 0 {
-		return 0
-	}
-	return m.InterconnectGBs / (64 * m.FreqGHz)
 }
 
 // MaxThreads returns the hardware thread count.

@@ -11,8 +11,7 @@ import (
 // Chrome trace-event export: the flight recorder renders the trace ring in
 // the Trace Event Format that chrome://tracing and Perfetto open directly.
 // Request lifecycles become async spans (ph "b"/"n"/"e" correlated by trace
-// id), and resize and reshard windows become async spans over their
-// migration id.
+// id), and resize windows become async spans over their migration id.
 
 // chromeEvent is one entry of the traceEvents array. Fields follow the
 // Trace Event Format.
@@ -33,7 +32,7 @@ type chromeDoc struct {
 }
 
 // resizePhaseName maps the ResizeInstall/Chunk/Swap codes carried in
-// Event.Op of EvResize/EvReshard events to span phases.
+// Event.Op of EvResize events to span phases.
 func resizePhase(op uint8) string {
 	switch op {
 	case ResizeInstall:
@@ -79,7 +78,7 @@ func WriteChromeTrace(w io.Writer, evs []Event) error {
 			default:
 				ce.Ph = "n"
 			}
-		case EvResize, EvReshard:
+		case EvResize:
 			ce.Cat = "migration"
 			ce.Name = ev.Kind.String()
 			ce.Ph = resizePhase(ev.Op)

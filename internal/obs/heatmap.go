@@ -5,14 +5,14 @@ import "sort"
 // Heatmap is one structural scrape of a table's physical layout: where the
 // entries sit (Regions), how far from home they are (Dists), and scalar
 // context (Gauges). Heatmaps are pull-only — collectors walk the slot
-// arrays, arena segments or shard directories at scrape time and have no
-// hot-path presence at all, mirroring Source.
+// arrays or arena segments at scrape time and have no hot-path presence at
+// all, mirroring Source.
 type Heatmap struct {
 	// Source is the collector's registry name (stamped by Registry.Heatmaps).
 	Source string `json:"source"`
 	// Kind tags the layout the collector walked: "flat" (open-addressing
-	// slot array), "bucket" (one-line buckets + stash), "shards" (shard
-	// directory), "arena" (log-structured segments).
+	// slot array), "bucket" (one-line buckets + stash), "arena"
+	// (log-structured segments).
 	Kind string `json:"kind"`
 	// Regions is spatial occupancy: the index split into equal consecutive
 	// ranges, each cell the live fraction of that range in [0, 1].

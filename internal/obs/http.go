@@ -32,7 +32,7 @@ func parseN(s string) int {
 
 // FilterEvents applies the /trace query filters: op selects events by
 // opcode name ("get", "put", "upsert", "delete" — lifecycle events only) or
-// by event-kind name ("resize", "reshard", "submit", ...); n > 0
+// by event-kind name ("resize", "submit", ...); n > 0
 // keeps only the last n events after filtering. The input slice is not
 // modified; an empty result is a non-nil empty slice.
 func FilterEvents(evs []Event, op string, n int) []Event {
@@ -64,8 +64,8 @@ func FilterEvents(evs []Event, op string, n int) []Event {
 //	/metrics        Prometheus text exposition format
 //	/trace          sampled request-lifecycle events as JSON; ?n= keeps the
 //	                last N events, ?op= filters by opcode ("get", "put",
-//	                "upsert", "delete") or event kind ("resize",
-//	                "reshard"), ?format=chrome renders Chrome trace-event
+//	                "upsert", "delete") or event kind ("resize"),
+//	                ?format=chrome renders Chrome trace-event
 //	                JSON for chrome://tracing / Perfetto
 //	/heatmap        structural layout scrape (fill regions, probe-depth /
 //	                stash-chain / segment-utilization distributions) as

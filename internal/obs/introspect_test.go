@@ -43,8 +43,6 @@ func populatedRegistry() *Registry {
 	tr.Record(7, EvResize, ResizeInstall, 8, 0)
 	tr.Record(7, EvResize, ResizeChunk, 3, 500)
 	tr.Record(7, EvResize, ResizeSwap, 0, 1000)
-	tr.Record(9, EvReshard, ResizeInstall, 4, 0)
-	tr.Record(9, EvReshard, ResizeSwap, 0, 1000)
 	return r
 }
 
@@ -107,11 +105,8 @@ func TestTraceFilters(t *testing.T) {
 	if n := len(FilterEvents(evs, "resize", 0)); n != 3 {
 		t.Fatalf("op=resize kept %d, want 3", n)
 	}
-	if n := len(FilterEvents(evs, "reshard", 0)); n != 2 {
-		t.Fatalf("op=reshard kept %d, want 2", n)
-	}
 	last2 := FilterEvents(evs, "", 2)
-	if len(last2) != 2 || last2[0].Kind != EvReshard || last2[1].Arg != 1000 {
+	if len(last2) != 2 || last2[0].Op != ResizeChunk || last2[1].Arg != 1000 {
 		t.Fatalf("n=2 kept %+v", last2)
 	}
 	if got := FilterEvents(evs, "get", 1); len(got) != 1 || got[0].Kind != EvComplete {
@@ -159,9 +154,6 @@ func TestChromeTrace(t *testing.T) {
 	}
 	if got := strings.Join(phases["migration/resize"], ""); got != "bne" {
 		t.Fatalf("resize span phases = %q, want bne", got)
-	}
-	if got := strings.Join(phases["migration/reshard"], ""); got != "be" {
-		t.Fatalf("reshard span phases = %q, want be", got)
 	}
 }
 

@@ -20,10 +20,6 @@ const (
 	EvReprobe
 	EvComplete
 	EvResize
-	// EvReshard records a shardmap re-sharding window phase (split or
-	// merge). Like EvResize, Op carries the Resize* phase code, Key the
-	// chunk index (install: total chunks), Arg progress in permille.
-	EvReshard
 )
 
 // Resize-phase codes carried in Event.Op for EvResize events (the Op field
@@ -53,8 +49,6 @@ func (k EventKind) String() string {
 		return "complete"
 	case EvResize:
 		return "resize"
-	case EvReshard:
-		return "reshard"
 	}
 	return "invalid"
 }

@@ -73,68 +73,11 @@ type Config struct {
 	// archived simulated figures stay bit-identical when the flag is
 	// absent; the win grows with zipf skew and vanishes at Theta = 0.
 	Combining bool
-	// Shards partitions the table into that many equal contiguous slot
-	// regions (power of two; 0 or 1 = unsharded), mirroring
-	// internal/shardmap's range-of-hash router: thread tid works shard
-	// tid mod Shards, and its key stream is confined to the shard's slice of
-	// the hash space (the router's top selector bits), so every probe lands
-	// in the shard's own region. Supported for the Folklore and DRAMHiT
-	// kinds; the partitioned kinds already shard by consumer.
-	Shards int
-	// Placement selects the NUMA homing of the table's data lines:
-	//
-	//	""/"interleave"  lines alternate sockets (the default and the
-	//	                 paper's configuration);
-	//	"node0"          the whole table homed on socket 0 — a single
-	//	                 first-touch allocation, the realistic unsharded
-	//	                 baseline;
-	//	"local"          each shard's region homed on its worker threads'
-	//	                 socket (shard s → socket s mod Sockets, threads
-	//	                 pinned to match) — shard-per-node placement.
-	//
-	// Placement only moves the table's own lines; queues and pollution
-	// arrays stay interleaved. Pair with Machine.InterconnectGBs to model
-	// the cross-socket link.
-	Placement string
 	// Seed fixes the run's randomness.
 	Seed int64
 	// LatencySink, when non-nil, receives per-op (submit, complete) cycle
 	// pairs (Figure 9).
 	LatencySink func(submit, complete float64)
-}
-
-// sharding is the resolved shard geometry of a run.
-type sharding struct {
-	n     uint64 // shard count; <=1 disables
-	log2  uint
-	shift uint // 64 - log2: shard id occupies the hash's top bits
-}
-
-func (c *Config) sharding() sharding {
-	if c.Shards <= 1 {
-		return sharding{n: 1}
-	}
-	n := uint64(c.Shards)
-	if n&(n-1) != 0 {
-		panic("simtable: Shards must be a power of two")
-	}
-	log2 := uint(0)
-	for 1<<log2 < n {
-		log2++
-	}
-	return sharding{n: n, log2: log2, shift: 64 - log2}
-}
-
-func (s sharding) enabled() bool { return s.n > 1 }
-
-// confine maps a full-range hash into shard's slice of the hash space: the
-// top log2(n) bits select the shard (so fastrange lands in the shard's
-// contiguous slot region) and the rest stay uniform.
-func (s sharding) confine(h, shard uint64) uint64 {
-	if !s.enabled() {
-		return h
-	}
-	return h>>s.log2 | shard<<s.shift
 }
 
 // Result aggregates a run.
@@ -195,13 +138,13 @@ var (
 )
 
 type prefillKey struct {
-	slots, count, shards uint64
-	seed                 int64
+	slots, count uint64
+	seed         int64
 }
 
-func prefilled(slots, count, shards uint64, seed int64, hashOf func(uint64) uint64, la *lineAlloc) *array {
+func prefilled(slots, count uint64, seed int64, keyOf func(uint64) uint64, la *lineAlloc) *array {
 	arr := newArray(la, slots)
-	k := prefillKey{slots, count, shards, seed}
+	k := prefillKey{slots, count, seed}
 	prefillMu.Lock()
 	master, ok := prefillCache[k]
 	prefillMu.Unlock()
@@ -210,7 +153,7 @@ func prefilled(slots, count, shards uint64, seed int64, hashOf func(uint64) uint
 		return arr
 	}
 	for r := uint64(0); r < count; r++ {
-		arr.place(hashOf(r))
+		arr.place(hashfn.City64(keyOf(r)))
 	}
 	prefillMu.Lock()
 	if len(prefillCache) >= 4 {
@@ -229,26 +172,17 @@ func Run(c Config, mix OpMix) Result {
 	cfg := c.defaults(mix)
 	m := cfg.Machine
 	la := &lineAlloc{}
-	sh := cfg.sharding()
-	if sh.enabled() && cfg.Kind != Folklore && cfg.Kind != DRAMHiT {
-		panic("simtable: Shards > 1 supports the Folklore and DRAMHiT kinds")
-	}
 
-	// Untimed prefill with unique keys. Rank r belongs to shard r mod n, and
-	// its hash is confined to that shard's slice so the timed find streams
-	// (which draw shard-local ranks) genuinely hit the placed fingerprints.
+	// Untimed prefill with unique keys.
 	salt := rand.New(rand.NewSource(cfg.Seed)).Uint64() | 1
 	keyOf := func(rank uint64) uint64 { return hashfn.City64(rank ^ salt) }
-	hashOf := func(rank uint64) uint64 {
-		return sh.confine(hashfn.City64(keyOf(rank)), rank&(sh.n-1))
-	}
 	prefillCount := uint64(float64(cfg.Slots) * cfg.Prefill)
-	arr := prefilled(cfg.Slots, prefillCount, sh.n, cfg.Seed, hashOf, la)
+	arr := prefilled(cfg.Slots, prefillCount, cfg.Seed, keyOf, la)
 	if cfg.TagFilter {
 		arr.enableTags(la)
 	}
 
-	sim := buildSim(m, cfg, sh, arr)
+	sim := memsim.NewSim(m, cfg.Threads)
 	pollBase := la.alloc(1 << 22) // 256 MB pollution array
 
 	// A cache-resident table has been pulled into the LLCs by its
@@ -286,40 +220,6 @@ func Run(c Config, mix OpMix) Result {
 	}
 }
 
-// buildSim constructs the simulated machine for a run: default round-robin
-// thread spread, or — for "local" placement — threads pinned so each
-// shard's workers sit on the socket that homes the shard's slot region.
-func buildSim(m *memsim.Machine, cfg Config, sh sharding, arr *array) *memsim.Sim {
-	base := arr.baseLine
-	tableLines := cfg.Slots/4 + 1
-	interleave := func(line uint64) int { return int(line) & (m.Sockets - 1) }
-	switch cfg.Placement {
-	case "", "interleave":
-		return memsim.NewSim(m, cfg.Threads)
-	case "node0":
-		sim := memsim.NewSim(m, cfg.Threads)
-		sim.SetPlacement(func(line uint64) int {
-			if line >= base && line < base+tableLines {
-				return 0
-			}
-			return interleave(line)
-		})
-		return sim
-	case "local":
-		socketOf := func(i int) int { return int(uint64(i)&(sh.n-1)) % m.Sockets }
-		sim := memsim.NewSimPinned(m, cfg.Threads, socketOf)
-		sim.SetPlacement(func(line uint64) int {
-			if line >= base && line < base+tableLines {
-				shard := (line - base) * sh.n / tableLines
-				return int(shard) % m.Sockets
-			}
-			return interleave(line)
-		})
-		return sim
-	}
-	panic("simtable: unknown Placement " + cfg.Placement)
-}
-
 // opStream yields the hash of the next key for a thread, plus whether the
 // op is a read (for Mixed).
 type opStream struct {
@@ -335,22 +235,11 @@ type opStream struct {
 	nextFresh func() uint64
 	theta     float64
 	keySpace  uint64
-	// sh/shard confine this stream to one shard's slice of the rank and
-	// hash spaces (rank r maps to global rank r*n+shard; the hash's top
-	// bits are forced to the shard id).
-	sh    sharding
-	shard uint64
 }
 
 func newOpStream(cfg Config, mix OpMix, keyOf func(uint64) uint64, prefill uint64, tid int, fresh *freshRanks) *opStream {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(tid)*0x9e37 + 1))
-	sh := cfg.sharding()
 	space := prefill
-	if sh.enabled() {
-		// Shard-local rank space: this stream only ever addresses the
-		// prefilled ranks congruent to its shard.
-		space = prefill / sh.n
-	}
 	if space == 0 {
 		space = 1
 	}
@@ -363,20 +252,11 @@ func newOpStream(cfg Config, mix OpMix, keyOf func(uint64) uint64, prefill uint6
 		missProb:  cfg.MissRatio,
 		nextFresh: fresh.next,
 		keySpace:  space,
-		sh:        sh,
-		shard:     uint64(tid) & (sh.n - 1),
 	}
 }
 
-// hash maps a (possibly shard-local) rank to its probe hash, confining it to
-// the stream's shard when sharding is on.
-func (o *opStream) hash(rank uint64) uint64 {
-	if o.sh.enabled() {
-		rank = rank*o.sh.n + o.shard
-		return o.sh.confine(hashfn.City64(o.keyOf(rank)), o.shard)
-	}
-	return hashfn.City64(o.keyOf(rank))
-}
+// hash maps a rank to its probe hash.
+func (o *opStream) hash(rank uint64) uint64 { return hashfn.City64(o.keyOf(rank)) }
 
 // readRank draws the rank for a lookup: with probability missProb it lands
 // in [keySpace, 2*keySpace), ranks no insert path ever placed, so the
@@ -395,23 +275,6 @@ type freshRanks struct{ next func() uint64 }
 func newFreshRanks(start uint64) *freshRanks {
 	n := start
 	return &freshRanks{next: func() uint64 { v := n; n++; return v }}
-}
-
-// freshPool builds the fresh-rank source for each thread: one shared global
-// counter when unsharded, or one counter per shard (handing out shard-local
-// ranks that opStream.hash maps past the prefill region) when sharded.
-func freshPool(cfg Config, prefill uint64) func(tid int) *freshRanks {
-	sh := cfg.sharding()
-	if !sh.enabled() {
-		f := newFreshRanks(prefill)
-		return func(int) *freshRanks { return f }
-	}
-	pool := make([]*freshRanks, sh.n)
-	start := (prefill + sh.n - 1) / sh.n // mapped rank = r*n+shard ≥ prefill
-	for i := range pool {
-		pool[i] = newFreshRanks(start)
-	}
-	return func(tid int) *freshRanks { return pool[uint64(tid)&(sh.n-1)] }
 }
 
 // next returns (hash, isRead).
@@ -453,12 +316,12 @@ func pollute(t *memsim.Thread, rng *rand.Rand, base uint64, n int) {
 // back to back, each paying its critical-path miss.
 func runFolklore(sim *memsim.Sim, arr *array, cfg Config, mix OpMix, keyOf func(uint64) uint64, prefill, pollBase uint64) {
 	per := opsPerThread(cfg.MeasureOps, cfg.Threads)
-	fresh := freshPool(cfg, prefill)
+	fresh := newFreshRanks(prefill)
 	streams := make([]*opStream, cfg.Threads)
 	polls := make([]*rand.Rand, cfg.Threads)
 	remaining := make([]int, cfg.Threads)
 	for i := range streams {
-		streams[i] = newOpStream(cfg, mix, keyOf, prefill, i, fresh(i))
+		streams[i] = newOpStream(cfg, mix, keyOf, prefill, i, fresh)
 		polls[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i)))
 		remaining[i] = per[i]
 	}
@@ -488,14 +351,14 @@ func runFolklore(sim *memsim.Sim, arr *array, cfg Config, mix OpMix, keyOf func(
 // submits in batches.
 func runDRAMHiT(sim *memsim.Sim, arr *array, cfg Config, mix OpMix, keyOf func(uint64) uint64, prefill, pollBase uint64) {
 	per := opsPerThread(cfg.MeasureOps, cfg.Threads)
-	fresh := freshPool(cfg, prefill)
+	fresh := newFreshRanks(prefill)
 	streams := make([]*opStream, cfg.Threads)
 	polls := make([]*rand.Rand, cfg.Threads)
 	remaining := make([]int, cfg.Threads)
 	pipes := make([]*pipeline, cfg.Threads)
 	inBatch := make([]int, cfg.Threads)
 	for i := range streams {
-		streams[i] = newOpStream(cfg, mix, keyOf, prefill, i, fresh(i))
+		streams[i] = newOpStream(cfg, mix, keyOf, prefill, i, fresh)
 		polls[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i)))
 		remaining[i] = per[i]
 		pipes[i] = newPipeline(arr, cfg.Window, false, false, cfg.Combining)

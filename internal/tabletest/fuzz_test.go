@@ -7,7 +7,6 @@ import (
 	"dramhit/internal/folklore"
 	"dramhit/internal/growt"
 	"dramhit/internal/locked"
-	"dramhit/internal/shardmap"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
@@ -78,26 +77,27 @@ func FuzzTableOps(f *testing.F) {
 			2, byte(i), 0) // read it back through the chain
 	}
 	f.Add(stash)
-	// Force shard splits mid-sequence: drive the 64-slot sharded router past
-	// its 0.75 fill threshold (48 keys) with reserved keys and churn in the
-	// mix, then keep mutating through the windows the splits open.
-	split := fuzzSeq(
+	// Open resize windows with reserved keys already present: drive the
+	// 64-slot growt tables past their 0.75 fill threshold (48 keys) with
+	// churn in the mix, then keep mutating and reading reserved keys through
+	// the windows the growth opens.
+	windows := fuzzSeq(
 		0, 0x00, 7, // reserved keys seeded before any window
 		0, 0xff, 8,
 		0, 0xfe, 9,
 	)
 	for i := 1; i <= 160; i++ {
-		split = append(split, 0, byte(i), byte(i))
+		windows = append(windows, 0, byte(i), byte(i))
 		switch i % 9 {
 		case 2:
-			split = append(split, 4, byte(i-1), 0) // delete behind the front
+			windows = append(windows, 4, byte(i-1), 0) // delete behind the front
 		case 5:
-			split = append(split, 3, byte(i), 1) // upsert the newest key
+			windows = append(windows, 3, byte(i), 1) // upsert the newest key
 		case 7:
-			split = append(split, 2, 0xfe, 0) // read a reserved key mid-window
+			windows = append(windows, 2, 0xfe, 0) // read a reserved key mid-window
 		}
 	}
-	f.Add(split)
+	f.Add(windows)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayTableOps(t, data)
@@ -139,13 +139,6 @@ func replayTableOps(t *testing.T, data []byte) {
 		{"dramhit", dramhit.New(dramhit.Config{Slots: slots}).NewSync()},
 		{"growt", growt.New(64)},
 		{"growt-gate", growt.New(64, growt.WithResizeMode(table.ResizeGate))},
-		// The sharded router joins tiny for the same reason growt does: long
-		// inputs push a 64-slot single shard through several splits (and the
-		// 16-slot-chunk variant holds each window open across many ops), so
-		// the fuzzer interleaves deletes, reserved keys and overwrites with
-		// live cross-shard migration.
-		{"shardmap", shardmap.New(64)},
-		{"shardmap-chunk16", shardmap.New(64, shardmap.WithChunkSlots(16))},
 		// Bucket layout, three postures: the raw engine starting at 64 slots
 		// (the dbl seed drives it through at least two index rebuilds), a
 		// dramhit bucket table's byte API over the same engine, and a
