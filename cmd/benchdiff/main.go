@@ -2,7 +2,7 @@
 // regression:
 //
 //	benchdiff old.json new.json
-//	benchdiff -tol 0.15 -metrics '(^|\.)mops$' BENCH_ycsb.json run.json
+//	benchdiff -tol 0.15 -metrics '_mops$' BENCH_introspect.json new.json
 //	benchdiff -metrics 'latency_ns\.p99' -lower 'latency' old.json new.json
 //	benchdiff -metrics 'lines_per_op' -lower 'lines|probe' BENCH_layout.json new.json
 //

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"dramhit/internal/bench"
-	"dramhit/internal/obs"
 	"dramhit/internal/table"
 )
 
@@ -27,10 +26,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	quick := flag.Bool("quick", false, "reduced op counts and sweep points")
 	seed := flag.Int64("seed", 42, "random seed")
-	out := flag.String("out", "", "directory to also write one text + one JSON file per experiment")
-	benchjson := flag.String("benchjson", "", "run the ycsb experiment and write its machine-readable summary (schema "+bench.YCSBSchema+") to this path")
-	resizejson := flag.String("resizejson", "", "run the resize-ab experiment and write its machine-readable summary (schema "+bench.ResizeSchema+") to this path")
-	metrics := flag.String("metrics", "", "serve observability (Prometheus /metrics, /trace, pprof) on this address while experiments run, e.g. :8090")
+	out := flag.String("out", "", "directory to also write each experiment's text output to, as <id>.txt")
 	probeKernel := flag.String("probekernel", "", "probe kernel for real-execution experiments: swar|scalar (default swar)")
 	layoutjson := flag.String("layoutjson", "", "run the layout-ab experiment and write its machine-readable summary (schema "+bench.LayoutSchema+") to this path")
 	introspectjson := flag.String("introspectjson", "", "run the introspect-ab experiment and write its machine-readable summary (schema "+bench.IntrospectSchema+") to this path")
@@ -54,18 +50,7 @@ func main() {
 		}
 		return
 	}
-	var liveReg *obs.Registry
-	if *metrics != "" {
-		liveReg = obs.New()
-		srv, err := obs.Serve(*metrics, liveReg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dramhit-bench: observability on http://%s/metrics\n", srv.Addr)
-	}
-	if *exp == "" && *benchjson == "" && *resizejson == "" && *layoutjson == "" && *introspectjson == "" {
+	if *exp == "" && *layoutjson == "" && *introspectjson == "" {
 		fmt.Fprintln(os.Stderr, "usage: dramhit-bench -exp <id|all> [-quick] [-out dir]; -list shows IDs")
 		os.Exit(2)
 	}
@@ -81,19 +66,7 @@ func main() {
 		Quick:       *quick,
 		Seed:        *seed,
 		ProbeKernel: kernel,
-		Observe:     liveReg,
 		Layout:      layout,
-	}
-	if *benchjson != "" {
-		start := time.Now()
-		a, sum := bench.RunYCSB(cfg)
-		fmt.Print(bench.Format(a))
-		fmt.Printf("(ycsb in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if err := bench.WriteJSONFile(*benchjson, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *benchjson)
 	}
 	if *layoutjson != "" {
 		start := time.Now()
@@ -117,17 +90,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *introspectjson)
 	}
-	if *resizejson != "" {
-		start := time.Now()
-		a, sum := bench.RunResizeAB(cfg)
-		fmt.Print(bench.Format(a))
-		fmt.Printf("(resize-ab in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if err := bench.WriteJSONFile(*resizejson, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *resizejson)
-	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
@@ -146,16 +108,7 @@ func main() {
 		fmt.Print(text)
 		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 		if *out != "" {
-			path := filepath.Join(*out, id+".txt")
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-				os.Exit(1)
-			}
-			js, err := a.JSON()
-			if err == nil {
-				err = os.WriteFile(filepath.Join(*out, id+".json"), js, 0o644)
-			}
-			if err != nil {
+			if err := os.WriteFile(filepath.Join(*out, id+".txt"), []byte(text), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
 				os.Exit(1)
 			}

@@ -16,7 +16,9 @@
 // (Prometheus text at /metrics, sampled lifecycle traces at /trace, expvar
 // and pprof under /debug/) while it executes; with -json the run's
 // configuration, throughput, and latency percentiles land in a
-// machine-readable file using the same schema as BENCH_ycsb.json entries.
+// machine-readable file (bench.RunResult). Latency is recorded into
+// per-worker log-bucketed histograms (≤1/32 relative error), merged for the
+// percentiles and the latency_hist bucket dump.
 // Every timed run additionally classifies each operation by kind and
 // outcome (get_hit, get_miss, put, upsert, delete_hit, delete_miss) and
 // reports per-class counts and latency percentiles; -introspect arms the
@@ -34,7 +36,6 @@ import (
 
 	"dramhit"
 	"dramhit/internal/bench"
-	"dramhit/internal/latency"
 	"dramhit/internal/obs"
 	"dramhit/internal/table"
 	"dramhit/internal/workload"
@@ -51,12 +52,10 @@ func main() {
 	theta := flag.Float64("theta", -1, "zipfian skew of the key stream; negative = workload default")
 	combiningFlag := flag.String("combining", "on", "dramhit-p write handles fold duplicate-key Upserts before delegating: on | off")
 	governorFlag := flag.String("governor", "off", "execution mode of the flat dramhit and dramhit-p backends: off (prefetch pipeline) | direct")
-	resizeModeFlag := flag.String("resizemode", "incremental", "resizable-table migration mode: incremental | gate")
 	jsonPath := flag.String("json", "", "write the run summary (config, Mops, latency percentiles) as JSON to this path")
 	metrics := flag.String("metrics", "", "serve observability on this address during the run, e.g. :8090")
 	observe := flag.Bool("observe", false, "attach the observability registry to the table even without -metrics")
 	introspect := flag.Bool("introspect", false, "arm table-side introspection (hot-key sketch + per-op-class latency stamping); implies -observe")
-	latsink := flag.String("latsink", "hist", "latency sink: hist (log-bucketed, zero-alloc, mergeable) | exact (reservoir + exact CDF)")
 	layoutFlag := flag.String("layout", "flat", "physical slot layout (dramhit and dramhit-p backends): flat (the uint64 workload) | bucket (the byte workload; needs -valuesize)")
 	valueSize := flag.Int("valuesize", 0, "run as a byte-string KV workload with values up to this many bytes (goes with -layout bucket); 0 keeps the uint64 workload (flat layout)")
 	valueTheta := flag.Float64("valuetheta", 0, "zipf skew of per-write value sizes over [1,valuesize]; 0 = every value exactly -valuesize bytes")
@@ -101,13 +100,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	resizeMode, err := dramhit.ParseResizeMode(*resizeModeFlag)
-	if err != nil {
-		fail(err)
-	}
-	if *latsink != "hist" && *latsink != "exact" {
-		fail(fmt.Errorf("-latsink must be hist or exact, got %q", *latsink))
-	}
 	if combining != dramhit.CombineOn && *backend != "dramhit-p" {
 		fail(fmt.Errorf("-combining applies to the dramhit-p backend (its write-side upsert folding), not %q", *backend))
 	}
@@ -143,7 +135,7 @@ func main() {
 
 	// reg is the table-attached observability registry (nil unless asked
 	// for: observation off must cost nothing); latReg always exists so the
-	// histogram latency sink has worker shards to record into.
+	// latency histograms have worker shards to record into.
 	var reg *dramhit.Observability
 	if *metrics != "" || *observe || *introspect {
 		reg = dramhit.NewObservability()
@@ -215,7 +207,7 @@ func main() {
 			return view{get: t.Get, put: func(k, v uint64) { t.Put(k, v) }, fin: func() {}}
 		}
 	case "resizable":
-		t := dramhit.NewResizableMode(slots, resizeMode)
+		t := dramhit.NewResizable(slots)
 		if reg != nil {
 			t.Observe(reg)
 		}
@@ -264,26 +256,14 @@ func main() {
 		fail(fmt.Errorf("unknown table %q", *backend))
 	}
 
-	// Latency sinks: the default histogram sink records into per-worker
-	// observability shards (bounded memory, zero-alloc, mergeable, ≤1/32
-	// relative error); -latsink exact keeps the reservoir recorder for
-	// exact per-worker CDFs.
-	useHist := *latsink == "hist"
-	recs := make([]*latency.Recorder, *workers)
-	hists := make([]*obs.Histogram, *workers)
+	// Latency lands in per-worker observability shards (bounded memory,
+	// zero-alloc, mergeable). Per-op-class accounting is client-side
+	// (loadgen's own clock), so it costs the table nothing and works on
+	// every backend.
 	opws := make([]*obs.Worker, *workers)
-	for i := 0; i < *workers; i++ {
-		if useHist {
-			w := latReg.Worker(fmt.Sprintf("loadgen-w%d", i))
-			hists[i] = &w.Lat
-			opws[i] = w
-		} else {
-			recs[i] = latency.NewRecorder(1 << 18)
-		}
+	for i := range opws {
+		opws[i] = latReg.Worker(fmt.Sprintf("loadgen-w%d", i))
 	}
-	// Per-op-class accounting is client-side (loadgen's own clock), so it
-	// costs the table nothing and works on every backend: counts always,
-	// per-class latency histograms when the histogram sink is active.
 	opCounts := make([][obs.NumOpClasses]uint64, *workers)
 
 	start := time.Now()
@@ -352,20 +332,16 @@ func main() {
 					return obs.OpClass(table.Get, false)
 				}
 			}
-			rec, hist, ow := recs[wi], hists[wi], opws[wi]
+			ow := opws[wi]
 			var cnt [obs.NumOpClasses]uint64
 			for i := 0; i < perWorker; i++ {
 				op := g.Next()
 				t0 := time.Now()
 				cls := exec(op, i)
-				ns := time.Since(t0).Nanoseconds()
+				ns := uint64(time.Since(t0).Nanoseconds())
 				cnt[cls]++
-				if hist != nil {
-					hist.Record(uint64(ns))
-					ow.Op[cls].Record(uint64(ns))
-				} else {
-					rec.Add(float64(ns))
-				}
+				ow.Lat.Record(ns)
+				ow.Op[cls].Record(ns)
 			}
 			opCounts[wi] = cnt
 			v.fin()
@@ -377,32 +353,15 @@ func main() {
 		teardown()
 	}
 
-	var total uint64
-	var pct bench.Percentiles
-	var latHist []obs.HistBucket
-	if useHist {
-		var merged obs.Histogram
-		for _, h := range hists {
-			merged.Merge(h)
-		}
-		total = merged.Count()
-		pct = bench.PercentilesFromHistogram(&merged)
-		latHist = merged.Buckets()
-	} else {
-		cdfs := make([]*latency.CDF, len(recs))
-		for i, r := range recs {
-			total += r.Count()
-			cdfs[i] = r.CDF()
-		}
-		m := latency.Merge(cdfs...)
-		pct = bench.Percentiles{
-			P50: m.Quantile(0.5), P90: m.Quantile(0.9), P99: m.Quantile(0.99),
-			P999: m.Quantile(0.999), Max: m.Quantile(1), Mean: m.Mean(), Count: total,
-		}
+	var merged obs.Histogram
+	for _, w := range opws {
+		merged.Merge(&w.Lat)
 	}
+	total := merged.Count()
+	pct := bench.PercentilesFromHistogram(&merged)
 
 	// Per-op-class rollup: counts from every worker, latency summaries from
-	// the merged per-class histograms (histogram sink only).
+	// the merged per-class histograms.
 	var clsTotals [obs.NumOpClasses]uint64
 	for _, c := range opCounts {
 		for cls, n := range c {
@@ -415,17 +374,14 @@ func main() {
 			opsByType[obs.OpClassNames[cls]] = n
 		}
 	}
-	var opLatNS map[string]bench.Percentiles
-	if useHist {
-		opLatNS = map[string]bench.Percentiles{}
-		for cls := 0; cls < obs.NumOpClasses; cls++ {
-			var m obs.Histogram
-			for _, w := range opws {
-				m.Merge(&w.Op[cls])
-			}
-			if m.Count() != 0 {
-				opLatNS[obs.OpClassNames[cls]] = bench.PercentilesFromHistogram(&m)
-			}
+	opLatNS := map[string]bench.Percentiles{}
+	for cls := 0; cls < obs.NumOpClasses; cls++ {
+		var m obs.Histogram
+		for _, w := range opws {
+			m.Merge(&w.Op[cls])
+		}
+		if m.Count() != 0 {
+			opLatNS[obs.OpClassNames[cls]] = bench.PercentilesFromHistogram(&m)
 		}
 	}
 
@@ -454,25 +410,13 @@ func main() {
 	fmt.Printf("ycsb-%s on %s: %d ops, %d workers%s, %v (%.2f Mops)\n",
 		mix.Name, *backend, total, *workers, missNote, elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds()/1e6)
-	if useHist {
-		fmt.Printf("  latency ns (all workers, log-bucketed): p50=%.0f p90=%.0f p99=%.0f p99.9=%.0f max=%.0f mean=%.0f\n",
-			pct.P50, pct.P90, pct.P99, pct.P999, pct.Max, pct.Mean)
-	} else {
-		for wi, r := range recs {
-			fmt.Printf("  worker %d latency ns: %s\n", wi, r.CDF().String())
-		}
-	}
+	fmt.Printf("  latency ns (all workers, log-bucketed): p50=%.0f p90=%.0f p99=%.0f p99.9=%.0f max=%.0f mean=%.0f\n",
+		pct.P50, pct.P90, pct.P99, pct.P999, pct.Max, pct.Mean)
 	for cls := 0; cls < obs.NumOpClasses; cls++ {
 		name := obs.OpClassNames[cls]
-		n := clsTotals[cls]
-		if n == 0 {
-			continue
-		}
 		if p, ok := opLatNS[name]; ok {
 			fmt.Printf("  %-11s %9d ops  p50=%.0f p99=%.0f p99.9=%.0f mean=%.0f ns\n",
-				name, n, p.P50, p.P99, p.P999, p.Mean)
-		} else {
-			fmt.Printf("  %-11s %9d ops\n", name, n)
+				name, clsTotals[cls], p.P50, p.P99, p.P999, p.Mean)
 		}
 	}
 	if *introspect {
@@ -487,20 +431,18 @@ func main() {
 
 	if *jsonPath != "" {
 		res := bench.RunResult{
-			Name:      "loadgen-" + mix.Name + "-" + *backend,
-			Table:     *backend,
-			Workload:  mix.Name,
-			Records:   int(*records),
-			Ops:       int(total),
-			Workers:   *workers,
-			Theta:     *theta,
-			MissRatio: *missRatio,
-			Seconds:   elapsed.Seconds(),
-			Mops:      float64(total) / elapsed.Seconds() / 1e6,
-			LatencyNS: &pct,
-			// The merged log-bucketed distribution rides along when the
-			// histogram sink is active (-latsink hist, the default).
-			LatencyHist: latHist,
+			Name:        "loadgen-" + mix.Name + "-" + *backend,
+			Table:       *backend,
+			Workload:    mix.Name,
+			Records:     int(*records),
+			Ops:         int(total),
+			Workers:     *workers,
+			Theta:       ycsb.EffectiveTheta(mix, *theta),
+			MissRatio:   *missRatio,
+			Seconds:     elapsed.Seconds(),
+			Mops:        float64(total) / elapsed.Seconds() / 1e6,
+			LatencyNS:   &pct,
+			LatencyHist: merged.Buckets(),
 			OpsByType:   opsByType,
 			OpLatencyNS: opLatNS,
 		}

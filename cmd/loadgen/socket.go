@@ -162,7 +162,7 @@ func runSocket(cfg socketRun) {
 			Pipeline:    cfg.pipeline,
 			TargetRate:  cfg.rate,
 			Errors:      stats.Errors,
-			Theta:       cfg.theta,
+			Theta:       ycsb.EffectiveTheta(cfg.mix, cfg.theta),
 			MissRatio:   cfg.miss,
 			ValueSize:   vsize,
 			Seconds:     stats.Elapsed.Seconds(),

@@ -149,24 +149,6 @@ const (
 // ParseGovernor maps "off" (or "") and "direct" to the GovernorMode values.
 func ParseGovernor(s string) (GovernorMode, error) { return table.ParseGovernor(s) }
 
-// ResizeMode selects how the resizable table migrates at a doubling:
-// ResizeIncremental (the zero value and default) migrates cooperatively in
-// fixed-size chunks with no global write stall; ResizeGate migrates the
-// whole table under the exclusive gate for A/B runs.
-type ResizeMode = table.ResizeMode
-
-// Resize mode choices.
-const (
-	// ResizeIncremental migrates in helping-claimed chunks (default).
-	ResizeIncremental = table.ResizeIncremental
-	// ResizeGate migrates stop-the-world under the gate (A/B baseline).
-	ResizeGate = table.ResizeGate
-)
-
-// ParseResizeMode maps "incremental" (or "") and "gate" to the ResizeMode
-// values.
-func ParseResizeMode(s string) (ResizeMode, error) { return table.ParseResizeMode(s) }
-
 // Config parameterizes the core table.
 type Config = idramhit.Config
 
@@ -228,13 +210,6 @@ type Resizable = growt.Table
 // NewResizable creates a resizable table with an initial capacity of n
 // slots; it grows (or compacts tombstones) when fill exceeds 75%.
 func NewResizable(n uint64) *Resizable { return growt.New(n) }
-
-// NewResizableMode is NewResizable with an explicit migration mode —
-// ResizeGate selects the stop-the-world baseline the resize-ab experiment
-// compares against.
-func NewResizableMode(n uint64, mode ResizeMode) *Resizable {
-	return growt.New(n, growt.WithResizeMode(mode))
-}
 
 // Observability is the unified observability registry (see internal/obs):
 // attach one via Config.Observe / PartitionedConfig.Observe (or

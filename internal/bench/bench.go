@@ -6,12 +6,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
-	"dramhit/internal/obs"
 	"dramhit/internal/table"
 )
 
@@ -31,12 +29,6 @@ type Config struct {
 	// flat, bit-identical to prior configurations). The layout-ab
 	// experiment ignores it — it runs both layouts by construction.
 	Layout table.Layout
-	// Observe, when non-nil, is the live observability registry real-
-	// execution experiments attach their tables and workers to, so a
-	// concurrently served /metrics endpoint sees the run. The obs-ab
-	// experiment ignores it — its observe-on side builds its own registry
-	// by construction. Nil keeps runs self-contained.
-	Observe *obs.Registry
 }
 
 // ops returns the measured-op budget. Quick mode is sized so the whole
@@ -50,34 +42,23 @@ func (c Config) ops(full int) int {
 
 // Series is one line of a figure: Y(X), plus a name for the legend.
 type Series struct {
-	Name string    `json:"name"`
-	X    []float64 `json:"x"`
-	Y    []float64 `json:"y"`
+	Name string
+	X    []float64
+	Y    []float64
 }
 
 // Artifact is a regenerated table or figure.
 type Artifact struct {
-	ID     string `json:"id"`
-	Title  string `json:"title"`
-	XLabel string `json:"x_label,omitempty"`
-	YLabel string `json:"y_label,omitempty"`
+	ID     string
+	Title  string
+	XLabel string
+	YLabel string
 	// Series carry figure data; Header+Rows carry table data (Table 1).
-	Series []Series   `json:"series,omitempty"`
-	Header []string   `json:"header,omitempty"`
-	Rows   [][]string `json:"rows,omitempty"`
+	Series []Series
+	Header []string
+	Rows   [][]string
 	// Notes document paper-vs-sim observations recorded with the artifact.
-	Notes []string `json:"notes,omitempty"`
-}
-
-// JSON renders the artifact as an indented, machine-readable document — the
-// same data Format prints as text, for downstream tooling (plotters, CI
-// validation, regression diffing).
-func (a *Artifact) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	Notes []string
 }
 
 // Runner regenerates one artifact.

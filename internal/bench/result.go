@@ -1,8 +1,6 @@
-// Machine-readable benchmark artifacts: every real-execution run can be
-// serialized as a RunResult, and the ycsb experiment aggregates its runs
-// into a schema-versioned summary (BENCH_ycsb.json) that CI validates and
-// downstream tooling (plotters, regression diffing) consumes without
-// scraping the text tables.
+// Machine-readable run records: loadgen serializes each run as a RunResult
+// (its -json output), and the layout-ab and introspect-ab experiments write
+// their schema-versioned summaries with WriteJSONFile.
 package bench
 
 import (
@@ -12,12 +10,6 @@ import (
 
 	"dramhit/internal/obs"
 )
-
-// YCSBSchema identifies the summary layout; bump on incompatible change.
-// v2: runs carry warmup_ops (the untimed per-worker ramp that keeps
-// first-touch page faults out of the latency tail) and an optional
-// latency_hist bucket dump.
-const YCSBSchema = "dramhit-bench-ycsb/v2"
 
 // LayoutSchema identifies the layout-ab summary layout (BENCH_layout.json).
 const LayoutSchema = "dramhit-bench-layout/v1"
@@ -49,7 +41,7 @@ func PercentilesFromHistogram(h *obs.Histogram) Percentiles {
 }
 
 // RunResult is one benchmark execution: what ran, how fast, and the latency
-// shape. It is the unit of results/*.json and of the ycsb summary.
+// shape. It is loadgen's -json document.
 type RunResult struct {
 	Name      string  `json:"name"`
 	Table     string  `json:"table"`
@@ -60,10 +52,6 @@ type RunResult struct {
 	Theta     float64 `json:"theta"`
 	MissRatio float64 `json:"miss_ratio,omitempty"`
 	Combining string  `json:"combining,omitempty"`
-	// WarmupOps is the per-worker untimed ramp executed before the clock
-	// starts; it keeps first-touch page faults (multi-ms on a cold table)
-	// out of latency_ns.max.
-	WarmupOps int `json:"warmup_ops,omitempty"`
 	// Layout is the physical slot layout when it is not the flat default
 	// ("bucket"); ValueSize and ValueTheta describe byte-string runs
 	// (loadgen -valuesize): the value-size cap in bytes and the zipf skew
@@ -95,13 +83,6 @@ type RunResult struct {
 	OpsByType   map[string]uint64      `json:"ops_by_type,omitempty"`
 	OpLatencyNS map[string]Percentiles `json:"op_latency_ns,omitempty"`
 	HotKeys     []obs.TopKItem         `json:"hot_keys,omitempty"`
-}
-
-// YCSBSummary is the top-level BENCH_ycsb.json document.
-type YCSBSummary struct {
-	Schema string      `json:"schema"`
-	Quick  bool        `json:"quick"`
-	Runs   []RunResult `json:"runs"`
 }
 
 // WriteJSONFile marshals v indented and writes it to path, creating parent

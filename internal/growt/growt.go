@@ -16,10 +16,6 @@
 // plain compare-and-swap once the last chunk completes — no operation ever
 // waits for more than one chunk copy.
 //
-// The pre-incremental behaviour — migrate everything under the exclusive
-// gate, writers stall for the full copy — is retained as
-// table.ResizeGate, the A/B baseline of the resize-ab experiment.
-//
 // Tombstone space is reclaimed on every resize (the paper: "The space is
 // freed only when the hash table is resized"): the chunk copy skips
 // tombstones, so they simply do not exist in the successor.
@@ -68,7 +64,6 @@ type Table struct {
 	gate    sync.RWMutex
 	st      atomic.Pointer[state]
 	maxFill float64
-	mode    table.ResizeMode
 	chunk   uint64 // slots migrated per helping claim
 
 	grows  atomic.Uint64 // completed resizes
@@ -79,7 +74,7 @@ type Table struct {
 	// allocates the O(n) successor per window, whether it is the background
 	// pre-installer or an operation that hit the threshold first. Without it,
 	// every writer that finds the table full races to build its own duplicate
-	// successor — a global stall the incremental mode exists to avoid.
+	// successor — a global stall the incremental migration exists to avoid.
 	installing atomic.Uint32
 
 	trace *obs.TraceRing // nil unless Observe attached a ring
@@ -98,11 +93,6 @@ type Table struct {
 
 // Option configures a Table.
 type Option func(*Table)
-
-// WithResizeMode selects incremental (default) or gate migration.
-func WithResizeMode(m table.ResizeMode) Option {
-	return func(t *Table) { t.mode = m }
-}
 
 // WithChunkSlots overrides the migration chunk size (minimum 1). Small
 // chunks mean more, cheaper helping claims; tests use chunk=1 to maximise
@@ -444,7 +434,7 @@ func (t *Table) Observe(reg *obs.Registry) {
 	})
 }
 
-// preGrowFill is the fraction of maxFill at which incremental tables start
+// preGrowFill is the fraction of maxFill at which a table starts
 // building the successor in the background, so the O(n) allocation overlaps
 // with the inserts that will eventually need it instead of stalling the one
 // operation that crosses the threshold. The ~10% headroom covers the
@@ -453,11 +443,10 @@ func (t *Table) Observe(reg *obs.Registry) {
 const preGrowFill = 0.9
 
 // maybePreGrow kicks off a background successor install once fill reaches
-// preGrowFill·maxFill. Single-flighted by the installing latch; a no-op in
-// gate mode (the baseline keeps its synchronous stall by construction) and
+// preGrowFill·maxFill. Single-flighted by the installing latch; a no-op
 // under noHelp (tests drive windows manually).
 func (t *Table) maybePreGrow(s *state, fill float64) {
-	if fill < t.maxFill*preGrowFill || t.mode == table.ResizeGate || t.noHelp {
+	if fill < t.maxFill*preGrowFill || t.noHelp {
 		return
 	}
 	if !t.installing.CompareAndSwap(0, 1) {
@@ -487,10 +476,6 @@ func (t *Table) growCap(old *folklore.Table) uint64 {
 // grow starts a resize from the generation the caller observed as over-full;
 // if another goroutine already moved past it, the call is a no-op.
 func (t *Table) grow(seen *state) {
-	if t.mode == table.ResizeGate {
-		t.growGate(seen, t.growCap(seen.cur))
-		return
-	}
 	if t.installing.CompareAndSwap(0, 1) {
 		t.install(seen, t.growCap(seen.cur))
 		t.installing.Store(0)
@@ -503,25 +488,6 @@ func (t *Table) grow(seen *state) {
 	for t.st.Load() == seen && t.installing.Load() == 1 {
 		runtime.Gosched()
 	}
-}
-
-// growGate is the ResizeGate baseline: migrate everything to the successor
-// under the exclusive gate — every concurrent operation stalls for the copy.
-func (t *Table) growGate(seen *state, newCap uint64) {
-	t.gate.Lock()
-	defer t.gate.Unlock()
-	if t.st.Load() != seen {
-		return // someone else already resized
-	}
-	next := folklore.New(newCap)
-	// Migrate every live entry; tombstones evaporate here, restoring the
-	// claimed-slot budget.
-	seen.cur.Range(func(k, v uint64) bool {
-		next.Put(k, v)
-		return true
-	})
-	t.st.Store(&state{cur: next})
-	t.grows.Add(1)
 }
 
 var _ table.Map = (*Table)(nil)

@@ -1,5 +1,4 @@
-// The incremental migration state machine. One resize window turns the
-// coarse "copy everything under the lock" of the gate baseline into a
+// The incremental migration state machine. One resize window is a
 // four-phase concurrent protocol:
 //
 //	install  — the operation that finds the current generation over-full
@@ -36,9 +35,8 @@
 //	           as the paper requires.
 //
 // The worst case any single operation pays is one chunk copy — either its
-// own helping claim or the bounded wait in relocate — which is what the
-// resize-ab experiment measures against the gate baseline's full-table
-// stall.
+// own helping claim or the bounded wait in relocate — never a full-table
+// copy.
 package growt
 
 import (

@@ -17,9 +17,10 @@ import (
 // split into histSubCount sub-buckets, so a bucket's width over its lower
 // bound never exceeds 1/histSubCount — quantile estimates (bucket midpoints)
 // are within ±1.6% of the true sample, and every bucket boundary of the form
-// sub<<exp is exact. This replaces latency.Recorder as the default latency
-// sink: the reservoir keeps an unbiased sample for exact CDFs (Figure 9);
-// the histogram keeps everything, bounded, mergeable and scrapeable live.
+// sub<<exp is exact. It is the latency sink of every real-execution run;
+// latency.Recorder's reservoir keeps exact CDFs for Figure 9's simulated
+// cycles only. The histogram keeps everything, bounded, mergeable and
+// scrapeable live.
 type Histogram struct {
 	counts [NumHistBuckets]atomic.Uint64
 	count  atomic.Uint64

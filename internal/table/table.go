@@ -198,49 +198,6 @@ func ParseCombining(s string) (Combining, error) {
 	return 0, fmt.Errorf("unknown combining setting %q (want on|off)", s)
 }
 
-// ResizeMode selects how the resizing wrapper (internal/growt) migrates to a
-// larger table when fill crosses the threshold. The zero value is
-// ResizeIncremental, making cooperative chunk-granular migration the default
-// execution model; the stop-the-world gate stays selectable for ablation and
-// A/B benchmarks (the resize-ab experiment). Both modes present identical
-// table.Map semantics — only the tail-latency shape through a doubling
-// differs.
-type ResizeMode uint8
-
-const (
-	// ResizeIncremental installs a successor table and migrates old-table
-	// slots in fixed-size chunks claimed cooperatively by subsequent
-	// operations, marking migrated slots MovedKey; no operation ever waits
-	// for more than one chunk copy.
-	ResizeIncremental ResizeMode = iota
-	// ResizeGate migrates the whole table under the exclusive gate — the
-	// pre-incremental behaviour, kept as the A/B baseline: writers stall for
-	// the full copy at each doubling.
-	ResizeGate
-)
-
-// String implements fmt.Stringer for benchmark labels.
-func (m ResizeMode) String() string {
-	switch m {
-	case ResizeIncremental:
-		return "incremental"
-	case ResizeGate:
-		return "gate"
-	}
-	return "invalid"
-}
-
-// ParseResizeMode maps a benchmark-flag string back to a resize mode.
-func ParseResizeMode(s string) (ResizeMode, error) {
-	switch s {
-	case "", "incremental":
-		return ResizeIncremental, nil
-	case "gate":
-		return ResizeGate, nil
-	}
-	return 0, fmt.Errorf("unknown resize mode %q (want incremental|gate)", s)
-}
-
 // GovernorMode selects a flat table's execution mode, fixed when the table
 // is built: the prefetch pipeline or direct mode. The zero value is
 // GovernorOff, the pipeline.

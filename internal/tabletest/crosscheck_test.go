@@ -8,7 +8,6 @@ import (
 	"dramhit/internal/dramhitp"
 	"dramhit/internal/folklore"
 	"dramhit/internal/growt"
-	"dramhit/internal/locked"
 	"dramhit/internal/table"
 	"dramhit/internal/workload"
 )
@@ -19,8 +18,7 @@ import (
 // This is the strongest single correctness statement in the repository: all
 // the designs implement the same abstract map. The resizing table joins with
 // a deliberately tiny initial capacity so the stream drives it through
-// several incremental migrations mid-comparison (and its gate-mode twin
-// through the same doublings stop-the-world).
+// several incremental migrations mid-comparison.
 func TestCrossImplementationEquivalence(t *testing.T) {
 	const slots = 1 << 13
 	dh := dramhit.New(dramhit.Config{Slots: slots}).NewSync()
@@ -28,12 +26,10 @@ func TestCrossImplementationEquivalence(t *testing.T) {
 	dp.Start()
 	defer dp.Close()
 	impls := map[string]table.Map{
-		"folklore":   folklore.New(slots),
-		"dramhit":    dh,
-		"dramhit-p":  dp.NewSync(),
-		"locked":     locked.New(slots),
-		"growt":      growt.New(64),
-		"growt-gate": growt.New(64, growt.WithResizeMode(table.ResizeGate)),
+		"folklore":  folklore.New(slots),
+		"dramhit":   dh,
+		"dramhit-p": dp.NewSync(),
+		"growt":     growt.New(64),
 	}
 	ref := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(99))

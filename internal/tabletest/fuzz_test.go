@@ -6,7 +6,6 @@ import (
 	"dramhit/internal/dramhit"
 	"dramhit/internal/folklore"
 	"dramhit/internal/growt"
-	"dramhit/internal/locked"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
@@ -135,10 +134,8 @@ func replayTableOps(t *testing.T, data []byte) {
 		// is omitted here because each fuzz execution would pay its
 		// delegation goroutines' startup.
 		{"folklore", folklore.New(slots)},
-		{"locked", locked.New(slots)},
 		{"dramhit", dramhit.New(dramhit.Config{Slots: slots}).NewSync()},
 		{"growt", growt.New(64)},
-		{"growt-gate", growt.New(64, growt.WithResizeMode(table.ResizeGate))},
 		// Bucket layout, three postures: the raw engine starting at 64 slots
 		// (the dbl seed drives it through at least two index rebuilds), a
 		// dramhit bucket table's byte API over the same engine, and a

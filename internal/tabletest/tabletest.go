@@ -1,6 +1,6 @@
 // Package tabletest provides a conformance suite run against every hash
 // table in this repository (Folklore, DRAMHiT's synchronous adapter,
-// DRAMHiT-P, the locked baseline). It checks the sequential contract against
+// DRAMHiT-P, the resizing table, the bucket layout). It checks the sequential contract against
 // a reference map, the reserved-key side slots, tombstone semantics, fill
 // behaviour, and — under the race detector — concurrent linearizability
 // smoke properties.

@@ -140,21 +140,28 @@ func NewGenerator(mix Mix, records uint64, seed int64) *Generator {
 	return NewGeneratorTheta(mix, records, seed, theta)
 }
 
-// NewGeneratorTheta is NewGenerator with an explicit zipfian constant.
+// EffectiveTheta resolves a requested zipfian constant against a mix:
 // theta < 0 selects the mix's default (Theta when the mix is zipfian, 0 —
 // uniform — otherwise); theta = 0 forces a uniform draw even on zipfian
-// mixes, and any positive value sets the skew directly, which is how the
-// combining A/B experiments sweep hot-key density.
-func NewGeneratorTheta(mix Mix, records uint64, seed int64, theta float64) *Generator {
-	if theta < 0 {
-		theta = 0
-		if mix.Zipfian {
-			theta = Theta
-		}
+// mixes, and any positive value sets the skew directly. It is the skew a
+// generator built with the same arguments draws, so a run report states it
+// rather than the request.
+func EffectiveTheta(mix Mix, theta float64) float64 {
+	if theta >= 0 {
+		return theta
 	}
+	if mix.Zipfian {
+		return Theta
+	}
+	return 0
+}
+
+// NewGeneratorTheta is NewGenerator with an explicit zipfian constant,
+// resolved by EffectiveTheta.
+func NewGeneratorTheta(mix Mix, records uint64, seed int64, theta float64) *Generator {
 	return &Generator{
 		mix:      mix,
-		keys:     workload.NewKeyStream(seed, records, theta),
+		keys:     workload.NewKeyStream(seed, records, EffectiveTheta(mix, theta)),
 		rng:      rand.New(rand.NewSource(seed ^ 0x7f4a7c15)),
 		salt:     rand.New(rand.NewSource(seed)).Uint64() | 1,
 		inserted: records,

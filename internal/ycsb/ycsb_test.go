@@ -18,6 +18,25 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestEffectiveTheta pins the default resolution the generator draws with
+// and loadgen reports.
+func TestEffectiveTheta(t *testing.T) {
+	for _, c := range []struct {
+		mix   Mix
+		theta float64
+		want  float64
+	}{
+		{A, -1, Theta},
+		{A, 0, 0},
+		{A, 0.6, 0.6},
+		{Mix{Read: 1}, -1, 0},
+	} {
+		if got := EffectiveTheta(c.mix, c.theta); got != c.want {
+			t.Errorf("EffectiveTheta(%+v, %v) = %v, want %v", c.mix, c.theta, got, c.want)
+		}
+	}
+}
+
 func TestMixProportionsSumToOne(t *testing.T) {
 	for _, m := range []Mix{A, B, C, D, E, F} {
 		sum := 0.0
