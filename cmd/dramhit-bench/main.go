@@ -27,17 +27,11 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced op counts and sweep points")
 	seed := flag.Int64("seed", 42, "random seed")
 	out := flag.String("out", "", "directory to also write each experiment's text output to, as <id>.txt")
-	probeKernel := flag.String("probekernel", "", "probe kernel for real-execution experiments: swar|scalar (default swar)")
 	layoutjson := flag.String("layoutjson", "", "run the layout-ab experiment and write its machine-readable summary (schema "+bench.LayoutSchema+") to this path")
 	introspectjson := flag.String("introspectjson", "", "run the introspect-ab experiment and write its machine-readable summary (schema "+bench.IntrospectSchema+") to this path")
 	layoutFlag := flag.String("layout", "flat", "physical slot layout for the real-execution experiments that honor it: flat|bucket (layout-ab runs both by construction)")
 	flag.Parse()
 
-	kernel, err := table.ParseProbeKernel(*probeKernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-		os.Exit(2)
-	}
 	layout, err := table.ParseLayout(*layoutFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
@@ -62,12 +56,7 @@ func main() {
 			ids = bench.IDs()
 		}
 	}
-	cfg := bench.Config{
-		Quick:       *quick,
-		Seed:        *seed,
-		ProbeKernel: kernel,
-		Layout:      layout,
-	}
+	cfg := bench.Config{Quick: *quick, Seed: *seed, Layout: layout}
 	if *layoutjson != "" {
 		start := time.Now()
 		a, sum := bench.RunLayoutAB(cfg)

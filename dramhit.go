@@ -76,21 +76,6 @@ type Response = table.Response
 // protocol; storing it is not allowed.
 const ReservedValue = slotarr.InFlightValue
 
-// ProbeKernel selects the hot-path probe strategy (Config.ProbeKernel and
-// PartitionedConfig.ProbeKernel): KernelSWAR (the zero value and default)
-// probes a whole 64-byte cache line per step with the lane-parallel
-// branch-free kernel; KernelScalar keeps the slot-by-slot loop for ablation
-// and A/B benchmarking.
-type ProbeKernel = table.ProbeKernel
-
-// Probe kernel choices.
-const (
-	// KernelSWAR is the line-granular lane-compare kernel (default).
-	KernelSWAR = table.KernelSWAR
-	// KernelScalar is the slot-by-slot probe loop (A/B baseline).
-	KernelScalar = table.KernelScalar
-)
-
 // Layout selects the physical layout (Config.Layout and
 // PartitionedConfig.Layout), and with it the API a table serves: LayoutFlat
 // (the zero value and default) is the open-addressed 16-byte-slot array,
@@ -99,9 +84,9 @@ const (
 // publish bitmap and seven fingerprints in-cell, whose seven slots reference
 // records in a log-structured arena, and which resizes itself — serving the
 // byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes, SubmitBytes).
-// Calling the other layout's API panics. ProbeKernel and Governor (and
-// PartitionedConfig.Combining) apply only to flat tables: constructors panic
-// when a bucket config sets one.
+// Calling the other layout's API panics. Governor (and
+// PartitionedConfig.Combining) applies only to flat tables: constructors
+// panic when a bucket config sets it.
 type Layout = table.Layout
 
 // Layout choices.

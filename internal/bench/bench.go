@@ -20,10 +20,6 @@ type Config struct {
 	Quick bool
 	// Seed fixes all randomness.
 	Seed int64
-	// ProbeKernel configures the real tables' probe kernel in the
-	// real-execution experiments (zero value = the SWAR kernel, the package
-	// default).
-	ProbeKernel table.ProbeKernel
 	// Layout selects the physical slot layout of the real tables in the
 	// real-execution experiments that honor it (reprobe-stats; zero value =
 	// flat, bit-identical to prior configurations). The layout-ab

@@ -207,11 +207,7 @@ func RunIntrospectAB(cfg Config) (*Artifact, *IntrospectSummary) {
 // introspectRep is one overhead repetition: a mixed 50/50 get/upsert
 // zipf(0.99) stream through one handle, reporting Mops.
 func introspectRep(cfg Config, size uint64, ops int, reg *obs.Registry) float64 {
-	tbl := dramhit.New(dramhit.Config{
-		Slots:       size,
-		ProbeKernel: cfg.ProbeKernel,
-		Observe:     reg,
-	})
+	tbl := dramhit.New(dramhit.Config{Slots: size, Observe: reg})
 	h := tbl.NewHandle()
 	ks := workload.NewKeyStream(cfg.Seed, size/2, 0.99)
 	const batch = 16

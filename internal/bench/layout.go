@@ -153,7 +153,7 @@ var layoutFills = []float64{0.75, 0.90}
 
 // flatLayoutCells measures one flat table at both fill points.
 func flatLayoutCells(cfg Config, size uint64, probeN int) []LayoutCell {
-	tbl := dramhit.New(dramhit.Config{Slots: size, ProbeKernel: cfg.ProbeKernel})
+	tbl := dramhit.New(dramhit.Config{Slots: size})
 	h := tbl.NewHandle()
 	keys := workload.UniqueKeys(cfg.Seed, int(float64(size)*layoutFills[len(layoutFills)-1]))
 	var cells []LayoutCell

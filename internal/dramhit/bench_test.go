@@ -102,73 +102,6 @@ func byWindow(w int) string {
 	return "window" + string(rune('0'+w/10)) + string(rune('0'+w%10))
 }
 
-// BenchmarkProbeKernel is the scalar-vs-SWAR A/B: the same 75%-fill
-// pipelined workload under each Config.ProbeKernel, for Gets (the paper's
-// headline op) and an insert-heavy mix. Fixed seeds keep the runs
-// benchstat-comparable; results/kernel-ab.txt archives a capture.
-func BenchmarkProbeKernel(b *testing.B) {
-	const size = 1 << 20
-	kernels := []table.ProbeKernel{table.KernelScalar, table.KernelSWAR}
-	for _, k := range kernels {
-		b.Run(k.String()+"/get75", func(b *testing.B) {
-			tbl := New(Config{Slots: size, ProbeKernel: k})
-			h := tbl.NewHandle()
-			keys := workload.UniqueKeys(11, size*3/4)
-			vals := make([]uint64, len(keys))
-			h.PutBatch(keys, vals)
-			found := make([]bool, len(keys))
-			b.ResetTimer()
-			for done := 0; done < b.N; done += len(keys) {
-				n := len(keys)
-				if b.N-done < n {
-					n = b.N - done
-				}
-				h.GetBatch(keys[:n], vals[:n], found[:n])
-			}
-		})
-	}
-	for _, k := range kernels {
-		b.Run(k.String()+"/put75", func(b *testing.B) {
-			// Timed region: inserting the 50%→75% fill band of a prefilled
-			// table, the regime where probe chains actually form. Filling
-			// from empty would mostly measure home-slot inserts, which both
-			// kernels resolve with the same single load.
-			keys := workload.UniqueKeys(12, size*3/4)
-			prefill, grow := keys[:size/2], keys[size/2:]
-			vals := make([]uint64, len(keys))
-			b.ResetTimer()
-			for done := 0; done < b.N; done += len(grow) {
-				b.StopTimer()
-				tbl := New(Config{Slots: size, ProbeKernel: k})
-				h := tbl.NewHandle()
-				h.PutBatch(prefill, vals[:len(prefill)])
-				b.StartTimer()
-				n := len(grow)
-				if b.N-done < n {
-					n = b.N - done
-				}
-				h.PutBatch(grow[:n], vals[:n])
-			}
-		})
-	}
-	for _, k := range kernels {
-		b.Run(k.String()+"/upsert75", func(b *testing.B) {
-			tbl := New(Config{Slots: size, ProbeKernel: k})
-			h := tbl.NewHandle()
-			keys := workload.UniqueKeys(13, size*3/4)
-			h.UpsertBatch(keys, 1) // preload: steady state is all-hits
-			b.ResetTimer()
-			for done := 0; done < b.N; done += len(keys) {
-				n := len(keys)
-				if b.N-done < n {
-					n = b.N - done
-				}
-				h.UpsertBatch(keys[:n], 1)
-			}
-		})
-	}
-}
-
 func BenchmarkMixedPipeline(b *testing.B) {
 	tbl := New(Config{Slots: 1 << 18})
 	h := tbl.NewHandle()

@@ -341,15 +341,14 @@ func TestBucketByteAPIRequiresLayout(t *testing.T) {
 	h.PutBytes([]byte("k"), []byte("v"))
 }
 
-// TestBucketRejectsFlatOnlySettings: ProbeKernel and Governor shape the flat
-// table's uint64 ring, which a bucket table does not have. Set on a bucket config they would be accepted and ignored, so New and
-// NewView panic, naming the field.
+// TestBucketRejectsFlatOnlySettings: Governor shapes the flat table's uint64
+// ring, which a bucket table does not have. Set on a bucket config it would
+// be accepted and ignored, so New and NewView panic, naming the field.
 func TestBucketRejectsFlatOnlySettings(t *testing.T) {
 	for _, c := range []struct {
 		field string
 		set   func(*Config)
 	}{
-		{"ProbeKernel", func(c *Config) { c.ProbeKernel = table.KernelScalar }},
 		{"Governor", func(c *Config) { c.Governor = table.GovernorDirect }},
 	} {
 		cfg := Config{Slots: 64, Layout: table.LayoutBucket}

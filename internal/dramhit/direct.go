@@ -29,11 +29,11 @@ import (
 
 // submitDirect is Submit's direct-mode body. The contract is unchanged:
 // nreq < len(reqs) only when resps ran out of space for a Get's response.
-// When no trace ring or latency hook is attached (the common case) the loop
+// When neither tracing nor op latency is armed (the common case) the loop
 // never builds a pending — completion is countOp, a counter switch — so the
 // synchronous path carries none of the ring machinery's per-request weight.
 func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
-	obsOn := h.trace != nil || h.onComplete != nil || h.opLat
+	obsOn := h.trace != nil || h.opLat
 	for nreq < len(reqs) {
 		req := reqs[nreq]
 		if req.Op == table.Get && nresp >= len(resps) {
@@ -45,7 +45,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 		var traceID uint64
 		var startNS int64
 		if obsOn {
-			if h.onComplete != nil || h.opLat {
+			if h.opLat {
 				startNS = time.Now().UnixNano()
 			}
 			if h.trace != nil {
@@ -67,14 +67,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 			continue
 		}
 		part, idx := hashfn.FastrangeSplit(hashfn.City64(req.Key), h.nreg, h.rslots)
-		arr := h.regs[part].arr
-		var v uint64
-		var found, fail bool
-		if h.kernel == table.KernelScalar {
-			v, found, fail = h.directScalar(req, arr, idx)
-		} else {
-			v, found, fail = h.directSWAR(req, arr, idx)
-		}
+		v, found, fail := h.directSWAR(req, h.regs[part].arr, idx)
 		if req.Op == table.Get {
 			resps[nresp] = table.Response{ID: req.ID, Value: v, Found: found}
 			nresp++
@@ -205,58 +198,6 @@ func (h *Handle) directSWAR(req table.Request, arr *slotarr.Array, idx uint64) (
 				// Single-line-table wrap, counted as the drains count it.
 				h.stats.KeyLines++
 			}
-		}
-	}
-}
-
-// directScalar is the inline slot-by-slot probe, the synchronous twin of
-// processScalar (the KernelScalar ablation baseline).
-func (h *Handle) directScalar(req table.Request, arr *slotarr.Array, idx uint64) (uint64, bool, bool) {
-	size := h.rslots
-	h.stats.KeyLines++
-	line := slotarr.LineOf(idx)
-	var probes uint64
-	for {
-		if slotarr.LineOf(idx) != line || probes >= size {
-			if probes >= size {
-				return directExhausted(req.Op)
-			}
-			line = slotarr.LineOf(idx)
-			h.stats.Reprobes++
-			h.stats.Lines++
-			h.stats.KeyLines++
-		}
-		k := arr.Key(idx)
-		switch {
-		case k == req.Key:
-			switch req.Op {
-			case table.Get:
-				return arr.WaitValue(idx), true, false
-			case table.Put:
-				h.stats.CASAttempts++
-				arr.StoreValue(idx, req.Value)
-				return req.Value, true, false
-			case table.Upsert:
-				h.stats.CASAttempts++
-				return arr.AddValue(idx, req.Value), true, false
-			default: // Delete
-				h.stats.CASAttempts++
-				return 0, h.tombstone(arr, idx, req.Key), false
-			}
-		case k == table.EmptyKey:
-			if req.Op == table.Get || req.Op == table.Delete {
-				return 0, false, false
-			}
-			if h.claim(arr, idx, req.Key, req.Value) {
-				return req.Value, true, false
-			}
-			continue // re-inspect the contested slot
-		default:
-			idx++
-			if idx == size {
-				idx = 0
-			}
-			probes++
 		}
 	}
 }

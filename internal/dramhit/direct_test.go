@@ -267,34 +267,6 @@ func TestDirectPipelinedEquivalence(t *testing.T) {
 	}
 }
 
-// TestDirectEquivalenceScalarKernel re-runs a condensed sequential
-// equivalence check on the scalar-kernel ablation path (directScalar vs
-// processScalar at window 1 — same execution order, full bit-identity).
-func TestDirectEquivalenceScalarKernel(t *testing.T) {
-	tp := New(Config{Slots: 64, PrefetchWindow: 1, ProbeKernel: table.KernelScalar})
-	td := New(Config{Slots: 64, PrefetchWindow: 1, ProbeKernel: table.KernelScalar, Governor: table.GovernorDirect})
-	gp := &modePair{
-		t: t, pipeT: tp, dirT: td,
-		pipe: tp.NewHandle(), direct: td.NewHandle(),
-		rPipe: make([]table.Response, 8192), rDir: make([]table.Response, 8192),
-	}
-	rng := rand.New(rand.NewSource(99))
-	var batch []table.Request
-	for i := 0; i < 6000; i++ {
-		k := uint64(rng.Intn(100)) + 1
-		batch = append(batch, table.Request{Op: table.Op(rng.Intn(4)), Key: k, Value: 3, ID: uint64(i)})
-		if len(batch) >= 24 {
-			gp.submit(batch)
-			gp.flush()
-			gp.compareStrict("scalar boundary")
-			batch = batch[:0]
-		}
-	}
-	gp.submit(batch)
-	gp.flush()
-	gp.compareStrict("scalar final")
-}
-
 // TestDirectIsConstructionTime pins where the execution mode comes from: the
 // table's Config, copied into every handle. A GovernorDirect handle answers
 // each batch in submission order and leaves nothing pending after any Submit;

@@ -49,11 +49,6 @@ type Config struct {
 	// DefaultPrefetchWindow. A window of 1 degenerates to synchronous
 	// operation (used by the batching ablation, Figure 7).
 	PrefetchWindow int
-	// ProbeKernel selects how the drain probes a resident cache line. The
-	// zero value (table.KernelSWAR) snapshots the whole line and runs the
-	// lane-parallel branch-free kernel of internal/simd; table.KernelScalar
-	// keeps the slot-by-slot loop for ablation and A/B benchmarks.
-	ProbeKernel table.ProbeKernel
 	// Observe, when non-nil, attaches the table to the observability
 	// registry: each handle registers a padded counter shard (published at
 	// Submit/Flush boundaries, so the hot path stays free of shared-line
@@ -67,10 +62,9 @@ type Config struct {
 	// table.LayoutBucket stores the index as one-line buckets with in-cell
 	// metadata over a log-structured KV arena and resizes itself: the
 	// byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes and the
-	// SubmitBytes ring). Calling the other layout's API panics. ProbeKernel
-	// and Governor apply only to flat tables (the bucket engine owns its byte
-	// hash, probe and ring), so New and NewView panic when a bucket config
-	// sets either.
+	// SubmitBytes ring). Calling the other layout's API panics. Governor
+	// applies only to flat tables (the bucket engine owns its byte hash, probe
+	// and ring), so New and NewView panic when a bucket config sets it.
 	Layout table.Layout
 	// Governor selects the execution mode of every handle, fixed at
 	// construction. The zero value (table.GovernorOff) runs the prefetch
@@ -81,17 +75,12 @@ type Config struct {
 	Governor table.GovernorMode
 }
 
-// FlatOnlyOnBucket names the first of ProbeKernel and Governor that a
-// LayoutBucket config c sets away from its zero value, or returns "". Those
-// settings shape the flat table's uint64 ring; on a bucket table they would
-// be accepted and ignored, so constructors reject them.
+// FlatOnlyOnBucket returns "Governor" when a LayoutBucket config c sets it
+// away from its zero value, or "". Governor shapes the flat table's uint64
+// ring; on a bucket table it would be accepted and ignored, so constructors
+// reject it.
 func (c Config) FlatOnlyOnBucket() string {
-	switch {
-	case c.Layout != table.LayoutBucket:
-		return ""
-	case c.ProbeKernel != table.KernelSWAR:
-		return "ProbeKernel"
-	case c.Governor != table.GovernorOff:
+	if c.Layout == table.LayoutBucket && c.Governor != table.GovernorOff {
 		return "Governor"
 	}
 	return ""
@@ -117,7 +106,6 @@ type Table struct {
 	size    uint64 // nreg * rslots
 	side    *slotarr.SidePair
 	window  int
-	kernel  table.ProbeKernel
 	direct  bool // GovernorDirect: handles skip the ring
 	obsReg  *obs.Registry
 	worker  string       // obs worker-shard name prefix
@@ -223,15 +211,11 @@ func NewView(cfg Config, r Regions) *Table {
 		size:   cfg.Slots / nreg * nreg,
 		side:   r.Side,
 		window: w,
-		kernel: cfg.ProbeKernel,
 		direct: cfg.Governor == table.GovernorDirect,
 		obsReg: cfg.Observe,
 		worker: r.Worker,
 	}
 }
-
-// Kernel returns the configured probe kernel.
-func (t *Table) Kernel() table.ProbeKernel { return t.kernel }
 
 // Layout returns the physical layout the table was constructed with.
 func (t *Table) Layout() table.Layout {
@@ -347,17 +331,6 @@ type Stats struct {
 // Ops returns the total completed operation count.
 func (s *Stats) Ops() uint64 { return s.Gets + s.Puts + s.Upserts + s.Deletes }
 
-// Core returns the counters every probe kernel must agree on: KeyLines and
-// CASAttempts are zeroed because they intentionally differ between the
-// scalar and SWAR kernels, while completions, hits, failures, reprobes and
-// line touches are execution-model-invariant. The equivalence property tests
-// compare Cores.
-func (s Stats) Core() Stats {
-	c := s
-	c.KeyLines, c.CASAttempts = 0, 0
-	return c
-}
-
 // Handle is a single-goroutine accessor holding the prefetch queue. Handles
 // must not be shared between goroutines; create one per worker. Any number
 // of handles may operate on the same Table concurrently.
@@ -374,7 +347,6 @@ type Handle struct {
 	head   int       // enqueue position
 	tail   int       // dequeue position (oldest)
 	window int
-	kernel table.ProbeKernel
 	direct bool // Submit bypasses the ring (GovernorDirect)
 
 	// bhs holds the bucket-layout engine views the byte API runs on, one per
@@ -399,13 +371,9 @@ type Handle struct {
 	// hot is the worker's hot-key sketch shard (nil unless the registry has
 	// hot keys enabled): every submitted key is offered, one predictable nil
 	// check per request otherwise. opLat arms per-op-class latency stamping
-	// (two clock reads per op, priced like onComplete).
+	// (two clock reads per op; Registry.EnableOpLatency).
 	hot   *obs.TopK
 	opLat bool
-
-	// onComplete, when set, receives every completed request and its
-	// latency in nanoseconds (used by the Figure 9 latency experiment).
-	onComplete func(req table.Request, lat time.Duration)
 
 	// Byte pipeline (netbatch.go): the ring of in-flight byte-string
 	// requests whose home bucket lines were prefetched at SubmitBytes, and
@@ -428,6 +396,7 @@ type Handle struct {
 	// line-multiple allocation size class, so no other object — the next
 	// handle made, typically — shares its lines. Pad here if a field change
 	// breaks that.
+	_ [8]byte
 }
 
 // NewHandle creates an accessor for the table.
@@ -443,7 +412,6 @@ func (t *Table) NewHandle() *Handle {
 		rslots: t.rslots,
 		mask:   capacity - 1,
 		window: t.window,
-		kernel: t.kernel,
 		direct: t.direct,
 	}
 	if t.Bucket() != nil {
@@ -471,12 +439,6 @@ func (t *Table) NewHandle() *Handle {
 		h.opLat = t.obsReg.OpLatencyEnabled()
 	}
 	return h
-}
-
-// SetLatencyHook installs a completion callback; pass nil to disable.
-// Enabling it adds a timestamp per request.
-func (h *Handle) SetLatencyHook(fn func(req table.Request, lat time.Duration)) {
-	h.onComplete = fn
 }
 
 // Stats returns a copy of the handle's counters.
@@ -582,7 +544,7 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		p := &h.q[h.head&h.mask]
 		p.req = *req
 		p.probes, p.startNS, p.trace = 0, 0, 0
-		if h.onComplete != nil || h.opLat {
+		if h.opLat {
 			p.startNS = time.Now().UnixNano()
 		}
 		if h.trace != nil {
@@ -645,90 +607,15 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (blocked bool
 		return false
 	}
 
-	switch {
-	case h.kernel == table.KernelScalar:
-		h.processScalar(p, resps, nresp)
-	case p.req.Op == table.Get:
+	switch p.req.Op {
+	case table.Get:
 		h.drainGet(p, resps, nresp)
-	case p.req.Op == table.Delete:
+	case table.Delete:
 		h.drainDelete(p)
 	default:
 		h.drainUpdate(p, resps, nresp)
 	}
 	return false
-}
-
-// processScalar is the pre-SWAR slot-by-slot hot path, retained as the
-// table.KernelScalar ablation baseline (and the reference the SWAR
-// equivalence property test compares against).
-func (h *Handle) processScalar(p *pending, resps []table.Response, nresp *int) {
-	arr, size := h.regs[p.part].arr, h.rslots
-	h.stats.KeyLines++
-	// The probe cursor walks in locals; reprobe stores it back once, before
-	// the move.
-	idx, probes := p.idx, p.probes
-	line := slotarr.LineOf(idx)
-	walked := false
-	for {
-		if slotarr.LineOf(idx) != line || probes >= size {
-			if probes >= size {
-				// Full-table probe: the operation fails (Get/Delete: not
-				// found; Put/Upsert: table full).
-				h.completeFailed(p, resps, nresp)
-				return
-			}
-			if !h.walkOn(p, idx, probes, walked) {
-				return
-			}
-			walked = true
-			line = slotarr.LineOf(idx)
-			h.stats.KeyLines++
-		}
-
-		k := arr.Key(idx)
-		switch {
-		case k == p.req.Key:
-			switch p.req.Op {
-			case table.Get:
-				h.retire(p, table.Get, arr.WaitValue(idx), true, false, resps, nresp)
-			case table.Put:
-				h.stats.CASAttempts++
-				arr.StoreValue(idx, p.req.Value)
-				h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
-			case table.Upsert:
-				h.stats.CASAttempts++
-				h.retire(p, table.Upsert, arr.AddValue(idx, p.req.Value), true, false, resps, nresp)
-			case table.Delete:
-				h.stats.CASAttempts++
-				h.retire(p, table.Delete, 0, h.tombstone(arr, idx, p.req.Key), false, resps, nresp)
-			}
-			return
-
-		case k == table.EmptyKey:
-			switch p.req.Op {
-			case table.Get, table.Delete:
-				h.retire(p, p.req.Op, 0, false, false, resps, nresp)
-				return
-			}
-			if h.claim(arr, idx, p.req.Key, p.req.Value) {
-				h.retire(p, p.req.Op, p.req.Value, true, false, resps, nresp)
-				return
-			}
-			// Claim race lost: the slot now holds some key; re-inspect it
-			// without advancing.
-
-		default:
-			// Another key or a tombstone: advance within the line.
-			idx++
-			if idx == size {
-				idx = 0
-				// Wrapping lands on a different line; the loop's crossing
-				// check will catch it because LineOf(0) != line (unless the
-				// table is a single line, where probes bound terminates).
-			}
-			probes++
-		}
-	}
 }
 
 // claim tries to insert key with value v into the empty slot i of arr,
@@ -799,8 +686,8 @@ func (h *Handle) completeFailed(p *pending, resps []table.Response, nresp *int) 
 }
 
 // countOp advances the per-op completion counters — the whole cost of
-// completing a request when no trace or latency hook is attached (the direct
-// path calls it instead of finishReq to skip the hook checks).
+// completing a request when neither tracing nor op latency is armed (the
+// direct path calls it instead of finishReq to skip those checks).
 func (h *Handle) countOp(op table.Op, hit bool) {
 	switch op {
 	case table.Get:
@@ -817,7 +704,7 @@ func (h *Handle) countOp(op table.Op, hit bool) {
 	}
 }
 
-// finishReq completes a request: counters, trace event, latency hook. It
+// finishReq completes a request: counters, trace event, op latency. It
 // takes the request's fields, not a ring entry: direct mode has none.
 func (h *Handle) finishReq(req *table.Request, startNS int64, trace uint64, op table.Op, hit bool) {
 	h.countOp(op, hit)
@@ -828,23 +715,10 @@ func (h *Handle) finishReq(req *table.Request, startNS int64, trace uint64, op t
 		}
 		h.trace.Record(trace, obs.EvComplete, uint8(op), req.Key, arg)
 	}
-	if h.onComplete != nil || h.opLat {
-		// startNS is only stamped at Submit when a latency consumer (the
-		// hook or per-op histograms) was already armed; a request that
-		// predates it completes with a zero latency instead of a nonsense
-		// now-minus-zero reading (and skips the second time.Now() call
-		// entirely). When neither is armed this branch is the whole cost:
-		// no timestamps are taken anywhere.
-		var lat time.Duration
-		if startNS != 0 {
-			lat = time.Duration(time.Now().UnixNano() - startNS)
-			if h.opLat {
-				h.obsw.Op[obs.OpClass(op, hit)].Record(uint64(lat))
-			}
-		}
-		if h.onComplete != nil {
-			h.onComplete(*req, lat)
-		}
+	// Submit stamps startNS only when op latency is armed; when it is not,
+	// this check is the whole cost and no clock is read anywhere.
+	if h.opLat && startNS != 0 {
+		h.obsw.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - startNS))
 	}
 }
 

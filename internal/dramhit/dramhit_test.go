@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"dramhit/internal/table"
 	"dramhit/internal/tabletest"
@@ -168,32 +167,6 @@ func TestReprobeStatistics(t *testing.T) {
 	ratio := float64(st.Lines) / float64(st.Ops())
 	if ratio < 1.05 || ratio > 1.8 {
 		t.Errorf("lines/op = %.2f at 75%% fill, paper reports ~1.3", ratio)
-	}
-}
-
-func TestLatencyHook(t *testing.T) {
-	tbl := New(Config{Slots: 1024, PrefetchWindow: 8})
-	h := tbl.NewHandle()
-	var mu sync.Mutex
-	lats := map[uint64]time.Duration{}
-	h.SetLatencyHook(func(req table.Request, lat time.Duration) {
-		mu.Lock()
-		lats[req.ID] = lat
-		mu.Unlock()
-	})
-	reqs := make([]table.Request, 20)
-	for i := range reqs {
-		reqs[i] = table.Request{Op: table.Put, Key: uint64(i + 1), ID: uint64(i)}
-	}
-	h.Submit(reqs, nil)
-	h.Flush(nil)
-	if len(lats) != 20 {
-		t.Fatalf("latency hook fired %d times, want 20", len(lats))
-	}
-	for id, l := range lats {
-		if l < 0 {
-			t.Errorf("negative latency for ID %d", id)
-		}
 	}
 }
 

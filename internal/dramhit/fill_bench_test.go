@@ -3,40 +3,34 @@ package dramhit
 import (
 	"testing"
 
-	"dramhit/internal/table"
 	"dramhit/internal/workload"
 )
 
-// BenchmarkFillSweep measures pipelined Gets under both probe kernels as the
-// table fills. It is the context for BenchmarkProbeKernel's point
-// measurements: at low fill nearly every probe resolves in its home slot
-// (where both kernels cost one load, thanks to the drains' entry-lane peek),
-// so the curves track each other; the kernels only diverge once cluster
-// walks appear, which is the regime the lane-parallel compare targets. The
-// fixed key seed keeps runs benchstat-comparable.
+// BenchmarkFillSweep measures pipelined Gets as the table fills: at low fill
+// nearly every probe resolves in its home slot (the drains' entry-lane peek,
+// one load), and cluster walks through the lane-parallel compare appear only
+// at the higher fills. The fixed key seed keeps runs benchstat-comparable.
 func BenchmarkFillSweep(b *testing.B) {
 	const size = 1 << 20
 	for _, fill := range []struct {
 		name string
 		num  int
 	}{{"f50", size / 2}, {"f75", size * 3 / 4}, {"f875", size * 7 / 8}, {"f94", size * 15 / 16}} {
-		for _, k := range []table.ProbeKernel{table.KernelScalar, table.KernelSWAR} {
-			b.Run(k.String()+"/"+fill.name, func(b *testing.B) {
-				tbl := New(Config{Slots: size, ProbeKernel: k})
-				h := tbl.NewHandle()
-				keys := workload.UniqueKeys(21, fill.num)
-				vals := make([]uint64, len(keys))
-				h.PutBatch(keys, vals)
-				found := make([]bool, len(keys))
-				b.ResetTimer()
-				for done := 0; done < b.N; done += len(keys) {
-					n := len(keys)
-					if b.N-done < n {
-						n = b.N - done
-					}
-					h.GetBatch(keys[:n], vals[:n], found[:n])
+		b.Run(fill.name, func(b *testing.B) {
+			tbl := New(Config{Slots: size})
+			h := tbl.NewHandle()
+			keys := workload.UniqueKeys(21, fill.num)
+			vals := make([]uint64, len(keys))
+			h.PutBatch(keys, vals)
+			found := make([]bool, len(keys))
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(keys) {
+				n := len(keys)
+				if b.N-done < n {
+					n = b.N - done
 				}
-			})
-		}
+				h.GetBatch(keys[:n], vals[:n], found[:n])
+			}
+		})
 	}
 }

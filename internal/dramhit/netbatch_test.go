@@ -180,7 +180,7 @@ func TestBytePipelineMatchesSyncAPI(t *testing.T) {
 				i, af.val, af.found, sf.val, sf.found)
 		}
 	}
-	sa, ss := ha.Stats().Core(), hs.Stats().Core()
+	sa, ss := ha.Stats(), hs.Stats()
 	// Lines differ by design (the async path counts its prefetches); zero it.
 	sa.Lines, ss.Lines = 0, 0
 	if sa != ss {

@@ -55,25 +55,23 @@ func runObsWorkload(t *Table, reqs []table.Request) (resps []table.Response, sta
 // handle counter.
 func TestObserveBitIdentical(t *testing.T) {
 	reqs := obsWorkload(20000, 11)
-	for _, kernel := range []table.ProbeKernel{table.KernelSWAR, table.KernelScalar} {
-		base := New(Config{Slots: 1 << 12, ProbeKernel: kernel})
-		obsd := New(Config{Slots: 1 << 12, ProbeKernel: kernel, Observe: obs.NewWith(1024, 16)})
-		r1, s1 := runObsWorkload(base, reqs)
-		r2, s2 := runObsWorkload(obsd, reqs)
-		if len(r1) != len(r2) {
-			t.Fatalf("kernel %v: response counts differ: %d vs %d", kernel, len(r1), len(r2))
+	base := New(Config{Slots: 1 << 12})
+	obsd := New(Config{Slots: 1 << 12, Observe: obs.NewWith(1024, 16)})
+	r1, s1 := runObsWorkload(base, reqs)
+	r2, s2 := runObsWorkload(obsd, reqs)
+	if len(r1) != len(r2) {
+		t.Fatalf("response counts differ: %d vs %d", len(r1), len(r2))
+	}
+	for i := range r1 {
+		if r1[i] != r2[i] {
+			t.Fatalf("response %d differs: %+v vs %+v", i, r1[i], r2[i])
 		}
-		for i := range r1 {
-			if r1[i] != r2[i] {
-				t.Fatalf("kernel %v: response %d differs: %+v vs %+v", kernel, i, r1[i], r2[i])
-			}
-		}
-		if s1 != s2 {
-			t.Fatalf("kernel %v: stats differ:\n  off: %+v\n  on:  %+v", kernel, s1, s2)
-		}
-		if base.Len() != obsd.Len() {
-			t.Fatalf("kernel %v: table contents differ: %d vs %d", kernel, base.Len(), obsd.Len())
-		}
+	}
+	if s1 != s2 {
+		t.Fatalf("stats differ:\n  off: %+v\n  on:  %+v", s1, s2)
+	}
+	if base.Len() != obsd.Len() {
+		t.Fatalf("table contents differ: %d vs %d", base.Len(), obsd.Len())
 	}
 }
 

@@ -147,7 +147,6 @@ func TestPrefetchInvisible(t *testing.T) {
 		want uint64
 	}{
 		{"flat-none", Config{Slots: 4096}, 0xab1c31c4ebf47991},
-		{"flat-scalar", Config{Slots: 4096, ProbeKernel: table.KernelScalar}, 0x64fa77d9a649dfae},
 		{"flat-full-window4", Config{Slots: 1024, PrefetchWindow: 4}, 0xd1552d0c4a5647ec},
 	} {
 		if got := runUint64Digest(c.cfg); got != c.want {

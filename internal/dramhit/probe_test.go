@@ -21,7 +21,6 @@ func TestKeyLinesAreLines(t *testing.T) {
 		cfg  Config
 	}{
 		{"swar", Config{}},
-		{"scalar", Config{ProbeKernel: table.KernelScalar}},
 		{"window4", Config{PrefetchWindow: 4}},
 		{"direct", Config{Governor: table.GovernorDirect}},
 	} {

@@ -47,7 +47,6 @@ func TestConformanceRegions(t *testing.T) {
 	}{
 		{"flat", Config{}},
 		{"flat-none-window1", Config{PrefetchWindow: 1}},
-		{"flat-scalar", Config{ProbeKernel: table.KernelScalar}},
 		{"flat-direct", Config{Governor: table.GovernorDirect}},
 		{"bucket", Config{Layout: table.LayoutBucket}},
 	} {

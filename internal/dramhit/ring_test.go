@@ -169,88 +169,85 @@ func (g *ringWrapGen) round() (reqs []table.Request, want map[uint64]table.Respo
 // built in the head slot after the back-pressure loop re-enqueued there.
 // Responses are collected through a one-slot buffer, so Submit keeps
 // returning blocked. Each Get is checked against a reference map, the final
-// state against the same map, and the SWAR pipeline's Stats against the
-// scalar kernel's over the same requests. The last case splits the table
-// into two regions: the moved entry must keep probing the region it was
-// routed to.
+// state against the same map, and the line count against the requests and
+// crossings that make it up. The last case splits the table into two
+// regions: the moved entry must keep probing the region it was routed to.
 func TestRingWrapInPlace(t *testing.T) {
 	const slots, loaded = 1024, 920
 	for _, c := range []struct{ window, regions int }{{1, 1}, {16, 1}, {16, 2}} {
 		window := c.window
-		var core [2]Stats
-		for ki, kernel := range []table.ProbeKernel{table.KernelSWAR, table.KernelScalar} {
-			tbl := newRegionTable(Config{Slots: slots, PrefetchWindow: window, ProbeKernel: kernel}, c.regions)
-			h := tbl.NewHandle()
-			all := workload.UniqueKeys(41, loaded+200)
-			present := append([]uint64{table.EmptyKey, table.TombstoneKey}, all[:loaded]...)
-			absent := append([]uint64(nil), all[loaded:]...)
-			ref := map[uint64]uint64{}
-			vals := make([]uint64, len(present))
-			for i, k := range present {
-				vals[i] = k>>3 + 1
-				ref[k] = vals[i]
-			}
-			h.PutBatch(present, vals)
-
-			gen := ringWrapGen{rng: rand.New(rand.NewSource(int64(window))), ref: ref, present: present, absent: absent}
-			var blocked, gets int
-			for round := 0; round < 30; round++ {
-				reqs, want := gen.round()
-				var one [1]table.Response
-				check := func(n int) {
-					for _, r := range one[:n] {
-						w, ok := want[r.ID]
-						if !ok {
-							t.Fatalf("window %d %v round %d: response for unknown or answered ID %d", window, kernel, round, r.ID)
-						}
-						if r != w {
-							t.Fatalf("window %d %v round %d: Get %d = (%d, %v), want (%d, %v)",
-								window, kernel, round, r.ID, r.Value, r.Found, w.Value, w.Found)
-						}
-						delete(want, r.ID)
-						gets++
-					}
-				}
-				for rem := reqs; len(rem) > 0; {
-					nreq, nresp := h.Submit(rem, one[:])
-					check(nresp)
-					if rem = rem[nreq:]; len(rem) > 0 {
-						blocked++
-					}
-				}
-				for {
-					nresp, done := h.Flush(one[:])
-					check(nresp)
-					if done {
-						break
-					}
-				}
-				if len(want) != 0 {
-					t.Fatalf("window %d %v round %d: %d Gets never answered", window, kernel, round, len(want))
-				}
-			}
-
-			if tbl.Len() != len(ref) {
-				t.Errorf("window %d %v: Len = %d, reference holds %d", window, kernel, tbl.Len(), len(ref))
-			}
-			s := tbl.NewSync()
-			for _, k := range append(all, table.EmptyKey, table.TombstoneKey) {
-				v, ok := s.Get(k)
-				if w, wok := ref[k]; ok != wok || v != w {
-					t.Fatalf("window %d %v: final Get(%#x) = (%d, %v), want (%d, %v)", window, kernel, k, v, ok, w, wok)
-				}
-			}
-			st := h.Stats()
-			if blocked == 0 || st.Reprobes == 0 || st.Failed != 0 {
-				t.Errorf("window %d %v: a path went unexercised: blocked %d stats %+v", window, kernel, blocked, st)
-			}
-			if st.Gets != uint64(gets) {
-				t.Errorf("window %d %v: Stats.Gets = %d, %d responses collected", window, kernel, st.Gets, gets)
-			}
-			core[ki] = st.Core()
+		tbl := newRegionTable(Config{Slots: slots, PrefetchWindow: window}, c.regions)
+		h := tbl.NewHandle()
+		all := workload.UniqueKeys(41, loaded+200)
+		present := append([]uint64{table.EmptyKey, table.TombstoneKey}, all[:loaded]...)
+		absent := append([]uint64(nil), all[loaded:]...)
+		ref := map[uint64]uint64{}
+		vals := make([]uint64, len(present))
+		for i, k := range present {
+			vals[i] = k>>3 + 1
+			ref[k] = vals[i]
 		}
-		if core[0] != core[1] {
-			t.Errorf("window %d: SWAR and scalar pipelines disagree:\nswar   %+v\nscalar %+v", window, core[0], core[1])
+		h.PutBatch(present, vals)
+
+		gen := ringWrapGen{rng: rand.New(rand.NewSource(int64(window))), ref: ref, present: present, absent: absent}
+		var blocked, gets int
+		for round := 0; round < 30; round++ {
+			reqs, want := gen.round()
+			var one [1]table.Response
+			check := func(n int) {
+				for _, r := range one[:n] {
+					w, ok := want[r.ID]
+					if !ok {
+						t.Fatalf("window %d round %d: response for unknown or answered ID %d", window, round, r.ID)
+					}
+					if r != w {
+						t.Fatalf("window %d round %d: Get %d = (%d, %v), want (%d, %v)",
+							window, round, r.ID, r.Value, r.Found, w.Value, w.Found)
+					}
+					delete(want, r.ID)
+					gets++
+				}
+			}
+			for rem := reqs; len(rem) > 0; {
+				nreq, nresp := h.Submit(rem, one[:])
+				check(nresp)
+				if rem = rem[nreq:]; len(rem) > 0 {
+					blocked++
+				}
+			}
+			for {
+				nresp, done := h.Flush(one[:])
+				check(nresp)
+				if done {
+					break
+				}
+			}
+			if len(want) != 0 {
+				t.Fatalf("window %d round %d: %d Gets never answered", window, round, len(want))
+			}
+		}
+
+		if tbl.Len() != len(ref) {
+			t.Errorf("window %d: Len = %d, reference holds %d", window, tbl.Len(), len(ref))
+		}
+		s := tbl.NewSync()
+		for _, k := range append(all, table.EmptyKey, table.TombstoneKey) {
+			v, ok := s.Get(k)
+			if w, wok := ref[k]; ok != wok || v != w {
+				t.Fatalf("window %d: final Get(%#x) = (%d, %v), want (%d, %v)", window, k, v, ok, w, wok)
+			}
+		}
+		st := h.Stats()
+		if blocked == 0 || st.Reprobes == 0 || st.Failed != 0 {
+			t.Errorf("window %d: a path went unexercised: blocked %d stats %+v", window, blocked, st)
+		}
+		if st.Gets != uint64(gets) {
+			t.Errorf("window %d: Stats.Gets = %d, %d responses collected", window, st.Gets, gets)
+		}
+		// A request counts its home line once, at submission; every further
+		// line is a crossing.
+		if st.Lines != st.Ops()+st.Reprobes {
+			t.Errorf("window %d: Lines %d, want %d ops + %d reprobes", window, st.Lines, st.Ops(), st.Reprobes)
 		}
 	}
 }
@@ -260,7 +257,7 @@ func TestRingWrapInPlace(t *testing.T) {
 // without a re-enqueue, one spanning three re-enqueues once, and one that
 // wraps from the last line to line 0 (not the prefetched neighbour)
 // re-enqueues at the wrap. Every crossing, walked in place or re-enqueued,
-// counts one Reprobe and one Line, under both kernels.
+// counts one Reprobe and one Line.
 func TestTwoLineVisit(t *testing.T) {
 	const slots = 64
 	homedAt := func(home uint64, n int) []uint64 {
@@ -272,35 +269,33 @@ func TestTwoLineVisit(t *testing.T) {
 		}
 		return keys
 	}
-	for _, kernel := range []table.ProbeKernel{table.KernelSWAR, table.KernelScalar} {
-		for _, c := range []struct {
-			name           string
-			home           uint64
-			fill           int // keys of that home loaded first: a cluster from home on
-			lines, enqueue int // lines the absent key's probe visits; its enqueues
-		}{
-			{"one line", 4, 3, 1, 1},
-			{"two lines", 4, 4, 2, 1},
-			{"three lines", 4, 8, 3, 2},
-			{"four lines", 4, 12, 4, 2},
-			{"wrap", slots - 4, 4, 2, 2},
-		} {
-			keys := homedAt(c.home, c.fill+1)
-			h := New(Config{Slots: slots, ProbeKernel: kernel}).NewHandle()
-			h.PutBatch(keys[:c.fill], keys[:c.fill])
-			before, head := h.Stats(), h.head
-			resps := make([]table.Response, 1)
-			h.Submit([]table.Request{{Op: table.Get, Key: keys[c.fill], ID: 7}}, resps)
-			if n, done := h.Flush(resps); n != 1 || !done || resps[0].Found {
-				t.Fatalf("%v %s: Get of an absent key = %d responses (%+v), done %v", kernel, c.name, n, resps[0], done)
-			}
-			st := h.Stats()
-			if lines, reprobes := st.Lines-before.Lines, st.Reprobes-before.Reprobes; lines != uint64(c.lines) || reprobes != uint64(c.lines-1) {
-				t.Errorf("%v %s: %d lines and %d reprobes, want %d and %d", kernel, c.name, lines, reprobes, c.lines, c.lines-1)
-			}
-			if got := h.head - head; got != c.enqueue {
-				t.Errorf("%v %s: %d enqueues, want %d", kernel, c.name, got, c.enqueue)
-			}
+	for _, c := range []struct {
+		name           string
+		home           uint64
+		fill           int // keys of that home loaded first: a cluster from home on
+		lines, enqueue int // lines the absent key's probe visits; its enqueues
+	}{
+		{"one line", 4, 3, 1, 1},
+		{"two lines", 4, 4, 2, 1},
+		{"three lines", 4, 8, 3, 2},
+		{"four lines", 4, 12, 4, 2},
+		{"wrap", slots - 4, 4, 2, 2},
+	} {
+		keys := homedAt(c.home, c.fill+1)
+		h := New(Config{Slots: slots}).NewHandle()
+		h.PutBatch(keys[:c.fill], keys[:c.fill])
+		before, head := h.Stats(), h.head
+		resps := make([]table.Response, 1)
+		h.Submit([]table.Request{{Op: table.Get, Key: keys[c.fill], ID: 7}}, resps)
+		if n, done := h.Flush(resps); n != 1 || !done || resps[0].Found {
+			t.Fatalf("%s: Get of an absent key = %d responses (%+v), done %v", c.name, n, resps[0], done)
+		}
+		st := h.Stats()
+		if lines, reprobes := st.Lines-before.Lines, st.Reprobes-before.Reprobes; lines != uint64(c.lines) || reprobes != uint64(c.lines-1) {
+			t.Errorf("%s: %d lines and %d reprobes, want %d and %d", c.name, lines, reprobes, c.lines, c.lines-1)
+		}
+		if got := h.head - head; got != c.enqueue {
+			t.Errorf("%s: %d enqueues, want %d", c.name, got, c.enqueue)
 		}
 	}
 }

@@ -6,34 +6,33 @@ import (
 	"dramhit/internal/table"
 )
 
-// This file is the table.KernelSWAR execution model: the drain probes whole
-// cache lines, not slots. Each drain snapshots the resident line's key lanes
+// This file is the flat table's probe, the one kernel it has: the drain
+// probes whole cache lines, not slots. Each drain snapshots the resident line's key lanes
 // with one slotarr.LoadKeys pass, runs the lane-parallel branch-free kernel
 // of internal/simd over the four key lanes, and acts on the first match in
 // probe order. Tombstoned lanes match neither mask and are skipped without a
 // branch. At most one value word is touched afterwards (the matched lane's —
 // an L1 hit, the line is resident). Every state-changing decision made from
 // the snapshot is re-verified against live memory by the claim CAS; a lost
-// claim race re-snapshots the line and reruns the kernel rather than falling
-// back to the scalar loop (see DESIGN.md "Line-granular SWAR probe kernel").
+// claim race re-snapshots the line and reruns the kernel (see DESIGN.md
+// "Line-granular SWAR probe kernel").
 //
 // The drains are specialized per operation so the op switch runs once per
 // drain attempt in processOldest, not once per probed slot.
 
 // Each line a drain opens — the visit's first, and the second it walks into
 // in place (walkOn) — starts with an entry-lane peek: at the fills the tables
-// run at, most probes resolve in their home slot, and one load answers that
-// case at exactly the scalar path's cost. Only when the peeked lane holds a
-// different live key (a cluster walk has started) does the line kernel take
-// over, replacing up to three more per-slot iterations with one fused
+// run at, most probes resolve in their home slot, and one key load answers
+// that case. Only when the peeked lane holds a different live key (a cluster
+// walk has started) does the line kernel take over, replacing up to three more per-slot iterations with one fused
 // lane-compare. The peek and the kernel share the line's one KeyLines count,
-// so the counters stay identical to the scalar path's in every outcome, and
-// the same shape in direct mode keeps the two modes identical term for term.
+// so a line costs one count whichever resolves it, and the same shape in
+// direct mode keeps the two modes identical term for term.
 
 // drainGet resolves a pending Get over its resident line pair with the lane
-// kernel. The matched lane's value is loaded after its key was observed —
-// the same key-then-value order the scalar path uses — from the line the
-// kernel just touched, so the load is an L1 hit, not a second memory touch.
+// kernel. The matched lane's value is loaded after its key was observed, from
+// the line the kernel just touched, so the load is an L1 hit, not a second
+// memory touch.
 func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) {
 	arr, size := h.regs[p.part].arr, h.rslots
 	key, idx, probes := p.req.Key, p.idx, p.probes
@@ -65,10 +64,10 @@ func (h *Handle) drainGet(p *pending, resps []table.Response, nresp *int) {
 			}
 			// Missed line: advance past it. Lanes before the entry offset were
 			// examined on an earlier pass (or never); only cidx..valid-1 count
-			// toward the full-table bound, exactly matching the scalar loop's
-			// per-slot accounting. The cursor lives in the locals idx and probes
-			// (p is the ring slot itself, so p.idx would be a store per line);
-			// reprobe stores it back once, before the move.
+			// toward the full-table bound, which counts slots inspected. The
+			// cursor lives in the locals idx and probes (p is the ring slot
+			// itself, so p.idx would be a store per line); reprobe stores it
+			// back once, before the move.
 			probes += valid - (idx - base)
 			idx = nextLine(base, size)
 			if slotarr.LineOf(idx) != slotarr.LineOf(base) {
@@ -167,8 +166,7 @@ func (h *Handle) drainUpdate(p *pending, resps []table.Response, nresp *int) {
 
 // drainDelete resolves a pending Delete: a matched lane is tombstoned with a
 // CAS that re-verifies the snapshot (a concurrent Delete of the same key may
-// have won, in which case this one reports a miss, exactly like the scalar
-// path).
+// have won, in which case this one reports a miss).
 func (h *Handle) drainDelete(p *pending) {
 	arr, size := h.regs[p.part].arr, h.rslots
 	key, idx, probes := p.req.Key, p.idx, p.probes

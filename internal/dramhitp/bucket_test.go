@@ -171,15 +171,14 @@ func TestPBucketByteAPIRequiresLayout(t *testing.T) {
 	w.PutBytes([]byte("k"), []byte("v"))
 }
 
-// TestBucketRejectsFlatOnlySettings: ProbeKernel, Combining and Governor
-// shape the flat partitions' uint64 paths; on a bucket config they
-// would be accepted and ignored, so New panics, naming the field.
+// TestBucketRejectsFlatOnlySettings: Combining and Governor shape the flat
+// partitions' uint64 paths; on a bucket config they would be accepted and
+// ignored, so New panics, naming the field.
 func TestBucketRejectsFlatOnlySettings(t *testing.T) {
 	for _, c := range []struct {
 		field string
 		set   func(*Config)
 	}{
-		{"ProbeKernel", func(c *Config) { c.ProbeKernel = table.KernelScalar }},
 		{"Combining", func(c *Config) { c.Combining = table.CombineOff }},
 		{"Governor", func(c *Config) { c.Governor = table.GovernorDirect }},
 	} {

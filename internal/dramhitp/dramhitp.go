@@ -47,11 +47,6 @@ type Config struct {
 	QueueCapacity int
 	// Sections per queue (default capacity/8).
 	Sections int
-	// ProbeKernel selects the probe strategy of partition owners and the
-	// read path. The zero value (table.KernelSWAR) is the branchless
-	// cache-line-wide probe of the DRAMHiT-P-SIMD variant (§3.4);
-	// table.KernelScalar keeps the slot-by-slot loop for ablation.
-	ProbeKernel table.ProbeKernel
 	// Combining selects whether WriteHandles fold duplicate-key Upserts into
 	// one delegated message (see combine.go). The zero value
 	// (table.CombineOn) is the default; table.CombineOff is the A/B baseline.
@@ -71,9 +66,9 @@ type Config struct {
 	// partition a self-resizing one-line-bucket index over one arena shared
 	// across all partitions: synchronous byte writes (WriteHandle.PutBytes/
 	// UpsertBytes/DeleteBytes) and byte reads (ReadHandle.GetBytes and the
-	// byte-lookup ring). Calling the other layout's API panics. ProbeKernel,
-	// Combining and Governor apply only to flat tables, so New panics when a
-	// bucket config sets any of them.
+	// byte-lookup ring). Calling the other layout's API panics. Combining and
+	// Governor apply only to flat tables, so New panics when a bucket config
+	// sets either.
 	Layout table.Layout
 	// Governor selects the read path's execution mode, fixed at
 	// construction and forwarded to the read view (dramhit.Config.Governor).
@@ -111,7 +106,6 @@ type Table struct {
 	total     uint64
 	side      slotarr.SidePair
 	fabric    *delegation.Fabric
-	kernel    table.ProbeKernel
 	combine   table.Combining
 	layout    table.Layout
 
@@ -139,7 +133,6 @@ func New(cfg Config) *Table {
 	// rejected before anything is built. Combining is the write side's own.
 	vcfg := dramhit.Config{
 		PrefetchWindow: cfg.PrefetchWindow,
-		ProbeKernel:    cfg.ProbeKernel,
 		Observe:        cfg.Observe,
 		Layout:         cfg.Layout,
 		Governor:       cfg.Governor,
@@ -172,7 +165,6 @@ func New(cfg Config) *Table {
 		partSlots: partSlots,
 		nparts:    nparts,
 		total:     partSlots * nparts,
-		kernel:    cfg.ProbeKernel,
 		combine:   cfg.Combining,
 		layout:    cfg.Layout,
 		obsReg:    cfg.Observe,
@@ -340,65 +332,29 @@ func (t *Table) apply(m delegation.Message) {
 
 // putLocal inserts or updates (key, value) in partition pt starting at slot
 // `local`. Single-writer: publication order is value first, then key, so a
-// concurrent reader never observes a claimed-but-unvalued slot. Under the
-// SWAR kernel the probe advances a whole cache line per step; ownership
-// makes the line snapshot authoritative (no claim CAS is needed), so the
-// kernel's verdict is acted on directly.
+// concurrent reader never observes a claimed-but-unvalued slot. The probe
+// advances a whole cache line per step; ownership makes the line snapshot
+// authoritative (no claim CAS is needed), so the kernel's verdict is acted on
+// directly.
 func (t *Table) putLocal(pt *partition, local, key, value uint64, add bool) bool {
 	arr := pt.arr
-	if t.kernel == table.KernelSWAR {
-		i := local
-		for probes := uint64(0); ; {
-			l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
-			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
-			switch res {
-			case simd.HitKey:
-				slot := base + uint64(lane)
-				if add {
-					arr.AddValue(slot, value)
-				} else {
-					arr.StoreValue(slot, value)
-				}
-				return true
-			case simd.HitEmpty:
-				slot := base + uint64(lane)
-				arr.StoreValue(slot, value)
-				arr.StoreKey(slot, key)
-				pt.count++
-				atomic.AddInt64(&pt.live, 1)
-				if pt.count >= t.partSlots {
-					// Deny further inserts before the next one is attempted
-					// (paper §3.2: the owner sets the flag; producers check
-					// it).
-					pt.full.Store(true)
-				}
-				return true
-			}
-			probes += valid - (i - base)
-			if probes >= t.partSlots {
-				break
-			}
-			i = base + table.SlotsPerCacheLine
-			if i >= t.partSlots {
-				i = 0
-			}
-		}
-		pt.full.Store(true)
-		return false
-	}
 	i := local
-	for probes := uint64(0); probes < t.partSlots; probes++ {
-		switch arr.Key(i) {
-		case key:
+	for probes := uint64(0); ; {
+		l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
+		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
+		switch res {
+		case simd.HitKey:
+			slot := base + uint64(lane)
 			if add {
-				arr.AddValue(i, value)
+				arr.AddValue(slot, value)
 			} else {
-				arr.StoreValue(i, value)
+				arr.StoreValue(slot, value)
 			}
 			return true
-		case table.EmptyKey:
-			arr.StoreValue(i, value)
-			arr.StoreKey(i, key)
+		case simd.HitEmpty:
+			slot := base + uint64(lane)
+			arr.StoreValue(slot, value)
+			arr.StoreKey(slot, key)
 			pt.count++
 			atomic.AddInt64(&pt.live, 1)
 			if pt.count >= t.partSlots {
@@ -408,53 +364,39 @@ func (t *Table) putLocal(pt *partition, local, key, value uint64, add bool) bool
 			}
 			return true
 		}
-		i++
-		if i == t.partSlots {
+		probes += valid - (i - base)
+		if probes >= t.partSlots {
+			pt.full.Store(true)
+			return false
+		}
+		i = base + table.SlotsPerCacheLine
+		if i >= t.partSlots {
 			i = 0
 		}
 	}
-	pt.full.Store(true)
-	return false
 }
 
 // deleteLocal tombstones key in partition pt.
 func (t *Table) deleteLocal(pt *partition, local, key uint64) {
 	arr := pt.arr
-	if t.kernel == table.KernelSWAR {
-		i := local
-		for probes := uint64(0); ; {
-			l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
-			lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
-			switch res {
-			case simd.HitKey:
-				arr.StoreKey(base+uint64(lane), table.TombstoneKey)
-				atomic.AddInt64(&pt.live, -1)
-				return
-			case simd.HitEmpty:
-				return
-			}
-			probes += valid - (i - base)
-			if probes >= t.partSlots {
-				return
-			}
-			i = base + table.SlotsPerCacheLine
-			if i >= t.partSlots {
-				i = 0
-			}
-		}
-	}
 	i := local
-	for probes := uint64(0); probes < t.partSlots; probes++ {
-		switch arr.Key(i) {
-		case key:
-			arr.StoreKey(i, table.TombstoneKey)
+	for probes := uint64(0); ; {
+		l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
+		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
+		switch res {
+		case simd.HitKey:
+			arr.StoreKey(base+uint64(lane), table.TombstoneKey)
 			atomic.AddInt64(&pt.live, -1)
 			return
-		case table.EmptyKey:
+		case simd.HitEmpty:
 			return
 		}
-		i++
-		if i == t.partSlots {
+		probes += valid - (i - base)
+		if probes >= t.partSlots {
+			return
+		}
+		i = base + table.SlotsPerCacheLine
+		if i >= t.partSlots {
 			i = 0
 		}
 	}

@@ -9,13 +9,12 @@ import (
 	"dramhit/internal/workload"
 )
 
-func newTestTable(n uint64, kernel table.ProbeKernel) *Table {
+func newTestTable(n uint64) *Table {
 	t := New(Config{
 		Slots:                 n,
 		Producers:             32, // headroom for conformance clones
 		Consumers:             2,
 		PartitionsPerConsumer: 2,
-		ProbeKernel:           kernel,
 	})
 	t.Start()
 	return t
@@ -23,13 +22,23 @@ func newTestTable(n uint64, kernel table.ProbeKernel) *Table {
 
 func TestConformance(t *testing.T) {
 	tabletest.Run(t, "DRAMHiT-P", func(n uint64) table.Map {
-		return newTestTable(n, table.KernelScalar).NewSync()
+		return newTestTable(n).NewSync()
 	}, tabletest.LooseCapacity())
 }
 
+// TestConformanceSIMD runs the suite through the line-wide SWAR probe over
+// nine partitions, whose sizes are rarely a multiple of the four-slot line:
+// probes enter lines mid-way and wrap inside a partition's tail line.
 func TestConformanceSIMD(t *testing.T) {
 	tabletest.Run(t, "DRAMHiT-P-SIMD", func(n uint64) table.Map {
-		return newTestTable(n, table.KernelSWAR).NewSync()
+		tbl := New(Config{
+			Slots:                 n,
+			Producers:             32, // headroom for conformance clones
+			Consumers:             3,
+			PartitionsPerConsumer: 3,
+		})
+		tbl.Start()
+		return tbl.NewSync()
 	}, tabletest.LooseCapacity())
 }
 
@@ -218,80 +227,73 @@ func TestReadsDontBlockOnWriters(t *testing.T) {
 	w.Close()
 }
 
-func TestSIMDAndScalarAgree(t *testing.T) {
-	// The SIMD probe must produce the same table contents as the scalar
-	// probe for the same input stream, including tombstone handling.
-	mkTable := func(kernel table.ProbeKernel) *Table {
-		tbl := New(Config{Slots: 2048, Producers: 1, Consumers: 2, ProbeKernel: kernel})
-		tbl.Start()
-		return tbl
-	}
-	a, b := mkTable(table.KernelScalar), mkTable(table.KernelSWAR)
-	defer a.Close()
-	defer b.Close()
-	wa, wb := a.NewWriteHandle(), b.NewWriteHandle()
+// TestWriteHandleMatchesMap: puts, deletes and upserts delegated through a
+// write handle leave exactly the contents a Go map given the same stream
+// holds, tombstones included.
+func TestWriteHandleMatchesMap(t *testing.T) {
+	tbl := New(Config{Slots: 2048, Producers: 1, Consumers: 2})
+	tbl.Start()
+	defer tbl.Close()
+	w := tbl.NewWriteHandle()
+	ref := map[uint64]uint64{}
 	keys := workload.UniqueKeys(7, 900)
 	for i, k := range keys {
-		wa.Put(k, k+1)
-		wb.Put(k, k+1)
+		w.Put(k, k+1)
+		ref[k] = k + 1
 		if i%7 == 0 {
-			wa.Delete(k)
-			wb.Delete(k)
+			w.Delete(k)
+			delete(ref, k)
 		}
 		if i%11 == 0 {
-			wa.Upsert(k, 3)
-			wb.Upsert(k, 3)
+			w.Upsert(k, 3)
+			ref[k] += 3
 		}
 	}
-	wa.Barrier()
-	wb.Barrier()
-	ra, rb := a.NewReadHandle(), b.NewReadHandle()
+	w.Barrier()
+	r := tbl.NewReadHandle()
 	for _, k := range keys {
-		va, oka := ra.Get(k)
-		vb, okb := rb.Get(k)
-		if va != vb || oka != okb {
-			t.Fatalf("divergence on key %d: scalar (%d,%v) simd (%d,%v)", k, va, oka, vb, okb)
+		v, ok := r.Get(k)
+		if want, wok := ref[k]; v != want || ok != wok {
+			t.Fatalf("key %d: (%d, %v), want (%d, %v)", k, v, ok, want, wok)
 		}
 	}
-	wa.Close()
-	wb.Close()
+	if tbl.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", tbl.Len(), len(ref))
+	}
+	w.Close()
 }
 
-func TestSIMDReadPipelineAgreesWithScalar(t *testing.T) {
-	// The branchless read pipeline must return exactly what the scalar one
-	// does, including misses and reprobe chains.
-	mk := func(kernel table.ProbeKernel) (*Table, []uint64) {
-		tbl := New(Config{Slots: 4096, Producers: 1, Consumers: 2, ProbeKernel: kernel})
-		tbl.Start()
-		w := tbl.NewWriteHandle()
-		keys := workload.UniqueKeys(42, 2500) // ~61% fill: real reprobes
-		for _, k := range keys {
-			w.Put(k, k^7)
-		}
-		w.Barrier()
-		w.Close()
-		return tbl, keys
+// TestReadPipelineMatchesLoad: the read pipeline over a 61%-full table, where
+// probe chains cross lines, answers every loaded key with its value and
+// misses every other key.
+func TestReadPipelineMatchesLoad(t *testing.T) {
+	tbl := New(Config{Slots: 4096, Producers: 1, Consumers: 2})
+	tbl.Start()
+	defer tbl.Close()
+	w := tbl.NewWriteHandle()
+	keys := workload.UniqueKeys(42, 2500)
+	for _, k := range keys {
+		w.Put(k, k^7)
 	}
-	scalarT, keys := mk(table.KernelScalar)
-	simdT, _ := mk(table.KernelSWAR)
-	defer scalarT.Close()
-	defer simdT.Close()
+	w.Barrier()
+	w.Close()
 
 	probe := append(append([]uint64{}, keys...), workload.UniqueKeys(43, 500)...) // hits + misses
-	for _, tbl := range []*Table{scalarT, simdT} {
-		r := tbl.NewReadHandle()
-		vals := make([]uint64, len(probe))
-		found := make([]bool, len(probe))
-		r.GetBatch(probe, vals, found)
-		for i, k := range probe {
-			wantFound := i < len(keys)
-			if found[i] != wantFound {
-				t.Fatalf("kernel=%v key %d: found=%v want %v", tbl.kernel, i, found[i], wantFound)
-			}
-			if wantFound && vals[i] != k^7 {
-				t.Fatalf("kernel=%v key %d: value %d want %d", tbl.kernel, i, vals[i], k^7)
-			}
+	r := tbl.NewReadHandle()
+	vals := make([]uint64, len(probe))
+	found := make([]bool, len(probe))
+	r.GetBatch(probe, vals, found)
+	for i, k := range probe {
+		wantFound := i < len(keys)
+		if found[i] != wantFound {
+			t.Fatalf("key %d: found=%v want %v", i, found[i], wantFound)
 		}
+		if wantFound && vals[i] != k^7 {
+			t.Fatalf("key %d: value %d want %d", i, vals[i], k^7)
+		}
+	}
+	if s := r.Stats(); s.Reprobes == 0 {
+		t.Error("no lookup crossed a line")
 	}
 }
 

@@ -259,9 +259,8 @@ type ReadHandle struct {
 	h *dramhit.Handle
 }
 
-// NewReadHandle creates a reader pipeline. Under the default
-// table.KernelSWAR kernel the handle probes whole cache lines branchlessly
-// (the DRAMHiT-P-SIMD read path, §3.4).
+// NewReadHandle creates a reader pipeline. The handle probes whole cache
+// lines branchlessly (the DRAMHiT-P-SIMD read path, §3.4).
 func (t *Table) NewReadHandle() *ReadHandle {
 	return &ReadHandle{h: t.view.NewHandle()}
 }

@@ -95,15 +95,10 @@ func readDigest(cfg Config) uint64 {
 // partitioned reader: the default and -tags purego builds must both reproduce
 // the constants. flat-none, the default table (named for the tag sidecar it
 // lacks, from when the sidecar was the default), is from the commit before
-// the hardware prefetch. flat-scalar was re-pinned once, when the reader
-// became dramhit's ring: with the old reader's accounting emulated (no
-// KeyLines under the scalar kernel) the ring reproduced the old constant
-// 0x3764f92d96854c71, so no response and no completion order moved. The
-// scalar reader now counts its line visits as every other kernel does, which
-// makes its digest flat-none's. Both were re-pinned again when the reader
-// stopped piggybacking duplicate lookups and began to probe a prefetched line
-// pair per visit (completions move, answers do not: the table is read-only
-// during the stream). The byte ring's digest is pinned in dramhit.
+// the hardware prefetch. It was re-pinned when the reader stopped
+// piggybacking duplicate lookups and began to probe a prefetched line pair
+// per visit (completions move, answers do not: the table is read-only during
+// the stream). The byte ring's digest is pinned in dramhit.
 func TestPrefetchInvisible(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -111,7 +106,6 @@ func TestPrefetchInvisible(t *testing.T) {
 		want uint64
 	}{
 		{"flat-none", Config{}, 0xea4a4c87b6ce8d0a},
-		{"flat-scalar", Config{ProbeKernel: table.KernelScalar}, 0xea4a4c87b6ce8d0a},
 	} {
 		if got := readDigest(c.cfg); got != c.want {
 			t.Errorf("%s: digest %#x, want %#x", c.name, got, c.want)

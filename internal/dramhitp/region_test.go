@@ -27,7 +27,6 @@ type regionLayout struct {
 
 var regionLayouts = []regionLayout{
 	{"flat", Config{}},
-	{"flat-scalar", Config{ProbeKernel: table.KernelScalar}},
 }
 
 // le is the 8-byte little-endian encoding the byte-API ports of uint64
@@ -102,7 +101,7 @@ func TestOnePartitionIsADramhitTable(t *testing.T) {
 		cfg.Slots, cfg.Producers, cfg.Consumers = 1<<12, 1, 1
 		pt := New(cfg)
 		pt.Start()
-		dt := dramhit.New(dramhit.Config{Slots: cfg.Slots, ProbeKernel: cfg.ProbeKernel, Layout: cfg.Layout})
+		dt := dramhit.New(dramhit.Config{Slots: cfg.Slots, Layout: cfg.Layout})
 		w, ds := pt.NewWriteHandle(), dt.NewSync()
 		rng := rand.New(rand.NewSource(11))
 		// Puts and Deletes only: a WriteHandle holds Upserts back to fold them,

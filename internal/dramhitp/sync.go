@@ -27,9 +27,9 @@ func (s *Sync) settle() {
 }
 
 // NewSync returns a synchronous single-goroutine view. Each view consumes
-// one producer slot; Config.Producers bounds how many can exist. The view's
-// WriteHandle is closed by Table.Close (via closeIssued), so callers using
-// NewSync exclusively can simply Close the table... but see CloseSync.
+// one producer slot; Config.Producers bounds how many can exist. Table.Close
+// closes every producer endpoint, the view's included, so a caller that
+// uses NewSync exclusively just closes the table.
 func (t *Table) NewSync() *Sync {
 	return &Sync{t: t, w: t.NewWriteHandle(), r: t.NewReadHandle()}
 }
@@ -37,9 +37,6 @@ func (t *Table) NewSync() *Sync {
 // Clone implements the tabletest.Cloner contract: a fresh single-goroutine
 // view over the same table.
 func (s *Sync) Clone() table.Map { return s.t.NewSync() }
-
-// CloseSync closes the view's writer endpoint.
-func (s *Sync) CloseSync() { s.w.Close() }
 
 // Shutdown closes the underlying table (all producer endpoints and the
 // delegation threads). All goroutines using views of the table must have

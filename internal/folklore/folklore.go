@@ -127,7 +127,7 @@ func (t *Table) step(i uint64) uint64 {
 // opStart returns the operation start timestamp when per-op latency is
 // armed, else 0. The paired opEnd records into the shared Worker's class
 // histogram. Two time.Now calls per op — the same price the pipelined
-// tables' latency hook quotes — paid only when EnableOpLatency was set.
+// tables' op-latency stamps pay — only when EnableOpLatency was set.
 func (t *Table) opStart() int64 {
 	if o := t.obs; o != nil && o.opLat {
 		return time.Now().UnixNano()

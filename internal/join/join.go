@@ -129,6 +129,3 @@ func (j *Joiner) Probe(probeKeys []uint64, emit func(Match)) int {
 	}
 	return matches
 }
-
-// BuildRows returns the number of build rows inserted.
-func (j *Joiner) BuildRows() int { return j.built }

@@ -219,8 +219,8 @@ func writeHistogram(w io.Writer, name string, h *Histogram, labels string) {
 }
 
 // WriteMetrics renders r in the Prometheus text exposition format. Every
-// family carries # HELP and # TYPE lines (the metrics format test parses
-// the output under internal/promtext's strict grammar).
+// family carries # HELP and # TYPE lines (TestMetricsStrictFormat parses the
+// output under a strict exposition-format grammar).
 func WriteMetrics(w io.Writer, r *Registry) {
 	workers := r.Workers()
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"dramhit/internal/promtext"
 	"dramhit/internal/table"
 )
 
@@ -47,12 +46,12 @@ func populatedRegistry() *Registry {
 }
 
 // TestMetricsStrictFormat: every family in /metrics carries # HELP and
-// # TYPE and the whole document parses under the strict promtext grammar —
+// # TYPE and the whole document parses under parseProm's strict grammar —
 // the satellite guard against scrape drift as new series land.
 func TestMetricsStrictFormat(t *testing.T) {
 	var buf bytes.Buffer
 	WriteMetrics(&buf, populatedRegistry())
-	fams, err := promtext.Parse(bytes.NewReader(buf.Bytes()))
+	fams, err := parseProm(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("strict parse failed: %v\n%s", err, buf.String())
 	}
@@ -73,12 +72,12 @@ func TestMetricsStrictFormat(t *testing.T) {
 		"dramhit_hotkey_count", "dramhit_pull",
 		"dramhit_trace_events_total", "dramhit_uptime_seconds",
 	} {
-		if promtext.Find(fams, want) == nil {
+		if findFamily(fams, want) == nil {
 			t.Errorf("family %q missing from /metrics", want)
 		}
 	}
 	// Per-op series carry the op label and consistent bucket/count sums.
-	oplat := promtext.Find(fams, "dramhit_op_latency_ns")
+	oplat := findFamily(fams, "dramhit_op_latency_ns")
 	ops := map[string]bool{}
 	for _, s := range oplat.Samples {
 		ops[s.Labels["op"]] = true

@@ -195,7 +195,7 @@ type Registry struct {
 	sampleN int
 	start   time.Time
 	// opLat turns on per-op-class latency stamping in the table hot paths
-	// (two clock reads per operation — priced like SetLatencyHook, opt-in).
+	// (two clock reads per operation, opt-in).
 	opLat atomic.Bool
 	// hotCap, when > 0, gives every subsequently created Worker a TopK
 	// hot-key shard of that capacity.
@@ -259,7 +259,7 @@ func (r *Registry) HotKeysEnabled() bool { return r.hotCap.Load() > 0 }
 // EnableOpLatency arms per-op-class latency: handles created after this call
 // stamp a start timestamp per operation and record completion latency into
 // their Worker's Op histograms. Costs two clock reads per operation on the
-// instrumented paths — opt-in, like SetLatencyHook.
+// instrumented paths, so it is opt-in.
 func (r *Registry) EnableOpLatency() { r.opLat.Store(true) }
 
 // OpLatencyEnabled reports whether per-op latency stamping is armed.

@@ -4,15 +4,14 @@
 // probe key against all four key lanes at once with a masked vector compare,
 // and uses conditional (masked) operations instead of branches.
 //
-// Go has no SIMD intrinsics, so this package reproduces the structure of
-// that kernel — lane-parallel compare producing a bitmask, cidx masking so
-// only lanes at or after the probe entry position participate, and
-// branch-free select via mask arithmetic — with 8-byte scalar lanes. The
-// point of the emulation is twofold: it keeps the DRAMHiT-P-SIMD code path
-// (and its single-cache-line probe granularity) faithful to the paper, and
-// it gives the cycle-level simulator a distinct kernel whose per-line cost
-// model differs from the scalar probe exactly the way the paper reports
-// (a few cycles per operation, §4.2).
+// Go has no SIMD intrinsics, so ProbeLine4 reproduces the structure of that
+// kernel — lane-parallel compare producing a bitmask, cidx masking so only
+// lanes at or after the probe entry position participate, and a branch-free
+// first-match select — with 8-byte scalar lanes. It is the one flat probe of
+// both live tables. BucketCandidates7 is the bucket layout's byte-lane
+// counterpart over its in-cell fingerprints. (The simulator's scalar-versus-
+// SIMD comparison is a cost model in internal/simtable; it does not run this
+// code.)
 //
 // The one thing here that is not portable Go is Prefetch: the paper's other
 // hardware dependency, software prefetch, is a single instruction the Go
@@ -36,52 +35,6 @@ var keyCmpMasks = [LaneCount]uint8{
 	0b1000, // cidx 3: last one
 }
 
-// eqMask returns 1 if a == b, else 0, without a branch (the scalar stand-in
-// for one lane of _mm512_cmpeq_epu64_mask). The xor is zero only on
-// equality; the (x|-x)>>63 trick extracts "is non-zero".
-func eqMask(a, b uint64) uint64 {
-	x := a ^ b
-	return ((x | -x) >> 63) ^ 1
-}
-
-// KeyCompare compares key against the four lanes and returns the lane
-// bitmask of equal lanes, restricted to lanes >= cidx. lanes must have at
-// least LaneCount elements.
-func KeyCompare(lanes *[LaneCount]uint64, key uint64, cidx int) uint8 {
-	var m uint8
-	m |= uint8(eqMask(lanes[0], key)) << 0
-	m |= uint8(eqMask(lanes[1], key)) << 1
-	m |= uint8(eqMask(lanes[2], key)) << 2
-	m |= uint8(eqMask(lanes[3], key)) << 3
-	return m & keyCmpMasks[cidx]
-}
-
-// FirstLane returns the index of the lowest set lane in mask, and whether
-// any lane was set. Branch-free via trailing-zeros.
-func FirstLane(mask uint8) (int, bool) {
-	tz := bits.TrailingZeros8(mask)
-	return tz, mask != 0
-}
-
-// ProbeMasks computes the key-equality and empty-lane masks for one line in
-// a single pass, restricted to lanes >= cidx. It is the zero-call-overhead
-// core of ProbeLine: small enough to inline into the tables' probe loops,
-// with first-match selection left to the caller (combine the masks and take
-// the lowest set bit, as ProbeLine does).
-func ProbeMasks(lanes *[LaneCount]uint64, key, emptyKey uint64, cidx int) (keyMask, emptyMask uint8) {
-	l0, l1, l2, l3 := lanes[0], lanes[1], lanes[2], lanes[3]
-	k := uint8(eqMask(l0, key)) |
-		uint8(eqMask(l1, key))<<1 |
-		uint8(eqMask(l2, key))<<2 |
-		uint8(eqMask(l3, key))<<3
-	e := uint8(eqMask(l0, emptyKey)) |
-		uint8(eqMask(l1, emptyKey))<<1 |
-		uint8(eqMask(l2, emptyKey))<<2 |
-		uint8(eqMask(l3, emptyKey))<<3
-	valid := keyCmpMasks[cidx]
-	return k & valid, e & valid
-}
-
 // ProbeResult classifies the outcome of a line probe.
 type ProbeResult uint8
 
@@ -96,24 +49,21 @@ const (
 	HitEmpty
 )
 
-// ProbeLine performs the paper's vectorized probe over one line of key
-// lanes: it computes the key-equality mask and the empty-slot mask in lane
-// parallel, selects whichever match comes first in probe order, and returns
-// the lane offset. emptyKey is the key-space value marking empty slots.
-// Tombstoned lanes match neither mask and are skipped implicitly.
-func ProbeLine(lanes *[LaneCount]uint64, key, emptyKey uint64, cidx int) (lane int, res ProbeResult) {
-	return ProbeLine4(lanes[0], lanes[1], lanes[2], lanes[3], key, emptyKey, cidx)
-}
-
-// ProbeLine4 is ProbeLine with the four key lanes passed in registers — the
-// form the live tables' probe loops use so no lane array is materialized on
-// the stack. Each lane comparison is written as a separate single-assignment
+// ProbeLine4 performs the paper's vectorized probe over one line of key
+// lanes l0..l3: it computes the key-equality mask and the empty-slot mask in
+// lane parallel, selects whichever match comes first in probe order at or
+// after lane cidx, and returns the lane offset. emptyKey is the key-space
+// value marking empty slots; tombstoned lanes match neither mask and are
+// skipped implicitly.
+//
+// The lanes are passed in registers so no lane array is materialized on the
+// stack. Each lane comparison is written as a separate single-assignment
 // conditional, which the compiler lowers to a flag-setting compare plus
 // SETcc — the scalar ISA's closest analogue to one lane of
-// _mm512_cmpeq_epu64_mask, and ~2.5x cheaper than the arithmetic
-// (x|-x)>>63 encoding eqMask uses. This is the innermost call of the probe
-// loop; sharing the lane reads and the single keyCmpMasks lookup keeps it
-// to one call frame.
+// _mm512_cmpeq_epu64_mask, and ~2.5x cheaper than an arithmetic
+// (x|-x)>>63 encoding. This is the innermost call of the probe loop; sharing
+// the lane reads and the single keyCmpMasks lookup keeps it to one call
+// frame.
 func ProbeLine4(l0, l1, l2, l3, key, emptyKey uint64, cidx int) (lane int, res ProbeResult) {
 	var k0, k1, k2, k3, e0, e1, e2, e3 uint8
 	if l0 == key {
@@ -164,37 +114,6 @@ func ProbeLine4(l0, l1, l2, l3, key, emptyKey uint64, cidx int) (lane int, res P
 	return lane, res
 }
 
-// LineMasks computes, lane-parallel, the three bitmasks a line-granular
-// probe dispatches on: lanes holding key, lanes empty, and lanes tombstoned
-// (tombKey), each restricted to lanes >= cidx. The live tables use the first
-// two to locate the match and the chain terminator and the third to tell a
-// "line full of tombstones" from a "line full of live keys" without
-// re-touching the lanes.
-func LineMasks(lanes *[LaneCount]uint64, key, emptyKey, tombKey uint64, cidx int) (keyMask, emptyMask, tombMask uint8) {
-	return KeyCompare(lanes, key, cidx),
-		KeyCompare(lanes, emptyKey, cidx),
-		KeyCompare(lanes, tombKey, cidx)
-}
-
-// SelectValue returns a if mask is 1 and b if mask is 0, branch-free — the
-// analogue of a masked vector blend used by Listing 1's conditional copy.
-func SelectValue(mask, a, b uint64) uint64 {
-	// mask must be 0 or 1; turn it into all-ones/all-zeros.
-	m := -mask
-	return (a & m) | (b &^ m)
-}
-
-// CopyMask computes the lane store mask for inserting key into the line:
-// zero if the key already exists in the line (no copy needed), otherwise
-// the lowest empty lane (Listing 1's key_copy_mask).
-func CopyMask(lanes *[LaneCount]uint64, key, emptyKey uint64, cidx int) uint8 {
-	if KeyCompare(lanes, key, cidx) != 0 {
-		return 0
-	}
-	em := KeyCompare(lanes, emptyKey, cidx)
-	return em & (-em) // lowest empty lane only
-}
-
 // ----- 8-wide byte-lane kernel (tag fingerprints) -----
 //
 // A word of eight packed fingerprint bytes answers, branch-free, "which of
@@ -240,16 +159,6 @@ func matchBits(w, bcast uint64) uint64 {
 // distinct offsets, so the multiply is carry-free).
 func packMask(m uint64) uint8 {
 	return uint8(((m >> 7) * 0x0102040810204080) >> 56)
-}
-
-// MatchBytes8 returns the 8-bit lane mask of byte lanes in w equal to b.
-func MatchBytes8(w uint64, b uint8) uint8 {
-	return packMask(matchBits(w, BroadcastByte(b)))
-}
-
-// ZeroBytes8 returns the 8-bit lane mask of zero byte lanes in w.
-func ZeroBytes8(w uint64) uint8 {
-	return packMask(matchBits(w, 0))
 }
 
 // TagCandidates8 returns the candidate-lane mask for probing a key with tag

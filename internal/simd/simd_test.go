@@ -5,71 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestEqMask(t *testing.T) {
-	cases := []struct {
-		a, b uint64
-		want uint64
-	}{
-		{0, 0, 1}, {1, 1, 1}, {^uint64(0), ^uint64(0), 1},
-		{0, 1, 0}, {1, 0, 0}, {^uint64(0), 0, 0}, {1 << 63, 0, 0},
-	}
-	for _, c := range cases {
-		if got := eqMask(c.a, c.b); got != c.want {
-			t.Errorf("eqMask(%x, %x) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestEqMaskQuick(t *testing.T) {
-	f := func(a, b uint64) bool {
-		want := uint64(0)
-		if a == b {
-			want = 1
-		}
-		return eqMask(a, b) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKeyCompareMasksByCidx(t *testing.T) {
-	lanes := [LaneCount]uint64{7, 7, 7, 7}
-	for cidx := 0; cidx < LaneCount; cidx++ {
-		m := KeyCompare(&lanes, 7, cidx)
-		// Lanes below cidx must be masked off.
-		for l := 0; l < LaneCount; l++ {
-			bit := m>>l&1 == 1
-			want := l >= cidx
-			if bit != want {
-				t.Errorf("cidx %d lane %d: set=%v want %v", cidx, l, bit, want)
-			}
-		}
-	}
-}
-
-func TestKeyCompareNoMatch(t *testing.T) {
-	lanes := [LaneCount]uint64{1, 2, 3, 4}
-	if m := KeyCompare(&lanes, 9, 0); m != 0 {
-		t.Errorf("mask = %b for absent key", m)
-	}
-}
-
-func TestFirstLane(t *testing.T) {
-	if _, ok := FirstLane(0); ok {
-		t.Error("FirstLane(0) reported a lane")
-	}
-	for l := 0; l < 8; l++ {
-		lane, ok := FirstLane(1 << l)
-		if !ok || lane != l {
-			t.Errorf("FirstLane(1<<%d) = (%d, %v)", l, lane, ok)
-		}
-	}
-	if lane, _ := FirstLane(0b1010); lane != 1 {
-		t.Errorf("FirstLane picks lowest: got %d", lane)
-	}
-}
-
 func TestProbeLineOutcomes(t *testing.T) {
 	const empty = uint64(0)
 	cases := []struct {
@@ -91,7 +26,8 @@ func TestProbeLineOutcomes(t *testing.T) {
 		{"cidx 3 no match", [4]uint64{5, 5, 5, 1}, 5, 3, Miss, 0},
 	}
 	for _, c := range cases {
-		lane, res := ProbeLine(&c.lanes, c.key, empty, c.cidx)
+		l := c.lanes
+		lane, res := ProbeLine4(l[0], l[1], l[2], l[3], c.key, empty, c.cidx)
 		if res != c.wantRes || (res != Miss && lane != c.wantLane) {
 			t.Errorf("%s: got (lane %d, res %d), want (lane %d, res %d)",
 				c.name, lane, res, c.wantLane, c.wantRes)
@@ -100,13 +36,13 @@ func TestProbeLineOutcomes(t *testing.T) {
 }
 
 func TestProbeLineMatchesScalarReference(t *testing.T) {
-	// Property: ProbeLine agrees with a straightforward scalar loop.
+	// Property: ProbeLine4 agrees with a straightforward scalar loop.
 	const empty = uint64(99)
 	prop := func(l0, l1, l2, l3, key uint64, cidxRaw uint8) bool {
 		lanes := [LaneCount]uint64{l0 % 4, l1 % 4, l2 % 4, l3 % 4}
 		k := key % 4
 		cidx := int(cidxRaw) % LaneCount
-		gotLane, gotRes := ProbeLine(&lanes, k, empty, cidx)
+		gotLane, gotRes := ProbeLine4(lanes[0], lanes[1], lanes[2], lanes[3], k, empty, cidx)
 		// Scalar reference.
 		for l := cidx; l < LaneCount; l++ {
 			if lanes[l] == k {
@@ -134,7 +70,7 @@ func TestProbeLineMatchesScalarReference(t *testing.T) {
 		lanes := [LaneCount]uint64{pick(l0), pick(l1), pick(l2), pick(l3)}
 		k := key % 4
 		cidx := int(cidxRaw) % LaneCount
-		gotLane, gotRes := ProbeLine(&lanes, k, empty, cidx)
+		gotLane, gotRes := ProbeLine4(lanes[0], lanes[1], lanes[2], lanes[3], k, empty, cidx)
 		for l := cidx; l < LaneCount; l++ {
 			if lanes[l] == k {
 				return gotRes == HitKey && gotLane == l
@@ -147,91 +83,6 @@ func TestProbeLineMatchesScalarReference(t *testing.T) {
 	}
 	if err := quick.Check(prop2, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLineMasks(t *testing.T) {
-	const empty, tomb = uint64(0), ^uint64(0)
-	lanes := [LaneCount]uint64{empty, 7, tomb, 7}
-	km, em, tm := LineMasks(&lanes, 7, empty, tomb, 0)
-	if km != 0b1010 || em != 0b0001 || tm != 0b0100 {
-		t.Fatalf("masks = %04b %04b %04b", km, em, tm)
-	}
-	// cidx restricts all three masks identically.
-	km, em, tm = LineMasks(&lanes, 7, empty, tomb, 2)
-	if km != 0b1000 || em != 0 || tm != 0b0100 {
-		t.Fatalf("cidx 2 masks = %04b %04b %04b", km, em, tm)
-	}
-	f := func(l0, l1, l2, l3, key uint64, cidxRaw uint8) bool {
-		pick := func(v uint64) uint64 {
-			switch v % 7 {
-			case 0:
-				return empty
-			case 1:
-				return tomb
-			default:
-				return v%4 + 1
-			}
-		}
-		ls := [LaneCount]uint64{pick(l0), pick(l1), pick(l2), pick(l3)}
-		k := key%4 + 1
-		cidx := int(cidxRaw) % LaneCount
-		km, em, tm := LineMasks(&ls, k, empty, tomb, cidx)
-		for l := 0; l < LaneCount; l++ {
-			bit := uint8(1) << l
-			wantK := l >= cidx && ls[l] == k
-			wantE := l >= cidx && ls[l] == empty
-			wantT := l >= cidx && ls[l] == tomb
-			if (km&bit != 0) != wantK || (em&bit != 0) != wantE || (tm&bit != 0) != wantT {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSelectValue(t *testing.T) {
-	if SelectValue(1, 10, 20) != 10 {
-		t.Error("SelectValue(1) did not pick a")
-	}
-	if SelectValue(0, 10, 20) != 20 {
-		t.Error("SelectValue(0) did not pick b")
-	}
-	f := func(mask bool, a, b uint64) bool {
-		m := uint64(0)
-		want := b
-		if mask {
-			m, want = 1, a
-		}
-		return SelectValue(m, a, b) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCopyMask(t *testing.T) {
-	const empty = uint64(0)
-	// Key already present: no copy.
-	lanes := [LaneCount]uint64{empty, 7, empty, 1}
-	if m := CopyMask(&lanes, 7, empty, 0); m != 0 {
-		t.Errorf("copy mask %b for existing key", m)
-	}
-	// Key absent: lowest empty lane only.
-	if m := CopyMask(&lanes, 9, empty, 0); m != 0b0001 {
-		t.Errorf("copy mask %b, want 0001", m)
-	}
-	// cidx skips lane 0's empty.
-	if m := CopyMask(&lanes, 9, empty, 1); m != 0b0100 {
-		t.Errorf("copy mask %b, want 0100", m)
-	}
-	// No empties at all.
-	full := [LaneCount]uint64{1, 2, 3, 4}
-	if m := CopyMask(&full, 9, empty, 0); m != 0 {
-		t.Errorf("copy mask %b for full line", m)
 	}
 }
 
@@ -262,6 +113,12 @@ func TestBroadcastByte(t *testing.T) {
 	}
 }
 
+// matchBytes8 is the exact byte-equality lane mask TagCandidates8 and
+// BucketCandidates7 are built from: lanes of w equal to b.
+func matchBytes8(w uint64, b uint8) uint8 {
+	return packMask(matchBits(w, BroadcastByte(b)))
+}
+
 func TestMatchBytes8BorrowCases(t *testing.T) {
 	// The cases the naive haszero form gets wrong: a lane holding 1 (or any
 	// small value) adjacent to lanes that would generate a borrow/carry in
@@ -284,15 +141,15 @@ func TestMatchBytes8BorrowCases(t *testing.T) {
 		{0, 1, 0},
 	}
 	for _, c := range cases {
-		if got := MatchBytes8(c.w, c.b); got != c.want {
-			t.Errorf("MatchBytes8(%#016x, %#x) = %08b, want %08b", c.w, c.b, got, c.want)
+		if got := matchBytes8(c.w, c.b); got != c.want {
+			t.Errorf("matchBytes8(%#016x, %#x) = %08b, want %08b", c.w, c.b, got, c.want)
 		}
 	}
 }
 
 func TestMatchBytes8MatchesReference(t *testing.T) {
 	f := func(w uint64, b uint8) bool {
-		return MatchBytes8(w, b) == refMatch8(w, b)
+		return matchBytes8(w, b) == refMatch8(w, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
@@ -305,7 +162,7 @@ func TestMatchBytes8MatchesReference(t *testing.T) {
 			v := b + uint8(int(r%5)-2) // b-2 .. b+2
 			w |= uint64(v) << (8 * lane)
 		}
-		return MatchBytes8(w, b) == refMatch8(w, b)
+		return matchBytes8(w, b) == refMatch8(w, b)
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
@@ -314,7 +171,7 @@ func TestMatchBytes8MatchesReference(t *testing.T) {
 
 func TestZeroBytes8(t *testing.T) {
 	f := func(w uint64) bool {
-		return ZeroBytes8(w) == refMatch8(w, 0)
+		return packMask(matchBits(w, 0)) == refMatch8(w, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Error(err)
@@ -360,10 +217,9 @@ func BenchmarkTagCandidates8(b *testing.B) {
 }
 
 func BenchmarkProbeLine(b *testing.B) {
-	lanes := [LaneCount]uint64{1, 2, 3, 4}
 	var sink int
 	for i := 0; i < b.N; i++ {
-		lane, _ := ProbeLine(&lanes, uint64(i&7), 0, i&3)
+		lane, _ := ProbeLine4(1, 2, 3, 4, uint64(i&7), 0, i&3)
 		sink += lane
 	}
 	_ = sink

@@ -83,44 +83,6 @@ func IsReservedKey(key uint64) bool {
 	return key == EmptyKey || key == TombstoneKey || key == MovedKey
 }
 
-// ProbeKernel selects how the live tables probe a cache-resident line. The
-// zero value is KernelSWAR, making the line-granular kernel the default
-// execution model; the scalar loop stays selectable for ablation and A/B
-// benchmarks (the Figure 7-style comparisons).
-type ProbeKernel uint8
-
-const (
-	// KernelSWAR probes a whole 64-byte line per step: the four key lanes
-	// are snapshotted in one pass and compared lane-parallel with the
-	// branch-free kernel of internal/simd (paper §3.4, Listing 1).
-	KernelSWAR ProbeKernel = iota
-	// KernelScalar probes slot-by-slot with one atomic load and a key
-	// switch per slot — the pre-SWAR hot path, kept as the A/B baseline.
-	KernelScalar
-)
-
-// String implements fmt.Stringer for benchmark labels.
-func (k ProbeKernel) String() string {
-	switch k {
-	case KernelSWAR:
-		return "swar"
-	case KernelScalar:
-		return "scalar"
-	}
-	return "invalid"
-}
-
-// ParseProbeKernel maps a benchmark-flag string back to a kernel.
-func ParseProbeKernel(s string) (ProbeKernel, error) {
-	switch s {
-	case "", "swar":
-		return KernelSWAR, nil
-	case "scalar":
-		return KernelScalar, nil
-	}
-	return 0, fmt.Errorf("unknown probe kernel %q (want swar|scalar)", s)
-}
-
 // Layout selects the physical slot layout of a table. The zero value is
 // LayoutFlat — the original interleaved key/value array, four slots to a
 // line — so existing configurations are bit-identical. LayoutBucket
@@ -259,10 +221,10 @@ const SlotsPerCacheLine = 4
 // CacheLineBytes is the transfer unit of the memory subsystem.
 const CacheLineBytes = 64
 
-// Map is the minimal synchronous hash-table interface shared by the
-// baselines (Folklore, the locked table) and used by the conformance test
-// suite. DRAMHiT itself exposes the batched interface, with a synchronous
-// adapter for tests.
+// Map is the minimal synchronous hash-table interface of the Folklore
+// baseline and growt's resizable table, and the one the conformance test
+// suite runs. DRAMHiT itself exposes the batched interface, with a
+// synchronous adapter for tests.
 type Map interface {
 	// Get returns the value stored for key and whether it was present.
 	Get(key uint64) (uint64, bool)
