@@ -34,6 +34,22 @@
 // retired. Unlinking drops the arena's reference; Go's GC frees the bytes
 // once the last reader's subslice goes away, so a stale-but-pinned reader
 // can never observe recycled memory.
+//
+// # Huge segments
+//
+// A writer's first segment is a plain make, so a writer that appends little
+// (an idle connection) costs 4 KiB pages. From its second segment on, a
+// default-sized segment is carved, in order, from a 2 MiB-aligned slab that
+// internal/hugemem has advised for transparent huge pages, so record reads
+// resolve their address from a 2 MiB TLB entry. Each slab segment is
+// first-touched before a writer gets it: handing one out starts a goroutine
+// that writes one byte per 4 KiB page of the next, which faults its huge page
+// off the writer's path, and the writer that takes that segment waits for the
+// touch to finish, so no goroutine writes bytes a writer owns. Segments of any
+// other size — records larger than a segment, and arenas built with
+// WithSegmentBytes — stay plain makes. A slab is ordinary Go heap: it is
+// collectable once every segment carved from it is unlinked and no reader
+// still holds a subslice of it.
 package arena
 
 import (
@@ -42,6 +58,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"dramhit/internal/hugemem"
 )
 
 // Ref addresses one record: segment index in bits 47:32, byte offset in bits
@@ -74,9 +92,14 @@ const DefaultSegmentBytes = 1 << 20
 // maxSegments bounds the segment index to its 16 bits in the Ref.
 const maxSegments = 1 << 16
 
+// slabBytes is the size of the huge-page slabs default-sized segments are
+// carved from after a writer's first.
+const slabBytes = 32 << 20
+
 // segment is one append-only region. buf is written only by the owning
-// Writer (unsynchronized bump allocation) and read by anyone holding a Ref
-// into it; the publication protocol above makes those reads race-free.
+// Writer (unsynchronized bump allocation; a slab segment's first touch ends
+// before the writer takes it) and read by anyone holding a Ref into it; the
+// publication protocol above makes those reads race-free.
 // size is the bytes appended so far (owner-written, atomically published at
 // seal time only for accounting); dead counts retired bytes.
 type segment struct {
@@ -84,6 +107,10 @@ type segment struct {
 	used   atomic.Uint64 // bytes appended (owner bump, atomic so scrapes race-free)
 	dead   atomic.Uint64 // bytes retired
 	sealed atomic.Bool   // owner moved on; used is final
+	huge   bool          // carved from a huge-page slab
+	// touched is done once a slab segment's background first touch has
+	// finished; the writer that takes the segment waits on it.
+	touched sync.WaitGroup
 	// retireEpoch is the global epoch at which the segment became fully
 	// dead (valid once candidate is true).
 	retireEpoch uint64
@@ -102,6 +129,11 @@ type Arena struct {
 	pins    []*Pin
 	retired []*segment // fully-dead segments awaiting a safe epoch
 	freed   atomic.Uint64
+
+	slabMu   sync.Mutex // guards slab and ahead
+	slab     []byte     // the current slab's uncarved tail
+	slabHuge bool       // the current slab is huge-page advised
+	ahead    *segment   // the next slab segment, under its first touch
 }
 
 // Option configures New.
@@ -140,6 +172,19 @@ func (a *Arena) Segments() (total, live int) {
 	return len(segs), live
 }
 
+// HugeBytes returns the capacity of the still-linked segments that were
+// carved from huge-page slabs: the records a reader finds through a 2 MiB TLB
+// entry. For observability and tests.
+func (a *Arena) HugeBytes() uint64 {
+	var n uint64
+	for _, s := range *a.segs.Load() {
+		if s != nil && s.huge {
+			n += uint64(len(s.buf))
+		}
+	}
+	return n
+}
+
 // Freed returns the number of segments unlinked so far.
 func (a *Arena) Freed() uint64 { return a.freed.Load() }
 
@@ -174,12 +219,15 @@ func (a *Arena) SegmentStats() []SegmentStat {
 }
 
 // newSegment allocates a segment of at least n bytes, links it into the
-// directory, and returns it with its index.
-func (a *Arena) newSegment(n int) (*segment, uint32) {
-	if n < a.segSize {
-		n = a.segSize
+// directory, and returns it with its index. A writer's first segment, and any
+// segment not of the default size, is a plain make; the rest come from slabs.
+func (a *Arena) newSegment(n int, first bool) (*segment, uint32) {
+	var s *segment
+	if first || n > a.segSize || a.segSize != DefaultSegmentBytes {
+		s = &segment{buf: make([]byte, max(n, a.segSize))}
+	} else {
+		s = a.slabSegment()
 	}
-	s := &segment{buf: make([]byte, n)}
 	a.mu.Lock()
 	old := *a.segs.Load()
 	if len(old) >= maxSegments {
@@ -193,6 +241,40 @@ func (a *Arena) newSegment(n int) (*segment, uint32) {
 	a.segs.Store(&grown)
 	a.mu.Unlock()
 	return s, id
+}
+
+// slabSegment hands out the slab segment whose first touch was started when
+// the previous one was handed out (the first call has none and returns a cold
+// one), and starts the touch of the next.
+func (a *Arena) slabSegment() *segment {
+	a.slabMu.Lock()
+	c := a.ahead
+	if c == nil {
+		c = a.carve()
+	}
+	next := a.carve()
+	next.touched.Add(1)
+	a.ahead = next
+	a.slabMu.Unlock()
+	go func() {
+		for i := 0; i < len(next.buf); i += 4 << 10 {
+			next.buf[i] = 0 // one write per 4 KiB page faults the whole huge page
+		}
+		next.touched.Done()
+	}()
+	c.touched.Wait()
+	return c
+}
+
+// carve cuts the next default-sized segment from the current slab, allocating
+// a fresh slab when it is used up. The caller holds slabMu.
+func (a *Arena) carve() *segment {
+	if len(a.slab) < DefaultSegmentBytes {
+		a.slab, a.slabHuge = hugemem.Bytes(slabBytes)
+	}
+	c := &segment{buf: a.slab[:DefaultSegmentBytes:DefaultSegmentBytes], huge: a.slabHuge}
+	a.slab = a.slab[DefaultSegmentBytes:]
+	return c
 }
 
 // Writer is a single-goroutine appender owning the tail of one segment. It
@@ -239,11 +321,12 @@ func uvarintLen(v uint64) int {
 func (w *Writer) Append(key, value []byte) Ref {
 	n := recordSize(len(key), len(value))
 	if w.seg == nil || int(w.off)+n > len(w.seg.buf) {
-		if w.seg != nil {
+		first := w.seg == nil
+		if !first {
 			w.seg.sealed.Store(true)
 			w.a.maybeRetire(w.seg)
 		}
-		w.seg, w.id = w.a.newSegment(n)
+		w.seg, w.id = w.a.newSegment(n, first)
 		w.off = 0
 	}
 	buf := w.seg.buf[w.off:]
@@ -297,7 +380,8 @@ func (a *Arena) RecordAddr(ref Ref, span int) (first, next unsafe.Pointer) {
 		return nil, nil
 	}
 	first = unsafe.Pointer(&seg.buf[off])
-	// Measured on the address: small and dedicated segments are not line-aligned.
+	// Measured on the address: records are packed back to back, so one starts
+	// anywhere in its line whatever the segment's own alignment.
 	if toNext := lineBytes - int(uintptr(first)&(lineBytes-1)); span > toNext && off+toNext < len(seg.buf) {
 		next = unsafe.Pointer(&seg.buf[off+toNext])
 	}

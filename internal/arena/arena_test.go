@@ -266,3 +266,116 @@ func TestRecordAddr(t *testing.T) {
 		t.Fatalf("reclaimed segment resolved to %p, %p", p, n)
 	}
 }
+
+// TestSlabSegmentsRace races readers against writers across more than 64
+// slab segments under the race detector. Every segment after a writer's
+// first is handed over by the background first touch, so the detector sees
+// each touch goroutine's writes against the writer's appends and the
+// readers' record loads; readers check every published record byte for byte.
+func TestSlabSegmentsRace(t *testing.T) {
+	const writers, valueBytes = 2, 8000
+	perWriter := 33 * DefaultSegmentBytes / (valueBytes + 16) // ≥ 32 slab segments each
+	var values [256][]byte
+	for i := range values {
+		values[i] = bytes.Repeat([]byte{byte(i)}, valueBytes)
+	}
+	key := func(wi, i int) []byte { return []byte(fmt.Sprintf("key-%d-%d", wi, i)) }
+
+	a := New()
+	slots := make([]atomic.Uint64, writers*perWriter)
+	var wg sync.WaitGroup
+	var running atomic.Int32
+	running.Store(writers)
+	for wi := 0; wi < writers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			defer running.Add(-1)
+			w := a.NewWriter()
+			for i := 0; i < perWriter; i++ {
+				ref := w.Append(key(wi, i), values[byte(wi*perWriter+i)])
+				slots[wi*perWriter+i].Store(uint64(ref) | 1<<63)
+			}
+		}(wi)
+	}
+	var checked atomic.Int64
+	for ri := 0; ri < 2; ri++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := a.NewPin()
+			for last := false; !last; {
+				last = running.Load() == 0
+				for i := range slots {
+					p.Enter(a)
+					if w := slots[i].Load(); w != 0 {
+						k, v := a.Record(Ref(w &^ (1 << 63)))
+						if !bytes.Equal(k, key(i/perWriter, i%perWriter)) || !bytes.Equal(v, values[byte(i)]) {
+							t.Errorf("slot %d: record (%q, %d bytes) does not match what was appended", i, k, len(v))
+						}
+						checked.Add(1)
+					}
+					p.Exit()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if checked.Load() < int64(2*len(slots)) {
+		t.Fatalf("readers checked %d records, want >= %d: a full final pass each over %d", checked.Load(), 2*len(slots), len(slots))
+	}
+	var huge int
+	for _, s := range *a.segs.Load() {
+		if s.huge {
+			huge++
+		}
+	}
+	total, _ := a.Segments()
+	if slab := total - writers; slab < 64 || (a.slabHuge && huge != slab) {
+		t.Fatalf("%d slab segments, %d of them marked huge: want >= 64, all huge where the slab is", slab, huge)
+	}
+	if got, want := a.HugeBytes(), uint64(huge*DefaultSegmentBytes); got != want {
+		t.Fatalf("HugeBytes = %d, want %d", got, want)
+	}
+}
+
+// TestPlainSegments pins which segments stay plain makes: a writer's first,
+// the dedicated segment of a record larger than a segment, and every segment
+// of an arena built with a non-default WithSegmentBytes, which never
+// allocates a slab at all.
+func TestPlainSegments(t *testing.T) {
+	a := New()
+	w := a.NewWriter()
+	small := make([]byte, 1000)
+	var refs []Ref
+	for i := 0; i < 3*DefaultSegmentBytes/len(small); i++ {
+		refs = append(refs, w.Append([]byte("k"), small))
+	}
+	big := w.Append([]byte("big"), make([]byte, DefaultSegmentBytes+1))
+	after := w.Append([]byte("k"), small)
+	segs := *a.segs.Load()
+	if segs[refs[0].seg()].huge || segs[big.seg()].huge {
+		t.Fatalf("first segment huge %v, oversized record's segment huge %v: both must be plain",
+			segs[refs[0].seg()].huge, segs[big.seg()].huge)
+	}
+	if n := len(segs[big.seg()].buf); n != recordSize(3, DefaultSegmentBytes+1) {
+		t.Fatalf("oversized record's segment is %d bytes, want exactly the record", n)
+	}
+	if a.slab == nil || a.slabHuge != segs[refs[len(refs)-1].seg()].huge || a.slabHuge != segs[after.seg()].huge {
+		t.Fatal("a default-sized segment after the first was not carved from the slab")
+	}
+
+	for _, size := range []int{DefaultSegmentBytes / 2, 2 * DefaultSegmentBytes} {
+		b := New(WithSegmentBytes(size))
+		bw := b.NewWriter()
+		for i := 0; i < 4*size/len(small); i++ {
+			bw.Append([]byte("k"), small)
+		}
+		if total, _ := b.Segments(); total < 3 {
+			t.Fatalf("WithSegmentBytes(%d): %d segments, want several", size, total)
+		}
+		if b.slab != nil || b.HugeBytes() != 0 {
+			t.Fatalf("WithSegmentBytes(%d): a slab was allocated (%d huge bytes)", size, b.HugeBytes())
+		}
+	}
+}

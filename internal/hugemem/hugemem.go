@@ -1,6 +1,7 @@
-// Package hugemem allocates the index's big word arrays so that the kernel
-// can back them with transparent huge pages: a probe's prefetch into a
-// 512 MiB slot array then resolves its address from a 2 MiB TLB entry
+// Package hugemem allocates the index's big word arrays, and the slabs the
+// arena carves record segments from, so that the kernel can back them with
+// transparent huge pages: a probe's prefetch into a 512 MiB slot array or into
+// a gigabyte of records then resolves its address from a 2 MiB TLB entry
 // instead of walking a 4 KiB page table that itself misses the caches.
 //
 // The memory is ordinary Go heap. Lock-free readers hold a table generation
@@ -47,14 +48,9 @@ func Uint64s(n int, fill func(off int, chunk []uint64)) []uint64 {
 		}
 		return s
 	}
-	// When the span sits in re-used address space the runtime zeroes it here,
-	// touching it as 4 KiB pages before any advice can be given; advise
-	// accounts for that.
-	raw := make([]uint64, n+wordsPerHugePage)
-	skip := int(-uintptr(unsafe.Pointer(&raw[0])) % hugePage / 8)
-	s := raw[skip : skip+n : skip+n]
+	b := aligned(n * 8)
+	s := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), n)
 	pages := n / wordsPerHugePage
-	advise(s[:pages*wordsPerHugePage])
 	if fill == nil {
 		fill = touch
 	}
@@ -71,11 +67,57 @@ func Uint64s(n int, fill func(off int, chunk []uint64)) []uint64 {
 		go func() {
 			defer wg.Done()
 			fill(lo, s[lo:end])
-			collapse(s[lo:hi])
+			collapse(byteView(s[lo:hi]))
 		}()
 	}
 	wg.Wait()
 	return s
+}
+
+// Bytes returns n zeroed bytes for a caller that makes its own first touch,
+// as the arena does for the segments it carves from a slab. At or above
+// Threshold, where Uint64s would grant huge pages, &b[0] is 2 MiB-aligned, the
+// whole huge pages of b are advised and not yet faulted — the first write into
+// each faults all 2 MiB of it — and huge is true; otherwise b is a plain make
+// and huge is false. Nothing is collapsed: a page whose huge fault fell back
+// to 4 KiB pages stays that way.
+func Bytes(n int) (b []byte, huge bool) {
+	if n < Threshold || !advisable() {
+		return make([]byte, n), false
+	}
+	return aligned(n), true
+}
+
+// aligned is the core of both entry points: n zeroed bytes of Go heap starting
+// on a 2 MiB boundary, with the whole huge pages inside advised. It
+// over-allocates by one huge page and slices to the boundary; the slack on
+// either side is dropped, so it is never resident however the runtime zeroed
+// the span. When the span sits in re-used address space the runtime zeroes it
+// here, touching it as 4 KiB pages before any advice can be given; advise
+// accounts for that.
+func aligned(n int) []byte {
+	raw := make([]byte, n+hugePage)
+	skip := int(-uintptr(unsafe.Pointer(&raw[0])) % hugePage)
+	b := raw[skip : skip+n : skip+n]
+	release(raw[:skip])
+	release(raw[skip+n:])
+	advise(b[:n/hugePage*hugePage])
+	return b
+}
+
+// release drops the whole base pages inside s: they read back as zeros. The
+// range is rounded inwards, so no byte outside s is ever dropped.
+func release(s []byte) {
+	page := os.Getpagesize()
+	in := int(uintptr(unsafe.Pointer(unsafe.SliceData(s))) % uintptr(page)) // s[0]'s offset into its page
+	lo, hi := (page-in)%page, (in+len(s))/page*page-in
+	if hi > lo {
+		dontNeed(s[lo:hi])
+	}
+}
+
+func byteView(s []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*8)
 }
 
 // touch is the first touch of a chunk nobody fills: one write per huge page,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"syscall"
-	"unsafe"
 )
 
 // madvCollapse is MADV_COLLAPSE (Linux 6.1), which package syscall predates.
@@ -19,24 +18,25 @@ func advisable() bool {
 
 // advise marks s — whole huge pages, all zero — as wanting huge pages on
 // first touch. The flag stays on the address range after s is garbage.
-func advise(s []uint64) {
-	b := byteView(s)
+func advise(s []byte) {
 	// Whatever the runtime's zeroing faulted in is 4 KiB pages of zeros.
 	// Dropping them reads back as the same zeros and lets the first touch
 	// fault huge pages from both CPUs; left in place they would all go
 	// through collapse, which copies and holds the address-space lock.
-	_ = syscall.Madvise(b, syscall.MADV_DONTNEED)
-	_ = syscall.Madvise(b, syscall.MADV_HUGEPAGE) // refusal leaves 4 KiB pages, as before
+	dontNeed(s)
+	_ = syscall.Madvise(s, syscall.MADV_HUGEPAGE) // refusal leaves 4 KiB pages, as before
+}
+
+// dontNeed drops s's pages, whole base pages of zeros nothing will read
+// before writing: they fault back in as zeros.
+func dontNeed(s []byte) {
+	_ = syscall.Madvise(s, syscall.MADV_DONTNEED)
 }
 
 // collapse replaces whatever 4 KiB pages still back s with huge pages,
 // copying their contents: the net under a first touch whose fault fell back
 // to small pages, and a page-table scan when it did not. Kernels before 6.1
 // answer EINVAL and keep what the faults gave.
-func collapse(s []uint64) {
-	_ = syscall.Madvise(byteView(s), madvCollapse) // best effort by contract
-}
-
-func byteView(s []uint64) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*8)
+func collapse(s []byte) {
+	_ = syscall.Madvise(s, madvCollapse) // best effort by contract
 }

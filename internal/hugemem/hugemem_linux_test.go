@@ -5,7 +5,10 @@ import (
 	"testing"
 )
 
-var sink [2][]uint64 // keeps slices reachable across the Usage reads
+var (
+	sink     [2][]uint64 // keep slices reachable across the Usage reads
+	byteSink []byte
+)
 
 // TestGrant asks for 64 MiB and requires the process's AnonHugePages to rise
 // by at least 90% of it, twice. Before the second round a plain slice of the
@@ -15,7 +18,9 @@ var sink [2][]uint64 // keeps slices reachable across the Usage reads
 // and the grant rests on advise dropping those pages (or, without that, on
 // the collapse); plain MADV_HUGEPAGE reads 0 KiB here. FreeOSMemory (a GC plus
 // a full scavenge) rather than runtime.GC keeps huge pages that dropped
-// slices still hold out of the baseline.
+// slices still hold out of the baseline. The byte entry point is granted the
+// same way once its caller has made the first touch, and until then holds no
+// memory: neither its advised interior nor its alignment slack is resident.
 func TestGrant(t *testing.T) {
 	if !advisable() {
 		t.Skip("transparent huge pages are off ([never] or no sysfs)")
@@ -44,4 +49,22 @@ func TestGrant(t *testing.T) {
 	plain = nil
 	sink[1] = grant("re-used span")
 	sink = [2][]uint64{}
+
+	debug.FreeOSMemory()
+	rss0, before, _ := Usage()
+	b, huge := Bytes(words * 8)
+	if !huge {
+		t.Fatal("Bytes: a 64 MiB request was not advised")
+	}
+	if rss, _, _ := Usage(); rss > rss0+hugePage {
+		t.Errorf("Bytes: RSS rose by %d KiB before any touch", (rss-rss0)>>10)
+	}
+	for i := 0; i < len(b); i += 4096 {
+		b[i] = 1
+	}
+	if _, after, _ := Usage(); int64(after)-int64(before) < int64(len(b)*9/10) {
+		t.Errorf("Bytes: AnonHugePages rose by %d KiB after the touch, want >= %d KiB", (int64(after)-int64(before))>>10, len(b)*9/10>>10)
+	}
+	byteSink = b
+	byteSink = nil
 }

@@ -2,6 +2,7 @@
 
 package hugemem
 
-func advisable() bool   { return false }
-func advise([]uint64)   {}
-func collapse([]uint64) {}
+func advisable() bool { return false }
+func advise([]byte)   {}
+func dontNeed([]byte) {}
+func collapse([]byte) {}

@@ -8,10 +8,27 @@ import (
 
 const thresholdWords = Threshold / 8
 
-// TestShape pins what every caller relies on: n zeroed words with no spare
-// capacity behind them, on either side of the threshold; and above it (where
-// huge pages are allowed at all) a 2 MiB-aligned base.
+// TestShape pins what every caller relies on: n zeroed words (or bytes) with
+// no spare capacity behind them, on either side of the threshold; and above it
+// (where huge pages are allowed at all) a 2 MiB-aligned base.
 func TestShape(t *testing.T) {
+	for _, n := range []int{1, Threshold - 1, Threshold, Threshold + 12345, 4 * Threshold} {
+		b, huge := Bytes(n)
+		if len(b) != n || cap(b) != n {
+			t.Fatalf("Bytes(%d): len %d cap %d", n, len(b), cap(b))
+		}
+		for i, c := range b {
+			if c != 0 {
+				t.Fatalf("Bytes(%d): byte %d = %#x, want zero", n, i, c)
+			}
+		}
+		if want := n >= Threshold && advisable(); huge != want {
+			t.Fatalf("Bytes(%d): huge = %v, want %v", n, huge, want)
+		}
+		if off := uintptr(unsafe.Pointer(&b[0])) % hugePage; huge && off != 0 {
+			t.Fatalf("Bytes(%d): base is %d bytes past a 2 MiB boundary", n, off)
+		}
+	}
 	for _, n := range []int{1, 4096, thresholdWords - 1, thresholdWords, thresholdWords + 12345, 3*thresholdWords + 7} {
 		s := Uint64s(n, nil)
 		if len(s) != n || cap(s) != n {

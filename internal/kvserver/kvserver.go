@@ -155,9 +155,11 @@ func (s *Server) McAddr() string {
 // Table exposes the underlying table (tests inspect it directly).
 func (s *Server) Table() *idramhit.Table { return s.tbl }
 
-// collect is the "server" pull source: connection gauges, table size and, on
-// Linux, what the process's memory is made of — mem_anon_huge_bytes is where
-// an operator sees whether the index got its huge pages.
+// collect is the "server" pull source: connection gauges, table size and
+// what the process's memory is made of — arena_huge_bytes is the record
+// segments carved from huge-page slabs, and on Linux mem_anon_huge_bytes is
+// where an operator sees whether the index and those slabs got their huge
+// pages.
 func (s *Server) collect() map[string]float64 {
 	m := map[string]float64{
 		"conns_resp_open":  float64(s.curResp.Load()),
@@ -165,6 +167,7 @@ func (s *Server) collect() map[string]float64 {
 		"conns_mc_open":    float64(s.curMc.Load()),
 		"conns_mc_total":   float64(s.totMc.Load()),
 		"table_entries":    float64(s.tbl.Len()),
+		"arena_huge_bytes": float64(s.tbl.Bucket().Arena().HugeBytes()),
 	}
 	if rss, huge, ok := hugemem.Usage(); ok {
 		m["mem_rss_bytes"] = float64(rss)

@@ -339,6 +339,10 @@ func TestObsSurface(t *testing.T) {
 	if m["conns_resp_open"] != 1 || m["conns_resp_total"] != 1 {
 		t.Errorf("conn gauges: %+v", m)
 	}
+	// One connection's few records sit in its first segment, never huge.
+	if huge, ok := m["arena_huge_bytes"]; !ok || huge != 0 {
+		t.Errorf("arena_huge_bytes = (%v, %v), want (0, true)", huge, ok)
+	}
 	rss, ok := m["mem_rss_bytes"]
 	huge, okHuge := m["mem_anon_huge_bytes"]
 	if onLinux := runtime.GOOS == "linux"; ok != onLinux || okHuge != onLinux || (ok && (rss <= 0 || huge > rss)) {

@@ -132,6 +132,63 @@ func TestBucketStashOverflow(t *testing.T) {
 	}
 }
 
+// TestBucketSameKeyInsertersIntoStash races inserters of one key set into a
+// single bucket with growth off, so its last free lanes and its stash are
+// claimed under contention — where a writer that read an empty lane skips the
+// stash walk and must still collide with an inserter of the same key. Every
+// goroutine Puts every key, in its own order; then every goroutine Deletes
+// every key; then every goroutine Puts them again, into the stash alone, the
+// lanes being tombstones. A duplicate shows as more live records than keys in
+// ScanBuckets, or as a key that survives the deletes.
+func TestBucketSameKeyInsertersIntoStash(t *testing.T) {
+	const keys, rounds = 13, 100 // a prime key count, so every stride below is a permutation
+	g := max(4, runtime.GOMAXPROCS(0))
+	key := func(i int) []byte { return []byte(fmt.Sprintf("same-%02d", i)) }
+	for r := 0; r < rounds; r++ {
+		bt := NewBucketTable(BucketConfig{Buckets: 1, MaxLoad: 1000})
+		hs := make([]*BucketHandle, g)
+		for w := range hs {
+			hs[w] = bt.NewHandle()
+		}
+		phase := func(name string, del bool, want int) {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for w, h := range hs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i := 0; i < keys; i++ {
+						if k := key((i*(w+1) + r) % keys); del {
+							h.Delete(k)
+						} else {
+							h.Put(k, []byte{byte(w)})
+						}
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			live := 0
+			bt.ScanBuckets(nil, func(uint64, int) { live++ })
+			if live != want || bt.Len() != want {
+				t.Fatalf("round %d, %s: %d live records, Len %d, want %d of each", r, name, live, bt.Len(), want)
+			}
+			for i := 0; i < keys; i++ {
+				if _, ok := hs[0].Get(key(i)); ok != (want > 0) {
+					t.Fatalf("round %d, %s: key %d present = %v", r, name, i, ok)
+				}
+			}
+		}
+		phase("insert", false, keys)
+		phase("delete", true, 0)
+		phase("re-insert", false, keys)
+		if bt.Stashed() < keys {
+			t.Fatalf("round %d: %d stash nodes, want the re-inserts all stashed", r, bt.Stashed())
+		}
+	}
+}
+
 // TestBucketGrowth starts tiny and forces repeated index rebuilds; every
 // key must survive every migration, and the rebuild must sweep tombstones.
 func TestBucketGrowth(t *testing.T) {

@@ -46,8 +46,11 @@ import (
 //     lane-versus-stash case reduces to the same argument — reaching the
 //     stash requires observing all seven lanes claimed, which
 //     happens-after the other inserter's lane claim, so the stash inserter
-//     finds the duplicate during its mandatory scan. Stash-versus-stash
-//     duplicates collide on the head-prepend CAS. Tombstoned stash nodes
+//     finds the duplicate during its scan. Stash-versus-stash duplicates
+//     collide on the prepend CAS, which expects the head the scan walked
+//     from. A writer that observed an empty lane skips the stash scan:
+//     no stash node of the generation predates that observation (see
+//     mutateLocked). Tombstoned stash nodes
 //     are never reused for the same reason fingerprint bytes are
 //     write-once: two inserters reviving different dead nodes would both
 //     succeed.
@@ -395,10 +398,16 @@ retry:
 		t.ar.Retire(ref) // lost the race; the fresh record is already dead
 		goto retry
 	}
-	// Stash search. Writers read the head pointer directly rather than the
-	// meta flag: the flag is set before the first prepend, but the head is
-	// the ground truth.
-	for n := st.stash[b/BucketWords].Load(); n != nil; n = n.next {
+	// Stash search, skipped when a lane read empty. Lanes are monotone within
+	// a generation and a stash node is linked only by an inserter that saw
+	// all seven lanes claimed, so a writer that read a lane as 0 either sees
+	// no stash node of this generation, or the lane was claimed after its
+	// read and its claim CAS on that lane fails and it retries. Otherwise it
+	// reads the head pointer, not the meta flag readers use, and a stash
+	// insert below prepends to that same head, so a node another inserter
+	// linked after this walk fails the prepend CAS.
+	head := stashHead(st, b, free < 0)
+	for n := head; n != nil; n = n.next {
 		h.Hops++
 		w := n.word.Load()
 		if slotFP(w) != uint16(fp) {
@@ -456,11 +465,9 @@ retry:
 				break
 			}
 		}
-		n := &stashNode{}
+		n := &stashNode{next: head}
 		n.word.Store(w)
-		head := &st.stash[b/BucketWords]
-		n.next = head.Load()
-		if !head.CompareAndSwap(n.next, n) {
+		if !st.stash[b/BucketWords].CompareAndSwap(head, n) {
 			t.ar.Retire(ref)
 			goto retry
 		}
@@ -491,8 +498,10 @@ retry:
 	st := t.state.Load()
 	b := hashfn.Fastrange(hv, st.nb) * BucketWords
 	h.Lines++
+	full := true
 	for lane := 0; lane < BucketLanes; lane++ {
 		w := atomic.LoadUint64(&st.words[b+uint64(lane)+1])
+		full = full && w != 0
 		if slotFP(w) != uint16(fp) {
 			continue
 		}
@@ -507,7 +516,9 @@ retry:
 		}
 		goto retry
 	}
-	for n := st.stash[b/BucketWords].Load(); n != nil; n = n.next {
+	// An empty lane means no stash node was linked before that read
+	// (mutateLocked): the key is absent.
+	for n := stashHead(st, b, full); n != nil; n = n.next {
 		h.Hops++
 		w := n.word.Load()
 		if slotFP(w) != uint16(fp) {
@@ -525,6 +536,15 @@ retry:
 		goto retry
 	}
 	return false
+}
+
+// stashHead is the head of bucket b's stash chain for a writer, or nil when
+// the writer read an empty lane (full is false) and so has no chain to walk.
+func stashHead(st *bucketState, b uint64, full bool) *stashNode {
+	if !full {
+		return nil
+	}
+	return st.stash[b/BucketWords].Load()
 }
 
 // grow rebuilds the index: same size when churn (tombstones) caused the
