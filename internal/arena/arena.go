@@ -35,6 +35,15 @@
 // once the last reader's subslice goes away, so a stale-but-pinned reader
 // can never observe recycled memory.
 //
+// A segment's used count is published lazily: the writer stores it when its
+// bump pointer crosses a 4 KiB boundary and once more at seal, just before it
+// sets sealed, rather than on every Append (an atomic store is a full fence on
+// amd64, and it waited on the tail's store miss). So an open segment's used
+// lags its bump pointer by less than 4 KiB, and its retired bytes may exceed
+// it; a sealed segment's used is exact. Retire and the reclaim check load
+// sealed before used, so they never judge a segment against a stale count:
+// only a sealed segment is ever queued.
+//
 // # Huge segments
 //
 // A writer's first segment is a plain make, so a writer that appends little
@@ -60,6 +69,7 @@ import (
 	"unsafe"
 
 	"dramhit/internal/hugemem"
+	"dramhit/internal/simd"
 )
 
 // Ref addresses one record: segment index in bits 47:32, byte offset in bits
@@ -100,11 +110,12 @@ const slabBytes = 32 << 20
 // Writer (unsynchronized bump allocation; a slab segment's first touch ends
 // before the writer takes it) and read by anyone holding a Ref into it; the
 // publication protocol above makes those reads race-free.
-// size is the bytes appended so far (owner-written, atomically published at
-// seal time only for accounting); dead counts retired bytes.
+// used is the bytes appended so far as last published by the owner: at every
+// 4 KiB boundary the bump pointer crosses and at seal, before sealed is set,
+// so it is exact once sealed reads true. dead counts retired bytes.
 type segment struct {
 	buf    []byte
-	used   atomic.Uint64 // bytes appended (owner bump, atomic so scrapes race-free)
+	used   atomic.Uint64 // bytes appended, published per page and at seal
 	dead   atomic.Uint64 // bytes retired
 	sealed atomic.Bool   // owner moved on; used is final
 	huge   bool          // carved from a huge-page slab
@@ -190,7 +201,9 @@ func (a *Arena) Freed() uint64 { return a.freed.Load() }
 
 // SegmentStat is one linked segment's scrape-time utilization: bytes
 // appended, bytes retired (Used-Dead is the live payload), the segment's
-// capacity, and whether its owner moved on (Used is final).
+// capacity, and whether its owner moved on (Used is final). On a segment
+// still being written Used trails the bump pointer by less than 4 KiB, so
+// Dead can exceed it there.
 type SegmentStat struct {
 	Used   uint64 `json:"used"`
 	Dead   uint64 `json:"dead"`
@@ -315,14 +328,28 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
+// pageBytes is the stride at which Append publishes a segment's used count.
+const pageBytes = 4 << 10
+
+// tailAhead is how far past the bump pointer Append prefetches: four lines,
+// enough to cover the next few records, which a segment first-touched on
+// another CPU would otherwise bring in one store miss at a time.
+const tailAhead = 4 * lineBytes
+
 // Append writes one record and returns its Ref. The record is not yet
 // visible to readers — the caller publishes the Ref through an atomic store
 // or CAS on an index word, which is the release edge readers synchronize on.
+//
+// Each record that moves the bump pointer onto a new cache line prefetches the
+// line tailAhead bytes past it, when that line is inside the segment, so the
+// next records' stores hit; the segment's used count is stored only when the
+// bump pointer crosses a page boundary (see the package doc).
 func (w *Writer) Append(key, value []byte) Ref {
 	n := recordSize(len(key), len(value))
 	if w.seg == nil || int(w.off)+n > len(w.seg.buf) {
 		first := w.seg == nil
 		if !first {
+			w.seg.used.Store(uint64(w.off))
 			w.seg.sealed.Store(true)
 			w.a.maybeRetire(w.seg)
 		}
@@ -335,8 +362,16 @@ func (w *Writer) Append(key, value []byte) Ref {
 	copy(buf[p:], key)
 	copy(buf[p+len(key):], value)
 	ref := MakeRef(w.id, w.off)
+	old := w.off
 	w.off += uint32(n)
-	w.seg.used.Store(uint64(w.off))
+	if old/lineBytes != w.off/lineBytes {
+		if ahead := int(w.off) + tailAhead; ahead < len(w.seg.buf) {
+			simd.Prefetch(unsafe.Pointer(&w.seg.buf[ahead]))
+		}
+		if old/pageBytes != w.off/pageBytes {
+			w.seg.used.Store(uint64(w.off))
+		}
+	}
 	return ref
 }
 
@@ -398,12 +433,14 @@ func (a *Arena) Retire(ref Ref) {
 	klen, p := binary.Uvarint(buf)
 	vlen, q := binary.Uvarint(buf[p:])
 	n := uint64(p+q) + klen + vlen
-	if seg.dead.Add(n) >= seg.used.Load() && seg.sealed.Load() {
+	// sealed before used: only a sealed segment's used is final.
+	if dead := seg.dead.Add(n); seg.sealed.Load() && dead >= seg.used.Load() {
 		a.maybeRetire(seg)
 	}
 }
 
-// maybeRetire queues seg for reclamation if it is sealed and fully dead.
+// maybeRetire queues seg for reclamation if it is sealed and fully dead. It
+// loads sealed before used, as Retire does.
 func (a *Arena) maybeRetire(seg *segment) {
 	if !seg.sealed.Load() || seg.dead.Load() < seg.used.Load() {
 		return

@@ -379,3 +379,101 @@ func TestPlainSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenSegmentNeverQueued: an open segment publishes used only per 4 KiB
+// page, so records retired before their page's count was stored push its dead
+// count past its used count. That segment must not be queued while its writer
+// still owns it, and must be queued when the writer seals it, once all of it
+// is dead.
+func TestOpenSegmentNeverQueued(t *testing.T) {
+	a := New(WithSegmentBytes(8 << 10))
+	w := a.NewWriter()
+	var refs []Ref
+	for i := 0; i < 16; i++ {
+		refs = append(refs, w.Append([]byte{byte(i), 1, 2, 3}, []byte{4, 5, 6, 7}))
+	}
+	for _, r := range refs {
+		a.Retire(r)
+	}
+	seg := (*a.segs.Load())[0]
+	if used, dead := seg.used.Load(), seg.dead.Load(); dead <= used || seg.sealed.Load() {
+		t.Fatalf("used %d, dead %d, sealed %v: want an open segment with dead > used", used, dead, seg.sealed.Load())
+	}
+	a.Advance()
+	if a.Advance() != 0 || len(a.retired) != 0 || seg.candidate {
+		t.Fatal("an open segment was queued for reclamation")
+	}
+	w.Append([]byte("k"), make([]byte, 8<<10)) // does not fit: seals segment 0
+	if want := uint64(16 * recordSize(4, 4)); !seg.sealed.Load() || seg.used.Load() != want || seg.dead.Load() != want {
+		t.Fatalf("sealed %v, used %d, dead %d: want sealed with both %d", seg.sealed.Load(), seg.used.Load(), seg.dead.Load(), want)
+	}
+	if !seg.candidate {
+		t.Fatal("a sealed, fully dead segment was not queued at seal")
+	}
+	a.Advance()
+	if _, live := a.Segments(); live != 1 || a.Freed() != 1 {
+		t.Fatalf("%d segments live, %d freed after Advance: want the dead one unlinked", live, a.Freed())
+	}
+}
+
+// TestSegmentStatsUsed: SegmentStats().Used is exact on every sealed segment
+// and trails the writer's bump pointer by less than a page on the open one,
+// over records of many sizes, including ones longer than a page.
+func TestSegmentStatsUsed(t *testing.T) {
+	a := New(WithSegmentBytes(64 << 10))
+	w := a.NewWriter()
+	appended := map[uint32]uint64{} // bytes appended per segment
+	for i := 0; i < 4000; i++ {
+		vlen := (i * 37) % 300
+		if i%500 == 499 {
+			vlen = 9000
+		}
+		ref := w.Append([]byte{byte(i), byte(i >> 8)}, make([]byte, vlen))
+		appended[ref.seg()] += uint64(recordSize(2, vlen))
+		stats := a.SegmentStats()
+		for id, s := range stats {
+			switch {
+			case s.Sealed && s.Used != appended[uint32(id)]:
+				t.Fatalf("record %d: sealed segment %d reports Used %d, appended %d", i, id, s.Used, appended[uint32(id)])
+			case !s.Sealed && (uint32(id) != w.id || s.Used > uint64(w.off) || uint64(w.off)-s.Used >= pageBytes):
+				t.Fatalf("record %d: open segment %d reports Used %d, bump pointer %d (writer on segment %d)", i, id, s.Used, w.off, w.id)
+			}
+		}
+	}
+	if total, _ := a.Segments(); total < 3 {
+		t.Fatalf("%d segments, want several sealed ones", total)
+	}
+}
+
+// TestTailPrefetchInSegment fills segments, one a whole number of lines and
+// one not, to their last byte with records of many sizes, so Append's tail
+// prefetch runs at every distance from the segment's end. It must never form
+// an address past the segment (the index is bounds-checked, so that would
+// panic here), and the records must read back intact. CI runs it in the -race
+// and purego builds too.
+func TestTailPrefetchInSegment(t *testing.T) {
+	for _, segBytes := range []int{4096, 4000} {
+		a := New(WithSegmentBytes(segBytes))
+		w := a.NewWriter()
+		var refs []Ref
+		for n := 0; ; {
+			size := 3 + (len(refs)*7)%90 // 1-byte key, 1-byte length headers
+			if left := segBytes - n; left < size+3 {
+				size = left // the last record ends on the segment's last byte
+			}
+			refs = append(refs, w.Append([]byte{byte(len(refs))}, bytes.Repeat([]byte{byte(len(refs))}, size-3)))
+			if n += size; n == segBytes {
+				break
+			}
+		}
+		if total, _ := a.Segments(); total != 1 || int(w.off) != segBytes {
+			t.Fatalf("%d-byte segment: %d segments, bump pointer %d: want one segment filled to its end", segBytes, total, w.off)
+		}
+		for i, r := range refs {
+			k, v := a.Record(r)
+			if len(k) != 1 || k[0] != byte(i) || !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, len(v))) {
+				t.Fatalf("%d-byte segment: record %d does not read back", segBytes, i)
+			}
+		}
+	}
+}

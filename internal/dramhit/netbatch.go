@@ -81,6 +81,14 @@ func (h *Handle) PendingBytes() int { return h.bhead - h.btail }
 // the window is full. The completion callback fires for drained requests
 // before SubmitBytes returns — in submission order, as always.
 //
+// A batch pins the arena once, not once per Get: the first request of a batch
+// routed to a region pins that region's engine handle (its arena reclamation
+// pin), and the pin holds until FlushBytes returns. A synchronous GetBytes or
+// PutBytes made mid-batch, from a completion callback or between SubmitBytes
+// and FlushBytes, runs under the batch pin and leaves it in place. Segments
+// retired while a batch is open are therefore not reclaimed before its
+// FlushBytes, so every batch must end in one.
+//
 // Upserts are not accepted: read-modify-writes are rare on the network path
 // (INCR/DECR) and their closure would defeat the flat completion record, so
 // servers issue them synchronously via UpsertBytes.
@@ -97,6 +105,9 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 	hv := h.regs[0].bkt.HashOf(key) // every region shares one hash
 	part := hashfn.ShardRange(hv, h.nreg)
 	h.regs[part].bkt.Prefetch(hv)
+	if bh := h.bhs[part]; !bh.Pinned() {
+		bh.Pin() // the batch pin, released by FlushBytes
+	}
 	h.stats.Lines++
 	if h.hot != nil {
 		// Byte keys are ranked by hash in the hot-key sketch: the sketch
@@ -118,12 +129,17 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 }
 
 // FlushBytes drains every in-flight byte request, firing the completion
-// callback for each in submission order, then publishes observability
-// counters (the byte pipeline's Flush-boundary publish, same cadence as
-// the uint64 path's).
+// callback for each in submission order, releases the batch's arena pins
+// (see SubmitBytes), then publishes observability counters (the byte
+// pipeline's Flush-boundary publish, same cadence as the uint64 path's).
 func (h *Handle) FlushBytes() {
 	for h.PendingBytes() > 0 {
 		h.drainByte()
+	}
+	for _, bh := range h.bhs {
+		if bh.Pinned() {
+			bh.Unpin()
+		}
 	}
 	if h.obsw != nil {
 		h.obsPublish()

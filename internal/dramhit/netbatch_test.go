@@ -216,3 +216,105 @@ func TestByteRingHotFeedSampled(t *testing.T) {
 		t.Fatalf("top key %+v, want hash %#x", top, tbl.Bucket().HashOf(key))
 	}
 }
+
+// bytePinned reports whether any of h's region engine handles holds its arena
+// pin.
+func bytePinned(h *Handle) bool {
+	for _, bh := range h.bhs {
+		if bh.Pinned() {
+			return true
+		}
+	}
+	return false
+}
+
+// TestByteRingPinnedPerBatch: the byte ring holds its arena pin exactly while
+// requests are in flight — from the first SubmitBytes of a batch to the end of
+// its FlushBytes — over one and three regions, batches shorter and longer than
+// the window, and completion callbacks that themselves call GetBytes.
+func TestByteRingPinnedPerBatch(t *testing.T) {
+	for _, nreg := range []int{1, 3} {
+		h := newRegionTable(Config{Slots: 1 << 12, Layout: table.LayoutBucket}, nreg).NewHandle()
+		key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i%50)) }
+		var inCallback int
+		h.OnByteComplete(func(c ByteCompletion) {
+			if !bytePinned(h) {
+				t.Errorf("%d regions: completion %d ran unpinned", nreg, c.ID)
+			}
+			h.GetBytes(key(int(c.ID))) // nested: must not drop the batch pin
+			inCallback++
+		})
+		for _, batch := range []int{1, 3, h.window, 5 * h.window} {
+			if bytePinned(h) {
+				t.Fatalf("%d regions: pinned before a batch of %d", nreg, batch)
+			}
+			for i := 0; i < batch; i++ {
+				op := table.Get
+				if i%4 == 1 {
+					op = table.Put
+				}
+				h.SubmitBytes(op, uint64(i), key(i), []byte("v"))
+				if got, want := bytePinned(h), h.PendingBytes() > 0; got != want {
+					t.Fatalf("%d regions, batch %d, request %d: pinned %v with %d pending", nreg, batch, i, got, h.PendingBytes())
+				}
+			}
+			h.FlushBytes()
+			if bytePinned(h) {
+				t.Fatalf("%d regions: still pinned after FlushBytes of a batch of %d", nreg, batch)
+			}
+		}
+		if inCallback != 1+3+h.window+5*h.window {
+			t.Fatalf("%d regions: %d completions", nreg, inCallback)
+		}
+	}
+}
+
+// TestByteRingPinHoldsReclamation: a segment that becomes fully dead while a
+// byte batch is open — overwritten by another handle, or by the batch's own
+// handle through synchronous PutBytes between GetBytes calls — cannot be
+// unlinked by Advance before that batch's FlushBytes, and can be after it.
+func TestByteRingPinHoldsReclamation(t *testing.T) {
+	for _, byBatch := range []bool{false, true} {
+		tbl := newBucketTable(1 << 12)
+		ar := tbl.Bucket().Arena()
+		filler, h := tbl.NewHandle(), tbl.NewHandle()
+		var got []byte
+		h.OnByteComplete(func(c ByteCompletion) { got = append(got[:0], c.Value...) })
+		// Enough 4 KiB values to seal the filler's first (1 MiB) segment.
+		big := make([]byte, 4<<10)
+		var keys [][]byte
+		for i := 0; i < 300; i++ {
+			keys = append(keys, []byte(fmt.Sprintf("key-%03d", i)))
+			filler.PutBytes(keys[i], big)
+		}
+		if total, _ := ar.Segments(); total < 2 {
+			t.Fatalf("%d segments after the fill, want the first one sealed", total)
+		}
+
+		h.SubmitBytes(table.Get, 0, keys[0], nil)
+		writer := filler
+		if byBatch {
+			writer = h
+			h.GetBytes(keys[1])
+		}
+		for _, k := range keys { // every record of the sealed segment dies
+			writer.PutBytes(k, []byte("small"))
+		}
+		if byBatch {
+			h.GetBytes(keys[2])
+		}
+		ar.Advance()
+		ar.Advance()
+		if ar.Freed() != 0 || !bytePinned(h) {
+			t.Fatalf("batch writes %v: %d segments unlinked, pinned %v, with the batch open", byBatch, ar.Freed(), bytePinned(h))
+		}
+		h.FlushBytes()
+		if string(got) != "small" {
+			t.Fatalf("batch writes %v: the batched Get read %q", byBatch, got)
+		}
+		ar.Advance()
+		if ar.Freed() == 0 {
+			t.Fatalf("batch writes %v: the dead segment outlived its batch", byBatch)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dramhit/internal/hashfn"
 	"dramhit/internal/hugemem"
@@ -593,4 +594,55 @@ func TestHugeIndexOutlivesGrow(t *testing.T) {
 	if got := bt.Buckets(); got != buckets {
 		t.Fatalf("index has %d buckets, want %d: the rebuilds left the huge path", got, buckets)
 	}
+}
+
+// TestBucketStateCountersOwnLine: every insert writes claimed (and a stash
+// insert stashed), and every probe reads nb first, so the counters must not
+// share a cache line with nb or the slice headers beside it. bucketState is a
+// whole number of lines, which puts it in a line-aligned allocation size class.
+func TestBucketStateCountersOwnLine(t *testing.T) {
+	var st bucketState
+	if n := unsafe.Sizeof(st); n%table.CacheLineBytes != 0 {
+		t.Fatalf("bucketState is %d bytes, not a whole number of cache lines", n)
+	}
+	read := unsafe.Offsetof(st.nb) / table.CacheLineBytes
+	for _, f := range []struct {
+		name string
+		off  uintptr
+	}{{"claimed", unsafe.Offsetof(st.claimed)}, {"stashed", unsafe.Offsetof(st.stashed)}} {
+		if f.off/table.CacheLineBytes == read {
+			t.Errorf("%s at offset %d shares line %d with nb", f.name, f.off, read)
+		}
+	}
+	if p := uintptr(unsafe.Pointer(NewBucketTable(BucketConfig{}).state.Load())); p%table.CacheLineBytes != 0 {
+		t.Fatalf("bucketState allocated at %#x, not on a line boundary", p)
+	}
+}
+
+// TestSegmentUtilizationClamped: an open segment publishes its used count per
+// 4 KiB page, so records overwritten before their page's count was stored
+// leave the segment's Dead above its Used. The heatmap's utilization must read
+// 0 there, not the uint64 wrap-around of Used-Dead.
+func TestSegmentUtilizationClamped(t *testing.T) {
+	bt := NewBucketTable(BucketConfig{Buckets: 64})
+	h := bt.NewHandle()
+	for round := 0; round < 2; round++ { // the second round overwrites the first
+		for i := 0; i < 16; i++ {
+			h.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte{byte(round)})
+		}
+	}
+	segs := bt.Arena().SegmentStats()
+	if len(segs) != 1 || segs[0].Sealed || segs[0].Dead <= segs[0].Used {
+		t.Fatalf("segments %+v: want one open segment with Dead > Used", segs)
+	}
+	hm := BucketHeatmapMulti([]*BucketTable{bt}, 0)
+	for _, d := range hm.Dists {
+		if d.Name == "segment_utilization_pct" {
+			if d.Count != 1 || d.Max != 0 {
+				t.Fatalf("segment_utilization_pct: %d samples, max %d; want 1 sample of 0", d.Count, d.Max)
+			}
+			return
+		}
+	}
+	t.Fatal("no segment_utilization_pct distribution")
 }

@@ -81,12 +81,19 @@ const bucketGateStripes = 64
 // counts lanes and stash nodes ever claimed in this generation (tombstones
 // included — they consume space until the next rebuild); stashed counts
 // stash nodes linked.
+//
+// Every probe reads nb first and every insert writes claimed, so the two sit on
+// different cache lines (TestBucketStateCountersOwnLine pins it): the struct is
+// two whole lines, which puts it in a line-aligned allocation size class, and
+// the counters start the second.
 type bucketState struct {
 	words   []uint64
 	stash   []atomic.Pointer[stashNode]
 	nb      uint64
+	_       [table.CacheLineBytes - 56]byte // the three fields above are 56 bytes
 	claimed atomic.Int64
 	stashed atomic.Int64
+	_       [table.CacheLineBytes - 16]byte
 }
 
 func newBucketState(nb uint64) *bucketState {
@@ -257,6 +264,9 @@ func (t *BucketTable) PrefetchRecords(hv uint64, span int) {
 type BucketHandle struct {
 	t *BucketTable
 	w *arena.Writer
+	// pins is the nesting depth of Pin: the arena pin is entered when it
+	// leaves 0 and exited when it returns there.
+	pins int
 	// Lines counts bucket cache-line loads (one per probe attempt,
 	// including CAS-failure retries); Hops counts stash-node visits. Both
 	// are single-goroutine, like the handle.
@@ -284,11 +294,33 @@ func (h *BucketHandle) Get(key []byte) ([]byte, bool) {
 // hv taken before a grow stays valid after it. PutHashed, MutateHashed and
 // DeleteHashed have the same contract.
 func (h *BucketHandle) GetHashed(hv uint64, key []byte) ([]byte, bool) {
-	h.w.Enter(h.t.ar)
+	h.Pin()
 	v, ok := h.lookup(hv, key)
-	h.w.Exit()
+	h.Unpin()
 	return v, ok
 }
+
+// Pin holds the handle's arena reclamation pin until the matching Unpin, so a
+// caller that runs many lookups in a row (a front end's batch) pins once for
+// all of them. Pins nest: only the outermost Pin enters the arena epoch, a
+// store that is a full fence on amd64, and only the outermost Unpin exits it;
+// a GetHashed inside a pinned span costs neither.
+func (h *BucketHandle) Pin() {
+	if h.pins == 0 {
+		h.w.Enter(h.t.ar)
+	}
+	h.pins++
+}
+
+// Unpin releases one Pin.
+func (h *BucketHandle) Unpin() {
+	if h.pins--; h.pins == 0 {
+		h.w.Exit()
+	}
+}
+
+// Pinned reports whether a Pin is held.
+func (h *BucketHandle) Pinned() bool { return h.pins > 0 }
 
 // lookup is GetHashed's probe, run under the caller's pin.
 func (h *BucketHandle) lookup(hv uint64, key []byte) ([]byte, bool) {

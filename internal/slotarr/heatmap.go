@@ -174,8 +174,15 @@ func BucketHeatmapMulti(ts []*BucketTable, regions int) obs.Heatmap {
 		for _, s := range segs {
 			used += s.Used
 			dead += s.Dead
+			// Clamped to [0, 100]: an open segment's Used trails its bump
+			// pointer by up to a page, and a scrape's Dead load may see a
+			// retire its Used load predates, so Dead can exceed Used.
 			if s.Cap > 0 {
-				util.Add((s.Used - s.Dead) * 100 / s.Cap)
+				var live uint64
+				if s.Used > s.Dead {
+					live = s.Used - s.Dead
+				}
+				util.Add(min(live*100/s.Cap, 100))
 			}
 		}
 		hm.Dists = append(hm.Dists, util.Build("segment_utilization_pct"))
