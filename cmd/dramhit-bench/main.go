@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"dramhit/internal/bench"
-	"dramhit/internal/table"
 )
 
 func main() {
@@ -27,16 +26,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced op counts and sweep points")
 	seed := flag.Int64("seed", 42, "random seed")
 	out := flag.String("out", "", "directory to also write each experiment's text output to, as <id>.txt")
-	layoutjson := flag.String("layoutjson", "", "run the layout-ab experiment and write its machine-readable summary (schema "+bench.LayoutSchema+") to this path")
-	introspectjson := flag.String("introspectjson", "", "run the introspect-ab experiment and write its machine-readable summary (schema "+bench.IntrospectSchema+") to this path")
-	layoutFlag := flag.String("layout", "flat", "physical slot layout for the real-execution experiments that honor it: flat|bucket (layout-ab runs both by construction)")
 	flag.Parse()
-
-	layout, err := table.ParseLayout(*layoutFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, id := range bench.IDs() {
@@ -44,41 +34,16 @@ func main() {
 		}
 		return
 	}
-	if *exp == "" && *layoutjson == "" && *introspectjson == "" {
+	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "usage: dramhit-bench -exp <id|all> [-quick] [-out dir]; -list shows IDs")
 		os.Exit(2)
 	}
 
-	var ids []string
-	if *exp != "" {
-		ids = []string{*exp}
-		if *exp == "all" {
-			ids = bench.IDs()
-		}
+	ids := []string{*exp}
+	if *exp == "all" {
+		ids = bench.IDs()
 	}
-	cfg := bench.Config{Quick: *quick, Seed: *seed, Layout: layout}
-	if *layoutjson != "" {
-		start := time.Now()
-		a, sum := bench.RunLayoutAB(cfg)
-		fmt.Print(bench.Format(a))
-		fmt.Printf("(layout-ab in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if err := bench.WriteJSONFile(*layoutjson, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *layoutjson)
-	}
-	if *introspectjson != "" {
-		start := time.Now()
-		a, sum := bench.RunIntrospectAB(cfg)
-		fmt.Print(bench.Format(a))
-		fmt.Printf("(introspect-ab in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if err := bench.WriteJSONFile(*introspectjson, sum); err != nil {
-			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dramhit-bench: wrote %s\n", *introspectjson)
-	}
+	cfg := bench.Config{Quick: *quick, Seed: *seed}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "dramhit-bench:", err)

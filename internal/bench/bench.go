@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"dramhit/internal/table"
 )
 
 // Config controls an experiment run.
@@ -20,11 +18,6 @@ type Config struct {
 	Quick bool
 	// Seed fixes all randomness.
 	Seed int64
-	// Layout selects the physical slot layout of the real tables in the
-	// real-execution experiments that honor it (reprobe-stats; zero value =
-	// flat, bit-identical to prior configurations). The layout-ab
-	// experiment ignores it — it runs both layouts by construction.
-	Layout table.Layout
 }
 
 // ops returns the measured-op budget. Quick mode is sized so the whole

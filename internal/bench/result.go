@@ -1,6 +1,5 @@
 // Machine-readable run records: loadgen serializes each run as a RunResult
-// (its -json output), and the layout-ab and introspect-ab experiments write
-// their schema-versioned summaries with WriteJSONFile.
+// (its -json output) with WriteJSONFile.
 package bench
 
 import (
@@ -10,9 +9,6 @@ import (
 
 	"dramhit/internal/obs"
 )
-
-// LayoutSchema identifies the layout-ab summary layout (BENCH_layout.json).
-const LayoutSchema = "dramhit-bench-layout/v1"
 
 // Percentiles summarizes a latency distribution in nanoseconds.
 type Percentiles struct {

@@ -66,10 +66,11 @@ func (h *Handle) PutBytes(key, value []byte) (existed bool) {
 
 // UpsertBytes atomically read-modify-writes a byte-string key: fn receives
 // the current value (nil, false when absent) and returns the value to
-// store. Under contention fn may run multiple times; exactly the final
-// invocation's result is published, and its input is the record it
-// replaced. Reports whether the key already existed.
-func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
+// store, or store false to leave the key as it is. Under contention fn may
+// run multiple times; exactly the final invocation's decision takes effect,
+// and its input is the record it replaced or kept. Reports whether the key
+// already existed.
+func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
 	h.requireLayout(table.LayoutBucket)
 	bh, hv := h.route(key)
 	preL, preH := bh.Lines, bh.Hops

@@ -57,8 +57,8 @@ func TestBucketPipelineBasic(t *testing.T) {
 	getAll()
 	delta = 3
 	for _, k := range keys {
-		h.UpsertBytes(le(k), func(old []byte, _ bool) []byte {
-			return le(binary.LittleEndian.Uint64(old) + 3)
+		h.UpsertBytes(le(k), func(old []byte, _ bool) ([]byte, bool) {
+			return le(binary.LittleEndian.Uint64(old) + 3), true
 		})
 	}
 	getAll()
@@ -284,11 +284,11 @@ func TestBucketByteAPI(t *testing.T) {
 	if _, ok := h.GetBytes([]byte("chr1:1043")); ok {
 		t.Fatal("absent byte key reported present")
 	}
-	h.UpsertBytes([]byte("chr1:1042"), func(old []byte, present bool) []byte {
+	h.UpsertBytes([]byte("chr1:1042"), func(old []byte, present bool) ([]byte, bool) {
 		if !present || string(old) != "ACGTACGT" {
 			t.Fatalf("UpsertBytes saw (%q, %v)", old, present)
 		}
-		return append(append([]byte(nil), old...), '!')
+		return append(append([]byte(nil), old...), '!'), true
 	})
 	if v, _ := h.GetBytes([]byte("chr1:1042")); string(v) != "ACGTACGT!" {
 		t.Fatalf("after mutate, value = %q", v)

@@ -78,11 +78,11 @@ func TestPBucketByteAPI(t *testing.T) {
 			t.Fatalf("GetBytes(%q) = (%q, %v), want (%q, true)", k, got, ok, v)
 		}
 	}
-	w.UpsertBytes([]byte("k"), func(old []byte, present bool) []byte {
+	w.UpsertBytes([]byte("k"), func(old []byte, present bool) ([]byte, bool) {
 		if !present {
 			t.Fatal("UpsertBytes missed an existing key")
 		}
-		return append(append([]byte(nil), old...), 'x')
+		return append(append([]byte(nil), old...), 'x'), true
 	})
 	if got, _ := r.GetBytes([]byte("k")); string(got) != "x" {
 		t.Fatalf("after mutate, value = %q", got)

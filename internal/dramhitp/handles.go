@@ -93,9 +93,10 @@ func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
 
 // UpsertBytes atomically read-modify-writes a byte-string key: fn receives
 // the current value (nil, false when absent) and returns the value to
-// store; under contention fn may run multiple times and exactly the final
-// invocation's result is published. Synchronous, like PutBytes.
-func (w *WriteHandle) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
+// store, or store false to leave the key as it is; under contention fn may
+// run multiple times and exactly the final invocation's decision takes
+// effect. Synchronous, like PutBytes.
+func (w *WriteHandle) UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
 	w.t.requireLayout(table.LayoutBucket)
 	part, hv := w.t.locateBytes(key)
 	return w.wbhs[part].MutateHashed(hv, key, fn)

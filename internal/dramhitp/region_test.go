@@ -233,11 +233,11 @@ func TestReadersMatchOracle(t *testing.T) {
 		if bucket {
 			put = func(k, v uint64) bool { return w.PutBytes(le(k), le(v)) }
 			add = func(k, d uint64) bool {
-				return w.UpsertBytes(le(k), func(old []byte, present bool) []byte {
+				return w.UpsertBytes(le(k), func(old []byte, present bool) ([]byte, bool) {
 					if present {
 						d += binary.LittleEndian.Uint64(old)
 					}
-					return le(d)
+					return le(d), true
 				})
 			}
 			del = func(k uint64) { w.DeleteBytes(le(k)) }

@@ -64,12 +64,10 @@ func appendRecord(dst []byte, flags uint32, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// splitRecord is defensive about short records (a raced mc incr can store a
-// bare re-encode): anything under 4 bytes reads as flags 0, payload whole.
+// splitRecord is appendRecord's inverse. Every record the server stores was
+// built by appendRecord (SET, and INCR/DECR's rewrite), so none is shorter
+// than its flags.
 func splitRecord(rec []byte) (flags uint32, payload []byte) {
-	if len(rec) < 4 {
-		return 0, rec
-	}
 	return uint32(rec[0]) | uint32(rec[1])<<8 | uint32(rec[2])<<16 | uint32(rec[3])<<24,
 		rec[4:]
 }
@@ -229,28 +227,25 @@ func (cn *conn) batchFull(arenaBytes int) bool {
 
 // upsertNumeric is the shared INCR/DECR core: atomically applies delta
 // (subtracting when negative is set, clamped at zero memcached-style) to
-// the record's numeric payload, preserving flags. Numericness is decided
+// the record's numeric payload, preserving flags. Everything is decided
 // inside Mutate, on the record being replaced: a present non-numeric record
-// is stored back unchanged and reported as not numeric. seed is the record
-// an absent key starts from — RESP's zero record (redis creates the key),
-// or memcached's pre-read. A delete racing that pre-read makes it stale and
-// the increment re-creates the key from it; only a Mutate that can abort
-// removes that case.
-func (cn *conn) upsertNumeric(key, seed []byte, delta uint64, negative bool) (n uint64, numeric bool) {
-	_, seedPay := splitRecord(seed)
-	if _, ok := parseUint(seedPay); !ok {
-		return 0, false
-	}
+// is left as it is and reported as not numeric, and an absent key is
+// created from zero when create is set (RESP: redis treats missing as "0")
+// and otherwise left absent and reported as not found (memcached).
+func (cn *conn) upsertNumeric(key []byte, create bool, delta uint64, negative bool) (n uint64, found, numeric bool) {
 	var scratch [28]byte // 4 flags + 20 digits; engine copies during Mutate
-	cn.h.UpsertBytes(key, func(old []byte, present bool) []byte {
-		if !present {
-			old = seed
+	cn.h.UpsertBytes(key, func(old []byte, present bool) ([]byte, bool) {
+		var flags uint32
+		var cur uint64
+		found, numeric = present || create, create
+		if present {
+			var pay []byte
+			flags, pay = splitRecord(old)
+			cur, numeric = parseUint(pay)
 		}
-		flags, pay := splitRecord(old)
-		cur, ok := parseUint(pay)
-		numeric = ok
-		if !ok {
-			return old
+		if !numeric {
+			n = 0
+			return nil, false
 		}
 		switch {
 		case !negative:
@@ -262,9 +257,9 @@ func (cn *conn) upsertNumeric(key, seed []byte, delta uint64, negative bool) (n 
 		}
 		b := scratch[:0]
 		b = appendRecord(b, flags, nil)
-		return appendUintDec(b, n)
+		return appendUintDec(b, n), true
 	})
-	return n, numeric
+	return n, found, numeric
 }
 
 func appendUintDec(b []byte, n uint64) []byte {

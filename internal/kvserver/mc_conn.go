@@ -90,25 +90,20 @@ func (cn *conn) dispatchMc(req mctext.Request) bool {
 		if cn.w != nil {
 			start = time.Now().UnixNano()
 		}
-		snap, ok := cn.h.GetBytes(req.Key)
+		// memcached incr/decr never creates the key.
+		n, found, numeric := cn.upsertNumeric(req.Key, false, req.Delta, req.Verb == mctext.Decr)
 		switch {
-		case !ok:
-			// memcached incr/decr never creates the key.
-			if !req.NoReply {
-				cn.wbuf = mctext.AppendLine(cn.wbuf, "NOT_FOUND")
-			}
+		case req.NoReply:
+		case !found:
+			cn.wbuf = mctext.AppendLine(cn.wbuf, "NOT_FOUND")
+		case !numeric:
+			cn.wbuf = mctext.AppendClientError(cn.wbuf,
+				"cannot increment or decrement non-numeric value")
 		default:
-			n, numeric := cn.upsertNumeric(req.Key, snap, req.Delta, req.Verb == mctext.Decr)
-			switch {
-			case !numeric && !req.NoReply:
-				cn.wbuf = mctext.AppendClientError(cn.wbuf,
-					"cannot increment or decrement non-numeric value")
-			case numeric && !req.NoReply:
-				cn.wbuf = mctext.AppendUint(cn.wbuf, n)
-			}
-			if numeric && cn.w != nil {
-				cn.countOp(table.Upsert, true, start)
-			}
+			cn.wbuf = mctext.AppendUint(cn.wbuf, n)
+		}
+		if numeric && cn.w != nil {
+			cn.countOp(table.Upsert, true, start)
 		}
 	case mctext.Version:
 		cn.barrier()

@@ -8,10 +8,6 @@ import (
 	"dramhit/internal/table"
 )
 
-// respZeroRecord seeds a RESP INCR on an absent key: redis treats missing
-// as "0", so the increment creates the key at 1.
-var respZeroRecord = []byte{0, 0, 0, 0, '0'}
-
 // serveRESP is the RESP connection loop: parse every fully-buffered command
 // into the batch, flush (pipeline drain + one write syscall) when the input
 // would block. The parser arena is released only at batch boundaries, after
@@ -85,7 +81,7 @@ func (cn *conn) dispatchRESP(cmd resp.Command) bool {
 		if cn.w != nil {
 			start = time.Now().UnixNano()
 		}
-		if n, numeric := cn.upsertNumeric(cmd.Args[1], respZeroRecord, 1, false); numeric {
+		if n, _, numeric := cn.upsertNumeric(cmd.Args[1], true, 1, false); numeric {
 			cn.wbuf = resp.AppendInt(cn.wbuf, int64(n))
 		} else {
 			cn.wbuf = resp.AppendError(cn.wbuf, "ERR value is not an integer or out of range")

@@ -8,8 +8,7 @@
 // bit-identically to an uninstrumented one and allocates nothing extra on
 // the hot path. With a Registry attached, hot paths touch only their own
 // padded Worker shard (uncontended atomics, published at batch boundaries),
-// so the observe-on overhead stays within the ≤2% budget the introspect-ab
-// experiment records (observe_overhead_pct).
+// so observing adds no shared write to a request's path.
 package obs
 
 import (

@@ -13,6 +13,7 @@ import (
 	"dramhit/internal/hugemem"
 	"dramhit/internal/simd"
 	"dramhit/internal/table"
+	"dramhit/internal/workload"
 )
 
 func TestBucketCandidates7(t *testing.T) {
@@ -258,13 +259,13 @@ func TestBucketMutateExact(t *testing.T) {
 			for i := 0; i < n; i++ {
 				for k := 0; k < nkeys; k++ {
 					key := []byte(fmt.Sprintf("ctr-%d", k))
-					h.Mutate(key, func(old []byte, present bool) []byte {
+					h.Mutate(key, func(old []byte, present bool) ([]byte, bool) {
 						var c uint64
 						if present {
 							c = binary.LittleEndian.Uint64(old)
 						}
 						binary.LittleEndian.PutUint64(vb[:], c+1)
-						return vb[:]
+						return vb[:], true
 					})
 				}
 			}
@@ -375,12 +376,12 @@ func TestBucketMapVsReference(t *testing.T) {
 			ref[k] = v
 		case 4, 5:
 			var got uint64
-			h.Mutate(le(k), func(old []byte, present bool) []byte {
+			h.Mutate(le(k), func(old []byte, present bool) ([]byte, bool) {
 				got = 7
 				if present {
 					got += binary.LittleEndian.Uint64(old)
 				}
-				return le(got)
+				return le(got), true
 			})
 			ref[k] += 7
 			if got != ref[k] {
@@ -405,30 +406,127 @@ func TestBucketMapVsReference(t *testing.T) {
 	}
 }
 
-// TestBucketProbeCost pins the headline property at the engine level: at
-// 75% fill, a positive lookup costs about one bucket line and almost no
-// stash hops.
+// TestBucketProbeCost pins the headline properties at the engine level. At
+// 75% fill a positive lookup costs about one bucket line and almost no
+// stash hops (the paper's flat layout reads ~1.3 lines there). Between 75%
+// and 90% fill the same probed keys' stash hops grow slowly: overflow goes
+// to a per-bucket chain instead of lengthening neighbours' probes, and a
+// chain prepends, so only earlier overflow keys move deeper. The default
+// MaxLoad sits above 90%, so the resizer stays out of both points.
 func TestBucketProbeCost(t *testing.T) {
-	const n = 7000 // 75% of 1000 buckets * 7 lanes ≈ 5250; use 1000 buckets
-	bt := NewBucketTable(BucketConfig{Buckets: 1000, MaxLoad: 1000})
-	h := bt.NewHandle()
-	keys := make([][]byte, 0, 5250)
-	for i := 0; i < 5250; i++ {
-		k := []byte(fmt.Sprintf("probe-key-%05d", i))
-		keys = append(keys, k)
-		h.Put(k, []byte("v"))
+	const (
+		maxLines75  = 1.15 // lines+hops per lookup at 75% fill
+		maxHopRatio = 1.38 // stash hops per lookup, 90% fill over 75%
+	)
+	cases := []struct {
+		name  string
+		table func() *BucketTable
+		keys  func(n int) [][]byte
+		fills []float64 // fractions of Cap, filled in order
+		probe int       // the first probe keys are looked up at each fill
+	}{
+		{
+			name:  "strings/1000-buckets",
+			table: func() *BucketTable { return NewBucketTable(BucketConfig{Buckets: 1000, MaxLoad: 1000}) },
+			keys: func(n int) [][]byte {
+				keys := make([][]byte, n)
+				for i := range keys {
+					keys[i] = []byte(fmt.Sprintf("probe-key-%05d", i))
+				}
+				return keys
+			},
+			fills: []float64{0.75},
+			probe: 5250,
+		},
+		{
+			name:  "unique-uint64/2^17-slots",
+			table: func() *BucketTable { return NewBucketTableSlots(1 << 17) },
+			keys: func(n int) [][]byte {
+				keys := make([][]byte, n)
+				for i, k := range workload.UniqueKeys(42, n) {
+					keys[i] = binary.LittleEndian.AppendUint64(nil, k)
+				}
+				return keys
+			},
+			fills: []float64{0.75, 0.90},
+			probe: 1 << 17 / 4,
+		},
 	}
-	_ = n
-	h.Lines, h.Hops = 0, 0
-	for _, k := range keys {
-		if _, ok := h.Get(k); !ok {
-			t.Fatal("key lost")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bt := tc.table()
+			h := bt.NewHandle()
+			lanes := float64(bt.Cap())
+			keys := tc.keys(int(lanes * tc.fills[len(tc.fills)-1]))
+			var hops []float64
+			filled := 0
+			for _, fill := range tc.fills {
+				n := int(lanes * fill)
+				for _, k := range keys[filled:n] {
+					h.Put(k, []byte("v"))
+				}
+				filled = n
+				h.Lines, h.Hops = 0, 0
+				for _, k := range keys[:tc.probe] {
+					if _, ok := h.Get(k); !ok {
+						t.Fatal("key lost")
+					}
+				}
+				ops := float64(tc.probe)
+				lines := float64(h.Lines+h.Hops) / ops
+				t.Logf("fill %.2f: %.4f lines/op, %.5f stash hops/op", fill, lines, float64(h.Hops)/ops)
+				if fill == 0.75 && lines > maxLines75 {
+					t.Errorf("positive lookup cost %.4f lines/op at 75%% fill, want <= %.2f", lines, maxLines75)
+				}
+				hops = append(hops, float64(h.Hops)/ops)
+			}
+			if len(hops) == 2 {
+				if ratio := hops[1] / hops[0]; hops[0] == 0 || ratio > maxHopRatio {
+					t.Errorf("stash hops/op %.4f at 90%% fill vs %.4f at 75%%: ratio %.3f, want <= %.2f",
+						hops[1], hops[0], ratio, maxHopRatio)
+				}
+			}
+			if g := bt.Grows(); g != 0 {
+				t.Errorf("%d grows: the resizer ran below the measured fills", g)
+			}
+		})
+	}
+}
+
+// TestMutateDeclineLeavesKey pins Mutate's store flag: a callback that
+// returns store false leaves a present key's record in place, in a lane or
+// in the stash, and leaves an absent key absent without claiming a lane.
+func TestMutateDeclineLeavesKey(t *testing.T) {
+	bt := NewBucketTable(BucketConfig{Buckets: 1, MaxLoad: 100}) // growth off: keys past seven go to the stash
+	h := bt.NewHandle()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("decline-%02d", i)) }
+	const n = 12
+	for i := 0; i < n; i++ {
+		h.Put(key(i), []byte{byte(i)})
+	}
+	if bt.Stashed() == 0 {
+		t.Fatal("expected stashed keys at 12 keys over 7 lanes")
+	}
+	decline := func(_ []byte, _ bool) ([]byte, bool) { return []byte("junk"), false }
+	claimed := bt.Claimed()
+	for i := 0; i < n; i++ {
+		before, _ := h.Get(key(i))
+		if !h.Mutate(key(i), decline) {
+			t.Fatalf("Mutate(%d) reported absent", i)
+		}
+		after, ok := h.Get(key(i))
+		if !ok || &after[0] != &before[0] || after[0] != byte(i) {
+			t.Fatalf("declined Mutate(%d) replaced the record: %v -> %v", i, before, after)
 		}
 	}
-	ops := float64(len(keys))
-	linesPerOp := (float64(h.Lines) + float64(h.Hops)) / ops
-	if linesPerOp > 1.2 {
-		t.Fatalf("positive lookup cost %.3f lines/op at 75%% fill, want <= 1.2", linesPerOp)
+	if h.Mutate([]byte("absent"), decline) {
+		t.Fatal("Mutate of an absent key reported present")
+	}
+	if _, ok := h.Get([]byte("absent")); ok {
+		t.Fatal("declined Mutate created the key")
+	}
+	if bt.Len() != n || bt.Claimed() != claimed {
+		t.Fatalf("Len %d, Claimed %d after declines; want %d, %d", bt.Len(), bt.Claimed(), n, claimed)
 	}
 }
 
@@ -515,11 +613,11 @@ func TestHashedEntryPointsAcrossGrow(t *testing.T) {
 				t.Fatalf("DeleteHashed(%d) missed", i)
 			}
 		case 1:
-			existed := h.MutateHashed(hvs[i], key(i), func(old []byte, present bool) []byte {
+			existed := h.MutateHashed(hvs[i], key(i), func(old []byte, present bool) ([]byte, bool) {
 				if !present || old[0] != byte(i) {
 					t.Errorf("MutateHashed(%d) saw (%v, %v)", i, old, present)
 				}
-				return []byte{byte(i), 1}
+				return []byte{byte(i), 1}, true
 			})
 			if !existed {
 				t.Fatalf("MutateHashed(%d) reported absent", i)

@@ -369,20 +369,22 @@ func (h *BucketHandle) PutHashed(hv uint64, key, value []byte) (existed bool) {
 }
 
 // Mutate atomically read-modify-writes key: fn receives the current value
-// (nil, false when absent) and returns the value to store. Under
-// contention fn may run multiple times; exactly the final invocation's
-// result is published, and its input is the record it replaced — this is
-// the linearizable add the uint64 Upsert contract needs.
-func (h *BucketHandle) Mutate(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
+// (nil, false when absent) and returns the value to store, or store false
+// to leave the key as it is (absent stays absent, nothing is appended).
+// Under contention fn may run multiple times; exactly the final
+// invocation's decision takes effect, and its input is the record it
+// replaced or kept — this is the linearizable add the uint64 Upsert
+// contract needs, and the atomic not-found of memcached's incr.
+func (h *BucketHandle) Mutate(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
 	return h.mutate(h.t.hash(key), key, nil, fn)
 }
 
 // MutateHashed is Mutate with the key's hash supplied (see GetHashed).
-func (h *BucketHandle) MutateHashed(hv uint64, key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
+func (h *BucketHandle) MutateHashed(hv uint64, key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
 	return h.mutate(hv, key, nil, fn)
 }
 
-func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool) []byte) (existed bool) {
+func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool) ([]byte, bool)) (existed bool) {
 	t := h.t
 	fp := table.TagOf(hv)
 	g := &t.gates[hv&(bucketGateStripes-1)]
@@ -395,7 +397,7 @@ func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool
 	return existed
 }
 
-func (h *BucketHandle) mutateLocked(key, value []byte, fn func([]byte, bool) []byte, hv uint64, fp uint8) (existed, needGrow bool) {
+func (h *BucketHandle) mutateLocked(key, value []byte, fn func([]byte, bool) ([]byte, bool), hv uint64, fp uint8) (existed, needGrow bool) {
 	t := h.t
 retry:
 	st := t.state.Load()
@@ -420,7 +422,10 @@ retry:
 		// Present in a lane: swing the slot word to a fresh record.
 		nv := value
 		if fn != nil {
-			nv = fn(old, true)
+			var store bool
+			if nv, store = fn(old, true); !store {
+				return true, false
+			}
 		}
 		ref := h.w.Append(key, nv)
 		if atomic.CompareAndSwapUint64(&st.words[b+uint64(lane)+1], w, slotWord(fp, ref)) {
@@ -451,7 +456,10 @@ retry:
 		}
 		nv := value
 		if fn != nil {
-			nv = fn(old, true)
+			var store bool
+			if nv, store = fn(old, true); !store {
+				return true, false
+			}
 		}
 		ref := h.w.Append(key, nv)
 		if n.word.CompareAndSwap(w, slotWord(fp, ref)) {
@@ -466,7 +474,10 @@ retry:
 	// comment); any CAS failure restarts the whole search.
 	nv := value
 	if fn != nil {
-		nv = fn(nil, false)
+		var store bool
+		if nv, store = fn(nil, false); !store {
+			return false, false
+		}
 	}
 	ref := h.w.Append(key, nv)
 	w := slotWord(fp, ref)

@@ -43,7 +43,7 @@ type engineAPI struct{ h *slotarr.BucketHandle }
 
 func (e engineAPI) GetBytes(key []byte) ([]byte, bool) { return e.h.Get(key) }
 func (e engineAPI) PutBytes(key, value []byte) bool    { return e.h.Put(key, value) }
-func (e engineAPI) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) bool {
+func (e engineAPI) UpsertBytes(key []byte, fn func(old []byte, present bool) ([]byte, bool)) bool {
 	return e.h.Mutate(key, fn)
 }
 func (e engineAPI) DeleteBytes(key []byte) bool { return e.h.Delete(key) }

@@ -12,7 +12,7 @@ import (
 type ByteAPI interface {
 	GetBytes(key []byte) ([]byte, bool)
 	PutBytes(key, value []byte) (existed bool)
-	UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) (existed bool)
+	UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool)
 	DeleteBytes(key []byte) bool
 }
 
@@ -68,13 +68,13 @@ func (m *ByteMap) Upsert(key, delta uint64) (uint64, bool) {
 	kb := le(key)
 	var res uint64
 	var vb [8]byte
-	m.api.UpsertBytes(kb[:], func(old []byte, present bool) []byte {
+	m.api.UpsertBytes(kb[:], func(old []byte, present bool) ([]byte, bool) {
 		res = delta
 		if present {
 			res += binary.LittleEndian.Uint64(old)
 		}
 		binary.LittleEndian.PutUint64(vb[:], res)
-		return vb[:]
+		return vb[:], true
 	})
 	return res, true
 }
