@@ -173,25 +173,16 @@ func main() {
 	var teardown func()
 
 	slots := nextPow2(*records * 2)
+	var bt *dramhit.Table // byte mode's bucket table, on either backend
 	switch *backend {
 	case "dramhit":
-		t := dramhit.New(dramhit.Config{Slots: slots, Governor: governor, Observe: reg, Layout: layout})
-		h := t.NewHandle()
 		if byteMode {
-			loadBytes(func(k, v []byte) { h.PutBytes(k, v) }, *records, *valueSize, *valueTheta)
-		} else {
-			h.PutBatch(ycsb.LoadKeys(*records, 1), make([]uint64, *records))
+			bt = dramhit.New(dramhit.Config{Slots: slots, Observe: reg, Layout: layout})
+			break
 		}
+		t := dramhit.New(dramhit.Config{Slots: slots, Governor: governor, Observe: reg})
+		t.NewHandle().PutBatch(ycsb.LoadKeys(*records, 1), make([]uint64, *records))
 		mkView = func(int) view {
-			if byteMode {
-				// Byte ops are synchronous on a handle; one per worker.
-				hw := t.NewHandle()
-				return view{
-					getB: func(k []byte) bool { _, ok := hw.GetBytes(k); return ok },
-					putB: func(k, v []byte) { hw.PutBytes(k, v) },
-					fin:  func() {},
-				}
-			}
 			s := t.NewSync()
 			return view{get: s.Get, put: func(k, v uint64) { s.Put(k, v) }, fin: func() {}}
 		}
@@ -218,34 +209,27 @@ func main() {
 			return view{get: t.Get, put: func(k, v uint64) { t.Put(k, v) }, fin: func() {}}
 		}
 	case "dramhit-p":
+		consumers := max(1, *workers/2)
+		if byteMode {
+			// As many partitions as the flat table gets: one per consumer.
+			bt = dramhit.NewPartitionedBytes(dramhit.PartitionedBytesConfig{Slots: slots, Partitions: consumers, Observe: reg})
+			break
+		}
 		t := dramhit.NewPartitioned(dramhit.PartitionedConfig{
-			Slots: slots, Producers: *workers + 1, Consumers: max(1, *workers/2),
-			Combining: combining, Governor: governor, Observe: reg, Layout: layout,
+			Slots: slots, Producers: *workers + 1, Consumers: consumers,
+			Combining: combining, Governor: governor, Observe: reg,
 		})
 		t.Start()
 		teardown = t.Close
 		w := t.NewWriteHandle()
-		if byteMode {
-			loadBytes(func(k, v []byte) { w.PutBytes(k, v) }, *records, *valueSize, *valueTheta)
-		} else {
-			for _, k := range ycsb.LoadKeys(*records, 1) {
-				w.Put(k, 0)
-			}
+		for _, k := range ycsb.LoadKeys(*records, 1) {
+			w.Put(k, 0)
 		}
 		w.Barrier()
 		w.Close()
 		mkView = func(int) view {
 			wh := t.NewWriteHandle()
 			rh := t.NewReadHandle()
-			if byteMode {
-				// Byte ops bypass the delegation rings (synchronous on the
-				// engine), so no Flush/Barrier is needed at teardown.
-				return view{
-					getB: func(k []byte) bool { _, ok := rh.GetBytes(k); return ok },
-					putB: func(k, v []byte) { wh.PutBytes(k, v) },
-					fin:  func() { wh.Close() },
-				}
-			}
 			return view{
 				get: rh.Get,
 				put: func(k, v uint64) { wh.Put(k, v) },
@@ -254,6 +238,19 @@ func main() {
 		}
 	default:
 		fail(fmt.Errorf("unknown table %q", *backend))
+	}
+	if bt != nil {
+		h := bt.NewHandle()
+		loadBytes(func(k, v []byte) { h.PutBytes(k, v) }, *records, *valueSize, *valueTheta)
+		mkView = func(int) view {
+			// Byte ops are synchronous on a handle; one per worker.
+			hw := bt.NewHandle()
+			return view{
+				getB: func(k []byte) bool { _, ok := hw.GetBytes(k); return ok },
+				putB: func(k, v []byte) { hw.PutBytes(k, v) },
+				fin:  func() {},
+			}
+		}
 	}
 
 	// Latency lands in per-worker observability shards (bounded memory,

@@ -76,17 +76,13 @@ type Response = table.Response
 // protocol; storing it is not allowed.
 const ReservedValue = slotarr.InFlightValue
 
-// Layout selects the physical layout (Config.Layout and
-// PartitionedConfig.Layout), and with it the API a table serves: LayoutFlat
-// (the zero value and default) is the open-addressed 16-byte-slot array,
-// serving uint64 keys and values; LayoutBucket is
-// the one-line bucket layout — 64-byte buckets whose first word holds the
-// publish bitmap and seven fingerprints in-cell, whose seven slots reference
-// records in a log-structured arena, and which resizes itself — serving the
-// byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes, SubmitBytes).
-// Calling the other layout's API panics. Governor (and
-// PartitionedConfig.Combining) applies only to flat tables: constructors
-// panic when a bucket config sets it.
+// Layout selects a core table's physical layout (Config.Layout) and with it
+// the API it serves: LayoutFlat (the default) is the open-addressed
+// 16-byte-slot array serving uint64 keys and values; LayoutBucket is the
+// self-resizing one-line bucket layout over a log-structured arena serving
+// the byte-string API (GetBytes/PutBytes/UpsertBytes/DeleteBytes,
+// SubmitBytes). The other layout's calls panic, as does a bucket config that
+// sets Governor. DRAMHiT-P's byte table is NewPartitionedBytes.
 type Layout = table.Layout
 
 // Layout choices.
@@ -103,7 +99,7 @@ func ParseLayout(s string) (Layout, error) { return table.ParseLayout(s) }
 // Combining selects whether DRAMHiT-P's write handles fold duplicate-key
 // Upserts before delegating them (PartitionedConfig.Combining): CombineOn
 // (the zero value and default) folds; CombineOff sends every Upsert, for A/B
-// runs. The core table's ring never combines.
+// runs. Neither the core table nor the byte table combines.
 type Combining = table.Combining
 
 // Combining choices.
@@ -174,6 +170,13 @@ type ReadHandle = dramhitp.ReadHandle
 // when done.
 func NewPartitioned(cfg PartitionedConfig) *Partitioned { return dramhitp.New(cfg) }
 
+// PartitionedBytesConfig parameterizes NewPartitionedBytes.
+type PartitionedBytesConfig = dramhitp.BytesConfig
+
+// NewPartitionedBytes creates DRAMHiT-P's byte table: a bucket index per
+// partition over one arena; its Handles write synchronously, not delegated.
+func NewPartitionedBytes(cfg PartitionedBytesConfig) *Table { return dramhitp.NewBytes(cfg) }
+
 // Folklore is the synchronous lock-free baseline table.
 type Folklore = folklore.Table
 
@@ -196,11 +199,9 @@ type Resizable = growt.Table
 // slots; it grows (or compacts tombstones) when fill exceeds 75%.
 func NewResizable(n uint64) *Resizable { return growt.New(n) }
 
-// Observability is the unified observability registry (see internal/obs):
-// attach one via Config.Observe / PartitionedConfig.Observe (or
-// Folklore.Observe) to collect sharded hot-path counters, mergeable latency
-// histograms, pipeline gauges, and sampled request-lifecycle traces, and
-// serve them over HTTP with ServeObservability.
+// Observability is the unified observability registry (internal/obs): attach
+// one via a config's Observe field or Folklore.Observe, and serve its sharded
+// counters, latency histograms and sampled traces with ServeObservability.
 type Observability = obs.Registry
 
 // NewObservability creates a registry with the default trace configuration
@@ -213,10 +214,9 @@ func NewObservabilityWith(traceCap, sampleN int) *Observability {
 	return obs.NewWith(traceCap, sampleN)
 }
 
-// ServeObservability exposes reg on addr (e.g. ":8090"): Prometheus text
-// format at /metrics, sampled lifecycle events at /trace, expvar at
-// /debug/vars, and net/http/pprof at /debug/pprof/. Close the returned
-// server to stop.
+// ServeObservability exposes reg on addr (e.g. ":8090"): Prometheus text at
+// /metrics, lifecycle events at /trace, expvar at /debug/vars and pprof at
+// /debug/pprof/. Close the returned server to stop.
 func ServeObservability(addr string, reg *Observability) (*http.Server, error) {
 	return obs.Serve(addr, reg)
 }

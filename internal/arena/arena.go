@@ -199,6 +199,14 @@ func (a *Arena) HugeBytes() uint64 {
 // Freed returns the number of segments unlinked so far.
 func (a *Arena) Freed() uint64 { return a.freed.Load() }
 
+// Pins returns the number of pins registered with the arena, writers' and
+// standalone readers'. For observability and tests.
+func (a *Arena) Pins() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.pins)
+}
+
 // SegmentStat is one linked segment's scrape-time utilization: bytes
 // appended, bytes retired (Used-Dead is the live payload), the segment's
 // capacity, and whether its owner moved on (Used is final). On a segment

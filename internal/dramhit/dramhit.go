@@ -75,17 +75,6 @@ type Config struct {
 	Governor table.GovernorMode
 }
 
-// FlatOnlyOnBucket returns "Governor" when a LayoutBucket config c sets it
-// away from its zero value, or "". Governor shapes the flat table's uint64
-// ring; on a bucket table it would be accepted and ignored, so constructors
-// reject it.
-func (c Config) FlatOnlyOnBucket() string {
-	if c.Layout == table.LayoutBucket && c.Governor != table.GovernorOff {
-		return "Governor"
-	}
-	return ""
-}
-
 // Table is the shared state of a DRAMHiT hash table. Create per-goroutine
 // Handles with NewHandle; the Table itself holds no per-caller state and all
 // slot accesses are safe for concurrent use. Values equal to
@@ -170,11 +159,12 @@ func New(cfg Config) *Table {
 	return t
 }
 
-// checkLayout panics when cfg is a LayoutBucket config that sets a flat-only
-// field (Config.FlatOnlyOnBucket).
+// checkLayout panics when cfg is a LayoutBucket config that sets Governor:
+// Governor shapes the flat table's uint64 ring, and a bucket table would
+// accept and ignore it.
 func checkLayout(cfg Config) {
-	if f := cfg.FlatOnlyOnBucket(); f != "" {
-		panic("dramhit: Config." + f + " applies only to LayoutFlat tables; a LayoutBucket table owns its byte hash, probe and ring")
+	if cfg.Layout == table.LayoutBucket && cfg.Governor != table.GovernorOff {
+		panic("dramhit: Config.Governor applies only to LayoutFlat tables; a LayoutBucket table owns its byte hash, probe and ring")
 	}
 }
 
@@ -186,7 +176,8 @@ func checkLayout(cfg Config) {
 // does not have is ownership: on the flat layout Len and Fill count what this
 // table's own CAS drains claimed, so they are the caller's to report, and
 // only operations the regions' write protocol admits from any goroutine may
-// be submitted (DRAMHiT-P: Gets).
+// be submitted (DRAMHiT-P's flat partitions: Gets; its bucket partitions take
+// every byte operation, since the engine's CAS protocol serializes writers).
 func NewView(cfg Config, r Regions) *Table {
 	checkLayout(cfg)
 	w := cfg.PrefetchWindow

@@ -2,41 +2,39 @@ package dramhitp
 
 import (
 	"bytes"
-	"strings"
+	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 
+	"dramhit/internal/dramhit"
 	"dramhit/internal/table"
 	"dramhit/internal/tabletest"
 	"dramhit/internal/workload"
 )
 
-func newBucketTableP(slots uint64, consumers int) *Table {
-	t := New(Config{
-		Slots:     slots,
-		Producers: 2,
-		Consumers: consumers,
-		Layout:    table.LayoutBucket,
-	})
-	t.Start()
-	return t
+// TestPartitionIsOneLine: partitions owned by different consumers must not
+// share a cache line through their owner-written count and live.
+func TestPartitionIsOneLine(t *testing.T) {
+	if n := unsafe.Sizeof(partition{}); n != table.CacheLineBytes {
+		t.Fatalf("partition is %d bytes, want exactly one %d-byte cache line", n, table.CacheLineBytes)
+	}
 }
 
-// TestPBucketPipelinedReads checks the byte-lookup ring (SubmitGetBytes/
-// FlushGetBytes, completions by ID) against bucket partitions, a same-key
-// burst included.
+// TestPBucketPipelinedReads checks the byte ring (SubmitBytes/FlushBytes,
+// completions by ID) against bucket partitions, a same-key burst included.
 func TestPBucketPipelinedReads(t *testing.T) {
-	tb := newBucketTableP(4096, 2)
-	defer tb.Close()
-	w := tb.NewWriteHandle()
+	tb := NewBytes(BytesConfig{Slots: 4096, Partitions: 2})
+	w := tb.NewHandle()
 	keys := workload.UniqueKeys(23, 1000)
 	for _, k := range keys {
 		w.PutBytes(le(k), le(k*3))
 	}
-	r := tb.NewReadHandle()
+	r := tb.NewHandle()
 	var lookups []uint64 // key by completion ID
-	r.OnGetBytesComplete(func(id uint64, value []byte, found bool) {
-		if k := lookups[id]; !found || !bytes.Equal(value, le(k*3)) {
-			t.Fatalf("lookup %d of %d = (%x, %v), want (%x, true)", id, k, value, found, le(k*3))
+	r.OnByteComplete(func(c dramhit.ByteCompletion) {
+		if k := lookups[c.ID]; !c.Found || !bytes.Equal(c.Value, le(k*3)) {
+			t.Fatalf("lookup %d of %d = (%x, %v), want (%x, true)", c.ID, k, c.Value, c.Found, le(k*3))
 		}
 	})
 	// All keys, then a same-key burst longer than the window.
@@ -44,24 +42,22 @@ func TestPBucketPipelinedReads(t *testing.T) {
 		keys = append(keys, keys[7])
 	}
 	for _, k := range keys {
-		r.SubmitGetBytes(uint64(len(lookups)), le(k))
+		r.SubmitBytes(table.Get, uint64(len(lookups)), le(k), nil)
 		lookups = append(lookups, k)
 	}
-	r.FlushGetBytes()
+	r.FlushBytes()
 	if s := r.Stats(); s.Gets != uint64(len(keys)) || s.Hits != s.Gets {
 		t.Fatalf("%d lookups: Stats %+v", len(keys), s)
 	}
 }
 
-// TestPBucketByteAPI exercises the byte-string surface: synchronous writes
-// through the WriteHandle, reads through the ReadHandle, across partitions —
-// then enough inserts into tiny partitions to force them to resize, which a
-// bucket table does instead of dropping writes.
+// TestPBucketByteAPI exercises the synchronous byte surface of the
+// partitioned byte table's handles, across partitions — then enough inserts
+// into tiny partitions to force them to resize, which a bucket partition
+// does instead of dropping writes.
 func TestPBucketByteAPI(t *testing.T) {
-	tb := newBucketTableP(64, 2)
-	defer tb.Close()
-	w := tb.NewWriteHandle()
-	r := tb.NewReadHandle()
+	tb := NewBytes(BytesConfig{Slots: 64, Partitions: 2})
+	w, r := tb.NewHandle(), tb.NewHandle()
 	kv := map[string]string{
 		"gene:BRCA2":        "chr13",
 		"k":                 "",
@@ -94,6 +90,7 @@ func TestPBucketByteAPI(t *testing.T) {
 		t.Fatal("deleted byte key still present")
 	}
 
+	capBefore := tb.Cap()
 	keys := workload.UniqueKeys(11, 3000)
 	for _, k := range keys {
 		w.PutBytes(le(k), le(k^0xbeef))
@@ -103,8 +100,8 @@ func TestPBucketByteAPI(t *testing.T) {
 			t.Fatalf("GetBytes(%d) = (%x, %v) after the partitions grew", k, v, ok)
 		}
 	}
-	if tb.Dropped() != 0 || tb.Len() != len(keys)+2 || tb.Cap() < len(keys) {
-		t.Fatalf("Dropped %d, Len %d, Cap %d after %d inserts", tb.Dropped(), tb.Len(), tb.Cap(), len(keys)+2)
+	if tb.Len() != len(keys)+2 || tb.Cap() < len(keys) || capBefore >= len(keys) {
+		t.Fatalf("Len %d, Cap %d (from %d) after %d inserts", tb.Len(), tb.Cap(), capBefore, len(keys)+2)
 	}
 	if r.Stats().KeyLines == 0 {
 		t.Fatal("bucket reads did not fold engine lines into KeyLines")
@@ -112,18 +109,12 @@ func TestPBucketByteAPI(t *testing.T) {
 }
 
 // TestPBucketSyncConformsSequentially smoke-checks a synchronous adapter on
-// the bucket layout — tabletest.ByteMap over a WriteHandle and a ReadHandle,
-// 8-byte keys and values — against a reference map (the full conformance
-// suite runs from tabletest).
+// the byte table — tabletest.ByteMap over its handles, 8-byte keys and
+// values — against a reference map (the full conformance suite runs from
+// tabletest).
 func TestPBucketSyncConformsSequentially(t *testing.T) {
-	tb := newBucketTableP(512, 2)
-	defer tb.Close()
-	s := tabletest.NewByteMap(func() tabletest.ByteAPI {
-		return struct {
-			*WriteHandle
-			*ReadHandle
-		}{tb.NewWriteHandle(), tb.NewReadHandle()}
-	}, tb.Len, tb.Cap)
+	tb := NewBytes(BytesConfig{Slots: 512, Partitions: 2})
+	s := tabletest.NewByteMap(func() tabletest.ByteAPI { return tb.NewHandle() }, tb.Len, tb.Cap)
 	ref := make(map[uint64]uint64)
 	for i := 0; i < 4000; i++ {
 		k := uint64(i % 97)
@@ -157,79 +148,42 @@ func TestPBucketSyncConformsSequentially(t *testing.T) {
 	}
 }
 
-// TestPBucketByteAPIRequiresLayout pins the flat-table panic contract.
-func TestPBucketByteAPIRequiresLayout(t *testing.T) {
-	tb := New(Config{Slots: 64, Producers: 1, Consumers: 1})
-	tb.Start()
-	defer tb.Close()
-	w := tb.NewWriteHandle()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("byte API on a flat table did not panic")
+// TestNewBytesStartsNoGoroutine: the byte table has no owners and no
+// fabric, so building it and writing through its handles leaves the
+// goroutine count where it was. Each writer stays inside its first arena
+// segment: from a writer's second segment on, the arena's background first
+// touch of the next slab is expected.
+func TestNewBytesStartsNoGoroutine(t *testing.T) {
+	before := settledGoroutines()
+	tb := NewBytes(BytesConfig{Slots: 1 << 10, Partitions: 4})
+	const writers, perWriter = 3, 500 // ~20 KiB each, far under arena.DefaultSegmentBytes
+	for w := 0; w < writers; w++ {
+		h := tb.NewHandle()
+		for i := 0; i < perWriter; i++ {
+			k := uint64(w*perWriter + i)
+			h.PutBytes(le(k), []byte("a value of some thirty bytes."))
 		}
-	}()
-	w.PutBytes([]byte("k"), []byte("v"))
-}
-
-// TestBucketRejectsFlatOnlySettings: Combining and Governor shape the flat
-// partitions' uint64 paths; on a bucket config they would be accepted and
-// ignored, so New panics, naming the field.
-func TestBucketRejectsFlatOnlySettings(t *testing.T) {
-	for _, c := range []struct {
-		field string
-		set   func(*Config)
-	}{
-		{"Combining", func(c *Config) { c.Combining = table.CombineOff }},
-		{"Governor", func(c *Config) { c.Governor = table.GovernorDirect }},
-	} {
-		cfg := Config{Slots: 64, Producers: 1, Consumers: 1, Layout: table.LayoutBucket}
-		c.set(&cfg)
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "Config."+c.field) {
-					t.Errorf("New with %s set on a bucket config: panic %q, want one naming Config.%s", c.field, msg, c.field)
-				}
-			}()
-			New(cfg)
-		}()
+	}
+	if tb.Len() != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", tb.Len(), writers*perWriter)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("NewBytes and its writers took the goroutine count from %d to %d", before, after)
 	}
 }
 
-// TestUint64APIRequiresFlat pins the other half of the layout diagonal: every
-// uint64 entry point of a bucket table's handles and Sync panics with the
-// message that names the byte API, and nothing reaches a partition.
-func TestUint64APIRequiresFlat(t *testing.T) {
-	tb := New(Config{Slots: 256, Producers: 2, Consumers: 1, Layout: table.LayoutBucket})
-	tb.Start()
-	defer tb.Close()
-	w, r, s := tb.NewWriteHandle(), tb.NewReadHandle(), tb.NewSync()
-	keys := []uint64{1, 2}
-	for _, c := range []struct {
-		name string
-		call func()
-	}{
-		{"WriteHandle.Put", func() { w.Put(1, 2) }},
-		{"WriteHandle.Upsert", func() { w.Upsert(1, 2) }},
-		{"WriteHandle.Delete", func() { w.Delete(1) }},
-		{"ReadHandle.Submit", func() { r.Submit([]table.Request{{Op: table.Get, Key: 1}}, make([]table.Response, 1)) }},
-		{"ReadHandle.Get", func() { r.Get(1) }},
-		{"ReadHandle.GetBatch", func() { r.GetBatch(keys, make([]uint64, 2), make([]bool, 2)) }},
-		{"Sync.Get", func() { s.Get(1) }},
-		{"Sync.Put", func() { s.Put(1, 2) }},
-		{"Sync.Upsert", func() { s.Upsert(1, 2) }},
-		{"Sync.Delete", func() { s.Delete(1) }},
-	} {
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.Contains(msg, "serves the byte API") {
-					t.Errorf("%s on a bucket table: panic %q, want the byte-API message", c.name, msg)
-				}
-			}()
-			c.call()
-		}()
+// settledGoroutines returns the goroutine count once it has held still for
+// ten straight milliseconds (or after a second): a WaitGroup that an earlier
+// test's Close joined returns before its goroutines have finished exiting.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); still < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
 	}
-	w.Barrier()
-	if tb.Len() != 0 || r.Stats().Gets != 0 {
-		t.Fatalf("rejected calls left work behind: Len %d, %d Gets", tb.Len(), r.Stats().Gets)
-	}
+	return n
 }

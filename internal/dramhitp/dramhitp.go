@@ -11,13 +11,19 @@
 // (fire-and-forget), which is what keeps a delegated update within a few
 // tens of cycles. A WriteHandle.Barrier gives read-your-writes when callers
 // need it.
+//
+// Table is that paper table, uint64 keys and values over flat partitions.
+// NewBytes builds the partitioned byte table instead: one self-resizing
+// bucket index per partition over one shared arena, served by ordinary
+// dramhit handles. It has no owners and no fabric yet: its byte writes are
+// synchronous CAS writes on the partition's engine from whichever handle
+// makes them, until partition owners take the byte writes over.
 package dramhitp
 
 import (
 	"sync"
 	"sync/atomic"
 
-	"dramhit/internal/arena"
 	"dramhit/internal/delegation"
 	"dramhit/internal/dramhit"
 	"dramhit/internal/hashfn"
@@ -59,17 +65,6 @@ type Config struct {
 	// readers), plus a table-level pull source of quiescent-safe aggregates.
 	// Nil — the default — is bit-identical and allocation-free.
 	Observe *obs.Registry
-	// Layout selects the physical layout of every partition, and with it the
-	// API the table serves. The zero value (table.LayoutFlat) is the
-	// interleaved uint64 array: delegated uint64 updates (WriteHandle.Put/
-	// Upsert/Delete), uint64 reads, Sync. table.LayoutBucket gives each
-	// partition a self-resizing one-line-bucket index over one arena shared
-	// across all partitions: synchronous byte writes (WriteHandle.PutBytes/
-	// UpsertBytes/DeleteBytes) and byte reads (ReadHandle.GetBytes and the
-	// byte-lookup ring). Calling the other layout's API panics. Combining and
-	// Governor apply only to flat tables, so New panics when a bucket config
-	// sets either.
-	Layout table.Layout
 	// Governor selects the read path's execution mode, fixed at
 	// construction and forwarded to the read view (dramhit.Config.Governor).
 	// table.GovernorOff (the zero value) runs ReadHandles' prefetch pipeline;
@@ -82,17 +77,14 @@ type Config struct {
 // with release stores (value before key), concurrent readers probe with
 // plain atomic loads; no CAS is needed anywhere because writes are
 // serialized by ownership. The padding makes the struct exactly one cache
-// line, keeping partitions off each other's lines.
+// line (TestPartitionIsOneLine), so the owner-written count and live of
+// partitions with different owners never share a line.
 type partition struct {
 	arr   *slotarr.Array
 	count uint64 // owner-local: claimed slots (incl. tombstones)
 	live  int64  // owner-local: present entries
 	full  atomic.Bool
-	// bkt is the partition's self-resizing bucket index (non-nil iff the
-	// table is a bucket table; arr is nil then). All partition engines share
-	// one arena, so a record's Ref is meaningful table-wide.
-	bkt *slotarr.BucketTable
-	_   [24]byte
+	_     [36]byte
 }
 
 // Table is a partitioned DRAMHiT. Obtain WriteHandles (one per writer
@@ -107,7 +99,6 @@ type Table struct {
 	side      slotarr.SidePair
 	fabric    *delegation.Fabric
 	combine   table.Combining
-	layout    table.Layout
 
 	started atomic.Bool
 	wg      sync.WaitGroup
@@ -128,22 +119,6 @@ func New(cfg Config) *Table {
 	if cfg.Slots == 0 {
 		panic("dramhitp: Config.Slots must be positive")
 	}
-	// The read side's configuration: the same knobs, over all partitions,
-	// checked here so that a bucket config setting a flat-only knob is
-	// rejected before anything is built. Combining is the write side's own.
-	vcfg := dramhit.Config{
-		PrefetchWindow: cfg.PrefetchWindow,
-		Observe:        cfg.Observe,
-		Layout:         cfg.Layout,
-		Governor:       cfg.Governor,
-	}
-	f := vcfg.FlatOnlyOnBucket()
-	if f == "" && cfg.Layout == table.LayoutBucket && cfg.Combining != table.CombineOn {
-		f = "Combining"
-	}
-	if f != "" {
-		panic("dramhitp: Config." + f + " applies only to LayoutFlat tables; a LayoutBucket table owns its byte hash, probe and ring")
-	}
 	if cfg.Producers <= 0 {
 		cfg.Producers = 1
 	}
@@ -155,10 +130,6 @@ func New(cfg Config) *Table {
 	}
 	nparts := uint64(cfg.Consumers * cfg.PartitionsPerConsumer)
 	partSlots := (cfg.Slots + nparts - 1) / nparts
-	if partSlots == 0 {
-		partSlots = 1
-	}
-	vcfg.Slots = partSlots * nparts
 	t := &Table{
 		cfg:       cfg,
 		parts:     make([]partition, nparts),
@@ -166,7 +137,6 @@ func New(cfg Config) *Table {
 		nparts:    nparts,
 		total:     partSlots * nparts,
 		combine:   cfg.Combining,
-		layout:    cfg.Layout,
 		obsReg:    cfg.Observe,
 		fabric: delegation.New(delegation.Config{
 			Producers:     cfg.Producers,
@@ -178,40 +148,37 @@ func New(cfg Config) *Table {
 	// A distinct name from the core table's "dramhit-h", so a process
 	// embedding both tables scrapes both sets of handles.
 	regs := dramhit.Regions{Side: &t.side, Worker: "dramhitp-r"}
-	if cfg.Layout == table.LayoutBucket {
-		// One arena across all partitions: records written by any owner are
-		// readable from any partition handle, and reclamation epochs advance
-		// table-wide. Each partition gets its own self-resizing index.
-		ar := arena.New()
-		for i := range t.parts {
-			t.parts[i].bkt = slotarr.NewBucketTable(slotarr.BucketConfig{
-				Buckets: (partSlots + slotarr.BucketLanes - 1) / slotarr.BucketLanes,
-				Arena:   ar,
-			})
-			regs.Buckets = append(regs.Buckets, t.parts[i].bkt)
-		}
-	} else {
-		for i := range t.parts {
-			t.parts[i].arr = slotarr.New(partSlots)
-			regs.Arrays = append(regs.Arrays, t.parts[i].arr)
-		}
+	for i := range t.parts {
+		t.parts[i].arr = slotarr.New(partSlots)
+		regs.Arrays = append(regs.Arrays, t.parts[i].arr)
 	}
-	t.view = dramhit.NewView(vcfg, regs)
+	t.view = dramhit.NewView(dramhit.Config{
+		Slots:          t.total,
+		PrefetchWindow: cfg.PrefetchWindow,
+		Observe:        cfg.Observe,
+		Governor:       cfg.Governor,
+	}, regs)
 	if t.obsReg != nil {
-		t.obsReg.AddSource("dramhitp", func() map[string]float64 {
-			return map[string]float64{
-				"live":       float64(t.Len()),
-				"slots":      float64(t.Cap()),
-				"dropped":    float64(t.Dropped()),
-				"partitions": float64(t.Partitions()),
-			}
-		})
-		// One Regions row over the partitions in order shows partition skew
-		// directly — owner sharding never moves keys, so a hot partition is
-		// a hot selector range.
-		t.obsReg.AddHeatmapSource("dramhitp", t.view.Heatmap)
+		observe(t.obsReg, t.view, t.Len, t.Cap, t.Dropped, t.Partitions())
 	}
 	return t
+}
+
+// observe registers the "dramhitp" pull source and heatmap of a partitioned
+// table, flat or byte, over its read view.
+func observe(reg *obs.Registry, view *dramhit.Table, length, capacity func() int, dropped func() uint64, nparts int) {
+	reg.AddSource("dramhitp", func() map[string]float64 {
+		return map[string]float64{
+			"live":       float64(length()),
+			"slots":      float64(capacity()),
+			"dropped":    float64(dropped()),
+			"partitions": float64(nparts),
+		}
+	})
+	// One Regions row over the partitions in order shows partition skew
+	// directly — owner sharding never moves keys, so a hot partition is
+	// a hot selector range.
+	reg.AddHeatmapSource("dramhitp", view.Heatmap)
 }
 
 // locate maps a key to (partition, local slot). The global slot index is a
@@ -221,17 +188,6 @@ func New(cfg Config) *Table {
 func (t *Table) locate(key uint64) (part, local uint64) {
 	return hashfn.FastrangeSplit(hashfn.City64(key), t.nparts, t.partSlots)
 }
-
-// locateBytes maps a byte-string key on a bucket table to its partition
-// (hashfn.ShardRange, the route the read view's byte handles take) and the
-// bucket engine's hash.
-func (t *Table) locateBytes(key []byte) (part, hv uint64) {
-	hv = t.parts[0].bkt.HashOf(key) // all partitions share one hash
-	return hashfn.ShardRange(hv, t.nparts), hv
-}
-
-// Layout returns the physical layout the table was constructed with.
-func (t *Table) Layout() table.Layout { return t.layout }
 
 // Combining reports whether WriteHandles fold duplicate-key Upserts.
 func (t *Table) Combining() table.Combining { return t.combine }
@@ -277,9 +233,6 @@ func (t *Table) Dropped() uint64 { return t.dropped.Load() }
 // quiescent (counters are owner-local and read without synchronization
 // beyond atomics).
 func (t *Table) Len() int {
-	if t.layout == table.LayoutBucket {
-		return t.view.Len()
-	}
 	n := 0
 	for i := range t.parts {
 		n += int(atomic.LoadInt64(&t.parts[i].live))
@@ -287,14 +240,8 @@ func (t *Table) Len() int {
 	return n + t.side.Count()
 }
 
-// Cap returns the total slot capacity (current, on self-resizing bucket
-// partitions).
-func (t *Table) Cap() int {
-	if t.layout == table.LayoutBucket {
-		return t.view.Cap()
-	}
-	return int(t.total)
-}
+// Cap returns the total slot capacity.
+func (t *Table) Cap() int { return int(t.total) }
 
 // Partitions returns the partition count.
 func (t *Table) Partitions() int { return int(t.nparts) }

@@ -7,7 +7,6 @@ import (
 	"dramhit/internal/delegation"
 	"dramhit/internal/dramhit"
 	"dramhit/internal/obs"
-	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
 
@@ -37,12 +36,6 @@ type WriteHandle struct {
 	// apply, which is what this handle can observe.
 	hot   *obs.TopK
 	opLat bool
-	// wbhs holds this writer's per-partition bucket-engine handles (non-nil
-	// iff the table is a bucket table). The byte-string operations execute
-	// through them synchronously — direct to the engine, not delegated: a
-	// variable-length record does not fit a delegation message, and the
-	// engine's CAS protocol already serializes racing writers safely.
-	wbhs []*slotarr.BucketHandle
 }
 
 // NewWriteHandle allocates the next producer slot. It panics if more
@@ -53,61 +46,12 @@ func (t *Table) NewWriteHandle() *WriteHandle {
 		panic("dramhitp: more WriteHandles requested than Config.Producers")
 	}
 	w := &WriteHandle{t: t, p: t.fabric.Producer(id), coalesce: t.combine == table.CombineOn}
-	if t.layout == table.LayoutBucket {
-		w.wbhs = make([]*slotarr.BucketHandle, len(t.parts))
-		for i := range t.parts {
-			w.wbhs[i] = t.parts[i].bkt.NewHandle()
-		}
-	}
 	if t.obsReg != nil {
 		w.obsw = t.obsReg.Worker("dramhitp-w" + strconv.Itoa(id))
 		w.hot = w.obsw.Hot
 		w.opLat = t.obsReg.OpLatencyEnabled()
 	}
 	return w
-}
-
-// wrongAPI is requireLayout's panic message, by the layout the called API
-// needs.
-var wrongAPI = [...]string{
-	table.LayoutFlat:   "dramhitp: the uint64 API needs a LayoutFlat table; a LayoutBucket table serves the byte API (WriteHandle.PutBytes/UpsertBytes/DeleteBytes, ReadHandle.GetBytes and the byte-lookup ring)",
-	table.LayoutBucket: "dramhitp: the byte-string API needs a LayoutBucket table (variable-length records live in its arena); a LayoutFlat table serves the uint64 API",
-}
-
-// requireLayout panics unless the table has layout want: a flat table serves
-// the uint64 API, a bucket table the byte API.
-func (t *Table) requireLayout(want table.Layout) {
-	if t.layout != want {
-		panic(wrongAPI[want])
-	}
-}
-
-// PutBytes stores value for a byte-string key, overwriting silently,
-// reporting whether the key existed. Synchronous (direct to the partition
-// engine, not delegated).
-func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
-	w.t.requireLayout(table.LayoutBucket)
-	part, hv := w.t.locateBytes(key)
-	return w.wbhs[part].PutHashed(hv, key, value)
-}
-
-// UpsertBytes atomically read-modify-writes a byte-string key: fn receives
-// the current value (nil, false when absent) and returns the value to
-// store, or store false to leave the key as it is; under contention fn may
-// run multiple times and exactly the final invocation's decision takes
-// effect. Synchronous, like PutBytes.
-func (w *WriteHandle) UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
-	w.t.requireLayout(table.LayoutBucket)
-	part, hv := w.t.locateBytes(key)
-	return w.wbhs[part].MutateHashed(hv, key, fn)
-}
-
-// DeleteBytes removes a byte-string key, reporting whether it was present.
-// Synchronous, like PutBytes.
-func (w *WriteHandle) DeleteBytes(key []byte) bool {
-	w.t.requireLayout(table.LayoutBucket)
-	part, hv := w.t.locateBytes(key)
-	return w.wbhs[part].DeleteHashed(hv, key)
 }
 
 // publish copies the writer's plain counters into its registry shard and
@@ -162,7 +106,6 @@ func (w *WriteHandle) opEnd(start int64, op table.Op, hit bool) {
 // held coalesced Upsert of the same key is released first so the owner
 // applies the two in submission order.
 func (w *WriteHandle) Put(key, value uint64) bool {
-	w.t.requireLayout(table.LayoutFlat)
 	if w.hot != nil {
 		w.hot.OfferSampled(key)
 	}
@@ -179,7 +122,6 @@ func (w *WriteHandle) Put(key, value uint64) bool {
 // keys fold locally (see holdUpsert) and a window of distinct keys rides
 // one delegation flush.
 func (w *WriteHandle) Upsert(key, delta uint64) bool {
-	w.t.requireLayout(table.LayoutFlat)
 	if w.hot != nil {
 		w.hot.OfferSampled(key)
 	}
@@ -197,7 +139,6 @@ func (w *WriteHandle) Upsert(key, delta uint64) bool {
 // Delete requests a tombstone, releasing any held same-key Upsert first so
 // the owner applies the two in submission order.
 func (w *WriteHandle) Delete(key uint64) {
-	w.t.requireLayout(table.LayoutFlat)
 	if w.hot != nil {
 		w.hot.OfferSampled(key)
 	}
@@ -251,8 +192,8 @@ func (w *WriteHandle) Close() {
 }
 
 // ReadHandle is a per-goroutine reader: one dramhit.Handle of the table's read
-// view, so lookups run dramhit's prefetch-window pipeline — ring, direct
-// mode, byte ring — pointed at the partitions (reads are not
+// view, so lookups run dramhit's prefetch-window pipeline — ring or direct
+// mode — pointed at the partitions (reads are not
 // delegated; any thread may read any partition, and a Get takes no atomic
 // read-modify-write). The wrapper exists to keep that handle Get-only: its
 // update drains CAS, which a single-writer partition does not admit.
@@ -297,39 +238,3 @@ func (r *ReadHandle) Get(key uint64) (uint64, bool) { return r.h.Get(key) }
 func (r *ReadHandle) GetBatch(keys []uint64, vals []uint64, found []bool) {
 	r.h.GetBatch(keys, vals, found)
 }
-
-// GetBytes looks up a byte-string key directly. The returned slice aliases
-// the arena record: valid indefinitely, stale once the key is overwritten.
-// Zero-allocation. Bucket layout only.
-func (r *ReadHandle) GetBytes(key []byte) ([]byte, bool) { return r.h.GetBytes(key) }
-
-// The byte-lookup pipeline is dramhit's byte ring restricted to Gets: prefetch
-// the home bucket line of the key's partition at submit, the candidate records
-// half a window later, resolve synchronously at drain. Completions fire in
-// submission order, which is what lets a protocol server write replies
-// straight into a connection buffer from the callback. Writes stay on the
-// WriteHandle's synchronous byte API (PutBytes and friends): variable-length
-// records do not fit delegation messages.
-
-// OnGetBytesComplete arms the byte-lookup pipeline with its completion
-// callback. Must be called before SubmitGetBytes and only while no byte
-// lookups are in flight. Bucket layout only. value aliases the arena record —
-// consume it inside the callback or copy.
-func (r *ReadHandle) OnGetBytesComplete(fn func(id uint64, value []byte, found bool)) {
-	r.h.OnByteComplete(func(c dramhit.ByteCompletion) { fn(c.ID, c.Value, c.Found) })
-}
-
-// PendingGetBytes returns the number of in-flight byte lookups.
-func (r *ReadHandle) PendingGetBytes() int { return r.h.PendingBytes() }
-
-// SubmitGetBytes enqueues one byte-string lookup, draining the oldest first if
-// the window is full. Drained completions fire before SubmitGetBytes returns,
-// in submission order. The caller owns key until its completion fires. Byte
-// lookups order only against other byte lookups on this handle.
-func (r *ReadHandle) SubmitGetBytes(id uint64, key []byte) {
-	r.h.SubmitBytes(table.Get, id, key, nil)
-}
-
-// FlushGetBytes drains every in-flight byte lookup, firing the completion
-// callback for each in submission order.
-func (r *ReadHandle) FlushGetBytes() { r.h.FlushBytes() }

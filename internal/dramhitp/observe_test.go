@@ -2,6 +2,7 @@ package dramhitp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dramhit/internal/obs"
@@ -191,5 +192,32 @@ func TestPObserveZeroAlloc(t *testing.T) {
 	}
 	if snap.OpLatency["get_hit"].Count == 0 {
 		t.Error("armed registry recorded no get_hit latencies")
+	}
+}
+
+// TestBytesObserve: the byte table registers the "dramhitp" pull source and
+// a bucket heatmap, and its handles publish under "dramhitp-h".
+func TestBytesObserve(t *testing.T) {
+	reg := obs.NewWith(0, 1)
+	tb := NewBytes(BytesConfig{Slots: 1 << 10, Partitions: 3, Observe: reg})
+	h := tb.NewHandle()
+	for k := uint64(0); k < 500; k++ {
+		h.PutBytes(le(k), le(k))
+	}
+	src := reg.TakeSnapshot().Sources["dramhitp"]
+	if src["live"] != 500 || src["slots"] != float64(tb.Cap()) || src["partitions"] != 3 || src["dropped"] != 0 {
+		t.Fatalf("dramhitp pull source %v, want live 500, slots %d, 3 partitions, none dropped", src, tb.Cap())
+	}
+	var kinds []string
+	for _, hm := range reg.Heatmaps() {
+		if hm.Source == "dramhitp" {
+			kinds = append(kinds, hm.Kind)
+		}
+	}
+	if len(kinds) != 1 || kinds[0] != "bucket" {
+		t.Fatalf("dramhitp heatmaps of kinds %v, want one bucket heatmap", kinds)
+	}
+	if ws := reg.Workers(); len(ws) != 1 || !strings.HasPrefix(ws[0].Name(), "dramhitp-h") {
+		t.Fatalf("%d workers registered for one handle, want one dramhitp-h worker", len(ws))
 	}
 }

@@ -13,21 +13,13 @@ import (
 	"dramhit/internal/table"
 )
 
-// The ReadHandle is a dramhit.Handle over the partitions as regions. These
-// tests pin the two ends of that: with one partition it IS a dramhit handle
-// (same responses in the same order, same counters, over the same contents),
-// and with several every lookup still lands in the partition the writers put
-// the key in — the uint64 ring over flat partitions, the byte API and byte
-// ring over bucket ones.
-
-type regionLayout struct {
-	name string
-	cfg  Config
-}
-
-var regionLayouts = []regionLayout{
-	{"flat", Config{}},
-}
+// The ReadHandle is a dramhit.Handle over the flat partitions as regions, and
+// the byte table is a dramhit view over bucket ones. These tests pin the two
+// ends of that: with one partition either IS a dramhit table (same responses
+// in the same order, same counters, over the same contents), and with several
+// every lookup still lands in the partition the writers put the key in — the
+// uint64 ring over flat partitions, the byte API and byte ring over bucket
+// ones.
 
 // le is the 8-byte little-endian encoding the byte-API ports of uint64
 // workloads use for keys and values.
@@ -96,141 +88,139 @@ func runStream(h submitter, batches [][]table.Request) []table.Response {
 // the single table's, and nothing else differs between the two readers. On
 // the bucket layout the same holds for the byte API and the byte ring.
 func TestOnePartitionIsADramhitTable(t *testing.T) {
-	for _, c := range regionLayouts {
-		cfg := c.cfg
-		cfg.Slots, cfg.Producers, cfg.Consumers = 1<<12, 1, 1
-		pt := New(cfg)
-		pt.Start()
-		dt := dramhit.New(dramhit.Config{Slots: cfg.Slots, Layout: cfg.Layout})
-		w, ds := pt.NewWriteHandle(), dt.NewSync()
-		rng := rand.New(rand.NewSource(11))
-		// Puts and Deletes only: a WriteHandle holds Upserts back to fold them,
-		// which would claim slots in a different order than the Sync adapter.
-		for i := 0; i < 6000; i++ {
-			k := uint64(rng.Intn(3000)) + 1
-			if i%400 == 0 {
-				k = table.EmptyKey
-			}
-			if rng.Intn(5) == 0 {
-				w.Delete(k)
-				ds.Delete(k)
-			} else {
-				w.Put(k, k*7+uint64(i))
-				ds.Put(k, k*7+uint64(i))
-			}
+	pt := New(Config{Slots: 1 << 12, Producers: 1, Consumers: 1})
+	pt.Start()
+	defer pt.Close()
+	dt := dramhit.New(dramhit.Config{Slots: 1 << 12})
+	w, ds := pt.NewWriteHandle(), dt.NewSync()
+	rng := rand.New(rand.NewSource(11))
+	// Puts and Deletes only: a WriteHandle holds Upserts back to fold them,
+	// which would claim slots in a different order than the Sync adapter.
+	for i := 0; i < 6000; i++ {
+		k := uint64(rng.Intn(3000)) + 1
+		if i%400 == 0 {
+			k = table.EmptyKey
 		}
-		w.Barrier()
-		w.Close()
-		if pt.Len() != dt.Len() {
-			t.Fatalf("%s: loaded %d and %d entries", c.name, pt.Len(), dt.Len())
+		if rng.Intn(5) == 0 {
+			w.Delete(k)
+			ds.Delete(k)
+		} else {
+			w.Put(k, k*7+uint64(i))
+			ds.Put(k, k*7+uint64(i))
 		}
-
-		batches := getStream(12, 20000, 3600)
-		r, h := pt.NewReadHandle(), dt.NewHandle()
-		got, want := runStream(r, batches), runStream(h, batches)
-		if len(got) != 20000 || len(want) != 20000 {
-			t.Fatalf("%s: %d and %d responses to 20000 Gets", c.name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: completion %d is %+v, dramhit's is %+v", c.name, i, got[i], want[i])
-			}
-		}
-		if rs, hs := r.Stats(), h.Stats(); rs != hs || rs.Reprobes == 0 || rs.Hits == 0 || rs.Hits == rs.Gets {
-			t.Fatalf("%s: reader stats %+v, dramhit handle's %+v", c.name, rs, hs)
-		}
-		// The synchronous Get is the same direct-mode probe on both.
-		for k := uint64(1); k <= 3600; k++ {
-			pv, pok := r.Get(k)
-			dv, dok := h.Get(k)
-			if pv != dv || pok != dok {
-				t.Fatalf("%s: Get(%d) = (%d, %v), dramhit's (%d, %v)", c.name, k, pv, pok, dv, dok)
-			}
-		}
-		if r.Stats() != h.Stats() {
-			t.Fatalf("%s: after direct Gets: reader stats %+v, dramhit handle's %+v", c.name, r.Stats(), h.Stats())
-		}
-		pt.Close()
+	}
+	w.Barrier()
+	w.Close()
+	if pt.Len() != dt.Len() {
+		t.Fatalf("flat: loaded %d and %d entries", pt.Len(), dt.Len())
 	}
 
-	pt := New(Config{Slots: 1 << 12, Producers: 1, Consumers: 1, Layout: table.LayoutBucket})
-	dt := dramhit.New(dramhit.Config{Slots: 1 << 12, Layout: table.LayoutBucket})
-	w, dw := pt.NewWriteHandle(), dt.NewHandle()
-	rng := rand.New(rand.NewSource(11))
+	batches := getStream(12, 20000, 3600)
+	r, h := pt.NewReadHandle(), dt.NewHandle()
+	got, want := runStream(r, batches), runStream(h, batches)
+	if len(got) != 20000 || len(want) != 20000 {
+		t.Fatalf("flat: %d and %d responses to 20000 Gets", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("flat: completion %d is %+v, dramhit's is %+v", i, got[i], want[i])
+		}
+	}
+	if rs, hs := r.Stats(), h.Stats(); rs != hs || rs.Reprobes == 0 || rs.Hits == 0 || rs.Hits == rs.Gets {
+		t.Fatalf("flat: reader stats %+v, dramhit handle's %+v", rs, hs)
+	}
+	// The synchronous Get is the same direct-mode probe on both.
+	for k := uint64(1); k <= 3600; k++ {
+		pv, pok := r.Get(k)
+		dv, dok := h.Get(k)
+		if pv != dv || pok != dok {
+			t.Fatalf("flat: Get(%d) = (%d, %v), dramhit's (%d, %v)", k, pv, pok, dv, dok)
+		}
+	}
+	if r.Stats() != h.Stats() {
+		t.Fatalf("flat: after direct Gets: reader stats %+v, dramhit handle's %+v", r.Stats(), h.Stats())
+	}
+
+	bt := NewBytes(BytesConfig{Slots: 1 << 12, Partitions: 1})
+	dbt := dramhit.New(dramhit.Config{Slots: 1 << 12, Layout: table.LayoutBucket})
+	bw, dw := bt.NewHandle(), dbt.NewHandle()
+	rng = rand.New(rand.NewSource(11))
 	for i := 0; i < 6000; i++ {
 		k := le(uint64(rng.Intn(3000)) + 1)
 		if rng.Intn(5) == 0 {
-			w.DeleteBytes(k)
+			bw.DeleteBytes(k)
 			dw.DeleteBytes(k)
 		} else {
-			w.PutBytes(k, le(uint64(i)))
+			bw.PutBytes(k, le(uint64(i)))
 			dw.PutBytes(k, le(uint64(i)))
 		}
 	}
-	w.Close()
-	if pt.Len() != dt.Len() {
-		t.Fatalf("bucket: loaded %d and %d entries", pt.Len(), dt.Len())
+	if bt.Len() != dbt.Len() {
+		t.Fatalf("bucket: loaded %d and %d entries", bt.Len(), dbt.Len())
 	}
 	type completion struct {
 		id    uint64
 		value string
 		found bool
 	}
-	var got, want []completion
-	r, h := pt.NewReadHandle(), dt.NewHandle()
-	r.OnGetBytesComplete(func(id uint64, v []byte, found bool) { got = append(got, completion{id, string(v), found}) })
-	h.OnByteComplete(func(c dramhit.ByteCompletion) { want = append(want, completion{c.ID, string(c.Value), c.Found}) })
+	var bgot, bwant []completion
+	br, bh := bt.NewHandle(), dbt.NewHandle()
+	br.OnByteComplete(func(c dramhit.ByteCompletion) { bgot = append(bgot, completion{c.ID, string(c.Value), c.Found}) })
+	bh.OnByteComplete(func(c dramhit.ByteCompletion) { bwant = append(bwant, completion{c.ID, string(c.Value), c.Found}) })
 	for bi, b := range getStream(12, 20000, 3600) {
 		for _, q := range b {
 			k := le(q.Key)
-			r.SubmitGetBytes(q.ID, k)
-			h.SubmitBytes(table.Get, q.ID, k, nil)
+			br.SubmitBytes(table.Get, q.ID, k, nil)
+			bh.SubmitBytes(table.Get, q.ID, k, nil)
 		}
 		if bi%3 == 0 {
-			r.FlushGetBytes()
-			h.FlushBytes()
+			br.FlushBytes()
+			bh.FlushBytes()
 		}
 	}
-	r.FlushGetBytes()
-	h.FlushBytes()
-	if len(got) != 20000 || !slices.Equal(got, want) {
-		t.Fatalf("bucket: %d and %d byte completions to 20000 lookups, or they differ", len(got), len(want))
+	br.FlushBytes()
+	bh.FlushBytes()
+	if len(bgot) != 20000 || !slices.Equal(bgot, bwant) {
+		t.Fatalf("bucket: %d and %d byte completions to 20000 lookups, or they differ", len(bgot), len(bwant))
 	}
-	if rs, hs := r.Stats(), h.Stats(); rs != hs || rs.Hits == 0 || rs.Hits == rs.Gets {
+	if rs, hs := br.Stats(), bh.Stats(); rs != hs || rs.Hits == 0 || rs.Hits == rs.Gets {
 		t.Fatalf("bucket: reader stats %+v, dramhit handle's %+v", rs, hs)
 	}
 	for k := uint64(1); k <= 3600; k++ {
-		pv, pok := r.GetBytes(le(k))
-		dv, dok := h.GetBytes(le(k))
+		pv, pok := br.GetBytes(le(k))
+		dv, dok := bh.GetBytes(le(k))
 		if !bytes.Equal(pv, dv) || pok != dok {
 			t.Fatalf("bucket: GetBytes(%d) = (%x, %v), dramhit's (%x, %v)", k, pv, pok, dv, dok)
 		}
 	}
-	if r.Stats() != h.Stats() {
-		t.Fatalf("bucket: after GetBytes: reader stats %+v, dramhit handle's %+v", r.Stats(), h.Stats())
+	if br.Stats() != bh.Stats() {
+		t.Fatalf("bucket: after GetBytes: reader stats %+v, dramhit handle's %+v", br.Stats(), bh.Stats())
 	}
-	pt.Close()
 }
 
 // TestReadersMatchOracle loads six partitions while keeping a sequential model
 // (a map), then runs four readers at once over every read entry point and
 // checks every answer against the model: on flat partitions (loaded through
 // the delegation fabric) the pipelined ring with a small response buffer,
-// GetBatch and the direct Get; on bucket partitions (loaded through the
-// synchronous byte writes, keys and values as 8-byte encodings) GetBytes and
-// the byte-lookup ring. CI runs it under -race at -cpu 1,2,4: readers share
-// the partitions, the side slots and nothing else.
+// GetBatch and the direct Get; on the byte table's bucket partitions (loaded
+// through a handle's synchronous byte writes, keys and values as 8-byte
+// encodings) GetBytes and the byte ring. CI runs it under -race at -cpu 1,2,4:
+// readers share the partitions, the side slots and nothing else.
 func TestReadersMatchOracle(t *testing.T) {
-	for _, c := range append(regionLayouts, regionLayout{"bucket", Config{Layout: table.LayoutBucket}}) {
-		cfg := c.cfg
-		cfg.Slots, cfg.Producers, cfg.Consumers, cfg.PartitionsPerConsumer = 1<<13, 1, 2, 3
-		bucket := cfg.Layout == table.LayoutBucket
-		tb := New(cfg)
-		tb.Start()
-		model := map[uint64]uint64{}
-		w := tb.NewWriteHandle()
-		put, add, del := w.Put, w.Upsert, w.Delete
+	for _, bucket := range []bool{false, true} {
+		name := map[bool]string{false: "flat", true: "bucket"}[bucket]
+		var (
+			tb               *Table
+			bt               *dramhit.Table
+			put              func(k, v uint64) bool
+			add              func(k, d uint64) bool
+			del              func(k uint64)
+			settle, shutdown func()
+			length           func() int
+		)
 		if bucket {
+			bt = NewBytes(BytesConfig{Slots: 1 << 13, Partitions: 6})
+			w := bt.NewHandle()
 			put = func(k, v uint64) bool { return w.PutBytes(le(k), le(v)) }
 			add = func(k, d uint64) bool {
 				return w.UpsertBytes(le(k), func(old []byte, present bool) ([]byte, bool) {
@@ -241,7 +231,16 @@ func TestReadersMatchOracle(t *testing.T) {
 				})
 			}
 			del = func(k uint64) { w.DeleteBytes(le(k)) }
+			settle, shutdown, length = func() {}, func() {}, bt.Len
+		} else {
+			tb = New(Config{Slots: 1 << 13, Producers: 1, Consumers: 2, PartitionsPerConsumer: 3})
+			tb.Start()
+			w := tb.NewWriteHandle()
+			put, add, del = w.Put, w.Upsert, w.Delete
+			settle = func() { w.Barrier(); w.Close() }
+			shutdown, length = tb.Close, tb.Len
 		}
+		model := map[uint64]uint64{}
 		rng := rand.New(rand.NewSource(21))
 		for i := 0; i < 9000; i++ {
 			k := uint64(rng.Intn(4000)) + 1
@@ -260,10 +259,9 @@ func TestReadersMatchOracle(t *testing.T) {
 				model[k] = k*5 + uint64(i)
 			}
 		}
-		w.Barrier()
-		w.Close()
-		if tb.Len() != len(model) {
-			t.Fatalf("%s: table holds %d entries, model %d", c.name, tb.Len(), len(model))
+		settle()
+		if length() != len(model) {
+			t.Fatalf("%s: table holds %d entries, model %d", name, length(), len(model))
 		}
 
 		var wg sync.WaitGroup
@@ -271,10 +269,9 @@ func TestReadersMatchOracle(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				r := tb.NewReadHandle()
 				check := func(how string, k, v uint64, found bool) {
 					if mv, ok := model[k]; found != ok || v != mv {
-						t.Errorf("%s reader %d: %s(%#x) = (%d, %v), model (%d, %v)", c.name, g, how, k, v, found, mv, ok)
+						t.Errorf("%s reader %d: %s(%#x) = (%d, %v), model (%d, %v)", name, g, how, k, v, found, mv, ok)
 					}
 				}
 				batches := getStream(int64(30+g), 6000, 4800)
@@ -285,6 +282,7 @@ func TestReadersMatchOracle(t *testing.T) {
 					}
 				}
 				if bucket {
+					r := bt.NewHandle()
 					for _, k := range keys {
 						vb, ok := r.GetBytes(le(k))
 						var v uint64
@@ -294,26 +292,27 @@ func TestReadersMatchOracle(t *testing.T) {
 						check("GetBytes", k, v, ok)
 					}
 					next := 0
-					r.OnGetBytesComplete(func(id uint64, value []byte, ok bool) {
-						if int(id) != next {
-							t.Errorf("%s reader %d: byte completion %d at position %d", c.name, g, id, next)
+					r.OnByteComplete(func(c dramhit.ByteCompletion) {
+						if int(c.ID) != next {
+							t.Errorf("%s reader %d: byte completion %d at position %d", name, g, c.ID, next)
 						}
 						next++
 						var v uint64
-						if ok {
-							v = binary.LittleEndian.Uint64(value)
+						if c.Found {
+							v = binary.LittleEndian.Uint64(c.Value)
 						}
-						check("SubmitGetBytes", keys[id], v, ok)
+						check("SubmitBytes", keys[c.ID], v, c.Found)
 					})
 					for i, k := range keys {
-						r.SubmitGetBytes(uint64(i), le(k))
+						r.SubmitBytes(table.Get, uint64(i), le(k), nil)
 					}
-					r.FlushGetBytes()
+					r.FlushBytes()
 					if s := r.Stats(); next != len(keys) || s.Gets != uint64(2*len(keys)) {
-						t.Errorf("%s reader %d: %d byte completions to %d lookups; Stats.Gets %d", c.name, g, next, len(keys), s.Gets)
+						t.Errorf("%s reader %d: %d byte completions to %d lookups; Stats.Gets %d", name, g, next, len(keys), s.Gets)
 					}
 					return
 				}
+				r := tb.NewReadHandle()
 				resps := runStream(r, batches)
 				for _, rs := range resps {
 					check("Submit", keys[rs.ID], rs.Value, rs.Found)
@@ -326,12 +325,12 @@ func TestReadersMatchOracle(t *testing.T) {
 					check("Get", k, v, ok)
 				}
 				if s := r.Stats(); len(resps) != len(keys) || s.Gets != uint64(3*len(keys)) {
-					t.Errorf("%s reader %d: %d responses to %d Gets; Stats.Gets %d, want %d", c.name, g, len(resps), len(keys), s.Gets, 3*len(keys))
+					t.Errorf("%s reader %d: %d responses to %d Gets; Stats.Gets %d, want %d", name, g, len(resps), len(keys), s.Gets, 3*len(keys))
 				}
 			}(g)
 		}
 		wg.Wait()
-		tb.Close()
+		shutdown()
 	}
 }
 

@@ -159,15 +159,24 @@ func (s *Server) Table() *idramhit.Table { return s.tbl }
 // what the process's memory is made of — arena_huge_bytes is the record
 // segments carved from huge-page slabs, and on Linux mem_anon_huge_bytes is
 // where an operator sees whether the index and those slabs got their huge
-// pages.
+// pages. The arena_segments* gauges are the arena's segment directory
+// (slots, still-linked segments, segments unlinked by reclamation) and
+// arena_pins its registered reclamation pins: what a long-lived server's
+// connection churn grows.
 func (s *Server) collect() map[string]float64 {
+	ar := s.tbl.Bucket().Arena()
+	total, live := ar.Segments()
 	m := map[string]float64{
-		"conns_resp_open":  float64(s.curResp.Load()),
-		"conns_resp_total": float64(s.totResp.Load()),
-		"conns_mc_open":    float64(s.curMc.Load()),
-		"conns_mc_total":   float64(s.totMc.Load()),
-		"table_entries":    float64(s.tbl.Len()),
-		"arena_huge_bytes": float64(s.tbl.Bucket().Arena().HugeBytes()),
+		"conns_resp_open":      float64(s.curResp.Load()),
+		"conns_resp_total":     float64(s.totResp.Load()),
+		"conns_mc_open":        float64(s.curMc.Load()),
+		"conns_mc_total":       float64(s.totMc.Load()),
+		"table_entries":        float64(s.tbl.Len()),
+		"arena_huge_bytes":     float64(ar.HugeBytes()),
+		"arena_segments":       float64(total),
+		"arena_segments_live":  float64(live),
+		"arena_segments_freed": float64(ar.Freed()),
+		"arena_pins":           float64(ar.Pins()),
 	}
 	if rss, huge, ok := hugemem.Usage(); ok {
 		m["mem_rss_bytes"] = float64(rss)

@@ -358,6 +358,61 @@ func TestObsSurface(t *testing.T) {
 	}
 }
 
+// TestArenaGauges: after several RESP connections each SET a key and close,
+// every arena gauge of the "server" pull source equals its arena accessor. A
+// last connection only PINGs and writes no segment, so the pin and segment
+// counts differ and a gauge wired to the wrong accessor shows.
+func TestArenaGauges(t *testing.T) {
+	reg := obs.New()
+	srv := startServer(t, func(c *Config) { c.Obs = reg })
+	var src func() map[string]float64
+	for _, s := range reg.Sources() {
+		if s.Name == "server" {
+			src = s.Collect
+		}
+	}
+	const conns = 6
+	for i := 0; i <= conns; i++ {
+		c, err := net.Dial("tcp", srv.RespAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd, want := respEnc(nil, "SET", fmt.Sprintf("gauge-key-%d", i), "v"), "+OK"
+		if i == conns {
+			cmd, want = respEnc(nil, "PING"), "+PONG"
+		}
+		c.Write(cmd)
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if r, err := readReply(bufio.NewReader(c)); err != nil || r != want {
+			t.Fatalf("connection %d: reply (%q, %v), want %q", i, r, err, want)
+		}
+		c.Close()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for src()["conns_resp_open"] != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("conns_resp_open never returned to 0 after disconnect")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	m := src()
+	ar := srv.Table().Bucket().Arena()
+	total, live := ar.Segments()
+	for name, want := range map[string]float64{
+		"arena_segments":       float64(total),
+		"arena_segments_live":  float64(live),
+		"arena_segments_freed": float64(ar.Freed()),
+		"arena_pins":           float64(ar.Pins()),
+	} {
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("%s = (%v, %v), arena accessor says %v", name, got, ok, want)
+		}
+	}
+	if m["table_entries"] != conns || m["arena_segments_live"] == 0 {
+		t.Errorf("%d connections wrote %v entries into %v live segments", conns, m["table_entries"], m["arena_segments_live"])
+	}
+}
+
 // TestCrossProtocol pins the shared-keyspace record format: a value set via
 // memcached (with flags) reads back via RESP as the bare payload, and a
 // RESP-set value reads via memcached with flags 0.

@@ -13,10 +13,10 @@ import (
 
 // TestBucketConformance runs the shared suite against the bucket layout at
 // every level of the stack: the raw slotarr engine's handle, and the byte API
-// of the core dramhit table and of the partitioned table with bucket
-// partitions, each through tabletest.ByteMap (8-byte keys and values). All
-// three grow on demand (LooseCapacity), and the concurrent subtests race
-// handle clones against the engine's resizes.
+// of the core dramhit table and of DRAMHiT-P's partitioned byte table, each
+// through tabletest.ByteMap (8-byte keys and values). All three grow on
+// demand (LooseCapacity), and the concurrent subtests race handle clones
+// against the engine's resizes.
 func TestBucketConformance(t *testing.T) {
 	tabletest.Run(t, "Bucket",
 		func(n uint64) table.Map { return engineBytes(slotarr.NewBucketTableSlots(n)) },
@@ -26,14 +26,8 @@ func TestBucketConformance(t *testing.T) {
 		tabletest.LooseCapacity())
 	tabletest.Run(t, "DramhitPBucket",
 		func(n uint64) table.Map {
-			tb := dramhitp.New(dramhitp.Config{
-				// Producers sized for the suite's widest concurrent subtest:
-				// every goroutine's Clone claims a write endpoint.
-				Slots: n, Producers: 16, Consumers: 2, Layout: table.LayoutBucket,
-			})
-			return pBytes{tabletest.NewByteMap(func() tabletest.ByteAPI {
-				return pHandles{tb.NewWriteHandle(), tb.NewReadHandle()}
-			}, tb.Len, tb.Cap), tb}
+			tb := dramhitp.NewBytes(dramhitp.BytesConfig{Slots: n, Partitions: 2})
+			return tabletest.NewByteMap(func() tabletest.ByteAPI { return tb.NewHandle() }, tb.Len, tb.Cap)
 		},
 		tabletest.LooseCapacity())
 }
@@ -58,21 +52,6 @@ func dramhitBytes(n uint64) *tabletest.ByteMap {
 	tb := dramhit.New(dramhit.Config{Slots: n, Layout: table.LayoutBucket})
 	return tabletest.NewByteMap(func() tabletest.ByteAPI { return tb.NewHandle() }, tb.Len, tb.Cap)
 }
-
-// pHandles is one goroutine's byte API on a partitioned bucket table: writes
-// through a WriteHandle, reads through a ReadHandle.
-type pHandles struct {
-	*dramhitp.WriteHandle
-	*dramhitp.ReadHandle
-}
-
-// pBytes closes the partitioned table when the suite's subtest ends.
-type pBytes struct {
-	*tabletest.ByteMap
-	tb *dramhitp.Table
-}
-
-func (m pBytes) Shutdown() { m.tb.Close() }
 
 // TestBucketStashChains pins the overflow path: one bucket with growth
 // disabled has seven lanes, so all but seven of the inserts must land on the
