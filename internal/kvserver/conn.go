@@ -7,6 +7,7 @@ import (
 	idramhit "dramhit/internal/dramhit"
 	"dramhit/internal/mctext"
 	"dramhit/internal/obs"
+	"dramhit/internal/readbuf"
 	"dramhit/internal/resp"
 	"dramhit/internal/table"
 )
@@ -28,14 +29,14 @@ const (
 
 // pmeta carries the per-request reply context from submit to completion.
 type pmeta struct {
-	key   []byte // mc VALUE lines echo the key; aliases the parser arena
+	key   []byte // mc VALUE lines echo the key; aliases the read buffer
 	start int64  // latency stamp (0 when metrics are off)
 	kind  uint8
 }
 
 // conn is the per-connection state shared by both protocol loops: one table
 // handle (single-goroutine, like the connection), the reply write buffer,
-// a batch-stable scratch arena for encoded values, and the meta queue.
+// a batch-stable scratch buffer for encoded values, and the meta queue.
 type conn struct {
 	s *Server
 	c net.Conn
@@ -46,6 +47,7 @@ type conn struct {
 	vbuf []byte  // encoded flags+payload records, stable until batch flush
 	meta []pmeta // submit-order reply contexts
 	mi   int     // completion cursor into meta
+	rcap int     // the protocol reader's capacity, as read_buffer_bytes counts it
 }
 
 func newConn(s *Server, c net.Conn) *conn {
@@ -93,8 +95,8 @@ func parseUint(b []byte) (uint64, bool) {
 
 // submit enters one Get/Put/Delete into the handle's byte pipeline; its reply
 // is appended at completion, possibly after more submissions. key/val must
-// stay valid until the batch flush (they alias the parser arena and vbuf,
-// both of which are released at flushWrite).
+// stay valid until the batch flush (they alias the protocol reader's buffer
+// and vbuf, both of which are released at the batch's end).
 func (cn *conn) submit(op table.Op, kind uint8, key, val []byte) {
 	m := pmeta{kind: kind, key: key}
 	if cn.w != nil {
@@ -185,7 +187,7 @@ func (cn *conn) barrier() {
 
 // flushWrite ends the wire batch: drains the pipeline, writes the
 // accumulated replies in one syscall, and resets the batch-lifetime
-// buffers. After it returns, nothing references the parser arena.
+// buffers. After it returns, nothing references the read buffer.
 func (cn *conn) flushWrite() error {
 	cn.barrier()
 	cn.meta = cn.meta[:0]
@@ -199,29 +201,49 @@ func (cn *conn) flushWrite() error {
 	return err
 }
 
-// Batch caps. Crossing any of them forces an early batch flush (and parser
-// arena release at the call site). wbufHighWater alone is not enough: a
+// endBatch flushes the wire batch, releases the reader's buffer and, when
+// its capacity changed, moves the read_buffer_bytes gauge by the difference.
+func (cn *conn) endBatch(release func(), buf *readbuf.Buffer) error {
+	if err := cn.flushWrite(); err != nil {
+		return err
+	}
+	release()
+	cn.setReadCap(buf.Cap())
+	return nil
+}
+
+// setReadCap records the reader's capacity in read_buffer_bytes: one atomic
+// add when it changed, and a last one (to 0) when the connection ends.
+func (cn *conn) setReadCap(n int) {
+	if n != cn.rcap {
+		cn.s.readBuf.Add(int64(n - cn.rcap))
+		cn.rcap = n
+	}
+}
+
+// Batch caps. Crossing any of them forces an early batch flush (and read
+// buffer release at the call site). wbufHighWater alone is not enough: a
 // write-heavy pipelined stream (memcached noreply sets, RESP SETs whose
-// reply is a 5-byte +OK) appends almost nothing to wbuf while the parser
-// arena, vbuf and meta grow by ~request size per request — without an
+// reply is a 5-byte +OK) appends almost nothing to wbuf while the held
+// input, vbuf and meta grow by ~request size per request — without an
 // input-side cap that is a remotely triggerable OOM.
 const (
 	// wbufHighWater caps reply accumulation mid-batch (a client that
 	// pipelines without reading would otherwise grow wbuf unboundedly).
 	wbufHighWater = 64 << 10
-	// inputHighWater caps parse-side accumulation: parser arena plus the
-	// connection's encoded-value scratch (vbuf).
+	// inputHighWater caps parse-side accumulation: the request bytes the
+	// batch holds in the read buffer plus the encoded-value scratch (vbuf).
 	inputHighWater = 4 << 20
 	// batchMaxOps caps the meta queue (requests per wire batch).
 	batchMaxOps = 4096
 )
 
 // batchFull reports whether the current wire batch crossed a reply-side or
-// input-side cap and must flush before parsing more. arenaBytes is the
+// input-side cap and must flush before parsing more. heldBytes is the
 // protocol reader's ArenaBytes().
-func (cn *conn) batchFull(arenaBytes int) bool {
+func (cn *conn) batchFull(heldBytes int) bool {
 	return len(cn.wbuf) >= wbufHighWater ||
-		arenaBytes+len(cn.vbuf) >= inputHighWater ||
+		heldBytes+len(cn.vbuf) >= inputHighWater ||
 		len(cn.meta) >= batchMaxOps
 }
 

@@ -77,6 +77,7 @@ type Server struct {
 
 	curResp, totResp atomic.Int64
 	curMc, totMc     atomic.Int64
+	readBuf          atomic.Int64 // read_buffer_bytes: live readers' capacity
 }
 
 // New builds the table, binds the configured listeners, and starts serving.
@@ -162,10 +163,17 @@ func (s *Server) Table() *idramhit.Table { return s.tbl }
 // pages. The arena_segments* gauges are the arena's segment directory
 // (slots, still-linked segments, segments unlinked by reclamation) and
 // arena_pins its registered reclamation pins: what a long-lived server's
-// connection churn grows.
+// connection churn grows. arena_bytes_used and arena_bytes_dead sum the
+// linked segments' appended and retired bytes. read_buffer_bytes is the
+// capacity the live connections' protocol readers hold, spares included.
 func (s *Server) collect() map[string]float64 {
 	ar := s.tbl.Bucket().Arena()
 	total, live := ar.Segments()
+	var used, dead uint64
+	for _, st := range ar.SegmentStats() {
+		used += st.Used
+		dead += st.Dead
+	}
 	m := map[string]float64{
 		"conns_resp_open":      float64(s.curResp.Load()),
 		"conns_resp_total":     float64(s.totResp.Load()),
@@ -177,6 +185,9 @@ func (s *Server) collect() map[string]float64 {
 		"arena_segments_live":  float64(live),
 		"arena_segments_freed": float64(ar.Freed()),
 		"arena_pins":           float64(ar.Pins()),
+		"arena_bytes_used":     float64(used),
+		"arena_bytes_dead":     float64(dead),
+		"read_buffer_bytes":    float64(s.readBuf.Load()),
 	}
 	if rss, huge, ok := hugemem.Usage(); ok {
 		m["mem_rss_bytes"] = float64(rss)
@@ -259,6 +270,7 @@ func (s *Server) serveConn(c net.Conn, p proto) {
 	} else {
 		cn.serveMc()
 	}
+	cn.setReadCap(0)
 	cur.Add(-1)
 	c.Close()
 	s.mu.Lock()

@@ -398,11 +398,17 @@ func TestArenaGauges(t *testing.T) {
 	m := src()
 	ar := srv.Table().Bucket().Arena()
 	total, live := ar.Segments()
+	var used, dead uint64
+	for _, st := range ar.SegmentStats() {
+		used, dead = used+st.Used, dead+st.Dead
+	}
 	for name, want := range map[string]float64{
 		"arena_segments":       float64(total),
 		"arena_segments_live":  float64(live),
 		"arena_segments_freed": float64(ar.Freed()),
 		"arena_pins":           float64(ar.Pins()),
+		"arena_bytes_used":     float64(used),
+		"arena_bytes_dead":     float64(dead),
 	} {
 		if got, ok := m[name]; !ok || got != want {
 			t.Errorf("%s = (%v, %v), arena accessor says %v", name, got, ok, want)
@@ -410,6 +416,95 @@ func TestArenaGauges(t *testing.T) {
 	}
 	if m["table_entries"] != conns || m["arena_segments_live"] == 0 {
 		t.Errorf("%d connections wrote %v entries into %v live segments", conns, m["table_entries"], m["arena_segments_live"])
+	}
+}
+
+// TestReadBufferGauge: connections that each send a 1 MiB value grow
+// read_buffer_bytes by about that much each, not by the next power of two
+// above it, and once they close the gauge is back at its baseline.
+func TestReadBufferGauge(t *testing.T) {
+	reg := obs.New()
+	srv := startServer(t, func(c *Config) { c.Obs = reg })
+	var src func() map[string]float64
+	for _, s := range reg.Sources() {
+		if s.Name == "server" {
+			src = s.Collect
+		}
+	}
+	waitClosed := func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for m := src(); m["conns_resp_open"]+m["conns_mc_open"] != 0; m = src() {
+			if time.Now().After(deadline) {
+				t.Fatal("connections never closed")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	baseline := src()["read_buffer_bytes"]
+	const conns = 4
+	val := strings.Repeat("v", 1<<20)
+	var cs []net.Conn
+	for i := 0; i < conns; i++ {
+		addr, cmd, want := srv.RespAddr(), respEnc(nil, "SET", fmt.Sprintf("big-%d", i), val), "+OK\r\n"
+		if i%2 == 1 {
+			addr, cmd, want = srv.McAddr(), []byte(fmt.Sprintf("set big-%d 0 0 %d\r\n%s\r\n", i, len(val), val)), "STORED\r\n"
+		}
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+		c.Write(cmd)
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if got, err := bufio.NewReader(c).ReadString('\n'); err != nil || got != want {
+			t.Fatalf("connection %d: reply (%q, %v), want %q", i, got, err, want)
+		}
+	}
+	// A batch's reply goes out before its end moves the gauge: wait for it.
+	got := src()["read_buffer_bytes"] - baseline
+	for deadline := time.Now().Add(2 * time.Second); got < conns*(1<<20) && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		got = src()["read_buffer_bytes"] - baseline
+	}
+	if got < conns*(1<<20) || got > conns*1.1*(1<<20) {
+		t.Errorf("read_buffer_bytes grew by %v with %d connections holding 1 MiB values", got, conns)
+	}
+	for _, c := range cs {
+		c.Close()
+	}
+	waitClosed()
+	if got := src()["read_buffer_bytes"]; got != baseline {
+		t.Errorf("read_buffer_bytes = %v after every connection closed, baseline %v", got, baseline)
+	}
+}
+
+// TestRESPErrorOneFrame: an error reply that echoes a client's bytes stays
+// one frame. The unknown verb below carries CRLF and a forged "+INJECTED"
+// reply; unescaped, it would end the -ERR frame early and pair every later
+// reply with the wrong request.
+func TestRESPErrorOneFrame(t *testing.T) {
+	srv := startServer(t)
+	c, err := net.Dial("tcp", srv.RespAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Write([]byte("*1\r\n$13\r\nX\r\n+INJECTED\r\n*1\r\n$4\r\nPING\r\n*1\r\n$4\r\nQUIT\r\n"))
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(c)
+	var replies []string
+	for {
+		r, err := readReply(br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = append(replies, r)
+	}
+	if len(replies) != 3 || !strings.HasPrefix(replies[0], "-ERR ") || replies[1] != "+PONG" || replies[2] != "+OK" {
+		t.Fatalf("three commands got replies %q, want one -ERR frame, +PONG and +OK", replies)
 	}
 }
 

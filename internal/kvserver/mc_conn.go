@@ -15,11 +15,8 @@ import (
 func (cn *conn) serveMc() {
 	r := mctext.NewReader(cn.c)
 	for {
-		if !r.Buffered() {
-			if cn.flushWrite() != nil {
-				return
-			}
-			r.Release()
+		if !r.Buffered() && cn.endBatch(r.Release, r.Buffer()) != nil {
+			return
 		}
 		req, err := r.ReadRequest()
 		if err != nil {
@@ -40,11 +37,8 @@ func (cn *conn) serveMc() {
 			cn.flushWrite()
 			return
 		}
-		if cn.batchFull(r.ArenaBytes()) {
-			if cn.flushWrite() != nil {
-				return
-			}
-			r.Release()
+		if cn.batchFull(r.ArenaBytes()) && cn.endBatch(r.Release, r.Buffer()) != nil {
+			return
 		}
 	}
 }

@@ -10,16 +10,13 @@ import (
 
 // serveRESP is the RESP connection loop: parse every fully-buffered command
 // into the batch, flush (pipeline drain + one write syscall) when the input
-// would block. The parser arena is released only at batch boundaries, after
-// every submitted key/value stopped being referenced.
+// would block. The read buffer, which every parsed key and value aliases, is
+// released only at batch boundaries, after the last reference to them died.
 func (cn *conn) serveRESP() {
 	r := resp.NewReader(cn.c)
 	for {
-		if !r.Buffered() {
-			if cn.flushWrite() != nil {
-				return
-			}
-			r.Release()
+		if !r.Buffered() && cn.endBatch(r.Release, r.Buffer()) != nil {
+			return
 		}
 		cmd, err := r.ReadCommand()
 		if err != nil {
@@ -37,11 +34,8 @@ func (cn *conn) serveRESP() {
 			cn.flushWrite()
 			return
 		}
-		if cn.batchFull(r.ArenaBytes()) {
-			if cn.flushWrite() != nil {
-				return
-			}
-			r.Release()
+		if cn.batchFull(r.ArenaBytes()) && cn.endBatch(r.Release, r.Buffer()) != nil {
+			return
 		}
 	}
 }

@@ -1,22 +1,26 @@
 package mctext
 
 import (
-	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 )
 
-// chunkReader yields one byte per Read (see internal/resp's twin).
-type chunkReader struct{ b []byte }
+// chunkReader yields at most n bytes per Read (see internal/resp's twin).
+type chunkReader struct {
+	b []byte
+	n int
+}
 
 func (c *chunkReader) Read(p []byte) (int, error) {
 	if len(c.b) == 0 {
 		return 0, io.EOF
 	}
-	p[0] = c.b[0]
-	c.b = c.b[1:]
-	return 1, nil
+	n := min(c.n, len(c.b), len(p))
+	copy(p, c.b[:n])
+	c.b = c.b[n:]
+	return n, nil
 }
 
 // summarize flattens a request for cross-parse comparison.
@@ -53,10 +57,18 @@ func FuzzMemcachedParse(f *testing.F) {
 	f.Add([]byte("set k 0 0 4\r\nab"))
 	f.Add([]byte("version\r\nquit\r\n"))
 	f.Add(bytes.Repeat([]byte{0}, 32))
+	// Requests that straddle the end of the reader's 64 KiB buffer: a data
+	// block across it, a run of small gets across it, a long get line
+	// across it, and a data block larger than the buffer.
+	f.Add(appendSet(nil, []byte("k"), bytes.Repeat([]byte("v"), 65520)))
+	f.Add(bytes.Repeat([]byte("get key-1\r\n"), 6000))
+	f.Add(fmt.Appendf(bytes.Repeat([]byte("get key-1\r\n"), 100), "get%s\r\n",
+		bytes.Repeat(append([]byte{' '}, bytes.Repeat([]byte("k"), MaxKey)...), MaxKeys-1)))
+	f.Add(appendSet(nil, []byte("k"), bytes.Repeat([]byte("v"), 100000)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			data = data[:1<<16]
+		if len(data) > 1<<17 {
+			data = data[:1<<17]
 		}
 		parse := func(r *Reader) (reqs [][]byte, clean bool) {
 			retained := 0
@@ -78,7 +90,7 @@ func FuzzMemcachedParse(f *testing.F) {
 			}
 		}
 		whole, wholeClean := parse(NewReader(bytes.NewReader(data)))
-		split, splitClean := parse(NewReader(bufio.NewReaderSize(&chunkReader{b: data}, MaxLine)))
+		split, splitClean := parse(NewReader(&chunkReader{b: data, n: 1}))
 		if len(whole) != len(split) || wholeClean != splitClean {
 			t.Fatalf("parses disagree: %d/%v vs %d/%v requests", len(whole), wholeClean, len(split), splitClean)
 		}

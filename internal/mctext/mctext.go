@@ -4,9 +4,10 @@
 //
 // Like internal/resp, the reader is incremental (frames straddle Read
 // boundaries), allocation-bounded (the <bytes> field of a storage command is
-// validated against MaxData before any buffer is sized from it), and
-// arena-backed (parsed keys and data stay valid across ReadRequest calls
-// until Release, so pipelined commands batch into one table flush).
+// validated against MaxData, and the read buffer grows only as the bytes
+// arrive), and parses in place: keys and data alias the read buffer
+// (internal/readbuf) and stay valid across ReadRequest calls until Release,
+// so pipelined commands batch into one table flush.
 //
 // Protocol reference: the memcached source distribution's doc/protocol.txt.
 // Error replies follow it: "ERROR\r\n" for an unknown command,
@@ -14,10 +15,12 @@
 package mctext
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"io"
 	"strconv"
+
+	"dramhit/internal/readbuf"
 )
 
 // Limits. Real memcached caps keys at 250 bytes and values at 1 MB by
@@ -64,7 +67,7 @@ const (
 )
 
 // Request is one parsed client request. Keys, Key and Data alias the
-// Reader's arena: valid until Release.
+// Reader's buffer: valid until Release.
 type Request struct {
 	Verb Verb
 	// Keys holds the key list of a get/gets; Key the single key otherwise.
@@ -82,72 +85,40 @@ type Request struct {
 
 // Reader incrementally parses requests from a stream.
 type Reader struct {
-	br    *bufio.Reader
-	arena []byte
-	keys  [][]byte
-	offs  []int
-	lens  []int
+	b    readbuf.Buffer
+	keys [][]byte // field headers of the requests returned since Release
+	at   int      // bytes of the line in progress searched for '\n'
 }
 
-// NewReader wraps r (see resp.NewReader for the bufio note: the buffer is
-// sized to MaxLine so the declared line limit is reachable).
+// NewReader returns a reader that reads r through its own buffer.
 func NewReader(r io.Reader) *Reader {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, MaxLine)
-	}
-	return &Reader{br: br}
+	return &Reader{b: readbuf.New(r)}
 }
 
 // Release invalidates every Request returned since the previous Release and
-// reclaims the arena.
+// recycles the buffer space they held.
 func (r *Reader) Release() {
-	r.arena = r.arena[:0]
+	r.b.Release()
+	clear(r.keys)
 	r.keys = r.keys[:0]
 }
 
 // Buffered reports whether further request bytes are already buffered.
-func (r *Reader) Buffered() bool { return r.br.Buffered() > 0 }
+func (r *Reader) Buffered() bool { return r.b.Buffered() }
 
-// ArenaBytes reports how many key/data bytes the arena holds since the last
-// Release (see resp.ArenaBytes — the parse-side batch-memory bound).
-func (r *Reader) ArenaBytes() int { return len(r.arena) }
+// ArenaBytes reports how many request bytes the Requests returned since the
+// last Release hold (see resp.ArenaBytes — the parse-side batch-memory bound).
+func (r *Reader) ArenaBytes() int { return r.b.Used() }
 
-// readLine returns the next line without its (CR)LF terminator. The slice
-// aliases the bufio buffer.
-func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		for err == bufio.ErrBufferFull {
-			_, err = r.br.ReadSlice('\n')
-		}
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		return nil, ErrLineTooLong
-	}
-	if err != nil {
-		if err == io.EOF && len(line) > 0 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if len(line) > MaxLine {
-		return nil, ErrLineTooLong
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
+// Buffer returns the reader's buffer, whose Cap a memory gauge reads.
+func (r *Reader) Buffer() *readbuf.Buffer { return &r.b }
 
-// fields splits a line on single spaces (memcached is strict: fields are
-// space-separated, empty fields are protocol errors, but a tolerant split
-// keeps the parser total). The subslices alias line.
+// fields appends the fields of line to out, at most MaxKeys+2 of them: one
+// more than the longest legal line has. memcached is strict (fields are
+// space-separated, empty fields are protocol errors), but a tolerant split
+// keeps the parser total. The subslices alias line.
 func fields(line []byte, out [][]byte) [][]byte {
-	i := 0
-	for i < len(line) {
+	for i, n := 0, 0; i < len(line) && n < MaxKeys+2; {
 		for i < len(line) && line[i] == ' ' {
 			i++
 		}
@@ -156,23 +127,11 @@ func fields(line []byte, out [][]byte) [][]byte {
 			i++
 		}
 		if i > start {
-			out = append(out, line[start:i])
+			out = append(out, line[start:i:i])
+			n++
 		}
 	}
 	return out
-}
-
-// hold copies b into the arena, returning a stable reference (recorded as
-// offset+len until the arena stops moving for this request).
-func (r *Reader) hold(b []byte) {
-	r.offs = append(r.offs, len(r.arena))
-	r.lens = append(r.lens, len(b))
-	r.arena = append(r.arena, b...)
-}
-
-// take materializes the i-th held span of the current request.
-func (r *Reader) take(i int) []byte {
-	return r.arena[r.offs[i] : r.offs[i]+r.lens[i]]
 }
 
 func parseUint(b []byte, bits int) (uint64, error) {
@@ -196,170 +155,134 @@ func parseUint(b []byte, bits int) (uint64, error) {
 	return n, nil
 }
 
-// verbOf resolves a verb token without allocating.
-func verbOf(b []byte) (Verb, bool) {
+// verbOf resolves a verb token without allocating, with the least and the
+// most fields its line may have: <key>* for get and gets, <key> <flags>
+// <exptime> <bytes> [noreply] for set, <key> [noreply] for delete, <key>
+// <delta> [noreply] for incr and decr, nothing for version and quit.
+func verbOf(b []byte) (v Verb, lo, hi int, ok bool) {
 	switch string(b) { // does not allocate: compiler-recognized comparison
 	case "get":
-		return Get, true
+		return Get, 2, MaxKeys + 1, true
 	case "gets":
-		return Gets, true
+		return Gets, 2, MaxKeys + 1, true
 	case "set":
-		return Set, true
+		return Set, 5, 6, true
 	case "delete":
-		return Delete, true
+		return Delete, 2, 3, true
 	case "incr":
-		return Incr, true
+		return Incr, 3, 4, true
 	case "decr":
-		return Decr, true
+		return Decr, 3, 4, true
 	case "version":
-		return Version, true
+		return Version, 1, 1, true
 	case "quit":
-		return Quit, true
+		return Quit, 1, 1, true
 	}
-	return 0, false
+	return 0, 0, 0, false
 }
 
 // ReadRequest parses the next request. Unknown verbs return ErrBadCommand
 // with the line consumed, so the server can reply "ERROR" and continue —
 // matching real memcached, which resynchronizes on the next line.
 func (r *Reader) ReadRequest() (Request, error) {
-	r.offs = r.offs[:0]
-	r.lens = r.lens[:0]
-	line, err := r.readLine()
-	if err != nil {
-		return Request{}, err
-	}
-	var fbuf [8][]byte
-	fs := fields(line, fbuf[:0])
-	if len(fs) == 0 {
-		return Request{}, ErrBadCommand // empty line: not resynchronizable input
-	}
-	verb, ok := verbOf(fs[0])
-	if !ok {
-		return Request{}, ErrBadCommand
-	}
-	req := Request{Verb: verb}
-	switch verb {
-	case Get, Gets:
-		if len(fs) < 2 {
-			return Request{}, ErrBadLine
-		}
-		if len(fs)-1 > MaxKeys {
-			return Request{}, ErrBadLine
-		}
-		for _, k := range fs[1:] {
-			if len(k) > MaxKey {
-				return Request{}, ErrKeyTooLong
-			}
-			r.hold(k)
+	for need := 1; ; {
+		if err := r.b.Fill(need); err != nil {
+			return Request{}, err
 		}
 		base := len(r.keys)
-		for i := range fs[1:] {
-			r.keys = append(r.keys, r.take(i))
+		req, n, more, err := r.parse(r.b.Bytes())
+		r.b.Consume(n)
+		if req.Keys == nil {
+			r.keys = r.keys[:base]
 		}
-		req.Keys = r.keys[base:]
-		return req, nil
-
-	case Set:
-		// set <key> <flags> <exptime> <bytes> [noreply]
-		if len(fs) < 5 || len(fs) > 6 {
-			return Request{}, ErrBadLine
+		if err != nil || n > 0 {
+			r.at = 0
+			return req, err
 		}
-		if len(fs[1]) > MaxKey {
-			return Request{}, ErrKeyTooLong
-		}
-		flags, err := parseUint(fs[2], 32)
-		if err != nil {
-			return Request{}, err
-		}
-		exp, err := parseUint(fs[3], 63)
-		if err != nil {
-			return Request{}, err
-		}
-		nbytes, err := parseUint(fs[4], 63)
-		if err != nil {
-			return Request{}, err
-		}
-		if nbytes > MaxData {
-			return Request{}, ErrDataTooLong
-		}
-		if len(fs) == 6 {
-			if string(fs[5]) != "noreply" {
-				return Request{}, ErrBadLine
-			}
-			req.NoReply = true
-		}
-		req.Flags = uint32(flags)
-		req.Exptime = int64(exp)
-		r.hold(fs[1])
-		// Data block: <bytes> bytes then CRLF. Reserve validated length in
-		// the arena and read directly into it.
-		off := len(r.arena)
-		r.arena = append(r.arena, make([]byte, nbytes)...)
-		if _, err := io.ReadFull(r.br, r.arena[off:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Request{}, err
-		}
-		term, err := r.readLine()
-		if err != nil {
-			return Request{}, err
-		}
-		if len(term) != 0 {
-			return Request{}, ErrBadData
-		}
-		req.Key = r.take(0)
-		req.Data = r.arena[off : off+int(nbytes)]
-		return req, nil
-
-	case Delete:
-		// delete <key> [noreply]
-		if len(fs) < 2 || len(fs) > 3 {
-			return Request{}, ErrBadLine
-		}
-		if len(fs[1]) > MaxKey {
-			return Request{}, ErrKeyTooLong
-		}
-		if len(fs) == 3 {
-			if string(fs[2]) != "noreply" {
-				return Request{}, ErrBadLine
-			}
-			req.NoReply = true
-		}
-		r.hold(fs[1])
-		req.Key = r.take(0)
-		return req, nil
-
-	case Incr, Decr:
-		// incr <key> <delta> [noreply]
-		if len(fs) < 3 || len(fs) > 4 {
-			return Request{}, ErrBadLine
-		}
-		if len(fs[1]) > MaxKey {
-			return Request{}, ErrKeyTooLong
-		}
-		delta, err := parseUint(fs[2], 64)
-		if err != nil {
-			return Request{}, err
-		}
-		if len(fs) == 4 {
-			if string(fs[3]) != "noreply" {
-				return Request{}, ErrBadLine
-			}
-			req.NoReply = true
-		}
-		req.Delta = delta
-		r.hold(fs[1])
-		req.Key = r.take(0)
-		return req, nil
-
-	default: // Version, Quit
-		if len(fs) != 1 {
-			return Request{}, ErrBadLine
-		}
-		return req, nil
+		need = more
 	}
+}
+
+// parse parses the request that starts p and returns its length, which on
+// an error covers the command line. It returns n == 0 when p holds only a
+// prefix of the request, with need the length p must reach before the parse
+// can go further. The search for the line's end resumes at r.at.
+func (r *Reader) parse(p []byte) (req Request, n, need int, err error) {
+	end := bytes.IndexByte(p[r.at:min(len(p), MaxLine)], '\n')
+	if end < 0 {
+		if len(p) >= MaxLine {
+			return Request{}, 0, 0, ErrLineTooLong
+		}
+		r.at = len(p)
+		return Request{}, 0, len(p) + 1, nil
+	}
+	end += r.at
+	n = end + 1
+	base := len(r.keys)
+	r.keys = fields(readbuf.TrimCR(p[:end]), r.keys)
+	fs := r.keys[base:]
+	if len(fs) == 0 {
+		return Request{}, n, 0, ErrBadCommand // empty line: not resynchronizable input
+	}
+	verb, lo, hi, ok := verbOf(fs[0])
+	if !ok {
+		return Request{}, n, 0, ErrBadCommand
+	}
+	if len(fs) < lo || len(fs) > hi {
+		return Request{}, n, 0, ErrBadLine
+	}
+	req.Verb = verb
+	if verb == Get || verb == Gets {
+		for _, k := range fs[1:] {
+			if len(k) > MaxKey {
+				return Request{}, n, 0, ErrKeyTooLong
+			}
+		}
+		req.Keys = fs[1:]
+		return req, n, 0, nil
+	}
+	if lo > 1 {
+		if len(fs[1]) > MaxKey {
+			return Request{}, n, 0, ErrKeyTooLong
+		}
+		req.Key = fs[1]
+	}
+	var flags, exp, nbytes uint64
+	switch verb {
+	case Set:
+		if flags, err = parseUint(fs[2], 32); err == nil {
+			if exp, err = parseUint(fs[3], 63); err == nil {
+				if nbytes, err = parseUint(fs[4], 63); err == nil && nbytes > MaxData {
+					err = ErrDataTooLong
+				}
+			}
+		}
+		req.Flags, req.Exptime = uint32(flags), int64(exp)
+	case Incr, Decr:
+		req.Delta, err = parseUint(fs[2], 64)
+	}
+	if err == nil && len(fs) == hi && hi > lo {
+		if req.NoReply = string(fs[hi-1]) == "noreply"; !req.NoReply {
+			err = ErrBadLine
+		}
+	}
+	if err != nil {
+		return Request{}, n, 0, err
+	}
+	if verb != Set {
+		return req, n, 0, nil
+	}
+	// The data block: <bytes> bytes then CRLF, parsed where it lies.
+	end = n + int(nbytes)
+	next, more := readbuf.BlockEnd(p, end)
+	if next == 0 {
+		if more == 0 {
+			err = ErrBadData
+		}
+		return Request{}, 0, more, err
+	}
+	req.Data = p[n:end:end]
+	return req, next, 0, nil
 }
 
 // Reply append helpers.

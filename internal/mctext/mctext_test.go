@@ -1,12 +1,20 @@
 package mctext
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
+
+	"dramhit/internal/readbuf"
 )
 
 func reader(in string) *Reader { return NewReader(strings.NewReader(in)) }
@@ -153,3 +161,224 @@ func TestAppendHelpers(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// appendSet appends one set request with its data block.
+func appendSet(b, key, data []byte) []byte {
+	b = fmt.Appendf(b, "set %s 0 0 %d\r\n", key, len(data))
+	b = append(b, data...)
+	return append(b, '\r', '\n')
+}
+
+// TestArgsExactAcrossBuffers: 600 KiB of sets, data blocks up to MaxData of
+// random bytes with a get of two keys between them, read whole and in
+// 4,093-byte reads, released every request, every 7 requests or never.
+// Requests straddle the buffer's end, blocks outgrow it, and the last batch
+// is ten times its size; every key and block a batch holds must still be
+// byte-exact when the batch ends.
+func TestArgsExactAcrossBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var in []byte
+	var want [][]byte // key, data per request; a get's data is its second key
+	for len(in) < 600<<10 {
+		n := rng.Intn(200)
+		if rng.Intn(8) == 0 {
+			n = rng.Intn(MaxData)
+		}
+		data := make([]byte, n)
+		rng.Read(data)
+		key := []byte(fmt.Sprintf("key-%d", len(want)/2))
+		if rng.Intn(3) == 0 {
+			in = fmt.Appendf(in, "get %s other-%s\r\n", key, key)
+			want = append(want, key, []byte("other-"+string(key)))
+			continue
+		}
+		in = appendSet(in, key, data)
+		want = append(want, key, data)
+	}
+	reqs := len(want) / 2
+	for _, batch := range []int{1, 7, reqs} {
+		for _, chunk := range []int{len(in), 4093} {
+			rd := NewReader(&chunkReader{b: in, n: chunk})
+			var held []Request
+			for i := 0; i < reqs; i++ {
+				req, err := rd.ReadRequest()
+				if err != nil {
+					t.Fatalf("batch %d, chunk %d: request %d: %v", batch, chunk, i, err)
+				}
+				if held = append(held, req); len(held) < batch && i < reqs-1 {
+					continue
+				}
+				for j, r := range held {
+					k := i + 1 - len(held) + j
+					key, data := r.Key, r.Data
+					if r.Verb == Get {
+						key, data = r.Keys[0], r.Keys[1]
+					}
+					if !bytes.Equal(key, want[2*k]) || !bytes.Equal(data, want[2*k+1]) {
+						t.Fatalf("batch %d, chunk %d: request %d changed before Release", batch, chunk, k)
+					}
+				}
+				held = held[:0]
+				rd.Release()
+			}
+			if _, err := rd.ReadRequest(); err != io.EOF {
+				t.Fatalf("batch %d, chunk %d: after the last request: %v", batch, chunk, err)
+			}
+		}
+	}
+}
+
+// TestZeroAllocWithRelocations: batches that straddle the buffer's end move
+// their unparsed tail to a spare, and Release recycles the buffer they left.
+// After warm-up no run allocates, and the reader holds exactly two buffers.
+func TestZeroAllocWithRelocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var in []byte
+	data := bytes.Repeat([]byte("v"), 700)
+	for i := 0; i < 400; i++ {
+		in = appendSet(in, []byte(fmt.Sprintf("key-%d", i)), data)
+		in = fmt.Appendf(in, "get key-%d a b c d e f g h i j\r\n", i)
+	}
+	src := &chunkReader{}
+	rd := NewReader(src)
+	run := func() {
+		src.b, src.n = in, 16<<10
+		for n := 1; ; n++ {
+			if _, err := rd.ReadRequest(); err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
+				}
+				break
+			}
+			if n%50 == 0 {
+				rd.Release()
+			}
+		}
+		rd.Release()
+	}
+	run()
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("steady-state parse with relocations allocates %v/run", allocs)
+	}
+	if got := rd.Buffer().Cap(); got != 2*readbuf.Size {
+		t.Fatalf("reader holds %d bytes of buffers, want two of %d", got, readbuf.Size)
+	}
+}
+
+// burstReader hands out one burst per Read, the way a socket delivers one
+// pipelined burst per read call, and counts the calls.
+type burstReader struct {
+	bursts [][]byte
+	reads  int
+}
+
+func (b *burstReader) Read(p []byte) (int, error) {
+	b.reads++
+	if len(b.bursts) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, b.bursts[0])
+	if b.bursts[0] = b.bursts[0][n:]; len(b.bursts[0]) == 0 {
+		b.bursts = b.bursts[1:]
+	}
+	return n, nil
+}
+
+// TestBurstAfterReleaseIsOneRead: a reader whose input is drained releases
+// and reads the next burst into the front of its buffer, so every 40 KiB
+// burst is consumed with one Read, as a connection loop consumes a pipeline.
+func TestBurstAfterReleaseIsOneRead(t *testing.T) {
+	const bursts, perBurst = 8, 40
+	src := &burstReader{}
+	data := bytes.Repeat([]byte("v"), 1000)
+	for b := 0; b < bursts; b++ {
+		var burst []byte
+		for i := 0; i < perBurst; i++ {
+			burst = appendSet(burst, []byte(fmt.Sprintf("k%d-%d", b, i)), data)
+		}
+		src.bursts = append(src.bursts, burst)
+	}
+	rd := NewReader(src)
+	for n := 0; ; n++ {
+		if !rd.Buffered() {
+			rd.Release()
+		}
+		if _, err := rd.ReadRequest(); err == io.EOF {
+			if n != bursts*perBurst {
+				t.Fatalf("parsed %d requests, want %d", n, bursts*perBurst)
+			}
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.reads != bursts+1 {
+		t.Fatalf("%d bursts took %d reads, want one each and one for EOF", bursts, src.reads)
+	}
+}
+
+// TestLengthClaimIsNotAllocation: a set that claims MaxData with ten bytes
+// behind it allocates nothing near the claim and leaves the buffer at its
+// initial size.
+func TestLengthClaimIsNotAllocation(t *testing.T) {
+	in := "set k 0 0 " + strconv.Itoa(MaxData) + "\r\n0123456789"
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	rd := NewReader(strings.NewReader(in))
+	_, err := rd.ReadRequest()
+	runtime.ReadMemStats(&ms1)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > MaxData/2 {
+		t.Fatalf("a %d-byte claim with 10 bytes behind it allocated %d bytes", MaxData, got)
+	}
+	if got := rd.Buffer().Cap(); got != readbuf.Size {
+		t.Fatalf("buffer grew to %d bytes, want %d", got, readbuf.Size)
+	}
+}
+
+// trickleTime returns the shortest of five runs' time to parse every request
+// of in when it arrives one byte per Read.
+func trickleTime(t *testing.T, in []byte) time.Duration {
+	t.Helper()
+	best := time.Duration(math.MaxInt64)
+	for range 5 {
+		rd := NewReader(iotest.OneByteReader(bytes.NewReader(in)))
+		start := time.Now()
+		for {
+			if _, err := rd.ReadRequest(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			rd.Release()
+		}
+		best = min(best, time.Since(start))
+	}
+	return best
+}
+
+// TestTrickledLineIsLinear: a line that arrives one byte per Read is searched
+// for its end only in the bytes the last read added. A get of 255 MaxKey-byte
+// keys, near MaxLine, read a byte at a time takes at most 4x as long as the
+// same number of bytes cut into small gets; a search from the line's start on
+// every read takes 20x and more.
+func TestTrickledLineIsLinear(t *testing.T) {
+	line := []byte("get")
+	for i := 0; i < 255; i++ {
+		line = append(append(line, ' '), bytes.Repeat([]byte{'a' + byte(i%26)}, MaxKey)...)
+	}
+	line = append(line, '\r', '\n')
+	var lines []byte
+	for len(lines) < len(line) {
+		lines = append(lines, "get "+strings.Repeat("k", 58)+"\r\n"...)
+	}
+	if one, many := trickleTime(t, line), trickleTime(t, lines); one > 4*many {
+		t.Errorf("a %d-byte line took %v one byte per read, %d bytes of small gets %v",
+			len(line), one, len(lines), many)
+	}
+}

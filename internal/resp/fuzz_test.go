@@ -1,9 +1,9 @@
 package resp
 
 import (
-	"bufio"
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -78,10 +78,17 @@ func FuzzRESPParse(f *testing.F) {
 	f.Add([]byte("*-1\r\n*0\r\nPING\r\n"))
 	f.Add([]byte("*1\r\n:5\r\n"))
 	f.Add(bytes.Repeat([]byte("\x00"), 64))
+	// Frames that straddle the end of the reader's 64 KiB buffer: a bulk
+	// across it, a run of small commands across it, an inline line across
+	// it, and a value larger than the buffer.
+	f.Add(appendCmd(nil, []byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), 65520)))
+	f.Add(bytes.Repeat([]byte("*2\r\n$3\r\nGET\r\n$5\r\nkey-1\r\n"), 2300))
+	f.Add([]byte(strings.Repeat("PING ", 13100) + "\r\nPING\r\n"))
+	f.Add(appendCmd(nil, []byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), 100000)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			data = data[:1<<16] // keep the chunked re-parse affordable
+		if len(data) > 1<<17 {
+			data = data[:1<<17] // keep the chunked re-parse affordable
 		}
 		// Whole-buffer parse: must not panic; retained bytes bounded by a
 		// small multiple of the input (arena holds only parsed args).
@@ -90,12 +97,7 @@ func FuzzRESPParse(f *testing.F) {
 		// Byte-at-a-time parse must agree exactly: same commands, and a
 		// clean EOF on one side is a clean EOF on the other. (Error values
 		// themselves may differ in message, not in presence.)
-		// Same bufio capacity as the whole-buffer side (NewReader sizes to
-		// MaxInline), so the two parses are strictly comparable while Reads
-		// still deliver one byte each.
-		split, splitErr := parseAll(t,
-			NewReader(bufio.NewReaderSize(&chunkReader{b: data, n: 1}, MaxInline)),
-			len(data)+16)
+		split, splitErr := parseAll(t, NewReader(&chunkReader{b: data, n: 1}), len(data)+16)
 		if len(whole) != len(split) {
 			t.Fatalf("whole parse found %d commands, split parse %d", len(whole), len(split))
 		}

@@ -4,28 +4,24 @@
 // redis-cli send) and the inline form (`GET key\r\n`, what a human typing
 // into netcat sends), plus allocation-free reply append helpers.
 //
-// The reader is written for a network front-end feeding a batched hash-table
-// pipeline, which imposes three requirements the obvious parser does not
-// meet:
-//
-//   - Split reads: a frame may straddle arbitrarily many Read calls (TCP
-//     segmentation does not respect protocol boundaries). The reader
-//     consumes from a bufio.Reader and never assumes a frame arrives whole.
-//   - Bounded allocation: a length header is a claim, not a fact. The reader
-//     rejects bulk lengths and argument counts above its limits before
-//     allocating anything, so `$999999999999\r\n` costs an error, not 1 TB.
-//   - Buffer stability: parsed arguments alias an internal arena that
-//     survives subsequent ReadCommand calls until Release, so a caller may
-//     batch several pipelined commands (holding their keys) before executing
-//     any of them.
+// The reader serves a network front end that feeds a batched hash-table
+// pipeline. A frame may straddle any number of Read calls, and a parse that
+// runs out of bytes resumes where it stopped. A length header is a claim:
+// bulk lengths and argument counts above the limits are errors, and the
+// buffer grows only as bytes arrive, so `$999999999999\r\n` costs an error,
+// not 1 TB, and `$8388608\r\n` followed by ten bytes costs nothing. Parsed
+// arguments alias the read buffer (internal/readbuf) until Release, so a
+// caller may batch several pipelined commands before executing any of them.
 package resp
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
+
+	"dramhit/internal/readbuf"
 )
 
 // Protocol limits. They bound what a single command may make the server
@@ -51,7 +47,7 @@ var (
 )
 
 // Command is one parsed client command. Args[0] is the verb as sent (case
-// preserved); the slices alias the Reader's arena and stay valid until the
+// preserved); the slices alias the Reader's buffer and stay valid until the
 // next Release.
 type Command struct {
 	Args [][]byte
@@ -59,165 +55,96 @@ type Command struct {
 
 // Reader incrementally parses client commands from a stream.
 type Reader struct {
-	br *bufio.Reader
-	// arena backs every argument returned since the last Release; args is
-	// the reusable header slice. Offsets (not subslice headers) are recorded
-	// during a command's parse because arena may reallocate mid-command.
-	arena []byte
-	args  [][]byte
-	offs  []int // start offsets into arena, one per arg, current command
-	lens  []int
+	b    readbuf.Buffer
+	args [][]byte // headers of every argument returned since Release
+	// Where the parse of the frame in progress resumes, as an offset from its
+	// start (the buffer may move between fills): a trickled frame costs O(n).
+	at   int // inline: bytes searched for '\n'; multibulk: next header
+	left int // multibulk arguments not parsed yet
 }
 
-// NewReader wraps r. Pass a *bufio.Reader to control buffer size; anything
-// else is wrapped in one sized to MaxInline, so the declared inline limit is
-// actually reachable — readLine turns bufio.ErrBufferFull into the too-long
-// error, so a smaller buffer would silently become the effective limit.
+// NewReader returns a reader that reads r through its own buffer.
 func NewReader(r io.Reader) *Reader {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, MaxInline)
-	}
-	return &Reader{br: br}
+	return &Reader{b: readbuf.New(r)}
 }
 
 // Release invalidates every Command returned since the previous Release and
-// reclaims their arena space. Call it once per batch, after the replies are
-// rendered (argument bytes are dead by then).
+// recycles the buffer space they held. Call it once per batch, after the
+// replies are rendered (argument bytes are dead by then).
 func (r *Reader) Release() {
-	r.arena = r.arena[:0]
+	r.b.Release()
+	clear(r.args)
 	r.args = r.args[:0]
 }
 
 // Buffered reports whether at least one byte of a further command is already
 // buffered — the "more pipelined input is here, keep batching" signal.
-func (r *Reader) Buffered() bool { return r.br.Buffered() > 0 }
+func (r *Reader) Buffered() bool { return r.b.Buffered() }
 
-// ArenaBytes reports how many argument bytes the arena holds since the last
-// Release. Callers batching commands use it to bound parse-side memory: a
-// pipelined stream of large commands with tiny (or noreply) replies grows
-// the arena, not the reply buffer, so reply-side high-water marks alone
-// would never trigger a flush.
-func (r *Reader) ArenaBytes() int { return len(r.arena) }
+// ArenaBytes reports how many request bytes the Commands returned since the
+// last Release hold: a batch of large commands with tiny replies grows this,
+// not the reply buffer, so callers bound parse-side memory with it.
+func (r *Reader) ArenaBytes() int { return r.b.Used() }
 
-// readLine reads up to and including CRLF (or a bare LF, which redis inline
-// parsing tolerates), returning the line without the terminator. The
-// returned slice aliases the bufio buffer — copy before the next read. Lines
-// longer than max fail with errLong without buffering the remainder.
-func (r *Reader) readLine(max int, errLong error) ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		// Drain the oversized line so a caller that chooses to continue is
-		// at a frame boundary, then fail.
-		for err == bufio.ErrBufferFull {
-			_, err = r.br.ReadSlice('\n')
-		}
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		return nil, errLong
-	}
-	if err != nil {
-		// Data with no terminator is a partial frame cut by EOF.
-		if err == io.EOF && len(line) > 0 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if len(line) > max {
-		return nil, errLong
-	}
-	line = line[:len(line)-1] // strip \n
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-// parseLen parses a decimal length after a type byte, rejecting junk,
-// overflow and empty input. Negative values are returned as-is (multibulk
-// and bulk use -1 for nil).
-func parseLen(b []byte) (int64, error) {
-	if len(b) == 0 {
-		return 0, ErrBadFraming
-	}
-	neg := false
-	i := 0
-	if b[0] == '-' {
-		neg = true
-		i = 1
-		if len(b) == 1 {
-			return 0, ErrBadFraming
-		}
-	}
-	var n int64
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			return 0, ErrBadFraming
-		}
-		n = n*10 + int64(c-'0')
-		if n > 1<<40 { // far beyond any limit; stop before overflow
-			return 0, ErrBulkTooLong
-		}
-	}
-	if neg {
-		n = -n
-	}
-	return n, nil
-}
-
-// hold copies b into the arena and records the argument. The returned
-// subslice headers are materialized in finish(), after the arena has stopped
-// moving for this command.
-func (r *Reader) hold(b []byte) {
-	r.offs = append(r.offs, len(r.arena))
-	r.lens = append(r.lens, len(b))
-	r.arena = append(r.arena, b...)
-}
-
-// finish materializes the held arguments of the current command.
-func (r *Reader) finish() Command {
-	base := len(r.args)
-	for i, off := range r.offs {
-		r.args = append(r.args, r.arena[off:off+r.lens[i]])
-	}
-	r.offs = r.offs[:0]
-	r.lens = r.lens[:0]
-	return Command{Args: r.args[base:]}
-}
+// Buffer returns the reader's buffer, whose Cap a memory gauge reads.
+func (r *Reader) Buffer() *readbuf.Buffer { return &r.b }
 
 // ReadCommand parses the next command. io.EOF is returned only at a clean
 // frame boundary; a frame cut mid-parse returns io.ErrUnexpectedEOF.
 // Empty inline lines and empty multibulks (*0, *-1) are skipped iteratively
 // — a megabyte of bare newlines costs reads, not stack.
 func (r *Reader) ReadCommand() (Command, error) {
-	for {
-		cmd, again, err := r.readCommand()
-		if err != nil || !again {
-			return cmd, err
+	for need := 1; ; {
+		if err := r.b.Fill(need); err != nil {
+			return Command{}, err
 		}
+		base, resumed := len(r.args), r.at > 0
+		n, more, err := r.parse(r.b.Bytes(), base)
+		if n > 0 && resumed {
+			// The frame is whole, but the arguments parsed before the last
+			// fill were dropped (they may alias a moved buffer): parse it again.
+			r.args, r.at = r.args[:base], 0
+			n, _, err = r.parse(r.b.Bytes(), base)
+		}
+		if n == 0 {
+			r.args = r.args[:base]
+			if err == nil {
+				need = more
+				continue
+			}
+		}
+		r.at, r.left = 0, 0
+		if err != nil {
+			return Command{}, err
+		}
+		r.b.Consume(n)
+		if len(r.args) > base {
+			return Command{Args: r.args[base:]}, nil
+		}
+		need = 1 // an empty line or multibulk: skip it
 	}
 }
 
-func (r *Reader) readCommand() (_ Command, again bool, _ error) {
-	r.offs = r.offs[:0]
-	r.lens = r.lens[:0]
-	first, err := r.br.ReadByte()
-	if err != nil {
-		return Command{}, false, err
-	}
-	if first != '*' {
+// parse appends the arguments of the command that starts p to r.args, whose
+// first base entries belong to earlier commands, and returns its length. It
+// returns n == 0 on an error, and when p holds only a prefix of the command,
+// with need the length p must reach before the parse can go further; the
+// next parse of the same frame resumes from r.at.
+func (r *Reader) parse(p []byte, base int) (n, need int, err error) {
+	if p[0] != '*' {
 		// Inline command: whitespace-separated words on one line. An empty
 		// line is skipped (redis does the same), letting netcat users hit
 		// return harmlessly.
-		if err := r.br.UnreadByte(); err != nil {
-			return Command{}, false, err
+		end := bytes.IndexByte(p[r.at:min(len(p), MaxInline)], '\n')
+		if end < 0 {
+			if len(p) >= MaxInline {
+				return 0, 0, ErrLineTooLong
+			}
+			r.at = len(p)
+			return 0, len(p) + 1, nil
 		}
-		line, err := r.readLine(MaxInline, ErrLineTooLong)
-		if err != nil {
-			return Command{}, false, err
-		}
+		end += r.at
+		line := readbuf.TrimCR(p[:end])
 		for i := 0; i < len(line); {
 			for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
 				i++
@@ -227,93 +154,93 @@ func (r *Reader) readCommand() (_ Command, again bool, _ error) {
 				i++
 			}
 			if i > start {
-				if len(r.offs) >= MaxArgs {
-					return Command{}, false, ErrTooManyArgs
+				if len(r.args)-base >= MaxArgs {
+					return 0, 0, ErrTooManyArgs
 				}
-				r.hold(line[start:i])
+				r.args = append(r.args, line[start:i:i])
 			}
 		}
-		if len(r.offs) == 0 {
-			return Command{}, true, nil // empty line: try the next one
-		}
-		return r.finish(), false, nil
+		return end + 1, 0, nil
 	}
 
 	// Multibulk: *N, then N bulk strings.
-	line, err := r.readLine(32, ErrBadFraming)
-	if err != nil {
-		return Command{}, false, eofMidFrame(err)
-	}
-	n, err := parseLen(line)
-	if err != nil {
-		return Command{}, false, err
-	}
-	if n < 0 || n == 0 {
-		// *0 and *-1 are no-ops from a client; skip to the next command.
-		if n < -1 {
-			return Command{}, false, ErrBadFraming
+	i := r.at
+	if i == 0 {
+		argc, j, err := header(p, 0)
+		if j == 0 || err != nil {
+			return 0, len(p) + 1, err
 		}
-		return Command{}, true, nil
+		if argc <= 0 {
+			// *0 and *-1 are no-ops from a client; skip to the next command.
+			if argc < -1 {
+				return 0, 0, ErrBadFraming
+			}
+			return j, 0, nil
+		}
+		if argc > MaxArgs {
+			return 0, 0, ErrTooManyArgs
+		}
+		i, r.left = j, int(argc)
 	}
-	if n > MaxArgs {
-		return Command{}, false, ErrTooManyArgs
-	}
-	for i := int64(0); i < n; i++ {
-		t, err := r.br.ReadByte()
-		if err != nil {
-			return Command{}, false, eofMidFrame(err)
+	for ; r.left > 0; r.left-- {
+		if r.at = i; i == len(p) {
+			return 0, i + 1, nil
 		}
-		if t != '$' {
-			return Command{}, false, fmt.Errorf("%w: expected '$', got %q", ErrBadFraming, t)
+		if p[i] != '$' {
+			return 0, 0, fmt.Errorf("%w: expected '$', got %q", ErrBadFraming, p[i])
 		}
-		line, err := r.readLine(32, ErrBadFraming)
-		if err != nil {
-			return Command{}, false, eofMidFrame(err)
-		}
-		blen, err := parseLen(line)
-		if err != nil {
-			return Command{}, false, err
+		blen, j, err := header(p, i)
+		if j == 0 || err != nil {
+			return 0, len(p) + 1, err
 		}
 		if blen < 0 {
-			return Command{}, false, ErrBadFraming // nil bulk inside a command
+			return 0, 0, ErrBadFraming // nil bulk inside a command
 		}
 		if blen > MaxBulk {
-			return Command{}, false, ErrBulkTooLong
+			return 0, 0, ErrBulkTooLong
 		}
-		// Reserve, then read directly into the arena: the length was
-		// validated, so this allocates at most MaxBulk.
-		off := len(r.arena)
-		r.arena = append(r.arena, make([]byte, blen)...)
-		if _, err := io.ReadFull(r.br, r.arena[off:]); err != nil {
-			return Command{}, false, eofMidFrame(err)
+		// The body, then CRLF (LF alone tolerated).
+		end := j + int(blen)
+		if i, need = readbuf.BlockEnd(p, end); need > 0 {
+			return 0, need, nil
 		}
-		r.offs = append(r.offs, off)
-		r.lens = append(r.lens, int(blen))
-		// Trailing CRLF (LF alone tolerated).
-		c, err := r.br.ReadByte()
-		if err != nil {
-			return Command{}, false, eofMidFrame(err)
+		if i == 0 {
+			return 0, 0, fmt.Errorf("%w: bulk not terminated", ErrBadFraming)
 		}
-		if c == '\r' {
-			if c, err = r.br.ReadByte(); err != nil {
-				return Command{}, false, eofMidFrame(err)
-			}
-		}
-		if c != '\n' {
-			return Command{}, false, fmt.Errorf("%w: bulk not terminated", ErrBadFraming)
-		}
+		r.args = append(r.args, p[j:end:end])
 	}
-	return r.finish(), false, nil
+	return i, 0, nil
 }
 
-// eofMidFrame converts a clean EOF inside a frame into ErrUnexpectedEOF so
-// callers can distinguish "connection closed between commands" from "closed
-// mid-command".
-func eofMidFrame(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// header parses the decimal line after the type byte p[at] ('*' or '$'): an
+// optional '-', at most 12 digits (more are far beyond any limit), then CRLF
+// or a bare LF. It returns the value with the offset just past the line; next
+// is 0 while the line is not all buffered. Negative values are returned as-is
+// (multibulk and bulk use -1 for nil).
+func header(p []byte, at int) (v int64, next int, err error) {
+	q, i := p[at+1:min(len(p), at+16)], 0
+	if len(q) > 0 && q[0] == '-' {
+		i = 1
 	}
-	return err
+	digits := i
+	for ; i < len(q) && q[i]-'0' <= 9; i++ {
+		v = v*10 + int64(q[i]-'0')
+	}
+	nd := i - digits
+	if i < len(q) && q[i] == '\r' {
+		i++
+	}
+	switch {
+	case nd > 12:
+		return 0, 0, ErrBulkTooLong
+	case i == len(q):
+		return 0, 0, nil
+	case q[i] != '\n' || nd == 0:
+		return 0, 0, ErrBadFraming
+	case digits == 1:
+		v = -v
+	}
+	return v, at + i + 2, nil
 }
 
 // Reply append helpers: each appends one RESP reply to dst and returns the
@@ -327,10 +254,18 @@ func AppendSimple(dst []byte, s string) []byte {
 	return append(dst, '\r', '\n')
 }
 
-// AppendError appends -msg\r\n.
+// AppendError appends -msg\r\n with every CR and LF of msg replaced by a
+// space, as redis does: an error may echo client bytes, and a line break in
+// it would end the frame early and inject what follows as further replies.
 func AppendError(dst []byte, msg string) []byte {
 	dst = append(dst, '-')
+	start := len(dst)
 	dst = append(dst, msg...)
+	for i, c := range dst[start:] {
+		if c == '\r' || c == '\n' {
+			dst[start+i] = ' '
+		}
+	}
 	return append(dst, '\r', '\n')
 }
 
