@@ -3,9 +3,9 @@
 // memcached text protocol (get/gets/set/delete/incr/decr, noreply) on
 // separate listeners against one shared keyspace.
 //
-// Each connection is a goroutine owning one table handle; pipelined
-// requests on a connection are parsed into the handle's byte pipeline and
-// resolved under one prefetch window, so wire batching composes with
+// Each connection is a goroutine that owns only its socket and buffers; the
+// pipelined requests it has read resolve under one prefetch window of a table
+// handle borrowed from a pool of a few per CPU, so wire batching composes with
 // DRAMHiT's memory-level batching.
 //
 // Usage:
@@ -31,19 +31,11 @@ func main() {
 		respAddr = flag.String("resp", ":6379", "RESP listener address; empty disables")
 		mcAddr   = flag.String("mc", "", "memcached text listener address; empty disables")
 		slots    = flag.Uint64("slots", 1<<20, "initial table slots (bucket layout resizes itself)")
-		window   = flag.Int("window", 0, "prefetch-window depth per connection (0 = default)")
 		obsAddr  = flag.String("obs", "", "observability HTTP address (/metrics etc.); empty disables")
-		workers  = flag.Int("obsworkers", 0, "metric worker pool size (0 = default)")
 	)
 	flag.Parse()
 
-	cfg := kvserver.Config{
-		RespAddr:   *respAddr,
-		McAddr:     *mcAddr,
-		Slots:      *slots,
-		Window:     *window,
-		ObsWorkers: *workers,
-	}
+	cfg := kvserver.Config{RespAddr: *respAddr, McAddr: *mcAddr, Slots: *slots}
 	if *obsAddr != "" {
 		cfg.Obs = obs.New()
 	}

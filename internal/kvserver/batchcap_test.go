@@ -9,6 +9,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"dramhit/internal/mctext"
+	"dramhit/internal/resp"
 )
 
 // scriptedConn is a net.Conn whose reads drain a prebuilt buffer and whose
@@ -31,48 +34,68 @@ func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
 // pipelined write-heavy stream appends almost nothing to the reply buffer
 // (memcached noreply sets append zero bytes; RESP SET replies are 5 bytes
 // per multi-KB value), so the reply-side high-water mark alone would never
-// flush and the parser arena, vbuf, and meta queue would retain the whole
-// stream. The stream is 4x inputHighWater; the encoded-value scratch must
-// end well under that, proving mid-batch flushes fired.
+// flush, and the read buffer, which the batch end before each read leaves
+// held, would retain the whole stream. The stream is 4x inputHighWater; the
+// read buffers and every pooled worker's encoded-value scratch must end well
+// under that, proving the input-side cap released them. With 1 KiB values
+// many frames share each read; with 64 KiB values every frame is as large
+// as the read buffer, so each batch ends mid-frame and the held bytes span
+// batches through relocation and growth.
 func TestWriteHeavyBatchBounded(t *testing.T) {
-	const valSize = 64 << 10
-	sets := 4 * inputHighWater / valSize
+	for _, c := range []struct {
+		suffix  string
+		valSize int
+	}{{"", 64 << 10}, {"-1KiB", 1 << 10}} {
+		valSize, sets := c.valSize, 4*inputHighWater/c.valSize
 
-	t.Run("mc-noreply", func(t *testing.T) {
-		srv := startServer(t)
-		var in bytes.Buffer
-		val := bytes.Repeat([]byte("m"), valSize)
-		for i := 0; i < sets; i++ {
-			fmt.Fprintf(&in, "set whm-%d 0 0 %d noreply\r\n", i, valSize)
-			in.Write(val)
-			in.WriteString("\r\n")
-		}
-		cn := newConn(srv, &scriptedConn{in: bytes.NewReader(in.Bytes())})
-		cn.serveMc()
-		if got := cap(cn.vbuf); got >= 2*inputHighWater {
-			t.Errorf("vbuf grew to %d bytes serving a %d-byte noreply stream; input-side batch cap did not flush", got, in.Len())
-		}
-		if n := srv.Table().Len(); n != sets {
-			t.Errorf("table has %d entries after %d noreply sets", n, sets)
-		}
-	})
+		t.Run("mc-noreply"+c.suffix, func(t *testing.T) {
+			srv := startServer(t)
+			var in bytes.Buffer
+			val := bytes.Repeat([]byte("m"), valSize)
+			for i := 0; i < sets; i++ {
+				fmt.Fprintf(&in, "set whm-%d 0 0 %d noreply\r\n", i, valSize)
+				in.Write(val)
+				in.WriteString("\r\n")
+			}
+			cn := &conn{s: srv, c: &scriptedConn{in: bytes.NewReader(in.Bytes())}}
+			r := mctext.NewReader(cn)
+			cn.serve(mcProto{r})
+			if got := max(maxVbuf(srv), r.Buffer().Cap()); got >= 2*inputHighWater {
+				t.Errorf("vbuf or read buffers grew to %d bytes serving a %d-byte noreply stream; input-side batch cap did not flush", got, in.Len())
+			}
+			if n := srv.Table().Len(); n != sets {
+				t.Errorf("table has %d entries after %d noreply sets", n, sets)
+			}
+		})
 
-	t.Run("resp-set", func(t *testing.T) {
-		srv := startServer(t)
-		var in []byte
-		val := strings.Repeat("r", valSize)
-		for i := 0; i < sets; i++ {
-			in = respEnc(in, "SET", fmt.Sprintf("whr-%d", i), val)
-		}
-		cn := newConn(srv, &scriptedConn{in: bytes.NewReader(in)})
-		cn.serveRESP()
-		if got := cap(cn.vbuf); got >= 2*inputHighWater {
-			t.Errorf("vbuf grew to %d bytes serving a %d-byte SET stream; input-side batch cap did not flush", got, len(in))
-		}
-		if n := srv.Table().Len(); n != sets {
-			t.Errorf("table has %d entries after %d sets", n, sets)
-		}
-	})
+		t.Run("resp-set"+c.suffix, func(t *testing.T) {
+			srv := startServer(t)
+			var in []byte
+			val := strings.Repeat("r", valSize)
+			for i := 0; i < sets; i++ {
+				in = respEnc(in, "SET", fmt.Sprintf("whr-%d", i), val)
+			}
+			cn := &conn{s: srv, c: &scriptedConn{in: bytes.NewReader(in)}}
+			r := resp.NewReader(cn)
+			cn.serve(respProto{r})
+			if got := max(maxVbuf(srv), r.Buffer().Cap()); got >= 2*inputHighWater {
+				t.Errorf("vbuf or read buffers grew to %d bytes serving a %d-byte SET stream; input-side batch cap did not flush", got, len(in))
+			}
+			if n := srv.Table().Len(); n != sets {
+				t.Errorf("table has %d entries after %d sets", n, sets)
+			}
+		})
+	}
+}
+
+// maxVbuf is the largest encoded-value scratch of the pool's workers, all of
+// which are back in the pool once a connection's serve loop returned.
+func maxVbuf(srv *Server) int {
+	n := 0
+	for _, wk := range srv.free {
+		n = max(n, cap(wk.vbuf))
+	}
+	return n
 }
 
 // TestLongLinesWithinDeclaredLimits pins that the declared protocol limits

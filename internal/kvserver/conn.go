@@ -1,7 +1,9 @@
 package kvserver
 
 import (
+	"io"
 	"net"
+	"strconv"
 	"time"
 
 	idramhit "dramhit/internal/dramhit"
@@ -34,29 +36,75 @@ type pmeta struct {
 	kind  uint8
 }
 
-// conn is the per-connection state shared by both protocol loops: one table
-// handle (single-goroutine, like the connection), the reply write buffer,
-// a batch-stable scratch buffer for encoded values, and the meta queue.
-type conn struct {
-	s *Server
-	c net.Conn
-	h *idramhit.Handle
-	w *obs.Worker // pool shard (shared, atomic); nil when metrics are off
+// worker is the table state a wire batch computes with: a table handle (its
+// ring, arena writer and pin), the batch's reply contexts and value scratch,
+// and a metric shard. All of it is dead once the batch drains, so the server
+// pools workers and a connection borrows one per batch (Server.borrow).
+type worker struct {
+	h    *idramhit.Handle
+	o    *obs.Worker // nil when metrics are off
+	cn   *conn       // the borrower, whose wbuf the completions append to
+	vbuf []byte      // encoded flags+payload records, stable until the drain
+	meta []pmeta     // submit-order reply contexts
+	mi   int         // completion cursor into meta
+}
 
-	wbuf []byte  // replies accumulated for the current wire batch
-	vbuf []byte  // encoded flags+payload records, stable until batch flush
-	meta []pmeta // submit-order reply contexts
-	mi   int     // completion cursor into meta
+// conn is one client connection; it holds a worker only during a wire batch.
+type conn struct {
+	s    *Server
+	c    net.Conn
+	wk   *worker // borrowed for the open wire batch; nil between batches
+	wbuf []byte  // replies accumulated for the open wire batch
 	rcap int     // the protocol reader's capacity, as read_buffer_bytes counts it
 }
 
-func newConn(s *Server, c net.Conn) *conn {
-	cn := &conn{s: s, c: c, h: s.tbl.NewHandle()}
-	if s.pool != nil {
-		cn.w = s.pool[int(s.connSeq.Add(1))%len(s.pool)]
+// A protocol is one wire codec's part of the serve loop: a reader that parses
+// in place, the dispatch of one request and the reply to a parse error.
+type protocol interface {
+	Buffer() *readbuf.Buffer
+	Release()
+	// next parses the next request and dispatches it; false closes the
+	// connection (quit, end of stream).
+	next(cn *conn) (bool, error)
+	// parseError appends the reply to a parse error and reports whether the
+	// stream is still framed, so that the connection goes on.
+	parseError(cn *conn, err error) bool
+}
+
+// serve is the connection loop: the requests in the read buffer are parsed
+// and dispatched into one wire batch, which ends before every socket read
+// (Read) and at a batch cap. The read buffer, which the batch's keys and
+// values alias, is released only at a frame boundary after the batch ended.
+func (cn *conn) serve(p protocol) {
+	b := p.Buffer()
+	for {
+		if !b.Buffered() || cn.batchFull(b.Used()) {
+			if cn.flush() != nil {
+				return
+			}
+			p.Release()
+			cn.setReadCap(b.Cap())
+		}
+		more, err := p.next(cn)
+		if err != nil && err != io.EOF {
+			cn.barrier()
+			more = p.parseError(cn, err)
+		}
+		if !more {
+			cn.flush()
+			return
+		}
 	}
-	cn.h.OnByteComplete(cn.complete)
-	return cn
+}
+
+// Read is the protocol reader's source. It ends the wire batch before every
+// socket read: a read can block, and neither the replies of complete requests
+// nor a pooled worker may wait for the rest of a client's frame.
+func (cn *conn) Read(p []byte) (int, error) {
+	if err := cn.flush(); err != nil {
+		return 0, err
+	}
+	return cn.c.Read(p)
 }
 
 // record layout: 4-byte little-endian flags, then the payload.
@@ -93,24 +141,43 @@ func parseUint(b []byte) (uint64, bool) {
 	return n, true
 }
 
-// submit enters one Get/Put/Delete into the handle's byte pipeline; its reply
+// worker returns the open batch's worker, borrowing one for a new batch.
+func (cn *conn) worker() *worker {
+	if cn.wk == nil {
+		cn.wk = cn.s.borrow()
+		cn.wk.cn = cn
+	}
+	return cn.wk
+}
+
+// submit enters one Get/Put/Delete into the batch's byte pipeline; its reply
 // is appended at completion, possibly after more submissions. key/val must
-// stay valid until the batch flush (they alias the protocol reader's buffer
+// stay valid until the batch drains (they alias the protocol reader's buffer
 // and vbuf, both of which are released at the batch's end).
 func (cn *conn) submit(op table.Op, kind uint8, key, val []byte) {
+	wk := cn.worker()
 	m := pmeta{kind: kind, key: key}
-	if cn.w != nil {
+	if wk.o != nil {
 		m.start = time.Now().UnixNano()
 	}
-	cn.meta = append(cn.meta, m)
-	cn.h.SubmitBytes(op, uint64(len(cn.meta)-1), key, val)
+	wk.meta = append(wk.meta, m)
+	wk.h.SubmitBytes(op, uint64(len(wk.meta)-1), key, val)
+}
+
+// record encodes a value into the batch's scratch, where it stays until the
+// batch drains.
+func (cn *conn) record(flags uint32, payload []byte) []byte {
+	wk := cn.worker()
+	start := len(wk.vbuf)
+	wk.vbuf = appendRecord(wk.vbuf, flags, payload)
+	return wk.vbuf[start:]
 }
 
 // complete is the byte pipeline's completion callback: it consumes the next
-// meta entry and appends its wire reply.
-func (cn *conn) complete(cc idramhit.ByteCompletion) {
-	m := &cn.meta[cn.mi]
-	cn.mi++
+// meta entry and appends its wire reply to the borrower's wbuf.
+func (wk *worker) complete(cc idramhit.ByteCompletion) {
+	cn, m := wk.cn, &wk.meta[wk.mi]
+	wk.mi++
 	switch m.kind {
 	case kRespGet:
 		if cc.Found {
@@ -145,34 +212,32 @@ func (cn *conn) complete(cc idramhit.ByteCompletion) {
 		}
 	default: // kMcSetQuiet, kMcDelQuiet: noreply
 	}
-	if cn.w != nil {
-		cn.countOp(cc.Op, cc.Found, m.start)
+	if wk.o != nil {
+		wk.countOp(cc.Op, cc.Found, m.start)
 	}
 }
 
-// countOp records the request into the connection's pool shard: completion
+// countOp records the request into the worker's metric shard: completion
 // counters plus parse-to-completion latency in the per-op-class histogram.
-// The shard is shared across connections; counters and histograms are
-// atomic, so plain Add/Record compose.
-func (cn *conn) countOp(op table.Op, found bool, start int64) {
+func (wk *worker) countOp(op table.Op, found bool, start int64) {
 	hit := found
 	switch op {
 	case table.Get:
-		cn.w.Inc(obs.CGets)
+		wk.o.Inc(obs.CGets)
 	case table.Put:
-		cn.w.Inc(obs.CPuts)
+		wk.o.Inc(obs.CPuts)
 		hit = true
 	case table.Upsert:
-		cn.w.Inc(obs.CUpserts)
+		wk.o.Inc(obs.CUpserts)
 		hit = true
 	default:
-		cn.w.Inc(obs.CDeletes)
+		wk.o.Inc(obs.CDeletes)
 	}
 	if found && (op == table.Get || op == table.Delete) {
-		cn.w.Inc(obs.CHits)
+		wk.o.Inc(obs.CHits)
 	}
 	if start != 0 {
-		cn.w.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - start))
+		wk.o.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - start))
 	}
 }
 
@@ -180,36 +245,27 @@ func (cn *conn) countOp(op table.Op, found bool, start int64) {
 // protocol error) is appended after every earlier request's reply — the
 // total order the wire demands.
 func (cn *conn) barrier() {
-	if cn.h.PendingBytes() > 0 {
-		cn.h.FlushBytes()
+	if cn.wk != nil && cn.wk.h.PendingBytes() > 0 {
+		cn.wk.h.FlushBytes()
 	}
 }
 
-// flushWrite ends the wire batch: drains the pipeline, writes the
-// accumulated replies in one syscall, and resets the batch-lifetime
-// buffers. After it returns, nothing references the read buffer.
-func (cn *conn) flushWrite() error {
-	cn.barrier()
-	cn.meta = cn.meta[:0]
-	cn.mi = 0
-	cn.vbuf = cn.vbuf[:0]
+// flush ends the wire batch: it drains the pipeline, returns the worker to
+// the pool and writes the accumulated replies in one syscall. After it
+// returns, nothing references the read buffer.
+func (cn *conn) flush() error {
+	if wk := cn.wk; wk != nil {
+		cn.barrier()
+		wk.meta, wk.mi, wk.vbuf, wk.cn = wk.meta[:0], 0, wk.vbuf[:0], nil
+		cn.s.giveBack(wk)
+		cn.wk = nil
+	}
 	if len(cn.wbuf) == 0 {
 		return nil
 	}
 	_, err := cn.c.Write(cn.wbuf)
 	cn.wbuf = cn.wbuf[:0]
 	return err
-}
-
-// endBatch flushes the wire batch, releases the reader's buffer and, when
-// its capacity changed, moves the read_buffer_bytes gauge by the difference.
-func (cn *conn) endBatch(release func(), buf *readbuf.Buffer) error {
-	if err := cn.flushWrite(); err != nil {
-		return err
-	}
-	release()
-	cn.setReadCap(buf.Cap())
-	return nil
 }
 
 // setReadCap records the reader's capacity in read_buffer_bytes: one atomic
@@ -239,24 +295,33 @@ const (
 )
 
 // batchFull reports whether the current wire batch crossed a reply-side or
-// input-side cap and must flush before parsing more. heldBytes is the
-// protocol reader's ArenaBytes().
-func (cn *conn) batchFull(heldBytes int) bool {
-	return len(cn.wbuf) >= wbufHighWater ||
-		heldBytes+len(cn.vbuf) >= inputHighWater ||
-		len(cn.meta) >= batchMaxOps
+// input-side cap and must flush before parsing more. held is the bytes the
+// batch holds in the read buffer.
+func (cn *conn) batchFull(held int) bool {
+	if wk := cn.wk; wk != nil && (len(wk.meta) >= batchMaxOps || held+len(wk.vbuf) >= inputHighWater) {
+		return true
+	}
+	return len(cn.wbuf) >= wbufHighWater || held >= inputHighWater
 }
 
-// upsertNumeric is the shared INCR/DECR core: atomically applies delta
-// (subtracting when negative is set, clamped at zero memcached-style) to
-// the record's numeric payload, preserving flags. Everything is decided
-// inside Mutate, on the record being replaced: a present non-numeric record
-// is left as it is and reported as not numeric, and an absent key is
-// created from zero when create is set (RESP: redis treats missing as "0")
-// and otherwise left absent and reported as not found (memcached).
-func (cn *conn) upsertNumeric(key []byte, create bool, delta uint64, negative bool) (n uint64, found, numeric bool) {
+// incr is the shared INCR/DECR core: atomically applies delta (subtracting
+// when negative is set, clamped at zero memcached-style) to the record's
+// numeric payload, preserving flags. It runs synchronously, after a barrier
+// that keeps the reply stream request-ordered (the byte pipeline excludes
+// Upsert). Everything is decided inside Mutate, on the record being
+// replaced: a present non-numeric record is left as it is and reported as
+// not numeric, and an absent key is created from zero when create is set
+// (RESP: redis treats missing as "0") and otherwise left absent and reported
+// as not found (memcached).
+func (cn *conn) incr(key []byte, create bool, delta uint64, negative bool) (n uint64, found, numeric bool) {
+	cn.barrier()
+	wk := cn.worker()
+	var start int64
+	if wk.o != nil {
+		start = time.Now().UnixNano()
+	}
 	var scratch [28]byte // 4 flags + 20 digits; engine copies during Mutate
-	cn.h.UpsertBytes(key, func(old []byte, present bool) ([]byte, bool) {
+	wk.h.UpsertBytes(key, func(old []byte, present bool) ([]byte, bool) {
 		var flags uint32
 		var cur uint64
 		found, numeric = present || create, create
@@ -277,23 +342,10 @@ func (cn *conn) upsertNumeric(key []byte, create bool, delta uint64, negative bo
 		default:
 			n = cur - delta
 		}
-		b := scratch[:0]
-		b = appendRecord(b, flags, nil)
-		return appendUintDec(b, n), true
+		return strconv.AppendUint(appendRecord(scratch[:0], flags, nil), n, 10), true
 	})
-	return n, found, numeric
-}
-
-func appendUintDec(b []byte, n uint64) []byte {
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
-		}
+	if numeric && wk.o != nil {
+		wk.countOp(table.Upsert, true, start)
 	}
-	return append(b, tmp[i:]...)
+	return n, found, numeric
 }

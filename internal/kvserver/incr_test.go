@@ -40,17 +40,19 @@ func TestUpsertNumericStaleSeed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cn := newConn(startServer(t), nil)
+			cn := &conn{s: startServer(t)}
+			defer cn.flush()
+			h := cn.worker().h
 			key := []byte("ctr")
 			if tc.stored != nil {
-				cn.h.PutBytes(key, tc.stored)
+				h.PutBytes(key, tc.stored)
 			}
-			n, found, numeric := cn.upsertNumeric(key, tc.create, 1, false)
+			n, found, numeric := cn.incr(key, tc.create, 1, false)
 			if found != tc.wantFound || numeric != tc.wantNumeric || n != tc.wantN {
-				t.Errorf("upsertNumeric = (%d, found %v, numeric %v), want (%d, %v, %v)",
+				t.Errorf("incr = (%d, found %v, numeric %v), want (%d, %v, %v)",
 					n, found, numeric, tc.wantN, tc.wantFound, tc.wantNumeric)
 			}
-			got, ok := cn.h.GetBytes(key)
+			got, ok := h.GetBytes(key)
 			if ok != (tc.wantRecord != nil) || !bytes.Equal(got, tc.wantRecord) {
 				t.Errorf("stored record %q (present %v), want %q", got, ok, tc.wantRecord)
 			}

@@ -4,15 +4,16 @@
 // bucket-layout table.
 //
 // The design point is that network batching composes with the table's
-// prefetch-window batching. Each connection is one goroutine owning one
-// table handle; every fully-buffered request on the wire is parsed and
-// submitted into the handle's byte pipeline (SubmitBytes — home bucket line
-// prefetched at parse time), and only when the connection's input drains
-// does the handle FlushBytes. Completions fire in submission order, so each
-// reply is appended to the connection's write buffer straight from the
-// completion callback: a client that pipelines N requests gets its N
-// replies computed under one prefetch window and written in one syscall,
-// with no per-op channels and no reorder buffer anywhere.
+// prefetch-window batching. Each connection is one goroutine that owns only
+// its socket and buffers. Every fully-buffered request is parsed and
+// submitted into a table handle's byte pipeline (SubmitBytes — home bucket
+// line prefetched at parse time), and before every socket read, which can
+// block, the wire batch ends: the handle drains (FlushBytes), goes back to a
+// server-wide pool of a few per CPU, and the replies go out in one write.
+// Completions fire in submission order, so each reply is appended to the
+// write buffer straight from the completion callback, with no per-op
+// channels and no reorder buffer anywhere. The pool, not the connection
+// count, bounds the handles' arena writers and pins and the metric shards.
 //
 // Both protocols share one keyspace. A stored record is a 4-byte
 // little-endian flags word (memcached metadata; RESP writes zero) followed
@@ -23,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -30,7 +32,9 @@ import (
 
 	idramhit "dramhit/internal/dramhit"
 	"dramhit/internal/hugemem"
+	"dramhit/internal/mctext"
 	"dramhit/internal/obs"
+	"dramhit/internal/resp"
 	"dramhit/internal/table"
 )
 
@@ -44,36 +48,38 @@ type Config struct {
 	// Slots sizes the table (0 selects a small default; the bucket layout
 	// resizes itself, so this is a starting point, not a capacity cap).
 	Slots uint64
-	// Window is the per-connection prefetch-window depth (0 = table default).
-	Window int
 	// Obs, when non-nil, exports the serving metrics: per-op-class latency
-	// histograms (parse-to-completion) under a small pool of "server-w<i>"
-	// workers, and connection/table gauges under the "server" pull source.
-	// The table itself is created unobserved — per-connection handles would
-	// otherwise grow the registry without bound under connection churn.
+	// histograms (parse-to-completion; an INCR/DECR counts only if it stored)
+	// under one "server-w<i>" obs worker per pooled worker, whatever the
+	// connection churn, and connection, pool and table gauges under "server".
 	Obs *obs.Registry
-	// ObsWorkers sizes the shared worker pool (0 = 8). Connections hash onto
-	// pool shards; Worker histograms and counters are atomic, so sharing is
-	// safe — the pool only bounds metric cardinality.
-	ObsWorkers int
 }
+
+// poolPerProc is the pool's size per GOMAXPROCS. No batch holds a worker over
+// socket I/O; on 2 CPUs CI's socket smoke read handle_waits 15-67 in 3 of 3
+// runs at 1x, and 0 in 5 of 8 at 2x and 6 of 8 at 4x (EXPERIMENTS.md).
+const poolPerProc = 4
 
 // Server is a running KV front-end. Create with New, stop with Close.
 type Server struct {
-	cfg Config
 	tbl *idramhit.Table
 
 	respLn net.Listener
 	mcLn   net.Listener
 
-	pool []*obs.Worker // nil when Config.Obs is nil
+	// The worker pool, a LIFO stack: a lone connection keeps reusing the
+	// warmest handle and its arena writer's first segment.
+	pmu         sync.Mutex
+	pcond       sync.Cond
+	free        []*worker
+	handles     int          // the pool's size
+	handleWaits atomic.Int64 // borrows that found the pool empty
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 	wg    sync.WaitGroup
 
-	closed  atomic.Bool
-	connSeq atomic.Uint64
+	closed atomic.Bool
 
 	curResp, totResp atomic.Int64
 	curMc, totMc     atomic.Int64
@@ -90,23 +96,22 @@ func New(cfg Config) (*Server, error) {
 		cfg.Slots = 1 << 16
 	}
 	s := &Server{
-		cfg: cfg,
-		tbl: idramhit.New(idramhit.Config{
-			Slots:          cfg.Slots,
-			PrefetchWindow: cfg.Window,
-			Layout:         table.LayoutBucket,
-		}),
-		conns: make(map[net.Conn]struct{}),
+		tbl:     idramhit.New(idramhit.Config{Slots: cfg.Slots, Layout: table.LayoutBucket}),
+		handles: poolPerProc * runtime.GOMAXPROCS(0),
+		conns:   make(map[net.Conn]struct{}),
+	}
+	s.pcond.L = &s.pmu
+	s.free = make([]*worker, s.handles)
+	for i := range s.free {
+		var o *obs.Worker
+		if cfg.Obs != nil {
+			o = cfg.Obs.Worker(fmt.Sprintf("server-w%d", i))
+		}
+		wk := &worker{h: s.tbl.NewHandle(), o: o}
+		wk.h.OnByteComplete(wk.complete)
+		s.free[i] = wk
 	}
 	if cfg.Obs != nil {
-		n := cfg.ObsWorkers
-		if n <= 0 {
-			n = 8
-		}
-		s.pool = make([]*obs.Worker, n)
-		for i := range s.pool {
-			s.pool[i] = cfg.Obs.Worker(fmt.Sprintf("server-w%d", i))
-		}
 		cfg.Obs.AddSource("server", s.collect)
 	}
 	if cfg.RespAddr != "" {
@@ -128,11 +133,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.respLn != nil {
 		s.wg.Add(1)
-		go s.acceptLoop(s.respLn, protoResp)
+		go s.acceptLoop(s.respLn, false)
 	}
 	if s.mcLn != nil {
 		s.wg.Add(1)
-		go s.acceptLoop(s.mcLn, protoMc)
+		go s.acceptLoop(s.mcLn, true)
 	}
 	return s, nil
 }
@@ -166,6 +171,8 @@ func (s *Server) Table() *idramhit.Table { return s.tbl }
 // connection churn grows. arena_bytes_used and arena_bytes_dead sum the
 // linked segments' appended and retired bytes. read_buffer_bytes is the
 // capacity the live connections' protocol readers hold, spares included.
+// handles is the worker pool's size, which bounds arena_pins, and
+// handle_waits counts the borrows that found every worker out.
 func (s *Server) collect() map[string]float64 {
 	ar := s.tbl.Bucket().Arena()
 	total, live := ar.Segments()
@@ -188,6 +195,8 @@ func (s *Server) collect() map[string]float64 {
 		"arena_bytes_used":     float64(used),
 		"arena_bytes_dead":     float64(dead),
 		"read_buffer_bytes":    float64(s.readBuf.Load()),
+		"handles":              float64(s.handles),
+		"handle_waits":         float64(s.handleWaits.Load()),
 	}
 	if rss, huge, ok := hugemem.Usage(); ok {
 		m["mem_rss_bytes"] = float64(rss)
@@ -196,14 +205,31 @@ func (s *Server) collect() map[string]float64 {
 	return m
 }
 
-type proto int
+// borrow takes the most recently returned worker for one wire batch, waiting
+// while every worker is out.
+func (s *Server) borrow() *worker {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	if len(s.free) == 0 {
+		s.handleWaits.Add(1)
+	}
+	for len(s.free) == 0 {
+		s.pcond.Wait()
+	}
+	wk := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	return wk
+}
 
-const (
-	protoResp proto = iota
-	protoMc
-)
+// giveBack returns a drained worker to the pool.
+func (s *Server) giveBack(wk *worker) {
+	s.pmu.Lock()
+	s.free = append(s.free, wk)
+	s.pmu.Unlock()
+	s.pcond.Signal()
+}
 
-func (s *Server) acceptLoop(ln net.Listener, p proto) {
+func (s *Server) acceptLoop(ln net.Listener, mc bool) {
 	defer s.wg.Done()
 	var delay time.Duration
 	for {
@@ -242,7 +268,7 @@ func (s *Server) acceptLoop(ln net.Listener, p proto) {
 		s.conns[c] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.serveConn(c, p)
+		go s.serveConn(c, mc)
 	}
 }
 
@@ -256,20 +282,19 @@ func isTransientAccept(err error) bool {
 		errors.Is(err, syscall.ECONNABORTED) || errors.Is(err, syscall.EINTR)
 }
 
-func (s *Server) serveConn(c net.Conn, p proto) {
+func (s *Server) serveConn(c net.Conn, mc bool) {
 	defer s.wg.Done()
+	cn := &conn{s: s, c: c}
 	cur, tot := &s.curResp, &s.totResp
-	if p == protoMc {
-		cur, tot = &s.curMc, &s.totMc
+	var p protocol
+	if mc {
+		cur, tot, p = &s.curMc, &s.totMc, mcProto{mctext.NewReader(cn)}
+	} else {
+		p = respProto{resp.NewReader(cn)}
 	}
 	cur.Add(1)
 	tot.Add(1)
-	cn := newConn(s, c)
-	if p == protoResp {
-		cn.serveRESP()
-	} else {
-		cn.serveMc()
-	}
+	cn.serve(p)
 	cn.setReadCap(0)
 	cur.Add(-1)
 	c.Close()

@@ -285,10 +285,11 @@ func TestMcOracleRandomOps(t *testing.T) {
 }
 
 // TestObsSurface checks the serving metrics: per-op-class latency recorded
-// into the pool workers and the "server" pull source's connection gauges.
+// into the pooled workers' metric shards and the "server" pull source's
+// connection and pool gauges.
 func TestObsSurface(t *testing.T) {
 	reg := obs.New()
-	srv := startServer(t, func(c *Config) { c.Obs = reg; c.ObsWorkers = 2 })
+	srv := startServer(t, func(c *Config) { c.Obs = reg })
 	c, err := net.Dial("tcp", srv.RespAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +340,12 @@ func TestObsSurface(t *testing.T) {
 	if m["conns_resp_open"] != 1 || m["conns_resp_total"] != 1 {
 		t.Errorf("conn gauges: %+v", m)
 	}
+	if m["handles"] != float64(srv.handles) || len(reg.Workers()) != srv.handles {
+		t.Errorf("handles = %v with %d obs workers, want the pool size %d", m["handles"], len(reg.Workers()), srv.handles)
+	}
+	if w, ok := m["handle_waits"]; !ok || w != 0 {
+		t.Errorf("handle_waits = (%v, %v) with one connection, want (0, true)", w, ok)
+	}
 	// One connection's few records sit in its first segment, never huge.
 	if huge, ok := m["arena_huge_bytes"]; !ok || huge != 0 {
 		t.Errorf("arena_huge_bytes = (%v, %v), want (0, true)", huge, ok)
@@ -358,64 +365,73 @@ func TestObsSurface(t *testing.T) {
 	}
 }
 
-// TestArenaGauges: after several RESP connections each SET a key and close,
-// every arena gauge of the "server" pull source equals its arena accessor. A
-// last connection only PINGs and writes no segment, so the pin and segment
-// counts differ and a gauge wired to the wrong accessor shows.
+// TestArenaGauges: after RESP connections each SET a key and close, every
+// arena gauge of the "server" pull source equals its arena accessor. A last
+// connection only PINGs and writes no segment. The 256-connection input is the
+// churn a long-lived server sees: pins and segments stay bounded by the worker
+// pool, since the table registers no pin of its own and only pooled handles
+// write.
 func TestArenaGauges(t *testing.T) {
-	reg := obs.New()
-	srv := startServer(t, func(c *Config) { c.Obs = reg })
-	var src func() map[string]float64
-	for _, s := range reg.Sources() {
-		if s.Name == "server" {
-			src = s.Collect
-		}
-	}
-	const conns = 6
-	for i := 0; i <= conns; i++ {
-		c, err := net.Dial("tcp", srv.RespAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmd, want := respEnc(nil, "SET", fmt.Sprintf("gauge-key-%d", i), "v"), "+OK"
-		if i == conns {
-			cmd, want = respEnc(nil, "PING"), "+PONG"
-		}
-		c.Write(cmd)
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if r, err := readReply(bufio.NewReader(c)); err != nil || r != want {
-			t.Fatalf("connection %d: reply (%q, %v), want %q", i, r, err, want)
-		}
-		c.Close()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for src()["conns_resp_open"] != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("conns_resp_open never returned to 0 after disconnect")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	m := src()
-	ar := srv.Table().Bucket().Arena()
-	total, live := ar.Segments()
-	var used, dead uint64
-	for _, st := range ar.SegmentStats() {
-		used, dead = used+st.Used, dead+st.Dead
-	}
-	for name, want := range map[string]float64{
-		"arena_segments":       float64(total),
-		"arena_segments_live":  float64(live),
-		"arena_segments_freed": float64(ar.Freed()),
-		"arena_pins":           float64(ar.Pins()),
-		"arena_bytes_used":     float64(used),
-		"arena_bytes_dead":     float64(dead),
-	} {
-		if got, ok := m[name]; !ok || got != want {
-			t.Errorf("%s = (%v, %v), arena accessor says %v", name, got, ok, want)
-		}
-	}
-	if m["table_entries"] != conns || m["arena_segments_live"] == 0 {
-		t.Errorf("%d connections wrote %v entries into %v live segments", conns, m["table_entries"], m["arena_segments_live"])
+	const tablePins = 0
+	for _, conns := range []int{6, 256} {
+		t.Run(strconv.Itoa(conns), func(t *testing.T) {
+			reg := obs.New()
+			srv := startServer(t, func(c *Config) { c.Obs = reg })
+			var src func() map[string]float64
+			for _, s := range reg.Sources() {
+				if s.Name == "server" {
+					src = s.Collect
+				}
+			}
+			for i := 0; i <= conns; i++ {
+				c, err := net.Dial("tcp", srv.RespAddr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cmd, want := respEnc(nil, "SET", fmt.Sprintf("gauge-key-%d", i), "v"), "+OK"
+				if i == conns {
+					cmd, want = respEnc(nil, "PING"), "+PONG"
+				}
+				c.Write(cmd)
+				c.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if r, err := readReply(bufio.NewReader(c)); err != nil || r != want {
+					t.Fatalf("connection %d: reply (%q, %v), want %q", i, r, err, want)
+				}
+				c.Close()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for src()["conns_resp_open"] != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("conns_resp_open never returned to 0 after disconnect")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			m := src()
+			ar := srv.Table().Bucket().Arena()
+			total, live := ar.Segments()
+			var used, dead uint64
+			for _, st := range ar.SegmentStats() {
+				used, dead = used+st.Used, dead+st.Dead
+			}
+			for name, want := range map[string]float64{
+				"arena_segments":       float64(total),
+				"arena_segments_live":  float64(live),
+				"arena_segments_freed": float64(ar.Freed()),
+				"arena_pins":           float64(ar.Pins()),
+				"arena_bytes_used":     float64(used),
+				"arena_bytes_dead":     float64(dead),
+			} {
+				if got, ok := m[name]; !ok || got != want {
+					t.Errorf("%s = (%v, %v), arena accessor says %v", name, got, ok, want)
+				}
+			}
+			if m["table_entries"] != float64(conns) || m["arena_segments_live"] == 0 {
+				t.Errorf("%d connections wrote %v entries into %v live segments", conns, m["table_entries"], m["arena_segments_live"])
+			}
+			if bound := float64(srv.handles + tablePins); m["arena_pins"] > bound || m["arena_segments"] > bound {
+				t.Errorf("%d connections left %v pins and %v segments, want at most %v each", conns, m["arena_pins"], m["arena_segments"], bound)
+			}
+		})
 	}
 }
 
@@ -505,6 +521,56 @@ func TestRESPErrorOneFrame(t *testing.T) {
 	}
 	if len(replies) != 3 || !strings.HasPrefix(replies[0], "-ERR ") || replies[1] != "+PONG" || replies[2] != "+OK" {
 		t.Fatalf("three commands got replies %q, want one -ERR frame, +PONG and +OK", replies)
+	}
+}
+
+// TestPartialFrameStall: complete requests followed by the first part of the
+// next frame are answered at once, whether the frame is cut in a header, a
+// bulk, an inline line or a data block, since a client may wait for those
+// replies before it sends the rest. The last input parks four connections per
+// pooled worker mid-frame, each after a SET, and a fresh connection's GET is
+// still answered: a connection that waits for bytes holds no worker.
+func TestPartialFrameStall(t *testing.T) {
+	srv := startServer(t)
+	set := string(respEnc(nil, "SET", "k", "v"))
+	cases := []struct {
+		name       string
+		mc         bool
+		send, want string
+		conns      int
+	}{
+		{"resp/mid-header", false, set + "*2\r\n$3", "+OK\r\n", 1},
+		{"resp/mid-bulk", false, "*1\r\n$4\r\nPING\r\n*1\r\n$4\r\nPI", "+PONG\r\n", 1},
+		{"resp/mid-inline-line", false, "SET k v\r\nGET k\r\nPIN", "+OK\r\n$1\r\nv\r\n", 1},
+		{"mc/mid-line", true, "version\r\nver", "VERSION dramhit-1.0\r\n", 1},
+		{"mc/mid-data-block", true, "set k 0 0 1\r\nv\r\nset k 0 0 5\r\nhel", "STORED\r\n", 1},
+		{"resp/parked-past-pool", false, set + "*1\r\n$4\r\nPI", "+OK\r\n", 4 * srv.handles},
+	}
+	expect := func(t *testing.T, addr, send, want string) {
+		t.Helper()
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.Write([]byte(send))
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(c, got); err != nil || string(got) != want {
+			t.Fatalf("sent %q: got (%q, %v), want %q", send, got, err, want)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := srv.RespAddr()
+			if tc.mc {
+				addr = srv.McAddr()
+			}
+			for i := 0; i < tc.conns; i++ {
+				expect(t, addr, tc.send, tc.want)
+			}
+			expect(t, srv.RespAddr(), string(respEnc(nil, "GET", "k")), "$1\r\nv\r\n")
+		})
 	}
 }
 

@@ -2,56 +2,34 @@ package kvserver
 
 import (
 	"errors"
-	"io"
-	"time"
 
 	"dramhit/internal/mctext"
 	"dramhit/internal/table"
 )
 
-// serveMc is the memcached-text connection loop: same batch discipline as
-// serveRESP. Unknown verbs resynchronize ("ERROR", keep the connection);
-// structurally damaged streams get a CLIENT_ERROR and are severed.
-func (cn *conn) serveMc() {
-	r := mctext.NewReader(cn.c)
-	for {
-		if !r.Buffered() && cn.endBatch(r.Release, r.Buffer()) != nil {
-			return
-		}
-		req, err := r.ReadRequest()
-		if err != nil {
-			if errors.Is(err, mctext.ErrBadCommand) {
-				// The reader consumed exactly the offending line.
-				cn.barrier()
-				cn.wbuf = mctext.AppendLine(cn.wbuf, "ERROR")
-				continue
-			}
-			if err != io.EOF {
-				cn.barrier()
-				cn.wbuf = mctext.AppendClientError(cn.wbuf, mcErrText(err))
-				cn.flushWrite()
-			}
-			return
-		}
-		if !cn.dispatchMc(req) {
-			cn.flushWrite()
-			return
-		}
-		if cn.batchFull(r.ArenaBytes()) && cn.endBatch(r.Release, r.Buffer()) != nil {
-			return
-		}
+// mcProto is the memcached-text half of the serve loop. An unknown verb
+// resynchronizes ("ERROR", keep the connection); a structurally damaged
+// stream gets a CLIENT_ERROR and is severed.
+type mcProto struct{ *mctext.Reader }
+
+func (mcProto) parseError(cn *conn, err error) bool {
+	msg := err.Error()
+	switch {
+	case errors.Is(err, mctext.ErrBadCommand):
+		cn.wbuf = mctext.AppendLine(cn.wbuf, "ERROR") // the reader consumed exactly that line
+		return true
+	case errors.Is(err, mctext.ErrBadData):
+		msg = "bad data chunk"
 	}
+	cn.wbuf = mctext.AppendClientError(cn.wbuf, msg)
+	return false
 }
 
-func mcErrText(err error) string {
-	if errors.Is(err, mctext.ErrBadData) {
-		return "bad data chunk"
+func (p mcProto) next(cn *conn) (bool, error) {
+	req, err := p.ReadRequest()
+	if err != nil {
+		return false, err
 	}
-	return err.Error()
-}
-
-// dispatchMc executes one request; false closes the connection (quit).
-func (cn *conn) dispatchMc(req mctext.Request) bool {
 	switch req.Verb {
 	case mctext.Get, mctext.Gets:
 		// One pipeline submission per key; misses emit nothing and the last
@@ -65,13 +43,11 @@ func (cn *conn) dispatchMc(req mctext.Request) bool {
 			cn.submit(table.Get, kind, k, nil)
 		}
 	case mctext.Set:
-		start := len(cn.vbuf)
-		cn.vbuf = appendRecord(cn.vbuf, req.Flags, req.Data)
 		kind := uint8(kMcSet)
 		if req.NoReply {
 			kind = kMcSetQuiet
 		}
-		cn.submit(table.Put, kind, req.Key, cn.vbuf[start:])
+		cn.submit(table.Put, kind, req.Key, cn.record(req.Flags, req.Data))
 	case mctext.Delete:
 		kind := uint8(kMcDel)
 		if req.NoReply {
@@ -79,13 +55,8 @@ func (cn *conn) dispatchMc(req mctext.Request) bool {
 		}
 		cn.submit(table.Delete, kind, req.Key, nil)
 	case mctext.Incr, mctext.Decr:
-		cn.barrier()
-		var start int64
-		if cn.w != nil {
-			start = time.Now().UnixNano()
-		}
 		// memcached incr/decr never creates the key.
-		n, found, numeric := cn.upsertNumeric(req.Key, false, req.Delta, req.Verb == mctext.Decr)
+		n, found, numeric := cn.incr(req.Key, false, req.Delta, req.Verb == mctext.Decr)
 		switch {
 		case req.NoReply:
 		case !found:
@@ -96,14 +67,11 @@ func (cn *conn) dispatchMc(req mctext.Request) bool {
 		default:
 			cn.wbuf = mctext.AppendUint(cn.wbuf, n)
 		}
-		if numeric && cn.w != nil {
-			cn.countOp(table.Upsert, true, start)
-		}
 	case mctext.Version:
 		cn.barrier()
 		cn.wbuf = mctext.AppendLine(cn.wbuf, "VERSION dramhit-1.0")
 	case mctext.Quit:
-		return false
+		return false, nil
 	}
-	return true
+	return true, nil
 }

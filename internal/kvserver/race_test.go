@@ -12,9 +12,9 @@ import (
 
 // TestConcurrentClientChurn hammers both listeners from many goroutines
 // with connection churn and mid-write disconnects. Run under -race (it is
-// on the CI race list) this is the server's concurrency safety check: every
-// connection owns its handle, so the only shared state is the table, the
-// conn registry, and the metric pool.
+// on the CI race list) this is the server's concurrency safety check: the
+// shared state is the table, the conn registry and the worker pool, whose
+// workers pass from connection to connection.
 func TestConcurrentClientChurn(t *testing.T) {
 	srv := startServer(t)
 	const clients = 8
@@ -98,8 +98,9 @@ func churnMc(t *testing.T, addr string, rng *rand.Rand) {
 }
 
 // TestCloseDuringInFlight severs the server while clients are mid-batch:
-// Close must return promptly (no goroutine waits on a dead client) and the
-// clients must observe EOF/reset rather than a hang.
+// Close must return promptly (no goroutine waits on a dead client), the
+// clients must observe EOF/reset rather than a hang, and every severed batch
+// must have returned its worker to the pool.
 func TestCloseDuringInFlight(t *testing.T) {
 	srv := startServer(t)
 	const clients = 6
@@ -149,6 +150,9 @@ func TestCloseDuringInFlight(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if len(srv.free) != srv.handles {
+		t.Errorf("%d of %d workers back in the pool after Close", len(srv.free), srv.handles)
+	}
 
 	// A second Close is a no-op, and new dials are refused.
 	srv.Close()

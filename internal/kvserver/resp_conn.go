@@ -1,87 +1,50 @@
 package kvserver
 
 import (
-	"io"
-	"time"
-
 	"dramhit/internal/resp"
 	"dramhit/internal/table"
 )
 
-// serveRESP is the RESP connection loop: parse every fully-buffered command
-// into the batch, flush (pipeline drain + one write syscall) when the input
-// would block. The read buffer, which every parsed key and value aliases, is
-// released only at batch boundaries, after the last reference to them died.
-func (cn *conn) serveRESP() {
-	r := resp.NewReader(cn.c)
-	for {
-		if !r.Buffered() && cn.endBatch(r.Release, r.Buffer()) != nil {
-			return
-		}
-		cmd, err := r.ReadCommand()
-		if err != nil {
-			if err != io.EOF {
-				// Protocol damage (bad framing, oversized bulk, cut frame):
-				// best-effort error reply after pending replies, then sever —
-				// the stream position is unrecoverable.
-				cn.barrier()
-				cn.wbuf = resp.AppendError(cn.wbuf, "ERR Protocol error: "+err.Error())
-				cn.flushWrite()
-			}
-			return
-		}
-		if !cn.dispatchRESP(cmd) {
-			cn.flushWrite()
-			return
-		}
-		if cn.batchFull(r.ArenaBytes()) && cn.endBatch(r.Release, r.Buffer()) != nil {
-			return
-		}
-	}
+// respProto is the RESP half of the serve loop. Protocol damage (bad
+// framing, oversized bulk, cut frame) gets a best-effort error reply, then
+// the connection is severed: the stream position is unrecoverable.
+type respProto struct{ *resp.Reader }
+
+func (respProto) parseError(cn *conn, err error) bool {
+	cn.wbuf = resp.AppendError(cn.wbuf, "ERR Protocol error: "+err.Error())
+	return false
 }
 
-// dispatchRESP executes one command; false closes the connection (QUIT).
-func (cn *conn) dispatchRESP(cmd resp.Command) bool {
-	if len(cmd.Args) == 0 {
-		return true
+func (p respProto) next(cn *conn) (bool, error) {
+	cmd, err := p.ReadCommand()
+	if err != nil {
+		return false, err
 	}
 	name := cmd.Args[0]
 	switch {
 	case eqFold(name, "GET"):
 		if len(cmd.Args) != 2 {
-			return cn.respArity("get")
+			return cn.respArity("get"), nil
 		}
 		cn.submit(table.Get, kRespGet, cmd.Args[1], nil)
 	case eqFold(name, "SET"):
 		if len(cmd.Args) != 3 {
-			return cn.respArity("set")
+			return cn.respArity("set"), nil
 		}
-		start := len(cn.vbuf)
-		cn.vbuf = appendRecord(cn.vbuf, 0, cmd.Args[2])
-		cn.submit(table.Put, kRespSet, cmd.Args[1], cn.vbuf[start:])
+		cn.submit(table.Put, kRespSet, cmd.Args[1], cn.record(0, cmd.Args[2]))
 	case eqFold(name, "DEL"):
 		if len(cmd.Args) != 2 {
-			return cn.respArity("del")
+			return cn.respArity("del"), nil
 		}
 		cn.submit(table.Delete, kRespDel, cmd.Args[1], nil)
 	case eqFold(name, "INCR"):
 		if len(cmd.Args) != 2 {
-			return cn.respArity("incr")
+			return cn.respArity("incr"), nil
 		}
-		// Read-modify-writes run synchronously (the byte pipeline excludes
-		// Upsert); the barrier keeps the reply stream request-ordered.
-		cn.barrier()
-		var start int64
-		if cn.w != nil {
-			start = time.Now().UnixNano()
-		}
-		if n, _, numeric := cn.upsertNumeric(cmd.Args[1], true, 1, false); numeric {
+		if n, _, numeric := cn.incr(cmd.Args[1], true, 1, false); numeric {
 			cn.wbuf = resp.AppendInt(cn.wbuf, int64(n))
 		} else {
 			cn.wbuf = resp.AppendError(cn.wbuf, "ERR value is not an integer or out of range")
-		}
-		if cn.w != nil {
-			cn.countOp(table.Upsert, true, start)
 		}
 	case eqFold(name, "PING"):
 		cn.barrier()
@@ -93,12 +56,12 @@ func (cn *conn) dispatchRESP(cmd resp.Command) bool {
 	case eqFold(name, "QUIT"):
 		cn.barrier()
 		cn.wbuf = resp.AppendSimple(cn.wbuf, "OK")
-		return false
+		return false, nil
 	default:
 		cn.barrier()
 		cn.wbuf = resp.AppendError(cn.wbuf, "ERR unknown command '"+string(name)+"'")
 	}
-	return true
+	return true, nil
 }
 
 // respArity appends the redis wrong-arity error; the connection stays up.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"dramhit/internal/readbuf"
 )
 
 // chunkReader yields at most n bytes per Read (see internal/resp's twin).
@@ -40,6 +42,13 @@ func summarize(req Request) []byte {
 	return s
 }
 
+// fuzzBuf is the fuzz readers' buffer size: short inputs cross its end, as
+// inputs past 64 KiB do with readbuf.Size, and stay cheap for the minimizer
+// (see internal/resp's twin).
+const fuzzBuf = 256
+
+func newFuzzReader(src io.Reader) *Reader { return &Reader{b: readbuf.New(src, fuzzBuf)} }
+
 // FuzzMemcachedParse: arbitrary bytes must never panic the parser or make it
 // retain more than it read, and whole-buffer vs byte-at-a-time parses must
 // agree. ErrBadCommand is resynchronizable, so parsing continues across it
@@ -57,18 +66,18 @@ func FuzzMemcachedParse(f *testing.F) {
 	f.Add([]byte("set k 0 0 4\r\nab"))
 	f.Add([]byte("version\r\nquit\r\n"))
 	f.Add(bytes.Repeat([]byte{0}, 32))
-	// Requests that straddle the end of the reader's 64 KiB buffer: a data
+	// Requests that straddle the end of the fuzz reader's buffer: a data
 	// block across it, a run of small gets across it, a long get line
 	// across it, and a data block larger than the buffer.
-	f.Add(appendSet(nil, []byte("k"), bytes.Repeat([]byte("v"), 65520)))
-	f.Add(bytes.Repeat([]byte("get key-1\r\n"), 6000))
-	f.Add(fmt.Appendf(bytes.Repeat([]byte("get key-1\r\n"), 100), "get%s\r\n",
-		bytes.Repeat(append([]byte{' '}, bytes.Repeat([]byte("k"), MaxKey)...), MaxKeys-1)))
-	f.Add(appendSet(nil, []byte("k"), bytes.Repeat([]byte("v"), 100000)))
+	f.Add(appendSet(nil, []byte("k"), bytes.Repeat([]byte("v"), fuzzBuf-16)))
+	f.Add(bytes.Repeat([]byte("get key-1\r\n"), fuzzBuf/8))
+	f.Add(fmt.Appendf(bytes.Repeat([]byte("get key-1\r\n"), 10), "get%s\r\n",
+		bytes.Repeat([]byte(" key-2"), fuzzBuf/4)))
+	f.Add(appendSet(nil, []byte("k"), bytes.Repeat([]byte("v"), 3*fuzzBuf/2)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<17 {
-			data = data[:1<<17]
+		if len(data) > 16*fuzzBuf {
+			data = data[:16*fuzzBuf]
 		}
 		parse := func(r *Reader) (reqs [][]byte, clean bool) {
 			retained := 0
@@ -89,8 +98,8 @@ func FuzzMemcachedParse(f *testing.F) {
 				reqs = append(reqs, s)
 			}
 		}
-		whole, wholeClean := parse(NewReader(bytes.NewReader(data)))
-		split, splitClean := parse(NewReader(&chunkReader{b: data, n: 1}))
+		whole, wholeClean := parse(newFuzzReader(bytes.NewReader(data)))
+		split, splitClean := parse(newFuzzReader(&chunkReader{b: data, n: 1}))
 		if len(whole) != len(split) || wholeClean != splitClean {
 			t.Fatalf("parses disagree: %d/%v vs %d/%v requests", len(whole), wholeClean, len(split), splitClean)
 		}

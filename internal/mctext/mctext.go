@@ -92,7 +92,7 @@ type Reader struct {
 
 // NewReader returns a reader that reads r through its own buffer.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{b: readbuf.New(r)}
+	return &Reader{b: readbuf.New(r, readbuf.Size)}
 }
 
 // Release invalidates every Request returned since the previous Release and
@@ -105,10 +105,6 @@ func (r *Reader) Release() {
 
 // Buffered reports whether further request bytes are already buffered.
 func (r *Reader) Buffered() bool { return r.b.Buffered() }
-
-// ArenaBytes reports how many request bytes the Requests returned since the
-// last Release hold (see resp.ArenaBytes — the parse-side batch-memory bound).
-func (r *Reader) ArenaBytes() int { return r.b.Used() }
 
 // Buffer returns the reader's buffer, whose Cap a memory gauge reads.
 func (r *Reader) Buffer() *readbuf.Buffer { return &r.b }

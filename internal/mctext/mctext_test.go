@@ -382,3 +382,46 @@ func TestTrickledLineIsLinear(t *testing.T) {
 			len(line), one, len(lines), many)
 	}
 }
+
+// TestLineLimit pins the command-line limit at its edge: a get of MaxKeys
+// MaxKey-byte keys, padded with spaces to MaxLine bytes or fewer (terminator
+// included), parses, and the request after it too, and one byte more is
+// ErrLineTooLong with nothing parsed. Each input is parsed whole and one
+// byte per read, with the same result.
+func TestLineLimit(t *testing.T) {
+	keys := []byte("get")
+	for i := 0; i < MaxKeys; i++ {
+		keys = append(append(keys, ' '), bytes.Repeat([]byte{'a' + byte(i%26)}, MaxKey)...)
+	}
+	parse := func(r *Reader) (reqs []string, err error) {
+		for {
+			req, err := r.ReadRequest()
+			if err != nil {
+				return reqs, err
+			}
+			reqs = append(reqs, string(summarize(req)))
+		}
+	}
+	for _, n := range []int{MaxLine - 1, MaxLine, MaxLine + 1} {
+		line := append(append([]byte{}, keys...), bytes.Repeat([]byte{' '}, n-2-len(keys))...)
+		data := append(line, "\r\nversion\r\n"...)
+		wantReqs, wantErr := 2, io.EOF
+		if n > MaxLine {
+			wantReqs, wantErr = 0, ErrLineTooLong
+		}
+		whole, wholeErr := parse(NewReader(bytes.NewReader(data)))
+		split, splitErr := parse(NewReader(&chunkReader{b: data, n: 1}))
+		for _, got := range []struct {
+			how  string
+			reqs []string
+			err  error
+		}{{"whole", whole, wholeErr}, {"one byte per read", split, splitErr}} {
+			if len(got.reqs) != wantReqs || !errors.Is(got.err, wantErr) {
+				t.Errorf("%d-byte line, %s: %d requests, err %v; want %d, %v", n, got.how, len(got.reqs), got.err, wantReqs, wantErr)
+			}
+		}
+		if fmt.Sprint(whole) != fmt.Sprint(split) {
+			t.Errorf("%d-byte line: whole and one-byte-per-read parses differ", n)
+		}
+	}
+}

@@ -35,9 +35,11 @@ type Buffer struct {
 	free [][]byte // spares for the next relocation, recycled by Release
 }
 
-// New returns a buffer that reads from src.
-func New(src io.Reader) Buffer {
-	return Buffer{src: src, buf: make([]byte, Size), size: Size}
+// New returns a buffer of size bytes that reads from src. The protocol
+// readers use Size; a smaller one lets a test cross the buffer's end with
+// short inputs.
+func New(src io.Reader, size int) Buffer {
+	return Buffer{src: src, buf: make([]byte, size), size: size}
 }
 
 // Bytes returns the unconsumed bytes. The slice is valid until the next Fill;

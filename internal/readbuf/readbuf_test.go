@@ -16,7 +16,7 @@ func (s *stuckReader) Read([]byte) (int, error) { s.reads++; return 0, nil }
 // does, instead of spinning.
 func TestFillGivesUpWithoutProgress(t *testing.T) {
 	src := &stuckReader{}
-	b := New(src)
+	b := New(src, Size)
 	if err := b.Fill(1); err != io.ErrNoProgress {
 		t.Fatalf("Fill = %v, want io.ErrNoProgress", err)
 	}
@@ -37,7 +37,7 @@ func (e endless) Read(p []byte) (int, error) { return min(len(p), 1+e.rng.Intn(e
 // while bytes arrive, and the last step takes only what the frame needs, so
 // the buffer ends at the frame's size and not at the next power of two.
 func TestGrowthStopsAtNeed(t *testing.T) {
-	b := New(endless{rand.New(rand.NewSource(1)), 1 << 20})
+	b := New(endless{rand.New(rand.NewSource(1)), 1 << 20}, Size)
 	need := 5*Size + 3
 	if err := b.Fill(need); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestGrowthStopsAtNeed(t *testing.T) {
 // Cap is the size of the current buffer, the held ones and the spares.
 func TestCapCountsEveryBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	b := New(endless{rng, 3 * Size})
+	b := New(endless{rng, 3 * Size}, Size)
 	for i := 0; i < 2000; i++ {
 		if rng.Intn(4) == 0 {
 			b.Release()

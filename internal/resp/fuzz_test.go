@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"dramhit/internal/readbuf"
 )
 
 // chunkReader yields at most n bytes per Read, forcing frames to straddle
@@ -52,6 +54,15 @@ func parseAll(t *testing.T, r *Reader, limit int) (cmds [][]string, firstErr err
 	}
 }
 
+// fuzzBuf is the fuzz readers' buffer size. Short inputs cross its end,
+// relocate and grow it, as inputs past 64 KiB do with readbuf.Size. The
+// fuzzer re-runs every new interesting input thousands of times to minimize
+// it, and at a millisecond per run the 64 KiB inputs that crossed the
+// production buffer held both workers in minimization for most of a run.
+const fuzzBuf = 256
+
+func newFuzzReader(src io.Reader) *Reader { return &Reader{b: readbuf.New(src, fuzzBuf)} }
+
 // FuzzRESPParse is the protocol robustness target: arbitrary bytes must
 // never panic the parser, never make it allocate past its limits, and must
 // parse identically whether the input arrives whole or one byte at a time.
@@ -78,26 +89,26 @@ func FuzzRESPParse(f *testing.F) {
 	f.Add([]byte("*-1\r\n*0\r\nPING\r\n"))
 	f.Add([]byte("*1\r\n:5\r\n"))
 	f.Add(bytes.Repeat([]byte("\x00"), 64))
-	// Frames that straddle the end of the reader's 64 KiB buffer: a bulk
+	// Frames that straddle the end of the fuzz reader's buffer: a bulk
 	// across it, a run of small commands across it, an inline line across
 	// it, and a value larger than the buffer.
-	f.Add(appendCmd(nil, []byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), 65520)))
-	f.Add(bytes.Repeat([]byte("*2\r\n$3\r\nGET\r\n$5\r\nkey-1\r\n"), 2300))
-	f.Add([]byte(strings.Repeat("PING ", 13100) + "\r\nPING\r\n"))
-	f.Add(appendCmd(nil, []byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), 100000)))
+	f.Add(appendCmd(nil, []byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), fuzzBuf-30)))
+	f.Add(bytes.Repeat([]byte("*2\r\n$3\r\nGET\r\n$5\r\nkey-1\r\n"), fuzzBuf/20))
+	f.Add([]byte(strings.Repeat("PING ", fuzzBuf/4) + "\r\nPING\r\n"))
+	f.Add(appendCmd(nil, []byte("SET"), []byte("k"), bytes.Repeat([]byte("v"), 3*fuzzBuf/2)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<17 {
-			data = data[:1<<17] // keep the chunked re-parse affordable
+		if len(data) > 16*fuzzBuf {
+			data = data[:16*fuzzBuf] // keep the byte-at-a-time re-parse affordable
 		}
 		// Whole-buffer parse: must not panic; retained bytes bounded by a
 		// small multiple of the input (arena holds only parsed args).
-		whole, wholeErr := parseAll(t, NewReader(bytes.NewReader(data)), len(data)+16)
+		whole, wholeErr := parseAll(t, newFuzzReader(bytes.NewReader(data)), len(data)+16)
 
 		// Byte-at-a-time parse must agree exactly: same commands, and a
 		// clean EOF on one side is a clean EOF on the other. (Error values
 		// themselves may differ in message, not in presence.)
-		split, splitErr := parseAll(t, NewReader(&chunkReader{b: data, n: 1}), len(data)+16)
+		split, splitErr := parseAll(t, newFuzzReader(&chunkReader{b: data, n: 1}), len(data)+16)
 		if len(whole) != len(split) {
 			t.Fatalf("whole parse found %d commands, split parse %d", len(whole), len(split))
 		}

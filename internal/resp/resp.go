@@ -65,7 +65,7 @@ type Reader struct {
 
 // NewReader returns a reader that reads r through its own buffer.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{b: readbuf.New(r)}
+	return &Reader{b: readbuf.New(r, readbuf.Size)}
 }
 
 // Release invalidates every Command returned since the previous Release and
@@ -80,11 +80,6 @@ func (r *Reader) Release() {
 // Buffered reports whether at least one byte of a further command is already
 // buffered — the "more pipelined input is here, keep batching" signal.
 func (r *Reader) Buffered() bool { return r.b.Buffered() }
-
-// ArenaBytes reports how many request bytes the Commands returned since the
-// last Release hold: a batch of large commands with tiny replies grows this,
-// not the reply buffer, so callers bound parse-side memory with it.
-func (r *Reader) ArenaBytes() int { return r.b.Used() }
 
 // Buffer returns the reader's buffer, whose Cap a memory gauge reads.
 func (r *Reader) Buffer() *readbuf.Buffer { return &r.b }

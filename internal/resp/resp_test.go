@@ -457,3 +457,31 @@ func TestTrickledFrameIsLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestInlineLineLimit pins the inline-line limit at its edge: a line of
+// MaxInline bytes or fewer (terminator included) parses, and the command
+// after it too, and one byte more is ErrLineTooLong with nothing parsed.
+// Each input is parsed whole and one byte per read, with the same result.
+func TestInlineLineLimit(t *testing.T) {
+	for _, n := range []int{MaxInline - 1, MaxInline, MaxInline + 1} {
+		data := []byte("SET k " + strings.Repeat("v", n-8) + "\r\nPING\r\n")
+		wantCmds, wantErr := 2, io.EOF
+		if n > MaxInline {
+			wantCmds, wantErr = 0, ErrLineTooLong
+		}
+		whole, wholeErr := parseAll(t, NewReader(bytes.NewReader(data)), len(data))
+		split, splitErr := parseAll(t, NewReader(&chunkReader{b: data, n: 1}), len(data))
+		for _, got := range []struct {
+			how  string
+			cmds [][]string
+			err  error
+		}{{"whole", whole, wholeErr}, {"one byte per read", split, splitErr}} {
+			if len(got.cmds) != wantCmds || !errors.Is(got.err, wantErr) {
+				t.Errorf("%d-byte line, %s: %d commands, err %v; want %d, %v", n, got.how, len(got.cmds), got.err, wantCmds, wantErr)
+			}
+		}
+		if fmt.Sprint(whole) != fmt.Sprint(split) {
+			t.Errorf("%d-byte line: whole and one-byte-per-read parses differ", n)
+		}
+	}
+}
