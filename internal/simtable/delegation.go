@@ -1,6 +1,7 @@
 package simtable
 
 import (
+	"dramhit/internal/hashfn"
 	"dramhit/internal/memsim"
 )
 
@@ -123,3 +124,127 @@ func (q *simQueue) prefetchHead(t *memsim.Thread) {
 
 // backlog reports published-but-unconsumed messages.
 func (q *simQueue) backlog() int { return int(q.sent - q.consumed) }
+
+// split divides a DRAMHiT-P run's threads 1:3 (paper §4.2) into producers,
+// at least one, and partition owners. owners is 0 for a single thread.
+func split(threads int) (producers, owners int) {
+	producers = max(1, threads/4)
+	return producers, threads - producers
+}
+
+// mesh is the delegation fabric of §3.2: a section queue from every sender
+// to every consumer. Consumer c polls its queues round-robin, prefetching
+// the next one's head, and leaves once every sender has closed and its
+// queues are empty.
+type mesh struct {
+	q      [][]*simQueue // [sender][consumer]
+	rr     []int         // per consumer: the sender it polls next
+	closed []bool        // per sender: its last section is published
+	open   int           // senders not yet closed
+	// owners holds DRAMHiT-P's per-partition single-writer pipelines, which
+	// apply what each consumer receives; RunDelegation has none.
+	owners []*pipeline
+}
+
+func newMesh(la *lineAlloc, senders, consumers int) *mesh {
+	m := &mesh{
+		q:      make([][]*simQueue, senders),
+		rr:     make([]int, consumers),
+		closed: make([]bool, senders),
+		open:   senders,
+	}
+	for s := range m.q {
+		m.q[s] = make([]*simQueue, consumers)
+		for c := range m.q[s] {
+			m.q[s][c] = newSimQueue(la, 512, 64)
+		}
+	}
+	return m
+}
+
+// newPartitions builds DRAMHiT-P's write path: a mesh whose consumer c is
+// simulated thread first+c and owns the partition ownerOf routes to it.
+func newPartitions(sim *memsim.Sim, la *lineAlloc, arr *array, window, senders, first, owners int, simd bool) *mesh {
+	m := newMesh(la, senders, owners)
+	m.owners = make([]*pipeline, owners)
+	for c := range m.owners {
+		m.owners[c] = newPipeline(arr, window, simd, true)
+		// Partition lines are only ever cached by their owner: the probe
+		// filter resolves them without cross-CCX broadcasts.
+		sim.Threads[first+c].ProbeExempt = true
+	}
+	return m
+}
+
+// send routes update h from sender s to its partition's owner. A full
+// queue charges a back-off and reports false; the op is not done.
+func (m *mesh) send(t *memsim.Thread, s int, h uint64) bool {
+	t.Compute(hashCycles + fullCheckCycles)
+	c := int(hashfn.Fastrange(h, uint64(len(m.owners))))
+	if !m.q[s][c].send(t, h) {
+		t.Compute(100)
+		return false
+	}
+	return true
+}
+
+// close publishes sender s's trailing sections, once.
+func (m *mesh) close(t *memsim.Thread, s int) {
+	if m.closed[s] {
+		return
+	}
+	m.closed[s] = true
+	m.open--
+	for _, q := range m.q[s] {
+		q.publish(t)
+	}
+}
+
+// recv takes one visible message for consumer c, polling each sender at
+// most once, and prefetches the head of the queue it will poll next (§3.3).
+func (m *mesh) recv(t *memsim.Thread, c int) (uint64, bool) {
+	n := len(m.q)
+	for tries := 0; tries < n; tries++ {
+		q := m.q[m.rr[c]%n][c]
+		m.rr[c]++
+		if msg, ok := q.recv(t); ok {
+			m.q[m.rr[c]%n][c].prefetchHead(t)
+			return msg.h, true
+		}
+	}
+	return 0, false
+}
+
+// drained reports whether every sender has closed and consumer c's queues
+// are empty.
+func (m *mesh) drained(c int) bool {
+	if m.open > 0 {
+		return false
+	}
+	for _, row := range m.q {
+		if row[c].backlog() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// apply receives one update for owner c and submits it to its pipeline.
+func (m *mesh) apply(t *memsim.Thread, c int) bool {
+	h, ok := m.recv(t, c)
+	if ok {
+		m.owners[c].submit(t, h, true)
+	}
+	return ok
+}
+
+// idle is owner c's step when nothing arrived: once drained it flushes its
+// pipeline and leaves (false), otherwise it charges an empty poll.
+func (m *mesh) idle(t *memsim.Thread, c int) bool {
+	if m.drained(c) {
+		m.owners[c].flush(t)
+		return false
+	}
+	t.Compute(pollEmptyCycles)
+	return true
+}

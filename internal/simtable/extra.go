@@ -1,8 +1,6 @@
 package simtable
 
 import (
-	"math/rand"
-
 	"dramhit/internal/hashfn"
 	"dramhit/internal/memsim"
 )
@@ -20,18 +18,9 @@ type DelegationResult struct {
 // 22–37 cycles, flat from 1×1 to 32×32).
 func RunDelegation(m *memsim.Machine, p, c, msgs int) DelegationResult {
 	sim := memsim.NewSim(m, p+c)
-	la := &lineAlloc{}
-	queues := make([][]*simQueue, p)
-	for i := 0; i < p; i++ {
-		queues[i] = make([]*simQueue, c)
-		for j := 0; j < c; j++ {
-			queues[i][j] = newSimQueue(la, 512, 64)
-		}
-	}
+	mq := newMesh(&lineAlloc{}, p, c)
 	remaining := make([]int, p)
 	rrP := make([]int, p)
-	rrC := make([]int, c)
-	done := 0
 	var prodCycles float64
 	for i := range remaining {
 		remaining[i] = msgs
@@ -44,43 +33,25 @@ func RunDelegation(m *memsim.Machine, p, c, msgs int) DelegationResult {
 		id := t.ID
 		if id < p {
 			if remaining[id] == 0 {
-				for j := 0; j < c; j++ {
-					queues[id][j].publish(t)
-				}
-				done++
+				mq.close(t, id)
 				prodCycles += t.Clock - startClocks[id]
 				return false
 			}
 			j := rrP[id] % c
 			rrP[id]++
-			if !queues[id][j].send(t, uint64(id)<<32|uint64(remaining[id])) {
+			if !mq.q[id][j].send(t, uint64(id)<<32|uint64(remaining[id])) {
 				t.Compute(50)
 				return true
 			}
 			remaining[id]--
 			return true
 		}
-		ci := id - p
-		for tries := 0; tries < p; tries++ {
-			q := queues[rrC[ci]%p][ci]
-			rrC[ci]++
-			if _, ok := q.recv(t); ok {
-				queues[rrC[ci]%p][ci].prefetchHead(t)
-				t.Compute(2) // read the received value
-				return true
-			}
+		if _, ok := mq.recv(t, id-p); ok {
+			t.Compute(2) // read the received value
+			return true
 		}
-		if done == p {
-			empty := true
-			for i := 0; i < p; i++ {
-				if queues[i][ci].backlog() > 0 {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				return false
-			}
+		if mq.drained(id - p) {
+			return false
 		}
 		t.Compute(pollEmptyCycles)
 		return true
@@ -99,9 +70,6 @@ func RunTrace(cfg Config, trace []uint64) Result {
 	cfgd := cfg.defaults(Inserts)
 	la := &lineAlloc{}
 	arr := newArray(la, cfgd.Slots)
-	if cfgd.TagFilter {
-		arr.enableTags(la)
-	}
 	sim := memsim.NewSim(cfgd.Machine, cfgd.Threads)
 
 	switch cfgd.Kind {
@@ -156,7 +124,7 @@ func runTraceDRAMHiT(sim *memsim.Sim, arr *array, cfg Config, trace []uint64) {
 	pos := make([]int, cfg.Threads)
 	pipes := make([]*pipeline, cfg.Threads)
 	for i := range pipes {
-		pipes[i] = newPipeline(arr, cfg.Window, false, false, cfg.Combining)
+		pipes[i] = newPipeline(arr, cfg.Window, false, false)
 		pipes[i].upsert = true // counting semantics: adds are atomic
 	}
 	sim.Run(func(t *memsim.Thread) bool {
@@ -175,76 +143,27 @@ func runTraceDRAMHiT(sim *memsim.Sim, arr *array, cfg Config, trace []uint64) {
 }
 
 func runTraceDRAMHiTP(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, trace []uint64, simd bool) {
-	producers := cfg.Threads / 4
-	if producers < 1 {
-		producers = 1
-	}
-	consumers := cfg.Threads - producers
-	if consumers < 1 {
+	producers, owners := split(cfg.Threads)
+	if owners < 1 {
 		runTraceDRAMHiT(sim, arr, cfg, trace)
 		return
 	}
-	queues := make([][]*simQueue, producers)
-	for p := 0; p < producers; p++ {
-		queues[p] = make([]*simQueue, consumers)
-		for c := 0; c < consumers; c++ {
-			queues[p][c] = newSimQueue(la, 512, 64)
-		}
-	}
-	ownerOf := func(h uint64) int { return int(hashfn.Fastrange(h, uint64(consumers))) }
+	m := newPartitions(sim, la, arr, cfg.Window, producers, producers, owners, simd)
 	chunks := traceChunks(trace, producers)
 	pos := make([]int, producers)
-	pipes := make([]*pipeline, consumers)
-	for c := 0; c < consumers; c++ {
-		pipes[c] = newPipeline(arr, cfg.Window, simd, true, cfg.Combining)
-		sim.Threads[producers+c].ProbeExempt = true
-	}
-	producersDone := 0
-	rr := make([]int, consumers)
 	sim.Run(func(t *memsim.Thread) bool {
 		id := t.ID
-		if id < producers {
-			if pos[id] >= len(chunks[id]) {
-				for c := 0; c < consumers; c++ {
-					queues[id][c].publish(t)
-				}
-				producersDone++
-				return false
-			}
-			h := chunks[id][pos[id]]
-			t.Compute(hashCycles + fullCheckCycles)
-			c := ownerOf(h)
-			if !queues[id][c].send(t, h) {
-				t.Compute(100)
-				return true
-			}
+		if id >= producers {
+			c := id - producers
+			return m.apply(t, c) || m.idle(t, c)
+		}
+		if pos[id] >= len(chunks[id]) {
+			m.close(t, id)
+			return false
+		}
+		if m.send(t, id, chunks[id][pos[id]]) {
 			pos[id]++
-			return true
 		}
-		c := id - producers
-		for tries := 0; tries < producers; tries++ {
-			q := queues[rr[c]%producers][c]
-			rr[c]++
-			if msg, ok := q.recv(t); ok {
-				queues[rr[c]%producers][c].prefetchHead(t)
-				pipes[c].submit(t, msg.h, true)
-				return true
-			}
-		}
-		if producersDone == producers {
-			empty := true
-			for p := 0; p < producers; p++ {
-				if queues[p][c].backlog() > 0 {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				pipes[c].flush(t)
-				return false
-			}
-		}
-		t.Compute(pollEmptyCycles)
 		return true
 	})
 }
@@ -274,8 +193,6 @@ func RunChainedTrace(cfg Config, trace []uint64) Result {
 	sim := memsim.NewSim(m, cfgd.Threads)
 	chunks := traceChunks(trace, cfgd.Threads)
 	pos := make([]int, cfgd.Threads)
-	rng := rand.New(rand.NewSource(cfgd.Seed))
-	_ = rng
 	sim.Run(func(t *memsim.Thread) bool {
 		if pos[t.ID] >= len(chunks[t.ID]) {
 			return false

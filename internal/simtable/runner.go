@@ -45,8 +45,8 @@ type Config struct {
 	ReadProb float64
 	// MissRatio is the fraction of lookups redirected to keys that were
 	// never inserted (ranks beyond the prefill region, mirroring
-	// workload.NewKeyStreamMiss): negative lookups walk their full cluster,
-	// the regime where the tag filter pays off most.
+	// workload.NewKeyStreamMiss): negative lookups walk their full cluster
+	// to the empty slot that ends it.
 	MissRatio float64
 	// Prefill is the occupancy fraction established untimed before
 	// measurement. Defaults: 0.45 for Inserts (the average fill of an
@@ -58,21 +58,6 @@ type Config struct {
 	// Pollutions is the number of application cache-line prefetches
 	// injected after every operation (Figure 6c).
 	Pollutions int
-	// TagFilter enables the packed tag-fingerprint sidecar (§3.1.2 of the
-	// design doc): every line visit loads the 16x-denser metadata line
-	// first, and lines the tag word rejects never pay the data access or
-	// prefetch. It engages only on SIMD pipelines (the filter is
-	// line-granular) — i.e. the DRAMHiTPSIMD kind. Opt-in, so archived
-	// simulated figures stay bit-identical when the flag is absent; the real
-	// flat tables have no sidecar (measured slower on huge pages).
-	TagFilter bool
-	// Combining enables in-window request combining: a submitted key whose
-	// hash already has a pending op in the prefetch window folds onto it
-	// (merged upsert delta / piggybacked read) for just the completion
-	// cost — zero additional DRAM transactions. Opt-in like TagFilter so
-	// archived simulated figures stay bit-identical when the flag is
-	// absent; the win grows with zipf skew and vanishes at Theta = 0.
-	Combining bool
 	// Seed fixes the run's randomness.
 	Seed int64
 	// LatencySink, when non-nil, receives per-op (submit, complete) cycle
@@ -178,9 +163,6 @@ func Run(c Config, mix OpMix) Result {
 	keyOf := func(rank uint64) uint64 { return hashfn.City64(rank ^ salt) }
 	prefillCount := uint64(float64(cfg.Slots) * cfg.Prefill)
 	arr := prefilled(cfg.Slots, prefillCount, cfg.Seed, keyOf, la)
-	if cfg.TagFilter {
-		arr.enableTags(la)
-	}
 
 	sim := memsim.NewSim(m, cfg.Threads)
 	pollBase := la.alloc(1 << 22) // 256 MB pollution array
@@ -192,11 +174,6 @@ func Run(c Config, mix OpMix) Result {
 	tableLines := cfg.Slots/4 + 1
 	if int(tableLines) <= sim.LLCLinesTotal() {
 		sim.WarmLLC(arr.baseLine, tableLines)
-	}
-	if arr.tags != nil && int(arr.tagLines()) <= sim.LLCLinesTotal() {
-		// The sidecar is 1/16 the data footprint; it is LLC-resident far
-		// beyond the point where the data lines stop fitting.
-		sim.WarmLLC(arr.tagBase, arr.tagLines())
 	}
 
 	switch cfg.Kind {
@@ -361,8 +338,8 @@ func runDRAMHiT(sim *memsim.Sim, arr *array, cfg Config, mix OpMix, keyOf func(u
 		streams[i] = newOpStream(cfg, mix, keyOf, prefill, i, fresh)
 		polls[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i)))
 		remaining[i] = per[i]
-		pipes[i] = newPipeline(arr, cfg.Window, false, false, cfg.Combining)
-		pipes[i].onComplete = wrapSink(cfg.LatencySink)
+		pipes[i] = newPipeline(arr, cfg.Window, false, false)
+		pipes[i].onComplete = cfg.LatencySink
 	}
 	sim.Run(func(t *memsim.Thread) bool {
 		p := pipes[t.ID]
@@ -387,13 +364,6 @@ func runDRAMHiT(sim *memsim.Sim, arr *array, cfg Config, mix OpMix, keyOf func(u
 	})
 }
 
-func wrapSink(sink func(submit, complete float64)) func(float64, float64) {
-	if sink == nil {
-		return nil
-	}
-	return sink
-}
-
 // runDRAMHiTP drives the partitioned table. For write-bearing workloads the
 // threads split 1:3 into producers and partition-owning consumers; for pure
 // finds every thread reads directly with a pipeline (plus the partition
@@ -411,8 +381,8 @@ func runDRAMHiTP(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, mix OpM
 			streams[i] = newOpStream(cfg, mix, keyOf, prefill, i, fresh)
 			polls[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i)))
 			remaining[i] = per[i]
-			pipes[i] = newPipeline(arr, cfg.Window, simd, false, cfg.Combining)
-			pipes[i].onComplete = wrapSink(cfg.LatencySink)
+			pipes[i] = newPipeline(arr, cfg.Window, simd, false)
+			pipes[i].onComplete = cfg.LatencySink
 		}
 		sim.Run(func(t *memsim.Thread) bool {
 			p := pipes[t.ID]
@@ -439,38 +409,13 @@ func runDRAMHiTP(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, mix OpM
 		return
 	}
 
-	// Producer / consumer split (1:3, at least one of each).
-	producers := cfg.Threads / 4
-	if producers < 1 {
-		producers = 1
-	}
-	consumers := cfg.Threads - producers
-	if consumers < 1 {
-		consumers = 1
-		producers = cfg.Threads - 1
-		if producers < 1 {
-			// Single thread: it is both; degrade to DRAMHiT-style local.
-			producers = 1
-			consumers = 0
-		}
-	}
-	if consumers == 0 {
+	producers, owners := split(cfg.Threads)
+	if owners < 1 {
+		// Single thread: it is both; degrade to DRAMHiT-style local.
 		runDRAMHiT(sim, arr, cfg, mix, keyOf, prefill, pollBase)
 		return
 	}
-
-	// Queues: producer p -> consumer c.
-	queues := make([][]*simQueue, producers)
-	for p := 0; p < producers; p++ {
-		queues[p] = make([]*simQueue, consumers)
-		for c := 0; c < consumers; c++ {
-			queues[p][c] = newSimQueue(la, 512, 64)
-		}
-	}
-	// Partition ownership: consumer for a hash.
-	ownerOf := func(h uint64) int {
-		return int(hashfn.Fastrange(h, uint64(consumers)))
-	}
+	m := newPartitions(sim, la, arr, cfg.Window, producers, producers, owners, simd)
 
 	per := opsPerThread(cfg.MeasureOps, producers)
 	fresh := newFreshRanks(prefill)
@@ -484,91 +429,41 @@ func runDRAMHiTP(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, mix OpM
 	for i := range polls {
 		polls[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i)))
 	}
-	pipes := make([]*pipeline, consumers)
 	readPipes := make([]*pipeline, producers)
-	for c := 0; c < consumers; c++ {
-		pipes[c] = newPipeline(arr, cfg.Window, simd, true, cfg.Combining)
-		// Partition lines are only ever cached by their owner: the probe
-		// filter resolves them without cross-CCX broadcasts.
-		sim.Threads[producers+c].ProbeExempt = true
-	}
 	for p := 0; p < producers; p++ {
-		readPipes[p] = newPipeline(arr, cfg.Window, simd, false, cfg.Combining)
+		readPipes[p] = newPipeline(arr, cfg.Window, simd, false)
 	}
-	producersDone := 0
-	rr := make([]int, consumers)
 
 	sim.Run(func(t *memsim.Thread) bool {
 		id := t.ID
-		if id < producers {
-			// Producer.
-			if remaining[id] == 0 {
-				// Publish trailing sections once.
-				for c := 0; c < consumers; c++ {
-					queues[id][c].publish(t)
-				}
-				readPipes[id].flush(t)
-				producersDone++
-				return false
-			}
-			h, isRead := streams[id].next()
-			if isRead {
-				t.Compute(fullCheckCycles)
-				readPipes[id].submit(t, h, false)
-				remaining[id]--
-				return true
-			}
-			t.Compute(hashCycles + fullCheckCycles)
-			c := ownerOf(h)
-			if !queues[id][c].send(t, h) {
-				// Queue full: back off and retry this op later.
-				t.Compute(100)
-				return true
-			}
-			if cfg.LatencySink != nil {
-				// Fire-and-forget: the paper measures DRAMHiT-P insert
-				// latency as submission time (90% within 52 cycles).
-				cfg.LatencySink(t.Clock-msgEnqueue-hashCycles, t.Clock)
-			}
+		if id >= producers {
+			c := id - producers
+			return m.apply(t, c) || m.idle(t, c)
+		}
+		if remaining[id] == 0 {
+			m.close(t, id)
+			readPipes[id].flush(t)
+			return false
+		}
+		h, isRead := streams[id].next()
+		if isRead {
+			t.Compute(fullCheckCycles)
+			readPipes[id].submit(t, h, false)
 			remaining[id]--
-			if cfg.Pollutions > 0 {
-				pollute(t, polls[id], pollBase, cfg.Pollutions)
-			}
 			return true
 		}
-
-		// Consumer.
-		c := id - producers
-		got := false
-		for tries := 0; tries < producers; tries++ {
-			q := queues[rr[c]%producers][c]
-			rr[c]++
-			if msg, ok := q.recv(t); ok {
-				// Prefetch the queue we will serve next (§3.3).
-				queues[rr[c]%producers][c].prefetchHead(t)
-				pipes[c].submit(t, msg.h, true)
-				got = true
-				break
-			}
+		if !m.send(t, id, h) {
+			return true // not counted: the next step draws a new op
 		}
-		if got {
-			return true
+		if cfg.LatencySink != nil {
+			// Fire-and-forget: the paper measures DRAMHiT-P insert
+			// latency as submission time (90% within 52 cycles).
+			cfg.LatencySink(t.Clock-msgEnqueue-hashCycles, t.Clock)
 		}
-		// Idle: are we done?
-		if producersDone == producers {
-			empty := true
-			for p := 0; p < producers; p++ {
-				if queues[p][c].backlog() > 0 {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				pipes[c].flush(t)
-				return false
-			}
+		remaining[id]--
+		if cfg.Pollutions > 0 {
+			pollute(t, polls[id], pollBase, cfg.Pollutions)
 		}
-		t.Compute(pollEmptyCycles)
 		return true
 	})
 }
@@ -597,24 +492,13 @@ func opsPerThread(total, threads int) []int {
 // insert configuration.
 func runDRAMHiTPMixed(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, keyOf func(uint64) uint64, prefill, pollBase uint64, simd bool) {
 	threads := cfg.Threads
-	producersOnly := threads / 4
-	if producersOnly < 1 {
-		producersOnly = 1
-	}
-	consumers := threads - producersOnly
-	if consumers < 1 {
+	producersOnly, owners := split(threads)
+	if owners < 1 {
 		runDRAMHiT(sim, arr, cfg, Mixed, keyOf, prefill, pollBase)
 		return
 	}
-	// Every thread can send; consumer role = ids >= producersOnly.
-	queues := make([][]*simQueue, threads)
-	for p := 0; p < threads; p++ {
-		queues[p] = make([]*simQueue, consumers)
-		for c := 0; c < consumers; c++ {
-			queues[p][c] = newSimQueue(la, 512, 64)
-		}
-	}
-	ownerOf := func(h uint64) int { return int(hashfn.Fastrange(h, uint64(consumers))) }
+	// Every thread sends; the owner role is ids >= producersOnly.
+	m := newPartitions(sim, la, arr, cfg.Window, threads, producersOnly, owners, simd)
 
 	per := opsPerThread(cfg.MeasureOps, threads)
 	fresh := newFreshRanks(prefill)
@@ -622,39 +506,22 @@ func runDRAMHiTPMixed(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, ke
 	remaining := make([]int, threads)
 	polls := make([]*rand.Rand, threads)
 	readPipes := make([]*pipeline, threads)
-	applyPipes := make([]*pipeline, consumers)
 	for i := 0; i < threads; i++ {
 		streams[i] = newOpStream(cfg, Mixed, keyOf, prefill, i, fresh)
 		remaining[i] = per[i]
 		polls[i] = rand.New(rand.NewSource(cfg.Seed ^ int64(i)))
-		readPipes[i] = newPipeline(arr, cfg.Window, simd, false, cfg.Combining)
+		readPipes[i] = newPipeline(arr, cfg.Window, simd, false)
 	}
-	for c := 0; c < consumers; c++ {
-		applyPipes[c] = newPipeline(arr, cfg.Window, simd, true, cfg.Combining)
-		sim.Threads[producersOnly+c].ProbeExempt = true
-	}
-	closed := make([]bool, threads)
-	closedCount := 0
-	rr := make([]int, consumers)
 
 	sim.Run(func(t *memsim.Thread) bool {
 		id := t.ID
-		isConsumer := id >= producersOnly
-		// Consumers drain one delegated write per step (so queues never
+		c := id - producersOnly
+		// Owners apply one delegated write per step (so queues never
 		// back up) and still advance their own operation stream below —
-		// otherwise a busy mesh starves the consumers' own reads and the
+		// otherwise a busy mesh starves the owners' own reads and the
 		// run's makespan stretches on their tail.
-		if isConsumer {
-			c := id - producersOnly
-			for tries := 0; tries < threads; tries++ {
-				q := queues[rr[c]%threads][c]
-				rr[c]++
-				if msg, ok := q.recv(t); ok {
-					queues[rr[c]%threads][c].prefetchHead(t)
-					applyPipes[c].submit(t, msg.h, true)
-					break
-				}
-			}
+		if c >= 0 {
+			m.apply(t, c)
 		}
 		if remaining[id] > 0 {
 			remaining[id]--
@@ -662,46 +529,21 @@ func runDRAMHiTPMixed(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, ke
 			if isRead {
 				t.Compute(fullCheckCycles)
 				readPipes[id].submit(t, h, false)
-			} else {
-				t.Compute(hashCycles + fullCheckCycles)
-				if !queues[id][ownerOf(h)].send(t, h) {
-					t.Compute(100)
-					remaining[id]++ // retry later
-				}
+			} else if !m.send(t, id, h) {
+				remaining[id]++ // not counted: a later step draws a new op
 			}
 			if cfg.Pollutions > 0 {
 				pollute(t, polls[id], pollBase, cfg.Pollutions)
 			}
 			return true
 		}
-		// Done generating: publish trailing sections once, then (consumers)
+		// Done generating: publish trailing sections once, then (owners)
 		// keep draining until everything is closed and empty.
-		if !closed[id] {
-			closed[id] = true
-			closedCount++
-			for c := 0; c < consumers; c++ {
-				queues[id][c].publish(t)
-			}
-			readPipes[id].flush(t)
-		}
-		if !isConsumer {
+		m.close(t, id)
+		readPipes[id].flush(t)
+		if c < 0 {
 			return false
 		}
-		c := id - producersOnly
-		if closedCount == threads {
-			empty := true
-			for p := 0; p < threads; p++ {
-				if queues[p][c].backlog() > 0 {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				applyPipes[c].flush(t)
-				return false
-			}
-		}
-		t.Compute(pollEmptyCycles)
-		return true
+		return m.idle(t, c)
 	})
 }

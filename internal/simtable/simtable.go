@@ -1,7 +1,7 @@
 // Package simtable ports the three hash-table designs — Folklore, DRAMHiT,
 // and DRAMHiT-P (with its SIMD variant) — onto the cycle-level machine model
 // of internal/memsim. The tables execute their real probe sequences over a
-// compact occupancy representation (one fingerprint byte per slot), and
+// compact occupancy representation (a 16-bit fingerprint per slot), and
 // every cache-line touch, prefetch, CAS, store and delegation message is
 // charged through the timing model. This is the layer that regenerates the
 // paper's figures: throughput in Mops emerges from latency, bandwidth and
@@ -63,7 +63,6 @@ const (
 	pollEmptyCycles     = 30.0 // consumer scan over empty queues
 	ownerDispatchCycles = 20.0 // partition owner: dequeue-to-pipeline dispatch
 	fullCheckCycles     = 2.0  // producer-side partition-full flag test (L1 hit)
-	tagCheckCycles      = 2.0  // tag-word byte-match + mask shift (SWAR, register-only)
 )
 
 // fingerprints: 0 = empty, 1 = tombstone, 2..65535 = occupied. Sixteen bits
@@ -81,12 +80,6 @@ type array struct {
 	fp       []uint16
 	size     uint64
 	baseLine uint64
-	// tags is the packed tag-fingerprint sidecar image (one byte per slot,
-	// 0 = unpublished/empty), present only when Config.TagFilter is set;
-	// tagBase is its simulated line range. See internal/slotarr for the real
-	// sidecar this models.
-	tags    []uint8
-	tagBase uint64
 }
 
 // lineAlloc is a bump allocator for simulated line addresses; distinct
@@ -111,60 +104,6 @@ func newArray(la *lineAlloc, slots uint64) *array {
 // line returns the simulated line address of slot i.
 func (a *array) line(i uint64) uint64 {
 	return a.baseLine + i/table.SlotsPerCacheLine
-}
-
-// tagsPerLine: the sidecar packs one tag byte per slot, so a 64-byte line
-// covers 64 slots — 16 data lines' worth of metadata per metadata line.
-const tagsPerLine = 64
-
-// tag8 folds a 16-bit fingerprint to the sidecar's tag byte, with 0 reserved
-// for empty/unpublished exactly like table.TagOf.
-func tag8(f uint16) uint8 {
-	t := uint8(f)
-	if t == 0 {
-		t = 1
-	}
-	return t
-}
-
-// enableTags allocates and populates the tag sidecar for an (already
-// prefilled) array. It is called lazily, after every other allocation the
-// caller has made, so line addresses of existing structures never shift when
-// the filter is off — archived figure captures stay bit-identical.
-func (a *array) enableTags(la *lineAlloc) {
-	if a.tags != nil {
-		return
-	}
-	a.tags = make([]uint8, a.size)
-	a.tagBase = la.alloc(a.size/tagsPerLine + 1)
-	for i, f := range a.fp {
-		if f != fpEmpty && f != fpTombstone {
-			a.tags[i] = tag8(f)
-		}
-	}
-}
-
-// tagLine returns the simulated line address of slot i's tag byte.
-func (a *array) tagLine(i uint64) uint64 { return a.tagBase + i/tagsPerLine }
-
-// tagLines returns the sidecar's line count (for LLC warming).
-func (a *array) tagLines() uint64 { return a.size/tagsPerLine + 1 }
-
-// lineCandidates reports whether the cache line containing slot i has any
-// lane the tag word cannot rule out for the given tag: a matching tag byte
-// or a zero (must-check) byte. Mirrors slotarr.LineCandidates.
-func (a *array) lineCandidates(i uint64, tag uint8) bool {
-	base := i &^ (table.SlotsPerCacheLine - 1)
-	end := base + table.SlotsPerCacheLine
-	if end > a.size {
-		end = a.size
-	}
-	for s := i; s < end; s++ {
-		if t := a.tags[s]; t == tag || t == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func fpOf(h uint64) uint16 {
