@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dramhit/internal/dramhit"
+	"dramhit/internal/dramhitp"
 	"dramhit/internal/kmer"
 	"dramhit/internal/table"
 	"dramhit/internal/workload"
@@ -120,20 +121,28 @@ func realKmer(cfg Config) *Artifact {
 		ks = []int{16}
 	}
 	dh := Series{Name: "dramhit (batched upserts)"}
-	for _, k := range ks {
-		tbl := dramhit.New(dramhit.Config{Slots: 1 << 22})
-		c := kmer.NewDRAMHiTCounter(tbl.NewHandle(), 16)
+	dp := Series{Name: "dramhit-p (delegated upserts, 1 producer : 1 owner)"}
+	count := func(s *Series, k int, c kmer.Counter, settle func()) {
 		start := time.Now()
 		total := 0
 		for _, rec := range records {
 			total += kmer.CountSequence(c, rec, k)
 		}
-		c.Flush()
-		mops := float64(total) / time.Since(start).Seconds() / 1e6
-		dh.X = append(dh.X, float64(k))
-		dh.Y = append(dh.Y, mops)
+		settle()
+		s.X = append(s.X, float64(k))
+		s.Y = append(s.Y, float64(total)/time.Since(start).Seconds()/1e6)
 	}
-	a.Series = append(a.Series, dh)
+	for _, k := range ks {
+		c := kmer.NewDRAMHiTCounter(dramhit.New(dramhit.Config{Slots: 1 << 22}).NewHandle(), 16)
+		count(&dh, k, c, c.Flush)
+		pt := dramhitp.New(dramhitp.Config{Slots: 1 << 22})
+		pt.Start()
+		w := pt.NewWriteHandle()
+		count(&dp, k, kmer.PartitionedCounter{W: w, R: pt.NewReadHandle()}, w.Barrier)
+		w.Close()
+		pt.Close()
+	}
+	a.Series = append(a.Series, dh, dp)
 	a.Notes = append(a.Notes, "absolute Mops reflect this host and the Go runtime; the paper's Figure 12 shape is reproduced by fig12a/fig12b")
 	return a
 }

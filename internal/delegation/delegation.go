@@ -146,11 +146,6 @@ func (p *Producer) Send(c int, m Message) {
 	}
 }
 
-// TrySend attempts a non-blocking delivery.
-func (p *Producer) TrySend(c int, m Message) bool {
-	return p.qs[c].Enqueue(m)
-}
-
 // Flush publishes any partially filled sections on all queues. Call at
 // batch boundaries.
 func (p *Producer) Flush() {
@@ -171,8 +166,9 @@ func (p *Producer) Pending() int {
 }
 
 // Barrier sends a barrier message to every consumer and waits until all of
-// them have executed it, which — because each queue is FIFO — implies every
-// earlier message from this producer has been executed too.
+// them have executed it, which — because each queue is FIFO, and a consumer
+// drains what it applies asynchronously before it acknowledges (Serve) —
+// implies every earlier message from this producer has been executed too.
 func (p *Producer) Barrier() {
 	p.sent++
 	target := p.sent * uint64(len(p.qs))
@@ -209,11 +205,11 @@ type Consumer struct {
 	next int
 }
 
-// Poll returns the next available message, scanning the incoming queues
-// round-robin starting after the last served queue and prefetching the
-// queue it will inspect next. ok is false when no queue currently has a
-// published message.
-func (c *Consumer) Poll() (Message, bool) {
+// poll returns the next available message, barriers included, scanning the
+// incoming queues round-robin starting after the last served queue and
+// prefetching the queue it will inspect next. ok is false when no queue
+// currently has a published message.
+func (c *Consumer) poll() (Message, bool) {
 	n := len(c.qs)
 	for i := 0; i < n; i++ {
 		idx := c.next
@@ -225,10 +221,6 @@ func (c *Consumer) Poll() (Message, bool) {
 		// "Consumer prefetches the next queue before trying to access it").
 		c.qs[c.next].PrefetchNext()
 		if m, ok := c.qs[idx].Dequeue(); ok {
-			if m.Aux == barrierOp {
-				c.f.acks[m.A].n.Add(1)
-				continue
-			}
 			return m, true
 		}
 	}
@@ -236,10 +228,9 @@ func (c *Consumer) Poll() (Message, bool) {
 	return zero, false
 }
 
-// Done reports whether all producers have closed and every queue is
-// drained. A consumer loop typically runs `for !c.Done() { m, ok := c.Poll();
-// ... }`.
-func (c *Consumer) Done() bool {
+// done reports whether all producers have closed and every queue is
+// drained.
+func (c *Consumer) done() bool {
 	if c.f.closed[c.id].n.Load() != uint64(c.f.cfg.Producers) {
 		return false
 	}
@@ -253,21 +244,42 @@ func (c *Consumer) Done() bool {
 	return true
 }
 
-// Run polls until Done, invoking fn for every message, yielding when idle.
-// It is the canonical consumer loop. A consumer that stays idle for a long
-// stretch backs off to short sleeps so parked delegation threads do not
-// monopolize a CPU (the paper's consumers busy-poll on dedicated cores; Go
-// consumers share cores with application goroutines).
-func (c *Consumer) Run(fn func(Message)) {
+// Run is Serve for a consumer that executes every message inside fn: it has
+// nothing to drain.
+func (c *Consumer) Run(fn func(Message)) { c.Serve(fn, func() {}) }
+
+// Serve polls until every producer has closed and every queue is empty,
+// handing each message to apply. apply may leave what it was handed in
+// flight (DRAMHiT-P's owners submit each update into a prefetch ring), and
+// drain completes all of it. Serve drains, if apply ran since the last
+// drain, before it acknowledges a barrier (so Barrier means executed, not
+// dequeued) and whenever its queues run dry, hence also before it returns.
+// A consumer that stays idle for a long stretch backs off to short sleeps so
+// parked delegation threads do not monopolize a CPU (the paper's consumers
+// busy-poll on dedicated cores; Go consumers share cores with application
+// goroutines).
+func (c *Consumer) Serve(apply func(Message), drain func()) {
 	idle := 0
+	held := false
 	for {
-		m, ok := c.Poll()
-		if ok {
+		m, ok := c.poll()
+		if ok && m.Aux != barrierOp {
 			idle = 0
-			fn(m)
+			apply(m)
+			held = true
 			continue
 		}
-		if c.Done() {
+		// A barrier, or nothing to poll: first complete what apply holds.
+		if held {
+			drain()
+			held = false
+		}
+		if ok {
+			idle = 0
+			c.f.acks[m.A].n.Add(1)
+			continue
+		}
+		if c.done() {
 			return
 		}
 		idle++

@@ -2,7 +2,9 @@ package delegation
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSingleProducerSingleConsumer(t *testing.T) {
@@ -186,19 +188,38 @@ func TestPanicsOnBadConfig(t *testing.T) {
 	New(Config{Producers: 1, Consumers: 0})
 }
 
-func TestTrySendBackpressure(t *testing.T) {
-	f := New(Config{Producers: 1, Consumers: 1, QueueCapacity: 8, Sections: 1})
+// TestBarrierWaitsForDrain: a consumer that applies asynchronously holds
+// what it was handed until drain runs, so a Barrier must not return before
+// the drain that covers its messages has finished, however slow that drain
+// is. The drain here sleeps before it publishes, so a consumer that
+// acknowledged at dequeue and drained afterwards would let the barrier see
+// nothing applied.
+func TestBarrierWaitsForDrain(t *testing.T) {
+	f := New(Config{Producers: 1, Consumers: 1, QueueCapacity: 64})
 	p := f.Producer(0)
-	n := 0
-	for p.TrySend(0, Message{}) {
-		n++
-		if n > 100 {
-			t.Fatal("TrySend never failed with no consumer")
+	var applied atomic.Int64
+	held := int64(0)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f.Consumer(0).Serve(func(Message) { held++ }, func() {
+			time.Sleep(5 * time.Millisecond)
+			applied.Add(held)
+			held = 0
+		})
+	}()
+	for round := int64(1); round <= 3; round++ {
+		for i := 0; i < 3; i++ {
+			p.Send(0, Message{A: uint64(i)})
+		}
+		p.Barrier()
+		if got := applied.Load(); got != 3*round {
+			t.Fatalf("round %d: barrier returned with %d messages applied, want %d", round, got, 3*round)
 		}
 	}
-	if n == 0 {
-		t.Fatal("TrySend failed immediately")
-	}
+	p.Close()
+	wg.Wait()
 }
 
 func BenchmarkSendReceive1x1(b *testing.B) {

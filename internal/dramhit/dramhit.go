@@ -99,23 +99,25 @@ type Table struct {
 	obsReg  *obs.Registry
 	worker  string       // obs worker-shard name prefix
 	nhandle atomic.Int64 // handle counter for worker shard names
-
-	// used and live are the only words of the table that the op paths write —
-	// every insert and delete of every handle — while every request of every
-	// handle reads side above. A cache line of padding on either
-	// side keeps the two apart wherever the allocator puts the struct;
-	// sharing a line doubles the time of a two-handle bulk load.
-	_    [64]byte
-	used atomic.Int64
-	live atomic.Int64
-	_    [64]byte
 }
 
 // region is one uniform slice of the table's storage: a slot array on the
 // flat layout, a self-resizing bucket index on the bucket layout.
+//
+// used and live count the flat region's claimed slots (tombstones included)
+// and present entries. They are the only words the op paths write — every
+// insert and delete — while every request reads arr or bkt, so they sit a
+// cache line away from both, and from the next region's
+// (TestHandlesShareNoLine): sharing a line with a probed word doubles the
+// time of a two-handle bulk load, and on a view the regions' writers
+// (DRAMHiT-P's owners) share no written line.
 type region struct {
-	arr *slotarr.Array
-	bkt *slotarr.BucketTable
+	arr  *slotarr.Array
+	bkt  *slotarr.BucketTable
+	_    [48]byte
+	used atomic.Int64
+	live atomic.Int64
+	_    [48]byte
 }
 
 // Regions is storage built and owned by another package — DRAMHiT-P's
@@ -173,11 +175,11 @@ func checkLayout(cfg Config) {
 // kind r holds, and on the flat layout the writer must place keys by
 // hashfn.City64, the hash every flat route takes. Handles of a view run the
 // same ring as any other; what a view
-// does not have is ownership: on the flat layout Len and Fill count what this
-// table's own CAS drains claimed, so they are the caller's to report, and
-// only operations the regions' write protocol admits from any goroutine may
-// be submitted (DRAMHiT-P's flat partitions: Gets; its bucket partitions take
-// every byte operation, since the engine's CAS protocol serializes writers).
+// does not have is ownership: only operations the regions' write protocol
+// admits from a given goroutine may be submitted through its handle
+// (DRAMHiT-P's flat partitions: Gets from any goroutine, updates from the
+// partition's owner only; its bucket partitions take every byte operation
+// from any goroutine, since the engine's CAS protocol serializes writers).
 func NewView(cfg Config, r Regions) *Table {
 	checkLayout(cfg)
 	w := cfg.PrefetchWindow
@@ -238,10 +240,13 @@ func (h *Handle) requireLayout(want table.Layout) {
 
 // Len returns the number of live entries.
 func (t *Table) Len() int {
-	if t.Bucket() == nil {
-		return int(t.live.Load()) + t.side.Count()
-	}
 	n := 0
+	if t.Bucket() == nil {
+		for i := range t.regs {
+			n += int(t.regs[i].live.Load())
+		}
+		return n + t.side.Count()
+	}
 	for i := range t.regs {
 		n += t.regs[i].bkt.Len()
 	}
@@ -263,14 +268,24 @@ func (t *Table) Cap() int {
 
 // Fill returns claimed slots (including tombstones) over capacity.
 func (t *Table) Fill() float64 {
-	if t.Bucket() == nil {
-		return float64(t.used.Load()) / float64(t.size)
-	}
 	var claimed int64
+	if t.Bucket() == nil {
+		for i := range t.regs {
+			claimed += t.regs[i].used.Load()
+		}
+		return float64(claimed) / float64(t.size)
+	}
 	for i := range t.regs {
 		claimed += t.regs[i].bkt.Claimed()
 	}
 	return float64(claimed) / float64(t.Cap())
+}
+
+// RegionFull reports whether flat region r has no empty slot left, so that
+// every insert routed to it fails. DRAMHiT-P's owners read it for the
+// partitions they write.
+func (t *Table) RegionFull(r int) bool {
+	return uint64(t.regs[r].used.Load()) >= t.rslots
 }
 
 // Window returns the configured prefetch window.
@@ -609,28 +624,28 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (blocked bool
 	return false
 }
 
-// claim tries to insert key with value v into the empty slot i of arr,
-// counting its CAS and value store; false means a racing insert took the
-// slot first.
-func (h *Handle) claim(arr *slotarr.Array, i, key, v uint64) bool {
+// claim tries to insert key with value v into the empty slot i of region
+// r's array, counting its CAS and value store; false means a racing insert
+// took the slot first.
+func (h *Handle) claim(r *region, i, key, v uint64) bool {
 	h.stats.CASAttempts++
-	if !arr.CASKey(i, table.EmptyKey, key) {
+	if !r.arr.CASKey(i, table.EmptyKey, key) {
 		return false
 	}
 	h.stats.CASAttempts++
-	arr.StoreValue(i, v)
-	h.t.used.Add(1)
-	h.t.live.Add(1)
+	r.arr.StoreValue(i, v)
+	r.used.Add(1)
+	r.live.Add(1)
 	return true
 }
 
-// tombstone deletes key from slot i of arr, reporting whether this call
-// removed it (a concurrent Delete of the same key may have won).
-func (h *Handle) tombstone(arr *slotarr.Array, i, key uint64) bool {
-	if !arr.CASKey(i, key, table.TombstoneKey) {
+// tombstone deletes key from slot i of region r's array, reporting whether
+// this call removed it (a concurrent Delete of the same key may have won).
+func (h *Handle) tombstone(r *region, i, key uint64) bool {
+	if !r.arr.CASKey(i, key, table.TombstoneKey) {
 		return false
 	}
-	h.t.live.Add(-1)
+	r.live.Add(-1)
 	return true
 }
 

@@ -450,7 +450,7 @@ func TestKernelMixedOpRaces(t *testing.T) {
 		seen[k] = true
 		live++
 	}
-	if got := int(tbl.live.Load()); got != live {
+	if got := int(tbl.regs[0].live.Load()); got != live {
 		t.Fatalf("live counter %d, scan found %d", got, live)
 	}
 }

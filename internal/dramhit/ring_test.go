@@ -309,7 +309,10 @@ func TestTwoLineVisit(t *testing.T) {
 // a two-goroutine bulk load — must not share a cache line in their Handle
 // structs or ring backing arrays, or every request of one invalidates a line
 // the other writes. Both are sized to whole lines, which puts each in a
-// line-multiple allocation size class.
+// line-multiple allocation size class. The same holds for the regions'
+// insert and delete counters: no counter line of any region may hold a word a
+// probe reads (a region's arr or bkt, or the Table), or a line another
+// region's counters live on.
 func TestHandlesShareNoLine(t *testing.T) {
 	if n := unsafe.Sizeof(Handle{}); n%table.CacheLineBytes != 0 {
 		t.Fatalf("Handle is %d bytes, not a whole number of cache lines", n)
@@ -317,6 +320,29 @@ func TestHandlesShareNoLine(t *testing.T) {
 	type span struct{ lo, hi uintptr } // first and last line touched
 	lines := func(p unsafe.Pointer, n uintptr) span {
 		return span{uintptr(p) / table.CacheLineBytes, (uintptr(p) + n - 1) / table.CacheLineBytes}
+	}
+	overlap := func(a, b span) bool { return a.lo <= b.hi && b.lo <= a.hi }
+	for _, nreg := range []int{1, 3, 9} {
+		tbl := newRegionTable(Config{Slots: 1 << 10}, nreg)
+		read := []span{lines(unsafe.Pointer(tbl), unsafe.Sizeof(*tbl))}
+		var counters []span
+		for i := range tbl.regs {
+			r := &tbl.regs[i]
+			read = append(read, lines(unsafe.Pointer(&r.arr), 2*unsafe.Sizeof(r.arr)))
+			counters = append(counters, lines(unsafe.Pointer(&r.used), 2*unsafe.Sizeof(r.used)))
+		}
+		for i, c := range counters {
+			for _, r := range read {
+				if overlap(c, r) {
+					t.Errorf("%d regions: region %d's counters share line %d-%d with a probed word", nreg, i, c.lo, c.hi)
+				}
+			}
+			for j, d := range counters[:i] {
+				if overlap(c, d) {
+					t.Errorf("%d regions: the counters of regions %d and %d share a line", nreg, j, i)
+				}
+			}
+		}
 	}
 	for _, window := range []int{1, 4, 16} {
 		tbl := New(Config{Slots: 1 << 10, PrefetchWindow: window})
@@ -331,7 +357,7 @@ func TestHandlesShareNoLine(t *testing.T) {
 		}
 		for _, a := range spans[0] {
 			for _, b := range spans[1] {
-				if a.lo <= b.hi && b.lo <= a.hi {
+				if overlap(a, b) {
 					t.Errorf("window %d: lines %d-%d and %d-%d of two handles overlap", window, a.lo, a.hi, b.lo, b.hi)
 				}
 			}

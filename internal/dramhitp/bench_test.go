@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"dramhit/internal/table"
 	"dramhit/internal/workload"
 )
 
@@ -19,33 +20,77 @@ func benchTable(b *testing.B, producers, consumers int) *Table {
 	return t
 }
 
-func BenchmarkDelegatedUpsert(b *testing.B) {
-	t := benchTable(b, 1, 2)
+// delegatedCase is one cell of the owner-path matrix: one producer writes
+// through one owner into a table of 1<<logSlots slots, DRAM-resident at
+// 2^25 and cache-resident at 2^17, drawing keys over half of the slots,
+// uniformly (theta 0) or zipf-skewed. Run it at -cpu 2, one goroutine each.
+type delegatedCase struct {
+	name     string
+	logSlots int
+	theta    float64
+	gov      table.GovernorMode
+}
+
+var delegatedCases = []delegatedCase{
+	{"slots=2^25/uniform", 25, 0, table.GovernorOff},
+	{"slots=2^25/zipf=0.99", 25, 0.99, table.GovernorOff},
+	{"slots=2^17/uniform", 17, 0, table.GovernorOff},
+	{"slots=2^17/zipf=0.99", 17, 0.99, table.GovernorOff},
+	{"slots=2^17/uniform/direct", 17, 0, table.GovernorDirect},
+	{"slots=2^17/zipf=0.99/direct", 17, 0.99, table.GovernorDirect},
+}
+
+// delegatedKeys memoizes each case's key stream: 2^22 draws, enough that a
+// run of a few million operations does not cycle back into warm lines.
+var delegatedKeys = map[[2]float64][]uint64{}
+
+func (c delegatedCase) keys() []uint64 {
+	id := [2]float64{float64(c.logSlots), c.theta}
+	if k, ok := delegatedKeys[id]; ok {
+		return k
+	}
+	s := workload.NewKeyStream(int64(c.logSlots), 1<<c.logSlots/2, c.theta)
+	k := make([]uint64, 1<<22)
+	for i := range k {
+		k[i] = s.Next()
+	}
+	delegatedKeys[id] = k
+	return k
+}
+
+// run times b.N writes through one WriteHandle and the Barrier that has the
+// owner apply the last of them.
+func (c delegatedCase) run(b *testing.B, comb table.Combining, write func(w *WriteHandle, key uint64, i int)) {
+	keys := c.keys()
+	t := New(Config{Slots: 1 << c.logSlots, Producers: 1, Consumers: 1, Governor: c.gov, Combining: comb})
+	t.Start()
+	defer t.Close()
 	w := t.NewWriteHandle()
 	defer w.Close()
-	keys := workload.UniqueKeys(1, 1<<14)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Upsert(keys[i&(1<<14-1)], 1)
+		write(w, keys[i&(len(keys)-1)], i)
 	}
 	w.Barrier()
+	b.StopTimer()
+}
+
+func BenchmarkDelegatedUpsert(b *testing.B) {
+	for _, c := range delegatedCases {
+		for _, comb := range []table.Combining{table.CombineOn, table.CombineOff} {
+			b.Run(c.name+"/combine="+comb.String(), func(b *testing.B) {
+				c.run(b, comb, func(w *WriteHandle, key uint64, _ int) { w.Upsert(key, 1) })
+			})
+		}
+	}
 }
 
 func BenchmarkDelegatedPutSkewed(b *testing.B) {
-	// Hot-key puts: the case where delegation replaces coherence storms.
-	t := benchTable(b, 1, 2)
-	w := t.NewWriteHandle()
-	defer w.Close()
-	keys := workload.NewKeyStream(2, 1<<14, 1.09)
-	hot := make([]uint64, 1<<12)
-	for i := range hot {
-		hot[i] = keys.Next()
+	for _, c := range delegatedCases {
+		b.Run(c.name, func(b *testing.B) {
+			c.run(b, table.CombineOn, func(w *WriteHandle, key uint64, i int) { w.Put(key, uint64(i)) })
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Put(hot[i&(1<<12-1)], uint64(i))
-	}
-	w.Barrier()
 }
 
 func BenchmarkDirectRead(b *testing.B) {

@@ -14,7 +14,7 @@ import (
 )
 
 // TestPartitionIsOneLine: partitions owned by different consumers must not
-// share a cache line through their owner-written count and live.
+// share a cache line through their owner-written full flags.
 func TestPartitionIsOneLine(t *testing.T) {
 	if n := unsafe.Sizeof(partition{}); n != table.CacheLineBytes {
 		t.Fatalf("partition is %d bytes, want exactly one %d-byte cache line", n, table.CacheLineBytes)

@@ -46,8 +46,8 @@ func (w *WriteHandle) holdUpsert(key, delta uint64) bool {
 }
 
 // flushHeld delegates every held upsert to its partition owner. Fullness
-// was checked at hold time (and putLocal re-checks capacity regardless),
-// so the flush sends unconditionally.
+// was checked at hold time (and an update to a full partition fails in the
+// owner's ring regardless), so the flush sends unconditionally.
 func (w *WriteHandle) flushHeld() {
 	t := w.t
 	for i := 0; i < w.cn; i++ {

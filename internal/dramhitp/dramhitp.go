@@ -12,6 +12,12 @@
 // tens of cycles. A WriteHandle.Barrier gives read-your-writes when callers
 // need it.
 //
+// Reads and writes run one probe engine: the table is a dramhit view over
+// the partitions, every ReadHandle is one of its handles, and so is each
+// owner's, into which the owner submits the updates delegated to it. An
+// owner's writes therefore take dramhit's prefetched ring (or direct mode)
+// and its claim CAS, which on a partition nothing else writes never loses.
+//
 // Table is that paper table, uint64 keys and values over flat partitions.
 // NewBytes builds the partitioned byte table instead: one self-resizing
 // bucket index per partition over one shared arena, served by ordinary
@@ -28,7 +34,6 @@ import (
 	"dramhit/internal/dramhit"
 	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
-	"dramhit/internal/simd"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
@@ -46,8 +51,8 @@ type Config struct {
 	// PartitionsPerConsumer sets how many partitions each delegation thread
 	// owns (default 1; the paper's Figure 3 shows 3).
 	PartitionsPerConsumer int
-	// PrefetchWindow is the read-pipeline depth (default
-	// dramhit.DefaultPrefetchWindow).
+	// PrefetchWindow is the pipeline depth of every reader's and owner's
+	// handle (default dramhit.DefaultPrefetchWindow).
 	PrefetchWindow int
 	// QueueCapacity is the per-delegation-queue capacity (default 512).
 	QueueCapacity int
@@ -61,30 +66,27 @@ type Config struct {
 	Combining table.Combining
 	// Observe, when non-nil, attaches the table to the observability
 	// registry: each handle registers a padded counter shard published at
-	// batch boundaries (Flush/Barrier for writers, Submit/Flush for
-	// readers), plus a table-level pull source of quiescent-safe aggregates.
-	// Nil — the default — is bit-identical and allocation-free.
+	// batch boundaries (Flush/Barrier for writers, Submit/Flush for readers
+	// and owners), plus a table-level pull source of quiescent-safe
+	// aggregates. Nil — the default — is bit-identical and allocation-free.
 	Observe *obs.Registry
-	// Governor selects the read path's execution mode, fixed at
-	// construction and forwarded to the read view (dramhit.Config.Governor).
-	// table.GovernorOff (the zero value) runs ReadHandles' prefetch pipeline;
-	// table.GovernorDirect answers each lookup synchronously, in submission
-	// order. Writes are delegated either way.
+	// Governor selects the execution mode of the view's handles, fixed at
+	// construction (dramhit.Config.Governor): table.GovernorOff (the zero
+	// value) runs the prefetch pipeline, table.GovernorDirect executes each
+	// request synchronously, in submission order. It applies to readers and
+	// owners alike; writers delegate either way.
 	Governor table.GovernorMode
 }
 
-// partition is a single-writer region of the table. The owner thread writes
-// with release stores (value before key), concurrent readers probe with
-// plain atomic loads; no CAS is needed anywhere because writes are
-// serialized by ownership. The padding makes the struct exactly one cache
-// line (TestPartitionIsOneLine), so the owner-written count and live of
-// partitions with different owners never share a line.
+// partition p of the table is region p of its view, written only by its
+// owner. What the table keeps of it is the full flag, the one word the owner
+// writes and every producer reads: set once no slot is left, so producers
+// deny inserts before sending them (paper §3.2). The padding keeps the flags
+// of partitions with different owners on different lines
+// (TestPartitionIsOneLine).
 type partition struct {
-	arr   *slotarr.Array
-	count uint64 // owner-local: claimed slots (incl. tombstones)
-	live  int64  // owner-local: present entries
-	full  atomic.Bool
-	_     [36]byte
+	full atomic.Bool
+	_    [60]byte
 }
 
 // Table is a partitioned DRAMHiT. Obtain WriteHandles (one per writer
@@ -102,15 +104,16 @@ type Table struct {
 
 	started atomic.Bool
 	wg      sync.WaitGroup
-	// dropped counts updates rejected because their partition was full.
+	// dropped counts updates rejected because their partition was full:
+	// denied by a producer, or failed in an owner's ring.
 	dropped atomic.Uint64
 	// handleSeq hands out producer indices to cloned adapters.
 	handleSeq atomic.Int32
 	closeOnce sync.Once
 	obsReg    *obs.Registry
-	// view is the read side: dramhit's table over the partitions as regions,
-	// sharing side (and hashfn.City64, the route both take). Every ReadHandle
-	// is one of its handles.
+	// view is dramhit's table over the partitions as regions, sharing side
+	// (and hashfn.City64, the route both take). Every ReadHandle is one of
+	// its handles, and so is every owner's.
 	view *dramhit.Table
 }
 
@@ -148,9 +151,8 @@ func New(cfg Config) *Table {
 	// A distinct name from the core table's "dramhit-h", so a process
 	// embedding both tables scrapes both sets of handles.
 	regs := dramhit.Regions{Side: &t.side, Worker: "dramhitp-r"}
-	for i := range t.parts {
-		t.parts[i].arr = slotarr.New(partSlots)
-		regs.Arrays = append(regs.Arrays, t.parts[i].arr)
+	for range nparts {
+		regs.Arrays = append(regs.Arrays, slotarr.New(partSlots))
 	}
 	t.view = dramhit.NewView(dramhit.Config{
 		Slots:          t.total,
@@ -198,17 +200,18 @@ func (t *Table) ownerOf(part uint64) int {
 	return int(part % uint64(t.cfg.Consumers))
 }
 
-// Start launches the delegation (consumer) goroutines.
+// Start launches the delegation (consumer) goroutines, one owner each.
 func (t *Table) Start() {
 	if t.started.Swap(true) {
 		panic("dramhitp: Start called twice")
 	}
 	for c := 0; c < t.cfg.Consumers; c++ {
+		o := &owner{t: t, first: c, h: t.view.NewHandle()}
 		t.wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer t.wg.Done()
-			t.fabric.Consumer(c).Run(t.apply)
-		}(c)
+			t.fabric.Consumer(c).Serve(o.apply, o.drain)
+		}()
 	}
 }
 
@@ -226,19 +229,12 @@ func (t *Table) Close() {
 }
 
 // Dropped returns the number of updates discarded because their partition
-// was full.
+// was full. Exact once the writers that sent them have passed a Barrier.
 func (t *Table) Dropped() uint64 { return t.dropped.Load() }
 
-// Len returns the number of live entries. Exact only when writers are
-// quiescent (counters are owner-local and read without synchronization
-// beyond atomics).
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.parts {
-		n += int(atomic.LoadInt64(&t.parts[i].live))
-	}
-	return n + t.side.Count()
-}
+// Len returns the number of live entries. Exact once every writer has passed
+// a Barrier.
+func (t *Table) Len() int { return t.view.Len() }
 
 // Cap returns the total slot capacity.
 func (t *Table) Cap() int { return int(t.total) }
@@ -246,105 +242,59 @@ func (t *Table) Cap() int { return int(t.total) }
 // Partitions returns the partition count.
 func (t *Table) Partitions() int { return int(t.nparts) }
 
-// apply executes one delegated update on the owning consumer thread.
-func (t *Table) apply(m delegation.Message) {
-	op := table.Op(m.Aux)
-	key, value := m.A, m.B
-	if s := t.side.For(key); s != nil {
-		switch op {
-		case table.Put:
-			s.Put(value)
-		case table.Upsert:
-			s.Upsert(value)
-		case table.Delete:
-			s.Delete()
-		}
-		return
-	}
-	part, local := t.locate(key)
-	pt := &t.parts[part]
-	switch op {
-	case table.Put:
-		if !t.putLocal(pt, local, key, value, false) {
-			t.dropped.Add(1)
-		}
-	case table.Upsert:
-		if !t.putLocal(pt, local, key, value, true) {
-			t.dropped.Add(1)
-		}
-	case table.Delete:
-		t.deleteLocal(pt, local, key)
+// owner is one delegation thread: the single writer of partitions first,
+// first+Consumers, .... It applies each update delegated to them by
+// submitting it into its own handle of the read view, so a delegated write
+// runs dramhit's prefetched line-pair ring (or direct mode, under
+// GovernorDirect) like any other request. Its claim is the CAS every handle
+// uses; no other goroutine writes these partitions, so that CAS never
+// loses. The handle's ring holds up to a window of updates in flight, which
+// Serve drains before the owner acknowledges a barrier and whenever its
+// queues run dry.
+type owner struct {
+	t      *Table
+	first  int
+	h      *dramhit.Handle
+	req    [1]table.Request
+	n      uint64 // updates applied
+	failed uint64 // the handle's Failed count already added to t.dropped
+}
+
+// settleEvery is how many updates an owner applies between checks of its
+// partitions' fill (it also checks at every drain). An update to a full
+// partition probes all of it before it fails, so the full flag that has
+// producers deny such updates must not lag far behind the last claim; but a
+// check per update costs more than the update's own probe on a
+// cache-resident table.
+const settleEvery = 64
+
+// apply submits one delegated update into the owner's ring.
+func (o *owner) apply(m delegation.Message) {
+	o.req[0] = table.Request{Op: table.Op(m.Aux), Key: m.A, Value: m.B}
+	o.h.Submit(o.req[:], nil)
+	if o.n++; o.n%settleEvery == 0 {
+		o.settle()
 	}
 }
 
-// putLocal inserts or updates (key, value) in partition pt starting at slot
-// `local`. Single-writer: publication order is value first, then key, so a
-// concurrent reader never observes a claimed-but-unvalued slot. The probe
-// advances a whole cache line per step; ownership makes the line snapshot
-// authoritative (no claim CAS is needed), so the kernel's verdict is acted on
-// directly.
-func (t *Table) putLocal(pt *partition, local, key, value uint64, add bool) bool {
-	arr := pt.arr
-	i := local
-	for probes := uint64(0); ; {
-		l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
-		switch res {
-		case simd.HitKey:
-			slot := base + uint64(lane)
-			if add {
-				arr.AddValue(slot, value)
-			} else {
-				arr.StoreValue(slot, value)
-			}
-			return true
-		case simd.HitEmpty:
-			slot := base + uint64(lane)
-			arr.StoreValue(slot, value)
-			arr.StoreKey(slot, key)
-			pt.count++
-			atomic.AddInt64(&pt.live, 1)
-			if pt.count >= t.partSlots {
-				// Deny further inserts before the next one is attempted
-				// (paper §3.2: the owner sets the flag; producers check it).
-				pt.full.Store(true)
-			}
-			return true
-		}
-		probes += valid - (i - base)
-		if probes >= t.partSlots {
+// drain completes every update in the ring, then settles.
+func (o *owner) drain() {
+	o.h.Flush(nil)
+	o.settle()
+}
+
+// settle raises the full flag of every owned partition with no empty slot
+// left, and adds the updates that failed because their partition was full
+// to Dropped.
+func (o *owner) settle() {
+	t := o.t
+	for p := o.first; p < len(t.parts); p += t.cfg.Consumers {
+		if pt := &t.parts[p]; !pt.full.Load() && t.view.RegionFull(p) {
 			pt.full.Store(true)
-			return false
-		}
-		i = base + table.SlotsPerCacheLine
-		if i >= t.partSlots {
-			i = 0
 		}
 	}
-}
-
-// deleteLocal tombstones key in partition pt.
-func (t *Table) deleteLocal(pt *partition, local, key uint64) {
-	arr := pt.arr
-	i := local
-	for probes := uint64(0); ; {
-		l0, l1, l2, l3, base, valid := arr.LoadKeys4(i)
-		lane, res := simd.ProbeLine4(l0, l1, l2, l3, key, table.EmptyKey, int(i-base))
-		switch res {
-		case simd.HitKey:
-			arr.StoreKey(base+uint64(lane), table.TombstoneKey)
-			atomic.AddInt64(&pt.live, -1)
-			return
-		case simd.HitEmpty:
-			return
-		}
-		probes += valid - (i - base)
-		if probes >= t.partSlots {
-			return
-		}
-		i = base + table.SlotsPerCacheLine
-		if i >= t.partSlots {
-			i = 0
-		}
+	if f := o.h.Stats().Failed; f != o.failed {
+		t.dropped.Add(f - o.failed)
+		o.failed = f
 	}
 }

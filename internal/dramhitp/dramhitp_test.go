@@ -332,3 +332,27 @@ func TestTooManyWriteHandlesPanics(t *testing.T) {
 	}()
 	tbl.NewWriteHandle()
 }
+
+// TestBarrierDrainsOwnerRing: an owner holds up to a window of updates in its
+// ring, so three Puts sit there undrained until something flushes it. A
+// Barrier must be that flush: once it returns, every Get sees all three.
+func TestBarrierDrainsOwnerRing(t *testing.T) {
+	tbl := New(Config{Slots: 1 << 12, Producers: 1, Consumers: 1, PrefetchWindow: 16})
+	tbl.Start()
+	defer tbl.Close()
+	w := tbl.NewWriteHandle()
+	defer w.Close()
+	r := tbl.NewReadHandle()
+	keys := workload.UniqueKeys(8, 300)
+	for i := 0; i < len(keys); i += 3 {
+		for _, k := range keys[i : i+3] {
+			w.Put(k, k+1)
+		}
+		w.Barrier()
+		for _, k := range keys[i : i+3] {
+			if v, ok := r.Get(k); !ok || v != k+1 {
+				t.Fatalf("after the barrier of Puts %d-%d: Get(%d) = (%d, %v)", i, i+2, k, v, ok)
+			}
+		}
+	}
+}

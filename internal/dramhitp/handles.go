@@ -2,7 +2,6 @@ package dramhitp
 
 import (
 	"strconv"
-	"time"
 
 	"dramhit/internal/delegation"
 	"dramhit/internal/dramhit"
@@ -27,15 +26,11 @@ type WriteHandle struct {
 	// Combined counts Upserts folded into a held entry instead of sent.
 	Combined uint64
 	// sends counts delegation messages dispatched (plain field, published
-	// into obsw at Flush/Barrier/Close boundaries).
+	// into obsw at Flush/Barrier/Close boundaries). A writer publishes only
+	// what delegation costs it: the updates themselves — their counters,
+	// hot keys and op latencies — are the owners' handles', which apply them.
 	sends uint64
 	obsw  *obs.Worker
-	// hot feeds the writer's hot-key sketch (nil unless the registry armed
-	// EnableHotKeys); opLat times the synchronous submission cost of each
-	// update — the delegation send or the local coalesce, not the owner-side
-	// apply, which is what this handle can observe.
-	hot   *obs.TopK
-	opLat bool
 }
 
 // NewWriteHandle allocates the next producer slot. It panics if more
@@ -48,8 +43,6 @@ func (t *Table) NewWriteHandle() *WriteHandle {
 	w := &WriteHandle{t: t, p: t.fabric.Producer(id), coalesce: t.combine == table.CombineOn}
 	if t.obsReg != nil {
 		w.obsw = t.obsReg.Worker("dramhitp-w" + strconv.Itoa(id))
-		w.hot = w.obsw.Hot
-		w.opLat = t.obsReg.OpLatencyEnabled()
 	}
 	return w
 }
@@ -83,73 +76,34 @@ func (w *WriteHandle) send(op table.Op, key, value uint64) bool {
 	return true
 }
 
-// opStart/opEnd time the submission-side cost of one update into the
-// handle's per-op-class histograms when the registry armed EnableOpLatency.
-// The owner-side apply is asynchronous by design; Barrier is the
-// read-your-writes point, so the distribution here prices what delegation
-// puts ON the caller's critical path — the paper's argument, in a metric.
-func (w *WriteHandle) opStart() int64 {
-	if w.opLat {
-		return time.Now().UnixNano()
-	}
-	return 0
-}
-
-func (w *WriteHandle) opEnd(start int64, op table.Op, hit bool) {
-	if start != 0 {
-		w.obsw.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - start))
-	}
-}
-
 // Put requests an insert/overwrite. It returns false if the destination
 // partition is full (the update is dropped, fire-and-forget semantics). A
 // held coalesced Upsert of the same key is released first so the owner
 // applies the two in submission order.
 func (w *WriteHandle) Put(key, value uint64) bool {
-	if w.hot != nil {
-		w.hot.OfferSampled(key)
-	}
-	start := w.opStart()
 	if w.cn > 0 {
 		w.flushKey(key)
 	}
-	ok := w.send(table.Put, key, value)
-	w.opEnd(start, table.Put, ok)
-	return ok
+	return w.send(table.Put, key, value)
 }
 
 // Upsert requests an insert-or-add of delta. With combining on, duplicate
 // keys fold locally (see holdUpsert) and a window of distinct keys rides
 // one delegation flush.
 func (w *WriteHandle) Upsert(key, delta uint64) bool {
-	if w.hot != nil {
-		w.hot.OfferSampled(key)
-	}
-	start := w.opStart()
-	var ok bool
 	if !w.coalesce || w.t.side.For(key) != nil {
-		ok = w.send(table.Upsert, key, delta)
-	} else {
-		ok = w.holdUpsert(key, delta)
+		return w.send(table.Upsert, key, delta)
 	}
-	w.opEnd(start, table.Upsert, ok)
-	return ok
+	return w.holdUpsert(key, delta)
 }
 
 // Delete requests a tombstone, releasing any held same-key Upsert first so
 // the owner applies the two in submission order.
 func (w *WriteHandle) Delete(key uint64) {
-	if w.hot != nil {
-		w.hot.OfferSampled(key)
-	}
-	start := w.opStart()
 	if w.cn > 0 {
 		w.flushKey(key)
 	}
 	w.send(table.Delete, key, 0)
-	// A delegated delete reports nothing back; class it as a hit (the
-	// delete_miss class is for synchronous tables that observed the miss).
-	w.opEnd(start, table.Delete, true)
 }
 
 // Flush publishes partially filled delegation sections, including any held
@@ -166,8 +120,9 @@ func (w *WriteHandle) Flush() {
 }
 
 // Barrier blocks until every update this handle sent has been executed by
-// the partition owners (read-your-writes point). Held coalesced Upserts
-// are released first so they are covered by the barrier.
+// the partition owners — applied and drained from their rings — which is the
+// read-your-writes point. Held coalesced Upserts are released first so they
+// are covered by the barrier.
 func (w *WriteHandle) Barrier() {
 	if w.cn > 0 {
 		w.flushHeld()
@@ -193,10 +148,10 @@ func (w *WriteHandle) Close() {
 
 // ReadHandle is a per-goroutine reader: one dramhit.Handle of the table's read
 // view, so lookups run dramhit's prefetch-window pipeline — ring or direct
-// mode — pointed at the partitions (reads are not
-// delegated; any thread may read any partition, and a Get takes no atomic
-// read-modify-write). The wrapper exists to keep that handle Get-only: its
-// update drains CAS, which a single-writer partition does not admit.
+// mode — pointed at the partitions (reads are not delegated; any thread may
+// read any partition, and a Get takes no atomic read-modify-write). The
+// wrapper exists to keep that handle Get-only: a partition's only writer is
+// its owner.
 type ReadHandle struct {
 	h *dramhit.Handle
 }

@@ -95,7 +95,9 @@ func TestOnePartitionIsADramhitTable(t *testing.T) {
 	w, ds := pt.NewWriteHandle(), dt.NewSync()
 	rng := rand.New(rand.NewSource(11))
 	// Puts and Deletes only: a WriteHandle holds Upserts back to fold them,
-	// which would claim slots in a different order than the Sync adapter.
+	// which would claim slots in a different order than the Sync adapter. A
+	// Barrier after each write has the owner apply and drain it before the
+	// next, so colliding keys are placed in stream order, as by the Sync.
 	for i := 0; i < 6000; i++ {
 		k := uint64(rng.Intn(3000)) + 1
 		if i%400 == 0 {
@@ -108,6 +110,7 @@ func TestOnePartitionIsADramhitTable(t *testing.T) {
 			w.Put(k, k*7+uint64(i))
 			ds.Put(k, k*7+uint64(i))
 		}
+		w.Barrier()
 	}
 	w.Barrier()
 	w.Close()

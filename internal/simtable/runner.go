@@ -210,9 +210,17 @@ type opStream struct {
 	missProb float64
 	// insertNext hands out fresh unique ranks for insert ops.
 	nextFresh func() uint64
-	theta     float64
 	keySpace  uint64
+	// held is an update the delegation mesh refused, which next returns
+	// before it draws again (hold).
+	held    uint64
+	holding bool
 }
+
+// hold has next return the update h again: a DRAMHiT-P producer whose
+// section queue is full resends the op it could not send, as Layer 1's
+// Producer.Send blocks on a full queue, rather than draw a replacement.
+func (o *opStream) hold(h uint64) { o.held, o.holding = h, true }
 
 func newOpStream(cfg Config, mix OpMix, keyOf func(uint64) uint64, prefill uint64, tid int, fresh *freshRanks) *opStream {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(tid)*0x9e37 + 1))
@@ -256,6 +264,10 @@ func newFreshRanks(start uint64) *freshRanks {
 
 // next returns (hash, isRead).
 func (o *opStream) next() (uint64, bool) {
+	if o.holding {
+		o.holding = false
+		return o.held, false
+	}
 	switch o.mix {
 	case Finds:
 		return o.hash(o.readRank()), true
@@ -453,7 +465,8 @@ func runDRAMHiTP(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, mix OpM
 			return true
 		}
 		if !m.send(t, id, h) {
-			return true // not counted: the next step draws a new op
+			streams[id].hold(h)
+			return true // not counted: the next step resends it
 		}
 		if cfg.LatencySink != nil {
 			// Fire-and-forget: the paper measures DRAMHiT-P insert
@@ -530,7 +543,8 @@ func runDRAMHiTPMixed(sim *memsim.Sim, arr *array, la *lineAlloc, cfg Config, ke
 				t.Compute(fullCheckCycles)
 				readPipes[id].submit(t, h, false)
 			} else if !m.send(t, id, h) {
-				remaining[id]++ // not counted: a later step draws a new op
+				streams[id].hold(h)
+				remaining[id]++ // not counted: a later step resends it
 			}
 			if cfg.Pollutions > 0 {
 				pollute(t, polls[id], pollBase, cfg.Pollutions)
