@@ -3,6 +3,8 @@ package bench
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"dramhit/internal/dramhit"
@@ -102,6 +104,13 @@ func leKeys(keys []uint64) [][]byte {
 // zeroValue is the 8-byte encoding of the value 0 reprobe-stats stores.
 var zeroValue = make([]byte, 8)
 
+// realKmerReps is how many counting passes real-kmer times per cell; the
+// cell is their median. One pass over the 2M-base genome takes ~0.1 s, and on
+// a shared host single passes of one build swing ±40%; the passes of all
+// cells are interleaved, so a slow second of the host lands on every cell
+// alike rather than on one.
+const realKmerReps = 15
+
 // realKmer runs the actual Go counters on a synthetic genome on this host:
 // the cross-design ratios (and exact count agreement) are the signal; see
 // fig12a/fig12b for the simulated reproduction of the paper's figure.
@@ -120,29 +129,56 @@ func realKmer(cfg Config) *Artifact {
 	if cfg.Quick {
 		ks = []int{16}
 	}
-	dh := Series{Name: "dramhit (batched upserts)"}
-	dp := Series{Name: "dramhit-p (delegated upserts, 1 producer : 1 owner)"}
-	count := func(s *Series, k int, c kmer.Counter, settle func()) {
-		start := time.Now()
-		total := 0
-		for _, rec := range records {
-			total += kmer.CountSequence(c, rec, k)
+	// open builds a fresh table and returns its counter, the call that
+	// completes a pass (timed) and the one that tears the table down (not).
+	type opener func() (c kmer.Counter, settle, done func())
+	designs := []opener{
+		func() (kmer.Counter, func(), func()) {
+			c := kmer.NewDRAMHiTCounter(dramhit.New(dramhit.Config{Slots: 1 << 22}).NewHandle(), 16)
+			return c, c.Flush, func() {}
+		},
+		func() (kmer.Counter, func(), func()) {
+			pt := dramhitp.New(dramhitp.Config{Slots: 1 << 22})
+			pt.Start()
+			w := pt.NewWriteHandle()
+			return kmer.PartitionedCounter{W: w, R: pt.NewReadHandle()}, w.Barrier, func() {
+				w.Close()
+				pt.Close()
+			}
+		},
+	}
+	// rates[d][i] holds design d's pass rates at K = ks[i].
+	rates := make([][][]float64, len(designs))
+	for d := range rates {
+		rates[d] = make([][]float64, len(ks))
+	}
+	for range realKmerReps {
+		for d, open := range designs {
+			for i, k := range ks {
+				c, settle, done := open()
+				runtime.GC() // the last pass's table is garbage: collect it untimed
+				start := time.Now()
+				total := 0
+				for _, rec := range records {
+					total += kmer.CountSequence(c, rec, k)
+				}
+				settle()
+				rates[d][i] = append(rates[d][i], float64(total)/time.Since(start).Seconds()/1e6)
+				done()
+			}
 		}
-		settle()
-		s.X = append(s.X, float64(k))
-		s.Y = append(s.Y, float64(total)/time.Since(start).Seconds()/1e6)
 	}
-	for _, k := range ks {
-		c := kmer.NewDRAMHiTCounter(dramhit.New(dramhit.Config{Slots: 1 << 22}).NewHandle(), 16)
-		count(&dh, k, c, c.Flush)
-		pt := dramhitp.New(dramhitp.Config{Slots: 1 << 22})
-		pt.Start()
-		w := pt.NewWriteHandle()
-		count(&dp, k, kmer.PartitionedCounter{W: w, R: pt.NewReadHandle()}, w.Barrier)
-		w.Close()
-		pt.Close()
+	for d, name := range []string{"dramhit (batched upserts)", "dramhit-p (delegated upserts, 1 producer : 1 owner)"} {
+		s := Series{Name: name}
+		for i, k := range ks {
+			slices.Sort(rates[d][i])
+			s.X = append(s.X, float64(k))
+			s.Y = append(s.Y, rates[d][i][realKmerReps/2])
+		}
+		a.Series = append(a.Series, s)
 	}
-	a.Series = append(a.Series, dh, dp)
-	a.Notes = append(a.Notes, "absolute Mops reflect this host and the Go runtime; the paper's Figure 12 shape is reproduced by fig12a/fig12b")
+	a.Notes = append(a.Notes,
+		fmt.Sprintf("each cell is the median of %d counting passes, each into a fresh table, interleaved with the other cells' passes", realKmerReps),
+		"absolute Mops reflect this host and the Go runtime; the paper's Figure 12 shape is reproduced by fig12a/fig12b")
 	return a
 }

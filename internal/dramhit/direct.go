@@ -67,7 +67,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 			continue
 		}
 		part, idx := hashfn.FastrangeSplit(hashfn.City64(req.Key), h.nreg, h.rslots)
-		v, found, fail := h.directSWAR(req, &h.regs[part], idx)
+		v, found, fail := h.directSWAR(req, uint32(part), idx)
 		if req.Op == table.Get {
 			resps[nresp] = table.Response{ID: req.ID, Value: v, Found: found}
 			nresp++
@@ -112,8 +112,8 @@ func directExhausted(op table.Op) (uint64, bool, bool) {
 // over the same traversal) but no queue to re-enter — a line crossing just
 // keeps walking, and opens the next line the way a drain opens a reprobed
 // request: with the entry-lane peek.
-func (h *Handle) directSWAR(req table.Request, reg *region, idx uint64) (uint64, bool, bool) {
-	arr, size := reg.arr, h.rslots
+func (h *Handle) directSWAR(req table.Request, part uint32, idx uint64) (uint64, bool, bool) {
+	arr, size := h.regs[part].arr, h.rslots
 	var probes uint64
 	for {
 		// Entry-lane peek, as in the drains: at working fills most probes
@@ -137,13 +137,13 @@ func (h *Handle) directSWAR(req table.Request, reg *region, idx uint64) (uint64,
 				h.stats.CASAttempts++
 				return arr.AddValue(idx, req.Value), true, false
 			default: // Delete
-				return 0, h.tombstone(reg, idx, req.Key), false
+				return 0, h.tombstone(part, arr, idx, req.Key), false
 			}
 		case table.EmptyKey:
 			if req.Op == table.Get || req.Op == table.Delete {
 				return 0, false, false
 			}
-			if h.claim(reg, idx, req.Key, req.Value) {
+			if h.claim(part, arr, idx, req.Key, req.Value) {
 				return req.Value, true, false
 			}
 			// Claim race lost: fall into the kernel loop, which re-snapshots.
@@ -168,13 +168,13 @@ func (h *Handle) directSWAR(req table.Request, reg *region, idx uint64) (uint64,
 					// A concurrent Delete may win the race: a miss, exactly
 					// like the pipelined drain.
 					h.stats.CASAttempts++
-					return 0, h.tombstone(reg, slot, req.Key), false
+					return 0, h.tombstone(part, arr, slot, req.Key), false
 				}
 			case simd.HitEmpty:
 				if req.Op == table.Get || req.Op == table.Delete {
 					return 0, false, false
 				}
-				if h.claim(reg, base+uint64(lane), req.Key, req.Value) {
+				if h.claim(part, arr, base+uint64(lane), req.Key, req.Value) {
 					return req.Value, true, false
 				}
 				// Claim race lost: re-snapshot the same line and rerun the

@@ -98,19 +98,19 @@ type Table struct {
 	direct  bool // GovernorDirect: handles skip the ring
 	obsReg  *obs.Registry
 	worker  string       // obs worker-shard name prefix
-	nhandle atomic.Int64 // handle counter for worker shard names
+	nhandle atomic.Int64 // handles numbered under worker (NewHandle's)
 }
 
 // region is one uniform slice of the table's storage: a slot array on the
 // flat layout, a self-resizing bucket index on the bucket layout.
 //
 // used and live count the flat region's claimed slots (tombstones included)
-// and present entries. They are the only words the op paths write — every
-// insert and delete — while every request reads arr or bkt, so they sit a
-// cache line away from both, and from the next region's
-// (TestHandlesShareNoLine): sharing a line with a probed word doubles the
-// time of a two-handle bulk load, and on a view the regions' writers
-// (DRAMHiT-P's owners) share no written line.
+// and present entries. No op path writes them: a handle counts its claims
+// and tombstones in its own fillDeltas and adds them here when its Submit or
+// Flush returns (publishFill). Every request reads arr or bkt, so the
+// counters still sit a cache line away from both, and from the next region's
+// (TestHandlesShareNoLine): a publish then invalidates no probed line, and
+// on a view the regions' writers (DRAMHiT-P's owners) share no written line.
 type region struct {
 	arr  *slotarr.Array
 	bkt  *slotarr.BucketTable
@@ -238,7 +238,9 @@ func (h *Handle) requireLayout(want table.Layout) {
 	}
 }
 
-// Len returns the number of live entries.
+// Len returns the number of live entries. Like Fill and RegionFull, it is
+// exact while no handle is inside Submit or Flush; during a call it lags by at
+// most the claims and deletes that call has completed so far.
 func (t *Table) Len() int {
 	n := 0
 	if t.Bucket() == nil {
@@ -348,6 +350,11 @@ type Handle struct {
 	regs   []region
 	nreg   uint64
 	rslots uint64
+	// fill is this handle's share of each region's used and live counts that
+	// it has not yet published: one entry per region, on whole cache lines
+	// of its own (nil on a bucket table). filled reports a nonzero entry.
+	fill   []fillDelta
+	filled bool
 	q      []pending // ring buffer, len power of two; nil on a bucket table
 	mask   int       // ring capacity - 1, shared with the byte ring's byteQ
 	head   int       // enqueue position
@@ -398,15 +405,22 @@ type Handle struct {
 	stageHook func(hv uint64)
 
 	// The handle is written on every request. Its size is a whole number of
-	// cache lines (six; TestHandlesShareNoLine pins it), which puts it in a
+	// cache lines (seven; TestHandlesShareNoLine pins it), which puts it in a
 	// line-multiple allocation size class, so no other object — the next
 	// handle made, typically — shares its lines. Pad here if a field change
 	// breaks that.
-	_ [8]byte
+	_ [40]byte
 }
 
-// NewHandle creates an accessor for the table.
-func (t *Table) NewHandle() *Handle {
+// NewHandle creates an accessor for the table. With a registry attached, it
+// publishes into the worker shard named by the table's prefix and the
+// handle's number.
+func (t *Table) NewHandle() *Handle { return t.NewNamedHandle("") }
+
+// NewNamedHandle is NewHandle whose obs worker shard is named worker, not
+// numbered under the table's prefix; "" numbers it as NewHandle does. A view
+// gives handles with another role their own names (DRAMHiT-P's owners).
+func (t *Table) NewNamedHandle(worker string) *Handle {
 	capacity := 1
 	for capacity < t.window+1 {
 		capacity <<= 1
@@ -427,24 +441,32 @@ func (t *Table) NewHandle() *Handle {
 			h.bhs[i] = t.regs[i].bkt.NewHandle()
 		}
 	} else {
-		// The ring's backing array is rounded up to whole cache lines for
-		// the reason Handle is a whole number of them: handles made back to
-		// back would otherwise have their rings meet mid-line.
-		n := capacity
-		for uintptr(n)*unsafe.Sizeof(pending{})%table.CacheLineBytes != 0 {
-			n++
-		}
-		h.q = make([]pending, capacity, n)
+		// The ring's and the fill counts' backing arrays are rounded up to
+		// whole cache lines for the reason Handle is a whole number of them:
+		// handles made back to back would otherwise have them meet mid-line.
+		h.q = make([]pending, capacity, wholeLines(capacity, unsafe.Sizeof(pending{})))
+		h.fill = make([]fillDelta, len(t.regs), wholeLines(len(t.regs), unsafe.Sizeof(fillDelta{})))
 	}
 	if t.obsReg != nil {
-		n := t.nhandle.Add(1)
-		h.obsw = t.obsReg.Worker(t.worker + strconv.FormatInt(n-1, 10))
+		if worker == "" {
+			worker = t.worker + strconv.FormatInt(t.nhandle.Add(1)-1, 10)
+		}
+		h.obsw = t.obsReg.Worker(worker)
 		h.trace = t.obsReg.Trace()
 		h.traceEvery = t.obsReg.TraceSampleN()
 		h.hot = h.obsw.Hot
 		h.opLat = t.obsReg.OpLatencyEnabled()
 	}
 	return h
+}
+
+// wholeLines returns the least capacity of at least n elements of size bytes
+// that fills whole cache lines.
+func wholeLines(n int, size uintptr) int {
+	for uintptr(n)*size%table.CacheLineBytes != 0 {
+		n++
+	}
+	return n
 }
 
 // Stats returns a copy of the handle's counters.
@@ -528,8 +550,19 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		defer h.obsPublishThrottled()
 	}
 	if h.direct {
-		return h.submitDirect(reqs, resps)
+		nreq, nresp = h.submitDirect(reqs, resps)
+	} else {
+		nreq, nresp = h.submitRing(reqs, resps)
 	}
+	if h.filled {
+		h.publishFill()
+	}
+	return nreq, nresp
+}
+
+// submitRing is Submit's pipelined body: it enqueues reqs, draining the
+// oldest requests whenever the window is full.
+func (h *Handle) submitRing(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
 	for ; nreq < len(reqs); nreq++ {
 		for h.Pending() >= h.window {
 			if h.processOldest(resps, &nresp) {
@@ -580,10 +613,13 @@ func (h *Handle) Flush(resps []table.Response) (nresp int, done bool) {
 	}
 	for h.Pending() > 0 {
 		if h.processOldest(resps, &nresp) {
-			return nresp, false
+			break
 		}
 	}
-	return nresp, true
+	if h.filled {
+		h.publishFill()
+	}
+	return nresp, h.Pending() == 0
 }
 
 // processOldest executes the oldest pending request, in its ring slot, over
@@ -624,29 +660,56 @@ func (h *Handle) processOldest(resps []table.Response, nresp *int) (blocked bool
 	return false
 }
 
+// fillDelta is one region's claims (used) and net insertions (live) that a
+// handle has made since it last published them.
+type fillDelta struct{ used, live int64 }
+
 // claim tries to insert key with value v into the empty slot i of region
-// r's array, counting its CAS and value store; false means a racing insert
-// took the slot first.
-func (h *Handle) claim(r *region, i, key, v uint64) bool {
+// part's array arr, counting its CAS and value store; false means a racing
+// insert took the slot first. The slot's two words are the only shared words
+// it writes: the region's counts advance in the handle's fill.
+func (h *Handle) claim(part uint32, arr *slotarr.Array, i, key, v uint64) bool {
 	h.stats.CASAttempts++
-	if !r.arr.CASKey(i, table.EmptyKey, key) {
+	if !arr.CASKey(i, table.EmptyKey, key) {
 		return false
 	}
 	h.stats.CASAttempts++
-	r.arr.StoreValue(i, v)
-	r.used.Add(1)
-	r.live.Add(1)
+	arr.StoreValue(i, v)
+	d := &h.fill[part]
+	d.used++
+	d.live++
+	h.filled = true
 	return true
 }
 
-// tombstone deletes key from slot i of region r's array, reporting whether
-// this call removed it (a concurrent Delete of the same key may have won).
-func (h *Handle) tombstone(r *region, i, key uint64) bool {
-	if !r.arr.CASKey(i, key, table.TombstoneKey) {
+// tombstone deletes key from slot i of region part's array arr, reporting
+// whether this call removed it (a concurrent Delete of the same key may have
+// won).
+func (h *Handle) tombstone(part uint32, arr *slotarr.Array, i, key uint64) bool {
+	if !arr.CASKey(i, key, table.TombstoneKey) {
 		return false
 	}
-	r.live.Add(-1)
+	h.fill[part].live--
+	h.filled = true
 	return true
+}
+
+// publishFill adds the handle's unpublished claims and deletes to their
+// regions' counters and clears them. Submit and Flush call it on their way
+// out, once per call and only when filled: a bulk load pays one atomic add
+// per counter per batch, not two per insert, and a Get-only call nothing.
+func (h *Handle) publishFill() {
+	for i := range h.fill {
+		d := &h.fill[i]
+		if d.used != 0 {
+			h.regs[i].used.Add(d.used)
+		}
+		if d.live != 0 {
+			h.regs[i].live.Add(d.live)
+		}
+		*d = fillDelta{}
+	}
+	h.filled = false
 }
 
 // completeSide resolves a reserved-key request against its side slot. It

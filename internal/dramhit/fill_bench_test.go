@@ -1,6 +1,9 @@
 package dramhit
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"dramhit/internal/workload"
@@ -31,6 +34,45 @@ func BenchmarkFillSweep(b *testing.B) {
 				}
 				h.GetBatch(keys[:n], vals[:n], found[:n])
 			}
+		})
+	}
+}
+
+// BenchmarkBulkLoad is a bulk load — PutBatch of distinct keys into a
+// 2^22-slot table (64 MiB, past the caches) — by one handle and by two, each
+// on its own goroutine: the shape of a two-loader preload. Every handle puts
+// b.N keys, so ns/put is per handle, and two handles that share no written
+// line read about what one does. The table is rebuilt, untimed, before a
+// round would fill it past 75%.
+func BenchmarkBulkLoad(b *testing.B) {
+	const slots = 1 << 22
+	for _, handles := range []int{1, 2} {
+		b.Run(fmt.Sprintf("handles=%d", handles), func(b *testing.B) {
+			round := slots * 3 / 4 / handles
+			keys := workload.UniqueKeys(5, round*handles)
+			vals := make([]uint64, round)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += round {
+				n := min(round, b.N-done)
+				b.StopTimer()
+				runtime.GC()
+				tbl := New(Config{Slots: slots})
+				hs := make([]*Handle, handles)
+				for i := range hs {
+					hs[i] = tbl.NewHandle()
+				}
+				b.StartTimer()
+				var wg sync.WaitGroup
+				for i, h := range hs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						h.PutBatch(keys[i*round:][:n], vals[:n])
+					}()
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/put")
 		})
 	}
 }

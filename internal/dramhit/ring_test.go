@@ -307,12 +307,14 @@ func TestTwoLineVisit(t *testing.T) {
 
 // TestHandlesShareNoLine: two handles made one after the other — the shape of
 // a two-goroutine bulk load — must not share a cache line in their Handle
-// structs or ring backing arrays, or every request of one invalidates a line
-// the other writes. Both are sized to whole lines, which puts each in a
-// line-multiple allocation size class. The same holds for the regions'
-// insert and delete counters: no counter line of any region may hold a word a
-// probe reads (a region's arr or bkt, or the Table), or a line another
-// region's counters live on.
+// structs, ring backing arrays or fill counts, or every request of one
+// invalidates a line the other writes. All three are sized to whole lines,
+// which puts each in a line-multiple allocation size class. A handle's fill
+// counts are the only words besides the probed slot's that its inserts and
+// deletes write, so they must also share no line with a region's counters
+// (which publishes write) or with a word a probe reads (the Table, a region's
+// arr or bkt). The same holds for the regions' counters: no counter line may
+// hold a probed word, or a line another region's counters live on.
 func TestHandlesShareNoLine(t *testing.T) {
 	if n := unsafe.Sizeof(Handle{}); n%table.CacheLineBytes != 0 {
 		t.Fatalf("Handle is %d bytes, not a whole number of cache lines", n)
@@ -340,6 +342,37 @@ func TestHandlesShareNoLine(t *testing.T) {
 			for j, d := range counters[:i] {
 				if overlap(c, d) {
 					t.Errorf("%d regions: the counters of regions %d and %d share a line", nreg, j, i)
+				}
+			}
+		}
+		// Two handles' structs, rings and fill counts. A handle's fill counts
+		// must share no line with the other handle's struct or fill counts,
+		// with either ring, or with a region counter or probed word.
+		type handleLines struct{ own, ring, fill span }
+		var hl [2]handleLines
+		for i := range hl {
+			h := tbl.NewHandle()
+			n := uintptr(cap(h.fill)) * unsafe.Sizeof(fillDelta{})
+			if off := uintptr(unsafe.Pointer(&h.fill[0])) % table.CacheLineBytes; len(h.fill) != nreg || n%table.CacheLineBytes != 0 || off != 0 {
+				t.Fatalf("%d regions: %d fill counts over %d bytes at line offset %d, want one per region on whole lines", nreg, len(h.fill), n, off)
+			}
+			hl[i] = handleLines{
+				own:  lines(unsafe.Pointer(h), unsafe.Sizeof(*h)),
+				ring: lines(unsafe.Pointer(&h.q[0]), uintptr(cap(h.q))*unsafe.Sizeof(pending{})),
+				fill: lines(unsafe.Pointer(&h.fill[0]), n),
+			}
+		}
+		for i, a := range hl {
+			apart := append(append([]span{}, counters...), read...)
+			for j, b := range hl {
+				apart = append(apart, b.ring)
+				if j != i {
+					apart = append(apart, b.own, b.fill)
+				}
+			}
+			for _, o := range apart {
+				if overlap(a.fill, o) {
+					t.Errorf("%d regions: handle %d's fill counts share line %d-%d with another handle, a ring, a region counter or a probed word", nreg, i, a.fill.lo, a.fill.hi)
 				}
 			}
 		}

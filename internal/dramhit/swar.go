@@ -98,8 +98,7 @@ func nextLine(base, size uint64) uint64 {
 // tombstone, never reused) guarantee the rerun observes the interfering
 // claim and either matches it (same key) or probes past it.
 func (h *Handle) drainUpdate(p *pending, resps []table.Response, nresp *int) {
-	reg := &h.regs[p.part]
-	arr, size := reg.arr, h.rslots
+	arr, size := h.regs[p.part].arr, h.rslots
 	op, key, idx, probes := p.req.Op, p.req.Key, p.idx, p.probes
 	for walked := false; ; walked = true {
 		h.stats.KeyLines++
@@ -115,7 +114,7 @@ func (h *Handle) drainUpdate(p *pending, resps []table.Response, nresp *int) {
 			h.retire(p, op, v, true, false, resps, nresp)
 			return
 		case table.EmptyKey:
-			if h.claim(reg, idx, key, p.req.Value) {
+			if h.claim(p.part, arr, idx, key, p.req.Value) {
 				h.retire(p, op, p.req.Value, true, false, resps, nresp)
 				return
 			}
@@ -137,7 +136,7 @@ func (h *Handle) drainUpdate(p *pending, resps []table.Response, nresp *int) {
 				h.retire(p, op, v, true, false, resps, nresp)
 				return
 			case simd.HitEmpty:
-				if h.claim(reg, slot, key, p.req.Value) {
+				if h.claim(p.part, arr, slot, key, p.req.Value) {
 					h.retire(p, op, p.req.Value, true, false, resps, nresp)
 					return
 				}
@@ -169,14 +168,13 @@ func (h *Handle) drainUpdate(p *pending, resps []table.Response, nresp *int) {
 // CAS that re-verifies the snapshot (a concurrent Delete of the same key may
 // have won, in which case this one reports a miss).
 func (h *Handle) drainDelete(p *pending) {
-	reg := &h.regs[p.part]
-	arr, size := reg.arr, h.rslots
+	arr, size := h.regs[p.part].arr, h.rslots
 	key, idx, probes := p.req.Key, p.idx, p.probes
 	for walked := false; ; walked = true {
 		h.stats.KeyLines++
 		switch arr.Key(idx) {
 		case key:
-			h.retire(p, table.Delete, 0, h.tombstone(reg, idx, key), false, nil, nil)
+			h.retire(p, table.Delete, 0, h.tombstone(p.part, arr, idx, key), false, nil, nil)
 			return
 		case table.EmptyKey:
 			h.retire(p, table.Delete, 0, false, false, nil, nil)
@@ -188,7 +186,7 @@ func (h *Handle) drainDelete(p *pending) {
 			switch res {
 			case simd.HitKey:
 				h.stats.CASAttempts++
-				h.retire(p, table.Delete, 0, h.tombstone(reg, base+uint64(lane), key), false, nil, nil)
+				h.retire(p, table.Delete, 0, h.tombstone(p.part, arr, base+uint64(lane), key), false, nil, nil)
 				return
 			case simd.HitEmpty:
 				h.retire(p, table.Delete, 0, false, false, nil, nil)

@@ -27,6 +27,7 @@
 package dramhitp
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -148,8 +149,9 @@ func New(cfg Config) *Table {
 			Sections:      cfg.Sections,
 		}),
 	}
-	// A distinct name from the core table's "dramhit-h", so a process
-	// embedding both tables scrapes both sets of handles.
+	// The readers' shards: a distinct name from the core table's "dramhit-h",
+	// so a process embedding both tables scrapes both sets of handles. Owners
+	// publish under "dramhitp-o<consumer>" and writers under "dramhitp-w<n>".
 	regs := dramhit.Regions{Side: &t.side, Worker: "dramhitp-r"}
 	for range nparts {
 		regs.Arrays = append(regs.Arrays, slotarr.New(partSlots))
@@ -206,7 +208,7 @@ func (t *Table) Start() {
 		panic("dramhitp: Start called twice")
 	}
 	for c := 0; c < t.cfg.Consumers; c++ {
-		o := &owner{t: t, first: c, h: t.view.NewHandle()}
+		o := &owner{t: t, first: c, h: t.view.NewNamedHandle("dramhitp-o" + strconv.Itoa(c))}
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()

@@ -87,8 +87,9 @@ func TestPObserveBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPObservePublished pins the publish contract on both handle kinds and
-// the pull source.
+// TestPObservePublished pins the publish contract on the three handle kinds
+// (writers, owners, readers), each under its own shard prefix, and the pull
+// source.
 func TestPObservePublished(t *testing.T) {
 	reg := obs.NewWith(1<<15, 1)
 	tb := newObsTable(reg)
@@ -96,19 +97,35 @@ func TestPObservePublished(t *testing.T) {
 	obsFill(tb, 6000, 5)
 	_, rh := obsRead(tb, 6000, 7)
 
-	var wsends, rgets, rhits uint64
+	// Each role publishes under its own prefix, and only its own work:
+	// writers their sends, owners the updates they apply, readers the Gets.
+	var wsends, rgets, rhits, oupdates uint64
+	owners := 0
 	for _, w := range reg.Workers() {
-		switch w.Name()[:9] {
-		case "dramhitp-":
+		name := w.Name()
+		role := strings.TrimRight(name, "0123456789")
+		sends, updates, gets := w.Counter(obs.CQueueSends), w.Counter(obs.CPuts)+w.Counter(obs.CUpserts), w.Counter(obs.CGets)
+		switch role {
+		case "dramhitp-w":
+			wsends += sends
+		case "dramhitp-o":
+			owners++
+			oupdates += updates
+		case "dramhitp-r":
+			rgets += gets
+			rhits += w.Counter(obs.CHits)
 		default:
-			t.Fatalf("unexpected worker %q", w.Name())
+			t.Fatalf("unexpected worker %q", name)
 		}
-		wsends += w.Counter(obs.CQueueSends)
-		rgets += w.Counter(obs.CGets)
-		rhits += w.Counter(obs.CHits)
+		if (role != "dramhitp-w" && sends != 0) || (role != "dramhitp-o" && updates != 0) || (role != "dramhitp-r" && gets != 0) {
+			t.Errorf("worker %q published %d sends, %d puts and upserts, %d gets: work of another role", name, sends, updates, gets)
+		}
 	}
 	if wsends == 0 {
 		t.Error("no delegation sends published")
+	}
+	if owners != tb.cfg.Consumers || oupdates != wsends {
+		t.Errorf("%d owner shards published %d updates, want %d shards applying the %d sends", owners, oupdates, tb.cfg.Consumers, wsends)
 	}
 	if rgets != rh.Stats().Gets || rhits != rh.Stats().Hits {
 		t.Errorf("published read counters %d/%d, want %d/%d",
