@@ -128,8 +128,9 @@ type segment struct {
 	candidate   bool
 }
 
-// Arena is the shared state: the copy-on-write segment directory, the
-// global reclamation epoch, and the pin registry. One Arena serves any
+// Arena is the shared state: the segment directory (appended in place,
+// copied when Advance unlinks a segment, published by pointer either way),
+// the global reclamation epoch, and the pin registry. One Arena serves any
 // number of Writers and readers.
 type Arena struct {
 	segs    atomic.Pointer[[]*segment]
@@ -240,10 +241,13 @@ func (a *Arena) SegmentStats() []SegmentStat {
 }
 
 // newSegment allocates a segment of at least n bytes, links it into the
-// directory, and returns it with its index. A writer's first segment, and any
+// directory, and returns it with its index; ok is false, and nothing is
+// linked, when the directory is full. A writer's first segment, and any
 // segment not of the default size, is a plain make; the rest come from slabs.
-func (a *Arena) newSegment(n int, first bool) (*segment, uint32) {
-	var s *segment
+func (a *Arena) newSegment(n int, first bool) (s *segment, id uint32, ok bool) {
+	if len(*a.segs.Load()) >= maxSegments {
+		return nil, 0, false // before the allocation: a full arena stays cheap to ask
+	}
 	if first || n > a.segSize || a.segSize != DefaultSegmentBytes {
 		s = &segment{buf: make([]byte, max(n, a.segSize))}
 	} else {
@@ -253,15 +257,15 @@ func (a *Arena) newSegment(n int, first bool) (*segment, uint32) {
 	old := *a.segs.Load()
 	if len(old) >= maxSegments {
 		a.mu.Unlock()
-		panic("arena: segment directory full")
+		return nil, 0, false
 	}
-	grown := make([]*segment, len(old)+1)
-	copy(grown, old)
-	id := uint32(len(old))
-	grown[id] = s
+	// append may extend old's array in place: no reader of old indexes past
+	// its length, and Advance's copies have no spare capacity to extend.
+	grown := append(old, s)
+	id = uint32(len(old))
 	a.segs.Store(&grown)
 	a.mu.Unlock()
-	return s, id
+	return s, id, true
 }
 
 // slabSegment hands out the slab segment whose first touch was started when
@@ -344,25 +348,40 @@ const pageBytes = 4 << 10
 // another CPU would otherwise bring in one store miss at a time.
 const tailAhead = 4 * lineBytes
 
-// Append writes one record and returns its Ref. The record is not yet
-// visible to readers — the caller publishes the Ref through an atomic store
-// or CAS on an index word, which is the release edge readers synchronize on.
+// Append is TryAppend for callers that cannot take a refusal: it panics when
+// the segment directory is full.
+func (w *Writer) Append(key, value []byte) Ref {
+	ref, ok := w.TryAppend(key, value)
+	if !ok {
+		panic("arena: segment directory full")
+	}
+	return ref
+}
+
+// TryAppend writes one record and returns its Ref, or reports false when the
+// record needs a new segment and the segment directory is full; the writer is
+// then unchanged, and a later record that fits its open segment still
+// succeeds. The record is not yet visible to readers — the caller publishes
+// the Ref through an atomic store or CAS on an index word, which is the
+// release edge readers synchronize on.
 //
 // Each record that moves the bump pointer onto a new cache line prefetches the
 // line tailAhead bytes past it, when that line is inside the segment, so the
 // next records' stores hit; the segment's used count is stored only when the
 // bump pointer crosses a page boundary (see the package doc).
-func (w *Writer) Append(key, value []byte) Ref {
+func (w *Writer) TryAppend(key, value []byte) (Ref, bool) {
 	n := recordSize(len(key), len(value))
 	if w.seg == nil || int(w.off)+n > len(w.seg.buf) {
-		first := w.seg == nil
-		if !first {
+		seg, id, ok := w.a.newSegment(n, w.seg == nil)
+		if !ok {
+			return 0, false
+		}
+		if w.seg != nil {
 			w.seg.used.Store(uint64(w.off))
 			w.seg.sealed.Store(true)
 			w.a.maybeRetire(w.seg)
 		}
-		w.seg, w.id = w.a.newSegment(n, first)
-		w.off = 0
+		w.seg, w.id, w.off = seg, id, 0
 	}
 	buf := w.seg.buf[w.off:]
 	p := binary.PutUvarint(buf, uint64(len(key)))
@@ -380,7 +399,7 @@ func (w *Writer) Append(key, value []byte) Ref {
 			w.seg.used.Store(uint64(w.off))
 		}
 	}
-	return ref
+	return ref, true
 }
 
 // Record resolves ref to its key and value subslices with zero copies and

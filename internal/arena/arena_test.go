@@ -477,3 +477,56 @@ func TestTailPrefetchInSegment(t *testing.T) {
 		}
 	}
 }
+
+// TestTryAppendDirectoryFull fills the segment directory with one-byte
+// segments, one record each: the record that needs segment maxSegments+1 is
+// refused, a refusal leaves the writer and every published record as they
+// were, a record that still fits the open segment is taken, and Append keeps
+// its panic.
+func TestTryAppendDirectoryFull(t *testing.T) {
+	a := New(WithSegmentBytes(1))
+	w := a.NewWriter()
+	var first, last Ref
+	for i := 0; ; i++ {
+		ref, ok := w.TryAppend([]byte("k"), []byte{byte(i)})
+		if !ok {
+			if i != maxSegments {
+				t.Fatalf("refused record %d, want the first refusal at %d", i, maxSegments)
+			}
+			break
+		}
+		if i == 0 {
+			first = ref
+		}
+		last = ref
+	}
+	if _, ok := a.NewWriter().TryAppend(nil, nil); ok {
+		t.Fatal("a second writer got a segment from a full directory")
+	}
+	if k, v := a.Record(first); string(k) != "k" || !bytes.Equal(v, []byte{0}) {
+		t.Fatalf("first record reads (%q, %x)", k, v)
+	}
+	if _, v := a.Record(last); !bytes.Equal(v, []byte{byte((maxSegments - 1) & 0xff)}) {
+		t.Fatalf("last record reads %x", v)
+	}
+
+	// A writer whose open segment has room keeps appending into it.
+	b := New(WithSegmentBytes(64))
+	wb := b.NewWriter()
+	wb.Append([]byte("a"), nil)
+	for len(*b.segs.Load()) < maxSegments {
+		b.newSegment(1, true)
+	}
+	if ref, ok := wb.TryAppend([]byte("b"), nil); !ok || string(b.Key(ref)) != "b" {
+		t.Fatalf("a record that fits the open segment: ok %v", ok)
+	}
+	if _, ok := wb.TryAppend([]byte("c"), make([]byte, 64)); ok {
+		t.Fatal("a record past the open segment was taken from a full directory")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append on a full directory did not panic")
+		}
+	}()
+	wb.Append([]byte("c"), make([]byte, 64))
+}

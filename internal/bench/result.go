@@ -48,6 +48,9 @@ type RunResult struct {
 	Theta     float64 `json:"theta"`
 	MissRatio float64 `json:"miss_ratio,omitempty"`
 	Combining string  `json:"combining,omitempty"`
+	// Exec is the execution mode a flat dramhit or dramhit-p table ran:
+	// "direct" (synchronous probes) or "ring" (the prefetch pipeline).
+	Exec string `json:"exec,omitempty"`
 	// Layout is the physical slot layout when it is not the flat default
 	// ("bucket"); ValueSize and ValueTheta describe byte-string runs
 	// (loadgen -valuesize): the value-size cap in bytes and the zipf skew

@@ -50,18 +50,20 @@ func (h *Handle) GetBytes(key []byte) ([]byte, bool) {
 }
 
 // PutBytes stores value for a byte-string key, overwriting silently, and
-// reports whether the key already existed. The table grows itself as
-// needed — a byte Put never fails.
-func (h *Handle) PutBytes(key, value []byte) (existed bool) {
+// reports whether the key already existed. The index grows itself as needed;
+// ok is false only when the arena has no room left for the record (its
+// segment directory is full), and then the key keeps its old value and the
+// Put counts in Stats.Failed.
+func (h *Handle) PutBytes(key, value []byte) (existed, ok bool) {
 	h.requireLayout(table.LayoutBucket)
 	bh, hv := h.route(key)
 	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
-	existed = bh.PutHashed(hv, key, value)
+	existed, ok = bh.PutHashed(hv, key, value)
 	h.stats.Lines++
 	h.foldBucketStats(bh, preL, preH)
-	h.countOp(table.Put, true)
-	return existed
+	h.countWrite(table.Put, ok)
+	return existed, ok
 }
 
 // UpsertBytes atomically read-modify-writes a byte-string key: fn receives
@@ -69,17 +71,28 @@ func (h *Handle) PutBytes(key, value []byte) (existed bool) {
 // store, or store false to leave the key as it is. Under contention fn may
 // run multiple times; exactly the final invocation's decision takes effect,
 // and its input is the record it replaced or kept. Reports whether the key
-// already existed.
-func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
+// already existed, and ok false when fn's value could not be stored (as for
+// PutBytes).
+func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed, ok bool) {
 	h.requireLayout(table.LayoutBucket)
 	bh, hv := h.route(key)
 	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
-	existed = bh.MutateHashed(hv, key, fn)
+	existed, ok = bh.MutateHashed(hv, key, fn)
 	h.stats.Lines++
 	h.foldBucketStats(bh, preL, preH)
-	h.countOp(table.Upsert, true)
-	return existed
+	h.countWrite(table.Upsert, ok)
+	return existed, ok
+}
+
+// countWrite counts a completed byte Put or Upsert, and a refused one as
+// Failed. A write counts as a hit in countOp's convention: its outcome is
+// its own, whatever the key held.
+func (h *Handle) countWrite(op table.Op, ok bool) {
+	if !ok {
+		h.stats.Failed++
+	}
+	h.countOp(op, true)
 }
 
 // DeleteBytes removes a byte-string key, reporting whether it was present.

@@ -81,8 +81,8 @@ func TestBucketReservedKeys(t *testing.T) {
 	h := newBucketTable(256).NewHandle()
 	keys := [][]byte{{}, le(table.EmptyKey), le(table.TombstoneKey), le(table.MovedKey)}
 	for i, k := range keys {
-		if h.PutBytes(k, le(uint64(i)+9)) {
-			t.Fatalf("fresh key %x reported existing", k)
+		if existed, ok := h.PutBytes(k, le(uint64(i)+9)); existed || !ok {
+			t.Fatalf("fresh key %x: existed %v ok %v", k, existed, ok)
 		}
 	}
 	for i, k := range keys {
@@ -275,8 +275,8 @@ func TestUint64APIRequiresFlat(t *testing.T) {
 // variable-length keys and values, mutate-in-place, delete.
 func TestBucketByteAPI(t *testing.T) {
 	h := newBucketTable(1024).NewHandle()
-	if existed := h.PutBytes([]byte("chr1:1042"), []byte("ACGTACGT")); existed {
-		t.Fatal("fresh byte key reported existing")
+	if existed, ok := h.PutBytes([]byte("chr1:1042"), []byte("ACGTACGT")); existed || !ok {
+		t.Fatalf("fresh byte key: existed %v ok %v", existed, ok)
 	}
 	if v, ok := h.GetBytes([]byte("chr1:1042")); !ok || string(v) != "ACGTACGT" {
 		t.Fatalf("GetBytes = (%q, %v)", v, ok)

@@ -40,8 +40,12 @@ type ByteCompletion struct {
 	// callback or copy. Nil for Put and Delete.
 	Value []byte
 	// Found reports a Get hit, a Delete that removed a key, or — for Put —
-	// that the key already existed (the Put itself always succeeds).
+	// that the key already existed.
 	Found bool
+	// Failed reports a Put the arena had no room for (its segment directory
+	// is full): nothing was written and the key keeps its old value. Gets and
+	// Deletes never fail.
+	Failed bool
 }
 
 // bytePending is one in-flight byte request: the caller's buffers, the echo
@@ -180,14 +184,18 @@ func (h *Handle) drainByte() {
 		c.Value, c.Found = bh.GetHashed(p.hv, p.key)
 	case table.Put:
 		h.stats.CASAttempts++
-		c.Found = bh.PutHashed(p.hv, p.key, p.val)
+		var ok bool
+		c.Found, ok = bh.PutHashed(p.hv, p.key, p.val)
+		if c.Failed = !ok; c.Failed {
+			h.stats.Failed++
+		}
 	default: // Delete — Upsert was rejected at submit
 		h.stats.CASAttempts++
 		c.Found = bh.DeleteHashed(p.hv, p.key)
 	}
 	h.foldBucketStats(bh, preL, preH)
-	// A byte Put always succeeds (countOp's hit convention for Puts), while
-	// the completion's Found carries the existed bit.
+	// A Put counts as a hit (countOp's convention for writes), while the
+	// completion's Found carries the existed bit.
 	hit := c.Found || p.op == table.Put
 	h.countOp(p.op, hit)
 	if h.opLat && p.startNS != 0 {

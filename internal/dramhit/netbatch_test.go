@@ -163,7 +163,8 @@ func TestBytePipelineMatchesSyncAPI(t *testing.T) {
 		case 3, 4, 5: // Put
 			v := []byte(fmt.Sprintf("v%d", i))
 			ha.SubmitBytes(table.Put, uint64(i), k, v)
-			sync = append(sync, res{"", hs.PutBytes(k, v)})
+			existed, _ := hs.PutBytes(k, v)
+			sync = append(sync, res{"", existed})
 		default: // Delete
 			ha.SubmitBytes(table.Delete, uint64(i), k, nil)
 			sync = append(sync, res{"", hs.DeleteBytes(k)})

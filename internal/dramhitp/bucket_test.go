@@ -64,8 +64,8 @@ func TestPBucketByteAPI(t *testing.T) {
 		"a-much-longer-key": "with a much longer value than eight bytes",
 	}
 	for k, v := range kv {
-		if w.PutBytes([]byte(k), []byte(v)) {
-			t.Fatalf("fresh byte key %q reported existing", k)
+		if existed, ok := w.PutBytes([]byte(k), []byte(v)); existed || !ok {
+			t.Fatalf("fresh byte key %q: existed %v ok %v", k, existed, ok)
 		}
 	}
 	for k, v := range kv {

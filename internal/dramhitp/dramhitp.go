@@ -244,6 +244,10 @@ func (t *Table) Cap() int { return int(t.total) }
 // Partitions returns the partition count.
 func (t *Table) Partitions() int { return int(t.nparts) }
 
+// Direct reports whether the read view's handles, readers and owners alike,
+// run direct mode (Config.Governor).
+func (t *Table) Direct() bool { return t.view.Direct() }
+
 // owner is one delegation thread: the single writer of partitions first,
 // first+Consumers, .... It applies each update delegated to them by
 // submitting it into its own handle of the read view, so a delegated write

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dramhit/internal/dramhit"
+	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
 
@@ -91,7 +92,10 @@ func TestOnePartitionIsADramhitTable(t *testing.T) {
 	pt := New(Config{Slots: 1 << 12, Producers: 1, Consumers: 1})
 	pt.Start()
 	defer pt.Close()
-	dt := dramhit.New(dramhit.Config{Slots: 1 << 12})
+	// A one-region view runs the ring at any size, as the reader does; New
+	// would run a table this small in direct mode.
+	dt := dramhit.NewView(dramhit.Config{Slots: 1 << 12},
+		dramhit.Regions{Arrays: []*slotarr.Array{slotarr.New(1 << 12)}, Side: new(slotarr.SidePair)})
 	w, ds := pt.NewWriteHandle(), dt.NewSync()
 	rng := rand.New(rand.NewSource(11))
 	// Puts and Deletes only: a WriteHandle holds Upserts back to fold them,
@@ -224,14 +228,15 @@ func TestReadersMatchOracle(t *testing.T) {
 		if bucket {
 			bt = NewBytes(BytesConfig{Slots: 1 << 13, Partitions: 6})
 			w := bt.NewHandle()
-			put = func(k, v uint64) bool { return w.PutBytes(le(k), le(v)) }
+			put = func(k, v uint64) bool { _, ok := w.PutBytes(le(k), le(v)); return ok }
 			add = func(k, d uint64) bool {
-				return w.UpsertBytes(le(k), func(old []byte, present bool) ([]byte, bool) {
+				_, ok := w.UpsertBytes(le(k), func(old []byte, present bool) ([]byte, bool) {
 					if present {
 						d += binary.LittleEndian.Uint64(old)
 					}
 					return le(d), true
 				})
+				return ok
 			}
 			del = func(k uint64) { w.DeleteBytes(le(k)) }
 			settle, shutdown, length = func() {}, func() {}, bt.Len

@@ -29,6 +29,14 @@ const (
 	kMcDelQuiet
 )
 
+// The replies to a write the table could not store: its arena has no room
+// left for the record (ByteCompletion.Failed). The key keeps its old value,
+// and reads and deletes go on being served.
+const (
+	respOOM = "OOM out of memory: the table's arena is full"
+	mcOOM   = "SERVER_ERROR out of memory"
+)
+
 // pmeta carries the per-request reply context from submit to completion.
 type pmeta struct {
 	key   []byte // mc VALUE lines echo the key; aliases the read buffer
@@ -187,7 +195,11 @@ func (wk *worker) complete(cc idramhit.ByteCompletion) {
 			cn.wbuf = resp.AppendNil(cn.wbuf)
 		}
 	case kRespSet:
-		cn.wbuf = resp.AppendSimple(cn.wbuf, "OK")
+		if cc.Failed {
+			cn.wbuf = resp.AppendError(cn.wbuf, respOOM)
+		} else {
+			cn.wbuf = resp.AppendSimple(cn.wbuf, "OK")
+		}
 	case kRespDel:
 		n := int64(0)
 		if cc.Found {
@@ -203,7 +215,11 @@ func (wk *worker) complete(cc idramhit.ByteCompletion) {
 			cn.wbuf = mctext.AppendEnd(cn.wbuf)
 		}
 	case kMcSet:
-		cn.wbuf = mctext.AppendLine(cn.wbuf, "STORED")
+		if cc.Failed {
+			cn.wbuf = mctext.AppendLine(cn.wbuf, mcOOM)
+		} else {
+			cn.wbuf = mctext.AppendLine(cn.wbuf, "STORED")
+		}
 	case kMcDel:
 		if cc.Found {
 			cn.wbuf = mctext.AppendLine(cn.wbuf, "DELETED")
@@ -312,8 +328,9 @@ func (cn *conn) batchFull(held int) bool {
 // replaced: a present non-numeric record is left as it is and reported as
 // not numeric, and an absent key is created from zero when create is set
 // (RESP: redis treats missing as "0") and otherwise left absent and reported
-// as not found (memcached).
-func (cn *conn) incr(key []byte, create bool, delta uint64, negative bool) (n uint64, found, numeric bool) {
+// as not found (memcached). stored is false when the new value could not be
+// stored (the table's arena is full); the key then keeps its old value.
+func (cn *conn) incr(key []byte, create bool, delta uint64, negative bool) (n uint64, found, numeric, stored bool) {
 	cn.barrier()
 	wk := cn.worker()
 	var start int64
@@ -321,7 +338,7 @@ func (cn *conn) incr(key []byte, create bool, delta uint64, negative bool) (n ui
 		start = time.Now().UnixNano()
 	}
 	var scratch [28]byte // 4 flags + 20 digits; engine copies during Mutate
-	wk.h.UpsertBytes(key, func(old []byte, present bool) ([]byte, bool) {
+	_, stored = wk.h.UpsertBytes(key, func(old []byte, present bool) ([]byte, bool) {
 		var flags uint32
 		var cur uint64
 		found, numeric = present || create, create
@@ -344,8 +361,8 @@ func (cn *conn) incr(key []byte, create bool, delta uint64, negative bool) (n ui
 		}
 		return strconv.AppendUint(appendRecord(scratch[:0], flags, nil), n, 10), true
 	})
-	if numeric && wk.o != nil {
+	if numeric && stored && wk.o != nil {
 		wk.countOp(table.Upsert, true, start)
 	}
-	return n, found, numeric
+	return n, found, numeric, stored
 }

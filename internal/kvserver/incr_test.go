@@ -47,10 +47,10 @@ func TestUpsertNumericStaleSeed(t *testing.T) {
 			if tc.stored != nil {
 				h.PutBytes(key, tc.stored)
 			}
-			n, found, numeric := cn.incr(key, tc.create, 1, false)
-			if found != tc.wantFound || numeric != tc.wantNumeric || n != tc.wantN {
-				t.Errorf("incr = (%d, found %v, numeric %v), want (%d, %v, %v)",
-					n, found, numeric, tc.wantN, tc.wantFound, tc.wantNumeric)
+			n, found, numeric, stored := cn.incr(key, tc.create, 1, false)
+			if found != tc.wantFound || numeric != tc.wantNumeric || n != tc.wantN || !stored {
+				t.Errorf("incr = (%d, found %v, numeric %v, stored %v), want (%d, %v, %v, true)",
+					n, found, numeric, stored, tc.wantN, tc.wantFound, tc.wantNumeric)
 			}
 			got, ok := h.GetBytes(key)
 			if ok != (tc.wantRecord != nil) || !bytes.Equal(got, tc.wantRecord) {

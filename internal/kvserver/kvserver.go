@@ -60,6 +60,12 @@ type Config struct {
 // runs at 1x, and 0 in 5 of 8 at 2x and 6 of 8 at 4x (EXPERIMENTS.md).
 const poolPerProc = 4
 
+// newTable builds the server's table. Tests replace it to serve a table over
+// an arena of tiny segments, whose directory a test can fill.
+var newTable = func(slots uint64) *idramhit.Table {
+	return idramhit.New(idramhit.Config{Slots: slots, Layout: table.LayoutBucket})
+}
+
 // Server is a running KV front-end. Create with New, stop with Close.
 type Server struct {
 	tbl *idramhit.Table
@@ -96,7 +102,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Slots = 1 << 16
 	}
 	s := &Server{
-		tbl:     idramhit.New(idramhit.Config{Slots: cfg.Slots, Layout: table.LayoutBucket}),
+		tbl:     newTable(cfg.Slots),
 		handles: poolPerProc * runtime.GOMAXPROCS(0),
 		conns:   make(map[net.Conn]struct{}),
 	}

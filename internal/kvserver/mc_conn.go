@@ -56,9 +56,11 @@ func (p mcProto) next(cn *conn) (bool, error) {
 		cn.submit(table.Delete, kind, req.Key, nil)
 	case mctext.Incr, mctext.Decr:
 		// memcached incr/decr never creates the key.
-		n, found, numeric := cn.incr(req.Key, false, req.Delta, req.Verb == mctext.Decr)
+		n, found, numeric, stored := cn.incr(req.Key, false, req.Delta, req.Verb == mctext.Decr)
 		switch {
 		case req.NoReply:
+		case !stored:
+			cn.wbuf = mctext.AppendLine(cn.wbuf, mcOOM)
 		case !found:
 			cn.wbuf = mctext.AppendLine(cn.wbuf, "NOT_FOUND")
 		case !numeric:

@@ -41,9 +41,12 @@ func (p respProto) next(cn *conn) (bool, error) {
 		if len(cmd.Args) != 2 {
 			return cn.respArity("incr"), nil
 		}
-		if n, _, numeric := cn.incr(cmd.Args[1], true, 1, false); numeric {
+		switch n, _, numeric, stored := cn.incr(cmd.Args[1], true, 1, false); {
+		case !stored:
+			cn.wbuf = resp.AppendError(cn.wbuf, respOOM)
+		case numeric:
 			cn.wbuf = resp.AppendInt(cn.wbuf, int64(n))
-		} else {
+		default:
 			cn.wbuf = resp.AppendError(cn.wbuf, "ERR value is not an integer or out of range")
 		}
 	case eqFold(name, "PING"):

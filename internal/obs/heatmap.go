@@ -47,9 +47,6 @@ type DistBuilder map[uint64]uint64
 // Add counts one observation of v.
 func (b DistBuilder) Add(v uint64) { b[v]++ }
 
-// AddN counts n observations of v.
-func (b DistBuilder) AddN(v, n uint64) { b[v] += n }
-
 // Build freezes the builder into a named HeatDist.
 func (b DistBuilder) Build(name string) HeatDist {
 	d := HeatDist{Name: name}

@@ -66,13 +66,13 @@ func TestBucketBasicBytes(t *testing.T) {
 	if _, ok := h.Get([]byte("absent")); ok {
 		t.Fatal("empty table reported a key")
 	}
-	if h.Put([]byte("k1"), []byte("v1")) {
+	if existed, _ := h.Put([]byte("k1"), []byte("v1")); existed {
 		t.Fatal("first Put reported existing")
 	}
 	if v, ok := h.Get([]byte("k1")); !ok || string(v) != "v1" {
 		t.Fatalf("Get = (%q, %v)", v, ok)
 	}
-	if !h.Put([]byte("k1"), []byte("v2-longer-than-before")) {
+	if existed, _ := h.Put([]byte("k1"), []byte("v2-longer-than-before")); !existed {
 		t.Fatal("overwrite reported new")
 	}
 	if v, _ := h.Get([]byte("k1")); string(v) != "v2-longer-than-before" {
@@ -87,7 +87,7 @@ func TestBucketBasicBytes(t *testing.T) {
 	if _, ok := h.Get([]byte("k1")); ok {
 		t.Fatal("deleted key visible")
 	}
-	if h.Put([]byte("k1"), []byte("back")) {
+	if existed, _ := h.Put([]byte("k1"), []byte("back")); existed {
 		t.Fatal("reinsert after delete reported existing")
 	}
 	if v, _ := h.Get([]byte("k1")); string(v) != "back" {
@@ -370,7 +370,7 @@ func TestBucketMapVsReference(t *testing.T) {
 		case 0, 1, 2, 3:
 			v := next(1 << 40)
 			_, had := ref[k]
-			if existed := h.Put(le(k), le(v)); existed != had {
+			if existed, _ := h.Put(le(k), le(v)); existed != had {
 				t.Fatalf("op %d: Put(%d) existed = %v, want %v", i, k, existed, had)
 			}
 			ref[k] = v
@@ -511,7 +511,7 @@ func TestMutateDeclineLeavesKey(t *testing.T) {
 	claimed := bt.Claimed()
 	for i := 0; i < n; i++ {
 		before, _ := h.Get(key(i))
-		if !h.Mutate(key(i), decline) {
+		if existed, _ := h.Mutate(key(i), decline); !existed {
 			t.Fatalf("Mutate(%d) reported absent", i)
 		}
 		after, ok := h.Get(key(i))
@@ -519,7 +519,7 @@ func TestMutateDeclineLeavesKey(t *testing.T) {
 			t.Fatalf("declined Mutate(%d) replaced the record: %v -> %v", i, before, after)
 		}
 	}
-	if h.Mutate([]byte("absent"), decline) {
+	if existed, _ := h.Mutate([]byte("absent"), decline); existed {
 		t.Fatal("Mutate of an absent key reported present")
 	}
 	if _, ok := h.Get([]byte("absent")); ok {
@@ -595,7 +595,7 @@ func TestHashedEntryPointsAcrossGrow(t *testing.T) {
 		hvs[i] = bt.HashOf(key(i)) // all taken at one bucket
 	}
 	for i := 0; i < n; i++ {
-		if h.PutHashed(hvs[i], key(i), []byte{byte(i)}) {
+		if existed, _ := h.PutHashed(hvs[i], key(i), []byte{byte(i)}); existed {
 			t.Fatalf("key %d existed on first Put", i)
 		}
 	}
@@ -613,7 +613,7 @@ func TestHashedEntryPointsAcrossGrow(t *testing.T) {
 				t.Fatalf("DeleteHashed(%d) missed", i)
 			}
 		case 1:
-			existed := h.MutateHashed(hvs[i], key(i), func(old []byte, present bool) ([]byte, bool) {
+			existed, _ := h.MutateHashed(hvs[i], key(i), func(old []byte, present bool) ([]byte, bool) {
 				if !present || old[0] != byte(i) {
 					t.Errorf("MutateHashed(%d) saw (%v, %v)", i, old, present)
 				}

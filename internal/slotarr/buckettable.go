@@ -358,13 +358,15 @@ func (h *BucketHandle) lookup(hv uint64, key []byte) ([]byte, bool) {
 }
 
 // Put stores value for key, overwriting silently. Returns whether the key
-// already existed.
-func (h *BucketHandle) Put(key, value []byte) (existed bool) {
+// already existed, and ok false when the arena had no room for the record (its
+// segment directory is full): then nothing was written and the key keeps its
+// old value.
+func (h *BucketHandle) Put(key, value []byte) (existed, ok bool) {
 	return h.mutate(h.t.hash(key), key, value, nil)
 }
 
 // PutHashed is Put with the key's hash supplied (see GetHashed).
-func (h *BucketHandle) PutHashed(hv uint64, key, value []byte) (existed bool) {
+func (h *BucketHandle) PutHashed(hv uint64, key, value []byte) (existed, ok bool) {
 	return h.mutate(hv, key, value, nil)
 }
 
@@ -374,30 +376,33 @@ func (h *BucketHandle) PutHashed(hv uint64, key, value []byte) (existed bool) {
 // Under contention fn may run multiple times; exactly the final
 // invocation's decision takes effect, and its input is the record it
 // replaced or kept — this is the linearizable add the uint64 Upsert
-// contract needs, and the atomic not-found of memcached's incr.
-func (h *BucketHandle) Mutate(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
+// contract needs, and the atomic not-found of memcached's incr. ok is false
+// when fn's value could not be stored, as for Put.
+func (h *BucketHandle) Mutate(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed, ok bool) {
 	return h.mutate(h.t.hash(key), key, nil, fn)
 }
 
 // MutateHashed is Mutate with the key's hash supplied (see GetHashed).
-func (h *BucketHandle) MutateHashed(hv uint64, key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool) {
+func (h *BucketHandle) MutateHashed(hv uint64, key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed, ok bool) {
 	return h.mutate(hv, key, nil, fn)
 }
 
-func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool) ([]byte, bool)) (existed bool) {
+func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool) ([]byte, bool)) (existed, ok bool) {
 	t := h.t
 	fp := table.TagOf(hv)
 	g := &t.gates[hv&(bucketGateStripes-1)]
 	g.RLock()
-	existed, needGrow := h.mutateLocked(key, value, fn, hv, fp)
+	existed, ok, needGrow := h.mutateLocked(key, value, fn, hv, fp)
 	g.RUnlock() // grow() write-locks every stripe; release ours first
 	if needGrow {
 		t.grow()
 	}
-	return existed
+	return existed, ok
 }
 
-func (h *BucketHandle) mutateLocked(key, value []byte, fn func([]byte, bool) ([]byte, bool), hv uint64, fp uint8) (existed, needGrow bool) {
+// mutateLocked is mutate under the key's gate. A record the arena refuses
+// (TryAppend) fails the write before any slot word changes.
+func (h *BucketHandle) mutateLocked(key, value []byte, fn func([]byte, bool) ([]byte, bool), hv uint64, fp uint8) (existed, ok, needGrow bool) {
 	t := h.t
 retry:
 	st := t.state.Load()
@@ -424,13 +429,16 @@ retry:
 		if fn != nil {
 			var store bool
 			if nv, store = fn(old, true); !store {
-				return true, false
+				return true, true, false
 			}
 		}
-		ref := h.w.Append(key, nv)
+		ref, ok := h.w.TryAppend(key, nv)
+		if !ok {
+			return true, false, false
+		}
 		if atomic.CompareAndSwapUint64(&st.words[b+uint64(lane)+1], w, slotWord(fp, ref)) {
 			t.ar.Retire(slotRef(w))
-			return true, false
+			return true, true, false
 		}
 		t.ar.Retire(ref) // lost the race; the fresh record is already dead
 		goto retry
@@ -458,13 +466,16 @@ retry:
 		if fn != nil {
 			var store bool
 			if nv, store = fn(old, true); !store {
-				return true, false
+				return true, true, false
 			}
 		}
-		ref := h.w.Append(key, nv)
+		ref, ok := h.w.TryAppend(key, nv)
+		if !ok {
+			return true, false, false
+		}
 		if n.word.CompareAndSwap(w, slotWord(fp, ref)) {
 			t.ar.Retire(slotRef(w))
-			return true, false
+			return true, true, false
 		}
 		t.ar.Retire(ref)
 		goto retry
@@ -476,10 +487,13 @@ retry:
 	if fn != nil {
 		var store bool
 		if nv, store = fn(nil, false); !store {
-			return false, false
+			return false, true, false
 		}
 	}
-	ref := h.w.Append(key, nv)
+	ref, ok := h.w.TryAppend(key, nv)
+	if !ok {
+		return false, false, false
+	}
 	w := slotWord(fp, ref)
 	if free >= 0 {
 		if !atomic.CompareAndSwapUint64(&st.words[b+uint64(free)+1], 0, w) {
@@ -518,9 +532,9 @@ retry:
 	}
 	t.live.Add(1)
 	if claimed := st.claimed.Add(1); float64(claimed) >= t.maxLoad*float64(st.nb*BucketLanes) {
-		return false, true
+		return false, true, true
 	}
-	return false, false
+	return false, true, false
 }
 
 // Delete removes key, returning whether it was present. The lane (or stash

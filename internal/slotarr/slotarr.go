@@ -108,12 +108,6 @@ func (a *Array) CASKey(i, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&a.words[2*i], old, new)
 }
 
-// StoreKey atomically stores the key word of slot i (used for tombstoning
-// and by single-writer partitions).
-func (a *Array) StoreKey(i, k uint64) {
-	atomic.StoreUint64(&a.words[2*i], k)
-}
-
 // StoreValue publishes the value of slot i.
 func (a *Array) StoreValue(i, v uint64) {
 	atomic.StoreUint64(&a.words[2*i+1], v)

@@ -35,9 +35,9 @@ func TestBucketConformance(t *testing.T) {
 // engineAPI serves a raw bucket engine's handle as a tabletest.ByteAPI.
 type engineAPI struct{ h *slotarr.BucketHandle }
 
-func (e engineAPI) GetBytes(key []byte) ([]byte, bool) { return e.h.Get(key) }
-func (e engineAPI) PutBytes(key, value []byte) bool    { return e.h.Put(key, value) }
-func (e engineAPI) UpsertBytes(key []byte, fn func(old []byte, present bool) ([]byte, bool)) bool {
+func (e engineAPI) GetBytes(key []byte) ([]byte, bool)      { return e.h.Get(key) }
+func (e engineAPI) PutBytes(key, value []byte) (bool, bool) { return e.h.Put(key, value) }
+func (e engineAPI) UpsertBytes(key []byte, fn func(old []byte, present bool) ([]byte, bool)) (bool, bool) {
 	return e.h.Mutate(key, fn)
 }
 func (e engineAPI) DeleteBytes(key []byte) bool { return e.h.Delete(key) }

@@ -11,8 +11,8 @@ import (
 // together.
 type ByteAPI interface {
 	GetBytes(key []byte) ([]byte, bool)
-	PutBytes(key, value []byte) (existed bool)
-	UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed bool)
+	PutBytes(key, value []byte) (existed, ok bool)
+	UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed, ok bool)
 	DeleteBytes(key []byte) bool
 }
 
@@ -55,11 +55,12 @@ func (m *ByteMap) Get(key uint64) (uint64, bool) {
 	return binary.LittleEndian.Uint64(v), true
 }
 
-// Put implements table.Map; a bucket table grows, so it never reports full.
+// Put implements table.Map. A bucket table grows, so it reports full only
+// when its arena has no room for the record.
 func (m *ByteMap) Put(key, value uint64) bool {
 	kb, vb := le(key), le(value)
-	m.api.PutBytes(kb[:], vb[:])
-	return true
+	_, ok := m.api.PutBytes(kb[:], vb[:])
+	return ok
 }
 
 // Upsert implements table.Map with the engine's read-modify-write, so racing
@@ -68,7 +69,7 @@ func (m *ByteMap) Upsert(key, delta uint64) (uint64, bool) {
 	kb := le(key)
 	var res uint64
 	var vb [8]byte
-	m.api.UpsertBytes(kb[:], func(old []byte, present bool) ([]byte, bool) {
+	_, ok := m.api.UpsertBytes(kb[:], func(old []byte, present bool) ([]byte, bool) {
 		res = delta
 		if present {
 			res += binary.LittleEndian.Uint64(old)
@@ -76,7 +77,7 @@ func (m *ByteMap) Upsert(key, delta uint64) (uint64, bool) {
 		binary.LittleEndian.PutUint64(vb[:], res)
 		return vb[:], true
 	})
-	return res, true
+	return res, ok
 }
 
 // Delete implements table.Map.
