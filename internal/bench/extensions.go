@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"dramhit/internal/dramhit"
 	"dramhit/internal/memsim"
 	"dramhit/internal/simtable"
 	"dramhit/internal/table"
@@ -87,7 +86,7 @@ func extTombstones(cfg Config) *Artifact {
 	}
 	live := int(float64(size) * 0.5)
 	keys := workload.UniqueKeys(cfg.Seed, live+live/4*12)
-	tbl := dramhit.New(dramhit.Config{Slots: size})
+	tbl := newRingTable(size, table.LayoutFlat)
 	h := tbl.NewHandle()
 	h.PutBatch(keys[:live], make([]uint64, live))
 

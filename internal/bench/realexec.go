@@ -10,6 +10,7 @@ import (
 	"dramhit/internal/dramhit"
 	"dramhit/internal/dramhitp"
 	"dramhit/internal/kmer"
+	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 	"dramhit/internal/workload"
 )
@@ -29,8 +30,9 @@ func init() {
 // factor of 75-80%, lookup and insertion operations require only 1.3 cache
 // line accesses per request on average (reprobes ... access additional
 // cache-lines only 30% of the time)". It measures the real table's
-// lines-per-op counter across fill factors, for the flat layout the paper
-// describes and for the one-line bucket layout beside it.
+// lines-per-op counter across fill factors, on the prefetch ring, for the
+// flat layout the paper describes and for the one-line bucket layout beside
+// it.
 func reprobeStats(cfg Config) *Artifact {
 	a := &Artifact{
 		ID:     "reprobe-stats",
@@ -51,7 +53,7 @@ func reprobeStats(cfg Config) *Artifact {
 			findS.Name += " (bucket layout)"
 		}
 		for _, fill := range fills {
-			tbl := dramhit.New(dramhit.Config{Slots: size, Layout: layout})
+			tbl := newRingTable(size, layout)
 			h, h2 := tbl.NewHandle(), tbl.NewHandle()
 			n := int(float64(size) * fill)
 			keys := workload.UniqueKeys(cfg.Seed, n)
@@ -181,4 +183,18 @@ func realKmer(cfg Config) *Artifact {
 		fmt.Sprintf("each cell is the median of %d counting passes, each into a fresh table, interleaved with the other cells' passes", realKmerReps),
 		"absolute Mops reflect this host and the Go runtime; the paper's Figure 12 shape is reproduced by fig12a/fig12b")
 	return a
+}
+
+// newRingTable builds a dramhit table of slots slots in layout that runs the
+// prefetch ring at any size, the execution the paper measures: a flat table
+// is a one-region view, to which New's size rule (direct mode up to a 4 MiB
+// slot array) does not apply, and a bucket table always runs its ring. The
+// two executions visit the same lines but, on a batch, in a different order,
+// so the line counts of the real-execution figures depend on the execution.
+func newRingTable(slots uint64, layout table.Layout) *dramhit.Table {
+	if layout == table.LayoutBucket {
+		return dramhit.New(dramhit.Config{Slots: slots, Layout: layout})
+	}
+	return dramhit.NewView(dramhit.Config{Slots: slots},
+		dramhit.Regions{Arrays: []*slotarr.Array{slotarr.New(slots)}, Side: new(slotarr.SidePair)})
 }

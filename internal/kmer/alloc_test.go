@@ -5,6 +5,7 @@ import (
 
 	"dramhit/internal/chtkc"
 	"dramhit/internal/dramhit"
+	"dramhit/internal/slotarr"
 )
 
 // TestDRAMHiTCounterZeroAllocSteadyState pins the counting hot loop's
@@ -13,7 +14,10 @@ import (
 // recycles its merged nodes, so after warmup a Count — including the every
 // 16th call that flushes a whole batch through Submit — allocates nothing.
 func TestDRAMHiTCounterZeroAllocSteadyState(t *testing.T) {
-	tbl := dramhit.New(dramhit.Config{Slots: 1 << 16})
+	// A one-region view runs the prefetch ring at any size; New
+	// would run a table this small in direct mode.
+	tbl := dramhit.NewView(dramhit.Config{Slots: 1 << 16},
+		dramhit.Regions{Arrays: []*slotarr.Array{slotarr.New(1 << 16)}, Side: new(slotarr.SidePair)})
 	c := NewDRAMHiTCounter(tbl.NewHandle(), 16)
 	// Warmup: populate the hot keys, grow the merged-node arena to its
 	// steady-state size, and exercise every batch-flush path once.

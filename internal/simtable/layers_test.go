@@ -7,6 +7,7 @@ import (
 	"dramhit/internal/dramhit"
 	"dramhit/internal/hashfn"
 	"dramhit/internal/memsim"
+	"dramhit/internal/slotarr"
 	"dramhit/internal/workload"
 )
 
@@ -23,7 +24,10 @@ func TestCountsMatchLayerOne(t *testing.T) {
 		keys := workload.UniqueKeys(42, int(slots*fill))
 		ops := float64(len(keys))
 
-		tbl := dramhit.New(dramhit.Config{Slots: slots})
+		// A one-region view runs the prefetch ring at any size; New would
+		// run a table this small in direct mode.
+		tbl := dramhit.NewView(dramhit.Config{Slots: slots},
+			dramhit.Regions{Arrays: []*slotarr.Array{slotarr.New(slots)}, Side: new(slotarr.SidePair)})
 		h := tbl.NewHandle()
 		vals := make([]uint64, len(keys))
 		h.PutBatch(keys, vals)

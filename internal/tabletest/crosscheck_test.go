@@ -26,10 +26,11 @@ func TestCrossImplementationEquivalence(t *testing.T) {
 	dp.Start()
 	defer dp.Close()
 	impls := map[string]table.Map{
-		"folklore":  folklore.New(slots),
-		"dramhit":   dh,
-		"dramhit-p": dp.NewSync(),
-		"growt":     growt.New(64),
+		"folklore":     folklore.New(slots),
+		"dramhit":      dh, // direct mode: New's size rule
+		"dramhit-ring": dramhitRing(slots).NewSync(),
+		"dramhit-p":    dp.NewSync(),
+		"growt":        growt.New(64),
 	}
 	ref := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(99))

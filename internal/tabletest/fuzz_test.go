@@ -103,6 +103,13 @@ func FuzzTableOps(f *testing.F) {
 	})
 }
 
+// dramhitRing is a flat dramhit table of n slots that runs the prefetch ring
+// at any size: a one-region view, to which New's size rule does not apply.
+func dramhitRing(n uint64) *dramhit.Table {
+	return dramhit.NewView(dramhit.Config{Slots: n},
+		dramhit.Regions{Arrays: []*slotarr.Array{slotarr.New(n)}, Side: new(slotarr.SidePair)})
+}
+
 // fuzzSeq builds an encoded op stream from (op, key, value) byte triples.
 func fuzzSeq(b ...byte) []byte { return b }
 
@@ -134,7 +141,10 @@ func replayTableOps(t *testing.T, data []byte) {
 		// is omitted here because each fuzz execution would pay its
 		// delegation goroutines' startup.
 		{"folklore", folklore.New(slots)},
+		// New runs a table this small in direct mode; dramhit-ring is the
+		// same table on the prefetch ring.
 		{"dramhit", dramhit.New(dramhit.Config{Slots: slots}).NewSync()},
+		{"dramhit-ring", dramhitRing(slots).NewSync()},
 		{"growt", growt.New(64)},
 		// Bucket layout, three postures: the raw engine starting at 64 slots
 		// (the dbl seed drives it through at least two index rebuilds), a
