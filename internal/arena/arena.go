@@ -26,14 +26,45 @@
 // happens-before edge and the byte reads are race-free. Superseded and
 // deleted records are retired with Retire, which advances the owning
 // segment's dead-byte count; a segment whose bytes are all dead is a
-// reclamation candidate. Actual freeing is epoch-based: readers pin the
-// current epoch around each record access (Pin.Enter/Exit), Advance — hooked
-// to the bucket table's migration completion, the moment the index provably
-// holds no stale Refs — steps the global epoch, and a candidate segment is
-// unlinked only once every pin has moved past the epoch in which it was
-// retired. Unlinking drops the arena's reference; Go's GC frees the bytes
-// once the last reader's subslice goes away, so a stale-but-pinned reader
-// can never observe recycled memory.
+// reclamation candidate. Actual freeing is epoch-based: everything that
+// dereferences a Ref — readers and writers alike — pins the current epoch
+// around the access (Pin.Enter/Exit), Advance steps the global epoch, and a
+// candidate segment is unlinked only once every pin has moved past the epoch
+// in which it was retired. Unlinking drops the arena's reference; Go's GC
+// frees the bytes once the last reader's subslice goes away, so a
+// stale-but-pinned reader can never observe recycled memory.
+//
+// A fully dead segment may be unlinked at any Advance, not only after an
+// index rebuild: no slot word points into it (a record is retired only after
+// the CAS that stopped publishing it), and a pin that predates its retirement
+// holds it. An index rebuild in flight changes nothing: it copies slot words
+// with every writer gate held, so it reads only published Refs, whose
+// segments are not fully dead. The same argument makes an unlinked segment's
+// id safe to reuse: a Ref into it is held only under a pin that Advance
+// waited out. PrefetchRecords-style hints load slot words without a pin, but
+// RecordAddr dereferences nothing and tolerates any segment, so a hint that
+// lands in a reused segment costs one wasted line fill.
+//
+// # Compaction
+//
+// Under uniform overwrites a segment rarely becomes fully dead on its own, so
+// the arena also compacts. When a writer seals a segment and the arena's dead
+// bytes exceed its live bytes (and at least compactFloor segments' worth), the
+// seal starts a pass on a goroutine of its own, so no write waits for it. The
+// pass copies the live records out of the victims through a writer the arena
+// keeps for it and lets every registered Index swing its words to the copies
+// (see Pass). Victims are whole
+// slabs: a 32 MiB slab goes back to the heap only when every segment carved
+// from it is unlinked, so emptying scattered segments of many slabs would free
+// nothing. A slab qualifies when every linked segment of it is sealed, it is
+// not the slab being carved, and at least half of its bytes are dead; a plain
+// segment (a writer's first, an oversized one) is its own slab. The pass ends
+// with Advances made under no pin of its own, repeated for a bounded time
+// until the handles that pinned before it retired the victims' records have
+// exited, and, if it unlinked anything, one runtime.GC: the GC's goal is
+// twice the heap live at its last cycle, so without it the freed slabs would
+// be reused only after the heap had grown to that goal anyway. A later change
+// that recycles segments itself can drop it.
 //
 // A segment's used count is published lazily: the writer stores it when its
 // bump pointer crosses a 4 KiB boundary and once more at seal, just before it
@@ -58,7 +89,9 @@
 // other size — records larger than a segment, and arenas built with
 // WithSegmentBytes — stay plain makes. A slab is ordinary Go heap: it is
 // collectable once every segment carved from it is unlinked and no reader
-// still holds a subslice of it.
+// still holds a subslice of it. Its range keeps the huge-page advice after
+// the GC has freed it, so a writer's first segment and an oversized one come
+// from hugemem.Small, which withdraws the advice from the range it lands in.
 package arena
 
 import (
@@ -66,6 +99,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"dramhit/internal/hugemem"
@@ -106,6 +140,11 @@ const maxSegments = 1 << 16
 // carved from after a writer's first.
 const slabBytes = 32 << 20
 
+// compactFloor is the dead bytes, in segments' worth, below which no
+// compaction pass starts however dead the arena is: a small arena is not
+// worth a walk of its index.
+const compactFloor = 64
+
 // segment is one append-only region. buf is written only by the owning
 // Writer (unsynchronized bump allocation; a slab segment's first touch ends
 // before the writer takes it) and read by anyone holding a Ref into it; the
@@ -119,6 +158,8 @@ type segment struct {
 	dead   atomic.Uint64 // bytes retired
 	sealed atomic.Bool   // owner moved on; used is final
 	huge   bool          // carved from a huge-page slab
+	slab   *slab         // the slab it was carved from; nil: a plain make
+	id     uint32        // its directory index
 	// touched is done once a slab segment's background first touch has
 	// finished; the writer that takes the segment waits on it.
 	touched sync.WaitGroup
@@ -126,26 +167,44 @@ type segment struct {
 	// dead (valid once candidate is true).
 	retireEpoch uint64
 	candidate   bool
+	// victim marks a segment the running compaction pass empties; written
+	// and read only under compactMu.
+	victim bool
 }
 
+// slab is the identity of one huge-page slab, shared by the segments carved
+// from it. It holds no reference to the slab's bytes.
+type slab struct{ huge bool }
+
 // Arena is the shared state: the segment directory (appended in place,
-// copied when Advance unlinks a segment, published by pointer either way),
-// the global reclamation epoch, and the pin registry. One Arena serves any
-// number of Writers and readers.
+// copied when Advance unlinks segments or a freed id is reused, published by
+// pointer either way), the global reclamation epoch, the pin registry and
+// the indexes a compaction pass walks. One Arena serves any number of
+// Writers and readers.
 type Arena struct {
 	segs    atomic.Pointer[[]*segment]
 	epoch   atomic.Uint64
 	segSize int
 
-	mu      sync.Mutex // guards directory growth, pin registry, reclamation
+	mu      sync.Mutex // guards directory changes, pins, free, retired, indexes
 	pins    []*Pin
 	retired []*segment // fully-dead segments awaiting a safe epoch
+	free    []uint32   // ids of unlinked segments, reused by newSegment
+	indexes []Index
 	freed   atomic.Uint64
+	seals   atomic.Uint64 // segments sealed; paces the compaction check
 
-	slabMu   sync.Mutex // guards slab and ahead
-	slab     []byte     // the current slab's uncarved tail
-	slabHuge bool       // the current slab is huge-page advised
-	ahead    *segment   // the next slab segment, under its first touch
+	slabMu  sync.Mutex // guards slab, curSlab and ahead
+	slab    []byte     // the current slab's uncarved tail
+	curSlab *slab      // the slab being carved
+	ahead   *segment   // the next slab segment, under its first touch
+
+	compactMu sync.Mutex // held by the running pass
+	cw        *Writer    // the passes' writer; under compactMu
+	passes    atomic.Uint64
+	moved     atomic.Uint64
+	unlinked  atomic.Uint64
+	chunkMax  atomic.Int64 // ns
 }
 
 // Option configures New.
@@ -173,7 +232,8 @@ func New(opts ...Option) *Arena {
 }
 
 // Segments returns (total directory slots, still-linked segments); the gap
-// is segments reclaimed by Advance. For observability and tests.
+// is the ids Advance unlinked and no new segment has reused yet (FreeIDs).
+// For observability and tests.
 func (a *Arena) Segments() (total, live int) {
 	segs := *a.segs.Load()
 	for _, s := range segs {
@@ -199,6 +259,34 @@ func (a *Arena) HugeBytes() uint64 {
 
 // Freed returns the number of segments unlinked so far.
 func (a *Arena) Freed() uint64 { return a.freed.Load() }
+
+// FreeIDs returns the number of unlinked segment ids waiting for reuse.
+func (a *Arena) FreeIDs() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.free)
+}
+
+// CompactStats counts the compaction passes run so far: the passes, the
+// record bytes they moved into fresh segments, the segments the passes'
+// Advances unlinked, and the longest chunk of index walk a pass ran under one
+// writer gate and pin (the longest a grow waits for a pass).
+type CompactStats struct {
+	Passes   uint64
+	Moved    uint64
+	Unlinked uint64
+	MaxChunk time.Duration
+}
+
+// CompactStats returns the compaction counters.
+func (a *Arena) CompactStats() CompactStats {
+	return CompactStats{
+		Passes:   a.passes.Load(),
+		Moved:    a.moved.Load(),
+		Unlinked: a.unlinked.Load(),
+		MaxChunk: time.Duration(a.chunkMax.Load()),
+	}
+}
 
 // Pins returns the number of pins registered with the arena, writers' and
 // standalone readers'. For observability and tests.
@@ -241,31 +329,56 @@ func (a *Arena) SegmentStats() []SegmentStat {
 }
 
 // newSegment allocates a segment of at least n bytes, links it into the
-// directory, and returns it with its index; ok is false, and nothing is
-// linked, when the directory is full. A writer's first segment, and any
-// segment not of the default size, is a plain make; the rest come from slabs.
+// directory under a freed id if there is one, else a new one, and returns it
+// with its id; ok is false, and nothing is linked, when every id is taken. A
+// writer's first segment, and any segment not of the default size, is a
+// plain make; the rest come from slabs.
 func (a *Arena) newSegment(n int, first bool) (s *segment, id uint32, ok bool) {
-	if len(*a.segs.Load()) >= maxSegments {
+	if a.full() {
 		return nil, 0, false // before the allocation: a full arena stays cheap to ask
 	}
-	if first || n > a.segSize || a.segSize != DefaultSegmentBytes {
-		s = &segment{buf: make([]byte, max(n, a.segSize))}
-	} else {
+	switch {
+	case first || n > a.segSize:
+		// Small: the heap may hand out a range a freed slab left advised
+		s = &segment{buf: hugemem.Small(max(n, a.segSize))}
+	case a.segSize != DefaultSegmentBytes:
+		s = &segment{buf: make([]byte, a.segSize)}
+	default:
 		s = a.slabSegment()
 	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	old := *a.segs.Load()
-	if len(old) >= maxSegments {
-		a.mu.Unlock()
+	var dir []*segment
+	switch {
+	case len(a.free) > 0:
+		// A reader may hold old, so a reused id gets a fresh directory.
+		id = a.free[len(a.free)-1]
+		a.free = a.free[:len(a.free)-1]
+		dir = append([]*segment(nil), old...)
+		dir[id] = s
+	case len(old) < maxSegments:
+		// append may extend old's array in place: only the current directory
+		// is ever appended to, and no reader of an older one indexes past its
+		// length.
+		id = uint32(len(old))
+		dir = append(old, s)
+	default:
 		return nil, 0, false
 	}
-	// append may extend old's array in place: no reader of old indexes past
-	// its length, and Advance's copies have no spare capacity to extend.
-	grown := append(old, s)
-	id = uint32(len(old))
-	a.segs.Store(&grown)
-	a.mu.Unlock()
+	s.id = id
+	a.segs.Store(&dir)
 	return s, id, true
+}
+
+// full reports whether every segment id is taken.
+func (a *Arena) full() bool {
+	if len(*a.segs.Load()) < maxSegments {
+		return false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.free) == 0
 }
 
 // slabSegment hands out the slab segment whose first touch was started when
@@ -295,9 +408,10 @@ func (a *Arena) slabSegment() *segment {
 // a fresh slab when it is used up. The caller holds slabMu.
 func (a *Arena) carve() *segment {
 	if len(a.slab) < DefaultSegmentBytes {
-		a.slab, a.slabHuge = hugemem.Bytes(slabBytes)
+		a.curSlab = new(slab)
+		a.slab, a.curSlab.huge = hugemem.Bytes(slabBytes)
 	}
-	c := &segment{buf: a.slab[:DefaultSegmentBytes:DefaultSegmentBytes], huge: a.slabHuge}
+	c := &segment{buf: a.slab[:DefaultSegmentBytes:DefaultSegmentBytes], huge: a.curSlab.huge, slab: a.curSlab}
 	a.slab = a.slab[DefaultSegmentBytes:]
 	return c
 }
@@ -380,6 +494,9 @@ func (w *Writer) TryAppend(key, value []byte) (Ref, bool) {
 			w.seg.used.Store(uint64(w.off))
 			w.seg.sealed.Store(true)
 			w.a.maybeRetire(w.seg)
+			if w.a.sealDue() {
+				w.a.startPass()
+			}
 		}
 		w.seg, w.id, w.off = seg, id, 0
 	}
@@ -454,7 +571,10 @@ func (a *Arena) RecordAddr(ref Ref, span int) (first, next unsafe.Pointer) {
 // segment's bytes are all dead and its writer has moved on, the segment is
 // stamped with the current epoch and queued for reclamation at a safe
 // Advance.
-func (a *Arena) Retire(ref Ref) {
+func (a *Arena) Retire(ref Ref) { a.retire(ref) }
+
+// retire is Retire, returning the record's size.
+func (a *Arena) retire(ref Ref) uint64 {
 	seg := (*a.segs.Load())[ref.seg()]
 	buf := seg.buf[ref.off():]
 	klen, p := binary.Uvarint(buf)
@@ -464,6 +584,7 @@ func (a *Arena) Retire(ref Ref) {
 	if dead := seg.dead.Add(n); seg.sealed.Load() && dead >= seg.used.Load() {
 		a.maybeRetire(seg)
 	}
+	return n
 }
 
 // maybeRetire queues seg for reclamation if it is sealed and fully dead. It
@@ -483,10 +604,10 @@ func (a *Arena) maybeRetire(seg *segment) {
 
 // Advance steps the reclamation epoch and unlinks every retired segment no
 // pin can still reach: a segment retired at epoch e is freed once the global
-// epoch has passed e and no pin is parked at an epoch ≤ e. The bucket table
-// calls this when a migration completes — the point at which the index
-// provably holds no Refs into pre-migration state — and callers may also
-// invoke it periodically. Returns the number of segments unlinked.
+// epoch has passed e and no pin is parked at an epoch ≤ e. Its id goes on the
+// free list. The bucket table calls this when a migration completes and a
+// compaction pass at its end; callers may also invoke it periodically.
+// Returns the number of segments unlinked.
 func (a *Arena) Advance() int {
 	e := a.epoch.Add(1)
 	a.mu.Lock()
@@ -498,6 +619,7 @@ func (a *Arena) Advance() int {
 		}
 	}
 	kept := a.retired[:0]
+	var dir []*segment
 	n := 0
 	for _, seg := range a.retired {
 		// Safe once the epoch has stepped past the retire stamp AND no pin
@@ -505,22 +627,24 @@ func (a *Arena) Advance() int {
 		// epoch ≤ retireEpoch (later pins load the index after the Refs were
 		// all superseded — Retire happens-before the epoch step).
 		if e > seg.retireEpoch && minPinned > seg.retireEpoch {
-			segs := *a.segs.Load()
-			grown := make([]*segment, len(segs))
-			copy(grown, segs)
-			for i, s := range grown {
-				if s == seg {
-					grown[i] = nil
-				}
+			if dir == nil {
+				dir = append([]*segment(nil), *a.segs.Load()...)
 			}
-			a.segs.Store(&grown)
-			a.freed.Add(1)
+			dir[seg.id] = nil
+			a.free = append(a.free, seg.id)
 			n++
 			continue
 		}
 		kept = append(kept, seg)
 	}
+	// The tail past kept still points at the unlinked segments: clear it, or
+	// the GC keeps them, and their slabs, reachable.
+	clear(a.retired[len(kept):])
 	a.retired = kept
+	if n > 0 {
+		a.segs.Store(&dir)
+		a.freed.Add(uint64(n))
+	}
 	return n
 }
 

@@ -3,9 +3,11 @@ package arena
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -331,7 +333,7 @@ func TestSlabSegmentsRace(t *testing.T) {
 		}
 	}
 	total, _ := a.Segments()
-	if slab := total - writers; slab < 64 || (a.slabHuge && huge != slab) {
+	if slab := total - writers; slab < 64 || (a.curSlab.huge && huge != slab) {
 		t.Fatalf("%d slab segments, %d of them marked huge: want >= 64, all huge where the slab is", slab, huge)
 	}
 	if got, want := a.HugeBytes(), uint64(huge*DefaultSegmentBytes); got != want {
@@ -361,7 +363,8 @@ func TestPlainSegments(t *testing.T) {
 	if n := len(segs[big.seg()].buf); n != recordSize(3, DefaultSegmentBytes+1) {
 		t.Fatalf("oversized record's segment is %d bytes, want exactly the record", n)
 	}
-	if a.slab == nil || a.slabHuge != segs[refs[len(refs)-1].seg()].huge || a.slabHuge != segs[after.seg()].huge {
+	if a.slab == nil || segs[refs[len(refs)-1].seg()].slab != a.curSlab || segs[after.seg()].slab != a.curSlab ||
+		segs[after.seg()].huge != a.curSlab.huge {
 		t.Fatal("a default-sized segment after the first was not carved from the slab")
 	}
 
@@ -374,7 +377,7 @@ func TestPlainSegments(t *testing.T) {
 		if total, _ := b.Segments(); total < 3 {
 			t.Fatalf("WithSegmentBytes(%d): %d segments, want several", size, total)
 		}
-		if b.slab != nil || b.HugeBytes() != 0 {
+		if b.slab != nil || b.curSlab != nil || b.HugeBytes() != 0 {
 			t.Fatalf("WithSegmentBytes(%d): a slab was allocated (%d huge bytes)", size, b.HugeBytes())
 		}
 	}
@@ -529,4 +532,90 @@ func TestTryAppendDirectoryFull(t *testing.T) {
 		}
 	}()
 	wb.Append([]byte("c"), make([]byte, 64))
+}
+
+// TestAdvanceDropsUnlinkedSegments: once Advance unlinks a segment the arena
+// holds no reference to it — not in the directory, and not in the retired
+// queue's backing array past its length — so the GC collects it.
+func TestAdvanceDropsUnlinkedSegments(t *testing.T) {
+	a := New(WithSegmentBytes(64))
+	w := a.NewWriter()
+	ref := w.Append([]byte("k"), make([]byte, 40))
+	var collected atomic.Bool
+	runtime.SetFinalizer((*a.segs.Load())[ref.seg()], func(*segment) { collected.Store(true) })
+	w.Append([]byte("k"), make([]byte, 40)) // does not fit: seals the first
+	a.Retire(ref)
+	if n := a.Advance(); n != 1 {
+		t.Fatalf("Advance unlinked %d segments, want 1", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !collected.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the GC kept an unlinked segment")
+		}
+		runtime.GC()
+	}
+	runtime.KeepAlive(a) // the arena itself stays reachable
+}
+
+// TestAdvanceOneDirectory: Advance builds one new directory however many
+// segments it unlinks, not one per segment.
+func TestAdvanceOneDirectory(t *testing.T) {
+	const dead = 512
+	a := New(WithSegmentBytes(16))
+	w := a.NewWriter()
+	var refs []Ref
+	for i := 0; i <= dead; i++ {
+		refs = append(refs, w.Append([]byte("key"), make([]byte, 12))) // a segment each
+	}
+	for _, r := range refs[:dead] {
+		a.Retire(r)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := a.Advance()
+	runtime.ReadMemStats(&after)
+	if n != dead {
+		t.Fatalf("Advance unlinked %d segments, want %d", n, dead)
+	}
+	// One directory of dead+1 pointers, plus the free list's growth.
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 4*(dead+1)*8 {
+		t.Fatalf("Advance allocated %d bytes to unlink %d segments from a %d-entry directory", bytes, dead, dead+1)
+	}
+	if _, live := a.Segments(); live != 1 || a.FreeIDs() != dead {
+		t.Fatalf("%d segments live, %d ids free", live, a.FreeIDs())
+	}
+}
+
+// TestSegmentIDsReused: the ids of unlinked segments are reused, so an arena
+// whose live set stays bounded never runs out of its 65,536 ids however much
+// is appended. Eight live records in one-record segments, each retired when
+// it is overwritten: twice the id space's worth of segments, and no record
+// is refused.
+func TestSegmentIDsReused(t *testing.T) {
+	a := New(WithSegmentBytes(16))
+	w := a.NewWriter()
+	var live [8]Ref
+	var vals [8]string
+	for i := 0; i < 2*maxSegments; i++ {
+		v := fmt.Sprintf("value-%06d", i)
+		ref, ok := w.TryAppend([]byte("key"), []byte(v))
+		if !ok {
+			t.Fatalf("record %d refused, %d ids free", i, a.FreeIDs())
+		}
+		if i >= len(live) {
+			a.Retire(live[i%len(live)])
+		}
+		live[i%len(live)], vals[i%len(live)] = ref, v
+		if i%64 == 0 {
+			a.Advance()
+		}
+	}
+	if total, _ := a.Segments(); total > 256 {
+		t.Fatalf("the directory grew to %d ids over a live set of %d", total, len(live))
+	}
+	for j, ref := range live {
+		if _, v := a.Record(ref); string(v) != vals[j] {
+			t.Fatalf("live record %q reads %q", vals[j], v)
+		}
+	}
 }

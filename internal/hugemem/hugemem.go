@@ -88,6 +88,24 @@ func Bytes(n int) (b []byte, huge bool) {
 	return aligned(n), true
 }
 
+// Small returns n zeroed bytes that fault 4 KiB pages, for a buffer that is
+// mostly left untouched, such as a writer's first arena segment. It is a plain
+// make, but the heap may place it in a range an earlier allocation of this
+// package advised for huge pages: the advice stays on the range after the GC
+// frees that allocation, and the first touch would fault a whole 2 MiB page.
+// Where huge pages are given on advice only, Small withdraws the advice from
+// b's whole base pages and drops whatever the runtime's zeroing faulted in.
+// aligned advises the range again if a later huge allocation lands there;
+// where huge pages are on for all memory ([always]), the operator's policy
+// stands.
+func Small(n int) []byte {
+	b := make([]byte, n)
+	if in := inner(b); len(in) > 0 && onAdvice() {
+		noHuge(in)
+	}
+	return b
+}
+
 // aligned is the core of both entry points: n zeroed bytes of Go heap starting
 // on a 2 MiB boundary, with the whole huge pages inside advised. It
 // over-allocates by one huge page and slices to the boundary; the slack on
@@ -108,12 +126,21 @@ func aligned(n int) []byte {
 // release drops the whole base pages inside s: they read back as zeros. The
 // range is rounded inwards, so no byte outside s is ever dropped.
 func release(s []byte) {
+	if in := inner(s); len(in) > 0 {
+		dontNeed(in)
+	}
+}
+
+// inner returns the whole base pages inside s: s rounded inwards to page
+// boundaries, empty when s holds none.
+func inner(s []byte) []byte {
 	page := os.Getpagesize()
 	in := int(uintptr(unsafe.Pointer(unsafe.SliceData(s))) % uintptr(page)) // s[0]'s offset into its page
 	lo, hi := (page-in)%page, (in+len(s))/page*page-in
-	if hi > lo {
-		dontNeed(s[lo:hi])
+	if hi <= lo {
+		return nil
 	}
+	return s[lo:hi]
 }
 
 func byteView(s []uint64) []byte {

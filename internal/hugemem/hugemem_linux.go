@@ -16,6 +16,14 @@ func advisable() bool {
 	return err == nil && !bytes.Contains(b, []byte("[never]"))
 }
 
+// onAdvice reports whether the kernel grants huge pages on advice only
+// ([madvise]): the one setting under which this package's advice decides
+// which memory gets them.
+func onAdvice() bool {
+	b, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	return err == nil && bytes.Contains(b, []byte("[madvise]"))
+}
+
 // advise marks s — whole huge pages, all zero — as wanting huge pages on
 // first touch. The flag stays on the address range after s is garbage.
 func advise(s []byte) {
@@ -25,6 +33,13 @@ func advise(s []byte) {
 	// through collapse, which copies and holds the address-space lock.
 	dontNeed(s)
 	_ = syscall.Madvise(s, syscall.MADV_HUGEPAGE) // refusal leaves 4 KiB pages, as before
+}
+
+// noHuge marks s — whole base pages, all zero — as wanting base pages, and
+// drops the pages already faulted in, so the next touch faults 4 KiB pages.
+func noHuge(s []byte) {
+	_ = syscall.Madvise(s, syscall.MADV_NOHUGEPAGE)
+	dontNeed(s)
 }
 
 // dontNeed drops s's pages, whole base pages of zeros nothing will read

@@ -1,8 +1,14 @@
 package hugemem
 
 import (
+	"bytes"
+	"os"
 	"runtime/debug"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 var (
@@ -67,4 +73,49 @@ func TestGrant(t *testing.T) {
 	}
 	byteSink = b
 	byteSink = nil
+}
+
+// TestSmallWithdrawsAdvice: where huge pages are given on advice only, the
+// pages of a Small buffer carry MADV_NOHUGEPAGE (nh in their mapping's
+// VmFlags), so a range an earlier huge allocation left advised cannot make
+// the buffer's first touch fault a 2 MiB page; the buffer reads as zeros.
+func TestSmallWithdrawsAdvice(t *testing.T) {
+	if !onAdvice() {
+		t.Skip("transparent huge pages are not [madvise]")
+	}
+	b := Small(1 << 20)
+	if len(b) != 1<<20 || bytes.Count(b, []byte{0}) != len(b) {
+		t.Fatal("Small did not return 1 MiB of zeros")
+	}
+	smaps, err := os.ReadFile("/proc/self/smaps")
+	if err != nil {
+		t.Skip("no /proc/self/smaps")
+	}
+	addr := uint64(uintptr(unsafe.Pointer(unsafe.SliceData(inner(b)))))
+	in := false
+	for _, line := range strings.Split(string(smaps), "\n") {
+		f := strings.Fields(line)
+		if lo, hi, ok := strings.Cut(f0(f), "-"); ok {
+			start, err1 := strconv.ParseUint(lo, 16, 64)
+			end, err2 := strconv.ParseUint(hi, 16, 64)
+			if err1 == nil && err2 == nil {
+				in = start <= addr && addr < end
+				continue
+			}
+		}
+		if in && f0(f) == "VmFlags:" {
+			if !slices.Contains(f[1:], "nh") {
+				t.Fatalf("the mapping of a Small buffer has VmFlags %v, want nh", f[1:])
+			}
+			return
+		}
+	}
+	t.Fatalf("no mapping holds %#x", addr)
+}
+
+func f0(f []string) string {
+	if len(f) == 0 {
+		return ""
+	}
+	return f[0]
 }

@@ -177,32 +177,43 @@ func (s *Server) Table() *idramhit.Table { return s.tbl }
 // connection churn grows. arena_bytes_used and arena_bytes_dead sum the
 // linked segments' appended and retired bytes. read_buffer_bytes is the
 // capacity the live connections' protocol readers hold, spares included.
-// handles is the worker pool's size, which bounds arena_pins, and
-// handle_waits counts the borrows that found every worker out.
+// handles is the worker pool's size, which bounds arena_pins (plus one once a
+// compaction pass has run: the pass's writer), and handle_waits counts the
+// borrows that found every worker out. The arena_compact_* counters show the
+// arena's compaction at work: passes run, record bytes they moved, segments
+// their Advances unlinked, and the longest chunk of index walk one pass held
+// a writer gate and pin for;
+// arena_free_ids is the unlinked segment ids awaiting reuse.
 func (s *Server) collect() map[string]float64 {
 	ar := s.tbl.Bucket().Arena()
 	total, live := ar.Segments()
+	cs := ar.CompactStats()
 	var used, dead uint64
 	for _, st := range ar.SegmentStats() {
 		used += st.Used
 		dead += st.Dead
 	}
 	m := map[string]float64{
-		"conns_resp_open":      float64(s.curResp.Load()),
-		"conns_resp_total":     float64(s.totResp.Load()),
-		"conns_mc_open":        float64(s.curMc.Load()),
-		"conns_mc_total":       float64(s.totMc.Load()),
-		"table_entries":        float64(s.tbl.Len()),
-		"arena_huge_bytes":     float64(ar.HugeBytes()),
-		"arena_segments":       float64(total),
-		"arena_segments_live":  float64(live),
-		"arena_segments_freed": float64(ar.Freed()),
-		"arena_pins":           float64(ar.Pins()),
-		"arena_bytes_used":     float64(used),
-		"arena_bytes_dead":     float64(dead),
-		"read_buffer_bytes":    float64(s.readBuf.Load()),
-		"handles":              float64(s.handles),
-		"handle_waits":         float64(s.handleWaits.Load()),
+		"conns_resp_open":            float64(s.curResp.Load()),
+		"conns_resp_total":           float64(s.totResp.Load()),
+		"conns_mc_open":              float64(s.curMc.Load()),
+		"conns_mc_total":             float64(s.totMc.Load()),
+		"table_entries":              float64(s.tbl.Len()),
+		"arena_huge_bytes":           float64(ar.HugeBytes()),
+		"arena_segments":             float64(total),
+		"arena_segments_live":        float64(live),
+		"arena_segments_freed":       float64(ar.Freed()),
+		"arena_pins":                 float64(ar.Pins()),
+		"arena_bytes_used":           float64(used),
+		"arena_bytes_dead":           float64(dead),
+		"arena_free_ids":             float64(ar.FreeIDs()),
+		"arena_compact_passes":       float64(cs.Passes),
+		"arena_compact_moved_bytes":  float64(cs.Moved),
+		"arena_compact_unlinked":     float64(cs.Unlinked),
+		"arena_compact_chunk_max_us": float64(cs.MaxChunk) / 1e3,
+		"read_buffer_bytes":          float64(s.readBuf.Load()),
+		"handles":                    float64(s.handles),
+		"handle_waits":               float64(s.handleWaits.Load()),
 	}
 	if rss, huge, ok := hugemem.Usage(); ok {
 		m["mem_rss_bytes"] = float64(rss)

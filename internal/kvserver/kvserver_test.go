@@ -69,9 +69,25 @@ func readReply(br *bufio.Reader) (string, error) {
 // same order — including pipelined same-key sequences (SET/GET/DEL of one
 // key inside one wire batch), which exercise the FIFO completion contract
 // end to end.
+//
+// The "compacting" run serves a table over 128-byte arena segments, with ten
+// times the keys and rounds, so that compaction passes move records between
+// the batches.
 func TestOracleRandomOps(t *testing.T) {
-	t.Run("dramhit", func(t *testing.T) {
+	t.Run("dramhit", func(t *testing.T) { oracleRandomOps(t, startServer(t), 40, 150) })
+	t.Run("compacting", func(t *testing.T) {
+		withSegments(t, 128)
 		srv := startServer(t)
+		oracleRandomOps(t, srv, 400, 1500)
+		srv.Table().Bucket().Arena().WaitPass()
+		if srv.Table().Bucket().Arena().CompactStats().Passes == 0 {
+			t.Fatal("no compaction pass ran")
+		}
+	})
+}
+
+func oracleRandomOps(t *testing.T, srv *Server, keys, rounds int) {
+	{
 		c, err := net.Dial("tcp", srv.RespAddr())
 		if err != nil {
 			t.Fatal(err)
@@ -81,9 +97,9 @@ func TestOracleRandomOps(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(99))
 		ref := map[string]string{}
-		key := func() string { return fmt.Sprintf("k%02d", rng.Intn(40)) }
+		key := func() string { return fmt.Sprintf("k%02d", rng.Intn(keys)) }
 
-		for round := 0; round < 150; round++ {
+		for round := 0; round < rounds; round++ {
 			nops := 1 + rng.Intn(32)
 			var wire []byte
 			var want []string
@@ -149,7 +165,7 @@ func TestOracleRandomOps(t *testing.T) {
 		if srv.Table().Len() != len(ref) {
 			t.Fatalf("table has %d entries, reference %d", srv.Table().Len(), len(ref))
 		}
-	})
+	}
 }
 
 // TestMcOracleRandomOps is TestOracleRandomOps over memcached text: random

@@ -6,11 +6,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-
-	"dramhit/internal/arena"
-	idramhit "dramhit/internal/dramhit"
-	"dramhit/internal/slotarr"
-	"dramhit/internal/table"
 )
 
 // TestArenaFullRepliesOOM fills the arena's segment directory over the wire.
@@ -20,14 +15,7 @@ import (
 // memcached's SERVER_ERROR, the key keeps its old value, and GETs, DELs and
 // new connections are still served.
 func TestArenaFullRepliesOOM(t *testing.T) {
-	old := newTable
-	newTable = func(slots uint64) *idramhit.Table {
-		bt := slotarr.NewBucketTable(slotarr.BucketConfig{
-			Buckets: slots / slotarr.BucketLanes, Arena: arena.New(arena.WithSegmentBytes(1))})
-		return idramhit.NewView(idramhit.Config{Slots: slots, Layout: table.LayoutBucket},
-			idramhit.Regions{Buckets: []*slotarr.BucketTable{bt}, Worker: "server-h"})
-	}
-	t.Cleanup(func() { newTable = old })
+	withSegments(t, 1)
 	srv := startServer(t)
 	c, err := net.Dial("tcp", srv.RespAddr())
 	if err != nil {

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -159,5 +162,109 @@ func TestCloseDuringInFlight(t *testing.T) {
 	if c, err := net.Dial("tcp", srv.RespAddr()); err == nil {
 		c.Close()
 		t.Fatal("dial succeeded after Close")
+	}
+}
+
+// TestConcurrentClientsCompacting: four RESP clients pipeline SETs, GETs and
+// DELs of their own 300 keys and INCRs of eight shared counters into a table
+// over 128-byte arena segments, so compaction passes run while the other
+// connections' batches are in flight. Every reply matches the client's own
+// reference map, and the counters sum to the INCRs made. Run under -race (it
+// is on the CI race list) it is the server's check of compaction against
+// concurrent batches and synchronous writes.
+func TestConcurrentClientsCompacting(t *testing.T) {
+	withSegments(t, 128)
+	srv := startServer(t)
+	const clients, keys, rounds, batch, counters = 4, 300, 300, 16, 8
+	var incrs atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := net.Dial("tcp", srv.RespAddr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			br := bufio.NewReader(c)
+			rng := rand.New(rand.NewSource(int64(g)))
+			ref := map[string]string{}
+			for round := 0; round < rounds; round++ {
+				var wire []byte
+				var want []string // "" accepts any integer reply
+				for i := 0; i < batch; i++ {
+					k := fmt.Sprintf("c%d-key-%03d", g, rng.Intn(keys))
+					switch rng.Intn(8) {
+					case 0:
+						wire = respEnc(wire, "DEL", k)
+						if _, ok := ref[k]; ok {
+							want = append(want, ":1")
+						} else {
+							want = append(want, ":0")
+						}
+						delete(ref, k)
+					case 1:
+						wire = respEnc(wire, "INCR", fmt.Sprintf("counter-%d", rng.Intn(counters)))
+						want = append(want, "")
+						incrs.Add(1)
+					case 2, 3:
+						wire = respEnc(wire, "GET", k)
+						if v, ok := ref[k]; ok {
+							want = append(want, "$"+v)
+						} else {
+							want = append(want, "nil")
+						}
+					default:
+						v := fmt.Sprintf("%s=%d.%d", k, round, i)
+						wire = respEnc(wire, "SET", k, v)
+						ref[k] = v
+						want = append(want, "+OK")
+					}
+				}
+				if _, err := c.Write(wire); err != nil {
+					t.Error(err)
+					return
+				}
+				c.SetReadDeadline(time.Now().Add(10 * time.Second))
+				for i, w := range want {
+					got, err := readReply(br)
+					if err != nil || (w == "" && !strings.HasPrefix(got, ":")) || (w != "" && got != w) {
+						t.Errorf("client %d round %d reply %d: (%q, %v), want %q", g, round, i, got, err, w)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c, err := net.Dial("tcp", srv.RespAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	br := bufio.NewReader(c)
+	var sum int64
+	for i := 0; i < counters; i++ {
+		c.Write(respEnc(nil, "GET", fmt.Sprintf("counter-%d", i)))
+		r, err := readReply(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != "nil" {
+			n, err := strconv.ParseInt(r[1:], 10, 64)
+			if err != nil {
+				t.Fatalf("counter %d reads %q", i, r)
+			}
+			sum += n
+		}
+	}
+	if sum != incrs.Load() {
+		t.Errorf("counters sum to %d, want %d", sum, incrs.Load())
+	}
+	srv.Table().Bucket().Arena().WaitPass()
+	if cs := srv.Table().Bucket().Arena().CompactStats(); cs.Passes == 0 || cs.Moved == 0 {
+		t.Errorf("compaction %+v: want passes that moved records", cs)
 	}
 }

@@ -2,6 +2,7 @@ package slotarr
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,9 @@ import (
 //     cache line for the whole bucket, plus stash hops on overflow.
 //     Readers pin the arena epoch around record resolution so a
 //     concurrently reclaimed segment cannot be unlinked under them.
+//     Writers pin it too: a writer resolves the records its candidate
+//     lanes point at, and a racing overwrite can retire one of them and an
+//     Advance unlink its segment before the writer reads it.
 //
 //   - Writers take a read-lock on one of the striped gates (keyed by the
 //     key's hash, so racing writers of the same key share a stripe only
@@ -62,6 +66,12 @@ import (
 //     linearize before any post-swap write. Migration completion steps the
 //     arena's reclamation epoch (arena.Advance), the hook that lets
 //     fully-dead segments from pre-resize churn be unlinked.
+//
+//   - Compaction (arena.Index, Relocate) moves live records out of mostly
+//     dead segments. It walks the index in chunks under one gate's read
+//     lock, which excludes a grow, and swings each moved word by CAS with
+//     its fingerprint kept, so a writer racing it on the same word sees
+//     an ordinary lost CAS and retries, and a reader sees either record.
 type BucketTable struct {
 	hash    func([]byte) uint64
 	ar      *arena.Arena
@@ -136,6 +146,7 @@ func NewBucketTable(cfg BucketConfig) *BucketTable {
 	}
 	t := &BucketTable{hash: hashfn.Bytes64, ar: ar, maxLoad: ml}
 	t.state.Store(newBucketState(nb))
+	ar.AddIndex(t)
 	return t
 }
 
@@ -387,18 +398,47 @@ func (h *BucketHandle) MutateHashed(hv uint64, key []byte, fn func(old []byte, p
 	return h.mutate(hv, key, nil, fn)
 }
 
+// mutate runs a write under the key's gate (and the pin pinFirst takes),
+// then a grow it made due, with the gate released (a grow write-locks every
+// stripe) and, outside a caller's span, with no pin held.
 func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool) ([]byte, bool)) (existed, ok bool) {
 	t := h.t
 	fp := table.TagOf(hv)
 	g := &t.gates[hv&(bucketGateStripes-1)]
+	pins := h.pins
 	g.RLock()
 	existed, ok, needGrow := h.mutateLocked(key, value, fn, hv, fp)
-	g.RUnlock() // grow() write-locks every stripe; release ours first
+	g.RUnlock()
+	if h.pins > pins {
+		h.Unpin()
+	}
 	if needGrow {
 		t.grow()
 	}
 	return existed, ok
 }
+
+// pinFirst makes sure a write holds the arena pin before it resolves a
+// record another writer published: a racing overwrite can retire that record
+// and an Advance unlink its segment between the slot-word load and the read.
+// A pin protects only words loaded after it is entered, so when pinFirst has
+// to take the pin it reports true and the write rescans the bucket (before a
+// stash walk, the whole bucket: a walk's hops are not counted twice). A write
+// that resolves no record — an insert of a fresh key, with no fingerprint
+// match in its lanes and no stash — never pays the pin's fence. The caller
+// releases a pin pinFirst took.
+func (h *BucketHandle) pinFirst() bool {
+	if h.pins > 0 {
+		return false
+	}
+	h.Pin()
+	return true
+}
+
+// beforeRecord, when set, runs in mutateLocked between a lane's slot-word
+// load and the resolution of its record: a test hook for the window a racing
+// overwrite and Advance can open there.
+var beforeRecord func()
 
 // mutateLocked is mutate under the key's gate. A record the arena refuses
 // (TryAppend) fails the write before any slot word changes.
@@ -408,6 +448,7 @@ retry:
 	st := t.state.Load()
 	b := hashfn.Fastrange(hv, st.nb) * BucketWords
 	h.Lines++
+scan: // pinFirst restarts here: the gate held, the state cannot change
 	free := -1
 	for lane := 0; lane < BucketLanes; lane++ {
 		w := atomic.LoadUint64(&st.words[b+uint64(lane)+1])
@@ -419,6 +460,12 @@ retry:
 		}
 		if slotFP(w) != uint16(fp) {
 			continue
+		}
+		if h.pinFirst() {
+			goto scan
+		}
+		if beforeRecord != nil {
+			beforeRecord()
 		}
 		k, old := t.ar.Record(slotRef(w))
 		if !bytes.Equal(k, key) {
@@ -452,6 +499,9 @@ retry:
 	// insert below prepends to that same head, so a node another inserter
 	// linked after this walk fails the prepend CAS.
 	head := stashHead(st, b, free < 0)
+	if head != nil && h.pinFirst() {
+		goto scan
+	}
 	for n := head; n != nil; n = n.next {
 		h.Hops++
 		w := n.word.Load()
@@ -546,21 +596,36 @@ func (h *BucketHandle) Delete(key []byte) bool {
 
 // DeleteHashed is Delete with the key's hash supplied (see GetHashed).
 func (h *BucketHandle) DeleteHashed(hv uint64, key []byte) bool {
+	g := &h.t.gates[hv&(bucketGateStripes-1)]
+	pins := h.pins
+	g.RLock()
+	hit := h.deleteLocked(hv, key)
+	g.RUnlock()
+	if h.pins > pins {
+		h.Unpin()
+	}
+	return hit
+}
+
+// deleteLocked is DeleteHashed under the key's gate, pinned as mutateLocked
+// is (pinFirst).
+func (h *BucketHandle) deleteLocked(hv uint64, key []byte) bool {
 	t := h.t
 	fp := table.TagOf(hv)
-	g := &t.gates[hv&(bucketGateStripes-1)]
-	g.RLock()
-	defer g.RUnlock()
 retry:
 	st := t.state.Load()
 	b := hashfn.Fastrange(hv, st.nb) * BucketWords
 	h.Lines++
+scan:
 	full := true
 	for lane := 0; lane < BucketLanes; lane++ {
 		w := atomic.LoadUint64(&st.words[b+uint64(lane)+1])
 		full = full && w != 0
 		if slotFP(w) != uint16(fp) {
 			continue
+		}
+		if h.pinFirst() {
+			goto scan
 		}
 		k, _ := t.ar.Record(slotRef(w))
 		if !bytes.Equal(k, key) {
@@ -575,7 +640,11 @@ retry:
 	}
 	// An empty lane means no stash node was linked before that read
 	// (mutateLocked): the key is absent.
-	for n := stashHead(st, b, full); n != nil; n = n.next {
+	head := stashHead(st, b, full)
+	if head != nil && h.pinFirst() {
+		goto scan
+	}
+	for n := head; n != nil; n = n.next {
 		h.Hops++
 		w := n.word.Load()
 		if slotFP(w) != uint16(fp) {
@@ -645,9 +714,106 @@ func (t *BucketTable) grow() {
 	for i := range t.gates {
 		t.gates[i].Unlock()
 	}
-	// Migration completion is the reclamation hook: the old index holds no
+	// Migration completion is a reclamation hook: the old index holds no
 	// refs anymore, so step the arena epoch and unlink what churn killed.
 	t.ar.Advance()
+}
+
+// relocChunk is the buckets one compaction chunk walks under one gate read
+// lock and the compactor's pin: 256 KiB of index. On srv-mc-write's index the
+// longest chunk, copies included, ran 1.1–7.4 ms, where a whole-index walk in
+// one piece took 55 ms; that bounds how long a grow waits for the gate.
+const relocChunk = 4096
+
+// Relocate is the compaction walk (arena.Index): every lane and stash node of
+// the current generation whose record lies in a victim segment is copied
+// through the pass and swung to the copy by CAS, fingerprint kept. The walk
+// runs in chunks of relocChunk buckets, each under one gate's read lock,
+// which excludes a grow, and the pass's pin; it stops the walk (returns
+// false) when a grow swapped the generation between chunks or the arena
+// refused a copy.
+func (t *BucketTable) Relocate(p *arena.Pass) bool {
+	st := t.state.Load()
+	for lo := uint64(0); lo < st.nb; lo += relocChunk {
+		g := &t.gates[(lo/relocChunk)%bucketGateStripes]
+		g.RLock()
+		p.Enter()
+		ok := t.state.Load() == st
+		for bi := lo; ok && bi < min(lo+relocChunk, st.nb); bi++ {
+			for i := bi*BucketWords + 1; i < (bi+1)*BucketWords; i++ {
+				w := atomic.LoadUint64(&st.words[i])
+				if cp, moved := relocWord(p, w); moved {
+					p.Done(slotRef(w), cp, atomic.CompareAndSwapUint64(&st.words[i], w, slotWord(uint8(slotFP(w)), cp)))
+				}
+			}
+			for n := st.stash[bi].Load(); n != nil; n = n.next {
+				w := n.word.Load()
+				if cp, moved := relocWord(p, w); moved {
+					p.Done(slotRef(w), cp, n.word.CompareAndSwap(w, slotWord(uint8(slotFP(w)), cp)))
+				}
+			}
+			ok = !p.Stopped()
+		}
+		p.Exit()
+		g.RUnlock()
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// relocWord moves published slot word w's record when it lies in a victim.
+func relocWord(p *arena.Pass, w uint64) (arena.Ref, bool) {
+	if w == 0 || w == slotTombstone {
+		return 0, false
+	}
+	return p.Move(slotRef(w))
+}
+
+// Audit checks the current generation against the arena: every published
+// ref, in lanes and stash nodes, addresses a whole record inside a linked
+// segment's appended bytes (arena.Check); each word's fingerprint, and its
+// lane's metadata byte, is TagOf the record key's hash; and the published
+// words number Len, which claimed covers. It reads records without a pin, so
+// call it at quiescence: no write, grow or compaction in flight.
+func (t *BucketTable) Audit() error {
+	st := t.state.Load()
+	var published int64
+	check := func(bi uint64, w uint64) error {
+		if w == 0 || w == slotTombstone {
+			return nil
+		}
+		published++
+		if err := t.ar.Check(slotRef(w)); err != nil {
+			return fmt.Errorf("bucket %d: %w", bi, err)
+		}
+		if fp := table.TagOf(t.hash(t.ar.Key(slotRef(w)))); slotFP(w) != uint16(fp) {
+			return fmt.Errorf("bucket %d: word %#x carries fingerprint %#x, its key hashes to %#x", bi, w, slotFP(w), fp)
+		}
+		return nil
+	}
+	for bi := uint64(0); bi < st.nb; bi++ {
+		meta := atomic.LoadUint64(&st.words[bi*BucketWords])
+		for lane := 0; lane < BucketLanes; lane++ {
+			w := atomic.LoadUint64(&st.words[bi*BucketWords+uint64(lane)+1])
+			if err := check(bi, w); err != nil {
+				return err
+			}
+			if w != 0 && w != slotTombstone && uint8(meta>>(8*(lane+1))) != uint8(slotFP(w)) {
+				return fmt.Errorf("bucket %d lane %d: metadata byte %#x, word fingerprint %#x", bi, lane, uint8(meta>>(8*(lane+1))), slotFP(w))
+			}
+		}
+		for n := st.stash[bi].Load(); n != nil; n = n.next {
+			if err := check(bi, n.word.Load()); err != nil {
+				return err
+			}
+		}
+	}
+	if live, claimed := t.live.Load(), st.claimed.Load(); published != live || claimed < live {
+		return fmt.Errorf("%d words published, %d live, %d claimed", published, live, claimed)
+	}
+	return nil
 }
 
 // insertRebuilt places one live slot word into the private new state. The
