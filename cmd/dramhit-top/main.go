@@ -1,6 +1,7 @@
 // Command dramhit-top is a live terminal view over a running table's
-// observability endpoint (loadgen -metrics, dramhit-bench -metrics, or any
-// process serving dramhit.ServeObservability):
+// observability endpoint (dramhit-server -obs, loadgen -metrics,
+// dramhit-bench -metrics, or any process serving
+// dramhit.ServeObservability):
 //
 //	dramhit-top -addr localhost:8090
 //	dramhit-top -addr localhost:8090 -interval 1s -k 20
@@ -161,7 +162,7 @@ func render(w *os.File, base string, f, prev *frame, topk int) {
 			if sum > 0 {
 				share = fmt.Sprintf("%5.1f%% of top", float64(it.Count)*100/float64(sum))
 			}
-			fmt.Fprintf(w, "  #%-3d %#018x  count %-10d err %-8d %s\n", i+1, it.Key, it.Count, it.Err, share)
+			fmt.Fprintf(w, "  #%-3d 0x%016x  count %-10d err %-8d %s\n", i+1, it.Key, it.Count, it.Err, share)
 		}
 	}
 

@@ -41,11 +41,11 @@ func (h *Handle) route(key []byte) (*slotarr.BucketHandle, uint64) {
 func (h *Handle) GetBytes(key []byte) ([]byte, bool) {
 	h.requireLayout(table.LayoutBucket)
 	bh, hv := h.route(key)
-	preL, preH := bh.Lines, bh.Hops
+	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
 	v, ok := bh.GetHashed(hv, key)
 	h.stats.Lines++
 	h.foldBucketStats(bh, preL, preH)
-	h.countOp(table.Get, ok)
+	h.syncDone(table.Get, ok, start)
 	return v, ok
 }
 
@@ -57,12 +57,12 @@ func (h *Handle) GetBytes(key []byte) ([]byte, bool) {
 func (h *Handle) PutBytes(key, value []byte) (existed, ok bool) {
 	h.requireLayout(table.LayoutBucket)
 	bh, hv := h.route(key)
-	preL, preH := bh.Lines, bh.Hops
+	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
 	h.stats.CASAttempts++
 	existed, ok = bh.PutHashed(hv, key, value)
 	h.stats.Lines++
 	h.foldBucketStats(bh, preL, preH)
-	h.countWrite(table.Put, ok)
+	h.countWrite(table.Put, ok, start)
 	return existed, ok
 }
 
@@ -76,34 +76,47 @@ func (h *Handle) PutBytes(key, value []byte) (existed, ok bool) {
 func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed, ok bool) {
 	h.requireLayout(table.LayoutBucket)
 	bh, hv := h.route(key)
-	preL, preH := bh.Lines, bh.Hops
+	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
 	h.stats.CASAttempts++
 	existed, ok = bh.MutateHashed(hv, key, fn)
 	h.stats.Lines++
 	h.foldBucketStats(bh, preL, preH)
-	h.countWrite(table.Upsert, ok)
+	h.countWrite(table.Upsert, ok, start)
 	return existed, ok
 }
 
-// countWrite counts a completed byte Put or Upsert, and a refused one as
-// Failed. A write counts as a hit in countOp's convention: its outcome is
-// its own, whatever the key held.
-func (h *Handle) countWrite(op table.Op, ok bool) {
+// countWrite completes a synchronous byte Put or Upsert, and counts a refused
+// one as Failed. A write counts as a hit in countOp's convention: its outcome
+// is its own, whatever the key held.
+func (h *Handle) countWrite(op table.Op, ok bool, startNS int64) {
 	if !ok {
 		h.stats.Failed++
 	}
-	h.countOp(op, true)
+	h.syncDone(op, true, startNS)
+}
+
+// syncDone completes a synchronous byte op as the ring completes a request,
+// then takes the throttled publish Submit uses, so that a registry sees
+// synchronous ops as it sees the ring's.
+func (h *Handle) syncDone(op table.Op, hit bool, startNS int64) {
+	h.countOp(op, hit)
+	if startNS != 0 {
+		h.opLatency(op, hit, startNS)
+	}
+	if h.obsw != nil {
+		h.obsPublishThrottled()
+	}
 }
 
 // DeleteBytes removes a byte-string key, reporting whether it was present.
 func (h *Handle) DeleteBytes(key []byte) bool {
 	h.requireLayout(table.LayoutBucket)
 	bh, hv := h.route(key)
-	preL, preH := bh.Lines, bh.Hops
+	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
 	h.stats.CASAttempts++
 	hit := bh.DeleteHashed(hv, key)
 	h.stats.Lines++
 	h.foldBucketStats(bh, preL, preH)
-	h.countOp(table.Delete, hit)
+	h.syncDone(table.Delete, hit, start)
 	return hit
 }

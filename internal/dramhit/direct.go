@@ -1,8 +1,6 @@
 package dramhit
 
 import (
-	"time"
-
 	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
 	"dramhit/internal/simd"
@@ -64,9 +62,7 @@ func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nre
 		var traceID uint64
 		var startNS int64
 		if obsOn {
-			if h.opLat {
-				startNS = time.Now().UnixNano()
-			}
+			startNS = h.stamp()
 			if h.trace != nil {
 				if h.traceCnt++; h.traceCnt >= h.traceEvery {
 					h.traceCnt = 0

@@ -596,10 +596,7 @@ func (h *Handle) submitRing(reqs []table.Request, resps []table.Response) (nreq,
 		// be built on the stack and copied in.
 		p := &h.q[h.head&h.mask]
 		p.req = *req
-		p.probes, p.startNS, p.trace = 0, 0, 0
-		if h.opLat {
-			p.startNS = time.Now().UnixNano()
-		}
+		p.probes, p.startNS, p.trace = 0, h.stamp(), 0
 		if h.trace != nil {
 			if h.traceCnt++; h.traceCnt >= h.traceEvery {
 				h.traceCnt = 0
@@ -787,10 +784,30 @@ func (h *Handle) countOp(op table.Op, hit bool) {
 	}
 }
 
-// finishReq completes a request: counters, trace event, op latency. It
+// stamp is a request's latency stamp: the clock when op latency is armed,
+// and 0, with no clock read, otherwise. Every request site, of either layout,
+// stamps here, and a completion with a stamp records opLatency; when op
+// latency is not armed, the stamp check is the whole cost.
+func (h *Handle) stamp() int64 {
+	if h.opLat {
+		return clockNS()
+	}
+	return 0
+}
+
+// clockNS is stamp's clock read, out of line so that stamp inlines.
+//
+//go:noinline
+func clockNS() int64 { return time.Now().UnixNano() }
+
+// opLatency records a stamped request's latency in its op-class histogram.
+func (h *Handle) opLatency(op table.Op, hit bool, startNS int64) {
+	h.obsw.Op[obs.OpClass(op, hit)].Record(uint64(clockNS() - startNS))
+}
+
+// finishReq completes a request: trace event, counters, op latency. It
 // takes the request's fields, not a ring entry: direct mode has none.
 func (h *Handle) finishReq(req *table.Request, startNS int64, trace uint64, op table.Op, hit bool) {
-	h.countOp(op, hit)
 	if trace != 0 {
 		var arg uint32
 		if hit {
@@ -798,10 +815,9 @@ func (h *Handle) finishReq(req *table.Request, startNS int64, trace uint64, op t
 		}
 		h.trace.Record(trace, obs.EvComplete, uint8(op), req.Key, arg)
 	}
-	// Submit stamps startNS only when op latency is armed; when it is not,
-	// this check is the whole cost and no clock is read anywhere.
-	if h.opLat && startNS != 0 {
-		h.obsw.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - startNS))
+	h.countOp(op, hit)
+	if startNS != 0 {
+		h.opLatency(op, hit, startNS)
 	}
 }
 
@@ -813,12 +829,19 @@ func (h *Handle) finishReq(req *table.Request, startNS int64, trace uint64, op t
 // still see values at most one window behind.
 const obsPublishEvery = 64
 
+// noteOcc returns the occupancy of the handle's ring (a handle uses only its
+// layout's ring, so the other reads 0) and raises the high-water mark to it.
+func (h *Handle) noteOcc() uint64 {
+	occ := uint64(h.Pending() + h.PendingBytes())
+	h.occMax = max(h.occMax, occ)
+	return occ
+}
+
 // obsPublishThrottled tracks the occupancy high-water cheaply on every
-// Submit and forwards one call in obsPublishEvery to obsPublish.
+// Submit and synchronous byte op, and forwards one call in obsPublishEvery to
+// obsPublish.
 func (h *Handle) obsPublishThrottled() {
-	if occ := uint64(h.Pending()); occ > h.occMax {
-		h.occMax = occ
-	}
+	h.noteOcc()
 	if h.pubCnt++; h.pubCnt >= obsPublishEvery {
 		h.pubCnt = 0
 		h.obsPublish()
@@ -844,10 +867,7 @@ func (h *Handle) obsPublish() {
 	w.Store(obs.CLines, s.Lines)
 	w.Store(obs.CKeyLines, s.KeyLines)
 	w.Store(obs.CCASAttempts, s.CASAttempts)
-	occ := uint64(h.Pending())
-	if occ > h.occMax {
-		h.occMax = occ
-	}
+	occ := h.noteOcc()
 	w.SetGauge(obs.GWindowOcc, occ)
 	w.SetGauge(obs.GWindowMax, h.occMax)
 }

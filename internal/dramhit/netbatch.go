@@ -1,10 +1,7 @@
 package dramhit
 
 import (
-	"time"
-
 	"dramhit/internal/hashfn"
-	"dramhit/internal/obs"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 )
@@ -121,10 +118,7 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 	// The request is built in the head slot and stays there until its drain
 	// (the uint64 ring's rule, see Submit); every field is assigned.
 	p := &h.byteQ[h.bhead&h.mask]
-	p.key, p.val, p.id, p.hv, p.part, p.op, p.startNS = key, value, id, hv, uint32(part), op, 0
-	if h.opLat {
-		p.startNS = time.Now().UnixNano()
-	}
+	p.key, p.val, p.id, p.hv, p.part, p.op, p.startNS = key, value, id, hv, uint32(part), op, h.stamp()
 	h.bhead++
 	// Stage two, first trigger: every entry that now has window/2 later
 	// submissions behind it (while the ring refills after a flush, no drain
@@ -136,7 +130,14 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 // callback for each in submission order, releases the batch's arena pins
 // (see SubmitBytes), then publishes observability counters (the byte
 // pipeline's Flush-boundary publish, same cadence as the uint64 path's).
+//
+// Only a drain lowers the ring's occupancy, and SubmitBytes drains only a
+// full ring, which its own request refills: the occupancy FlushBytes finds is
+// the batch's high-water mark, so the window gauges read it here.
 func (h *Handle) FlushBytes() {
+	if h.obsw != nil {
+		h.noteOcc()
+	}
 	for h.PendingBytes() > 0 {
 		h.drainByte()
 	}
@@ -198,9 +199,8 @@ func (h *Handle) drainByte() {
 	// completion's Found carries the existed bit.
 	hit := c.Found || p.op == table.Put
 	h.countOp(p.op, hit)
-	if h.opLat && p.startNS != 0 {
-		lat := time.Now().UnixNano() - p.startNS
-		h.obsw.Op[obs.OpClass(p.op, hit)].Record(uint64(lat))
+	if p.startNS != 0 {
+		h.opLatency(p.op, hit, p.startNS)
 	}
 	// Release the caller's buffers, then complete: the slot is not touched
 	// once the callback runs, so a callback that submits may recycle it.

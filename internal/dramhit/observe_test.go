@@ -75,46 +75,128 @@ func TestObserveBitIdentical(t *testing.T) {
 	}
 }
 
-// TestObserveCountersPublished pins the publish contract: after Flush, the
-// registry shard mirrors the handle's stats exactly.
-func TestObserveCountersPublished(t *testing.T) {
-	reg := obs.NewWith(0, 1)
-	tb := New(Config{Slots: 1 << 12, Observe: reg})
-	reqs := obsWorkload(5000, 3)
-	_, stats := runObsWorkload(tb, reqs)
-
-	workers := reg.Workers()
-	if len(workers) != 1 {
-		t.Fatalf("workers = %d, want 1", len(workers))
-	}
-	w := workers[0]
-	checks := []struct {
-		name string
-		idx  int
-		want uint64
-	}{
-		{"gets", obs.CGets, stats.Gets},
-		{"puts", obs.CPuts, stats.Puts},
-		{"upserts", obs.CUpserts, stats.Upserts},
-		{"deletes", obs.CDeletes, stats.Deletes},
-		{"hits", obs.CHits, stats.Hits},
-		{"reprobes", obs.CReprobes, stats.Reprobes},
-		{"lines", obs.CLines, stats.Lines},
-		{"keylines", obs.CKeyLines, stats.KeyLines},
-		{"cas_attempts", obs.CCASAttempts, stats.CASAttempts},
-	}
-	for _, c := range checks {
-		if got := w.Counter(c.idx); got != c.want {
-			t.Errorf("published %s = %d, want %d", c.name, got, c.want)
+// runObsBytes is runObsWorkload's byte-ring port on a bucket table: every
+// request goes through SubmitBytes (an Upsert as a Put; the ring takes no
+// Upsert), in batches of 64 that each end in FlushBytes.
+func runObsBytes(t *Table, reqs []table.Request) Stats {
+	h := t.NewHandle()
+	h.OnByteComplete(func(ByteCompletion) {})
+	for i, r := range reqs {
+		op := r.Op
+		if op == table.Upsert {
+			op = table.Put
+		}
+		h.SubmitBytes(op, r.ID, le(r.Key), le(r.Value))
+		if i%64 == 63 {
+			h.FlushBytes()
 		}
 	}
-	if w.Gauge(obs.GWindowMax) == 0 {
-		t.Error("window occupancy max gauge never published")
+	h.FlushBytes()
+	return h.Stats()
+}
+
+// TestObserveCountersPublished pins the publish contract: after Flush (or
+// FlushBytes), the registry shard mirrors the handle's stats exactly, and the
+// window gauges saw a full window.
+func TestObserveCountersPublished(t *testing.T) {
+	for _, layout := range []table.Layout{table.LayoutFlat, table.LayoutBucket} {
+		t.Run(layout.String(), func(t *testing.T) {
+			reg := obs.NewWith(0, 1)
+			tb := New(Config{Slots: 1 << 12, Layout: layout, Observe: reg})
+			reqs := obsWorkload(5000, 3)
+			var stats Stats
+			if layout == table.LayoutBucket {
+				stats = runObsBytes(tb, reqs)
+			} else {
+				_, stats = runObsWorkload(tb, reqs)
+			}
+
+			workers := reg.Workers()
+			if len(workers) != 1 {
+				t.Fatalf("workers = %d, want 1", len(workers))
+			}
+			w := workers[0]
+			checks := []struct {
+				name string
+				idx  int
+				want uint64
+			}{
+				{"gets", obs.CGets, stats.Gets},
+				{"puts", obs.CPuts, stats.Puts},
+				{"upserts", obs.CUpserts, stats.Upserts},
+				{"deletes", obs.CDeletes, stats.Deletes},
+				{"hits", obs.CHits, stats.Hits},
+				{"reprobes", obs.CReprobes, stats.Reprobes},
+				{"lines", obs.CLines, stats.Lines},
+				{"keylines", obs.CKeyLines, stats.KeyLines},
+				{"cas_attempts", obs.CCASAttempts, stats.CASAttempts},
+			}
+			for _, c := range checks {
+				if got := w.Counter(c.idx); got != c.want {
+					t.Errorf("published %s = %d, want %d", c.name, got, c.want)
+				}
+			}
+			if got := w.Gauge(obs.GWindowMax); got != DefaultPrefetchWindow {
+				t.Errorf("window_max = %d, want the window %d", got, DefaultPrefetchWindow)
+			}
+			if got := w.Gauge(obs.GWindowOcc); got != 0 {
+				t.Errorf("window_occ = %d after the flush, want 0", got)
+			}
+			// The pull source must see the table.
+			snap := reg.TakeSnapshot()
+			if snap.Sources["dramhit"]["live"] != float64(tb.Len()) {
+				t.Errorf("pull source live = %v, want %d", snap.Sources["dramhit"]["live"], tb.Len())
+			}
+		})
 	}
-	// The pull source must see the table.
-	snap := reg.TakeSnapshot()
-	if snap.Sources["dramhit"]["live"] != float64(tb.Len()) {
-		t.Errorf("pull source live = %v, want %d", snap.Sources["dramhit"]["live"], tb.Len())
+}
+
+// TestObserveSyncBytesPublished: the synchronous byte ops reach the registry
+// as the ring's requests do. With op latency armed, each stamps its op-class
+// latency; a FlushBytes with nothing in flight makes the shard exact, and a
+// handle that never flushes still publishes once per obsPublishEvery ops.
+func TestObserveSyncBytesPublished(t *testing.T) {
+	reg := obs.NewWith(0, 1)
+	reg.EnableOpLatency()
+	tb := New(Config{Slots: 1 << 12, Layout: table.LayoutBucket, Observe: reg})
+	h := tb.NewHandle()
+	for k := uint64(0); k < 10; k++ {
+		h.PutBytes(le(k), le(k))
+	}
+	h.GetBytes(le(3))
+	h.GetBytes(le(99))
+	h.UpsertBytes(le(4), func(old []byte, present bool) ([]byte, bool) { return le(40), true })
+	h.DeleteBytes(le(5))
+	h.FlushBytes()
+	w, st := reg.Workers()[0], h.Stats()
+	for _, c := range []struct {
+		name      string
+		idx       int
+		got, want uint64
+	}{
+		{"puts", obs.CPuts, st.Puts, 10},
+		{"gets", obs.CGets, st.Gets, 2},
+		{"upserts", obs.CUpserts, st.Upserts, 1},
+		{"deletes", obs.CDeletes, st.Deletes, 1},
+		{"hits", obs.CHits, st.Hits, 2},
+	} {
+		if c.got != c.want || w.Counter(c.idx) != c.want {
+			t.Errorf("%s: Stats %d, published %d, want %d", c.name, c.got, w.Counter(c.idx), c.want)
+		}
+	}
+	for cls, want := range map[int]uint64{obs.OpPut: 10, obs.OpGetHit: 1, obs.OpGetMiss: 1,
+		obs.OpUpsert: 1, obs.OpDeleteHit: 1, obs.OpDeleteMiss: 0} {
+		if got := w.Op[cls].Count(); got != want {
+			t.Errorf("op class %s: %d latency samples, want %d", obs.OpClassNames[cls], got, want)
+		}
+	}
+
+	h2 := tb.NewHandle()
+	for k := uint64(0); k < obsPublishEvery; k++ {
+		h2.GetBytes(le(k))
+	}
+	if got := reg.Workers()[1].Counter(obs.CGets); got != obsPublishEvery {
+		t.Errorf("%d synchronous gets and no flush published %d, want %d", obsPublishEvery, got, obsPublishEvery)
 	}
 }
 

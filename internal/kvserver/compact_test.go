@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
@@ -18,26 +19,32 @@ import (
 
 // withSegments makes the servers the test starts store their records in an
 // arena of seg-byte segments: one-byte segments fill the directory fast, small
-// ones make compaction passes frequent.
+// ones make compaction passes frequent. An observed table registers its
+// heatmap as New's does (a view registers no source of its own).
 func withSegments(t *testing.T, seg int) {
 	old := newTable
-	newTable = func(slots uint64) *idramhit.Table {
+	newTable = func(slots uint64, reg *obs.Registry) *idramhit.Table {
 		bt := slotarr.NewBucketTable(slotarr.BucketConfig{
 			Buckets: slots / slotarr.BucketLanes, Arena: arena.New(arena.WithSegmentBytes(seg))})
-		return idramhit.NewView(idramhit.Config{Slots: slots, Layout: table.LayoutBucket},
-			idramhit.Regions{Buckets: []*slotarr.BucketTable{bt}, Worker: "server-h"})
+		tb := idramhit.NewView(idramhit.Config{Slots: slots, Layout: table.LayoutBucket, Observe: reg},
+			idramhit.Regions{Buckets: []*slotarr.BucketTable{bt}, Worker: "dramhit-h"})
+		if reg != nil {
+			reg.AddHeatmapSource("dramhit", tb.Heatmap)
+		}
+		return tb
 	}
 	t.Cleanup(func() { newTable = old })
 }
 
-// serverSource returns the registry's "server" pull source.
-func serverSource(t *testing.T, reg *obs.Registry) func() map[string]float64 {
+// pullSource returns the registry's pull source of that name.
+func pullSource(t *testing.T, reg *obs.Registry, name string) func() map[string]float64 {
+	t.Helper()
 	for _, s := range reg.Sources() {
-		if s.Name == "server" {
+		if s.Name == name {
 			return s.Collect
 		}
 	}
-	t.Fatal("no server source")
+	t.Fatalf("no %q pull source", name)
 	return nil
 }
 
@@ -45,13 +52,39 @@ func serverSource(t *testing.T, reg *obs.Registry) func() map[string]float64 {
 // over in random order, through a server whose arena has 4 KiB segments. The
 // compaction counters on the "server" source rise, and after every wire batch,
 // once the pass it started has ended, arena_bytes_used is at most twice the
-// live bytes plus 64 segments.
+// live bytes plus 64 segments. In the "scraped" input a goroutine renders
+// /metrics, the registry snapshot and the heatmaps in a loop meanwhile, so
+// that scrapes race the handles' publishes and the passes' moves (run it
+// under -race).
 func TestCompactionUnderSetChurn(t *testing.T) {
+	for _, name := range []string{"plain", "scraped"} {
+		t.Run(name, func(t *testing.T) { setChurn(t, name == "scraped") })
+	}
+}
+
+func setChurn(t *testing.T, scraped bool) {
 	const seg, keys, valLen, batch = 4 << 10, 4096, 100, 64
 	withSegments(t, seg)
 	reg := obs.New()
 	srv := startServer(t, func(c *Config) { c.Obs = reg })
-	src := serverSource(t, reg)
+	src := pullSource(t, reg, "server")
+	if scraped {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				obs.WriteMetrics(io.Discard, reg)
+				reg.TakeSnapshot()
+				reg.Heatmaps()
+			}
+		}()
+		defer func() { close(stop); <-done }()
+	}
 	c, err := net.Dial("tcp", srv.McAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +126,7 @@ func TestCompactionUnderSetChurn(t *testing.T) {
 			t.Errorf("%s = %v after the churn, want > 0", name, m[name])
 		}
 	}
-	if m["table_entries"] != keys {
-		t.Errorf("table_entries = %v, want %d", m["table_entries"], keys)
+	if n := srv.Table().Len(); n != keys {
+		t.Errorf("table holds %d entries, want %d", n, keys)
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"time"
 
 	idramhit "dramhit/internal/dramhit"
 	"dramhit/internal/mctext"
-	"dramhit/internal/obs"
 	"dramhit/internal/readbuf"
 	"dramhit/internal/resp"
 	"dramhit/internal/table"
@@ -39,22 +37,20 @@ const (
 
 // pmeta carries the per-request reply context from submit to completion.
 type pmeta struct {
-	key   []byte // mc VALUE lines echo the key; aliases the read buffer
-	start int64  // latency stamp (0 when metrics are off)
-	kind  uint8
+	key  []byte // mc VALUE lines echo the key; aliases the read buffer
+	kind uint8
 }
 
 // worker is the table state a wire batch computes with: a table handle (its
-// ring, arena writer and pin), the batch's reply contexts and value scratch,
-// and a metric shard. All of it is dead once the batch drains, so the server
+// ring, arena writer and pin, and metric shard), the batch's reply contexts
+// and value scratch. All of it is dead once the batch drains, so the server
 // pools workers and a connection borrows one per batch (Server.borrow).
 type worker struct {
 	h    *idramhit.Handle
-	o    *obs.Worker // nil when metrics are off
-	cn   *conn       // the borrower, whose wbuf the completions append to
-	vbuf []byte      // encoded flags+payload records, stable until the drain
-	meta []pmeta     // submit-order reply contexts
-	mi   int         // completion cursor into meta
+	cn   *conn   // the borrower, whose wbuf the completions append to
+	vbuf []byte  // encoded flags+payload records, stable until the drain
+	meta []pmeta // submit-order reply contexts
+	mi   int     // completion cursor into meta
 }
 
 // conn is one client connection; it holds a worker only during a wire batch.
@@ -164,11 +160,7 @@ func (cn *conn) worker() *worker {
 // and vbuf, both of which are released at the batch's end).
 func (cn *conn) submit(op table.Op, kind uint8, key, val []byte) {
 	wk := cn.worker()
-	m := pmeta{kind: kind, key: key}
-	if wk.o != nil {
-		m.start = time.Now().UnixNano()
-	}
-	wk.meta = append(wk.meta, m)
+	wk.meta = append(wk.meta, pmeta{kind: kind, key: key})
 	wk.h.SubmitBytes(op, uint64(len(wk.meta)-1), key, val)
 }
 
@@ -228,33 +220,6 @@ func (wk *worker) complete(cc idramhit.ByteCompletion) {
 		}
 	default: // kMcSetQuiet, kMcDelQuiet: noreply
 	}
-	if wk.o != nil {
-		wk.countOp(cc.Op, cc.Found, m.start)
-	}
-}
-
-// countOp records the request into the worker's metric shard: completion
-// counters plus parse-to-completion latency in the per-op-class histogram.
-func (wk *worker) countOp(op table.Op, found bool, start int64) {
-	hit := found
-	switch op {
-	case table.Get:
-		wk.o.Inc(obs.CGets)
-	case table.Put:
-		wk.o.Inc(obs.CPuts)
-		hit = true
-	case table.Upsert:
-		wk.o.Inc(obs.CUpserts)
-		hit = true
-	default:
-		wk.o.Inc(obs.CDeletes)
-	}
-	if found && (op == table.Get || op == table.Delete) {
-		wk.o.Inc(obs.CHits)
-	}
-	if start != 0 {
-		wk.o.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - start))
-	}
 }
 
 // barrier drains the pipeline so a synchronous reply (PING, INCR, a
@@ -268,10 +233,12 @@ func (cn *conn) barrier() {
 
 // flush ends the wire batch: it drains the pipeline, returns the worker to
 // the pool and writes the accumulated replies in one syscall. After it
-// returns, nothing references the read buffer.
+// returns, nothing references the read buffer. Every batch ends in
+// FlushBytes, which publishes the handle's metrics, so a scrape after a batch
+// of synchronous INCRs is exact too.
 func (cn *conn) flush() error {
 	if wk := cn.wk; wk != nil {
-		cn.barrier()
+		wk.h.FlushBytes()
 		wk.meta, wk.mi, wk.vbuf, wk.cn = wk.meta[:0], 0, wk.vbuf[:0], nil
 		cn.s.giveBack(wk)
 		cn.wk = nil
@@ -332,13 +299,8 @@ func (cn *conn) batchFull(held int) bool {
 // stored (the table's arena is full); the key then keeps its old value.
 func (cn *conn) incr(key []byte, create bool, delta uint64, negative bool) (n uint64, found, numeric, stored bool) {
 	cn.barrier()
-	wk := cn.worker()
-	var start int64
-	if wk.o != nil {
-		start = time.Now().UnixNano()
-	}
 	var scratch [28]byte // 4 flags + 20 digits; engine copies during Mutate
-	_, stored = wk.h.UpsertBytes(key, func(old []byte, present bool) ([]byte, bool) {
+	_, stored = cn.worker().h.UpsertBytes(key, func(old []byte, present bool) ([]byte, bool) {
 		var flags uint32
 		var cur uint64
 		found, numeric = present || create, create
@@ -361,8 +323,5 @@ func (cn *conn) incr(key []byte, create bool, delta uint64, negative bool) (n ui
 		}
 		return strconv.AppendUint(appendRecord(scratch[:0], flags, nil), n, 10), true
 	})
-	if numeric && stored && wk.o != nil {
-		wk.countOp(table.Upsert, true, start)
-	}
 	return n, found, numeric, stored
 }

@@ -9,11 +9,14 @@
 // submitted into a table handle's byte pipeline (SubmitBytes — home bucket
 // line prefetched at parse time), and before every socket read, which can
 // block, the wire batch ends: the handle drains (FlushBytes), goes back to a
-// server-wide pool of a few per CPU, and the replies go out in one write.
+// pool of a few per CPU that every connection shares, and the replies go out
+// in one write.
 // Completions fire in submission order, so each reply is appended to the
 // write buffer straight from the completion callback, with no per-op
 // channels and no reorder buffer anywhere. The pool, not the connection
-// count, bounds the handles' arena writers and pins and the metric shards.
+// count, bounds the handles' arena writers and pins and their metric shards.
+// The server keeps no op metrics of its own: an observed table's handles
+// publish them (Config.Obs).
 //
 // Both protocols share one keyspace. A stored record is a 4-byte
 // little-endian flags word (memcached metadata; RESP writes zero) followed
@@ -48,10 +51,16 @@ type Config struct {
 	// Slots sizes the table (0 selects a small default; the bucket layout
 	// resizes itself, so this is a starting point, not a capacity cap).
 	Slots uint64
-	// Obs, when non-nil, exports the serving metrics: per-op-class latency
-	// histograms (parse-to-completion; an INCR/DECR counts only if it stored)
-	// under one "server-w<i>" obs worker per pooled worker, whatever the
-	// connection churn, and connection, pool and table gauges under "server".
+	// Obs, when non-nil, exports the serving metrics: New arms its hot keys
+	// (default capacity) and op latency, and the table runs observed. Each
+	// pooled worker's table handle publishes its op counts, per-op-class
+	// latency (submit to completion; every INCR/DECR is one upsert, a refused
+	// one also failed) and hot keys under the table's "dramhit-h<i>" shard,
+	// whatever the connection churn, and the table registers its "dramhit"
+	// pull source (fill, live, slots, handles) and bucket heatmap. The
+	// "server" pull source has what only the server knows: connections,
+	// handle_waits, read_buffer_bytes, the arena and compaction gauges and
+	// memory.
 	Obs *obs.Registry
 }
 
@@ -60,10 +69,11 @@ type Config struct {
 // runs at 1x, and 0 in 5 of 8 at 2x and 6 of 8 at 4x (EXPERIMENTS.md).
 const poolPerProc = 4
 
-// newTable builds the server's table. Tests replace it to serve a table over
-// an arena of tiny segments, whose directory a test can fill.
-var newTable = func(slots uint64) *idramhit.Table {
-	return idramhit.New(idramhit.Config{Slots: slots, Layout: table.LayoutBucket})
+// newTable builds the server's table, observed by reg when it is non-nil.
+// Tests replace it to serve a table over an arena of tiny segments, whose
+// directory a test can fill.
+var newTable = func(slots uint64, reg *obs.Registry) *idramhit.Table {
+	return idramhit.New(idramhit.Config{Slots: slots, Layout: table.LayoutBucket, Observe: reg})
 }
 
 // Server is a running KV front-end. Create with New, stop with Close.
@@ -101,19 +111,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Slots == 0 {
 		cfg.Slots = 1 << 16
 	}
+	if cfg.Obs != nil { // armed before the handles are made, which read both
+		cfg.Obs.EnableHotKeys(0)
+		cfg.Obs.EnableOpLatency()
+	}
 	s := &Server{
-		tbl:     newTable(cfg.Slots),
+		tbl:     newTable(cfg.Slots, cfg.Obs),
 		handles: poolPerProc * runtime.GOMAXPROCS(0),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	s.pcond.L = &s.pmu
 	s.free = make([]*worker, s.handles)
 	for i := range s.free {
-		var o *obs.Worker
-		if cfg.Obs != nil {
-			o = cfg.Obs.Worker(fmt.Sprintf("server-w%d", i))
-		}
-		wk := &worker{h: s.tbl.NewHandle(), o: o}
+		wk := &worker{h: s.tbl.NewHandle()}
 		wk.h.OnByteComplete(wk.complete)
 		s.free[i] = wk
 	}
@@ -167,22 +177,21 @@ func (s *Server) McAddr() string {
 // Table exposes the underlying table (tests inspect it directly).
 func (s *Server) Table() *idramhit.Table { return s.tbl }
 
-// collect is the "server" pull source: connection gauges, table size and
-// what the process's memory is made of — arena_huge_bytes is the record
-// segments carved from huge-page slabs, and on Linux mem_anon_huge_bytes is
-// where an operator sees whether the index and those slabs got their huge
-// pages. The arena_segments* gauges are the arena's segment directory
+// collect is the "server" pull source: connection gauges and what the
+// process's memory is made of — arena_huge_bytes is the record segments
+// carved from huge-page slabs, and on Linux mem_anon_huge_bytes is where an
+// operator sees whether the index and those slabs got their huge pages. The arena_segments* gauges are the arena's segment directory
 // (slots, still-linked segments, segments unlinked by reclamation) and
 // arena_pins its registered reclamation pins: what a long-lived server's
 // connection churn grows. arena_bytes_used and arena_bytes_dead sum the
 // linked segments' appended and retired bytes. read_buffer_bytes is the
 // capacity the live connections' protocol readers hold, spares included.
-// handles is the worker pool's size, which bounds arena_pins (plus one once a
-// compaction pass has run: the pass's writer), and handle_waits counts the
-// borrows that found every worker out. The arena_compact_* counters show the
-// arena's compaction at work: passes run, record bytes they moved, segments
-// their Advances unlinked, and the longest chunk of index walk one pass held
-// a writer gate and pin for;
+// The pool's size, the "dramhit" source's handles, bounds arena_pins (plus
+// one once a compaction pass has run: the pass's writer), and handle_waits
+// counts the borrows that found every worker out. The arena_compact_*
+// counters show the arena's compaction at work: passes run, record bytes they
+// moved, segments their Advances unlinked, and the longest chunk of index
+// walk one pass held a writer gate and pin for;
 // arena_free_ids is the unlinked segment ids awaiting reuse.
 func (s *Server) collect() map[string]float64 {
 	ar := s.tbl.Bucket().Arena()
@@ -198,7 +207,6 @@ func (s *Server) collect() map[string]float64 {
 		"conns_resp_total":           float64(s.totResp.Load()),
 		"conns_mc_open":              float64(s.curMc.Load()),
 		"conns_mc_total":             float64(s.totMc.Load()),
-		"table_entries":              float64(s.tbl.Len()),
 		"arena_huge_bytes":           float64(ar.HugeBytes()),
 		"arena_segments":             float64(total),
 		"arena_segments_live":        float64(live),
@@ -212,7 +220,6 @@ func (s *Server) collect() map[string]float64 {
 		"arena_compact_unlinked":     float64(cs.Unlinked),
 		"arena_compact_chunk_max_us": float64(cs.MaxChunk) / 1e3,
 		"read_buffer_bytes":          float64(s.readBuf.Load()),
-		"handles":                    float64(s.handles),
 		"handle_waits":               float64(s.handleWaits.Load()),
 	}
 	if rss, huge, ok := hugemem.Usage(); ok {

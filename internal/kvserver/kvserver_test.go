@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dramhit/internal/obs"
+	"dramhit/internal/workload"
 )
 
 // respEnc appends one multibulk command in client framing.
@@ -300,9 +301,11 @@ func TestMcOracleRandomOps(t *testing.T) {
 	}
 }
 
-// TestObsSurface checks the serving metrics: per-op-class latency recorded
-// into the pooled workers' metric shards and the "server" pull source's
-// connection and pool gauges.
+// TestObsSurface checks the serving metrics. The table runs observed: its
+// "dramhit-h<i>" shards, one per pooled worker, hold the op counts (INCR is
+// an upsert) and a latency sample per op class, and its "dramhit" source has
+// live and handles. The "server" pull source has the connection and pool
+// gauges and no copy of the table's.
 func TestObsSurface(t *testing.T) {
 	reg := obs.New()
 	srv := startServer(t, func(c *Config) { c.Obs = reg })
@@ -325,39 +328,46 @@ func TestObsSurface(t *testing.T) {
 		}
 	}
 
+	// A batch's replies go out after its FlushBytes published the counts.
 	classes := map[int]uint64{}
-	var puts, gets uint64
+	var counts [obs.NumCounters]uint64
 	for _, w := range reg.Workers() {
+		if !strings.HasPrefix(w.Name(), "dramhit-h") {
+			t.Errorf("obs worker %q, want only the table's dramhit-h shards", w.Name())
+		}
 		for cls := 0; cls < obs.NumOpClasses; cls++ {
 			classes[cls] += w.Op[cls].Count()
 		}
-		puts += w.Counter(obs.CPuts)
-		gets += w.Counter(obs.CGets)
+		for i := range counts {
+			counts[i] += w.Counter(i)
+		}
 	}
 	for _, cls := range []int{obs.OpGetHit, obs.OpGetMiss, obs.OpPut, obs.OpUpsert, obs.OpDeleteHit} {
-		if classes[cls] == 0 {
-			t.Errorf("op class %s recorded no latency samples", obs.OpClassNames[cls])
+		if classes[cls] != 1 {
+			t.Errorf("op class %s recorded %d latency samples, want 1", obs.OpClassNames[cls], classes[cls])
 		}
 	}
-	if puts != 1 || gets != 2 {
-		t.Errorf("pool counters: puts=%d gets=%d, want 1/2", puts, gets)
+	if counts[obs.CPuts] != 1 || counts[obs.CGets] != 2 || counts[obs.CUpserts] != 1 || counts[obs.CDeletes] != 1 {
+		t.Errorf("table counters: puts=%d gets=%d upserts=%d deletes=%d, want 1/2/1/1",
+			counts[obs.CPuts], counts[obs.CGets], counts[obs.CUpserts], counts[obs.CDeletes])
+	}
+	tm := pullSource(t, reg, "dramhit")()
+	if tm["handles"] != float64(srv.handles) || len(reg.Workers()) != srv.handles {
+		t.Errorf("handles = %v with %d obs workers, want the pool size %d", tm["handles"], len(reg.Workers()), srv.handles)
+	}
+	if tm["live"] != 1 || srv.Table().Len() != 1 {
+		t.Errorf("live = %v, table Len %d, want 1 (n)", tm["live"], srv.Table().Len())
 	}
 
-	var src func() map[string]float64
-	for _, s := range reg.Sources() {
-		if s.Name == "server" {
-			src = s.Collect
-		}
-	}
-	if src == nil {
-		t.Fatal(`no "server" pull source registered`)
-	}
+	src := pullSource(t, reg, "server")
 	m := src()
 	if m["conns_resp_open"] != 1 || m["conns_resp_total"] != 1 {
 		t.Errorf("conn gauges: %+v", m)
 	}
-	if m["handles"] != float64(srv.handles) || len(reg.Workers()) != srv.handles {
-		t.Errorf("handles = %v with %d obs workers, want the pool size %d", m["handles"], len(reg.Workers()), srv.handles)
+	for _, dup := range []string{"table_entries", "handles"} {
+		if _, ok := m[dup]; ok {
+			t.Errorf("server source has %s, a copy of the table's", dup)
+		}
 	}
 	if w, ok := m["handle_waits"]; !ok || w != 0 {
 		t.Errorf("handle_waits = (%v, %v) with one connection, want (0, true)", w, ok)
@@ -381,24 +391,72 @@ func TestObsSurface(t *testing.T) {
 	}
 }
 
+// TestObservedServerHotKeys sends a zipf-0.99 stream of pipelined GETs and
+// SETs through an observed server. The merged hot-key ranking's first entry
+// is the table's hash of the hottest key, and the "dramhit" heatmap is the
+// bucket layout's, with every live entry of the table.
+func TestObservedServerHotKeys(t *testing.T) {
+	reg := obs.New()
+	srv := startServer(t, func(c *Config) { c.Obs = reg })
+	c, err := net.Dial("tcp", srv.RespAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	br := bufio.NewReader(c)
+	z := workload.NewZipf(rand.New(rand.NewSource(3)), 1000, 0.99)
+	const batch = 64
+	var wire []byte
+	for b := 0; b < 32768/batch; b++ {
+		wire = wire[:0]
+		for i := 0; i < batch; i++ {
+			key := fmt.Sprintf("hot-%d", z.Next()) // rank 0 is the hottest
+			if i%2 == 0 {
+				wire = respEnc(wire, "SET", key, "v")
+			} else {
+				wire = respEnc(wire, "GET", key)
+			}
+		}
+		c.Write(wire)
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for i := 0; i < batch; i++ {
+			if _, err := readReply(br); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	top := reg.TopKeys(3)
+	if want := srv.Table().Bucket().HashOf([]byte("hot-0")); len(top) == 0 || top[0].Key != want {
+		t.Fatalf("hot keys %+v, want the hash %d of hot-0 first", top, want)
+	}
+	var kinds []string
+	for _, hm := range reg.Heatmaps() {
+		if hm.Source == "dramhit" {
+			kinds = append(kinds, hm.Kind)
+			if got := hm.Gauges["live_entries"]; got != float64(srv.Table().Len()) {
+				t.Errorf("heatmap live_entries = %v, table Len %d", got, srv.Table().Len())
+			}
+		}
+	}
+	if len(kinds) != 1 || kinds[0] != "bucket" {
+		t.Errorf("dramhit heatmaps of kinds %v, want one bucket heatmap", kinds)
+	}
+}
+
 // TestArenaGauges: after RESP connections each SET a key and close, every
-// arena gauge of the "server" pull source equals its arena accessor. A last
-// connection only PINGs and writes no segment. The 256-connection input is the
-// churn a long-lived server sees: pins and segments stay bounded by the worker
-// pool, since the table registers no pin of its own and only pooled handles
-// write.
+// arena gauge of the "server" pull source equals its arena accessor, and the
+// table's "dramhit" source counts each key live. A last connection only PINGs
+// and writes no segment. The 256-connection input is the churn a long-lived
+// server sees: pins and segments stay bounded by the worker pool, the
+// "dramhit" source's handles, since the table registers no pin of its own and
+// only pooled handles write.
 func TestArenaGauges(t *testing.T) {
 	const tablePins = 0
 	for _, conns := range []int{6, 256} {
 		t.Run(strconv.Itoa(conns), func(t *testing.T) {
 			reg := obs.New()
 			srv := startServer(t, func(c *Config) { c.Obs = reg })
-			var src func() map[string]float64
-			for _, s := range reg.Sources() {
-				if s.Name == "server" {
-					src = s.Collect
-				}
-			}
+			src, tsrc := pullSource(t, reg, "server"), pullSource(t, reg, "dramhit")
 			for i := 0; i <= conns; i++ {
 				c, err := net.Dial("tcp", srv.RespAddr())
 				if err != nil {
@@ -422,7 +480,7 @@ func TestArenaGauges(t *testing.T) {
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			m := src()
+			m, tm := src(), tsrc()
 			ar := srv.Table().Bucket().Arena()
 			total, live := ar.Segments()
 			var used, dead uint64
@@ -441,10 +499,13 @@ func TestArenaGauges(t *testing.T) {
 					t.Errorf("%s = (%v, %v), arena accessor says %v", name, got, ok, want)
 				}
 			}
-			if m["table_entries"] != float64(conns) || m["arena_segments_live"] == 0 {
-				t.Errorf("%d connections wrote %v entries into %v live segments", conns, m["table_entries"], m["arena_segments_live"])
+			if tm["live"] != float64(conns) || m["arena_segments_live"] == 0 {
+				t.Errorf("%d connections wrote %v entries into %v live segments", conns, tm["live"], m["arena_segments_live"])
 			}
-			if bound := float64(srv.handles + tablePins); m["arena_pins"] > bound || m["arena_segments"] > bound {
+			if tm["handles"] != float64(srv.handles) {
+				t.Errorf("dramhit source handles = %v, want the pool size %d", tm["handles"], srv.handles)
+			}
+			if bound := tm["handles"] + tablePins; m["arena_pins"] > bound || m["arena_segments"] > bound {
 				t.Errorf("%d connections left %v pins and %v segments, want at most %v each", conns, m["arena_pins"], m["arena_segments"], bound)
 			}
 		})
@@ -457,12 +518,7 @@ func TestArenaGauges(t *testing.T) {
 func TestReadBufferGauge(t *testing.T) {
 	reg := obs.New()
 	srv := startServer(t, func(c *Config) { c.Obs = reg })
-	var src func() map[string]float64
-	for _, s := range reg.Sources() {
-		if s.Name == "server" {
-			src = s.Collect
-		}
-	}
+	src := pullSource(t, reg, "server")
 	waitClosed := func() {
 		deadline := time.Now().Add(2 * time.Second)
 		for m := src(); m["conns_resp_open"]+m["conns_mc_open"] != 0; m = src() {
