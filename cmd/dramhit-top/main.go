@@ -132,18 +132,25 @@ func render(w *os.File, base string, f, prev *frame, topk int) {
 		fmt.Fprintf(w, "%-18s %14d %12s\n", name, total, rate)
 	}
 
-	if s.Latency.Count > 0 {
-		fmt.Fprintf(w, "\nlatency ns   %10s %8s %8s %8s %8s %8s\n", "count", "p50", "p99", "p99.9", "max", "mean")
-		fmt.Fprintf(w, "%-12s %10d %8.0f %8.0f %8.0f %8.0f %8.0f\n", "all",
-			s.Latency.Count, s.Latency.P50, s.Latency.P99, s.Latency.P999, s.Latency.Max, s.Latency.Mean)
-		for _, cls := range obs.OpClassNames {
-			h, ok := s.OpLatency[cls]
-			if !ok || h.Count == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "%-12s %10d %8.0f %8.0f %8.0f %8.0f %8.0f\n", cls,
-				h.Count, h.P50, h.P99, h.P999, h.Max, h.Mean)
+	// Latency rows: the merged worker latency ("all", recorded by drivers
+	// such as loadgen) and each op class a table sampled, whichever has
+	// samples. A table records 1 request in its registry's sample rate, so
+	// the count column is samples, not ops.
+	header := false
+	for i, name := range append([]string{"all"}, obs.OpClassNames[:]...) {
+		h := s.Latency
+		if i > 0 {
+			h = s.OpLatency[name]
 		}
+		if h.Count == 0 {
+			continue
+		}
+		if !header {
+			header = true
+			fmt.Fprintf(w, "\nlatency ns   %10s %8s %8s %8s %8s %8s\n", "samples", "p50", "p99", "p99.9", "max", "mean")
+		}
+		fmt.Fprintf(w, "%-12s %10d %8.0f %8.0f %8.0f %8.0f %8.0f\n", name,
+			h.Count, h.P50, h.P99, h.P999, h.Max, h.Mean)
 	}
 
 	if len(s.HotKeys) > 0 {

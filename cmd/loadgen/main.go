@@ -23,10 +23,11 @@
 // percentiles and the latency_hist bucket dump.
 // Every timed run additionally classifies each operation by kind and
 // outcome (get_hit, get_miss, put, upsert, delete_hit, delete_miss) and
-// reports per-class counts and latency percentiles; -introspect arms the
-// table-side introspection extras on top (the hot-key Space-Saving sketch
-// and per-op-class latency stamping inside the table), whose results land
-// on /metrics, /heatmap and in the JSON summary's hot_keys.
+// reports per-class counts and latency percentiles, timed by loadgen's own
+// clock and kept out of the table's registry. With -metrics or -observe the
+// table runs observed: its hot-key Space-Saving sketch and sampled
+// per-op-class latency land on /metrics and /heatmap, and the hot keys also
+// in the printout and the JSON summary's hot_keys.
 package main
 
 import (
@@ -57,7 +58,6 @@ func main() {
 	jsonPath := flag.String("json", "", "write the run summary (config, Mops, latency percentiles) as JSON to this path")
 	metrics := flag.String("metrics", "", "serve observability on this address during the run, e.g. :8090")
 	observe := flag.Bool("observe", false, "attach the observability registry to the table even without -metrics")
-	introspect := flag.Bool("introspect", false, "arm table-side introspection (hot-key sketch + per-op-class latency stamping); implies -observe")
 	layoutFlag := flag.String("layout", "flat", "physical slot layout (dramhit and dramhit-p backends): flat (the uint64 workload) | bucket (the byte workload; needs -valuesize)")
 	valueSize := flag.Int("valuesize", 0, "run as a byte-string KV workload with values up to this many bytes (goes with -layout bucket); 0 keeps the uint64 workload (flat layout)")
 	valueTheta := flag.Float64("valuetheta", 0, "zipf skew of per-write value sizes over [1,valuesize]; 0 = every value exactly -valuesize bytes")
@@ -139,14 +139,8 @@ func main() {
 	// for: observation off must cost nothing); latReg always exists so the
 	// latency histograms have worker shards to record into.
 	var reg *dramhit.Observability
-	if *metrics != "" || *observe || *introspect {
+	if *metrics != "" || *observe {
 		reg = dramhit.NewObservability()
-	}
-	if *introspect {
-		// Arm before any table or handle is created: workers pick up their
-		// sketch shard and latency stamping at creation time.
-		reg.EnableHotKeys(0)
-		reg.EnableOpLatency()
 	}
 	latReg := reg
 	if latReg == nil {
@@ -261,12 +255,13 @@ func main() {
 	// Latency lands in per-worker observability shards (bounded memory,
 	// zero-alloc, mergeable). Per-op-class accounting is client-side
 	// (loadgen's own clock), so it costs the table nothing and works on
-	// every backend.
+	// every backend; its histograms stay local, so that the registry's
+	// op_latency is the table's own.
 	opws := make([]*obs.Worker, *workers)
 	for i := range opws {
 		opws[i] = latReg.Worker(fmt.Sprintf("loadgen-w%d", i))
 	}
-	opCounts := make([][obs.NumOpClasses]uint64, *workers)
+	classLat := make([][obs.NumOpClasses]obs.Histogram, *workers)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -334,18 +329,15 @@ func main() {
 					return obs.OpClass(table.Get, false)
 				}
 			}
-			ow := opws[wi]
-			var cnt [obs.NumOpClasses]uint64
+			ow, cl := opws[wi], &classLat[wi]
 			for i := 0; i < perWorker; i++ {
 				op := g.Next()
 				t0 := time.Now()
 				cls := exec(op, i)
 				ns := uint64(time.Since(t0).Nanoseconds())
-				cnt[cls]++
 				ow.Lat.Record(ns)
-				ow.Op[cls].Record(ns)
+				cl[cls].Record(ns)
 			}
-			opCounts[wi] = cnt
 			v.fin()
 		}(wi)
 	}
@@ -362,27 +354,18 @@ func main() {
 	total := merged.Count()
 	pct := bench.PercentilesFromHistogram(&merged)
 
-	// Per-op-class rollup: counts from every worker, latency summaries from
-	// the merged per-class histograms.
+	// Per-op-class rollup: counts and latency summaries from the merged
+	// per-class histograms.
 	var clsTotals [obs.NumOpClasses]uint64
-	for _, c := range opCounts {
-		for cls, n := range c {
-			clsTotals[cls] += n
-		}
-	}
 	opsByType := map[string]uint64{}
-	for cls, n := range clsTotals {
-		if n != 0 {
-			opsByType[obs.OpClassNames[cls]] = n
-		}
-	}
 	opLatNS := map[string]bench.Percentiles{}
 	for cls := 0; cls < obs.NumOpClasses; cls++ {
 		var m obs.Histogram
-		for _, w := range opws {
-			m.Merge(&w.Op[cls])
+		for wi := range classLat {
+			m.Merge(&classLat[wi][cls])
 		}
-		if m.Count() != 0 {
+		if clsTotals[cls] = m.Count(); clsTotals[cls] != 0 {
+			opsByType[obs.OpClassNames[cls]] = clsTotals[cls]
 			opLatNS[obs.OpClassNames[cls]] = bench.PercentilesFromHistogram(&m)
 		}
 	}
@@ -421,7 +404,7 @@ func main() {
 				name, clsTotals[cls], p.P50, p.P99, p.P999, p.Mean)
 		}
 	}
-	if *introspect {
+	if reg != nil {
 		if top := reg.TopKeys(8); len(top) > 0 {
 			fmt.Printf("  hot keys (count±err):")
 			for _, it := range top {
@@ -448,7 +431,7 @@ func main() {
 			OpsByType:   opsByType,
 			OpLatencyNS: opLatNS,
 		}
-		if *introspect {
+		if reg != nil {
 			res.HotKeys = reg.TopKeys(16)
 		}
 		if *backend == "dramhit-p" {

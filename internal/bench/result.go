@@ -77,8 +77,8 @@ type RunResult struct {
 	// OpsByType counts timed operations per op class (get_hit, get_miss,
 	// put, upsert, delete_hit, delete_miss) and OpLatencyNS summarizes each
 	// class's client-side latency distribution; HotKeys is the merged
-	// Space-Saving hot-key ranking when the run was introspected
-	// (loadgen -introspect).
+	// Space-Saving hot-key ranking when the table ran observed (loadgen
+	// -observe or -metrics).
 	OpsByType   map[string]uint64      `json:"ops_by_type,omitempty"`
 	OpLatencyNS map[string]Percentiles `json:"op_latency_ns,omitempty"`
 	HotKeys     []obs.TopKItem         `json:"hot_keys,omitempty"`

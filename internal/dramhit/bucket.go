@@ -29,10 +29,16 @@ func (h *Handle) foldBucketStats(bh *slotarr.BucketHandle, preLines, preHops uin
 }
 
 // route hashes a byte-string key and returns its region's engine view with
-// the hash, for the *Hashed entry points.
-func (h *Handle) route(key []byte) (*slotarr.BucketHandle, uint64) {
-	hv := h.regs[0].bkt.HashOf(key)
-	return h.bhs[hashfn.ShardRange(hv, h.nreg)], hv
+// the hash, for the *Hashed entry points, and the op's latency stamp: it is
+// the synchronous byte ops' one request site. Byte keys are ranked by hash
+// in the hot-key sketch: the sketch stores uint64 identities, and the full
+// hash is the stable one.
+func (h *Handle) route(key []byte) (bh *slotarr.BucketHandle, hv uint64, startNS int64) {
+	hv = h.regs[0].bkt.HashOf(key)
+	if h.obsw != nil {
+		startNS = h.sample(hv)
+	}
+	return h.bhs[hashfn.ShardRange(hv, h.nreg)], hv, startNS
 }
 
 // GetBytes returns the value stored for a byte-string key. The returned
@@ -40,8 +46,8 @@ func (h *Handle) route(key []byte) (*slotarr.BucketHandle, uint64) {
 // is overwritten. Zero-allocation.
 func (h *Handle) GetBytes(key []byte) ([]byte, bool) {
 	h.requireLayout(table.LayoutBucket)
-	bh, hv := h.route(key)
-	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
+	bh, hv, start := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
 	v, ok := bh.GetHashed(hv, key)
 	h.stats.Lines++
 	h.foldBucketStats(bh, preL, preH)
@@ -56,8 +62,8 @@ func (h *Handle) GetBytes(key []byte) ([]byte, bool) {
 // Put counts in Stats.Failed.
 func (h *Handle) PutBytes(key, value []byte) (existed, ok bool) {
 	h.requireLayout(table.LayoutBucket)
-	bh, hv := h.route(key)
-	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
+	bh, hv, start := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
 	existed, ok = bh.PutHashed(hv, key, value)
 	h.stats.Lines++
@@ -75,8 +81,8 @@ func (h *Handle) PutBytes(key, value []byte) (existed, ok bool) {
 // PutBytes).
 func (h *Handle) UpsertBytes(key []byte, fn func(old []byte, present bool) (nv []byte, store bool)) (existed, ok bool) {
 	h.requireLayout(table.LayoutBucket)
-	bh, hv := h.route(key)
-	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
+	bh, hv, start := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
 	existed, ok = bh.MutateHashed(hv, key, fn)
 	h.stats.Lines++
@@ -111,8 +117,8 @@ func (h *Handle) syncDone(op table.Op, hit bool, startNS int64) {
 // DeleteBytes removes a byte-string key, reporting whether it was present.
 func (h *Handle) DeleteBytes(key []byte) bool {
 	h.requireLayout(table.LayoutBucket)
-	bh, hv := h.route(key)
-	preL, preH, start := bh.Lines, bh.Hops, h.stamp()
+	bh, hv, start := h.route(key)
+	preL, preH := bh.Lines, bh.Hops
 	h.stats.CASAttempts++
 	hit := bh.DeleteHashed(hv, key)
 	h.stats.Lines++

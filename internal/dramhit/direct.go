@@ -46,29 +46,21 @@ func runsDirect(slots uint64) bool { return slots*slotBytes <= directMaxBytes }
 
 // submitDirect is Submit's direct-mode body. The contract is unchanged:
 // nreq < len(reqs) only when resps ran out of space for a Get's response.
-// When neither tracing nor op latency is armed (the common case) the loop
-// never builds a pending — completion is countOp, a counter switch — so the
-// synchronous path carries none of the ring machinery's per-request weight.
+// On an unobserved handle (the common case) the loop never builds a
+// pending — completion is countOp, a counter switch — so the synchronous
+// path carries none of the ring machinery's per-request weight.
 func (h *Handle) submitDirect(reqs []table.Request, resps []table.Response) (nreq, nresp int) {
-	obsOn := h.trace != nil || h.opLat
+	obsOn := h.obsw != nil
 	for nreq < len(reqs) {
 		req := reqs[nreq]
 		if req.Op == table.Get && nresp >= len(resps) {
 			return nreq, nresp
 		}
-		if h.hot != nil {
-			h.hot.OfferSampled(req.Key)
-		}
 		var traceID uint64
 		var startNS int64
 		if obsOn {
-			startNS = h.stamp()
-			if h.trace != nil {
-				if h.traceCnt++; h.traceCnt >= h.traceEvery {
-					h.traceCnt = 0
-					traceID = h.trace.NextID()
-					h.trace.Record(traceID, obs.EvSubmit, uint8(req.Op), req.Key, 0)
-				}
+			if startNS, traceID = h.sampleTraced(req.Key); traceID != 0 {
+				h.trace.Record(traceID, obs.EvSubmit, uint8(req.Op), req.Key, 0)
 			}
 		}
 		// Lines advances per request before the side check, matching the

@@ -52,8 +52,9 @@ type Config struct {
 	// Observe, when non-nil, attaches the table to the observability
 	// registry: each handle registers a padded counter shard (published at
 	// Submit/Flush boundaries, so the hot path stays free of shared-line
-	// atomics) and samples request lifecycles into the registry's trace
-	// ring. Nil — the default — is bit-identical to an uninstrumented table
+	// atomics) and a hot-key sketch fed by every request, and samples 1
+	// request in the registry's TraceSampleN: its per-op-class latency and,
+	// on the uint64 paths, its lifecycle in the registry's trace ring. Nil — the default — is bit-identical to an uninstrumented table
 	// and adds no allocation or branch beyond a nil check.
 	Observe *obs.Registry
 	// Layout selects the physical layout, and with it the API the table
@@ -312,7 +313,7 @@ type pending struct {
 	req     table.Request
 	idx     uint64 // next slot to inspect
 	probes  uint64 // slots inspected so far (full-table bound)
-	startNS int64  // submission time, set only when latency tracking is on
+	startNS int64  // submission time, set only on a sampled request
 	trace   uint64 // lifecycle trace id; 0 = not sampled
 	part    uint32 // region the key routes to; idx is local to it
 }
@@ -389,18 +390,12 @@ type Handle struct {
 	// accumulates into its plain stats fields as always and obsPublish
 	// copies them into the padded shard at Submit/Flush boundaries, so
 	// observe-on adds no per-op shared-line traffic.
-	obsw       *obs.Worker
-	trace      *obs.TraceRing
-	traceEvery int // sample 1-in-N submissions into the trace ring
-	traceCnt   int
-	pubCnt     int    // Submit calls since the last throttled publish
-	occMax     uint64 // high-water pipeline occupancy since creation
-	// hot is the worker's hot-key sketch shard (nil unless the registry has
-	// hot keys enabled): every submitted key is offered, one predictable nil
-	// check per request otherwise. opLat arms per-op-class latency stamping
-	// (two clock reads per op; Registry.EnableOpLatency).
-	hot   *obs.TopK
-	opLat bool
+	obsw      *obs.Worker
+	trace     *obs.TraceRing
+	sampleN   int // sample sees 1 request in sampleN
+	sampleCnt int
+	pubCnt    int    // Submit calls since the last throttled publish
+	occMax    uint64 // high-water pipeline occupancy since creation
 
 	// Byte pipeline (netbatch.go): the ring of in-flight byte-string
 	// requests whose home bucket lines were prefetched at SubmitBytes, and
@@ -423,7 +418,7 @@ type Handle struct {
 	// line-multiple allocation size class, so no other object — the next
 	// handle made, typically — shares its lines. Pad here if a field change
 	// breaks that.
-	_ [40]byte
+	_ [56]byte
 }
 
 // NewHandle creates an accessor for the table. With a registry attached, it
@@ -465,11 +460,9 @@ func (t *Table) NewNamedHandle(worker string) *Handle {
 		if worker == "" {
 			worker = t.worker + strconv.FormatInt(t.nhandle.Add(1)-1, 10)
 		}
-		h.obsw = t.obsReg.Worker(worker)
+		h.obsw = t.obsReg.HotWorker(worker)
 		h.trace = t.obsReg.Trace()
-		h.traceEvery = t.obsReg.TraceSampleN()
-		h.hot = h.obsw.Hot
-		h.opLat = t.obsReg.OpLatencyEnabled()
+		h.sampleN = t.obsReg.TraceSampleN()
 	}
 	return h
 }
@@ -584,11 +577,6 @@ func (h *Handle) submitRing(reqs []table.Request, resps []table.Response) (nreq,
 			}
 		}
 		req := &reqs[nreq]
-		// Feed after the backpressure loop so a blocked-and-resubmitted
-		// request is counted once, at the submission that actually enqueues.
-		if h.hot != nil {
-			h.hot.OfferSampled(req.Key)
-		}
 		// The request is built in the head slot and stays there until it
 		// completes or reprobes. The slot is taken only now: the back-pressure
 		// loop above may have re-enqueued a reprobing request at the old head.
@@ -596,12 +584,11 @@ func (h *Handle) submitRing(reqs []table.Request, resps []table.Response) (nreq,
 		// be built on the stack and copied in.
 		p := &h.q[h.head&h.mask]
 		p.req = *req
-		p.probes, p.startNS, p.trace = 0, h.stamp(), 0
-		if h.trace != nil {
-			if h.traceCnt++; h.traceCnt >= h.traceEvery {
-				h.traceCnt = 0
-				p.trace = h.trace.NextID()
-			}
+		p.probes, p.startNS, p.trace = 0, 0, 0
+		// Sample after the backpressure loop so a blocked-and-resubmitted
+		// request is seen once, at the submission that actually enqueues.
+		if h.obsw != nil {
+			p.startNS, p.trace = h.sampleTraced(req.Key)
 		}
 		part, idx := hashfn.FastrangeSplit(hashfn.City64(req.Key), h.nreg, h.rslots)
 		p.part, p.idx = uint32(part), idx
@@ -766,8 +753,8 @@ func (h *Handle) completeFailed(p *pending, resps []table.Response, nresp *int) 
 }
 
 // countOp advances the per-op completion counters — the whole cost of
-// completing a request when neither tracing nor op latency is armed (the
-// direct path calls it instead of finishReq to skip those checks).
+// completing a request on an unobserved handle (the direct path calls it
+// instead of finishReq to skip finishReq's checks).
 func (h *Handle) countOp(op table.Op, hit bool) {
 	switch op {
 	case table.Get:
@@ -784,20 +771,31 @@ func (h *Handle) countOp(op table.Op, hit bool) {
 	}
 }
 
-// stamp is a request's latency stamp: the clock when op latency is armed,
-// and 0, with no clock read, otherwise. Every request site, of either layout,
-// stamps here, and a completion with a stamp records opLatency; when op
-// latency is not armed, the stamp check is the whole cost.
-func (h *Handle) stamp() int64 {
-	if h.opLat {
-		return clockNS()
+// sample is an observed handle's per-request step, taken at every request
+// site of either layout behind that site's one h.obsw != nil check, so an
+// unobserved handle pays that check and nothing else. It offers the key (a
+// byte key's hash) to the hot-key sketch, and samples every sampleN-th
+// request: a sampled request's return is its latency stamp, the clock, and
+// any other's is 0. A completion with a stamp records opLatency.
+func (h *Handle) sample(key uint64) int64 {
+	h.obsw.Hot.OfferSampled(key)
+	if h.sampleCnt++; h.sampleCnt < h.sampleN {
+		return 0
 	}
-	return 0
+	h.sampleCnt = 0
+	return clockNS()
 }
 
-// clockNS is stamp's clock read, out of line so that stamp inlines.
-//
-//go:noinline
+// sampleTraced is sample on the uint64 paths, which trace: a sampled request
+// also gets a trace id when the registry has a ring.
+func (h *Handle) sampleTraced(key uint64) (startNS int64, trace uint64) {
+	if startNS = h.sample(key); startNS != 0 && h.trace != nil {
+		trace = h.trace.NextID()
+	}
+	return startNS, trace
+}
+
+// clockNS is sample's clock read.
 func clockNS() int64 { return time.Now().UnixNano() }
 
 // opLatency records a stamped request's latency in its op-class histogram.

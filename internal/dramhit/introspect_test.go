@@ -11,8 +11,8 @@ import (
 )
 
 // TestHotKeysRecallThroughSubmit checks the hot-key view a table feeds
-// itself: zipf Gets through a flat handle's Submit with EnableHotKeys on,
-// where the handle offers 1 in 1<<obs.SampleShift requests to its sketch
+// itself: zipf Gets through an observed flat handle's Submit, where the
+// handle offers 1 in 1<<obs.SampleShift requests to its sketch
 // shard. The registry's merged top 16 must hold at least 90% of the
 // stream's exact top 16. The stream is 2^20 Gets because the sampled feed
 // needs a few hundred samples of the rank-16 key before the ranking
@@ -26,7 +26,6 @@ func TestHotKeysRecallThroughSubmit(t *testing.T) {
 	)
 	for _, theta := range []float64{0.90, 0.99} {
 		reg := obs.NewWith(0, 1)
-		reg.EnableHotKeys(0)
 		h := New(Config{Slots: size, Observe: reg}).NewHandle()
 		ks := workload.NewKeyStream(42, size/2, theta)
 		exact := map[uint64]uint64{}
@@ -65,6 +64,38 @@ func TestHotKeysRecallThroughSubmit(t *testing.T) {
 		if recall < minRecall {
 			t.Errorf("zipf %.2f: recall@%d %.3f, want >= %.1f", theta, k, recall, minRecall)
 		}
+	}
+}
+
+// TestHotKeysThroughSyncBytes: the synchronous byte ops feed the hot-key
+// sketch as SubmitBytes does, each offering its key's hash. A zipf-0.99
+// stream through PutBytes, GetBytes and UpsertBytes only must rank its
+// hottest key first.
+func TestHotKeysThroughSyncBytes(t *testing.T) {
+	reg := obs.NewWith(0, 1)
+	tbl := New(Config{Slots: 1 << 12, Layout: table.LayoutBucket, Observe: reg})
+	h := tbl.NewHandle()
+	ks := workload.NewKeyStream(7, 1<<12, 0.99)
+	exact := map[uint64]int{}
+	hottest := uint64(0)
+	bump := func(old []byte, present bool) ([]byte, bool) { return le(1), true }
+	for i := 0; i < 1<<16; i++ {
+		key := ks.Next()
+		if exact[key]++; exact[key] > exact[hottest] {
+			hottest = key
+		}
+		switch i % 3 {
+		case 0:
+			h.PutBytes(le(key), le(key))
+		case 1:
+			h.GetBytes(le(key))
+		default:
+			h.UpsertBytes(le(key), bump)
+		}
+	}
+	top := reg.TopKeys(1)
+	if want := tbl.Bucket().HashOf(le(hottest)); len(top) != 1 || top[0].Key != want {
+		t.Fatalf("top key %+v, want the hash %#x of key %d (%d of %d ops)", top, want, hottest, exact[hottest], 1<<16)
 	}
 }
 

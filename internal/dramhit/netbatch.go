@@ -54,7 +54,7 @@ type bytePending struct {
 	val     []byte
 	id      uint64
 	hv      uint64
-	startNS int64 // submission time, set only when op-latency tracking is on
+	startNS int64 // submission time, set only on a sampled request
 	part    uint32
 	op      table.Op
 }
@@ -110,15 +110,13 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 		bh.Pin() // the batch pin, released by FlushBytes
 	}
 	h.stats.Lines++
-	if h.hot != nil {
-		// Byte keys are ranked by hash in the hot-key sketch: the sketch
-		// stores uint64 identities, and the full hash is the stable one.
-		h.hot.OfferSampled(hv)
-	}
 	// The request is built in the head slot and stays there until its drain
 	// (the uint64 ring's rule, see Submit); every field is assigned.
 	p := &h.byteQ[h.bhead&h.mask]
-	p.key, p.val, p.id, p.hv, p.part, p.op, p.startNS = key, value, id, hv, uint32(part), op, h.stamp()
+	p.key, p.val, p.id, p.hv, p.part, p.op, p.startNS = key, value, id, hv, uint32(part), op, 0
+	if h.obsw != nil {
+		p.startNS = h.sample(hv)
+	}
 	h.bhead++
 	// Stage two, first trigger: every entry that now has window/2 later
 	// submissions behind it (while the ring refills after a flush, no drain

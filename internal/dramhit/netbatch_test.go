@@ -199,7 +199,6 @@ func TestBytePipelineMatchesSyncAPI(t *testing.T) {
 // period, and the key every request named ranks first, by its hash.
 func TestByteRingHotFeedSampled(t *testing.T) {
 	reg := obs.NewWith(4096, 8)
-	reg.EnableHotKeys(16)
 	tbl := newBucketTable(256, func(c *Config) { c.Observe = reg })
 	h := tbl.NewHandle()
 	h.OnByteComplete(func(ByteCompletion) {})
@@ -210,7 +209,7 @@ func TestByteRingHotFeedSampled(t *testing.T) {
 		h.SubmitBytes(table.Get, uint64(i), key, nil)
 	}
 	h.FlushBytes()
-	if got := h.hot.Count(); got != n/period*period {
+	if got := h.obsw.Hot.Count(); got != n/period*period {
 		t.Fatalf("sketch fed %d of %d byte submissions, want the sampled %d", got, n, n/period*period)
 	}
 	if top := reg.TopKeys(1); len(top) != 1 || top[0].Key != tbl.Bucket().HashOf(key) {

@@ -152,12 +152,11 @@ func TestObserveCountersPublished(t *testing.T) {
 }
 
 // TestObserveSyncBytesPublished: the synchronous byte ops reach the registry
-// as the ring's requests do. With op latency armed, each stamps its op-class
+// as the ring's requests do. Sampling 1 in 1, each stamps its op-class
 // latency; a FlushBytes with nothing in flight makes the shard exact, and a
 // handle that never flushes still publishes once per obsPublishEvery ops.
 func TestObserveSyncBytesPublished(t *testing.T) {
 	reg := obs.NewWith(0, 1)
-	reg.EnableOpLatency()
 	tb := New(Config{Slots: 1 << 12, Layout: table.LayoutBucket, Observe: reg})
 	h := tb.NewHandle()
 	for k := uint64(0); k < 10; k++ {
@@ -197,6 +196,84 @@ func TestObserveSyncBytesPublished(t *testing.T) {
 	}
 	if got := reg.Workers()[1].Counter(obs.CGets); got != obsPublishEvery {
 		t.Errorf("%d synchronous gets and no flush published %d, want %d", obsPublishEvery, got, obsPublishEvery)
+	}
+}
+
+// TestSampledOpLatency: every request site samples 1 request in the
+// registry's TraceSampleN. Over the ring, direct mode, the byte ring and the
+// synchronous byte ops, n requests on one handle of a NewWith(0, 8) registry
+// record exactly n/8 latency samples; an unobserved handle runs no sampler
+// and stamps nothing.
+func TestSampledOpLatency(t *testing.T) {
+	const n = 8*125 + 5
+	flat := func(h *Handle) {
+		reqs := obsWorkload(n, 13)
+		buf := make([]table.Response, n)
+		for rem := reqs; len(rem) > 0; {
+			nreq, _ := h.Submit(rem, buf)
+			rem = rem[nreq:]
+		}
+		for _, done := h.Flush(buf); !done; _, done = h.Flush(buf) {
+		}
+	}
+	bucket := Config{Slots: 1 << 12, Layout: table.LayoutBucket}
+	for _, site := range []struct {
+		name string
+		cfg  Config
+		run  func(h *Handle)
+	}{
+		{"ring", Config{Slots: 1 << 12}, flat},
+		{"direct", Config{Slots: 1 << 12, Governor: table.GovernorDirect}, flat},
+		{"byte ring", bucket, func(h *Handle) {
+			h.OnByteComplete(func(ByteCompletion) {})
+			for i := uint64(0); i < n; i++ {
+				h.SubmitBytes([]table.Op{table.Put, table.Get, table.Delete}[i%3], i, le(i%50), le(i))
+			}
+			h.FlushBytes()
+		}},
+		{"sync bytes", bucket, func(h *Handle) {
+			for i := uint64(0); i < n; i++ {
+				switch key := le(i % 50); i % 4 {
+				case 0:
+					h.PutBytes(key, le(i))
+				case 1:
+					h.GetBytes(key)
+				case 2:
+					h.UpsertBytes(key, func([]byte, bool) ([]byte, bool) { return le(i), true })
+				default:
+					h.DeleteBytes(key)
+				}
+			}
+		}},
+	} {
+		t.Run(site.name, func(t *testing.T) {
+			for _, reg := range []*obs.Registry{nil, obs.NewWith(0, 8)} {
+				cfg := site.cfg
+				cfg.Observe = reg
+				h := New(cfg).NewHandle()
+				site.run(h)
+				if reg == nil {
+					stamped := h.sampleCnt != 0
+					for _, p := range h.q {
+						stamped = stamped || p.startNS != 0
+					}
+					for _, p := range h.byteQ {
+						stamped = stamped || p.startNS != 0
+					}
+					if stamped {
+						t.Error("an unobserved handle sampled or stamped a request")
+					}
+					continue
+				}
+				var got uint64
+				for cls := range obs.NumOpClasses {
+					got += reg.Workers()[0].Op[cls].Count()
+				}
+				if got != n/8 {
+					t.Errorf("%d requests recorded %d latency samples, want %d", n, got, n/8)
+				}
+			}
+		})
 	}
 }
 
@@ -275,21 +352,17 @@ func TestObserveParks(t *testing.T) {
 }
 
 // TestObserveZeroAlloc pins the hot path at zero allocations per batch with
-// observation off AND on (the worker shard is allocated up front, so steady
-// state allocates nothing).
+// observation off AND on (the worker shard and its sketch are allocated up
+// front, and TopK.Offer and the per-op-class histograms are allocation-free,
+// so steady state allocates nothing).
 func TestObserveZeroAlloc(t *testing.T) {
-	armed := obs.NewWith(4096, 8)
-	armed.EnableHotKeys(256)
-	armed.EnableOpLatency()
+	observed := obs.NewWith(4096, 8)
 	for _, mode := range []struct {
 		name string
 		reg  *obs.Registry
 	}{
 		{"off", nil},
-		{"on", obs.NewWith(4096, 8)},
-		// The introspection arms must not buy their data with allocations:
-		// TopK.Offer and the per-op-class histograms are allocation-free.
-		{"hotkeys+oplat", armed},
+		{"on", observed},
 	} {
 		tb := New(Config{Slots: 1 << 14, Observe: mode.reg})
 		h := tb.NewHandle()
@@ -312,14 +385,14 @@ func TestObserveZeroAlloc(t *testing.T) {
 			t.Errorf("observe %s: %v allocs per batch, want 0", mode.name, n)
 		}
 	}
-	// The armed registry must actually have collected: hot keys in the
+	// The observed registry must actually have collected: hot keys in the
 	// sketch, latencies in every exercised op class.
-	snap := armed.TakeSnapshot()
+	snap := observed.TakeSnapshot()
 	if len(snap.HotKeys) == 0 {
-		t.Error("armed registry collected no hot keys")
+		t.Error("observed registry collected no hot keys")
 	}
 	if len(snap.OpLatency) == 0 {
-		t.Error("armed registry collected no op latencies")
+		t.Error("observed registry collected no op latencies")
 	}
 	for _, class := range []string{"get_hit", "put", "upsert"} {
 		if snap.OpLatency[class].Count == 0 {

@@ -13,7 +13,6 @@ package folklore
 
 import (
 	"sync/atomic"
-	"time"
 
 	"dramhit/internal/hashfn"
 	"dramhit/internal/obs"
@@ -40,23 +39,14 @@ type obsCounters struct {
 	ops    *obs.ShardedCounter // completed operations
 	probes *obs.ShardedCounter // slots inspected
 	hits   *obs.ShardedCounter // Gets that found / Deletes that removed
-
-	// w holds the per-op-class latency histograms when the registry armed
-	// EnableOpLatency before Observe. Folklore has no per-goroutine handle,
-	// so every operator records into this one Worker — sound because
-	// Histogram is bucket-atomic, at the price of shared-line contention
-	// the handle-sharded tables don't pay. The hot-key sketch is NOT fed
-	// here for the same structural reason: TopK is writer-private by
-	// design, and folklore has no single writer to own one.
-	w     *obs.Worker
-	opLat bool
 }
 
 // Observe attaches the table to the observability registry: per-op counters
 // stripe over padded cells (see obsCounters), a pull source reports
 // table-level aggregates at scrape time, and a heatmap source walks the slot
-// array on demand. If the registry armed EnableOpLatency before this call,
-// every operation is additionally timed into per-op-class histograms. Call
+// array on demand. Folklore records no per-op latency and feeds no hot-key
+// sketch: both are per-writer structures, and folklore has no per-goroutine
+// handle to own one (its callers time their own synchronous ops). Call
 // before the table is shared; a table without Observe pays one nil check per
 // operation and nothing else.
 func (t *Table) Observe(reg *obs.Registry) {
@@ -64,8 +54,6 @@ func (t *Table) Observe(reg *obs.Registry) {
 		ops:    obs.NewShardedCounter(64),
 		probes: obs.NewShardedCounter(64),
 		hits:   obs.NewShardedCounter(64),
-		w:      reg.Worker("folklore"),
-		opLat:  reg.OpLatencyEnabled(),
 	}
 	t.obs = oc
 	reg.AddHeatmapSource("folklore", t.Heatmap)
@@ -124,32 +112,8 @@ func (t *Table) step(i uint64) uint64 {
 	return i
 }
 
-// opStart returns the operation start timestamp when per-op latency is
-// armed, else 0. The paired opEnd records into the shared Worker's class
-// histogram. Two time.Now calls per op — the same price the pipelined
-// tables' op-latency stamps pay — only when EnableOpLatency was set.
-func (t *Table) opStart() int64 {
-	if o := t.obs; o != nil && o.opLat {
-		return time.Now().UnixNano()
-	}
-	return 0
-}
-
-func (t *Table) opEnd(start int64, op table.Op, hit bool) {
-	if start != 0 {
-		t.obs.w.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - start))
-	}
-}
-
 // Get returns the value stored for key and whether it was present.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	start := t.opStart()
-	v, ok := t.get(key)
-	t.opEnd(start, table.Get, ok)
-	return v, ok
-}
-
-func (t *Table) get(key uint64) (uint64, bool) {
 	if s := t.side.For(key); s != nil {
 		v, ok := s.Get()
 		if t.obs != nil {
@@ -183,13 +147,6 @@ func (t *Table) get(key uint64) (uint64, bool) {
 // Put stores value for key, overwriting silently. It returns false only if
 // the table has no free slot left on the probe path (table full).
 func (t *Table) Put(key, value uint64) bool {
-	start := t.opStart()
-	ok := t.put(key, value)
-	t.opEnd(start, table.Put, ok)
-	return ok
-}
-
-func (t *Table) put(key, value uint64) bool {
 	if s := t.side.For(key); s != nil {
 		s.Put(value)
 		if t.obs != nil {
@@ -235,13 +192,6 @@ func (t *Table) put(key, value uint64) bool {
 // absent. It returns the resulting value, and false only if the table is
 // full.
 func (t *Table) Upsert(key, delta uint64) (uint64, bool) {
-	start := t.opStart()
-	v, ok := t.upsert(key, delta)
-	t.opEnd(start, table.Upsert, ok)
-	return v, ok
-}
-
-func (t *Table) upsert(key, delta uint64) (uint64, bool) {
 	if s := t.side.For(key); s != nil {
 		v, _ := s.Upsert(delta)
 		if t.obs != nil {
@@ -282,13 +232,6 @@ func (t *Table) upsert(key, delta uint64) (uint64, bool) {
 // present. Tombstoned slots are never reused; space is reclaimed on resize
 // only.
 func (t *Table) Delete(key uint64) bool {
-	start := t.opStart()
-	hit := t.del(key)
-	t.opEnd(start, table.Delete, hit)
-	return hit
-}
-
-func (t *Table) del(key uint64) bool {
 	if s := t.side.For(key); s != nil {
 		ok := s.Delete()
 		if t.obs != nil {

@@ -53,17 +53,16 @@ func TestObserveCounters(t *testing.T) {
 }
 
 // TestObserveZeroAlloc pins the synchronous hot path at zero allocations
-// with observation on — including with per-op latency armed.
+// with observation off and on.
 func TestObserveZeroAlloc(t *testing.T) {
-	plain := obs.New()
-	armed := obs.New()
-	armed.EnableOpLatency()
 	for _, mode := range []struct {
 		name string
 		reg  *obs.Registry
-	}{{"on", plain}, {"oplat", armed}} {
+	}{{"off", nil}, {"on", obs.New()}} {
 		tb := New(1 << 12)
-		tb.Observe(mode.reg)
+		if mode.reg != nil {
+			tb.Observe(mode.reg)
+		}
 		var k uint64
 		if n := testing.AllocsPerRun(100, func() {
 			k++
@@ -72,9 +71,5 @@ func TestObserveZeroAlloc(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("observe %s: %v allocs per op pair, want 0", mode.name, n)
 		}
-	}
-	snap := armed.TakeSnapshot()
-	if snap.OpLatency["upsert"].Count == 0 {
-		t.Error("armed registry recorded no upsert latencies")
 	}
 }

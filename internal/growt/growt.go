@@ -25,7 +25,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dramhit/internal/folklore"
 	"dramhit/internal/obs"
@@ -79,12 +78,6 @@ type Table struct {
 
 	trace *obs.TraceRing // nil unless Observe attached a ring
 
-	// obsw/opLat arm per-op-class latency timing (set by Observe when the
-	// registry enabled it). Like folklore, growt has no per-goroutine handle,
-	// so all operators share one Worker's atomic histograms.
-	obsw  *obs.Worker
-	opLat bool
-
 	// noHelp disables the one-chunk-per-operation helping so the migration
 	// property test can step the window manually; relocation (correctness)
 	// is unaffected. Set only before the table is shared.
@@ -120,33 +113,8 @@ func New(n uint64, opts ...Option) *Table {
 	return t
 }
 
-// opStart/opEnd time one operation into the shared Worker's per-op-class
-// histogram when Observe armed latency recording; see folklore for the
-// pattern. The recorded span covers helping work (chunk copies, relocation)
-// an operation performed inside a resize window — deliberately, since that
-// is exactly the latency tail the incremental scheme trades throughput for.
-func (t *Table) opStart() int64 {
-	if t.opLat {
-		return time.Now().UnixNano()
-	}
-	return 0
-}
-
-func (t *Table) opEnd(start int64, op table.Op, hit bool) {
-	if start != 0 {
-		t.obsw.Op[obs.OpClass(op, hit)].Record(uint64(time.Now().UnixNano() - start))
-	}
-}
-
 // Get implements table.Map.
 func (t *Table) Get(key uint64) (uint64, bool) {
-	start := t.opStart()
-	v, ok := t.get(key)
-	t.opEnd(start, table.Get, ok)
-	return v, ok
-}
-
-func (t *Table) get(key uint64) (uint64, bool) {
 	t.gate.RLock()
 	s := t.st.Load()
 	if s.mig == nil {
@@ -176,13 +144,6 @@ func (t *Table) get(key uint64) (uint64, bool) {
 // Put implements table.Map. It never reports full: crossing the fill
 // threshold triggers growth.
 func (t *Table) Put(key, value uint64) bool {
-	start := t.opStart()
-	ok := t.put(key, value)
-	t.opEnd(start, table.Put, ok)
-	return ok
-}
-
-func (t *Table) put(key, value uint64) bool {
 	for {
 		t.gate.RLock()
 		s := t.st.Load()
@@ -228,13 +189,6 @@ func (t *Table) admits(s *state) bool {
 
 // Upsert implements table.Map.
 func (t *Table) Upsert(key, delta uint64) (uint64, bool) {
-	start := t.opStart()
-	v, ok := t.upsert(key, delta)
-	t.opEnd(start, table.Upsert, ok)
-	return v, ok
-}
-
-func (t *Table) upsert(key, delta uint64) (uint64, bool) {
 	for {
 		t.gate.RLock()
 		s := t.st.Load()
@@ -274,13 +228,6 @@ func (t *Table) upsert(key, delta uint64) (uint64, bool) {
 
 // Delete implements table.Map.
 func (t *Table) Delete(key uint64) bool {
-	start := t.opStart()
-	hit := t.del(key)
-	t.opEnd(start, table.Delete, hit)
-	return hit
-}
-
-func (t *Table) del(key uint64) bool {
 	t.gate.RLock()
 	s := t.st.Load()
 	if s.mig == nil {
@@ -386,10 +333,6 @@ func (t *Table) Stats() Stats {
 // registry's trace ring. Call before the table is shared.
 func (t *Table) Observe(reg *obs.Registry) {
 	t.trace = reg.Trace()
-	if reg.OpLatencyEnabled() {
-		t.obsw = reg.Worker("growt")
-		t.opLat = true
-	}
 	reg.AddHeatmapSource("growt", func() obs.Heatmap {
 		// The write generation's map is the one that predicts op cost: the
 		// successor during a window (the old generation is by definition

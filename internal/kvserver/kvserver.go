@@ -51,11 +51,11 @@ type Config struct {
 	// Slots sizes the table (0 selects a small default; the bucket layout
 	// resizes itself, so this is a starting point, not a capacity cap).
 	Slots uint64
-	// Obs, when non-nil, exports the serving metrics: New arms its hot keys
-	// (default capacity) and op latency, and the table runs observed. Each
-	// pooled worker's table handle publishes its op counts, per-op-class
-	// latency (submit to completion; every INCR/DECR is one upsert, a refused
-	// one also failed) and hot keys under the table's "dramhit-h<i>" shard,
+	// Obs, when non-nil, exports the serving metrics: the table runs
+	// observed. Each pooled worker's table handle publishes its op counts,
+	// per-op-class latency (submit to completion, of 1 request in the
+	// registry's TraceSampleN; every INCR/DECR is one upsert, a refused one
+	// also failed) and hot keys under the table's "dramhit-h<i>" shard,
 	// whatever the connection churn, and the table registers its "dramhit"
 	// pull source (fill, live, slots, handles) and bucket heatmap. The
 	// "server" pull source has what only the server knows: connections,
@@ -110,10 +110,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Slots == 0 {
 		cfg.Slots = 1 << 16
-	}
-	if cfg.Obs != nil { // armed before the handles are made, which read both
-		cfg.Obs.EnableHotKeys(0)
-		cfg.Obs.EnableOpLatency()
 	}
 	s := &Server{
 		tbl:     newTable(cfg.Slots, cfg.Obs),

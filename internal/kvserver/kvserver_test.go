@@ -303,11 +303,11 @@ func TestMcOracleRandomOps(t *testing.T) {
 
 // TestObsSurface checks the serving metrics. The table runs observed: its
 // "dramhit-h<i>" shards, one per pooled worker, hold the op counts (INCR is
-// an upsert) and a latency sample per op class, and its "dramhit" source has
-// live and handles. The "server" pull source has the connection and pool
-// gauges and no copy of the table's.
+// an upsert) and a latency sample per op class (the registry samples every
+// request), and its "dramhit" source has live and handles. The "server" pull
+// source has the connection and pool gauges and no copy of the table's.
 func TestObsSurface(t *testing.T) {
-	reg := obs.New()
+	reg := obs.NewWith(obs.DefaultTraceCap, 1)
 	srv := startServer(t, func(c *Config) { c.Obs = reg })
 	c, err := net.Dial("tcp", srv.RespAddr())
 	if err != nil {
@@ -391,55 +391,67 @@ func TestObsSurface(t *testing.T) {
 	}
 }
 
-// TestObservedServerHotKeys sends a zipf-0.99 stream of pipelined GETs and
-// SETs through an observed server. The merged hot-key ranking's first entry
-// is the table's hash of the hottest key, and the "dramhit" heatmap is the
-// bucket layout's, with every live entry of the table.
+// TestObservedServerHotKeys sends a zipf-0.99 stream of pipelined commands
+// through an observed server: GETs and SETs, which run on the byte ring, and
+// INCRs only, each a synchronous upsert. The merged hot-key ranking's first
+// entry is the table's hash of the hottest key, and the "dramhit" heatmap is
+// the bucket layout's, with every live entry of the table.
 func TestObservedServerHotKeys(t *testing.T) {
-	reg := obs.New()
-	srv := startServer(t, func(c *Config) { c.Obs = reg })
-	c, err := net.Dial("tcp", srv.RespAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	br := bufio.NewReader(c)
-	z := workload.NewZipf(rand.New(rand.NewSource(3)), 1000, 0.99)
-	const batch = 64
-	var wire []byte
-	for b := 0; b < 32768/batch; b++ {
-		wire = wire[:0]
-		for i := 0; i < batch; i++ {
-			key := fmt.Sprintf("hot-%d", z.Next()) // rank 0 is the hottest
+	for _, in := range []struct {
+		name string
+		cmd  func(i int, key string) []string
+	}{
+		{"set-get", func(i int, key string) []string {
 			if i%2 == 0 {
-				wire = respEnc(wire, "SET", key, "v")
-			} else {
-				wire = respEnc(wire, "GET", key)
+				return []string{"SET", key, "v"}
 			}
-		}
-		c.Write(wire)
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		for i := 0; i < batch; i++ {
-			if _, err := readReply(br); err != nil {
+			return []string{"GET", key}
+		}},
+		{"incr", func(_ int, key string) []string { return []string{"INCR", key} }},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			reg := obs.New()
+			srv := startServer(t, func(c *Config) { c.Obs = reg })
+			c, err := net.Dial("tcp", srv.RespAddr())
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	top := reg.TopKeys(3)
-	if want := srv.Table().Bucket().HashOf([]byte("hot-0")); len(top) == 0 || top[0].Key != want {
-		t.Fatalf("hot keys %+v, want the hash %d of hot-0 first", top, want)
-	}
-	var kinds []string
-	for _, hm := range reg.Heatmaps() {
-		if hm.Source == "dramhit" {
-			kinds = append(kinds, hm.Kind)
-			if got := hm.Gauges["live_entries"]; got != float64(srv.Table().Len()) {
-				t.Errorf("heatmap live_entries = %v, table Len %d", got, srv.Table().Len())
+			defer c.Close()
+			br := bufio.NewReader(c)
+			z := workload.NewZipf(rand.New(rand.NewSource(3)), 1000, 0.99)
+			const batch = 64
+			var wire []byte
+			for b := 0; b < 32768/batch; b++ {
+				wire = wire[:0]
+				for i := 0; i < batch; i++ {
+					// rank 0 is the hottest
+					wire = respEnc(wire, in.cmd(i, fmt.Sprintf("hot-%d", z.Next()))...)
+				}
+				c.Write(wire)
+				c.SetReadDeadline(time.Now().Add(5 * time.Second))
+				for i := 0; i < batch; i++ {
+					if _, err := readReply(br); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	}
-	if len(kinds) != 1 || kinds[0] != "bucket" {
-		t.Errorf("dramhit heatmaps of kinds %v, want one bucket heatmap", kinds)
+			top := reg.TopKeys(3)
+			if want := srv.Table().Bucket().HashOf([]byte("hot-0")); len(top) == 0 || top[0].Key != want {
+				t.Fatalf("hot keys %+v, want the hash %d of hot-0 first", top, want)
+			}
+			var kinds []string
+			for _, hm := range reg.Heatmaps() {
+				if hm.Source == "dramhit" {
+					kinds = append(kinds, hm.Kind)
+					if got := hm.Gauges["live_entries"]; got != float64(srv.Table().Len()) {
+						t.Errorf("heatmap live_entries = %v, table Len %d", got, srv.Table().Len())
+					}
+				}
+			}
+			if len(kinds) != 1 || kinds[0] != "bucket" {
+				t.Errorf("dramhit heatmaps of kinds %v, want one bucket heatmap", kinds)
+			}
+		})
 	}
 }
 

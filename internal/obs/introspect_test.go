@@ -14,10 +14,8 @@ import (
 // and the trace ring.
 func populatedRegistry() *Registry {
 	r := NewWith(256, 1)
-	r.EnableHotKeys(64)
-	r.EnableOpLatency()
 	for _, name := range []string{"w0", "w-1"} {
-		w := r.Worker(name)
+		w := r.HotWorker(name)
 		for i := 0; i < NumCounters; i++ {
 			w.Add(i, uint64(i+1))
 		}

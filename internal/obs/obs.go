@@ -94,13 +94,11 @@ type Worker struct {
 	// Lat is the worker's latency histogram (nanoseconds by convention).
 	Lat Histogram
 	// Op are per-op-class latency histograms (nanoseconds), indexed by the
-	// OpGetHit..OpDeleteMiss classes. Always present so external drivers
-	// (loadgen) can record into them; the table hot paths only stamp
-	// timestamps when the registry has op latency enabled.
+	// OpGetHit..OpDeleteMiss classes. A table handle records the requests it
+	// samples (1 in the registry's TraceSampleN) into them.
 	Op [NumOpClasses]Histogram
-	// Hot is the worker's hot-key sketch shard, non-nil iff the registry had
-	// hot-key tracking enabled when the worker was created. Single-writer,
-	// like the counters.
+	// Hot is the worker's hot-key sketch shard, non-nil iff the worker was
+	// made by HotWorker. Single-writer, like the counters.
 	Hot *TopK
 }
 
@@ -193,19 +191,14 @@ type Registry struct {
 	trace   *TraceRing
 	sampleN int
 	start   time.Time
-	// opLat turns on per-op-class latency stamping in the table hot paths
-	// (two clock reads per operation, opt-in).
-	opLat atomic.Bool
-	// hotCap, when > 0, gives every subsequently created Worker a TopK
-	// hot-key shard of that capacity.
-	hotCap atomic.Int64
 }
 
 // DefaultTraceCap is the default lifecycle-trace ring capacity (events).
 const DefaultTraceCap = 4096
 
-// DefaultTraceSample is the default request sampling rate: one request in
-// every DefaultTraceSample is traced through its lifecycle.
+// DefaultTraceSample is the default request sampling rate: a table handle
+// samples one request in every DefaultTraceSample, recording its op latency
+// and, where its path traces, its lifecycle.
 const DefaultTraceSample = 256
 
 // New creates a registry with the default trace ring (DefaultTraceCap
@@ -213,8 +206,8 @@ const DefaultTraceSample = 256
 func New() *Registry { return NewWith(DefaultTraceCap, DefaultTraceSample) }
 
 // NewWith creates a registry with an explicit trace capacity and sampling
-// rate. traceCap 0 disables lifecycle tracing entirely; sampleN ≤ 1 traces
-// every request.
+// rate. traceCap 0 disables lifecycle tracing entirely (sampled requests
+// still record their latency); sampleN ≤ 1 samples every request.
 func NewWith(traceCap, sampleN int) *Registry {
 	r := &Registry{sampleN: sampleN, start: time.Now()}
 	if r.sampleN < 1 {
@@ -228,41 +221,24 @@ func NewWith(traceCap, sampleN int) *Registry {
 
 // Worker allocates and registers a new padded shard under name. Names need
 // not be unique; the scraper labels each shard with its own name.
-func (r *Registry) Worker(name string) *Worker {
-	w := &Worker{name: name}
-	if c := int(r.hotCap.Load()); c > 0 {
-		w.Hot = NewTopK(c)
-	}
+func (r *Registry) Worker(name string) *Worker { return r.add(&Worker{name: name}) }
+
+// DefaultHotKeyCap is a hot-key sketch shard's budget (monitored keys).
+const DefaultHotKeyCap = 1024
+
+// HotWorker is Worker for a hot path that offers its keys: the shard also
+// carries a hot-key sketch (Hot) of DefaultHotKeyCap. A table handle takes
+// one; shards that never offer a key keep Hot nil.
+func (r *Registry) HotWorker(name string) *Worker {
+	return r.add(&Worker{name: name, Hot: NewTopK(DefaultHotKeyCap)})
+}
+
+func (r *Registry) add(w *Worker) *Worker {
 	r.mu.Lock()
 	r.workers = append(r.workers, w)
 	r.mu.Unlock()
 	return w
 }
-
-// DefaultHotKeyCap is the default per-worker hot-key sketch budget.
-const DefaultHotKeyCap = 1024
-
-// EnableHotKeys arms hot-key tracking: every Worker created after this call
-// carries a TopK shard of the given capacity (0 = DefaultHotKeyCap) that the
-// table hot paths feed at submit time. Call before creating handles.
-func (r *Registry) EnableHotKeys(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultHotKeyCap
-	}
-	r.hotCap.Store(int64(capacity))
-}
-
-// HotKeysEnabled reports whether hot-key tracking is armed.
-func (r *Registry) HotKeysEnabled() bool { return r.hotCap.Load() > 0 }
-
-// EnableOpLatency arms per-op-class latency: handles created after this call
-// stamp a start timestamp per operation and record completion latency into
-// their Worker's Op histograms. Costs two clock reads per operation on the
-// instrumented paths, so it is opt-in.
-func (r *Registry) EnableOpLatency() { r.opLat.Store(true) }
-
-// OpLatencyEnabled reports whether per-op latency stamping is armed.
-func (r *Registry) OpLatencyEnabled() bool { return r.opLat.Load() }
 
 // TopKeys merges every worker's hot-key shard and returns the top k keys by
 // estimated count (k ≤ 0 keeps all monitored keys).
@@ -299,7 +275,8 @@ func (r *Registry) AddSource(name string, collect func() map[string]float64) {
 // Trace returns the lifecycle trace ring, or nil when tracing is disabled.
 func (r *Registry) Trace() *TraceRing { return r.trace }
 
-// TraceSampleN returns the request sampling rate (1-in-N).
+// TraceSampleN returns the request sampling rate (1-in-N) of op latency and
+// the lifecycle trace.
 func (r *Registry) TraceSampleN() int { return r.sampleN }
 
 // Workers returns the registered shards (snapshot of the slice; the shards
@@ -352,7 +329,7 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		Sources:       map[string]map[string]float64{},
 	}
 	var lat Histogram
-	opLat := make([]*Histogram, NumOpClasses)
+	classLat := make([]*Histogram, NumOpClasses)
 	for _, w := range r.Workers() {
 		ws := WorkerSnapshot{
 			Name:     w.name,
@@ -377,15 +354,15 @@ func (r *Registry) TakeSnapshot() Snapshot {
 				ws.OpLatency = map[string]HistSnapshot{}
 			}
 			ws.OpLatency[OpClassNames[c]] = w.Op[c].Snapshot()
-			if opLat[c] == nil {
-				opLat[c] = &Histogram{}
+			if classLat[c] == nil {
+				classLat[c] = &Histogram{}
 			}
-			opLat[c].Merge(&w.Op[c])
+			classLat[c].Merge(&w.Op[c])
 		}
 		s.Workers = append(s.Workers, ws)
 	}
 	s.Latency = lat.Snapshot()
-	for c, h := range opLat {
+	for c, h := range classLat {
 		if h == nil {
 			continue
 		}

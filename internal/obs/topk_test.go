@@ -201,19 +201,14 @@ func TestTopKZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRegistryHotKeys: EnableHotKeys arms subsequently created workers and
-// TopKeys merges their shards.
+// TestRegistryHotKeys: only a HotWorker carries a sketch, of
+// DefaultHotKeyCap, and TopKeys merges the sketch shards.
 func TestRegistryHotKeys(t *testing.T) {
 	r := NewWith(0, 1)
-	w0 := r.Worker("before")
-	if w0.Hot != nil {
-		t.Fatal("worker created before EnableHotKeys has a sketch")
+	if w0 := r.Worker("plain"); w0.Hot != nil {
+		t.Fatal("a plain worker has a sketch")
 	}
-	r.EnableHotKeys(0)
-	if !r.HotKeysEnabled() {
-		t.Fatal("HotKeysEnabled = false after EnableHotKeys")
-	}
-	w1, w2 := r.Worker("a"), r.Worker("b")
+	w1, w2 := r.HotWorker("a"), r.HotWorker("b")
 	if w1.Hot == nil || w1.Hot.Cap() != DefaultHotKeyCap {
 		t.Fatalf("worker sketch cap = %v", w1.Hot)
 	}
