@@ -49,22 +49,31 @@
 //
 // Under uniform overwrites a segment rarely becomes fully dead on its own, so
 // the arena also compacts. When a writer seals a segment and the arena's dead
-// bytes exceed its live bytes (and at least compactFloor segments' worth), the
-// seal starts a pass on a goroutine of its own, so no write waits for it. The
-// pass copies the live records out of the victims through a writer the arena
-// keeps for it and lets every registered Index swing its words to the copies
-// (see Pass). Victims are whole
-// slabs: a 32 MiB slab goes back to the heap only when every segment carved
-// from it is unlinked, so emptying scattered segments of many slabs would free
-// nothing. A slab qualifies when every linked segment of it is sealed, it is
-// not the slab being carved, and at least half of its bytes are dead; a plain
-// segment (a writer's first, an oversized one) is its own slab. The pass ends
-// with Advances made under no pin of its own, repeated for a bounded time
-// until the handles that pinned before it retired the victims' records have
-// exited, and, if it unlinked anything, one runtime.GC: the GC's goal is
-// twice the heap live at its last cycle, so without it the freed slabs would
-// be reused only after the heap had grown to that goal anyway. A later change
-// that recycles segments itself can drop it.
+// bytes exceed a third of its live bytes (and at least compactFloor segments'
+// worth), the seal starts a pass on a goroutine of its own, so no write waits
+// for it. Victims are whole slabs: a 32 MiB slab goes back to the heap only
+// when every segment carved from it is unlinked, so emptying scattered
+// segments of many slabs would free nothing. A slab qualifies when every
+// linked segment of it is sealed, it is not the slab being carved, and more
+// than a quarter of its bytes are dead; a plain segment (a writer's first, an
+// oversized one) is its own slab. The pass takes the most-dead slabs first
+// until their dead bytes cover the excess over a third of the live bytes, and
+// at most two slabs' worth, so it copies under 3 live bytes per dead byte it
+// frees.
+//
+// The pass walks its victims, not the index: it reads each victim's records
+// in order from the victim's own bytes and hands them, a chunk at a time
+// under its pin, to the arena's Index (SetIndex), which looks each key up,
+// its bucket line prefetched a window ahead, and swings the word that
+// publishes the record's Ref to a copy appended through a writer the arena
+// keeps for it (see Pass). A record no word publishes is dead and is skipped.
+// So a pass costs one lookup per record of its victims, whatever the size of
+// the index. The pass ends with Advances made under no pin of its own,
+// repeated for a bounded time until the handles that pinned before it retired
+// the victims' records have exited, and, if it unlinked anything, one
+// runtime.GC: the GC's goal is twice the heap live at its last cycle, so
+// without it the freed slabs would be reused only after the heap had grown to
+// that goal anyway. A later change that recycles segments itself can drop it.
 //
 // A segment's used count is published lazily: the writer stores it when its
 // bump pointer crosses a 4 KiB boundary and once more at seal, just before it
@@ -82,13 +91,16 @@
 // default-sized segment is carved, in order, from a 2 MiB-aligned slab that
 // internal/hugemem has advised for transparent huge pages, so record reads
 // resolve their address from a 2 MiB TLB entry. Each slab segment is
-// first-touched before a writer gets it: handing one out starts a goroutine
-// that writes one byte per 4 KiB page of the next, which faults its huge page
-// off the writer's path, and the writer that takes that segment waits for the
-// touch to finish, so no goroutine writes bytes a writer owns. Segments of any
-// other size — records larger than a segment, and arenas built with
-// WithSegmentBytes — stay plain makes. A slab is ordinary Go heap: it is
-// collectable once every segment carved from it is unlinked and no reader
+// carved and first-touched before a writer gets it: handing one out starts a
+// goroutine that carves the next and writes one byte per 4 KiB page of it,
+// which faults its huge page off the writer's path; the writer that takes
+// that segment waits for the touch to finish, so no goroutine writes bytes a
+// writer owns. Once the current slab is half carved, such a goroutine also
+// allocates the next one, so a writer does not wait for that allocation
+// either. Segments of any other size — records larger than a segment, and
+// arenas built with WithSegmentBytes — stay plain makes. A slab is ordinary
+// Go heap: it is collectable once every segment carved from it is unlinked
+// and no reader
 // still holds a subslice of it. Its range keeps the huge-page advice after
 // the GC has freed it, so a writer's first segment and an oversized one come
 // from hugemem.Small, which withdraws the advice from the range it lands in.
@@ -140,11 +152,6 @@ const maxSegments = 1 << 16
 // carved from after a writer's first.
 const slabBytes = 32 << 20
 
-// compactFloor is the dead bytes, in segments' worth, below which no
-// compaction pass starts however dead the arena is: a small arena is not
-// worth a walk of its index.
-const compactFloor = 64
-
 // segment is one append-only region. buf is written only by the owning
 // Writer (unsynchronized bump allocation; a slab segment's first touch ends
 // before the writer takes it) and read by anyone holding a Ref into it; the
@@ -167,9 +174,6 @@ type segment struct {
 	// dead (valid once candidate is true).
 	retireEpoch uint64
 	candidate   bool
-	// victim marks a segment the running compaction pass empties; written
-	// and read only under compactMu.
-	victim bool
 }
 
 // slab is the identity of one huge-page slab, shared by the segments carved
@@ -179,32 +183,39 @@ type slab struct{ huge bool }
 // Arena is the shared state: the segment directory (appended in place,
 // copied when Advance unlinks segments or a freed id is reused, published by
 // pointer either way), the global reclamation epoch, the pin registry and
-// the indexes a compaction pass walks. One Arena serves any number of
-// Writers and readers.
+// the index a compaction pass relocates records through. One Arena serves any
+// number of Writers and readers.
 type Arena struct {
 	segs    atomic.Pointer[[]*segment]
 	epoch   atomic.Uint64
 	segSize int
 
-	mu      sync.Mutex // guards directory changes, pins, free, retired, indexes
+	mu      sync.Mutex // guards directory changes, pins, free, retired, index
 	pins    []*Pin
 	retired []*segment // fully-dead segments awaiting a safe epoch
 	free    []uint32   // ids of unlinked segments, reused by newSegment
-	indexes []Index
+	index   Index
 	freed   atomic.Uint64
 	seals   atomic.Uint64 // segments sealed; paces the compaction check
 
-	slabMu  sync.Mutex // guards slab, curSlab and ahead
-	slab    []byte     // the current slab's uncarved tail
-	curSlab *slab      // the slab being carved
-	ahead   *segment   // the next slab segment, under its first touch
+	slabMu    sync.Mutex // guards slab, curSlab, ahead, spare and sparing
+	slab      []byte     // the current slab's uncarved tail
+	curSlab   *slab      // the slab being carved
+	ahead     *segment   // the next slab segment, being carved and first-touched
+	spare     []byte     // the slab to carve once the current one is used up
+	spareHuge bool       // whether spare is huge-page backed
+	sparing   bool       // a goroutine is allocating spare
 
 	compactMu sync.Mutex // held by the running pass
 	cw        *Writer    // the passes' writer; under compactMu
+	crecs     []Victim   // the walk's chunk, kept across passes; under compactMu
 	passes    atomic.Uint64
 	moved     atomic.Uint64
+	scanned   atomic.Uint64
+	records   atomic.Uint64
 	unlinked  atomic.Uint64
 	chunkMax  atomic.Int64 // ns
+	passMax   atomic.Int64 // ns
 }
 
 // Option configures New.
@@ -268,14 +279,20 @@ func (a *Arena) FreeIDs() int {
 }
 
 // CompactStats counts the compaction passes run so far: the passes, the
-// record bytes they moved into fresh segments, the segments the passes'
-// Advances unlinked, and the longest chunk of index walk a pass ran under one
-// writer gate and pin (the longest a grow waits for a pass).
+// record bytes they moved into fresh segments, the bytes of the victims they
+// took (Scanned: each victim's records are walked until it is found fully
+// dead) and the records of them handed to the index, the segments the passes'
+// Advances unlinked, the longest chunk of walk a pass ran under its pin and an
+// index gate (the longest a grow waits for a pass), and the longest pass, from
+// its choice of victims to its last Advance (its runtime.GC excluded).
 type CompactStats struct {
 	Passes   uint64
 	Moved    uint64
+	Scanned  uint64
+	Records  uint64
 	Unlinked uint64
 	MaxChunk time.Duration
+	MaxPass  time.Duration
 }
 
 // CompactStats returns the compaction counters.
@@ -283,8 +300,11 @@ func (a *Arena) CompactStats() CompactStats {
 	return CompactStats{
 		Passes:   a.passes.Load(),
 		Moved:    a.moved.Load(),
+		Scanned:  a.scanned.Load(),
+		Records:  a.records.Load(),
 		Unlinked: a.unlinked.Load(),
 		MaxChunk: time.Duration(a.chunkMax.Load()),
+		MaxPass:  time.Duration(a.passMax.Load()),
 	}
 }
 
@@ -381,39 +401,67 @@ func (a *Arena) full() bool {
 	return len(a.free) == 0
 }
 
-// slabSegment hands out the slab segment whose first touch was started when
-// the previous one was handed out (the first call has none and returns a cold
-// one), and starts the touch of the next.
+// slabSegment hands out the slab segment prepared when the previous one was
+// handed out (the first call prepares its own), and prepares the next. The
+// writer only waits: it never carves, allocates or touches a slab itself.
 func (a *Arena) slabSegment() *segment {
 	a.slabMu.Lock()
 	c := a.ahead
 	if c == nil {
-		c = a.carve()
+		c = a.prepare()
 	}
-	next := a.carve()
-	next.touched.Add(1)
-	a.ahead = next
+	a.ahead = a.prepare()
 	a.slabMu.Unlock()
-	go func() {
-		for i := 0; i < len(next.buf); i += 4 << 10 {
-			next.buf[i] = 0 // one write per 4 KiB page faults the whole huge page
-		}
-		next.touched.Done()
-	}()
 	c.touched.Wait()
 	return c
 }
 
-// carve cuts the next default-sized segment from the current slab, allocating
-// a fresh slab when it is used up. The caller holds slabMu.
-func (a *Arena) carve() *segment {
+// prepare returns a segment that a goroutine of its own carves (carve) and
+// first-touches: one write per 4 KiB page faults the whole huge page. The
+// writer that takes the segment waits for touched. Once the current slab is
+// half carved, the same goroutine then allocates the next slab (spare), under
+// no lock, so the allocation, and the runtime's zeroing of a reused span with
+// it, happen half a slab before any writer needs that slab.
+func (a *Arena) prepare() *segment {
+	s := new(segment)
+	s.touched.Add(1)
+	go func() {
+		a.slabMu.Lock()
+		a.carve(s)
+		spare := a.spare == nil && !a.sparing && len(a.slab) <= slabBytes/2
+		a.sparing = a.sparing || spare
+		a.slabMu.Unlock()
+		for i := 0; i < len(s.buf); i += 4 << 10 {
+			s.buf[i] = 0
+		}
+		s.touched.Done()
+		if spare {
+			b, huge := newSlab(slabBytes)
+			a.slabMu.Lock()
+			a.spare, a.spareHuge, a.sparing = b, huge, false
+			a.slabMu.Unlock()
+		}
+	}()
+	return s
+}
+
+// newSlab allocates a slab: hugemem.Bytes, or a test's wrapper of it.
+var newSlab = hugemem.Bytes
+
+// carve cuts s from the current slab. When it is used up, carve moves on to
+// the spare, or allocates a slab itself if the spare is not ready yet. The
+// caller holds slabMu.
+func (a *Arena) carve(s *segment) {
 	if len(a.slab) < DefaultSegmentBytes {
 		a.curSlab = new(slab)
-		a.slab, a.curSlab.huge = hugemem.Bytes(slabBytes)
+		if a.spare != nil {
+			a.slab, a.curSlab.huge, a.spare = a.spare, a.spareHuge, nil
+		} else {
+			a.slab, a.curSlab.huge = newSlab(slabBytes)
+		}
 	}
-	c := &segment{buf: a.slab[:DefaultSegmentBytes:DefaultSegmentBytes], huge: a.curSlab.huge, slab: a.curSlab}
+	s.buf, s.huge, s.slab = a.slab[:DefaultSegmentBytes:DefaultSegmentBytes], a.curSlab.huge, a.curSlab
 	a.slab = a.slab[DefaultSegmentBytes:]
-	return c
 }
 
 // Writer is a single-goroutine appender owning the tail of one segment. It
@@ -524,12 +572,18 @@ func (w *Writer) TryAppend(key, value []byte) (Ref, bool) {
 // atomic load of the index word that published it) and, if the access can
 // outlive the index entry, a pin.
 func (a *Arena) Record(ref Ref) (key, value []byte) {
-	seg := (*a.segs.Load())[ref.seg()]
-	buf := seg.buf[ref.off():]
+	key, value, _ = record((*a.segs.Load())[ref.seg()].buf[ref.off():])
+	return key, value
+}
+
+// record decodes the record buf starts with: its key and value subslices and
+// its size.
+func record(buf []byte) (key, value []byte, n int) {
 	klen, p := binary.Uvarint(buf)
 	vlen, q := binary.Uvarint(buf[p:])
 	p += q
-	return buf[p : p+int(klen) : p+int(klen)], buf[p+int(klen) : p+int(klen)+int(vlen) : p+int(klen)+int(vlen)]
+	n = p + int(klen) + int(vlen)
+	return buf[p : p+int(klen) : p+int(klen)], buf[p+int(klen) : n : n], n
 }
 
 // Key resolves only the key bytes of ref (same contract as Record).

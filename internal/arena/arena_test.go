@@ -3,6 +3,7 @@ package arena
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -333,7 +334,8 @@ func TestSlabSegmentsRace(t *testing.T) {
 		}
 	}
 	total, _ := a.Segments()
-	if slab := total - writers; slab < 64 || (a.curSlab.huge && huge != slab) {
+	cur, _ := a.carving()
+	if slab := total - writers; slab < 64 || (cur.huge && huge != slab) {
 		t.Fatalf("%d slab segments, %d of them marked huge: want >= 64, all huge where the slab is", slab, huge)
 	}
 	if got, want := a.HugeBytes(), uint64(huge*DefaultSegmentBytes); got != want {
@@ -356,6 +358,7 @@ func TestPlainSegments(t *testing.T) {
 	big := w.Append([]byte("big"), make([]byte, DefaultSegmentBytes+1))
 	after := w.Append([]byte("k"), small)
 	segs := *a.segs.Load()
+	cur, tail := a.carving()
 	if segs[refs[0].seg()].huge || segs[big.seg()].huge {
 		t.Fatalf("first segment huge %v, oversized record's segment huge %v: both must be plain",
 			segs[refs[0].seg()].huge, segs[big.seg()].huge)
@@ -363,8 +366,8 @@ func TestPlainSegments(t *testing.T) {
 	if n := len(segs[big.seg()].buf); n != recordSize(3, DefaultSegmentBytes+1) {
 		t.Fatalf("oversized record's segment is %d bytes, want exactly the record", n)
 	}
-	if a.slab == nil || segs[refs[len(refs)-1].seg()].slab != a.curSlab || segs[after.seg()].slab != a.curSlab ||
-		segs[after.seg()].huge != a.curSlab.huge {
+	if tail == nil || segs[refs[len(refs)-1].seg()].slab != cur || segs[after.seg()].slab != cur ||
+		segs[after.seg()].huge != cur.huge {
 		t.Fatal("a default-sized segment after the first was not carved from the slab")
 	}
 
@@ -377,7 +380,7 @@ func TestPlainSegments(t *testing.T) {
 		if total, _ := b.Segments(); total < 3 {
 			t.Fatalf("WithSegmentBytes(%d): %d segments, want several", size, total)
 		}
-		if b.slab != nil || b.curSlab != nil || b.HugeBytes() != 0 {
+		if cur, tail := b.carving(); tail != nil || cur != nil || b.HugeBytes() != 0 {
 			t.Fatalf("WithSegmentBytes(%d): a slab was allocated (%d huge bytes)", size, b.HugeBytes())
 		}
 	}
@@ -616,6 +619,118 @@ func TestSegmentIDsReused(t *testing.T) {
 	for j, ref := range live {
 		if _, v := a.Record(ref); string(v) != vals[j] {
 			t.Fatalf("live record %q reads %q", vals[j], v)
+		}
+	}
+}
+
+// carving returns the slab being carved and its uncarved tail, read under
+// slabMu: the goroutine that prepares the next slab segment writes both.
+func (a *Arena) carving() (*slab, []byte) {
+	a.slabMu.Lock()
+	defer a.slabMu.Unlock()
+	return a.curSlab, a.slab
+}
+
+// TestWriterAllocatesNoSlab: a writer that appends across several slab
+// boundaries never allocates a slab on its own goroutine: every slab comes
+// from the goroutine that prepares the next slab segment, so neither the
+// allocation nor the runtime's zeroing of a reused span lands inside
+// TryAppend.
+func TestWriterAllocatesNoSlab(t *testing.T) {
+	var slabs, onWriter atomic.Int32
+	old := newSlab
+	newSlab = func(n int) ([]byte, bool) {
+		slabs.Add(1)
+		buf := make([]byte, 64<<10)
+		if bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("(*Writer).TryAppend")) {
+			onWriter.Add(1)
+		}
+		return old(n)
+	}
+	t.Cleanup(func() { newSlab = old })
+	a := New()
+	w := a.NewWriter()
+	value := make([]byte, 64<<10)
+	for i := 0; i < 2*slabBytes/len(value); i++ {
+		w.Append([]byte("k"), value)
+	}
+	a.slabMu.Lock()
+	next := a.ahead // the one segment still being prepared
+	a.slabMu.Unlock()
+	next.touched.Wait()
+	for sparing := true; sparing; runtime.Gosched() { // and the spare slab after it
+		a.slabMu.Lock()
+		sparing = a.sparing
+		a.slabMu.Unlock()
+	}
+	if slabs.Load() < 2 || onWriter.Load() != 0 {
+		t.Fatalf("%d slabs allocated, %d of them inside TryAppend", slabs.Load(), onWriter.Load())
+	}
+}
+
+// mapIndex is an Index over a map from each key to the Ref that publishes it.
+type mapIndex struct {
+	mu   sync.Mutex
+	refs map[string]Ref
+}
+
+func (m *mapIndex) Relocate(p *Pass, recs []Victim) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, rec := range recs {
+		if m.refs[string(rec.Key)] != rec.Ref {
+			continue // dead
+		}
+		cp, ok := p.Copy(rec)
+		if !ok {
+			return
+		}
+		m.refs[string(rec.Key)] = cp
+		p.Done(rec.Ref, cp, true)
+	}
+}
+
+// TestCompactionKeepsNoVictimRecord: a writer overwrites 1000 keys twenty
+// times over in random order, published through a map index, and the passes
+// its seals start, each waited for, walk the victims' records through it. Once the last pass has ended every
+// key reads its last value, and the arena's chunk buffer, which the walk
+// keeps across passes, holds no record: one left there would keep a victim's
+// slab reachable until the next pass.
+func TestCompactionKeepsNoVictimRecord(t *testing.T) {
+	const keys, rounds = 1000, 20
+	a := New(WithSegmentBytes(512))
+	ix := &mapIndex{refs: map[string]Ref{}}
+	a.SetIndex(ix)
+	w := a.NewWriter()
+	rng := rand.New(rand.NewPCG(1, 2))
+	last := make([]int, keys)
+	for op := 0; op < keys*rounds; op++ {
+		i := rng.IntN(keys)
+		k := fmt.Sprintf("key-%04d", i)
+		ref := w.Append([]byte(k), []byte(fmt.Sprintf("value-%06d", op)))
+		last[i] = op
+		ix.mu.Lock()
+		old, ok := ix.refs[k]
+		ix.refs[k] = ref
+		ix.mu.Unlock()
+		if ok {
+			a.Retire(old)
+		}
+		a.WaitPass() // the pass this write started, before the next write
+	}
+	if cs := a.CompactStats(); cs.Passes == 0 || cs.Moved == 0 {
+		t.Fatalf("compaction stats %+v: want passes that moved records", cs)
+	}
+	for i, op := range last {
+		k := fmt.Sprintf("key-%04d", i)
+		want := fmt.Sprintf("value-%06d", op)
+		if key, v := a.Record(ix.refs[k]); string(key) != k || string(v) != want {
+			t.Fatalf("%s reads %q = %q, want %q", k, key, v, want)
+		}
+	}
+	for i, rec := range a.crecs[:cap(a.crecs)] {
+		if rec.Key != nil || rec.Value != nil {
+			t.Fatalf("chunk slot %d still holds victim record %q after the pass", i, rec.Key)
 		}
 	}
 }

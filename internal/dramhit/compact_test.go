@@ -13,17 +13,15 @@ import (
 
 // TestByteRingCompactsAcrossRegions: three bucket regions share one arena of
 // 512-byte segments, and a handle overwrites 3000 keys ten times over through
-// SubmitBytes batches. The compaction pass a batch's write starts walks every
-// region's index: passes move records, the arena stays within twice its live
-// bytes plus 64 segments (and one segment more) once the pass has ended,
-// every region audits clean, and every key reads its last value.
+// SubmitBytes batches. The compaction pass a batch's write starts looks each
+// victim record up in the region its key routes to: passes move records, the
+// arena stays within 4/3 of its live bytes plus 64 segments (and one segment
+// more) once the pass has ended, every region audits clean, and every key
+// reads its last value.
 func TestByteRingCompactsAcrossRegions(t *testing.T) {
 	const seg, nreg, keys, rounds, batch = 512, 3, 3000, 10, 32
 	ar := arena.New(arena.WithSegmentBytes(seg))
-	r := Regions{Worker: "compact-h"}
-	for i := 0; i < nreg; i++ {
-		r.Buckets = append(r.Buckets, slotarr.NewBucketTable(slotarr.BucketConfig{Buckets: 512, Arena: ar}))
-	}
+	r := Regions{Worker: "compact-h", Buckets: slotarr.NewBucketRegions(nreg, slotarr.BucketConfig{Buckets: 512, Arena: ar})}
 	tbl := NewView(Config{Slots: nreg * 512 * slotarr.BucketLanes, Layout: table.LayoutBucket}, r)
 	h := tbl.NewHandle()
 	h.OnByteComplete(func(c ByteCompletion) {
@@ -45,7 +43,7 @@ func TestByteRingCompactsAcrossRegions(t *testing.T) {
 			for _, s := range ar.SegmentStats() {
 				used, dead = used+s.Used, dead+min(s.Dead, s.Used)
 			}
-			if used > 2*(used-dead)+65*seg {
+			if 3*used > 4*(used-dead)+3*65*seg {
 				t.Fatalf("op %d: %d bytes used, %d dead", op, used, dead)
 			}
 		}

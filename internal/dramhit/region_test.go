@@ -3,7 +3,6 @@ package dramhit
 import (
 	"testing"
 
-	"dramhit/internal/arena"
 	"dramhit/internal/slotarr"
 	"dramhit/internal/table"
 	"dramhit/internal/tabletest"
@@ -21,12 +20,11 @@ func newRegionTable(cfg Config, nreg int) *Table {
 	per := (cfg.Slots + uint64(nreg) - 1) / uint64(nreg)
 	cfg.Slots = per * uint64(nreg)
 	r := Regions{Side: new(slotarr.SidePair), Worker: "region-h"}
-	ar := arena.New()
-	for i := 0; i < nreg; i++ {
-		if cfg.Layout == table.LayoutBucket {
-			r.Buckets = append(r.Buckets, slotarr.NewBucketTable(slotarr.BucketConfig{
-				Buckets: (per + slotarr.BucketLanes - 1) / slotarr.BucketLanes, Arena: ar}))
-		} else {
+	if cfg.Layout == table.LayoutBucket {
+		r.Buckets = slotarr.NewBucketRegions(nreg, slotarr.BucketConfig{
+			Buckets: (per + slotarr.BucketLanes - 1) / slotarr.BucketLanes})
+	} else {
+		for i := 0; i < nreg; i++ {
 			r.Arrays = append(r.Arrays, slotarr.New(per))
 		}
 	}

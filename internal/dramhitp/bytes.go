@@ -1,7 +1,6 @@
 package dramhitp
 
 import (
-	"dramhit/internal/arena"
 	"dramhit/internal/dramhit"
 	"dramhit/internal/obs"
 	"dramhit/internal/slotarr"
@@ -27,7 +26,8 @@ type BytesConfig struct {
 // one-line-bucket index per partition, all over one arena, so a record
 // written through any partition is readable table-wide and reclamation
 // epochs advance table-wide. A key's partition is hashfn.ShardRange of its
-// byte hash.
+// byte hash, for the handles and for the arena's compaction passes alike
+// (slotarr.NewBucketRegions), so a pass looks each record up once.
 //
 // The table is a dramhit view over the partitions, and its handles are
 // ordinary dramhit handles: GetBytes/PutBytes/UpsertBytes/DeleteBytes and the
@@ -40,14 +40,10 @@ func NewBytes(cfg BytesConfig) *dramhit.Table {
 	}
 	nparts := uint64(max(cfg.Partitions, 1))
 	partSlots := (cfg.Slots + nparts - 1) / nparts
-	ar := arena.New()
 	regs := dramhit.Regions{Side: new(slotarr.SidePair), Worker: "dramhitp-h"}
-	for range nparts {
-		regs.Buckets = append(regs.Buckets, slotarr.NewBucketTable(slotarr.BucketConfig{
-			Buckets: (partSlots + slotarr.BucketLanes - 1) / slotarr.BucketLanes,
-			Arena:   ar,
-		}))
-	}
+	regs.Buckets = newRegions(int(nparts), slotarr.BucketConfig{
+		Buckets: (partSlots + slotarr.BucketLanes - 1) / slotarr.BucketLanes,
+	})
 	t := dramhit.NewView(dramhit.Config{
 		Slots:          partSlots * nparts,
 		PrefetchWindow: cfg.PrefetchWindow,
@@ -61,3 +57,8 @@ func NewBytes(cfg BytesConfig) *dramhit.Table {
 	}
 	return t
 }
+
+// newRegions builds the partitions over one fresh arena; a test swaps in an
+// arena of small segments, to reach compaction quickly, and keeps the
+// partitions.
+var newRegions = slotarr.NewBucketRegions

@@ -51,11 +51,12 @@ func pullSource(t *testing.T, reg *obs.Registry, name string) func() map[string]
 // TestCompactionUnderSetChurn: memcached SETs overwrite 4096 keys ten times
 // over in random order, through a server whose arena has 4 KiB segments. The
 // compaction counters on the "server" source rise, and after every wire batch,
-// once the pass it started has ended, arena_bytes_used is at most twice the
-// live bytes plus 64 segments. In the "scraped" input a goroutine renders
-// /metrics, the registry snapshot and the heatmaps in a loop meanwhile, so
-// that scrapes race the handles' publishes and the passes' moves (run it
-// under -race).
+// once the pass it started has ended, arena_bytes_used is at most 4/3 of the
+// live bytes plus 64 segments. Over the run the passes copy at most 3 bytes
+// per byte they free: moved ≤ 3 × (scanned − moved). In the "scraped" input a
+// goroutine renders /metrics, the registry snapshot and the heatmaps in a loop
+// meanwhile, so that scrapes race the handles' publishes and the passes' moves
+// (run it under -race).
 func TestCompactionUnderSetChurn(t *testing.T) {
 	for _, name := range []string{"plain", "scraped"} {
 		t.Run(name, func(t *testing.T) { setChurn(t, name == "scraped") })
@@ -114,17 +115,21 @@ func setChurn(t *testing.T, scraped bool) {
 			}
 		}
 		srv.Table().Bucket().Arena().WaitPass()
-		if used := src()["arena_bytes_used"]; used > 2*live+64*seg {
+		if used := src()["arena_bytes_used"]; 3*used > 4*live+3*64*seg {
 			t.Fatalf("batch %d: arena_bytes_used %v, live %d bytes", b, used, live)
 		}
 	}
 	srv.Table().Bucket().Arena().WaitPass()
 	m := src()
 	for _, name := range []string{"arena_compact_passes", "arena_compact_moved_bytes",
-		"arena_compact_unlinked", "arena_compact_chunk_max_us"} {
+		"arena_compact_scanned_bytes", "arena_compact_unlinked", "arena_compact_chunk_max_us",
+		"arena_compact_pass_max_us"} {
 		if m[name] <= 0 {
 			t.Errorf("%s = %v after the churn, want > 0", name, m[name])
 		}
+	}
+	if moved, scanned := m["arena_compact_moved_bytes"], m["arena_compact_scanned_bytes"]; moved > 3*(scanned-moved) {
+		t.Errorf("passes moved %v of the %v victim bytes they scanned: over 3 bytes per byte freed", moved, scanned)
 	}
 	if n := srv.Table().Len(); n != keys {
 		t.Errorf("table holds %d entries, want %d", n, keys)

@@ -84,17 +84,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
 }
 
-// Merge combines frozen CDFs into one distribution over the union of their
-// retained samples (the multi-worker summary case).
-func Merge(cdfs ...*CDF) *CDF {
-	var all []float64
-	for _, c := range cdfs {
-		all = append(all, c.sorted...)
-	}
-	sort.Float64s(all)
-	return &CDF{sorted: all}
-}
-
 // At returns the cumulative proportion of samples ≤ v.
 func (c *CDF) At(v float64) float64 {
 	if len(c.sorted) == 0 {

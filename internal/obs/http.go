@@ -192,7 +192,6 @@ var CounterHelp = [NumCounters]string{
 	"Upserts folded into a held same-key upsert on the partitioned write path",
 	"Atomic RMW/store attempts against slot words",
 	"Delegated messages sent on the partitioned write path",
-	"Slots inspected by synchronous probes",
 	"Chain-node traversals",
 }
 

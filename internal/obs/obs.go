@@ -44,8 +44,6 @@ const (
 	CCASAttempts
 	// CQueueSends counts delegated messages sent (DRAMHiT-P write path).
 	CQueueSends
-	// CProbeSlots counts slots inspected (synchronous baselines).
-	CProbeSlots
 	// CChainHops counts chain-node traversals (chtkc).
 	CChainHops
 
@@ -56,7 +54,7 @@ const (
 var CounterNames = [NumCounters]string{
 	"gets", "puts", "upserts", "deletes", "hits", "failed",
 	"reprobes", "lines", "keylines",
-	"combined_upserts", "cas_attempts", "queue_sends", "probe_slots", "chain_hops",
+	"combined_upserts", "cas_attempts", "queue_sends", "chain_hops",
 }
 
 // Gauge indices into a Worker's shard.

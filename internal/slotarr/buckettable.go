@@ -67,11 +67,12 @@ import (
 //     arena's reclamation epoch (arena.Advance), the hook that lets
 //     fully-dead segments from pre-resize churn be unlinked.
 //
-//   - Compaction (arena.Index, Relocate) moves live records out of mostly
-//     dead segments. It walks the index in chunks under one gate's read
-//     lock, which excludes a grow, and swings each moved word by CAS with
-//     its fingerprint kept, so a writer racing it on the same word sees
-//     an ordinary lost CAS and retries, and a reader sees either record.
+//   - Compaction (arena.Index, regions.Relocate) moves live records out of
+//     mostly dead segments. The arena walks its victims' records and the
+//     table looks each one up, in chunks under one gate's read lock, which
+//     excludes a grow, and swings the word that publishes it by CAS with
+//     its fingerprint kept, so a writer racing it on the same word sees an
+//     ordinary lost CAS and retries, and a reader sees either record.
 type BucketTable struct {
 	hash    func([]byte) uint64
 	ar      *arena.Arena
@@ -81,6 +82,7 @@ type BucketTable struct {
 	maxLoad float64
 	live    atomic.Int64
 	grows   atomic.Uint64
+	probes  atomic.Uint64 // compaction lookups (CompactProbes)
 }
 
 // bucketGateStripes is the number of writer-gate stripes. Any function of
@@ -119,8 +121,9 @@ func newBucketState(nb uint64) *bucketState {
 type BucketConfig struct {
 	// Buckets is the initial bucket count (7 payload lanes each).
 	Buckets uint64
-	// Arena is the record store; one arena may back several tables
-	// (dramhitp shares one across partitions). Default: a private arena.
+	// Arena is the record store, which the table registers as the arena's
+	// index (arena.SetIndex): an arena backs one table, or the regions
+	// NewBucketRegions builds over it. Default: a private arena.
 	Arena *arena.Arena
 	// MaxLoad is the claimed-lane fraction that triggers a grow. The
 	// default 0.95 deliberately sits above the 90% fill the layout is
@@ -130,23 +133,43 @@ type BucketConfig struct {
 	MaxLoad float64
 }
 
-// NewBucketTable creates an empty table.
+// NewBucketTable creates an empty table, the index of its arena.
 func NewBucketTable(cfg BucketConfig) *BucketTable {
+	return NewBucketRegions(1, cfg)[0]
+}
+
+// NewBucketRegions creates n empty tables over one arena, cfg.Arena or a
+// fresh one, each configured by cfg, and registers them as the arena's index:
+// a compaction pass looks a record up in the table hashfn.ShardRange(hash, n)
+// picks, the region a dramhit view over them routes the key to.
+func NewBucketRegions(n int, cfg BucketConfig) []*BucketTable {
+	return newRegions(n, cfg).ts
+}
+
+// newRegions is NewBucketRegions, returning the arena's index itself.
+func newRegions(n int, cfg BucketConfig) *regions {
+	if cfg.Arena == nil {
+		cfg.Arena = arena.New()
+	}
+	r := &regions{recs: make([][]arena.Victim, n), hvs: make([][]uint64, n)}
+	for range n {
+		r.ts = append(r.ts, newBucketTable(cfg))
+	}
+	cfg.Arena.SetIndex(r)
+	return r
+}
+
+func newBucketTable(cfg BucketConfig) *BucketTable {
 	nb := cfg.Buckets
 	if nb == 0 {
 		nb = 1
-	}
-	ar := cfg.Arena
-	if ar == nil {
-		ar = arena.New()
 	}
 	ml := cfg.MaxLoad
 	if ml <= 0 {
 		ml = 0.95
 	}
-	t := &BucketTable{hash: hashfn.Bytes64, ar: ar, maxLoad: ml}
+	t := &BucketTable{hash: hashfn.Bytes64, ar: cfg.Arena, maxLoad: ml}
 	t.state.Store(newBucketState(nb))
-	ar.AddIndex(t)
 	return t
 }
 
@@ -719,57 +742,102 @@ func (t *BucketTable) grow() {
 	t.ar.Advance()
 }
 
-// relocChunk is the buckets one compaction chunk walks under one gate read
-// lock and the compactor's pin: 256 KiB of index. On srv-mc-write's index the
-// longest chunk, copies included, ran 1.1–7.4 ms, where a whole-index walk in
-// one piece took 55 ms; that bounds how long a grow waits for the gate.
-const relocChunk = 4096
+// regions is the arena.Index of the tables over one arena: a record goes to
+// the table hashfn.ShardRange of its key's hash picks, as the dramhit handles
+// route a key among a table's regions. One table is the case of one region.
+// A compaction pass calls Relocate from one goroutine at a time, so the
+// scratch slices need no lock.
+type regions struct {
+	ts   []*BucketTable
+	recs [][]arena.Victim
+	hvs  [][]uint64
+}
 
-// Relocate is the compaction walk (arena.Index): every lane and stash node of
-// the current generation whose record lies in a victim segment is copied
-// through the pass and swung to the copy by CAS, fingerprint kept. The walk
-// runs in chunks of relocChunk buckets, each under one gate's read lock,
-// which excludes a grow, and the pass's pin; it stops the walk (returns
-// false) when a grow swapped the generation between chunks or the arena
-// refused a copy.
-func (t *BucketTable) Relocate(p *arena.Pass) bool {
+// Relocate is the compaction walk's index side (arena.Index): it hashes each
+// record's key once, routes it to its table, and has each table look its
+// records up (relocate).
+func (r *regions) Relocate(p *arena.Pass, recs []arena.Victim) {
+	n := uint64(len(r.ts))
+	for i := range r.ts {
+		r.recs[i], r.hvs[i] = r.recs[i][:0], r.hvs[i][:0]
+	}
+	for _, rec := range recs {
+		hv := hashfn.Bytes64(rec.Key)
+		i := hashfn.ShardRange(hv, n)
+		r.recs[i], r.hvs[i] = append(r.recs[i], rec), append(r.hvs[i], hv)
+	}
+	for i, t := range r.ts {
+		if len(r.recs[i]) > 0 && !p.Stopped() {
+			t.relocate(p, r.recs[i], r.hvs[i])
+		}
+		clear(r.recs[i]) // the records alias a victim, which must stay collectable
+	}
+}
+
+// relocWindow is how many records ahead of its lookup relocate prefetches a
+// bucket line: the byte ring's default window.
+const relocWindow = 16
+
+// relocate looks up every record of recs, whose key hashes are hvs, under one
+// gate's read lock, which excludes a grow: the current generation's word that
+// publishes the record's Ref is swung to a copy made through the pass, by CAS
+// with its fingerprint kept, so a writer racing it on the same word sees an
+// ordinary lost CAS and retries, and a reader sees either record. Each
+// record's bucket line is prefetched relocWindow records ahead. A record no
+// word publishes is dead: skipped.
+func (t *BucketTable) relocate(p *arena.Pass, recs []arena.Victim, hvs []uint64) {
+	g := &t.gates[hvs[0]&(bucketGateStripes-1)] // any stripe excludes a grow
+	g.RLock()
+	defer g.RUnlock()
 	st := t.state.Load()
-	for lo := uint64(0); lo < st.nb; lo += relocChunk {
-		g := &t.gates[(lo/relocChunk)%bucketGateStripes]
-		g.RLock()
-		p.Enter()
-		ok := t.state.Load() == st
-		for bi := lo; ok && bi < min(lo+relocChunk, st.nb); bi++ {
-			for i := bi*BucketWords + 1; i < (bi+1)*BucketWords; i++ {
-				w := atomic.LoadUint64(&st.words[i])
-				if cp, moved := relocWord(p, w); moved {
-					p.Done(slotRef(w), cp, atomic.CompareAndSwapUint64(&st.words[i], w, slotWord(uint8(slotFP(w)), cp)))
-				}
-			}
-			for n := st.stash[bi].Load(); n != nil; n = n.next {
-				w := n.word.Load()
-				if cp, moved := relocWord(p, w); moved {
-					p.Done(slotRef(w), cp, n.word.CompareAndSwap(w, slotWord(uint8(slotFP(w)), cp)))
-				}
-			}
-			ok = !p.Stopped()
+	for _, hv := range hvs[:min(relocWindow, len(hvs))] {
+		t.Prefetch(hv)
+	}
+	probes := uint64(0)
+	for i, rec := range recs {
+		if i+relocWindow < len(hvs) {
+			t.Prefetch(hvs[i+relocWindow])
 		}
-		p.Exit()
-		g.RUnlock()
-		if !ok {
-			return false
+		probes++
+		relocOne(p, st, hvs[i], rec)
+		if p.Stopped() {
+			break
 		}
 	}
-	return true
+	t.probes.Add(probes)
 }
 
-// relocWord moves published slot word w's record when it lies in a victim.
-func relocWord(p *arena.Pass, w uint64) (arena.Ref, bool) {
-	if w == 0 || w == slotTombstone {
-		return 0, false
+// relocOne moves rec when a lane word or stash word of hv's bucket publishes
+// it. That word is exactly slotWord(TagOf(hv), rec.Ref) (Audit checks it), so
+// one compare per word finds it.
+func relocOne(p *arena.Pass, st *bucketState, hv uint64, rec arena.Victim) {
+	fp := table.TagOf(hv)
+	w := slotWord(fp, rec.Ref)
+	b := hashfn.Fastrange(hv, st.nb) * BucketWords
+	for i := b + 1; i < b+BucketWords; i++ {
+		if atomic.LoadUint64(&st.words[i]) == w {
+			if cp, ok := p.Copy(rec); ok {
+				p.Done(rec.Ref, cp, atomic.CompareAndSwapUint64(&st.words[i], w, slotWord(fp, cp)))
+			}
+			return
+		}
 	}
-	return p.Move(slotRef(w))
+	if uint8(atomic.LoadUint64(&st.words[b]))&bucketStashBit == 0 {
+		return
+	}
+	for n := st.stash[b/BucketWords].Load(); n != nil; n = n.next {
+		if n.word.Load() == w {
+			if cp, ok := p.Copy(rec); ok {
+				p.Done(rec.Ref, cp, n.word.CompareAndSwap(w, slotWord(fp, cp)))
+			}
+			return
+		}
+	}
 }
+
+// CompactProbes returns the lookups compaction passes have made in this
+// table: one per victim record routed to it.
+func (t *BucketTable) CompactProbes() uint64 { return t.probes.Load() }
 
 // Audit checks the current generation against the arena: every published
 // ref, in lanes and stash nodes, addresses a whole record inside a linked

@@ -66,12 +66,12 @@ func TestWriterPinnedAcrossRecord(t *testing.T) {
 
 // TestCompactionKeepsArenaFlat: one handle overwrites a fixed key set
 // ten times over, in random order, so that few segments die whole by themselves.
-// Compaction passes start once the dead bytes pass the live bytes and 64
-// segments' worth, so the arena never holds more than twice its live bytes
-// plus 64 segments (and the one segment written since the last check), every
-// key reads its last value, and the index audits clean. The test waits for the
-// pass a write started (WaitPass) before it measures, so the bound is the
-// policy's, not a race between the writer and the pass's goroutine.
+// Compaction passes start once the dead bytes pass a third of the live bytes
+// and 64 segments' worth, so the arena never holds more than 4/3 of its live
+// bytes plus 64 segments (and the one segment written since the last check),
+// every key reads its last value, and the index audits clean. The test waits
+// for the pass a write started (WaitPass) before it measures, so the bound is
+// the policy's, not a race between the writer and the pass's goroutine.
 func TestCompactionKeepsArenaFlat(t *testing.T) {
 	const seg, keys, rounds = 512, 2048, 10
 	ar := arena.New(arena.WithSegmentBytes(seg))
@@ -85,7 +85,7 @@ func TestCompactionKeepsArenaFlat(t *testing.T) {
 		h.Put([]byte(fmt.Sprintf("key-%04d", i)), v)
 		last[i] = v
 		ar.WaitPass()
-		if used, dead := arenaBytes(ar); used > 2*(used-dead)+65*seg {
+		if used, dead := arenaBytes(ar); 3*used > 4*(used-dead)+3*65*seg {
 			t.Fatalf("op %d: %d bytes used, %d dead", op, used, dead)
 		}
 	}
@@ -100,6 +100,69 @@ func TestCompactionKeepsArenaFlat(t *testing.T) {
 	}
 	if err := bt.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompactionWorkFollowsVictims: a few thousand keys churned over an index
+// of 2^20 buckets. A pass costs one lookup per record of its victims, not a
+// walk of the index: the table's compaction probes equal the records the
+// passes scanned, far fewer than the buckets, and every key reads its last
+// value.
+func TestCompactionWorkFollowsVictims(t *testing.T) {
+	const seg, keys, rounds, buckets = 512, 2000, 8, 1 << 20
+	ar := arena.New(arena.WithSegmentBytes(seg))
+	bt := NewBucketTable(BucketConfig{Buckets: buckets, Arena: ar})
+	h := bt.NewHandle()
+	rng := rand.New(rand.NewPCG(3, 4))
+	last := map[int][]byte{}
+	for op := 0; op < keys*rounds; op++ {
+		i := rng.IntN(keys)
+		v := []byte(fmt.Sprintf("value-%04d-%06d", i, op))
+		h.Put([]byte(fmt.Sprintf("key-%04d", i)), v)
+		last[i] = v
+	}
+	ar.WaitPass()
+	cs := ar.CompactStats()
+	if cs.Passes == 0 || cs.Moved == 0 {
+		t.Fatalf("compaction stats %+v: want passes that moved records", cs)
+	}
+	if probes := bt.CompactProbes(); probes != cs.Records || probes == 0 || probes >= buckets/16 {
+		t.Fatalf("%d probes for %d scanned records (%d bytes) over %d buckets", probes, cs.Records, cs.Scanned, buckets)
+	}
+	for i, want := range last {
+		if v, ok := h.Get([]byte(fmt.Sprintf("key-%04d", i))); !ok || !bytes.Equal(v, want) {
+			t.Fatalf("key %d reads %q, %v; want %q", i, v, ok, want)
+		}
+	}
+	if err := bt.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactionReleasesVictims: once a pass has ended, the index keeps no
+// record of its victims. The records a chunk hands the index alias a victim's
+// bytes, so one left in the index's scratch would keep that victim's slab
+// reachable until the next pass, a slab of RSS held for nothing.
+func TestCompactionReleasesVictims(t *testing.T) {
+	const seg, keys, rounds = 512, 2000, 8
+	ar := arena.New(arena.WithSegmentBytes(seg))
+	r := newRegions(2, BucketConfig{Buckets: 512, Arena: ar})
+	hs := []*BucketHandle{r.ts[0].NewHandle(), r.ts[1].NewHandle()}
+	rng := rand.New(rand.NewPCG(7, 8))
+	for op := 0; op < keys*rounds; op++ {
+		i := rng.IntN(keys)
+		hs[i%2].Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("value-%06d", op)))
+	}
+	ar.WaitPass()
+	if cs := ar.CompactStats(); cs.Passes == 0 || cs.Records == 0 {
+		t.Fatalf("compaction stats %+v: want passes that walked records", cs)
+	}
+	for i, recs := range r.recs {
+		for j, rec := range recs[:cap(recs)] {
+			if rec.Key != nil || rec.Value != nil {
+				t.Fatalf("region %d's scratch slot %d still holds victim record %q after the pass", i, j, rec.Key)
+			}
+		}
 	}
 }
 
