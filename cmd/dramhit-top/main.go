@@ -132,16 +132,12 @@ func render(w *os.File, base string, f, prev *frame, topk int) {
 		fmt.Fprintf(w, "%-18s %14d %12s\n", name, total, rate)
 	}
 
-	// Latency rows: the merged worker latency ("all", recorded by drivers
-	// such as loadgen) and each op class a table sampled, whichever has
-	// samples. A table records 1 request in its registry's sample rate, so
-	// the count column is samples, not ops.
+	// Latency rows: each op class with samples. A table records 1 request
+	// in its registry's sample rate, so the count column is samples, not
+	// ops.
 	header := false
-	for i, name := range append([]string{"all"}, obs.OpClassNames[:]...) {
-		h := s.Latency
-		if i > 0 {
-			h = s.OpLatency[name]
-		}
+	for _, name := range obs.OpClassNames {
+		h := s.OpLatency[name]
 		if h.Count == 0 {
 			continue
 		}

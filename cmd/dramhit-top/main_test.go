@@ -11,9 +11,8 @@ import (
 )
 
 // TestRenderTableLatency: a server's snapshot has per-class latency from its
-// table's sampled requests and no merged worker latency (only drivers record
-// that). Each class with samples gets a row, and the count column says
-// samples.
+// table's sampled requests. Each class with samples gets a row, and the
+// count column says samples; there is no merged "all" row.
 func TestRenderTableLatency(t *testing.T) {
 	f := &frame{at: time.Now(), snap: obs.Snapshot{
 		OpLatency: map[string]obs.HistSnapshot{

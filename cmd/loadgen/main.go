@@ -8,26 +8,28 @@
 //	loadgen -workload C -metrics :8090 -json run.json
 //	loadgen -workload C -table dramhit -governor direct
 //
-// -governor {off,direct} picks the flat dramhit backends' execution mode.
-// With off the table chooses by size: dramhit runs direct mode (synchronous
+// -governor {off,direct} picks the flat dramhit backend's execution mode.
+// With off the table chooses by size: it runs direct mode (synchronous
 // probes) when its slot array is at most 4 MiB (2^18 slots) and the prefetch
-// ring otherwise, and dramhit-p's view runs the ring. direct forces direct
-// mode. The report and the -json record name the mode run ("exec").
+// ring otherwise; direct forces direct mode. dramhit-p always runs the ring,
+// and its write handles always fold duplicate-key Upserts. The report and
+// the -json record name the mode run ("exec"). -valuesize > 0 runs the byte
+// workload on the bucket layout (the JSON's "layout": "bucket").
 //
 // With -metrics the run exposes the unified observability layer over HTTP
 // (Prometheus text at /metrics, sampled lifecycle traces at /trace, expvar
 // and pprof under /debug/) while it executes; with -json the run's
 // configuration, throughput, and latency percentiles land in a
-// machine-readable file (bench.RunResult). Latency is recorded into
-// per-worker log-bucketed histograms (≤1/32 relative error), merged for the
-// percentiles and the latency_hist bucket dump.
-// Every timed run additionally classifies each operation by kind and
-// outcome (get_hit, get_miss, put, upsert, delete_hit, delete_miss) and
-// reports per-class counts and latency percentiles, timed by loadgen's own
-// clock and kept out of the table's registry. With -metrics or -observe the
-// table runs observed: its hot-key Space-Saving sketch and sampled
-// per-op-class latency land on /metrics and /heatmap, and the hot keys also
-// in the printout and the JSON summary's hot_keys.
+// machine-readable file (bench.RunResult). Every timed operation is
+// classified by kind and outcome (get_hit, get_miss, put, upsert,
+// delete_hit, delete_miss) and its latency, timed by loadgen's own clock,
+// lands in its worker's histogram for that class (log-bucketed, ≤1/32
+// relative error, kept out of the table's registry). The report has
+// per-class counts and percentiles; the overall percentiles and the
+// latency_hist bucket dump are the merge of every class. With -metrics or
+// -observe the table runs observed: its hot-key Space-Saving sketch and
+// sampled per-op-class latency land on /metrics and /heatmap, and the hot
+// keys also in the printout and the JSON summary's hot_keys.
 package main
 
 import (
@@ -53,13 +55,11 @@ func main() {
 	workers := flag.Int("workers", 4, "concurrent client goroutines")
 	missRatio := flag.Float64("missratio", 0, "fraction of reads redirected to guaranteed-absent keys")
 	theta := flag.Float64("theta", -1, "zipfian skew of the key stream; negative = workload default")
-	combiningFlag := flag.String("combining", "on", "dramhit-p write handles fold duplicate-key Upserts before delegating: on | off")
-	governorFlag := flag.String("governor", "off", "execution mode of the flat dramhit and dramhit-p backends: off (the table chooses by size: direct up to a 4 MiB slot array, else the prefetch ring; dramhit-p runs the ring) | direct")
+	governorFlag := flag.String("governor", "off", "execution mode of the flat dramhit backend: off (the table chooses by size: direct up to a 4 MiB slot array, else the prefetch ring) | direct")
 	jsonPath := flag.String("json", "", "write the run summary (config, Mops, latency percentiles) as JSON to this path")
 	metrics := flag.String("metrics", "", "serve observability on this address during the run, e.g. :8090")
 	observe := flag.Bool("observe", false, "attach the observability registry to the table even without -metrics")
-	layoutFlag := flag.String("layout", "flat", "physical slot layout (dramhit and dramhit-p backends): flat (the uint64 workload) | bucket (the byte workload; needs -valuesize)")
-	valueSize := flag.Int("valuesize", 0, "run as a byte-string KV workload with values up to this many bytes (goes with -layout bucket); 0 keeps the uint64 workload (flat layout)")
+	valueSize := flag.Int("valuesize", 0, "run as a byte-string KV workload on the bucket layout (dramhit and dramhit-p backends) with values up to this many bytes; 0 keeps the uint64 workload (flat layout)")
 	valueTheta := flag.Float64("valuetheta", 0, "zipf skew of per-write value sizes over [1,valuesize]; 0 = every value exactly -valuesize bytes")
 	socketAddr := flag.String("socket", "", "socket client mode: drive a live dramhit-server as a RESP client at this address instead of an in-process table")
 	connsFlag := flag.Int("conns", 64, "socket mode: concurrent client TCP connections")
@@ -94,38 +94,22 @@ func main() {
 		})
 		return
 	}
-	combining, err := dramhit.ParseCombining(*combiningFlag)
-	if err != nil {
-		fail(err)
-	}
 	governor, err := dramhit.ParseGovernor(*governorFlag)
 	if err != nil {
 		fail(err)
 	}
-	if combining != dramhit.CombineOn && *backend != "dramhit-p" {
-		fail(fmt.Errorf("-combining applies to the dramhit-p backend (its write-side upsert folding), not %q", *backend))
-	}
-	if governor != dramhit.GovernorOff && *backend != "dramhit" && *backend != "dramhit-p" {
-		fail(fmt.Errorf("-governor applies to the dramhit and dramhit-p backends, not %q", *backend))
-	}
-	layout, err := dramhit.ParseLayout(*layoutFlag)
-	if err != nil {
-		fail(err)
-	}
-	if layout == dramhit.LayoutBucket && *backend != "dramhit" && *backend != "dramhit-p" {
-		fail(fmt.Errorf("-layout bucket applies to the dramhit and dramhit-p backends, not %q", *backend))
+	if governor != dramhit.GovernorOff && *backend != "dramhit" {
+		fail(fmt.Errorf("-governor applies to the dramhit backend, not %q", *backend))
 	}
 	if *valueSize < 0 {
 		fail(fmt.Errorf("-valuesize must be >= 0, got %d", *valueSize))
 	}
+	// A bucket table serves the byte API, a flat table the uint64 one.
 	byteMode := *valueSize > 0
-	if byteMode != (layout == dramhit.LayoutBucket) {
-		fail(fmt.Errorf("-valuesize and -layout bucket go together: a bucket table serves the byte API, a flat table the uint64 one"))
+	if byteMode && *backend != "dramhit" && *backend != "dramhit-p" {
+		fail(fmt.Errorf("-valuesize applies to the dramhit and dramhit-p backends, not %q", *backend))
 	}
-	if layout == dramhit.LayoutBucket && combining != dramhit.CombineOn {
-		fail(fmt.Errorf("-combining off applies to flat tables only: a bucket table's writes are synchronous byte writes, never delegated Upserts"))
-	}
-	if layout == dramhit.LayoutBucket && governor != dramhit.GovernorOff {
+	if byteMode && governor != dramhit.GovernorOff {
 		fail(fmt.Errorf("-governor %s applies to flat tables only: a bucket table has no uint64 ring", *governorFlag))
 	}
 	if *valueTheta != 0 && !byteMode {
@@ -136,15 +120,10 @@ func main() {
 	}
 
 	// reg is the table-attached observability registry (nil unless asked
-	// for: observation off must cost nothing); latReg always exists so the
-	// latency histograms have worker shards to record into.
+	// for: observation off must cost nothing).
 	var reg *dramhit.Observability
 	if *metrics != "" || *observe {
 		reg = dramhit.NewObservability()
-	}
-	latReg := reg
-	if latReg == nil {
-		latReg = obs.NewWith(0, 1)
 	}
 	if *metrics != "" {
 		srv, err := dramhit.ServeObservability(*metrics, reg)
@@ -170,15 +149,18 @@ func main() {
 
 	slots := nextPow2(*records * 2)
 	var bt *dramhit.Table // byte mode's bucket table, on either backend
-	exec := ""            // the flat dramhit backends' execution mode: "direct" or "ring"
+	exec := ""            // the flat backends' execution mode: "direct" or "ring"
 	switch *backend {
 	case "dramhit":
 		if byteMode {
-			bt = dramhit.New(dramhit.Config{Slots: slots, Observe: reg, Layout: layout})
+			bt = dramhit.New(dramhit.Config{Slots: slots, Observe: reg, Layout: dramhit.LayoutBucket})
 			break
 		}
 		t := dramhit.New(dramhit.Config{Slots: slots, Governor: governor, Observe: reg})
-		exec = execName(t.Direct())
+		exec = "ring"
+		if t.Direct() {
+			exec = "direct"
+		}
 		t.NewHandle().PutBatch(ycsb.LoadKeys(*records, 1), make([]uint64, *records))
 		mkView = func(int) view {
 			s := t.NewSync()
@@ -214,10 +196,9 @@ func main() {
 			break
 		}
 		t := dramhit.NewPartitioned(dramhit.PartitionedConfig{
-			Slots: slots, Producers: *workers + 1, Consumers: consumers,
-			Combining: combining, Governor: governor, Observe: reg,
+			Slots: slots, Producers: *workers + 1, Consumers: consumers, Observe: reg,
 		})
-		exec = execName(t.Direct())
+		exec = "ring"
 		t.Start()
 		teardown = t.Close
 		w := t.NewWriteHandle()
@@ -252,15 +233,10 @@ func main() {
 		}
 	}
 
-	// Latency lands in per-worker observability shards (bounded memory,
-	// zero-alloc, mergeable). Per-op-class accounting is client-side
-	// (loadgen's own clock), so it costs the table nothing and works on
-	// every backend; its histograms stay local, so that the registry's
-	// op_latency is the table's own.
-	opws := make([]*obs.Worker, *workers)
-	for i := range opws {
-		opws[i] = latReg.Worker(fmt.Sprintf("loadgen-w%d", i))
-	}
+	// Latency lands in per-worker, per-op-class histograms (bounded memory,
+	// zero-alloc, mergeable). They are client-side (loadgen's own clock), so
+	// they cost the table nothing and work on every backend, and they stay
+	// local, so that the registry's op_latency is the table's own.
 	classLat := make([][obs.NumOpClasses]obs.Histogram, *workers)
 
 	start := time.Now()
@@ -329,14 +305,12 @@ func main() {
 					return obs.OpClass(table.Get, false)
 				}
 			}
-			ow, cl := opws[wi], &classLat[wi]
+			cl := &classLat[wi]
 			for i := 0; i < perWorker; i++ {
 				op := g.Next()
 				t0 := time.Now()
 				cls := exec(op, i)
-				ns := uint64(time.Since(t0).Nanoseconds())
-				ow.Lat.Record(ns)
-				cl[cls].Record(ns)
+				cl[cls].Record(uint64(time.Since(t0).Nanoseconds()))
 			}
 			v.fin()
 		}(wi)
@@ -347,15 +321,10 @@ func main() {
 		teardown()
 	}
 
-	var merged obs.Histogram
-	for _, w := range opws {
-		merged.Merge(&w.Lat)
-	}
-	total := merged.Count()
-	pct := bench.PercentilesFromHistogram(&merged)
-
 	// Per-op-class rollup: counts and latency summaries from the merged
-	// per-class histograms.
+	// per-class histograms; every op lands in one class, so their merge is
+	// the overall distribution.
+	var merged obs.Histogram
 	var clsTotals [obs.NumOpClasses]uint64
 	opsByType := map[string]uint64{}
 	opLatNS := map[string]bench.Percentiles{}
@@ -364,11 +333,14 @@ func main() {
 		for wi := range classLat {
 			m.Merge(&classLat[wi][cls])
 		}
+		merged.Merge(&m)
 		if clsTotals[cls] = m.Count(); clsTotals[cls] != 0 {
 			opsByType[obs.OpClassNames[cls]] = clsTotals[cls]
 			opLatNS[obs.OpClassNames[cls]] = bench.PercentilesFromHistogram(&m)
 		}
 	}
+	total := merged.Count()
+	pct := bench.PercentilesFromHistogram(&merged)
 
 	missNote := ""
 	if *missRatio > 0 {
@@ -377,17 +349,11 @@ func main() {
 	if *theta >= 0 {
 		missNote += fmt.Sprintf(", theta %.2f", *theta)
 	}
-	if combining == dramhit.CombineOff {
-		missNote += ", combining off"
-	}
 	if exec != "" {
 		missNote += ", exec " + exec
 	}
-	if layout == dramhit.LayoutBucket {
-		missNote += ", layout bucket"
-	}
 	if byteMode {
-		missNote += fmt.Sprintf(", byte values <=%dB", *valueSize)
+		missNote += fmt.Sprintf(", layout bucket, byte values <=%dB", *valueSize)
 		if *valueTheta > 0 {
 			missNote += fmt.Sprintf(" (zipf %.2f)", *valueTheta)
 		}
@@ -434,14 +400,9 @@ func main() {
 		if reg != nil {
 			res.HotKeys = reg.TopKeys(16)
 		}
-		if *backend == "dramhit-p" {
-			res.Combining = combining.String()
-		}
 		res.Exec = exec
-		if layout == dramhit.LayoutBucket {
-			res.Layout = "bucket"
-		}
 		if byteMode {
+			res.Layout = "bucket"
 			res.ValueSize = *valueSize
 			res.ValueTheta = *valueTheta
 		}
@@ -463,14 +424,6 @@ func loadBytes(put func(k, v []byte), records uint64, size int, theta float64) {
 		vb = workload.FillValue(vb, k, sizer.Next())
 		put(kb, vb)
 	}
-}
-
-// execName names a flat table's execution mode as the report prints it.
-func execName(direct bool) string {
-	if direct {
-		return "direct"
-	}
-	return "ring"
 }
 
 func nextPow2(v uint64) uint64 {

@@ -81,9 +81,7 @@ func runSocket(cfg socketRun) {
 		Addr: cfg.addr, Conns: cfg.conns, Pipeline: cfg.pipeline,
 		OpsPerConn: perConn, Rate: cfg.rate,
 		Record: func(ci int, op table.Op, hit, _ bool, ns uint64) {
-			w := pool[ci%len(pool)]
-			w.Lat.Record(ns)
-			w.Op[obs.OpClass(op, hit)].Record(ns)
+			pool[ci%len(pool)].Op[obs.OpClass(op, hit)].Record(ns)
 		},
 		Stream: func(ci int) workload.SocketStream {
 			g := ycsb.NewGeneratorMissTheta(cfg.mix, cfg.records, int64(ci+1), cfg.miss, cfg.theta)
@@ -111,11 +109,9 @@ func runSocket(cfg socketRun) {
 		fail(err)
 	}
 
+	// Every reply lands in one op class, so the classes' merge is the
+	// overall distribution.
 	var merged obs.Histogram
-	for _, w := range pool {
-		merged.Merge(&w.Lat)
-	}
-	pct := bench.PercentilesFromHistogram(&merged)
 	opsByType := map[string]uint64{}
 	opLatNS := map[string]bench.Percentiles{}
 	for cls := 0; cls < obs.NumOpClasses; cls++ {
@@ -123,11 +119,13 @@ func runSocket(cfg socketRun) {
 		for _, w := range pool {
 			m.Merge(&w.Op[cls])
 		}
+		merged.Merge(&m)
 		if m.Count() != 0 {
 			opsByType[obs.OpClassNames[cls]] = m.Count()
 			opLatNS[obs.OpClassNames[cls]] = bench.PercentilesFromHistogram(&m)
 		}
 	}
+	pct := bench.PercentilesFromHistogram(&merged)
 
 	pacing := "closed loop"
 	if cfg.rate > 0 {

@@ -17,7 +17,8 @@
 //     own a prefetch pipeline; Submit/Flush move batches through it.
 //   - NewPartitioned / Partitioned: DRAMHiT-P. Reads execute directly from
 //     any goroutine; writes are delegated (fire-and-forget) to consumer
-//     goroutines, each the single writer of its partitions.
+//     goroutines, each the single writer of its partitions, and a writer
+//     folds duplicate-key Upserts before it sends them.
 //   - NewFolklore: the synchronous lock-free baseline (Maier et al.) the
 //     paper builds on and measures against.
 //
@@ -93,33 +94,13 @@ const (
 	LayoutBucket = table.LayoutBucket
 )
 
-// ParseLayout maps "flat" (or "") and "bucket" to the Layout values.
-func ParseLayout(s string) (Layout, error) { return table.ParseLayout(s) }
-
-// Combining selects whether DRAMHiT-P's write handles fold duplicate-key
-// Upserts before delegating them (PartitionedConfig.Combining): CombineOn
-// (the zero value and default) folds; CombineOff sends every Upsert, for A/B
-// runs. Neither the core table nor the byte table combines.
-type Combining = table.Combining
-
-// Combining choices.
-const (
-	// CombineOn folds duplicate-key Upserts on the write side (default).
-	CombineOn = table.CombineOn
-	// CombineOff delegates every Upsert individually (A/B baseline).
-	CombineOff = table.CombineOff
-)
-
-// ParseCombining maps "on" (or "") and "off" to the Combining values.
-func ParseCombining(s string) (Combining, error) { return table.ParseCombining(s) }
-
-// GovernorMode selects a flat table's execution mode at construction
-// (Config.Governor and PartitionedConfig.Governor): GovernorOff (the zero
-// value) lets the table choose, and New runs direct mode — the folklore
-// execution model on DRAMHiT's kernel — when the slot array is at most
-// 4 MiB (2^18 slots), the prefetch pipeline otherwise; DRAMHiT-P runs the
-// pipeline. GovernorDirect forces direct mode. Table.Direct reports the
-// mode chosen.
+// GovernorMode selects a core flat table's execution mode at construction
+// (Config.Governor): GovernorOff (the zero value) lets the table choose, and
+// New runs direct mode — the folklore execution model on DRAMHiT's kernel —
+// when the slot array is at most 4 MiB (2^18 slots), the prefetch pipeline
+// otherwise. GovernorDirect forces direct mode. Table.Direct reports the mode
+// chosen. DRAMHiT-P has no such setting: its readers and owners always run
+// the pipeline.
 type GovernorMode = table.GovernorMode
 
 // Governor modes.

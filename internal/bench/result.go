@@ -47,13 +47,13 @@ type RunResult struct {
 	Workers   int     `json:"workers"`
 	Theta     float64 `json:"theta"`
 	MissRatio float64 `json:"miss_ratio,omitempty"`
-	Combining string  `json:"combining,omitempty"`
 	// Exec is the execution mode a flat dramhit or dramhit-p table ran:
-	// "direct" (synchronous probes) or "ring" (the prefetch pipeline).
+	// "direct" (synchronous probes) or "ring" (the prefetch pipeline, which
+	// dramhit-p always runs).
 	Exec string `json:"exec,omitempty"`
 	// Layout is the physical slot layout when it is not the flat default
-	// ("bucket"); ValueSize and ValueTheta describe byte-string runs
-	// (loadgen -valuesize): the value-size cap in bytes and the zipf skew
+	// ("bucket", which loadgen -valuesize selects); ValueSize and ValueTheta
+	// describe byte-string runs: the value-size cap in bytes and the zipf skew
 	// of per-write sizes over [1, ValueSize] (0 = fixed at ValueSize).
 	Layout     string  `json:"layout,omitempty"`
 	ValueSize  int     `json:"value_size,omitempty"`

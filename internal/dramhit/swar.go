@@ -8,7 +8,7 @@ import (
 
 // This file is the flat table's probe, the one kernel it has: the drain
 // probes whole cache lines, not slots. Each drain snapshots the resident line's key lanes
-// with one slotarr.LoadKeys pass, runs the lane-parallel branch-free kernel
+// with one slotarr.LoadKeys4 pass, runs the lane-parallel branch-free kernel
 // of internal/simd over the four key lanes, and acts on the first match in
 // probe order. Tombstoned lanes match neither mask and are skipped without a
 // branch. At most one value word is touched afterwards (the matched lane's —

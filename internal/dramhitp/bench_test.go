@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"dramhit/internal/table"
 	"dramhit/internal/workload"
 )
 
@@ -28,16 +27,13 @@ type delegatedCase struct {
 	name     string
 	logSlots int
 	theta    float64
-	gov      table.GovernorMode
 }
 
 var delegatedCases = []delegatedCase{
-	{"slots=2^25/uniform", 25, 0, table.GovernorOff},
-	{"slots=2^25/zipf=0.99", 25, 0.99, table.GovernorOff},
-	{"slots=2^17/uniform", 17, 0, table.GovernorOff},
-	{"slots=2^17/zipf=0.99", 17, 0.99, table.GovernorOff},
-	{"slots=2^17/uniform/direct", 17, 0, table.GovernorDirect},
-	{"slots=2^17/zipf=0.99/direct", 17, 0.99, table.GovernorDirect},
+	{"slots=2^25/uniform", 25, 0},
+	{"slots=2^25/zipf=0.99", 25, 0.99},
+	{"slots=2^17/uniform", 17, 0},
+	{"slots=2^17/zipf=0.99", 17, 0.99},
 }
 
 // delegatedKeys memoizes each case's key stream: 2^22 draws, enough that a
@@ -60,9 +56,9 @@ func (c delegatedCase) keys() []uint64 {
 
 // run times b.N writes through one WriteHandle and the Barrier that has the
 // owner apply the last of them.
-func (c delegatedCase) run(b *testing.B, comb table.Combining, write func(w *WriteHandle, key uint64, i int)) {
+func (c delegatedCase) run(b *testing.B, write func(w *WriteHandle, key uint64, i int)) {
 	keys := c.keys()
-	t := New(Config{Slots: 1 << c.logSlots, Producers: 1, Consumers: 1, Governor: c.gov, Combining: comb})
+	t := New(Config{Slots: 1 << c.logSlots, Producers: 1, Consumers: 1})
 	t.Start()
 	defer t.Close()
 	w := t.NewWriteHandle()
@@ -77,18 +73,16 @@ func (c delegatedCase) run(b *testing.B, comb table.Combining, write func(w *Wri
 
 func BenchmarkDelegatedUpsert(b *testing.B) {
 	for _, c := range delegatedCases {
-		for _, comb := range []table.Combining{table.CombineOn, table.CombineOff} {
-			b.Run(c.name+"/combine="+comb.String(), func(b *testing.B) {
-				c.run(b, comb, func(w *WriteHandle, key uint64, _ int) { w.Upsert(key, 1) })
-			})
-		}
+		b.Run(c.name, func(b *testing.B) {
+			c.run(b, func(w *WriteHandle, key uint64, _ int) { w.Upsert(key, 1) })
+		})
 	}
 }
 
 func BenchmarkDelegatedPutSkewed(b *testing.B) {
 	for _, c := range delegatedCases {
 		b.Run(c.name, func(b *testing.B) {
-			c.run(b, table.CombineOn, func(w *WriteHandle, key uint64, i int) { w.Put(key, uint64(i)) })
+			c.run(b, func(w *WriteHandle, key uint64, i int) { w.Put(key, uint64(i)) })
 		})
 	}
 }

@@ -8,37 +8,15 @@ import (
 	"dramhit/internal/table"
 )
 
-func newCombineTable(n uint64, c table.Combining) *Table {
+func newCombineTable(n uint64) *Table {
 	t := New(Config{
 		Slots:                 n,
 		Producers:             4,
 		Consumers:             2,
 		PartitionsPerConsumer: 2,
-		Combining:             c,
 	})
 	t.Start()
 	return t
-}
-
-// TestPCombineConfigWiring pins the knob: combining defaults on, off is
-// selectable, and write handles follow it.
-func TestPCombineConfigWiring(t *testing.T) {
-	on := newCombineTable(1024, table.CombineOn)
-	defer on.Close()
-	off := newCombineTable(1024, table.CombineOff)
-	defer off.Close()
-	if on.Combining() != table.CombineOn || off.Combining() != table.CombineOff {
-		t.Fatalf("combining wiring: on=%v off=%v", on.Combining(), off.Combining())
-	}
-	if New(Config{Slots: 64, Producers: 1, Consumers: 1}).Combining() != table.CombineOn {
-		t.Fatal("zero-value Config must default to CombineOn")
-	}
-	wOn, wOff := on.NewWriteHandle(), off.NewWriteHandle()
-	if !wOn.coalesce || wOff.coalesce {
-		t.Fatalf("write coalesce wiring: on=%v off=%v", wOn.coalesce, wOff.coalesce)
-	}
-	wOn.Close()
-	wOff.Close()
 }
 
 // TestPCombineWriteCoalescing folds a duplicate-heavy upsert stream and
@@ -46,32 +24,27 @@ func TestPCombineConfigWiring(t *testing.T) {
 // evidence the folds actually happened (Combined counter, fewer delegated
 // messages is implied by it).
 func TestPCombineWriteCoalescing(t *testing.T) {
-	for _, mode := range []table.Combining{table.CombineOn, table.CombineOff} {
-		tbl := newCombineTable(4096, mode)
-		w := tbl.NewWriteHandle()
-		rng := rand.New(rand.NewSource(7))
-		want := map[uint64]uint64{}
-		for i := 0; i < 20000; i++ {
-			k := uint64(1 + rng.Intn(64)) // dense duplication: 64 hot keys
-			w.Upsert(k, k)
-			want[k] += k
+	tbl := newCombineTable(4096)
+	defer tbl.Close()
+	w := tbl.NewWriteHandle()
+	rng := rand.New(rand.NewSource(7))
+	want := map[uint64]uint64{}
+	for i := 0; i < 20000; i++ {
+		k := uint64(1 + rng.Intn(64)) // dense duplication: 64 hot keys
+		w.Upsert(k, k)
+		want[k] += k
+	}
+	w.Barrier()
+	combined := w.Combined
+	w.Close()
+	if combined == 0 {
+		t.Fatal("expected folded upserts on a 64-key stream")
+	}
+	r := tbl.NewReadHandle()
+	for k, sum := range want {
+		if v, ok := r.Get(k); !ok || v != sum {
+			t.Fatalf("key %d: got (%d,%v) want (%d,true)", k, v, ok, sum)
 		}
-		w.Barrier()
-		combined := w.Combined
-		w.Close()
-		if mode == table.CombineOn && combined == 0 {
-			t.Fatal("combining on: expected folded upserts on a 64-key stream")
-		}
-		if mode == table.CombineOff && combined != 0 {
-			t.Fatalf("combining off: Combined = %d, want 0", combined)
-		}
-		r := tbl.NewReadHandle()
-		for k, sum := range want {
-			if v, ok := r.Get(k); !ok || v != sum {
-				t.Fatalf("mode %v key %d: got (%d,%v) want (%d,true)", mode, k, v, ok, sum)
-			}
-		}
-		tbl.Close()
 	}
 }
 
@@ -79,7 +52,7 @@ func TestPCombineWriteCoalescing(t *testing.T) {
 // entries: a Put or Delete of a held key releases the held delta first, so
 // the partition owner applies the two in submission order.
 func TestPCombineWriteOrdering(t *testing.T) {
-	tbl := newCombineTable(1024, table.CombineOn)
+	tbl := newCombineTable(1024)
 	defer tbl.Close()
 	w := tbl.NewWriteHandle()
 	defer w.Close()

@@ -1,12 +1,9 @@
 package dramhitp
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
-
-	"dramhit/internal/table"
 )
 
 // TestCountsExactAtQuiescence: an owner's handle publishes its claims and
@@ -14,37 +11,34 @@ import (
 // the writer sent to, so once every writer has passed a Barrier, Len and the
 // view's Fill equal a recount of the partitions (the view's heatmap walks
 // their slot arrays), and RegionFull and the full flags agree with it. Three
-// writers put, upsert and delete overlapping keys, through the owners' rings
-// and in direct mode. The first phase claims fewer slots than one partition
+// writers put, upsert and delete overlapping keys through the owners' rings.
+// The first phase claims fewer slots than one partition
 // holds, so no partition may read full; the second churns until the recount
 // finds every slot claimed, so every partition must read full and have its
 // flag raised. CI repeats it at -cpu 4.
 func TestCountsExactAtQuiescence(t *testing.T) {
-	for _, gov := range []table.GovernorMode{table.GovernorOff, table.GovernorDirect} {
-		name := fmt.Sprintf("governor=%v", gov)
-		tb := New(Config{Slots: 1 << 10, Producers: 3, Consumers: 2, PartitionsPerConsumer: 2, Governor: gov})
-		tb.Start()
-		ws := make([]*WriteHandle, 3)
-		for i := range ws {
-			ws[i] = tb.NewWriteHandle()
+	tb := New(Config{Slots: 1 << 10, Producers: 3, Consumers: 2, PartitionsPerConsumer: 2})
+	tb.Start()
+	defer tb.Close()
+	ws := make([]*WriteHandle, 3)
+	for i := range ws {
+		ws[i] = tb.NewWriteHandle()
+	}
+	if used := churnWriters(ws, 40, 100, 1); used >= tb.partSlots {
+		t.Fatalf("the first phase claimed %d slots, not fewer than a partition's %d", used, tb.partSlots)
+	}
+	checkPartitionCounts(t, "roomy", tb)
+	for round := int64(2); ; round++ {
+		if churnWriters(ws, 1000, 600, round) == tb.total {
+			break
 		}
-		if used := churnWriters(ws, 40, 100, 1); used >= tb.partSlots {
-			t.Fatalf("%s: the first phase claimed %d slots, not fewer than a partition's %d", name, used, tb.partSlots)
+		if round == 40 {
+			t.Fatal("partitions never filled")
 		}
-		checkPartitionCounts(t, name+"/roomy", tb)
-		for round := int64(2); ; round++ {
-			if churnWriters(ws, 1000, 600, round) == tb.total {
-				break
-			}
-			if round == 40 {
-				t.Fatalf("%s: partitions never filled", name)
-			}
-		}
-		checkPartitionCounts(t, name+"/full", tb)
-		for _, w := range ws {
-			w.Close()
-		}
-		tb.Close()
+	}
+	checkPartitionCounts(t, "full", tb)
+	for _, w := range ws {
+		w.Close()
 	}
 }
 

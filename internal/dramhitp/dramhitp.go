@@ -9,14 +9,16 @@
 //
 // Updates issued through the delegated interface return no result
 // (fire-and-forget), which is what keeps a delegated update within a few
-// tens of cycles. A WriteHandle.Barrier gives read-your-writes when callers
-// need it.
+// tens of cycles. Each WriteHandle folds duplicate-key Upserts before it
+// delegates them (combine.go). A WriteHandle.Barrier gives read-your-writes
+// when callers need it.
 //
 // Reads and writes run one probe engine: the table is a dramhit view over
 // the partitions, every ReadHandle is one of its handles, and so is each
 // owner's, into which the owner submits the updates delegated to it. An
-// owner's writes therefore take dramhit's prefetched ring (or direct mode)
-// and its claim CAS, which on a partition nothing else writes never loses.
+// owner's writes therefore take dramhit's prefetched ring and its claim CAS,
+// which on a partition nothing else writes never loses. The view always runs
+// the ring: NewView applies no size rule, and the table sets no Governor.
 //
 // Table is that paper table, uint64 keys and values over flat partitions.
 // NewBytes builds the partitioned byte table instead: one self-resizing
@@ -55,28 +57,12 @@ type Config struct {
 	// PrefetchWindow is the pipeline depth of every reader's and owner's
 	// handle (default dramhit.DefaultPrefetchWindow).
 	PrefetchWindow int
-	// QueueCapacity is the per-delegation-queue capacity (default 512).
-	QueueCapacity int
-	// Sections per queue (default capacity/8).
-	Sections int
-	// Combining selects whether WriteHandles fold duplicate-key Upserts into
-	// one delegated message (see combine.go). The zero value
-	// (table.CombineOn) is the default; table.CombineOff is the A/B baseline.
-	// Reads are not combined: ReadHandles run dramhit's ring, which executes
-	// every lookup by its own probe.
-	Combining table.Combining
 	// Observe, when non-nil, attaches the table to the observability
 	// registry: each handle registers a padded counter shard published at
 	// batch boundaries (Flush/Barrier for writers, Submit/Flush for readers
 	// and owners), plus a table-level pull source of quiescent-safe
 	// aggregates. Nil — the default — is bit-identical and allocation-free.
 	Observe *obs.Registry
-	// Governor selects the execution mode of the view's handles, fixed at
-	// construction (dramhit.Config.Governor): table.GovernorOff (the zero
-	// value) runs the prefetch pipeline, table.GovernorDirect executes each
-	// request synchronously, in submission order. It applies to readers and
-	// owners alike; writers delegate either way.
-	Governor table.GovernorMode
 }
 
 // partition p of the table is region p of its view, written only by its
@@ -101,7 +87,6 @@ type Table struct {
 	total     uint64
 	side      slotarr.SidePair
 	fabric    *delegation.Fabric
-	combine   table.Combining
 
 	started atomic.Bool
 	wg      sync.WaitGroup
@@ -140,13 +125,10 @@ func New(cfg Config) *Table {
 		partSlots: partSlots,
 		nparts:    nparts,
 		total:     partSlots * nparts,
-		combine:   cfg.Combining,
 		obsReg:    cfg.Observe,
 		fabric: delegation.New(delegation.Config{
-			Producers:     cfg.Producers,
-			Consumers:     cfg.Consumers,
-			QueueCapacity: cfg.QueueCapacity,
-			Sections:      cfg.Sections,
+			Producers: cfg.Producers,
+			Consumers: cfg.Consumers,
 		}),
 	}
 	// The readers' shards: a distinct name from the core table's "dramhit-h",
@@ -160,7 +142,6 @@ func New(cfg Config) *Table {
 		Slots:          t.total,
 		PrefetchWindow: cfg.PrefetchWindow,
 		Observe:        cfg.Observe,
-		Governor:       cfg.Governor,
 	}, regs)
 	if t.obsReg != nil {
 		observe(t.obsReg, t.view, t.Len, t.Cap, t.Dropped, t.Partitions())
@@ -192,9 +173,6 @@ func observe(reg *obs.Registry, view *dramhit.Table, length, capacity func() int
 func (t *Table) locate(key uint64) (part, local uint64) {
 	return hashfn.FastrangeSplit(hashfn.City64(key), t.nparts, t.partSlots)
 }
-
-// Combining reports whether WriteHandles fold duplicate-key Upserts.
-func (t *Table) Combining() table.Combining { return t.combine }
 
 // ownerOf returns the consumer index that owns partition p (round-robin
 // assignment, paper Figure 3).
@@ -244,19 +222,14 @@ func (t *Table) Cap() int { return int(t.total) }
 // Partitions returns the partition count.
 func (t *Table) Partitions() int { return int(t.nparts) }
 
-// Direct reports whether the read view's handles, readers and owners alike,
-// run direct mode (Config.Governor).
-func (t *Table) Direct() bool { return t.view.Direct() }
-
 // owner is one delegation thread: the single writer of partitions first,
 // first+Consumers, .... It applies each update delegated to them by
 // submitting it into its own handle of the read view, so a delegated write
-// runs dramhit's prefetched line-pair ring (or direct mode, under
-// GovernorDirect) like any other request. Its claim is the CAS every handle
-// uses; no other goroutine writes these partitions, so that CAS never
-// loses. The handle's ring holds up to a window of updates in flight, which
-// Serve drains before the owner acknowledges a barrier and whenever its
-// queues run dry.
+// runs dramhit's prefetched line-pair ring like any other request. Its claim
+// is the CAS every handle uses; no other goroutine writes these partitions,
+// so that CAS never loses. The handle's ring holds up to a window of updates
+// in flight, which Serve drains before the owner acknowledges a barrier and
+// whenever its queues run dry.
 type owner struct {
 	t      *Table
 	first  int

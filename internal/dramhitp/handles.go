@@ -10,19 +10,17 @@ import (
 )
 
 // WriteHandle is a per-goroutine writer endpoint. Updates are delegated to
-// partition owners and return no result. With combining on (the default),
-// duplicate-key Upserts fold into a small held window before delegation;
-// held deltas drain on Flush, Barrier, Close, window overflow, and
-// same-key Put/Delete, so owners still see one linearizable per-key
-// stream. Obtain with NewWriteHandle and Close when the goroutine is done
-// writing.
+// partition owners and return no result. Duplicate-key Upserts fold into a
+// small held window before delegation (combine.go); held deltas drain on
+// Flush, Barrier, Close, window overflow, and same-key Put/Delete, so owners
+// still see one linearizable per-key stream. Obtain with NewWriteHandle and
+// Close when the goroutine is done writing.
 type WriteHandle struct {
-	t        *Table
-	p        *delegation.Producer
-	coalesce bool
-	cn       int
-	ckeys    [coalesceWindow]uint64
-	cvals    [coalesceWindow]uint64
+	t     *Table
+	p     *delegation.Producer
+	cn    int
+	ckeys [coalesceWindow]uint64
+	cvals [coalesceWindow]uint64
 	// Combined counts Upserts folded into a held entry instead of sent.
 	Combined uint64
 	// sends counts delegation messages dispatched (plain field, published
@@ -40,7 +38,7 @@ func (t *Table) NewWriteHandle() *WriteHandle {
 	if id >= t.cfg.Producers {
 		panic("dramhitp: more WriteHandles requested than Config.Producers")
 	}
-	w := &WriteHandle{t: t, p: t.fabric.Producer(id), coalesce: t.combine == table.CombineOn}
+	w := &WriteHandle{t: t, p: t.fabric.Producer(id)}
 	if t.obsReg != nil {
 		w.obsw = t.obsReg.Worker("dramhitp-w" + strconv.Itoa(id))
 	}
@@ -87,11 +85,11 @@ func (w *WriteHandle) Put(key, value uint64) bool {
 	return w.send(table.Put, key, value)
 }
 
-// Upsert requests an insert-or-add of delta. With combining on, duplicate
-// keys fold locally (see holdUpsert) and a window of distinct keys rides
-// one delegation flush.
+// Upsert requests an insert-or-add of delta. Duplicate keys fold locally
+// (see holdUpsert) and a window of distinct keys rides one delegation flush;
+// a reserved key is sent as it comes.
 func (w *WriteHandle) Upsert(key, delta uint64) bool {
-	if !w.coalesce || w.t.side.For(key) != nil {
+	if w.t.side.For(key) != nil {
 		return w.send(table.Upsert, key, delta)
 	}
 	return w.holdUpsert(key, delta)
@@ -147,8 +145,8 @@ func (w *WriteHandle) Close() {
 }
 
 // ReadHandle is a per-goroutine reader: one dramhit.Handle of the table's read
-// view, so lookups run dramhit's prefetch-window pipeline — ring or direct
-// mode — pointed at the partitions (reads are not delegated; any thread may
+// view, so lookups run dramhit's prefetch-window ring pointed at the
+// partitions (reads are not delegated; any thread may
 // read any partition, and a Get takes no atomic read-modify-write). The
 // wrapper exists to keep that handle Get-only: a partition's only writer is
 // its owner.

@@ -151,12 +151,6 @@ func FastrangeSplit(hash, n, per uint64) (q, r uint64) {
 // is 0.
 func ShardRange(hash, n uint64) uint64 { return Fastrange(Shard64(hash), n) }
 
-// Fastrange32 is the 32-bit variant used where the index space is known to
-// fit in 32 bits (partition selection).
-func Fastrange32(hash uint32, n uint32) uint32 {
-	return uint32((uint64(hash) * uint64(n)) >> 32)
-}
-
 func putUint64(b []byte, v uint64) {
 	_ = b[7]
 	b[0] = byte(v)

@@ -99,16 +99,6 @@ func TestFastrangeUniformity(t *testing.T) {
 	}
 }
 
-func TestFastrange32Bounds(t *testing.T) {
-	f := func(h uint32) bool {
-		const n = 48
-		return Fastrange32(h, n) < n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCity64Bijective(t *testing.T) {
 	// City64 must be invertible: distinct inputs give distinct outputs. We
 	// cannot check all 2^64, but any collision among random samples would

@@ -263,23 +263,8 @@ func WriteMetrics(w io.Writer, r *Registry) {
 		}
 	}
 
-	// Latency histograms, one series per worker with recorded samples.
-	headed := false
-	for _, wk := range workers {
-		if wk.Lat.Count() == 0 {
-			continue
-		}
-		if !headed {
-			fmt.Fprintf(w, "# HELP dramhit_latency_ns Operation latency as recorded by the active latency sink\n")
-			fmt.Fprintf(w, "# TYPE dramhit_latency_ns histogram\n")
-			headed = true
-		}
-		writeHistogram(w, "dramhit_latency_ns", &wk.Lat,
-			fmt.Sprintf("worker=%q", wk.Name()))
-	}
-
 	// Per-op-class latency: one series per (worker, op class) with samples.
-	headed = false
+	headed := false
 	for _, wk := range workers {
 		for c := 0; c < NumOpClasses; c++ {
 			if wk.Op[c].Count() == 0 {

@@ -13,8 +13,8 @@ func newTestRegistry() *Registry {
 	w.Add(CGets, 100)
 	w.Add(CHits, 90)
 	w.SetGauge(GWindowOcc, 8)
-	w.Lat.Record(150)
-	w.Lat.Record(900)
+	w.Op[OpGetHit].Record(150)
+	w.Op[OpGetHit].Record(900)
 	r.AddSource("table", func() map[string]float64 {
 		return map[string]float64{"fill factor": 0.42}
 	})
@@ -37,8 +37,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dramhit_gets_total{worker="w0"} 100`,
 		`dramhit_hits_total{worker="w0"} 90`,
 		`dramhit_window_occupancy{worker="w0"} 8`,
-		`dramhit_latency_ns_count{worker="w0"} 2`,
-		`dramhit_latency_ns_bucket{worker="w0",le="+Inf"} 2`,
+		`dramhit_op_latency_ns_count{worker="w0",op="get_hit"} 2`,
+		`dramhit_op_latency_ns_bucket{worker="w0",op="get_hit",le="+Inf"} 2`,
 		`dramhit_pull{source="table",name="fill_factor"} 0.42`,
 		`dramhit_trace_events_total 2`,
 		`dramhit_uptime_seconds`,
@@ -50,7 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The cumulative histogram must be monotone and end at the count.
 	var prev int64 = -1
 	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, "dramhit_latency_ns_bucket") || strings.Contains(line, "+Inf") {
+		if !strings.HasPrefix(line, "dramhit_op_latency_ns_bucket") || strings.Contains(line, "+Inf") {
 			continue
 		}
 		var v int64

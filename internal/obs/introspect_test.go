@@ -10,7 +10,7 @@ import (
 )
 
 // populatedRegistry builds a registry exercising every metrics family:
-// counters, gauges, aggregate and per-op latency, hot keys, pull sources,
+// counters, gauges, per-op latency, hot keys, pull sources,
 // and the trace ring.
 func populatedRegistry() *Registry {
 	r := NewWith(256, 1)
@@ -23,7 +23,6 @@ func populatedRegistry() *Registry {
 			w.SetGauge(g, uint64(g+7))
 		}
 		for i := 0; i < 100; i++ {
-			w.Lat.Record(uint64(100 + i))
 			w.Op[OpGetHit].Record(uint64(50 + i))
 			w.Op[OpUpsert].Record(uint64(500 + i))
 			w.Hot.Offer(uint64(i % 10))
@@ -66,7 +65,7 @@ func TestMetricsStrictFormat(t *testing.T) {
 	}
 	for _, want := range []string{
 		"dramhit_gets_total", "dramhit_window_occupancy",
-		"dramhit_latency_ns", "dramhit_op_latency_ns",
+		"dramhit_op_latency_ns",
 		"dramhit_hotkey_count", "dramhit_pull",
 		"dramhit_trace_events_total", "dramhit_uptime_seconds",
 	} {

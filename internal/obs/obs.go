@@ -80,7 +80,7 @@ var GaugeNames = [NumGauges]string{
 type pad [64]byte
 
 // Worker is one hot path's private shard: a fixed array of counters and
-// gauges plus a latency histogram, all updated with uncontended atomics by
+// gauges plus per-op-class latency histograms, all updated with uncontended atomics by
 // the owning goroutine and read concurrently by the scraper. Create with
 // Registry.Worker; never share one Worker between goroutines.
 type Worker struct {
@@ -89,8 +89,6 @@ type Worker struct {
 	c    [NumCounters]atomic.Uint64
 	g    [NumGauges]atomic.Uint64
 	_    pad
-	// Lat is the worker's latency histogram (nanoseconds by convention).
-	Lat Histogram
 	// Op are per-op-class latency histograms (nanoseconds), indexed by the
 	// OpGetHit..OpDeleteMiss classes. A table handle records the requests it
 	// samples (1 in the registry's TraceSampleN) into them.
@@ -118,14 +116,6 @@ func (w *Worker) Counter(i int) uint64 { return w.c[i].Load() }
 
 // SetGauge publishes gauge g.
 func (w *Worker) SetGauge(g int, v uint64) { w.g[g].Store(v) }
-
-// MaxGauge raises gauge g to v if v is larger. Single-writer (the owning
-// goroutine), so load-then-store suffices.
-func (w *Worker) MaxGauge(g int, v uint64) {
-	if v > w.g[g].Load() {
-		w.g[g].Store(v)
-	}
-}
 
 // Gauge returns gauge g's current value.
 func (w *Worker) Gauge(g int) uint64 { return w.g[g].Load() }
@@ -297,20 +287,18 @@ type WorkerSnapshot struct {
 	Name     string            `json:"name"`
 	Counters map[string]uint64 `json:"counters"`
 	Gauges   map[string]uint64 `json:"gauges"`
-	Latency  HistSnapshot      `json:"latency_ns"`
 	// OpLatency holds per-op-class latency summaries for classes with
 	// recorded samples (key: OpClassNames value).
 	OpLatency map[string]HistSnapshot `json:"op_latency_ns,omitempty"`
 }
 
 // Snapshot is the registry's frozen state: per-worker shards, summed
-// totals, pull-source gauges and a merged latency summary.
+// totals, pull-source gauges and merged per-op-class latency.
 type Snapshot struct {
 	UptimeSeconds float64                       `json:"uptime_seconds"`
 	Totals        map[string]uint64             `json:"totals"`
 	Workers       []WorkerSnapshot              `json:"workers"`
 	Sources       map[string]map[string]float64 `json:"sources"`
-	Latency       HistSnapshot                  `json:"latency_ns"`
 	// OpLatency merges every worker's per-op-class histograms (classes with
 	// samples only); HotKeys is the merged top-16 hot-key ranking.
 	OpLatency   map[string]HistSnapshot `json:"op_latency_ns,omitempty"`
@@ -326,14 +314,12 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		Totals:        map[string]uint64{},
 		Sources:       map[string]map[string]float64{},
 	}
-	var lat Histogram
 	classLat := make([]*Histogram, NumOpClasses)
 	for _, w := range r.Workers() {
 		ws := WorkerSnapshot{
 			Name:     w.name,
 			Counters: map[string]uint64{},
 			Gauges:   map[string]uint64{},
-			Latency:  w.Lat.Snapshot(),
 		}
 		for i := 0; i < NumCounters; i++ {
 			v := w.Counter(i)
@@ -343,7 +329,6 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		for g := 0; g < NumGauges; g++ {
 			ws.Gauges[GaugeNames[g]] = w.Gauge(g)
 		}
-		lat.Merge(&w.Lat)
 		for c := 0; c < NumOpClasses; c++ {
 			if w.Op[c].Count() == 0 {
 				continue
@@ -359,7 +344,6 @@ func (r *Registry) TakeSnapshot() Snapshot {
 		}
 		s.Workers = append(s.Workers, ws)
 	}
-	s.Latency = lat.Snapshot()
 	for c, h := range classLat {
 		if h == nil {
 			continue

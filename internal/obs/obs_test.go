@@ -16,8 +16,7 @@ func TestWorkerCountersAndGauges(t *testing.T) {
 		t.Fatalf("counters: gets=%d puts=%d", w.Counter(CGets), w.Counter(CPuts))
 	}
 	w.SetGauge(GWindowOcc, 12)
-	w.MaxGauge(GWindowMax, 7)
-	w.MaxGauge(GWindowMax, 3) // lower: no change
+	w.SetGauge(GWindowMax, 7)
 	if w.Gauge(GWindowOcc) != 12 || w.Gauge(GWindowMax) != 7 {
 		t.Fatalf("gauges: occ=%d max=%d", w.Gauge(GWindowOcc), w.Gauge(GWindowMax))
 	}
@@ -25,7 +24,7 @@ func TestWorkerCountersAndGauges(t *testing.T) {
 
 func TestWorkerPadding(t *testing.T) {
 	// The counter array must start at least a cache line past the struct
-	// start, and the histogram at least a line past the gauges, so two
+	// start, and the histograms at least a line past the gauges, so two
 	// workers allocated adjacently never share hot lines.
 	var w Worker
 	base := uintptr(unsafe.Pointer(&w))
@@ -33,8 +32,8 @@ func TestWorkerPadding(t *testing.T) {
 		t.Fatalf("counters start at offset %d, want >= 64", off)
 	}
 	gaugesEnd := uintptr(unsafe.Pointer(&w.g[NumGauges-1])) + 8 - base
-	if off := uintptr(unsafe.Pointer(&w.Lat)) - base; off < gaugesEnd+64 {
-		t.Fatalf("histogram at offset %d, want >= %d", off, gaugesEnd+64)
+	if off := uintptr(unsafe.Pointer(&w.Op[0])) - base; off < gaugesEnd+64 {
+		t.Fatalf("histograms at offset %d, want >= %d", off, gaugesEnd+64)
 	}
 }
 
@@ -73,8 +72,9 @@ func TestRegistrySnapshot(t *testing.T) {
 	w2 := r.Worker("b")
 	w1.Add(CGets, 10)
 	w2.Add(CGets, 5)
-	w1.Lat.Record(100)
-	w2.Lat.Record(200)
+	w1.Op[OpGetHit].Record(100)
+	w2.Op[OpGetHit].Record(200)
+	w2.Op[OpPut].Record(300)
 	r.AddSource("table", func() map[string]float64 {
 		return map[string]float64{"fill": 0.5}
 	})
@@ -87,8 +87,11 @@ func TestRegistrySnapshot(t *testing.T) {
 	if len(s.Workers) != 2 {
 		t.Fatalf("workers = %d, want 2", len(s.Workers))
 	}
-	if s.Latency.Count != 2 {
-		t.Fatalf("merged latency count = %d, want 2", s.Latency.Count)
+	if n := s.OpLatency["get_hit"].Count; n != 2 || s.OpLatency["put"].Count != 1 {
+		t.Fatalf("merged op latency counts: get_hit %d, put %d; want 2 and 1", n, s.OpLatency["put"].Count)
+	}
+	if _, ok := s.OpLatency["upsert"]; ok {
+		t.Fatal("op class with no samples has a latency entry")
 	}
 	if s.Sources["table"]["fill"] != 0.5 {
 		t.Fatalf("source fill = %v", s.Sources["table"]["fill"])
@@ -122,8 +125,7 @@ func TestWorkerHotOpsZeroAlloc(t *testing.T) {
 		w.Inc(CGets)
 		w.Store(CPuts, 7)
 		w.SetGauge(GWindowOcc, 3)
-		w.MaxGauge(GWindowMax, 9)
-		w.Lat.Record(55)
+		w.Op[OpGetHit].Record(55)
 	}); n != 0 {
 		t.Fatalf("worker hot ops allocate %v per run, want 0", n)
 	}

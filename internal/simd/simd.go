@@ -96,7 +96,7 @@ func ProbeLine4(l0, l1, l2, l3, key, emptyKey uint64, cidx int) (lane int, res P
 	keyMask &= valid
 	emptyMask &= valid
 	// The first match in probe order wins: whichever mask has the lower
-	// set bit. Combining the masks and testing which one owns the lowest
+	// set bit. Merging the masks and testing which one owns the lowest
 	// bit is branch-free.
 	combined := keyMask | emptyMask
 	if combined == 0 {

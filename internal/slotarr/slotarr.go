@@ -122,66 +122,20 @@ func (a *Array) AddValue(i, delta uint64) uint64 {
 	return atomic.AddUint64(&a.words[2*i+1], delta)
 }
 
-// LineView is a one-pass snapshot of a full cache line: the four key/value
-// slots (eight words) indexed by lane, i.e. slot position within the line.
-// Keys[l] is loaded before Vals[l], so a lane whose key matched a probe
-// carries a value observed no earlier than its key — the ordering the
-// claim-then-publish protocol's read path relies on.
-type LineView struct {
-	Keys [table.SlotsPerCacheLine]uint64
-	Vals [table.SlotsPerCacheLine]uint64
-}
-
-// LoadLine snapshots the cache line containing slot i with one pass of
-// atomic loads in ascending address order. It returns the view, the slot
-// index of lane 0, and the number of lanes backed by real slots (valid <
-// SlotsPerCacheLine only on the array's final, partial line). Lanes past the
-// end read as TombstoneKey/InFlightValue so they match neither a probe key
-// nor EmptyKey in the lane kernel.
+// LoadKeys4 snapshots the four key lanes of the cache line containing slot
+// i, in registers, with one pass of atomic loads in ascending address order.
+// It returns them with the slot index of lane 0 and the count of lanes
+// backed by real slots (valid < SlotsPerCacheLine only on the array's final,
+// partial line). Padding lanes read as TombstoneKey, so they match neither a
+// probe key nor EmptyKey in the lane kernel. A caller needs at most one
+// value afterwards (the matched lane's, an L1 hit since the line was just
+// touched).
 //
 // The snapshot may be stale by the time the caller acts on it: key words are
 // monotonic (EmptyKey → key → TombstoneKey, never reused), so a key match
 // stays a match, and a lane seen empty is re-verified by the claim CAS —
-// callers re-snapshot when that CAS fails.
-func (a *Array) LoadLine(i uint64) (lv LineView, base, valid uint64) {
-	base = (i / table.SlotsPerCacheLine) * table.SlotsPerCacheLine
-	valid = a.size - base
-	if valid > table.SlotsPerCacheLine {
-		valid = table.SlotsPerCacheLine
-	}
-	w := a.words[2*base : 2*base+2*table.SlotsPerCacheLine]
-	for l := uint64(0); l < table.SlotsPerCacheLine; l++ {
-		lv.Keys[l] = atomic.LoadUint64(&w[2*l])
-		lv.Vals[l] = atomic.LoadUint64(&w[2*l+1])
-	}
-	return lv, base, valid
-}
-
-// LoadKeys snapshots only the four key lanes of the cache line containing
-// slot i into lanes, returning the slot index of lane 0 and the count of
-// lanes backed by real slots. It is the hot-path variant of LoadLine for
-// callers that need at most one value afterwards (the matched lane's, an L1
-// hit since the line was just touched): half the loads and no 128-byte view
-// to copy. Padding lanes read as TombstoneKey, same as LoadLine. The body is
-// branchless (New pads the backing array to whole lines) so it inlines into
-// the probe loops.
-func (a *Array) LoadKeys(lanes *[table.SlotsPerCacheLine]uint64, i uint64) (base, valid uint64) {
-	base = i &^ (table.SlotsPerCacheLine - 1)
-	valid = a.size - base
-	if valid > table.SlotsPerCacheLine {
-		valid = table.SlotsPerCacheLine
-	}
-	w := a.words[2*base : 2*base+2*table.SlotsPerCacheLine]
-	lanes[0] = atomic.LoadUint64(&w[0])
-	lanes[1] = atomic.LoadUint64(&w[2])
-	lanes[2] = atomic.LoadUint64(&w[4])
-	lanes[3] = atomic.LoadUint64(&w[6])
-	return base, valid
-}
-
-// LoadKeys4 is LoadKeys returning the four key lanes in registers instead of
-// through a caller-provided array, so the probe loops keep the whole
-// snapshot out of memory. Inlines (New pads the array, so no tail branch).
+// callers re-snapshot when that CAS fails. The body is branchless (New pads
+// the backing array to whole lines) so it inlines into the probe loops.
 func (a *Array) LoadKeys4(i uint64) (l0, l1, l2, l3, base, valid uint64) {
 	base = i &^ (table.SlotsPerCacheLine - 1)
 	valid = a.size - base

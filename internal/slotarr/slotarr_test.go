@@ -170,48 +170,21 @@ func TestSideSlotConcurrentUpserts(t *testing.T) {
 	}
 }
 
-func TestLoadLineSnapshot(t *testing.T) {
-	a := New(8)
-	a.CASKey(5, table.EmptyKey, 50)
-	a.StoreValue(5, 500)
-	a.CASKey(6, table.EmptyKey, 60)
-	// slot 6 stays in-flight: LoadLine must surface InFlightValue, not spin.
-	lv, base, valid := a.LoadLine(6)
-	if base != 4 || valid != 4 {
-		t.Fatalf("base=%d valid=%d, want 4,4", base, valid)
-	}
-	if lv.Keys[0] != table.EmptyKey || lv.Keys[1] != 50 || lv.Keys[2] != 60 || lv.Keys[3] != table.EmptyKey {
-		t.Fatalf("keys = %v", lv.Keys)
-	}
-	if lv.Vals[1] != 500 {
-		t.Fatalf("value lane 1 = %d, want 500", lv.Vals[1])
-	}
-	if lv.Vals[2] != InFlightValue {
-		t.Fatalf("in-flight slot leaked value %d", lv.Vals[2])
-	}
-	// Any index within the line yields the same snapshot bounds.
-	if _, b2, v2 := a.LoadLine(4); b2 != 4 || v2 != 4 {
-		t.Fatalf("LoadLine(4) bounds (%d,%d)", b2, v2)
-	}
-}
-
-func TestLoadLinePartialTail(t *testing.T) {
+func TestLoadKeys4PartialTail(t *testing.T) {
 	// A 6-slot array's second line holds only 2 real slots; the padding
 	// lanes must be poisoned so no probe key or EmptyKey can match them.
 	a := New(6)
 	a.CASKey(4, table.EmptyKey, 44)
 	a.StoreValue(4, 4)
-	lv, base, valid := a.LoadLine(5)
+	l0, l1, l2, l3, base, valid := a.LoadKeys4(5)
 	if base != 4 || valid != 2 {
 		t.Fatalf("base=%d valid=%d, want 4,2", base, valid)
 	}
-	if lv.Keys[0] != 44 || lv.Keys[1] != table.EmptyKey {
-		t.Fatalf("real lanes = %v", lv.Keys[:2])
+	if l0 != 44 || l1 != table.EmptyKey {
+		t.Fatalf("real lanes = [%#x %#x], want [44 empty]", l0, l1)
 	}
-	for l := valid; l < table.SlotsPerCacheLine; l++ {
-		if lv.Keys[l] != table.TombstoneKey {
-			t.Fatalf("padding lane %d key = %#x, want tombstone poison", l, lv.Keys[l])
-		}
+	if l2 != table.TombstoneKey || l3 != table.TombstoneKey {
+		t.Fatalf("padding lanes = [%#x %#x], want tombstone poison", l2, l3)
 	}
 }
 

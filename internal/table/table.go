@@ -112,54 +112,6 @@ func (l Layout) String() string {
 	return "invalid"
 }
 
-// ParseLayout maps a benchmark-flag string back to a layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "", "flat":
-		return LayoutFlat, nil
-	case "bucket":
-		return LayoutBucket, nil
-	}
-	return 0, fmt.Errorf("unknown layout %q (want flat|bucket)", s)
-}
-
-// Combining selects whether a DRAMHiT-P write handle folds a duplicate-key
-// Upsert into a held one instead of delegating it. The zero value is
-// CombineOn; CombineOff stays selectable for A/B benchmarks. Combining
-// changes no table state — only how many delegation messages produce it.
-// (The core table's prefetch ring does not combine: it executes every
-// request by its own probe.)
-type Combining uint8
-
-const (
-	// CombineOn folds a held same-key Upsert's increment.
-	CombineOn Combining = iota
-	// CombineOff delegates every Upsert individually (the A/B baseline).
-	CombineOff
-)
-
-// String implements fmt.Stringer for benchmark labels.
-func (c Combining) String() string {
-	switch c {
-	case CombineOn:
-		return "on"
-	case CombineOff:
-		return "off"
-	}
-	return "invalid"
-}
-
-// ParseCombining maps a benchmark-flag string back to a combining setting.
-func ParseCombining(s string) (Combining, error) {
-	switch s {
-	case "", "on":
-		return CombineOn, nil
-	case "off":
-		return CombineOff, nil
-	}
-	return 0, fmt.Errorf("unknown combining setting %q (want on|off)", s)
-}
-
 // GovernorMode selects a flat table's execution mode, fixed when the table
 // is built: the prefetch pipeline or direct mode. The zero value is
 // GovernorOff, which leaves the choice to the table.
